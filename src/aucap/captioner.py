@@ -5,6 +5,13 @@ Text branch: embedding -> GRU -> batch norm (final state over the partial
 caption). The two states are concatenated and decoded by one GRU step, a
 dense layer and a softmax over the vocabulary. Training is teacher-forced:
 each caption of N tokens contributes N-1 (prefix -> next word) examples.
+
+The audio state never depends on the caption prefix ("merge" design), so
+greedy decoding encodes the audio once per clip and advances the text-GRU
+state by one step per emitted token. This is exact: the text state of a
+prefix is one cell step on from the state of the prefix one token shorter,
+and infer-mode batch norm normalizes each row with frozen statistics, so
+every step decodes the same numbers as ``forward`` on the whole prefix.
 """
 
 from __future__ import annotations
@@ -165,32 +172,43 @@ class Captioner:
         normed = bn(stacked, mode=mode, update_running=update_running)
         return [T.row_slice(normed, t * batch, (t + 1) * batch) for t in range(len(steps))]
 
+    def _dropout_rate(self, mode: str, rng: np.random.RandomState | None) -> float:
+        drop = self.config.dropout if mode == "train" else 0.0
+        if drop > 0.0 and rng is None:
+            raise ValueError("train-mode encode needs an rng for dropout")
+        return drop
+
+    def encode_audio(self, audio: np.ndarray, mode: str,
+                     rng: np.random.RandomState | None = None,
+                     update_running: bool = True) -> Tensor:
+        """(batch, 2*bigru2) audio state: BiGRU -> BN -> BiGRU -> BN (final state)."""
+        audio = np.asarray(audio, dtype=np.float64)
+        if audio.ndim != 3 or audio.shape[2] != self.config.encoder_input_dim:
+            raise ShapeError(
+                f"audio batch must be (B, T, {self.config.encoder_input_dim}), got {audio.shape}"
+            )
+        drop = self._dropout_rate(mode, rng)
+        audio_steps = [Tensor(audio[:, t, :]) for t in range(audio.shape[1])]
+        if drop > 0.0:
+            audio_steps = [T.dropout(s, drop, mode, rng) for s in audio_steps]
+        seq1 = self.audio_gru1.run(audio_steps, return_sequence=True)
+        seq1 = self._bn_steps(self.bn_audio1, seq1, mode, update_running)
+        audio_vec = self.audio_gru2.run(seq1, return_sequence=False)
+        return self.bn_audio2(audio_vec, mode=mode, update_running=update_running)
+
     def encode(self, audio: np.ndarray, prefix: np.ndarray, mask: np.ndarray, mode: str,
                rng: np.random.RandomState | None = None, update_running: bool = True) -> Tensor:
         """Fused (batch, 2*bigru2 + text_gru) representation of audio + partial caption."""
         audio = np.asarray(audio, dtype=np.float64)
         prefix = np.asarray(prefix, dtype=np.int64)
         mask = np.asarray(mask, dtype=np.float64)
-        if audio.ndim != 3 or audio.shape[2] != self.config.encoder_input_dim:
-            raise ShapeError(
-                f"audio batch must be (B, T, {self.config.encoder_input_dim}), got {audio.shape}"
-            )
-        if prefix.ndim != 2 or prefix.shape != mask.shape or prefix.shape[0] != audio.shape[0]:
-            raise ShapeError(f"prefix {prefix.shape} / mask {mask.shape} / batch {audio.shape[0]}")
-        drop = self.config.dropout
-        if mode == "train" and drop > 0.0 and rng is None:
-            raise ValueError("train-mode encode needs an rng for dropout")
+        if prefix.ndim != 2 or prefix.shape != mask.shape or prefix.shape[:1] != audio.shape[:1]:
+            raise ShapeError(f"prefix {prefix.shape} / mask {mask.shape} / audio {audio.shape}")
+        audio_vec = self.encode_audio(audio, mode, rng=rng, update_running=update_running)
 
-        audio_steps = [Tensor(audio[:, t, :]) for t in range(audio.shape[1])]
-        if mode == "train" and drop > 0.0:
-            audio_steps = [T.dropout(s, drop, mode, rng) for s in audio_steps]
-        seq1 = self.audio_gru1.run(audio_steps, return_sequence=True)
-        seq1 = self._bn_steps(self.bn_audio1, seq1, mode, update_running)
-        audio_vec = self.audio_gru2.run(seq1, return_sequence=False)
-        audio_vec = self.bn_audio2(audio_vec, mode=mode, update_running=update_running)
-
+        drop = self._dropout_rate(mode, rng)
         text_steps = [self.embedding(prefix[:, t]) for t in range(prefix.shape[1])]
-        if mode == "train" and drop > 0.0:
+        if drop > 0.0:
             text_steps = [T.dropout(s, drop, mode, rng) for s in text_steps]
         masks = [mask[:, t] for t in range(mask.shape[1])]
         text_vec = self.text_gru.run(text_steps, masks=masks, return_sequence=False)
@@ -213,19 +231,28 @@ class Captioner:
 
     def greedy_decode(self, encoder_input: np.ndarray, vocab: Vocabulary,
                       max_len: int | None = None) -> list[str]:
-        """Argmax decoding from ``<sos>`` until ``<eos>`` or the length cap.
+        """Argmax decoding of one clip from ``<sos>`` until ``<eos>`` or the length cap.
 
-        Ties break toward the lowest vocabulary index (argmax semantics).
+        The audio is encoded once; each token then takes one text-GRU step from
+        the previous state, infer-mode ``bn_text``, and ``decode_step`` on the
+        cached audio state. Batch 1 and the same ops in the same order as
+        ``forward`` on the whole prefix give bitwise-equal probabilities (see
+        the module docstring). Ties break toward the lowest vocabulary index
+        (argmax semantics).
         """
         max_len = max_len if max_len is not None else self.config.max_len
         arr = np.asarray(encoder_input, dtype=np.float64)
         if arr.ndim == 2:
             arr = arr[None, :, :]
+        if arr.ndim != 3 or arr.shape[0] != 1:
+            raise ShapeError(f"greedy_decode takes one clip, got input of shape {arr.shape}")
+        audio_vec = self.encode_audio(arr, mode="infer")
+        h = Tensor(np.zeros((1, self.text_gru.hidden)))
         tokens = [vocab.sos_index]
         while len(tokens) < max_len:
-            prefix = np.array([tokens], dtype=np.int64)
-            mask = np.ones_like(prefix, dtype=np.float64)
-            probs = self.forward(arr, prefix, mask, mode="infer")
+            h = self.text_gru.step(self.embedding(np.array([tokens[-1]], dtype=np.int64)), h)
+            text_vec = self.bn_text(h, mode="infer")
+            probs = self.decode_step(T.concat([audio_vec, text_vec], axis=1), mode="infer")
             nxt = int(np.argmax(probs.data[0]))
             tokens.append(nxt)
             if nxt == vocab.eos_index:

@@ -249,6 +249,10 @@ class GRU:
     def run(self, steps, masks=None, return_sequence: bool = False):
         return run_gru(steps, self.cell, masks=masks, return_sequence=return_sequence)
 
+    def step(self, x_t: Tensor, h_prev: Tensor) -> Tensor:
+        """One step from state ``h_prev``: the same ops ``run`` applies per step."""
+        return gru_cell_step(x_t, h_prev, self.cell)
+
     def parameters(self) -> list[Parameter]:
         return self.cell.parameters()
 

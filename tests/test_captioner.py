@@ -10,6 +10,7 @@ from aucap.captioner import (
     train_captioner,
 )
 from aucap.errors import CheckpointError, ShapeError
+from aucap.nn.layers import BiGRU
 from aucap.text import EOS, SOS, Vocabulary, build_vocabulary, clean_caption
 
 
@@ -155,6 +156,78 @@ class TestGreedyDecode:
             p.data[...] = 0.0  # uniform distribution: all logits equal
         tokens = model.greedy_decode(np.zeros((3, 8)), vocab, max_len=3)
         assert tokens[1] == vocab.word(0)
+
+
+class TestIncrementalDecode:
+    """greedy_decode encodes the audio once and steps the text GRU per token;
+    every step must reproduce ``forward`` on the whole prefix bit for bit."""
+
+    @staticmethod
+    def _decoding_model(vocab, seed=7, **overrides):
+        model, cfg = micro_model(vocab_size=len(vocab), **overrides)
+        rng = np.random.RandomState(seed)
+        for bn in model._batch_norms():
+            # raw EMA buffers after 9 updates whose bias-corrected statistics
+            # are mean ~N(0, 1) and variance in [0.5, 2]
+            bn.steps = 9
+            start_share = bn.momentum ** bn.steps
+            bn.running_mean = (1.0 - start_share) * rng.standard_normal(bn.running_mean.shape)
+            bn.running_var = start_share + (1.0 - start_share) * rng.uniform(
+                0.5, 2.0, bn.running_var.shape)
+            bn.gamma.data = rng.uniform(0.5, 1.5, bn.gamma.data.shape)
+            bn.beta.data = rng.standard_normal(bn.beta.data.shape)
+        model.out.bias.data[vocab.eos_index] = -50.0  # decode up to the length cap
+        return model, cfg, rng
+
+    @pytest.mark.parametrize("variant,frames", [("panns", 1), ("logmel", 5)])
+    @pytest.mark.parametrize("sve_dim", [0, 3])
+    def test_step_probabilities_equal_full_prefix_forward(self, variant, frames, sve_dim):
+        vocab = build_vocabulary([clean_caption("dog barks loudly outside")])
+        model, cfg, rng = self._decoding_model(vocab, variant=variant, sve_dim=sve_dim)
+        sve = rng.randint(0, 2, sve_dim).astype(float) if sve_dim else None
+        enc = build_encoder_input(rng.standard_normal((frames, cfg.feature_dim)), sve, variant)
+
+        steps = []
+        decode_step = model.decode_step
+
+        def recording(fused, mode, update_running=True):
+            probs = decode_step(fused, mode, update_running=update_running)
+            steps.append(probs.data.copy())
+            return probs
+
+        model.decode_step = recording
+        tokens = model.greedy_decode(enc, vocab, max_len=7)
+        del model.decode_step
+
+        assert len(steps) == len(tokens) - 1 == 6
+        indices = [vocab.index(t) for t in tokens]
+        for i, probs in enumerate(steps):
+            prefix = np.array([indices[: i + 1]])
+            full = model.forward(enc[None], prefix, np.ones(prefix.shape), mode="infer")
+            assert np.array_equal(probs, full.data)
+            assert indices[i + 1] == int(np.argmax(full.data[0]))
+
+    @pytest.mark.parametrize("max_len", [2, 6, 15])
+    def test_audio_encoded_once_per_decode(self, monkeypatch, max_len):
+        vocab = build_vocabulary([clean_caption("dog barks loudly")])
+        model, _, rng = self._decoding_model(vocab)
+        calls = []
+        run = BiGRU.run
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(BiGRU, "run", counting)
+        tokens = model.greedy_decode(rng.standard_normal((4, 8)), vocab, max_len=max_len)
+        assert len(tokens) == max_len
+        assert calls == [model.audio_gru1, model.audio_gru2]
+
+    def test_batch_of_clips_rejected(self):
+        vocab = build_vocabulary([clean_caption("dog barks")])
+        model, _ = micro_model(vocab_size=len(vocab))
+        with pytest.raises(ShapeError):
+            model.greedy_decode(np.zeros((2, 3, 8)), vocab)
 
 
 class TestTraining:
