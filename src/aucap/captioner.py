@@ -237,8 +237,10 @@ class Captioner:
         the previous state, infer-mode ``bn_text``, and ``decode_step`` on the
         cached audio state. Batch 1 and the same ops in the same order as
         ``forward`` on the whole prefix give bitwise-equal probabilities (see
-        the module docstring). Ties break toward the lowest vocabulary index
-        (argmax semantics).
+        the module docstring). The argmax runs over the words and ``<eos>``:
+        ``<pad>``, ``<sos>`` and ``<unk>`` are never emitted, since
+        ``strip_special_tokens`` would drop them and leave no caption word. Ties
+        break toward the lowest of those indices.
         """
         max_len = max_len if max_len is not None else self.config.max_len
         arr = np.asarray(encoder_input, dtype=np.float64)
@@ -246,6 +248,7 @@ class Captioner:
             arr = arr[None, :, :]
         if arr.ndim != 3 or arr.shape[0] != 1:
             raise ShapeError(f"greedy_decode takes one clip, got input of shape {arr.shape}")
+        reserved = [vocab.pad_index, vocab.sos_index, vocab.unk_index]
         audio_vec = self.encode_audio(arr, mode="infer")
         h = Tensor(np.zeros((1, self.text_gru.hidden)))
         tokens = [vocab.sos_index]
@@ -253,7 +256,9 @@ class Captioner:
             h = self.text_gru.step(self.embedding(np.array([tokens[-1]], dtype=np.int64)), h)
             text_vec = self.bn_text(h, mode="infer")
             probs = self.decode_step(T.concat([audio_vec, text_vec], axis=1), mode="infer")
-            nxt = int(np.argmax(probs.data[0]))
+            scores = probs.data[0].copy()
+            scores[reserved] = -np.inf
+            nxt = int(np.argmax(scores))
             tokens.append(nxt)
             if nxt == vocab.eos_index:
                 break

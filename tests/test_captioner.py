@@ -11,7 +11,7 @@ from aucap.captioner import (
 )
 from aucap.errors import CheckpointError, ShapeError
 from aucap.nn.layers import BiGRU
-from aucap.text import EOS, SOS, Vocabulary, build_vocabulary, clean_caption
+from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
 
 
 def micro_config(**overrides):
@@ -155,7 +155,20 @@ class TestGreedyDecode:
         for p in model.parameters():
             p.data[...] = 0.0  # uniform distribution: all logits equal
         tokens = model.greedy_decode(np.zeros((3, 8)), vocab, max_len=3)
-        assert tokens[1] == vocab.word(0)
+        # <pad> (index 0) and <sos> are not allowed; <eos> is the lowest index left
+        assert vocab.eos_index < vocab.index("dog")
+        assert tokens == [SOS, EOS]
+
+    @pytest.mark.parametrize("reserved", [PAD, SOS, UNK])
+    def test_reserved_tokens_never_emitted(self, reserved):
+        vocab = build_vocabulary([[SOS, "dog", EOS]])
+        model, _ = micro_model(vocab_size=len(vocab))
+        for p in model.parameters():
+            p.data[...] = 0.0
+        model.out.bias.data[vocab.index(reserved)] = 10.0  # the largest logit
+        model.out.bias.data[vocab.index("dog")] = 1.0
+        tokens = model.greedy_decode(np.zeros((3, 8)), vocab, max_len=5)
+        assert tokens == [SOS] + ["dog"] * 4
 
 
 class TestIncrementalDecode:
@@ -205,7 +218,9 @@ class TestIncrementalDecode:
             prefix = np.array([indices[: i + 1]])
             full = model.forward(enc[None], prefix, np.ones(prefix.shape), mode="infer")
             assert np.array_equal(probs, full.data)
-            assert indices[i + 1] == int(np.argmax(full.data[0]))
+            words_and_eos = full.data[0].copy()
+            words_and_eos[[vocab.pad_index, vocab.sos_index, vocab.unk_index]] = -np.inf
+            assert indices[i + 1] == int(np.argmax(words_and_eos))
 
     @pytest.mark.parametrize("max_len", [2, 6, 15])
     def test_audio_encoded_once_per_decode(self, monkeypatch, max_len):
