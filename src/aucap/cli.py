@@ -235,7 +235,9 @@ def cmd_train_captioner(args) -> int:
     elif args.val_fraction > 0:
         manifest = ds.hold_out_validation(manifest, args.val_fraction, args.seed)
 
-    use_sve = args.use_sve
+    if args.use_sve not in ("on", "off"):
+        raise ConfigError(f"use_sve must be on or off, got {args.use_sve!r}")
+    use_sve = args.use_sve == "on"
     sves = None
     corpus_sha = ""
     sve_dim = 0

@@ -1,4 +1,58 @@
-from aucap import cli
+import numpy as np
+import pytest
+
+from aucap import cli, embfile
+from aucap.audio.embeddings import VARIANT_DIMS
+from aucap.captioner import CaptionerCheckpoint
+from aucap.semantics import build_corpus
+from aucap.text import build_vocabulary, clean_caption
+
+CAPTIONS = {
+    "c0": ["a dog barks loudly", "dogs bark outside"],
+    "c1": ["a man speaks softly", "the man talks"],
+    "c2": ["rain falls down", "water drips near the door"],
+    "c3": ["a bell rings", "the siren blows loudly"],
+}
+
+
+@pytest.fixture
+def panns_fixture(tmp_path, toy_lexicon):
+    """Caption CSV, vocabulary, lexicon, subject-verb corpus and a panns cache."""
+    csv = tmp_path / "captions.csv"
+    csv.write_text("clip_id,caption\n" + "".join(
+        f"{clip},{text}\n" for clip, texts in CAPTIONS.items() for text in texts),
+        encoding="utf-8")
+    captions = [clean_caption(t) for texts in CAPTIONS.values() for t in texts]
+    build_vocabulary(captions).save(tmp_path / "vocabulary.tsv")
+    toy_lexicon.save(tmp_path / "lexicon.tsv")
+    corpus = build_corpus(captions, toy_lexicon)
+    corpus.save(tmp_path / "sve_corpus.txt")
+    cache = tmp_path / "cache"
+    (cache / "panns").mkdir(parents=True)
+    rng = np.random.RandomState(0)
+    for clip in CAPTIONS:
+        embfile.write_matrix(cache / "panns" / f"{clip}.emb",
+                             rng.standard_normal((1, VARIANT_DIMS["panns"])))
+    return tmp_path, corpus
+
+
+class TestTrainCaptioner:
+    @pytest.mark.parametrize("use_sve", ["on", "off"])
+    def test_use_sve_flag(self, panns_fixture, use_sve):
+        root, corpus = panns_fixture
+        out = root / f"captioner_sve_{use_sve}"
+        code = cli.main([
+            "train-captioner", "--csv", str(root / "captions.csv"),
+            "--vocab", str(root / "vocabulary.tsv"), "--cache", str(root / "cache"),
+            "--variant", "panns", "--use-sve", use_sve,
+            "--lexicon", str(root / "lexicon.tsv"), "--corpus", str(root / "sve_corpus.txt"),
+            "--epochs", "1", "--batch", "8", "--embed-dim", "8", "--val-fraction", "0",
+            "--out", str(out),
+        ])
+        assert code == 0
+        sve_dim = CaptionerCheckpoint.load(out / "captioner.ckpt").config.sve_dim
+        assert corpus.size > 0
+        assert sve_dim == (corpus.size if use_sve == "on" else 0)
 
 
 class TestGradcheck:
