@@ -36,23 +36,34 @@ def panns_fixture(tmp_path, toy_lexicon):
     return tmp_path, corpus
 
 
+def train_captioner_args(root, out):
+    return [
+        "train-captioner", "--csv", str(root / "captions.csv"),
+        "--vocab", str(root / "vocabulary.tsv"), "--cache", str(root / "cache"),
+        "--variant", "panns",
+        "--lexicon", str(root / "lexicon.tsv"), "--corpus", str(root / "sve_corpus.txt"),
+        "--epochs", "1", "--batch", "8", "--embed-dim", "8", "--val-fraction", "0",
+        "--out", str(out),
+    ]
+
+
 class TestTrainCaptioner:
     @pytest.mark.parametrize("use_sve", ["on", "off"])
     def test_use_sve_flag(self, panns_fixture, use_sve):
         root, corpus = panns_fixture
         out = root / f"captioner_sve_{use_sve}"
-        code = cli.main([
-            "train-captioner", "--csv", str(root / "captions.csv"),
-            "--vocab", str(root / "vocabulary.tsv"), "--cache", str(root / "cache"),
-            "--variant", "panns", "--use-sve", use_sve,
-            "--lexicon", str(root / "lexicon.tsv"), "--corpus", str(root / "sve_corpus.txt"),
-            "--epochs", "1", "--batch", "8", "--embed-dim", "8", "--val-fraction", "0",
-            "--out", str(out),
-        ])
-        assert code == 0
+        assert cli.main(train_captioner_args(root, out) + ["--use-sve", use_sve]) == 0
         sve_dim = CaptionerCheckpoint.load(out / "captioner.ckpt").config.sve_dim
         assert corpus.size > 0
         assert sve_dim == (corpus.size if use_sve == "on" else 0)
+
+    def test_use_sve_config_value_must_be_on_or_off(self, panns_fixture):
+        root, _ = panns_fixture
+        config = root / "train.cfg"
+        config.write_text("use_sve = yes\n", encoding="utf-8")
+        out = root / "captioner"
+        assert cli.main(train_captioner_args(root, out) + ["--config", str(config)]) == 2
+        assert not (out / "captioner.ckpt").exists()
 
 
 class TestGradcheck:
