@@ -1,4 +1,4 @@
-from .embeddings import VARIANT_DIMS, ClipEmbedding, load_embedding_file, load_variant_features
+from .embeddings import VARIANT_DIMS, load_embedding_file, load_variant_features
 from .features import (
     FeatureConfig,
     LogMelFeatures,
@@ -13,7 +13,6 @@ from .wav import WaveBuffer, load_wav, resample, write_wav, zero_pad_or_truncate
 
 __all__ = [
     "VARIANT_DIMS",
-    "ClipEmbedding",
     "FeatureConfig",
     "LogMelFeatures",
     "MelFilterbank",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,25 +14,12 @@ from ..errors import EmbeddingFormatError
 VARIANT_DIMS = {"logmel": 64, "vggish": 128, "panns": 2048}
 
 
-@dataclass(frozen=True)
-class ClipEmbedding:
-    values: np.ndarray  # (rows, dim): rows > 1 only for per-second sources
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-
-def load_embedding_file(path: str | os.PathLike, expected_dim: int) -> ClipEmbedding:
-    """Load one clip's embedding matrix, enforcing the declared dimension."""
+def load_embedding_file(path: str | os.PathLike, expected_dim: int) -> np.ndarray:
+    """Load one clip's (rows, dim) matrix, enforcing the dim; rows > 1 for per-second sources."""
     values = embfile.read_matrix(path, expected_dim=expected_dim)
     if values.shape[0] == 0:
         raise EmbeddingFormatError(f"{path}: embedding file holds no rows")
-    return ClipEmbedding(values=values)
+    return values
 
 
 def load_variant_features(path: str | os.PathLike, variant: str) -> np.ndarray:
@@ -44,7 +30,8 @@ def load_variant_features(path: str | os.PathLike, variant: str) -> np.ndarray:
     """
     if variant not in VARIANT_DIMS:
         raise ValueError(f"unknown variant {variant!r}, want one of {sorted(VARIANT_DIMS)}")
-    emb = load_embedding_file(path, VARIANT_DIMS[variant])
-    if variant == "panns" and emb.rows != 1:
-        raise EmbeddingFormatError(f"{path}: panns files hold exactly one row, got {emb.rows}")
-    return emb.values
+    values = load_embedding_file(path, VARIANT_DIMS[variant])
+    if variant == "panns" and values.shape[0] != 1:
+        raise EmbeddingFormatError(
+            f"{path}: panns files hold exactly one row, got {values.shape[0]}")
+    return values

@@ -17,13 +17,13 @@ every step decodes the same numbers as ``forward`` on the whole prefix.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .audio.embeddings import VARIANT_DIMS
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ShapeError, check_finite_loss
 from .nn.checkpoint import load_tensors, save_tensors
 from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU
 from .nn import tensor as T
@@ -63,16 +63,6 @@ class CaptionerConfig:
     def fused_dim(self) -> int:
         return 2 * self.bigru2 + self.text_gru
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "sve_dim": self.sve_dim, "audio_dim": self.audio_dim,
-            "bigru1": self.bigru1, "bigru2": self.bigru2, "text_gru": self.text_gru,
-            "decoder_gru": self.decoder_gru, "embed_dim": self.embed_dim,
-            "dropout": self.dropout, "learning_rate": self.learning_rate,
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "max_len": self.max_len, "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "CaptionerConfig":
         return cls(**data)
@@ -87,8 +77,7 @@ def build_encoder_input(audio, sve: np.ndarray | None, variant: str) -> np.ndarr
     """
     if variant not in VARIANT_DIMS:
         raise ValueError(f"unknown variant {variant!r}")
-    values = getattr(audio, "values", audio)
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(audio, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
@@ -165,13 +154,6 @@ class Captioner:
 
     # -- forward ------------------------------------------------------------
 
-    def _bn_steps(self, bn: BatchNorm, steps: list[Tensor], mode: str,
-                  update_running: bool) -> list[Tensor]:
-        batch = steps[0].data.shape[0]
-        stacked = T.concat(steps, axis=0)
-        normed = bn(stacked, mode=mode, update_running=update_running)
-        return [T.row_slice(normed, t * batch, (t + 1) * batch) for t in range(len(steps))]
-
     def _dropout_rate(self, mode: str, rng: np.random.RandomState | None) -> float:
         drop = self.config.dropout if mode == "train" else 0.0
         if drop > 0.0 and rng is None:
@@ -188,12 +170,15 @@ class Captioner:
                 f"audio batch must be (B, T, {self.config.encoder_input_dim}), got {audio.shape}"
             )
         drop = self._dropout_rate(mode, rng)
-        audio_steps = [Tensor(audio[:, t, :]) for t in range(audio.shape[1])]
+        xs = Tensor(audio.transpose(1, 0, 2))  # time-major (T, B, d)
         if drop > 0.0:
-            audio_steps = [T.dropout(s, drop, mode, rng) for s in audio_steps]
-        seq1 = self.audio_gru1.run(audio_steps, return_sequence=True)
-        seq1 = self._bn_steps(self.bn_audio1, seq1, mode, update_running)
-        audio_vec = self.audio_gru2.run(seq1, return_sequence=False)
+            xs = T.dropout(xs, drop, mode, rng)
+        seq1 = self.audio_gru1.run(xs, return_sequence=True)
+        steps, batch, width = seq1.data.shape
+        # one batch-norm batch of all T*B frame states, rows in time-major order
+        normed = self.bn_audio1(T.reshape(seq1, (steps * batch, width)), mode=mode,
+                                update_running=update_running)
+        audio_vec = self.audio_gru2.run(T.reshape(normed, (steps, batch, width)))
         return self.bn_audio2(audio_vec, mode=mode, update_running=update_running)
 
     def encode(self, audio: np.ndarray, prefix: np.ndarray, mask: np.ndarray, mode: str,
@@ -207,18 +192,18 @@ class Captioner:
         audio_vec = self.encode_audio(audio, mode, rng=rng, update_running=update_running)
 
         drop = self._dropout_rate(mode, rng)
-        text_steps = [self.embedding(prefix[:, t]) for t in range(prefix.shape[1])]
+        batch, steps = prefix.shape
+        text = T.reshape(self.embedding(prefix.T.ravel()), (steps, batch, self.config.embed_dim))
         if drop > 0.0:
-            text_steps = [T.dropout(s, drop, mode, rng) for s in text_steps]
-        masks = [mask[:, t] for t in range(mask.shape[1])]
-        text_vec = self.text_gru.run(text_steps, masks=masks, return_sequence=False)
+            text = T.dropout(text, drop, mode, rng)
+        text_vec = self.text_gru.run(text, masks=mask.T)
         text_vec = self.bn_text(text_vec, mode=mode, update_running=update_running)
 
         return T.concat([audio_vec, text_vec], axis=1)
 
     def decode_step(self, fused: Tensor, mode: str, update_running: bool = True) -> Tensor:
         """Next-word distribution over the vocabulary; rows sum to 1."""
-        h = self.decoder_gru.run([fused], return_sequence=False)
+        h = self.decoder_gru.run(T.reshape(fused, (1, *fused.data.shape)))
         h = self.bn_decoder(h, mode=mode, update_running=update_running)
         return T.softmax(self.out(h))
 
@@ -284,7 +269,7 @@ class CaptionerCheckpoint:
         tensors = {**self.params, **{f"buffer.{k}": v for k, v in self.buffers.items()}}
         meta = {
             "kind": "captioner",
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "vocab_size": self.vocab_size,
             "vocab_sha256": self.vocab_sha256,
             "corpus_sha256": self.corpus_sha256,
@@ -379,7 +364,8 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     variant; SVE vectors (when ``sve_dim > 0``) are concatenated per clip.
     Returns the best checkpoint by validation loss (training loss when no
     validation pairs are given) and the loss history. ``stop_loss`` ends
-    training early once the epoch training loss drops below it.
+    training early once the epoch training loss drops below it. Raises
+    TrainingError at the first batch or epoch whose loss is not finite.
     """
     pairs = list(pairs)
     if not pairs:
@@ -414,21 +400,24 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     val_examples = _build_examples(val_pairs, vocab) if val_pairs else None
     history: dict = {"train_loss": [], "val_loss": [], "best_epoch": -1}
     best_loss = np.inf
-    best_state = model.state()
+    best_state = None
 
     n = len(examples)
     for epoch in range(config.epochs):
+        if epoch > 0 and history["best_epoch"] == epoch - 1:
+            best_state = model.state()  # the best epoch so far is about to be trained past
         order = rng.permutation(n)
         batches = [order[s : s + config.batch_size].tolist()
                    for s in range(0, n, config.batch_size)]
         if len(batches) > 1 and len(batches[-1]) == 1:
             batches[-2].extend(batches.pop())  # train-mode batch norm needs >= 2 rows
         total = 0.0
-        for batch_idx in batches:
+        for batch_no, batch_idx in enumerate(batches):
             chunk = [examples[i] for i in batch_idx]
             audio, prefix, mask, targets = _batch_arrays(chunk, inputs)
             probs = model.forward(audio, prefix, mask, mode="train", rng=rng)
             loss = T.cross_entropy(probs, targets)
+            check_finite_loss(loss.item(), f"epoch {epoch + 1} batch {batch_no + 1}")
             T.backward(loss)
             adam_step(params, state)
             total += float(loss.data) * len(chunk)
@@ -439,9 +428,9 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
             history["val_loss"].append(watched)
         else:
             watched = train_loss
+        check_finite_loss(watched, f"epoch {epoch + 1} watched")
         if watched < best_loss:
             best_loss = watched
-            best_state = model.state()
             history["best_epoch"] = epoch
         log.info("captioner epoch %d/%d train %.4f watched %.4f",
                  epoch + 1, config.epochs, train_loss, watched)
@@ -449,6 +438,8 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
             log.info("captioner reached stop loss %.4g at epoch %d", stop_loss, epoch + 1)
             break
 
+    if history["best_epoch"] == len(history["train_loss"]) - 1:
+        best_state = model.state()
     best_params, best_buffers = best_state
     checkpoint = CaptionerCheckpoint(
         params=best_params, buffers=best_buffers, config=config,

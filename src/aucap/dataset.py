@@ -26,7 +26,8 @@ from .audio.embeddings import VARIANT_DIMS, load_variant_features
 from .audio.features import FeatureConfig, extract_log_mel
 from .audio.wav import load_wav
 from .errors import AucapError, DatasetError, EmptyCaptionError
-from .semantics import SubjectVerbCorpus, TagLexicon, encode_sve
+from .semantics import SubjectVerbCorpus, TagLexicon, _encode_checked, check_lexicon
+from .semantics import encode_sve  # noqa: F401  (perfbench/tracing.py wraps dataset.encode_sve)
 from .text import clean_caption
 
 log = logging.getLogger(__name__)
@@ -104,8 +105,9 @@ def load_caption_csv(path: str | Path, source_format: str, split: str = "develop
     records: list[ClipRecord] = []
     seen: dict[str, int] = {}
 
-    if source_format == "clotho":
-        caption_cols = [f"caption_{i}" for i in range(1, 6)]
+    if source_format in ("clotho", "audiocaps"):  # one row per clip
+        caption_cols = ([f"caption_{i}" for i in range(1, 6)] if source_format == "clotho"
+                        else ["caption"])
         missing = [c for c in ["file_name", *caption_cols] if c not in header]
         if missing:
             raise DatasetError(f"{path}: missing columns {missing}")
@@ -125,23 +127,6 @@ def load_caption_csv(path: str | Path, source_format: str, split: str = "develop
                 captions.append(_clean_or_raise(row[col], where))
             records.append(ClipRecord(clip_id, _resolve_path(audio_dir, name, where),
                                       tuple(captions), split))
-    elif source_format == "audiocaps":
-        missing = [c for c in ("file_name", "caption") if c not in header]
-        if missing:
-            raise DatasetError(f"{path}: missing columns {missing}")
-        for lineno, row in enumerate(rows, start=2):
-            where = f"{path}:{lineno}"
-            name = row["file_name"]
-            if not name:
-                raise DatasetError(f"{where}: empty file_name")
-            clip_id = Path(name).stem
-            if clip_id in seen:
-                raise DatasetError(f"{where}: duplicate clip_id {clip_id!r}")
-            seen[clip_id] = lineno
-            if not row.get("caption"):
-                raise DatasetError(f"{where}: empty caption cell")
-            records.append(ClipRecord(clip_id, _resolve_path(audio_dir, name, where),
-                                      (_clean_or_raise(row["caption"], where),), split))
     else:  # generic
         missing = [c for c in ("clip_id", "caption") if c not in header]
         if missing:
@@ -204,11 +189,12 @@ def hold_out_validation(manifest: DatasetManifest, fraction: float = 0.1,
 def sve_targets(records: list[ClipRecord], corpus: SubjectVerbCorpus,
                 lexicon: TagLexicon) -> dict[str, np.ndarray]:
     """Per-clip binary SVE target: the union over the clip's captions."""
+    check_lexicon(corpus, lexicon)  # once per call: hashing the lexicon costs ~1 ms
     out: dict[str, np.ndarray] = {}
     for r in records:
         vec = np.zeros(corpus.size, dtype=np.float64)
         for caption in r.captions:
-            vec = np.maximum(vec, encode_sve(list(caption), corpus, lexicon))
+            vec = np.maximum(vec, _encode_checked(list(caption), corpus, lexicon))
         out[r.clip_id] = vec
     return out
 

@@ -25,40 +25,26 @@ _MAX_HEADER = 128  # header line is tiny; anything longer is corrupt
 def write_matrix(path: str | os.PathLike, values: np.ndarray, *, dtype: str = "f4") -> None:
     """Write a 2-D matrix; ``dtype`` is ``f4`` (standard) or ``f8`` (checkpoints only)."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
+    if arr.ndim not in (1, 2):
         raise EmbeddingFormatError(f"expected a 1-D or 2-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise EmbeddingFormatError("refusing to write non-finite values")
-    rows, dim = arr.shape
-    if dtype == "f4":
-        header = f"AUCAP-EMB v1 dim={dim} rows={rows}\n"
-        payload = arr.astype("<f4").tobytes()
-    elif dtype == "f8":
-        header = f"AUCAP-EMB v1 dim={dim} rows={rows} dtype=f8\n"
-        payload = arr.astype("<f8").tobytes()
-    else:
-        raise EmbeddingFormatError(f"unsupported dtype {dtype!r}")
+    blob = pack_matrix(arr, dtype=dtype)
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload)
+        fh.write(blob)
 
 
 def pack_matrix(values: np.ndarray, *, dtype: str = "f4") -> bytes:
     """In-memory form of :func:`write_matrix`, used by checkpoint containers."""
+    if dtype not in ("f4", "f8"):
+        raise EmbeddingFormatError(f"unsupported dtype {dtype!r}")
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     rows, dim = arr.shape
-    if dtype == "f4":
-        return f"AUCAP-EMB v1 dim={dim} rows={rows}\n".encode("ascii") + arr.astype("<f4").tobytes()
-    if dtype == "f8":
-        return (
-            f"AUCAP-EMB v1 dim={dim} rows={rows} dtype=f8\n".encode("ascii")
-            + arr.astype("<f8").tobytes()
-        )
-    raise EmbeddingFormatError(f"unsupported dtype {dtype!r}")
+    token = " dtype=f8" if dtype == "f8" else ""
+    header = f"AUCAP-EMB v1 dim={dim} rows={rows}{token}\n"
+    return header.encode("ascii") + arr.astype(f"<{dtype}").tobytes()
 
 
 def _parse_header(line: bytes, *, allow_f8: bool) -> tuple[int, int, str]:

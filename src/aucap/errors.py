@@ -4,6 +4,8 @@ Each loader / pipeline stage reports its failure mode with a distinct type so
 callers (and the CLI) can categorize errors without string matching.
 """
 
+import math
+
 
 class AucapError(Exception):
     """Base class for all package-specific errors."""
@@ -47,6 +49,17 @@ class ShapeError(AucapError):
 
 class GraphStateError(AucapError):
     """Autodiff misuse, e.g. an optimizer step before backward."""
+
+
+class TrainingError(AucapError):
+    """Training diverged: a batch loss or the watched loss is not finite."""
+
+
+def check_finite_loss(loss: float, where: str) -> None:
+    """Raise TrainingError naming ``where`` (epoch, batch) unless ``loss`` is finite.
+    Gradients go unscanned: a non-finite one shows in the next step's loss."""
+    if not math.isfinite(loss):
+        raise TrainingError(f"{where}: loss is {loss}")
 
 
 class CheckpointError(AucapError):

@@ -8,11 +8,11 @@ the parameters from the epoch with the lowest validation loss.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_finite_loss
 from .nn import layers
 from .nn import tensor as T
 from .nn.checkpoint import load_tensors, save_tensors
@@ -34,18 +34,6 @@ class MLPConfig:
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "hidden_widths": list(self.hidden_widths),
-            "dropout": self.dropout,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MLPConfig":
@@ -98,7 +86,7 @@ class MLP:
             p.data = np.array(tensors[p.name], dtype=np.float64)
 
     def save(self, path) -> None:
-        save_tensors(path, self.state(), {"kind": "sve-mlp", "config": self.config.to_dict()})
+        save_tensors(path, self.state(), {"kind": "sve-mlp", "config": asdict(self.config)})
 
     @classmethod
     def load(cls, path) -> "MLP":
@@ -128,6 +116,7 @@ def train_mlp(features: np.ndarray, targets: np.ndarray, config: MLPConfig,
 
     Checkpoints the best epoch by validation loss; without a validation set
     the training-set loss (evaluated in infer mode) drives the selection.
+    Raises TrainingError at the first batch or epoch whose loss is not finite.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -144,16 +133,19 @@ def train_mlp(features: np.ndarray, targets: np.ndarray, config: MLPConfig,
     state = AdamState(learning_rate=config.learning_rate)
     history = TrainHistory()
     best_loss = np.inf
-    best_state = model.state()
+    best_state = None
 
     n = features.shape[0]
     for epoch in range(config.epochs):
+        if epoch > 0 and history.best_epoch == epoch - 1:
+            best_state = model.state()  # the best epoch so far is about to be trained past
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, config.batch_size):
+        for batch_no, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start : start + config.batch_size]
             probs = model.forward(Tensor(features[batch]), mode="train", rng=rng)
             loss = T.binary_cross_entropy(probs, targets[batch])
+            check_finite_loss(loss.item(), f"epoch {epoch + 1} batch {batch_no + 1}")
             T.backward(loss)
             adam_step(params, state)
             total += float(loss.data) * batch.size
@@ -163,14 +155,15 @@ def train_mlp(features: np.ndarray, targets: np.ndarray, config: MLPConfig,
             history.val_losses.append(watched)
         else:
             watched = _dataset_loss(model, features, targets)
+        check_finite_loss(watched, f"epoch {epoch + 1} watched")
         if watched < best_loss:
             best_loss = watched
-            best_state = model.state()
             history.best_epoch = epoch
         log.debug("mlp epoch %d train %.4f watched %.4f", epoch + 1,
                   history.train_losses[-1], watched)
 
-    model.load_state(best_state)
+    if history.best_epoch != len(history.train_losses) - 1:
+        model.load_state(best_state)
     return model, history
 
 

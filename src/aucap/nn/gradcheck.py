@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .layers import BatchNorm, BiGRU, Dense, Embedding, GRUCellParams, gru_cell_step, run_gru
+from .layers import BatchNorm, BiGRU, Dense, Embedding, GRUCellParams, gru_cell_step, gru_sequence
 from .optim import zero_grads
 from .tensor import Parameter, Tensor
 
@@ -70,20 +70,29 @@ def _check_gru_cell(rng):
     )
 
 
-def _check_gru_sequence(rng):
+def _check_gru_sequence(rng, masked=False, with_h0=False, **options):
+    """A (T=4, B=3, in=5) run; the input (and ``h0``) are checked as parameters too."""
     cell = GRUCellParams.create(5, 4, rng, name="gc.gru")
-    steps = [Tensor(rng.standard_normal((3, 5))) for _ in range(4)]
+    xs = Parameter(rng.standard_normal((4, 3, 5)), "gc.gru.xs")
+    h0 = Parameter(rng.uniform(-0.9, 0.9, (3, 4)), "gc.gru.h0") if with_h0 else None
+    masks = None
+    if masked:
+        masks = np.ones((4, 3))
+        masks[2:, 1] = 0.0  # row 1 ends after two steps
+        masks[0, 2] = 0.0   # row 2 skips its first step
+    params = cell.parameters() + [xs] + ([h0] if with_h0 else [])
     return max_relative_error(
-        lambda: _quadratic_target(run_gru(steps, cell)), cell.parameters(), rng=rng
+        lambda: _quadratic_target(gru_sequence(xs, cell, masks=masks, h0=h0, **options)),
+        params, rng=rng,
     )
 
 
 def _check_bigru(rng):
     layer = BiGRU(4, 3, rng, name="gc.bigru")
-    steps = [Tensor(rng.standard_normal((2, 4))) for _ in range(3)]
+    xs = Parameter(rng.standard_normal((3, 2, 4)), "gc.bigru.xs")
     return max_relative_error(
-        lambda: _quadratic_target(T.concat(layer.run(steps, return_sequence=True), axis=0)),
-        layer.parameters(), rng=rng,
+        lambda: _quadratic_target(layer.run(xs, return_sequence=True)),
+        layer.parameters() + [xs], rng=rng,
     )
 
 
@@ -156,6 +165,11 @@ def run_suite(seed: int = 0) -> dict[str, float]:
         "dense": _check_dense,
         "gru_cell": _check_gru_cell,
         "gru_sequence": _check_gru_sequence,
+        "gru_sequence_masked": lambda rng: _check_gru_sequence(rng, masked=True),
+        "gru_sequence_h0": lambda rng: _check_gru_sequence(rng, with_h0=True),
+        "gru_sequence_reverse": lambda rng: _check_gru_sequence(rng, reverse=True),
+        "gru_sequence_return_sequence":
+            lambda rng: _check_gru_sequence(rng, return_sequence=True),
         "bigru": _check_bigru,
         "embedding": _check_embedding,
         "batch_norm": _check_batch_norm,

@@ -40,11 +40,6 @@ class Dense:
         return [self.weights] + ([self.bias] if self.bias is not None else [])
 
 
-def dense(x, weights, bias=None) -> Tensor:
-    """Functional dense layer: x @ W.T + b."""
-    return T.linear(x, weights, bias)
-
-
 class Embedding:
     def __init__(self, vocab_size: int, dim: int, rng, init: np.ndarray | None = None,
                  name: str = "embedding"):
@@ -166,76 +161,108 @@ class GRUCellParams:
         return out
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """x @ w.T + b, in the op order of ``tensor.linear``."""
+    y = x @ w.T
+    return y if b is None else y + b
+
+
+def gru_sequence(xs, cell: GRUCellParams, masks=None, h0=None, reverse: bool = False,
+                 return_sequence: bool = False) -> Tensor:
+    """Run the GRU over a time-major (T, batch, input) sequence as one autodiff node.
+
+    Per step: z = sigmoid([h, x] @ W_z.T + b_z); r = sigmoid([h, x] @ W_r.T + b_r);
+    h_hat = tanh([r*h, x] @ W.T + b); h' = (1 - z)*h + z*h_hat; with (T, batch)
+    0/1 ``masks``, m*h' + (1 - m)*h carries the state over masked-out steps.
+    Starts from ``h0`` (default zeros); ``reverse`` runs last step first. Returns
+    the final (batch, hidden) state or all (T, batch, hidden) states in input order.
+
+    The input projection stays in the loop: a row of a many-row BLAS product
+    need not be bitwise equal to that row computed alone, and ``gru_cell_step``
+    must reproduce a step of a sequence exactly. The backward is one BPTT loop.
+    """
+    xs = T._as_tensor(xs)
+    if xs.data.ndim != 3 or xs.data.shape[0] < 1 or xs.data.shape[2] != cell.input_dim:
+        raise ShapeError(f"gru_sequence expects a non-empty (T, batch, {cell.input_dim}) "
+                         f"tensor, got {xs.data.shape}")
+    steps, batch, in_dim = xs.data.shape
+    hid = cell.hidden
+    if h0 is not None:
+        h0 = T._as_tensor(h0)
+        if h0.data.shape != (batch, hid):
+            raise ShapeError(f"gru_sequence got h0 {h0.data.shape}, want {(batch, hid)}")
+    if masks is not None:
+        masks = np.asarray(masks, dtype=np.float64)
+        if masks.shape != (steps, batch):
+            raise ShapeError(f"gru_sequence got masks {masks.shape}, want {(steps, batch)}")
+        masks = masks.reshape(steps, batch, 1)
+
+    W_z, W_r, W = cell.W_z.data, cell.W_r.data, cell.W.data
+    b_z, b_r, b = (None if q is None else q.data for q in (cell.b_z, cell.b_r, cell.b))
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    hx = np.empty((steps, batch, hid + in_dim))  # [h, x] per step, then [r*h, x] in rhx
+    hx[:, :, hid:] = xs.data
+    rhx = hx.copy()
+    gates = [None] * steps  # (z, r, h_hat) per step
+    states = np.empty((steps, batch, hid))
+    h = h0.data if h0 is not None else np.zeros((batch, hid))
+    with np.errstate(over="ignore"):  # exp overflow gives a gate of exactly 0
+        for t in order:
+            hx[t, :, :hid] = h
+            z = 1.0 / (1.0 + np.exp(-_affine(hx[t], W_z, b_z)))
+            r = 1.0 / (1.0 + np.exp(-_affine(hx[t], W_r, b_r)))
+            rhx[t, :, :hid] = r * h
+            hh = np.tanh(_affine(rhx[t], W, b))
+            h_new = (1.0 - z) * h + z * hh
+            if masks is not None:
+                h_new = masks[t] * h_new + (1.0 - masks[t]) * h
+            h = states[t] = h_new
+            gates[t] = (z, r, hh)
+
+    params = cell.parameters()
+    parents = (xs, *params) if h0 is None else (xs, h0, *params)
+    out_req = any(q.requires_grad for q in parents)
+
+    def back(g):
+        da = np.empty((steps, batch, 3 * hid))  # pre-activation gradients of z, r, h_hat
+        w_rec = np.concatenate([W_z[:, :hid], W_r[:, :hid]])
+        dh = np.zeros((batch, hid)) if return_sequence else g
+        for t in reversed(order):
+            if return_sequence:
+                dh = dh + g[t]
+            h_prev, (z, r, hh) = hx[t, :, :hid], gates[t]
+            d_new = dh if masks is None else masks[t] * dh
+            dh_prev = d_new * (1.0 - z)
+            if masks is not None:
+                dh_prev += (1.0 - masks[t]) * dh
+            da_h = da[t, :, 2 * hid:] = d_new * z * (1.0 - hh * hh)
+            da[t, :, :hid] = d_new * (hh - h_prev) * z * (1.0 - z)
+            d_rh = da_h @ W[:, :hid]
+            da[t, :, hid : 2 * hid] = d_rh * h_prev * r * (1.0 - r)
+            dh_prev += d_rh * r
+            dh_prev += da[t, :, : 2 * hid] @ w_rec
+            dh = dh_prev
+
+        flat = da.reshape(steps * batch, 3 * hid)
+        d_w_zr = flat[:, : 2 * hid].T @ hx.reshape(steps * batch, -1)
+        grads = [d_w_zr[:hid], d_w_zr[hid:], flat[:, 2 * hid:].T @ rhx.reshape(steps * batch, -1)]
+        if b_z is not None:
+            grads += np.split(flat.sum(axis=0), 3)
+        for q, d in zip(params, grads):
+            T._accumulate(q, d)
+        if xs.requires_grad:
+            w_in = np.concatenate([W_z[:, hid:], W_r[:, hid:], W[:, hid:]])
+            T._accumulate(xs, (flat @ w_in).reshape(steps, batch, in_dim))
+        if h0 is not None:
+            T._accumulate(h0, dh)
+
+    return Tensor(states if return_sequence else h, out_req, parents, back if out_req else None)
+
+
 def gru_cell_step(x_t: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
-    """One GRU step on a (batch, input) slice.
-
-    z = sigmoid(W_z [h, x]); r = sigmoid(W_r [h, x]);
-    h_hat = tanh(W [r*h, x]); h' = (1 - z)*h + z*h_hat.
-    """
-    x_t, h_prev = T._as_tensor(x_t), T._as_tensor(h_prev)
-    if x_t.data.ndim != 2 or h_prev.data.ndim != 2:
-        raise ShapeError("gru_cell_step expects 2-D (batch, dim) tensors")
-    if x_t.data.shape[1] != p.input_dim or h_prev.data.shape[1] != p.hidden:
-        raise ShapeError(
-            f"gru_cell_step got x={x_t.data.shape} h={h_prev.data.shape} "
-            f"for cell (input={p.input_dim}, hidden={p.hidden})"
-        )
-    hx = T.concat([h_prev, x_t], axis=1)
-    z = T.sigmoid(T.linear(hx, p.W_z, p.b_z))
-    r = T.sigmoid(T.linear(hx, p.W_r, p.b_r))
-    rhx = T.concat([T.mul(r, h_prev), x_t], axis=1)
-    h_hat = T.tanh(T.linear(rhx, p.W, p.b))
-    return T.add(T.mul(T.sub(1.0, z), h_prev), T.mul(z, h_hat))
-
-
-def run_gru(steps: list[Tensor], p: GRUCellParams, masks=None,
-            return_sequence: bool = False, h0: Tensor | None = None):
-    """Iterate the cell over a list of (batch, input) step tensors.
-
-    ``masks[t]`` is an optional (batch, 1) 0/1 array; masked-out steps carry
-    the previous state forward, so padded positions never touch the state.
-    Returns the final state or the list of per-step states.
-    """
-    if not steps:
-        raise ShapeError("empty input sequence")
-    batch = steps[0].data.shape[0]
-    h = h0 if h0 is not None else Tensor(np.zeros((batch, p.hidden)))
-    outputs = []
-    for t, x_t in enumerate(steps):
-        h_new = gru_cell_step(x_t, h, p)
-        if masks is not None:
-            m = masks[t].reshape(batch, 1)
-            h = T.add(T.mul(Tensor(m), h_new), T.mul(Tensor(1.0 - m), h))
-        else:
-            h = h_new
-        if return_sequence:
-            outputs.append(h)
-    return outputs if return_sequence else h
-
-
-def gru_forward(seq: Tensor, p: GRUCellParams, return_sequence: bool = False):
-    """Run a single (T, input) sequence from h0 = 0; returns (T, hidden) or (hidden,)."""
-    seq = T._as_tensor(seq)
-    if seq.data.ndim != 2 or seq.data.shape[0] < 1:
-        raise ShapeError(f"gru_forward expects a non-empty (T, input) tensor, got {seq.data.shape}")
-    steps = [T.row_slice(seq, t, t + 1) for t in range(seq.data.shape[0])]
-    out = run_gru(steps, p, return_sequence=return_sequence)
-    if return_sequence:
-        return T.concat(out, axis=0)
-    return out  # (1, hidden)
-
-
-def bigru_forward(seq: Tensor, p_fwd: GRUCellParams, p_bwd: GRUCellParams) -> Tensor:
-    """Forward pass plus a time-reversed pass, concatenated per step: (T, 2h)."""
-    seq = T._as_tensor(seq)
-    if seq.data.ndim != 2 or seq.data.shape[0] < 1:
-        raise ShapeError(f"bigru_forward expects a non-empty (T, input) tensor")
-    n = seq.data.shape[0]
-    steps = [T.row_slice(seq, t, t + 1) for t in range(n)]
-    fwd = run_gru(steps, p_fwd, return_sequence=True)
-    bwd = run_gru(steps[::-1], p_bwd, return_sequence=True)[::-1]
-    rows = [T.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return T.concat(rows, axis=0)
+    """One GRU step on a (batch, input) slice: ``gru_sequence`` at T = 1 from ``h_prev``."""
+    x_t = T._as_tensor(x_t)
+    return gru_sequence(T.reshape(x_t, (1, *x_t.data.shape)), p, h0=h_prev)
 
 
 class GRU:
@@ -246,8 +273,9 @@ class GRU:
     def hidden(self) -> int:
         return self.cell.hidden
 
-    def run(self, steps, masks=None, return_sequence: bool = False):
-        return run_gru(steps, self.cell, masks=masks, return_sequence=return_sequence)
+    def run(self, xs: Tensor, masks=None, return_sequence: bool = False) -> Tensor:
+        """``gru_sequence`` over a time-major (T, batch, input) tensor from h0 = 0."""
+        return gru_sequence(xs, self.cell, masks=masks, return_sequence=return_sequence)
 
     def step(self, x_t: Tensor, h_prev: Tensor) -> Tensor:
         """One step from state ``h_prev``: the same ops ``run`` applies per step."""
@@ -268,12 +296,12 @@ class BiGRU:
     def hidden(self) -> int:
         return self.fwd.hidden
 
-    def run(self, steps: list[Tensor], return_sequence: bool = False):
-        fwd = run_gru(steps, self.fwd, return_sequence=return_sequence)
-        bwd = run_gru(steps[::-1], self.bwd, return_sequence=return_sequence)
-        if return_sequence:
-            return [T.concat([f, b], axis=1) for f, b in zip(fwd, bwd[::-1])]
-        return T.concat([fwd, bwd], axis=1)
+    def run(self, xs: Tensor, return_sequence: bool = False) -> Tensor:
+        """(T, batch, 2*hidden) per-step states, or the (batch, 2*hidden) final
+        states, of a time-major (T, batch, input) tensor; forward half first."""
+        fwd = gru_sequence(xs, self.fwd, return_sequence=return_sequence)
+        bwd = gru_sequence(xs, self.bwd, reverse=True, return_sequence=return_sequence)
+        return T.concat([fwd, bwd], axis=fwd.data.ndim - 1)
 
     def parameters(self) -> list[Parameter]:
         return [*self.fwd.parameters(), *self.bwd.parameters()]

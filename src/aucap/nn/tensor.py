@@ -26,18 +26,6 @@ class Tensor:
         self._parents = parents
         self._backward_fn = backward_fn
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -164,19 +152,6 @@ def mul(a, b) -> Tensor:
     return Tensor(a.data * b.data, out_req, (a, b), back if out_req else None)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes {a.data.shape} x {b.data.shape}")
-    out_req = a.requires_grad or b.requires_grad
-
-    def back(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return Tensor(a.data @ b.data, out_req, (a, b), back if out_req else None)
-
-
 def linear(x, weights, bias=None) -> Tensor:
     """y = x @ W.T + b with W of shape (out, in); the dense-layer primitive."""
     x, weights = _as_tensor(x), _as_tensor(weights)
@@ -194,7 +169,11 @@ def linear(x, weights, bias=None) -> Tensor:
 
     def back(g):
         _accumulate(x, g @ weights.data)
-        _accumulate(weights, g.T @ x.data)
+        if isinstance(weights, Parameter) and not weights.grad_ready:
+            np.matmul(g.T, x.data, out=weights.grad)  # the cleared gradient, no temporary
+            weights.grad_ready = True
+        else:
+            _accumulate(weights, g.T @ x.data)
         if bias is not None:
             _accumulate(bias, g.sum(axis=0))
 
@@ -232,6 +211,15 @@ def row_slice(x, start: int, stop: int) -> Tensor:
     return Tensor(x.data[start:stop], x.requires_grad, (x,), back if x.requires_grad else None)
 
 
+def reshape(x, shape) -> Tensor:
+    x = _as_tensor(x)
+
+    def back(g):
+        _accumulate(x, g.reshape(x.data.shape))
+
+    return Tensor(x.data.reshape(shape), x.requires_grad, (x,), back if x.requires_grad else None)
+
+
 def mean_all(x) -> Tensor:
     x = _as_tensor(x)
     n = x.data.size
@@ -258,7 +246,8 @@ def sum_all(x) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    y = 1.0 / (1.0 + np.exp(-x.data))
+    with np.errstate(over="ignore"):  # exp(-x) = inf for x < -709 gives y = 0, as it should
+        y = 1.0 / (1.0 + np.exp(-x.data))
 
     def back(g):
         _accumulate(x, g * y * (1.0 - y))
@@ -284,17 +273,6 @@ def relu(x) -> Tensor:
         _accumulate(x, g * mask)
 
     return Tensor(x.data * mask, x.requires_grad, (x,), back if x.requires_grad else None)
-
-
-def leaky_relu(x, alpha: float = 0.3) -> Tensor:
-    """x for x > 0, alpha * x otherwise."""
-    x = _as_tensor(x)
-    slope = np.where(x.data > 0, 1.0, alpha)
-
-    def back(g):
-        _accumulate(x, g * slope)
-
-    return Tensor(x.data * slope, x.requires_grad, (x,), back if x.requires_grad else None)
 
 
 def softmax(x) -> Tensor:

@@ -217,10 +217,21 @@ def build_corpus(captions, lex: TagLexicon) -> SubjectVerbCorpus:
     return SubjectVerbCorpus(words=tuple(words), lexicon_sha256=lex.sha256())
 
 
-def encode_sve(caption: list[str], corpus: SubjectVerbCorpus, lex: TagLexicon) -> np.ndarray:
-    """Binary vector: bit k set iff corpus[k] is a rooted subject/verb of the caption."""
+def check_lexicon(corpus: SubjectVerbCorpus, lex: TagLexicon) -> None:
+    """Raise SemanticsError unless ``corpus`` was built with ``lex`` (one lexicon hash)."""
     if lex.sha256() != corpus.lexicon_sha256:
         raise SemanticsError("corpus was built with a different lexicon")
+
+
+def encode_sve(caption: list[str], corpus: SubjectVerbCorpus, lex: TagLexicon) -> np.ndarray:
+    """Binary vector: bit k set iff corpus[k] is a rooted subject/verb of the caption."""
+    check_lexicon(corpus, lex)
+    return _encode_checked(caption, corpus, lex)
+
+
+def _encode_checked(caption: list[str], corpus: SubjectVerbCorpus,
+                    lex: TagLexicon) -> np.ndarray:
+    """``encode_sve`` for a corpus already checked against ``lex``."""
     roots = {to_root(w) for w in extract_subjects_verbs(caption, lex)}
     vec = np.zeros(corpus.size, dtype=np.float64)
     for k, word in enumerate(corpus.words):

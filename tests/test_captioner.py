@@ -5,11 +5,14 @@ from aucap.captioner import (
     Captioner,
     CaptionerCheckpoint,
     CaptionerConfig,
+    _build_examples,
+    _dataset_loss,
     build_encoder_input,
     prefix_examples,
     train_captioner,
 )
-from aucap.errors import CheckpointError, ShapeError
+from aucap.errors import CheckpointError, ShapeError, TrainingError
+from aucap.nn import tensor as T
 from aucap.nn.layers import BiGRU
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
 
@@ -317,6 +320,40 @@ class TestTraining:
             assert np.array_equal(a.params[name], b.params[name])
         for name in a.buffers:
             assert np.array_equal(a.buffers[name], b.buffers[name])
+
+
+    @pytest.mark.parametrize("learning_rate,epochs", [(1e-2, 8), (3e-2, 8), (1e-2, 0)])
+    def test_checkpoint_holds_best_epoch(self, learning_rate, epochs):
+        pairs, feats, vocab = self._tiny_dataset()
+        cfg = micro_config(epochs=epochs, learning_rate=learning_rate)
+        ckpt, history = train_captioner(pairs[:2], feats, None, vocab, cfg, val_pairs=pairs[2:])
+        if epochs == 0:
+            initial = Captioner(len(vocab), cfg, np.random.RandomState(cfg.seed))
+            assert all(np.array_equal(ckpt.params[p.name], p.data)
+                       for p in initial.parameters())
+            return
+        assert history["best_epoch"] < epochs - 1  # restored from a saved state
+        val_loss = _dataset_loss(ckpt.build_model(), _build_examples(pairs[2:], vocab),
+                                 feats, cfg.batch_size)
+        assert val_loss == history["val_loss"][history["best_epoch"]]
+
+    def test_nan_feature_raises(self):
+        pairs, feats, vocab = self._tiny_dataset()
+        feats["c1"][2, 5] = np.nan
+        with pytest.raises(TrainingError, match="epoch 1 batch 1"):
+            train_captioner(pairs, feats, None, vocab, micro_config())
+
+    def test_graph_size_does_not_grow_with_sequence_length(self):
+        model, cfg = micro_model(dropout=0.5)
+        rng = np.random.RandomState(6)
+
+        def nodes(frames, words):
+            prefix = rng.randint(1, 12, size=(4, words))
+            probs = model.forward(rng.standard_normal((4, frames, 8)), prefix,
+                                  np.ones(prefix.shape), mode="train", rng=rng)
+            return len(T._toposort(T.cross_entropy(probs, rng.randint(0, 12, size=4))))
+
+        assert nodes(2, 1) == nodes(9, 1) == nodes(2, 7) == nodes(30, 12)
 
 
 class TestSveAblationEquivalence:

@@ -66,6 +66,40 @@ class TestTrainCaptioner:
         assert not (out / "captioner.ckpt").exists()
 
 
+@pytest.fixture
+def nan_feature(monkeypatch):
+    """Cached features as loaded, with one value of one clip replaced by NaN."""
+    load = cli.ds.load_cached_features
+
+    def poisoned(*args, **kwargs):
+        features = load(*args, **kwargs)
+        features["c1"] = features["c1"].copy()
+        features["c1"][0, 7] = np.nan
+        return features
+
+    monkeypatch.setattr(cli.ds, "load_cached_features", poisoned)
+
+
+class TestNonFiniteLoss:
+    def test_train_captioner_fails_without_checkpoint(self, panns_fixture, nan_feature, caplog):
+        root, _ = panns_fixture
+        out = root / "captioner"
+        assert cli.main(train_captioner_args(root, out)) == 1
+        assert "TrainingError: epoch 1 batch 1" in caplog.text
+        assert not (out / "captioner.ckpt").exists()
+
+    def test_train_mlp_fails_without_checkpoint(self, panns_fixture, nan_feature, caplog):
+        root, _ = panns_fixture
+        out = root / "mlp"
+        args = ["train-mlp", "--csv", str(root / "captions.csv"),
+                "--lexicon", str(root / "lexicon.tsv"), "--corpus", str(root / "sve_corpus.txt"),
+                "--cache", str(root / "cache"), "--variant", "panns",
+                "--epochs", "1", "--batch", "8", "--out", str(out)]
+        assert cli.main(args) == 1
+        assert "TrainingError: epoch 1 batch 1" in caplog.text
+        assert not (out / "sve_mlp.ckpt").exists()
+
+
 class TestGradcheck:
     def test_every_check_passes(self, capsys):
         assert cli.main(["gradcheck"]) == 0

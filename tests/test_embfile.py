@@ -76,15 +76,13 @@ class TestClipEmbeddings:
     def test_panns_single_row(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.ones((1, 2048)))
-        emb = load_embedding_file(path, 2048)
-        assert (emb.rows, emb.dim) == (1, 2048)
+        assert load_embedding_file(path, 2048).shape == (1, 2048)
         assert load_variant_features(path, "panns").shape == (1, 2048)
 
     def test_vggish_per_second_rows(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.zeros((30, 128)))
-        emb = load_embedding_file(path, 128)
-        assert (emb.rows, emb.dim) == (30, 128)
+        assert load_embedding_file(path, 128).shape == (30, 128)
 
     def test_dim_mismatch(self, tmp_path):
         path = tmp_path / "clip.emb"

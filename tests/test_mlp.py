@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from aucap.errors import ShapeError
-from aucap.mlp import MLP, MLPConfig, predict_sve, train_mlp
+from aucap.errors import ShapeError, TrainingError
+from aucap.mlp import MLP, MLPConfig, _dataset_loss, predict_sve, train_mlp
 from aucap.nn import tensor as T
 from aucap.nn.gradcheck import max_relative_error
 from aucap.nn.tensor import Tensor
@@ -106,6 +106,29 @@ class TestTraining:
         assert 0 <= history.best_epoch < 20
         assert len(history.val_losses) == 20
         assert min(history.val_losses) == history.val_losses[history.best_epoch]
+
+    @pytest.mark.parametrize("learning_rate", [1e-2, 3e-2])
+    def test_returns_best_epoch_parameters(self, learning_rate):
+        x, y = separable_toy()
+        xv, yv = separable_toy(seed=1, noise=2.0)
+        model, history = train_mlp(x, y, small_config(epochs=12, learning_rate=learning_rate),
+                                   val_features=xv, val_targets=yv)
+        assert history.best_epoch < 11  # the best state is restored, not the last one kept
+        assert _dataset_loss(model, xv, yv) == history.val_losses[history.best_epoch]
+
+    def test_zero_epochs_return_the_initial_model(self):
+        x, y = separable_toy()
+        model, history = train_mlp(x, y, small_config(epochs=0))
+        initial = MLP(small_config(), np.random.RandomState(0))
+        assert history.best_epoch == -1
+        for p, q in zip(model.parameters(), initial.parameters()):
+            assert np.array_equal(p.data, q.data)
+
+    def test_nan_feature_raises(self):
+        x, y = separable_toy()
+        x[5, 3] = np.nan
+        with pytest.raises(TrainingError, match="epoch 1 batch 1"):
+            train_mlp(x, y, small_config())
 
     def test_auc_on_training_bits(self):
         x, y = separable_toy()

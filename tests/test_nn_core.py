@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,11 @@ from aucap.nn.layers import (
     BiGRU,
     Dense,
     GRUCellParams,
-    bigru_forward,
     gru_cell_step,
-    gru_forward,
+    gru_sequence,
     orthogonal,
 )
-from aucap.nn.optim import AdamState, adam_step
+from aucap.nn.optim import CHUNK, AdamState, adam_step
 from aucap.nn.tensor import Parameter, Tensor
 
 
@@ -55,73 +56,132 @@ class TestGRUAnalytic:
             gru_cell_step(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 3))), cell)
 
 
+def reference_run(xs, cell, masks=None, h0=None, reverse=False, return_sequence=False):
+    """A GRU run as a chain of per-step autodiff ops; the fused kernel must
+    reproduce it bit for bit."""
+    steps, batch, _ = xs.shape
+    h = Tensor(h0 if h0 is not None else np.zeros((batch, cell.hidden)))
+    states = [None] * steps
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        x_t = Tensor(xs[t])
+        hx = T.concat([h, x_t], axis=1)
+        z = T.sigmoid(T.linear(hx, cell.W_z, cell.b_z))
+        r = T.sigmoid(T.linear(hx, cell.W_r, cell.b_r))
+        rhx = T.concat([T.mul(r, h), x_t], axis=1)
+        h_hat = T.tanh(T.linear(rhx, cell.W, cell.b))
+        h_new = T.add(T.mul(T.sub(1.0, z), h), T.mul(z, h_hat))
+        if masks is not None:
+            m = masks[t].reshape(batch, 1)
+            h_new = T.add(T.mul(Tensor(m), h_new), T.mul(Tensor(1.0 - m), h))
+        h = states[t] = h_new
+    return np.stack([s.data for s in states]) if return_sequence else h.data
+
+
 class TestGRUForward:
     def test_t1_equals_single_step(self):
         rng = np.random.RandomState(3)
         cell = GRUCellParams.create(4, 3, rng)
-        seq = Tensor(rng.standard_normal((1, 4)))
-        via_forward = gru_forward(seq, cell)
-        via_step = gru_cell_step(Tensor(seq.data[0:1]), Tensor(np.zeros((1, 3))), cell)
-        assert np.allclose(via_forward.data, via_step.data)
+        seq = Tensor(rng.standard_normal((1, 1, 4)))
+        via_forward = gru_sequence(seq, cell)
+        via_step = gru_cell_step(Tensor(seq.data[0]), Tensor(np.zeros((1, 3))), cell)
+        assert np.array_equal(via_forward.data, via_step.data)
 
     def test_zero_weights_zero_final(self):
         cell = zero_cell(4, 3)
-        seq = Tensor(np.random.RandomState(4).standard_normal((6, 4)))
-        assert np.array_equal(gru_forward(seq, cell).data, np.zeros((1, 3)))
+        seq = Tensor(np.random.RandomState(4).standard_normal((6, 1, 4)))
+        assert np.array_equal(gru_sequence(seq, cell).data, np.zeros((1, 3)))
 
     def test_sequence_last_row_matches_final(self):
         rng = np.random.RandomState(5)
         cell = GRUCellParams.create(4, 3, rng)
-        seq = Tensor(rng.standard_normal((5, 4)))
-        states = gru_forward(seq, cell, return_sequence=True)
-        final = gru_forward(seq, cell)
-        assert states.data.shape == (5, 3)
-        assert np.allclose(states.data[-1], final.data[0])
+        seq = Tensor(rng.standard_normal((5, 1, 4)))
+        states = gru_sequence(seq, cell, return_sequence=True)
+        final = gru_sequence(seq, cell)
+        assert states.data.shape == (5, 1, 3)
+        assert np.allclose(states.data[-1], final.data)
 
     def test_empty_sequence(self):
         cell = zero_cell(4, 3)
         with pytest.raises(ShapeError):
-            gru_forward(Tensor(np.zeros((0, 4))), cell)
+            gru_sequence(Tensor(np.zeros((0, 1, 4))), cell)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_kernel_equals_per_step_ops(self, bias, reverse, masked):
+        rng = np.random.RandomState(20)
+        cell = GRUCellParams.create(5, 4, rng, bias=bias)
+        if bias:
+            for b in (cell.b_z, cell.b_r, cell.b):
+                b.data = rng.standard_normal(4)
+        xs = rng.standard_normal((6, 3, 5)) * 2.0
+        masks = (rng.random_sample((6, 3)) > 0.3).astype(float) if masked else None
+        h0 = rng.uniform(-0.9, 0.9, (3, 4))
+        for options in ({}, {"h0": h0}, {"return_sequence": True},
+                        {"h0": h0, "return_sequence": True}):
+            out = gru_sequence(Tensor(xs), cell, masks=masks, reverse=reverse, **options)
+            ref = reference_run(xs, cell, masks=masks, reverse=reverse, **options)
+            assert np.array_equal(out.data, ref)
+
+    def test_masks_and_h0_shapes_checked(self):
+        cell = zero_cell(4, 3)
+        xs = Tensor(np.zeros((5, 2, 4)))
+        with pytest.raises(ShapeError):
+            gru_sequence(xs, cell, masks=np.ones((2, 5)))
+        with pytest.raises(ShapeError):
+            gru_sequence(xs, cell, h0=Tensor(np.zeros((3, 3))))
+        with pytest.raises(ShapeError):
+            gru_sequence(Tensor(np.zeros((5, 2, 3))), cell)
+
+    def test_saturated_gates_emit_no_warning(self):
+        cell = GRUCellParams.create(4, 3, np.random.RandomState(21))
+        xs = Tensor(np.tile([[1e4], [-1e4]], (2, 1, 4)))  # (T=2, B=2, 4): both signs saturate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = gru_sequence(xs, cell, return_sequence=True)
+        assert np.all(np.isfinite(out.data))
 
 
 class TestBiGRU:
     def test_palindrome_symmetry(self):
         rng = np.random.RandomState(6)
-        cell = GRUCellParams.create(4, 3, rng)
-        half = rng.standard_normal((3, 4))
-        seq = Tensor(np.vstack([half, half[::-1]]))  # palindromic in time
-        out = bigru_forward(seq, cell, cell).data
-        fwd, bwd = out[:, :3], out[:, 3:]
+        layer = BiGRU(4, 3, rng)
+        layer.bwd = layer.fwd
+        half = rng.standard_normal((3, 1, 4))
+        seq = Tensor(np.concatenate([half, half[::-1]]))  # palindromic in time
+        out = layer.run(seq, return_sequence=True).data
+        fwd, bwd = out[:, :, :3], out[:, :, 3:]
         assert np.allclose(fwd, bwd[::-1])
 
     def test_t1_halves_equal_cells(self):
         rng = np.random.RandomState(7)
-        p_f = GRUCellParams.create(4, 3, rng)
-        p_b = GRUCellParams.create(4, 3, rng)
-        seq = Tensor(rng.standard_normal((1, 4)))
-        out = bigru_forward(seq, p_f, p_b).data
+        layer = BiGRU(4, 3, rng)
+        seq = Tensor(rng.standard_normal((1, 1, 4)))
+        out = layer.run(seq, return_sequence=True).data[0]
         h0 = Tensor(np.zeros((1, 3)))
-        assert np.allclose(out[:, :3], gru_cell_step(Tensor(seq.data), h0, p_f).data)
-        assert np.allclose(out[:, 3:], gru_cell_step(Tensor(seq.data), h0, p_b).data)
+        assert np.allclose(out[:, :3], gru_cell_step(Tensor(seq.data[0]), h0, layer.fwd).data)
+        assert np.allclose(out[:, 3:], gru_cell_step(Tensor(seq.data[0]), h0, layer.bwd).data)
 
     def test_output_width(self):
         rng = np.random.RandomState(8)
-        out = bigru_forward(Tensor(rng.standard_normal((5, 4))),
-                            GRUCellParams.create(4, 6, rng),
-                            GRUCellParams.create(4, 6, rng))
-        assert out.data.shape == (5, 12)
+        layer = BiGRU(4, 6, rng)
+        seq = Tensor(rng.standard_normal((5, 2, 4)))
+        assert layer.run(seq, return_sequence=True).data.shape == (5, 2, 12)
+        assert layer.run(seq).data.shape == (2, 12)
 
 
 class TestActivations:
-    def test_leaky_relu_values(self):
-        out = T.leaky_relu(Tensor(np.array([[2.0, -1.0, 0.0]])))
-        assert np.allclose(out.data, [[2.0, -0.3, 0.0]])
-
     def test_relu_sigmoid_tanh(self):
         x = Tensor(np.array([[-1.0, 0.0, 2.0]]))
         assert np.allclose(T.relu(x).data, [[0.0, 0.0, 2.0]])
         assert np.allclose(T.sigmoid(Tensor(np.zeros((1, 1)))).data, 0.5)
         assert np.allclose(T.tanh(Tensor(np.zeros((1, 1)))).data, 0.0)
+
+    def test_sigmoid_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.sigmoid(Tensor(np.array([-1000.0, 1000.0])))
+        assert out.data[0] == 0.0 and out.data[1] == 1.0
 
     def test_softmax_symmetry(self):
         assert np.allclose(T.softmax(Tensor(np.zeros((1, 2)))).data, [[0.5, 0.5]])
@@ -325,6 +385,39 @@ class TestAdam:
         assert np.all(w.grad == 0.0) and not w.grad_ready
 
 
+def adam_reference(data, grads, steps, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Unblocked Adam with full-size temporaries, op for op as adam_step."""
+    data = data.copy()
+    m, v = np.zeros_like(data), np.zeros_like(data)
+    for t in range(1, steps + 1):
+        g = grads[t - 1]
+        scale = lr * np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g**2
+        data -= scale * m / (np.sqrt(v) + eps)
+    return data
+
+
+class TestAdamBlocked:
+    def test_matches_unblocked_formula(self):
+        rng = np.random.RandomState(22)
+        shapes = {"big": (3, CHUNK // 2 + 7), "small": (7,)}  # 1.5 chunks and a partial one
+        params = [Parameter(rng.standard_normal(s), name) for name, s in shapes.items()]
+        start = [p.data.copy() for p in params]
+        grads = [[rng.standard_normal(s) * 10.0 ** rng.randint(-3, 3) for _ in range(3)]
+                 for s in shapes.values()]
+        state = AdamState(learning_rate=1e-2)
+        for step in range(3):
+            for p, g in zip(params, grads):
+                p.grad[...] = g[step]
+                p.grad_ready = True
+            adam_step(params, state)
+        for p, p0, g in zip(params, start, grads):
+            assert np.array_equal(p.data, adam_reference(p0, g, 3))
+
+
 class TestInits:
     def test_orthogonal(self):
         q = orthogonal(np.random.RandomState(16), 8)
@@ -341,13 +434,10 @@ class TestMaskedRun:
         rng = np.random.RandomState(17)
         layer = BiGRU(3, 2, rng)
         cell = GRUCellParams.create(3, 4, rng)
-        from aucap.nn.layers import run_gru
-
-        steps = [Tensor(rng.standard_normal((2, 3))) for _ in range(4)]
-        masks = [np.ones((2, 1)) for _ in range(4)]
-        masks[2][1, 0] = 0.0  # row 1 stops after step 1
-        masks[3][1, 0] = 0.0
-        full = run_gru(steps, cell, masks=masks)
-        short = run_gru(steps[:2], cell)
+        xs = Tensor(rng.standard_normal((4, 2, 3)))
+        masks = np.ones((4, 2))
+        masks[2:, 1] = 0.0  # row 1 stops after step 1
+        full = gru_sequence(xs, cell, masks=masks)
+        short = gru_sequence(Tensor(xs.data[:2]), cell)
         assert np.allclose(full.data[1], short.data[1])
         assert layer.hidden == 2

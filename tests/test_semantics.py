@@ -176,3 +176,42 @@ class TestEncodeSve:
         other = TagLexicon({"dog": NOUN})
         with pytest.raises(SemanticsError):
             encode_sve(clean_caption("dog barks"), corpus, other)
+
+
+class TestSveTargets:
+    @staticmethod
+    def _records():
+        from aucap.dataset import ClipRecord
+
+        texts = {"c0": ["dog barks", "a dog runs"], "c1": ["man speaks"]}
+        return [ClipRecord(clip, None, tuple(tuple(clean_caption(t)) for t in ts), "development")
+                for clip, ts in texts.items()]
+
+    def test_union_of_caption_vectors(self, toy_lexicon):
+        from aucap.dataset import sve_targets
+
+        records = self._records()
+        corpus = build_corpus([list(c) for r in records for c in r.captions], toy_lexicon)
+        targets = sve_targets(records, corpus, toy_lexicon)
+        for r in records:
+            union = np.max([encode_sve(list(c), corpus, toy_lexicon) for c in r.captions], axis=0)
+            assert np.array_equal(targets[r.clip_id], union)
+
+    def test_lexicon_hashed_once_per_call(self, toy_lexicon, monkeypatch):
+        from aucap.dataset import sve_targets
+
+        records = self._records()
+        corpus = build_corpus([list(c) for r in records for c in r.captions], toy_lexicon)
+        calls = []
+        sha256 = TagLexicon.sha256
+        monkeypatch.setattr(TagLexicon, "sha256", lambda lex: calls.append(1) or sha256(lex))
+        sve_targets(records, corpus, toy_lexicon)
+        assert len(calls) == 1
+
+    def test_other_lexicon_rejected(self, toy_lexicon):
+        from aucap.dataset import sve_targets
+
+        records = self._records()
+        corpus = build_corpus([list(c) for r in records for c in r.captions], toy_lexicon)
+        with pytest.raises(SemanticsError):
+            sve_targets(records, corpus, TagLexicon({"dog": NOUN}))
