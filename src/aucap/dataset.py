@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -250,9 +249,7 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
                 values = extract_log_mel(load_wav(record.path), feature_config).values
             else:
                 values = load_variant_features(record.path, variant)
-            tmp = out_dir / f".{clip_id}.emb.tmp"
-            embfile.write_matrix(tmp, values)
-            os.replace(tmp, target)
+            embfile.write_matrix(target, values)
             sidecar.write_text(src_hash + "\n")
             result.computed.append(clip_id)
         except (AucapError, OSError) as exc:

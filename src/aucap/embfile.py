@@ -16,6 +16,7 @@ import os
 
 import numpy as np
 
+from . import atomic
 from .errors import EmbeddingFormatError
 
 MAGIC = b"AUCAP-EMB v1"
@@ -23,15 +24,17 @@ _MAX_HEADER = 128  # header line is tiny; anything longer is corrupt
 
 
 def write_matrix(path: str | os.PathLike, values: np.ndarray, *, dtype: str = "f4") -> None:
-    """Write a 2-D matrix; ``dtype`` is ``f4`` (standard) or ``f8`` (checkpoints only)."""
+    """Write a 2-D matrix; ``dtype`` is ``f4`` (standard) or ``f8`` (checkpoints only).
+
+    The file is replaced whole (:func:`atomic.write_bytes`): a failed write
+    leaves an earlier file at ``path`` as it was.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim not in (1, 2):
         raise EmbeddingFormatError(f"expected a 1-D or 2-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise EmbeddingFormatError("refusing to write non-finite values")
-    blob = pack_matrix(arr, dtype=dtype)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    atomic.write_bytes(path, pack_matrix(arr, dtype=dtype))
 
 
 def pack_matrix(values: np.ndarray, *, dtype: str = "f4") -> bytes:

@@ -12,6 +12,7 @@ import hashlib
 import unicodedata
 from pathlib import Path
 
+from . import atomic
 from .errors import EmptyCaptionError, VocabularyError
 
 PAD = "<pad>"
@@ -114,7 +115,7 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         lines = [f"{i}\t{w}\n" for i, w in enumerate(self._index_to_word)]
-        Path(path).write_text("".join(lines), encoding="utf-8")
+        atomic.write_bytes(path, "".join(lines).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from aucap import embfile
+from aucap import atomic, embfile
 from aucap.audio.embeddings import load_embedding_file, load_variant_features
 from aucap.errors import EmbeddingFormatError
 
@@ -70,6 +70,39 @@ class TestContainer:
         out, consumed = embfile.unpack_matrix(blob, allow_f8=True)
         assert consumed == len(blob)
         assert np.array_equal(out, values)
+
+
+class TestAtomicWrite:
+    @pytest.fixture
+    def existing(self, tmp_path):
+        path = tmp_path / "m.emb"
+        embfile.write_matrix(path, np.array([[1.0, 2.0]]))
+        return path, path.read_bytes()
+
+    def test_non_finite_values_keep_old_file(self, existing):
+        path, before = existing
+        with pytest.raises(EmbeddingFormatError):
+            embfile.write_matrix(path, np.array([[1.0, np.nan]]))
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["m.emb"]
+
+    def test_failed_rename_keeps_old_file_and_removes_temp(self, existing, monkeypatch):
+        path, before = existing
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(atomic.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            embfile.write_matrix(path, np.zeros((4, 2)))
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["m.emb"]
+
+    def test_replaces_whole_file(self, existing):
+        path, _ = existing
+        embfile.write_matrix(path, np.array([[3.0]]))
+        assert np.array_equal(embfile.read_matrix(path), [[3.0]])
+        assert [p.name for p in path.parent.iterdir()] == ["m.emb"]
 
 
 class TestClipEmbeddings:

@@ -104,5 +104,15 @@ class TestVocabulary:
         assert loaded == vocab
         assert loaded.sha256() == vocab.sha256()
 
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        build_vocabulary([[SOS, "dog", EOS]]).save(path)
+        before = path.read_bytes()
+        broken = build_vocabulary([[SOS, "cat", "\udc80", EOS]])  # lone surrogate: not UTF-8
+        with pytest.raises(UnicodeEncodeError):
+            broken.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["v.tsv"]
+
     def test_strip_special_tokens(self):
         assert strip_special_tokens([SOS, "dog", "<pad>", EOS]) == ["dog"]
