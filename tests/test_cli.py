@@ -5,7 +5,8 @@ from aucap import cli, embfile
 from aucap.audio.embeddings import VARIANT_DIMS
 from aucap.captioner import CaptionerCheckpoint
 from aucap.semantics import build_corpus
-from aucap.text import build_vocabulary, clean_caption
+from aucap.text import Vocabulary, build_vocabulary, clean_caption
+from aucap.word2vec import WordEmbeddingTable
 
 CAPTIONS = {
     "c0": ["a dog barks loudly", "dogs bark outside"],
@@ -16,12 +17,17 @@ CAPTIONS = {
 
 
 @pytest.fixture
-def panns_fixture(tmp_path, toy_lexicon):
-    """Caption CSV, vocabulary, lexicon, subject-verb corpus and a panns cache."""
+def caption_csv(tmp_path):
     csv = tmp_path / "captions.csv"
     csv.write_text("clip_id,caption\n" + "".join(
         f"{clip},{text}\n" for clip, texts in CAPTIONS.items() for text in texts),
         encoding="utf-8")
+    return csv
+
+
+@pytest.fixture
+def panns_fixture(tmp_path, caption_csv, toy_lexicon):
+    """Caption CSV, vocabulary, lexicon, subject-verb corpus and a panns cache."""
     captions = [clean_caption(t) for texts in CAPTIONS.values() for t in texts]
     build_vocabulary(captions).save(tmp_path / "vocabulary.tsv")
     toy_lexicon.save(tmp_path / "lexicon.tsv")
@@ -98,6 +104,31 @@ class TestNonFiniteLoss:
         assert cli.main(args) == 1
         assert "TrainingError: epoch 1 batch 1" in caplog.text
         assert not (out / "sve_mlp.ckpt").exists()
+
+
+class TestTrainW2v:
+    def test_writes_vocabulary_and_table(self, caption_csv, tmp_path):
+        out = tmp_path / "w2v"
+        args = ["train-w2v", "--csv", str(caption_csv), "--dim", "6", "--epochs", "2",
+                "--out", str(out)]
+        assert cli.main(args) == 0
+        vocab = Vocabulary.load(out / "vocabulary.tsv")
+        assert vocab == build_vocabulary(
+            [clean_caption(t) for texts in CAPTIONS.values() for t in texts])
+        table = WordEmbeddingTable.load(out / "word_embeddings.emb", expected_dim=6)
+        assert table.matrix.shape == (len(vocab), 6)
+        assert np.all(np.isfinite(table.matrix))
+
+    @pytest.mark.parametrize("flag, value", [("--window", "0"), ("--dim", "0"),
+                                             ("--negatives", "-1")])
+    def test_bad_setting_exits_2_and_writes_nothing(self, caption_csv, tmp_path, flag, value,
+                                                     caplog):
+        out = tmp_path / "w2v"
+        args = ["train-w2v", "--csv", str(caption_csv), flag, value, "--out", str(out)]
+        assert cli.main(args) == 2
+        assert "configuration error: word2vec " + flag[2:] in caplog.text
+        assert not (out / "vocabulary.tsv").exists()
+        assert not (out / "word_embeddings.emb").exists()
 
 
 class TestGradcheck:
