@@ -1,9 +1,10 @@
 """Whole-file artifact writes.
 
 A writer fills a sibling temp file and renames it over the target with
-``os.replace``, which is atomic on POSIX and Windows. A write that fails
-partway therefore leaves any earlier file byte-identical and removes its
-temp file; readers never see a half-written artifact.
+``os.replace``, an atomic rename on POSIX. A write that fails partway
+therefore leaves any earlier file byte-identical and removes its temp file;
+readers never see a half-written artifact. There is no fsync, so this
+guards against a failed or killed process, not against power loss.
 """
 
 from __future__ import annotations
