@@ -2,9 +2,16 @@
 
 Audio branch: BiGRU -> batch norm -> BiGRU -> batch norm (final state).
 Text branch: embedding -> GRU -> batch norm (final state over the partial
-caption). The two states are concatenated and decoded by one GRU step, a
-dense layer and a softmax over the vocabulary. Training is teacher-forced:
-each caption of N tokens contributes N-1 (prefix -> next word) examples.
+caption). The two states are concatenated into x and decoded by
+h = sigmoid(W_z x + b_z) * tanh(W x + b), batch norm, a dense layer and a
+softmax over the vocabulary. Training is teacher-forced: each caption of N
+tokens contributes N-1 (prefix -> next word) examples.
+
+The paper's decoder is a GRU run for one step from h0 = 0. With h0 = 0 the
+reset gate only scales the zero state and the recurrent columns of the
+update and candidate weights only multiply it, so the step
+(1 - z) * h0 + z * h_hat reduces to the closed form above: the same
+function, without the weights that could never get a gradient.
 
 The audio state never depends on the caption prefix ("merge" design), so
 greedy decoding encodes the audio once per clip and advances the text-GRU
@@ -25,7 +32,7 @@ import numpy as np
 from .audio.embeddings import VARIANT_DIMS
 from .errors import CheckpointError, ShapeError, check_finite_loss
 from .nn.checkpoint import load_tensors, save_tensors
-from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU
+from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUCellParams
 from .nn import tensor as T
 from .nn.optim import AdamState, adam_step
 from .nn.tensor import Parameter, Tensor
@@ -42,7 +49,7 @@ class CaptionerConfig:
     bigru1: int = 32
     bigru2: int = 64
     text_gru: int = 128
-    decoder_gru: int = 128
+    decoder_gru: int = 128        # decoder state width (the paper's decoder GRU size)
     embed_dim: int = 256
     dropout: float = 0.5
     learning_rate: float = 1e-3
@@ -115,7 +122,12 @@ class Captioner:
                                    name="enc.embedding")
         self.text_gru = GRU(c.embed_dim, c.text_gru, rng, name="enc.text")
         self.bn_text = BatchNorm(c.text_gru, name="enc.bn_text")
-        self.decoder_gru = GRU(c.fused_dim, c.decoder_gru, rng, name="dec.gru")
+        # draw a whole GRU cell, keep its live part: it and dec.out start as in the GRU form
+        gru = GRUCellParams.create(c.fused_dim, c.decoder_gru, rng, name="dec")
+        self.dec_W_z = Parameter(gru.W_z.data[:, c.decoder_gru:].copy(), gru.W_z.name)
+        self.dec_b_z = gru.b_z
+        self.dec_W = Parameter(gru.W.data[:, c.decoder_gru:].copy(), gru.W.name)
+        self.dec_b = gru.b
         self.bn_decoder = BatchNorm(c.decoder_gru, name="dec.bn")
         self.out = Dense(c.decoder_gru, vocab_size, rng, name="dec.out")
 
@@ -124,10 +136,10 @@ class Captioner:
     def parameters(self) -> list[Parameter]:
         out = []
         for part in (self.audio_gru1, self.bn_audio1, self.audio_gru2, self.bn_audio2,
-                     self.embedding, self.text_gru, self.bn_text,
-                     self.decoder_gru, self.bn_decoder, self.out):
+                     self.embedding, self.text_gru, self.bn_text):
             out.extend(part.parameters())
-        return out
+        out += [self.dec_W_z, self.dec_b_z, self.dec_W, self.dec_b]
+        return out + self.bn_decoder.parameters() + self.out.parameters()
 
     def _batch_norms(self) -> list[BatchNorm]:
         return [self.bn_audio1, self.bn_audio2, self.bn_text, self.bn_decoder]
@@ -203,7 +215,8 @@ class Captioner:
 
     def decode_step(self, fused: Tensor, mode: str, update_running: bool = True) -> Tensor:
         """Next-word distribution over the vocabulary; rows sum to 1."""
-        h = self.decoder_gru.run(T.reshape(fused, (1, *fused.data.shape)))
+        h = T.mul(T.sigmoid(T.linear(fused, self.dec_W_z, self.dec_b_z)),
+                  T.tanh(T.linear(fused, self.dec_W, self.dec_b)))
         h = self.bn_decoder(h, mode=mode, update_running=update_running)
         return T.softmax(self.out(h))
 

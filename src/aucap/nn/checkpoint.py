@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from .. import embfile
+from .. import atomic, embfile
 from ..errors import CheckpointError, EmbeddingFormatError
 
 _MAGIC = "AUCAP-CKPT v1"
@@ -50,9 +50,7 @@ def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: 
         rows = arr.shape[0] if arr.ndim >= 1 and arr.size else 1
         payloads.append(embfile.pack_matrix(arr.reshape(rows, -1) if arr.size else
                                             np.zeros((1, 1)), dtype="f8"))
-    with open(path, "wb") as fh:
-        fh.writelines(chunks)
-        fh.writelines(payloads)
+    atomic.write_bytes(path, b"".join(chunks + payloads))
 
 
 def load_tensors(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:

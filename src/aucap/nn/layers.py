@@ -29,15 +29,15 @@ def orthogonal(rng: np.random.RandomState, n: int) -> np.ndarray:
 
 
 class Dense:
-    def __init__(self, in_dim: int, out_dim: int, rng, bias: bool = True, name: str = "dense"):
+    def __init__(self, in_dim: int, out_dim: int, rng, name: str = "dense"):
         self.weights = Parameter(glorot_uniform(rng, out_dim, in_dim), f"{name}.weights")
-        self.bias = Parameter(np.zeros(out_dim), f"{name}.bias") if bias else None
+        self.bias = Parameter(np.zeros(out_dim), f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weights, self.bias)
 
     def parameters(self) -> list[Parameter]:
-        return [self.weights] + ([self.bias] if self.bias is not None else [])
+        return [self.weights, self.bias]
 
 
 class Embedding:
@@ -119,7 +119,7 @@ class BatchNorm:
 
 @dataclass
 class GRUCellParams:
-    """Gate weights of shape (hidden, hidden + input); biases optional.
+    """Gate weights of shape (hidden, hidden + input) and (hidden,) biases.
 
     Column order matches the concatenation [h_prev, x].
     """
@@ -127,9 +127,9 @@ class GRUCellParams:
     W_z: Parameter
     W_r: Parameter
     W: Parameter
-    b_z: Parameter | None = None
-    b_r: Parameter | None = None
-    b: Parameter | None = None
+    b_z: Parameter
+    b_r: Parameter
+    b: Parameter
 
     @property
     def hidden(self) -> int:
@@ -140,31 +140,20 @@ class GRUCellParams:
         return self.W_z.data.shape[1] - self.W_z.data.shape[0]
 
     @classmethod
-    def create(cls, input_dim: int, hidden: int, rng, bias: bool = True,
-               name: str = "gru") -> "GRUCellParams":
+    def create(cls, input_dim: int, hidden: int, rng, name: str = "gru") -> "GRUCellParams":
         def gate(label):
             w = np.empty((hidden, hidden + input_dim))
             w[:, :hidden] = orthogonal(rng, hidden)
             w[:, hidden:] = glorot_uniform(rng, hidden, input_dim)
             return Parameter(w, f"{name}.{label}")
 
-        params = cls(W_z=gate("W_z"), W_r=gate("W_r"), W=gate("W"))
-        if bias:
-            params.b_z = Parameter(np.zeros(hidden), f"{name}.b_z")
-            params.b_r = Parameter(np.zeros(hidden), f"{name}.b_r")
-            params.b = Parameter(np.zeros(hidden), f"{name}.b")
-        return params
+        return cls(W_z=gate("W_z"), W_r=gate("W_r"), W=gate("W"),
+                   b_z=Parameter(np.zeros(hidden), f"{name}.b_z"),
+                   b_r=Parameter(np.zeros(hidden), f"{name}.b_r"),
+                   b=Parameter(np.zeros(hidden), f"{name}.b"))
 
     def parameters(self) -> list[Parameter]:
-        out = [self.W_z, self.W_r, self.W]
-        out += [b for b in (self.b_z, self.b_r, self.b) if b is not None]
-        return out
-
-
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """x @ w.T + b, in the op order of ``tensor.linear``."""
-    y = x @ w.T
-    return y if b is None else y + b
+        return [self.W_z, self.W_r, self.W, self.b_z, self.b_r, self.b]
 
 
 def gru_sequence(xs, cell: GRUCellParams, masks=None, h0=None, reverse: bool = False,
@@ -198,7 +187,7 @@ def gru_sequence(xs, cell: GRUCellParams, masks=None, h0=None, reverse: bool = F
         masks = masks.reshape(steps, batch, 1)
 
     W_z, W_r, W = cell.W_z.data, cell.W_r.data, cell.W.data
-    b_z, b_r, b = (None if q is None else q.data for q in (cell.b_z, cell.b_r, cell.b))
+    b_z, b_r, b = cell.b_z.data, cell.b_r.data, cell.b.data
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     hx = np.empty((steps, batch, hid + in_dim))  # [h, x] per step, then [r*h, x] in rhx
     hx[:, :, hid:] = xs.data
@@ -209,10 +198,11 @@ def gru_sequence(xs, cell: GRUCellParams, masks=None, h0=None, reverse: bool = F
     with np.errstate(over="ignore"):  # exp overflow gives a gate of exactly 0
         for t in order:
             hx[t, :, :hid] = h
-            z = 1.0 / (1.0 + np.exp(-_affine(hx[t], W_z, b_z)))
-            r = 1.0 / (1.0 + np.exp(-_affine(hx[t], W_r, b_r)))
+            # x @ w.T + b per gate, in the op order of ``tensor.linear``
+            z = 1.0 / (1.0 + np.exp(-(hx[t] @ W_z.T + b_z)))
+            r = 1.0 / (1.0 + np.exp(-(hx[t] @ W_r.T + b_r)))
             rhx[t, :, :hid] = r * h
-            hh = np.tanh(_affine(rhx[t], W, b))
+            hh = np.tanh(rhx[t] @ W.T + b)
             h_new = (1.0 - z) * h + z * hh
             if masks is not None:
                 h_new = masks[t] * h_new + (1.0 - masks[t]) * h
@@ -245,9 +235,8 @@ def gru_sequence(xs, cell: GRUCellParams, masks=None, h0=None, reverse: bool = F
 
         flat = da.reshape(steps * batch, 3 * hid)
         d_w_zr = flat[:, : 2 * hid].T @ hx.reshape(steps * batch, -1)
-        grads = [d_w_zr[:hid], d_w_zr[hid:], flat[:, 2 * hid:].T @ rhx.reshape(steps * batch, -1)]
-        if b_z is not None:
-            grads += np.split(flat.sum(axis=0), 3)
+        grads = [d_w_zr[:hid], d_w_zr[hid:], flat[:, 2 * hid:].T @ rhx.reshape(steps * batch, -1),
+                 *np.split(flat.sum(axis=0), 3)]
         for q, d in zip(params, grads):
             T._accumulate(q, d)
         if xs.requires_grad:
@@ -266,8 +255,8 @@ def gru_cell_step(x_t: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
 
 
 class GRU:
-    def __init__(self, input_dim: int, hidden: int, rng, bias: bool = True, name: str = "gru"):
-        self.cell = GRUCellParams.create(input_dim, hidden, rng, bias=bias, name=name)
+    def __init__(self, input_dim: int, hidden: int, rng, name: str = "gru"):
+        self.cell = GRUCellParams.create(input_dim, hidden, rng, name=name)
 
     @property
     def hidden(self) -> int:
@@ -288,9 +277,9 @@ class GRU:
 class BiGRU:
     """Two GRUs over the sequence, one time-reversed; outputs concatenated."""
 
-    def __init__(self, input_dim: int, hidden: int, rng, bias: bool = True, name: str = "bigru"):
-        self.fwd = GRUCellParams.create(input_dim, hidden, rng, bias=bias, name=f"{name}.fwd")
-        self.bwd = GRUCellParams.create(input_dim, hidden, rng, bias=bias, name=f"{name}.bwd")
+    def __init__(self, input_dim: int, hidden: int, rng, name: str = "bigru"):
+        self.fwd = GRUCellParams.create(input_dim, hidden, rng, name=f"{name}.fwd")
+        self.bwd = GRUCellParams.create(input_dim, hidden, rng, name=f"{name}.bwd")
 
     @property
     def hidden(self) -> int:

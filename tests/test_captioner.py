@@ -11,9 +11,10 @@ from aucap.captioner import (
     prefix_examples,
     train_captioner,
 )
+from aucap import atomic
 from aucap.errors import CheckpointError, ShapeError, TrainingError
 from aucap.nn import tensor as T
-from aucap.nn.layers import BiGRU
+from aucap.nn.layers import BiGRU, GRUCellParams
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
 
 
@@ -355,6 +356,18 @@ class TestTraining:
 
         assert nodes(2, 1) == nodes(9, 1) == nodes(2, 7) == nodes(30, 12)
 
+    def test_every_weight_gets_a_gradient(self):
+        model, _ = micro_model()
+        rng = np.random.RandomState(8)
+        prefix = rng.randint(1, 12, size=(4, 3))
+        probs = model.forward(rng.standard_normal((4, 3, 8)), prefix, np.ones(prefix.shape),
+                              mode="train", rng=rng)
+        T.backward(T.cross_entropy(probs, rng.randint(0, 12, size=4)))
+        for p in model.parameters():
+            assert np.any(p.grad != 0.0), p.name
+            if p.data.ndim == 2:
+                assert np.all(np.any(p.grad != 0.0, axis=0)), p.name  # every input column
+
 
 class TestSveAblationEquivalence:
     def test_zero_sve_matches_ablation_on_audio_columns(self):
@@ -440,6 +453,36 @@ class TestCheckpoint:
         ckpt.save(path)
         with pytest.raises(CheckpointError, match="corpus hash"):
             CaptionerCheckpoint.load(path, vocab=vocab, corpus_sha256="different")
+
+    def test_failed_rename_keeps_old_checkpoint_and_removes_temp(self, tmp_path, monkeypatch):
+        ckpt, _ = self._checkpoint()
+        path = tmp_path / "cap.ckpt"
+        ckpt.save(path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(atomic.os, "replace", fail)
+        ckpt.params = {name: value + 1.0 for name, value in ckpt.params.items()}
+        with pytest.raises(OSError, match="disk full"):
+            ckpt.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cap.ckpt"]
+
+    def test_decoder_gru_checkpoint_rejected(self, tmp_path):
+        # checkpoints of the GRU-cell decoder hold dec.gru.{W_z,W_r,W,b_z,b_r,b}
+        ckpt, _ = self._checkpoint()
+        cfg = ckpt.config
+        params = {k: v for k, v in ckpt.params.items()
+                  if k not in ("dec.W_z", "dec.b_z", "dec.W", "dec.b")}
+        cell = GRUCellParams.create(cfg.fused_dim, cfg.decoder_gru, np.random.RandomState(0),
+                                    name="dec.gru")
+        params.update({p.name: p.data for p in cell.parameters()})
+        ckpt.params = params
+        ckpt.save(tmp_path / "old.ckpt")
+        with pytest.raises(CheckpointError, match="missing parameter 'dec.W_z'"):
+            CaptionerCheckpoint.load(tmp_path / "old.ckpt").build_model()
 
     def test_rebuilt_model_decodes_identically(self, tmp_path):
         vocab = build_vocabulary([clean_caption("dog barks loudly")])

@@ -19,8 +19,8 @@ from aucap.nn.optim import CHUNK, AdamState, adam_step
 from aucap.nn.tensor import Parameter, Tensor
 
 
-def zero_cell(input_dim, hidden, bias=True):
-    cell = GRUCellParams.create(input_dim, hidden, np.random.RandomState(0), bias=bias)
+def zero_cell(input_dim, hidden):
+    cell = GRUCellParams.create(input_dim, hidden, np.random.RandomState(0))
     for p in cell.parameters():
         p.data[...] = 0.0
     return cell
@@ -105,13 +105,13 @@ class TestGRUForward:
         with pytest.raises(ShapeError):
             gru_sequence(Tensor(np.zeros((0, 1, 4))), cell)
 
-    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("random_bias", [True, False])  # False: the zero start biases
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("masked", [False, True])
-    def test_kernel_equals_per_step_ops(self, bias, reverse, masked):
+    def test_kernel_equals_per_step_ops(self, random_bias, reverse, masked):
         rng = np.random.RandomState(20)
-        cell = GRUCellParams.create(5, 4, rng, bias=bias)
-        if bias:
+        cell = GRUCellParams.create(5, 4, rng)
+        if random_bias:
             for b in (cell.b_z, cell.b_r, cell.b):
                 b.data = rng.standard_normal(4)
         xs = rng.standard_normal((6, 3, 5)) * 2.0
