@@ -69,18 +69,20 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _coerce(text: str, like) -> object:
+def _coerce(key: str, text: str, like) -> object:
     if isinstance(like, bool):
         lowered = text.lower()
         if lowered in ("on", "true", "1", "yes"):
             return True
         if lowered in ("off", "false", "0", "no"):
             return False
-        raise ConfigError(f"cannot parse boolean from {text!r}")
-    if isinstance(like, int):
-        return int(text)
-    if isinstance(like, float):
-        return float(text)
+        raise ConfigError(f"config key {key!r}: cannot parse boolean from {text!r}")
+    if isinstance(like, (int, float)):
+        try:
+            return type(like)(text)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: cannot parse {type(like).__name__} "
+                              f"from {text!r}") from None
     return text
 
 
@@ -94,7 +96,7 @@ def apply_config_file(args: argparse.Namespace, defaults: dict) -> None:
             raise ConfigError(f"unknown config key {key!r}")
         if getattr(args, key, None) is None:
             like = defaults.get(key)
-            setattr(args, key, _coerce(value, like) if like is not None else value)
+            setattr(args, key, _coerce(key, value, like) if like is not None else value)
     for key, value in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)

@@ -126,7 +126,10 @@ class Vocabulary:
             idx_text, sep, word = line.partition("\t")
             if not sep:
                 raise VocabularyError(f"{path}:{lineno + 1}: expected index<TAB>word")
-            idx = int(idx_text)
+            try:
+                idx = int(idx_text)
+            except ValueError:
+                raise VocabularyError(f"{path}:{lineno + 1}: index {idx_text!r} is not an integer")
             if idx < len(RESERVED):
                 if vocab._index_to_word[idx] != word:
                     raise VocabularyError(f"{path}:{lineno + 1}: reserved slot {idx} holds {word!r}")

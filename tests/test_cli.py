@@ -71,6 +71,15 @@ class TestTrainCaptioner:
         assert cli.main(train_captioner_args(root, out) + ["--config", str(config)]) == 2
         assert not (out / "captioner.ckpt").exists()
 
+    def test_unparsable_float_config_value_exits_2(self, panns_fixture, caplog):
+        root, _ = panns_fixture
+        config = root / "train.cfg"
+        config.write_text("learning_rate = fast\n", encoding="utf-8")
+        out = root / "captioner"
+        assert cli.main(train_captioner_args(root, out) + ["--config", str(config)]) == 2
+        assert "config key 'learning_rate': cannot parse float from 'fast'" in caplog.text
+        assert not (out / "captioner.ckpt").exists()
+
 
 @pytest.fixture
 def nan_feature(monkeypatch):
@@ -127,6 +136,20 @@ class TestTrainW2v:
         args = ["train-w2v", "--csv", str(caption_csv), flag, value, "--out", str(out)]
         assert cli.main(args) == 2
         assert "configuration error: word2vec " + flag[2:] in caplog.text
+        assert not (out / "vocabulary.tsv").exists()
+        assert not (out / "word_embeddings.emb").exists()
+
+    @pytest.mark.parametrize("line", ["epochs = abc", "window = 2.5"])
+    def test_unparsable_config_value_exits_2_and_writes_nothing(self, caption_csv, tmp_path,
+                                                                 line, caplog):
+        config = tmp_path / "w2v.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "w2v"
+        args = ["train-w2v", "--csv", str(caption_csv), "--config", str(config),
+                "--out", str(out)]
+        assert cli.main(args) == 2
+        key = line.split(" = ")[0]
+        assert f"configuration error: config key {key!r}: cannot parse int" in caplog.text
         assert not (out / "vocabulary.tsv").exists()
         assert not (out / "word_embeddings.emb").exists()
 

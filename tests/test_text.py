@@ -104,6 +104,15 @@ class TestVocabulary:
         assert loaded == vocab
         assert loaded.sha256() == vocab.sha256()
 
+    def test_non_integer_index_rejected(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        build_vocabulary([[SOS, "dog", EOS]]).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[4] == "4\tdog"
+        path.write_text("\n".join(lines[:4] + ["x\tdog"]) + "\n", encoding="utf-8")
+        with pytest.raises(VocabularyError, match=r"v\.tsv:5: index 'x' is not an integer"):
+            Vocabulary.load(path)
+
     def test_failed_save_keeps_old_file(self, tmp_path):
         path = tmp_path / "v.tsv"
         build_vocabulary([[SOS, "dog", EOS]]).save(path)
