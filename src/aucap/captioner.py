@@ -7,6 +7,14 @@ h = sigmoid(W_z x + b_z) * tanh(W x + b), batch norm, a dense layer and a
 softmax over the vocabulary. Training is teacher-forced: each caption of N
 tokens contributes N-1 (prefix -> next word) examples.
 
+A training batch is whole captions. The audio state never depends on the
+prefix, and the text state of prefix i is step i of one text-GRU pass over
+the caption, so a batch of k captions takes one audio pass over its k clips
+and one text-GRU pass over its (L, k) token matrix. The valid (step,
+caption) text states and each example's audio state, taken before
+``bn_audio2``, are then gathered to one row per example, so that
+``bn_audio2`` and ``bn_text`` see one row per example, and decoded together.
+
 The paper's decoder is a GRU run for one step from h0 = 0. With h0 = 0 the
 reset gate only scales the zero state and the recurrent columns of the
 update and candidate weights only multiply it, so the step
@@ -54,7 +62,7 @@ class CaptionerConfig:
     dropout: float = 0.5
     learning_rate: float = 1e-3
     epochs: int = 50
-    batch_size: int = 64
+    batch_size: int = 64          # examples (prefixes) per optimizer step, made of whole captions
     max_len: int = 22
     seed: int = 0
 
@@ -96,13 +104,6 @@ def build_encoder_input(audio, sve: np.ndarray | None, variant: str) -> np.ndarr
     sve = np.asarray(sve, dtype=np.float64).reshape(-1)
     tiled = np.tile(sve, (arr.shape[0], 1))
     return np.hstack([arr, tiled])
-
-
-def prefix_examples(indices: list[int]) -> list[tuple[tuple[int, ...], int]]:
-    """Teacher-forcing pairs: every proper prefix predicts the next token."""
-    if len(indices) < 2:
-        raise ShapeError("caption must hold at least <sos> and one more token")
-    return [(tuple(indices[:i]), indices[i]) for i in range(1, len(indices))]
 
 
 class Captioner:
@@ -174,8 +175,12 @@ class Captioner:
 
     def encode_audio(self, audio: np.ndarray, mode: str,
                      rng: np.random.RandomState | None = None,
-                     update_running: bool = True) -> Tensor:
-        """(batch, 2*bigru2) audio state: BiGRU -> BN -> BiGRU -> BN (final state)."""
+                     update_running: bool = True, rows=None) -> Tensor:
+        """(batch, 2*bigru2) audio state: BiGRU -> BN -> BiGRU -> BN (final state).
+
+        ``rows`` gathers clip rows of the final BiGRU state before ``bn_audio2``,
+        giving one output row per entry.
+        """
         audio = np.asarray(audio, dtype=np.float64)
         if audio.ndim != 3 or audio.shape[2] != self.config.encoder_input_dim:
             raise ShapeError(
@@ -191,24 +196,47 @@ class Captioner:
         normed = self.bn_audio1(T.reshape(seq1, (steps * batch, width)), mode=mode,
                                 update_running=update_running)
         audio_vec = self.audio_gru2.run(T.reshape(normed, (steps, batch, width)))
+        if rows is not None:
+            audio_vec = T.embedding_lookup(audio_vec, rows)
         return self.bn_audio2(audio_vec, mode=mode, update_running=update_running)
 
     def encode(self, audio: np.ndarray, prefix: np.ndarray, mask: np.ndarray, mode: str,
-               rng: np.random.RandomState | None = None, update_running: bool = True) -> Tensor:
-        """Fused (batch, 2*bigru2 + text_gru) representation of audio + partial caption."""
+               rng: np.random.RandomState | None = None, update_running: bool = True,
+               positions=None) -> Tensor:
+        """Fused (examples, 2*bigru2 + text_gru) representation of audio + partial captions.
+
+        ``prefix`` and ``mask`` are (batch, L) and run through the text GRU in
+        one pass. ``positions`` = (steps, rows) index arrays name the examples:
+        example e is the prefix ``prefix[rows[e], :steps[e] + 1]`` of clip
+        ``rows[e]``. The default is one example per row, its state after all L
+        steps; masked steps carry the state, so that is the prefix up to the
+        row's last valid step.
+        """
         audio = np.asarray(audio, dtype=np.float64)
         prefix = np.asarray(prefix, dtype=np.int64)
         mask = np.asarray(mask, dtype=np.float64)
         if prefix.ndim != 2 or prefix.shape != mask.shape or prefix.shape[:1] != audio.shape[:1]:
             raise ShapeError(f"prefix {prefix.shape} / mask {mask.shape} / audio {audio.shape}")
-        audio_vec = self.encode_audio(audio, mode, rng=rng, update_running=update_running)
+        batch, length = prefix.shape
+        if positions is None:
+            steps, rows = np.full(batch, length - 1), np.arange(batch)
+        else:
+            steps, rows = (np.asarray(a, dtype=np.int64) for a in positions)
+            if (steps.ndim != 1 or steps.shape != rows.shape or not steps.size
+                    or not (0 <= steps.min() <= steps.max() < length)
+                    or not (0 <= rows.min() <= rows.max() < batch)):
+                raise ShapeError(f"positions must be two equal-length index vectors within "
+                                 f"the (batch, L) = {prefix.shape} prefix matrix")
+        audio_vec = self.encode_audio(audio, mode, rng=rng, update_running=update_running,
+                                      rows=rows)
 
         drop = self._dropout_rate(mode, rng)
-        batch, steps = prefix.shape
-        text = T.reshape(self.embedding(prefix.T.ravel()), (steps, batch, self.config.embed_dim))
+        text = T.reshape(self.embedding(prefix.T.ravel()), (length, batch, self.config.embed_dim))
         if drop > 0.0:
             text = T.dropout(text, drop, mode, rng)
-        text_vec = self.text_gru.run(text, masks=mask.T)
+        states = self.text_gru.run(text, masks=mask.T, return_sequence=True)
+        text_vec = T.embedding_lookup(T.reshape(states, (length * batch, self.text_gru.hidden)),
+                                      steps * batch + rows)  # time-major row of (step, row)
         text_vec = self.bn_text(text_vec, mode=mode, update_running=update_running)
 
         return T.concat([audio_vec, text_vec], axis=1)
@@ -221,8 +249,10 @@ class Captioner:
         return T.softmax(self.out(h))
 
     def forward(self, audio, prefix, mask, mode: str, rng=None,
-                update_running: bool = True) -> Tensor:
-        fused = self.encode(audio, prefix, mask, mode, rng=rng, update_running=update_running)
+                update_running: bool = True, positions=None) -> Tensor:
+        """Next-word distributions of the examples ``positions`` names (see ``encode``)."""
+        fused = self.encode(audio, prefix, mask, mode, rng=rng, update_running=update_running,
+                            positions=positions)
         return self.decode_step(fused, mode, update_running=update_running)
 
     # -- inference ----------------------------------------------------------
@@ -324,45 +354,67 @@ class CaptionerCheckpoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Example:
-    clip_id: str
-    prefix: tuple[int, ...]
-    target: int
-
-
-def _build_examples(pairs, vocab: Vocabulary) -> list[_Example]:
-    examples = []
+def _encode_captions(pairs, vocab: Vocabulary) -> list[tuple[str, list[int]]]:
+    """(clip_id, token indices) per caption; a caption of n tokens gives n - 1 examples."""
+    captions = []
     for clip_id, tokens in pairs:
         if tokens[0] != SOS:
             raise ShapeError(f"caption for {clip_id!r} does not start with {SOS}")
         indices = encode(tokens, vocab)
-        for prefix, target in prefix_examples(indices):
-            examples.append(_Example(clip_id, prefix, target))
-    return examples
+        if len(indices) < 2:
+            raise ShapeError(f"caption for {clip_id!r} must hold {SOS} and one more token")
+        captions.append((clip_id, indices))
+    return captions
 
 
-def _batch_arrays(examples: list[_Example], inputs: dict[str, np.ndarray]):
-    audio = np.stack([inputs[e.clip_id] for e in examples])
-    longest = max(len(e.prefix) for e in examples)
-    prefix = np.zeros((len(examples), longest), dtype=np.int64)
-    mask = np.zeros((len(examples), longest), dtype=np.float64)
-    for row, e in enumerate(examples):
-        prefix[row, : len(e.prefix)] = e.prefix
-        mask[row, : len(e.prefix)] = 1.0
-    targets = np.array([e.target for e in examples], dtype=np.int64)
-    return audio, prefix, mask, targets
+def _caption_batches(lengths: list[int], order, batch_size: int) -> list[list[int]]:
+    """Pack the captions of these token ``lengths``, taken in ``order``, into
+    batches that each reach ``batch_size`` examples and hold at least 2
+    captions (train-mode batch norm needs 2 rows even at one audio frame). A
+    trailing one-caption batch joins the one before it."""
+    batches: list[list[int]] = []
+    current: list[int] = []
+    examples = 0
+    for i in order:
+        current.append(int(i))
+        examples += lengths[i] - 1
+        if examples >= batch_size and len(current) >= 2:
+            batches.append(current)
+            current, examples = [], 0
+    if len(current) == 1 and batches:
+        batches[-1].extend(current)
+    elif current:
+        batches.append(current)
+    return batches
 
 
-def _dataset_loss(model: Captioner, examples: list[_Example],
+def _batch_arrays(captions: list[tuple[str, list[int]]], inputs: dict[str, np.ndarray]):
+    """One batch of whole (clip_id, token indices) captions: the (k, T, d)
+    audio, the (k, L) input tokens and mask (each caption less its last token),
+    and per example, in time-major order, its (steps, rows) position and its
+    target, the token after the prefix that ends at that step."""
+    longest = max(len(ids) for _, ids in captions)
+    tokens = np.zeros((len(captions), longest), dtype=np.int64)
+    mask = np.zeros((len(captions), longest - 1))
+    for row, (_, ids) in enumerate(captions):
+        tokens[row, : len(ids)] = ids
+        mask[row, : len(ids) - 1] = 1.0
+    steps, rows = np.nonzero(mask.T)
+    audio = np.stack([inputs[clip_id] for clip_id, _ in captions])
+    return audio, tokens[:, :-1], mask, (steps, rows), tokens[rows, steps + 1]
+
+
+def _dataset_loss(model: Captioner, captions: list[tuple[str, list[int]]],
                   inputs: dict[str, np.ndarray], batch_size: int) -> float:
+    """Mean -ln p(next word) over every example of the captions, in infer mode."""
     total = 0.0
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        audio, prefix, mask, targets = _batch_arrays(chunk, inputs)
-        probs = model.forward(audio, prefix, mask, mode="infer")
-        total += float(T.cross_entropy(probs, targets).data) * len(chunk)
-    return total / len(examples)
+    lengths = [len(ids) for _, ids in captions]
+    for batch in _caption_batches(lengths, range(len(captions)), batch_size):
+        audio, prefix, mask, positions, targets = _batch_arrays(
+            [captions[i] for i in batch], inputs)
+        probs = model.forward(audio, prefix, mask, mode="infer", positions=positions)
+        total += float(T.cross_entropy(probs, targets).data) * len(targets)
+    return total / (sum(lengths) - len(lengths))
 
 
 def train_captioner(pairs, features: dict[str, np.ndarray],
@@ -409,35 +461,32 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     params = model.parameters()
     state = AdamState(learning_rate=config.learning_rate)
 
-    examples = _build_examples(pairs, vocab)
-    val_examples = _build_examples(val_pairs, vocab) if val_pairs else None
+    captions = _encode_captions(pairs, vocab)
+    val_captions = _encode_captions(val_pairs, vocab) if val_pairs else None
+    lengths = [len(ids) for _, ids in captions]
     history: dict = {"train_loss": [], "val_loss": [], "best_epoch": -1}
     best_loss = np.inf
     best_state = None
 
-    n = len(examples)
+    n = sum(lengths) - len(lengths)  # examples per epoch
     for epoch in range(config.epochs):
         if epoch > 0 and history["best_epoch"] == epoch - 1:
             best_state = model.state()  # the best epoch so far is about to be trained past
-        order = rng.permutation(n)
-        batches = [order[s : s + config.batch_size].tolist()
-                   for s in range(0, n, config.batch_size)]
-        if len(batches) > 1 and len(batches[-1]) == 1:
-            batches[-2].extend(batches.pop())  # train-mode batch norm needs >= 2 rows
+        batches = _caption_batches(lengths, rng.permutation(len(captions)), config.batch_size)
         total = 0.0
-        for batch_no, batch_idx in enumerate(batches):
-            chunk = [examples[i] for i in batch_idx]
-            audio, prefix, mask, targets = _batch_arrays(chunk, inputs)
-            probs = model.forward(audio, prefix, mask, mode="train", rng=rng)
+        for batch_no, batch in enumerate(batches):
+            audio, prefix, mask, positions, targets = _batch_arrays(
+                [captions[i] for i in batch], inputs)
+            probs = model.forward(audio, prefix, mask, mode="train", rng=rng, positions=positions)
             loss = T.cross_entropy(probs, targets)
             check_finite_loss(loss.item(), f"epoch {epoch + 1} batch {batch_no + 1}")
             T.backward(loss)
             adam_step(params, state)
-            total += float(loss.data) * len(chunk)
+            total += float(loss.data) * len(targets)
         train_loss = total / n
         history["train_loss"].append(train_loss)
-        if val_examples:
-            watched = _dataset_loss(model, val_examples, inputs, config.batch_size)
+        if val_captions:
+            watched = _dataset_loss(model, val_captions, inputs, config.batch_size)
             history["val_loss"].append(watched)
         else:
             watched = train_loss

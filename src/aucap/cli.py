@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic, metrics
 from . import dataset as ds
-from . import metrics
 from .captioner import CaptionerCheckpoint, CaptionerConfig, build_encoder_input, train_captioner
 from .audio.embeddings import VARIANT_DIMS
 from .audio.features import FeatureConfig
@@ -39,12 +39,21 @@ GRADCHECK_TOLERANCE = 1e-4
 
 @contextlib.contextmanager
 def output_lock(directory: Path):
-    """Exclusive per-directory lock; a held lock is a configuration error."""
+    """Exclusive per-directory lock holding the owner's PID. A lock whose PID
+    no longer exists was left by a killed run and is replaced; any other held
+    lock, or one whose content is not a PID, is a configuration error."""
     directory.mkdir(parents=True, exist_ok=True)
     lock = directory / LOCK_NAME
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    fd = None
+    with contextlib.suppress(FileExistsError):
+        fd = os.open(lock, flags)
+    if fd is None and _lock_is_stale(lock):
+        log.warning("replacing the stale lock %s of a run that no longer exists", lock)
+        lock.unlink(missing_ok=True)
+        with contextlib.suppress(FileExistsError):  # another run may take it first
+            fd = os.open(lock, flags)
+    if fd is None:
         raise ConfigError(f"output directory {directory} is locked by another run ({lock})")
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
@@ -53,6 +62,23 @@ def output_lock(directory: Path):
     finally:
         with contextlib.suppress(FileNotFoundError):
             lock.unlink()
+
+
+def _lock_is_stale(lock: Path) -> bool:
+    """True when the lock holds the PID of no process: its run was killed."""
+    try:
+        pid = int(lock.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False  # os.kill would address a process group, not one process
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        pass  # e.g. a live process of another user
+    return False
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -168,8 +194,8 @@ def cmd_build_sve(args) -> int:
                 np.zeros((len(records), 0))
             if corpus.size:
                 embfile.write_matrix(out / "sve_targets.emb", matrix)
-            (out / "sve_clips.txt").write_text(
-                "".join(f"{r.clip_id}\n" for r in records), encoding="utf-8")
+            atomic.write_bytes(out / "sve_clips.txt",
+                               "".join(f"{r.clip_id}\n" for r in records).encode("utf-8"))
     log.info("build-sve: corpus of K=%d roots written to %s", corpus.size, out)
     return 0
 
@@ -323,7 +349,7 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     with output_lock(out.parent if out.suffix else out):
         target = out if out.suffix else out / "predictions.tsv"
-        target.write_text("".join(lines), encoding="utf-8")
+        atomic.write_bytes(target, "".join(lines).encode("utf-8"))
     log.info("predict: wrote %d captions to %s", len(lines), target)
     return 0
 
@@ -334,7 +360,7 @@ def cmd_evaluate(args) -> int:
     text = report.table() + report.key_value_lines()
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        atomic.write_bytes(args.out, text.encode("utf-8"))
     return 0
 
 
@@ -430,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--embed-dim", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=int,
+                   help="examples (caption prefixes) per optimizer step, made of whole captions")
     p.add_argument("--out")
     p.set_defaults(func=cmd_train_captioner,
                    defaults={"seed": 0, "format": "generic", "variant": "panns",

@@ -137,7 +137,9 @@ def _check_mlp_stack(rng):
     )
 
 
-def _check_micro_captioner(rng):
+def _check_micro_captioner(rng, caption_major: bool = False):
+    """The whole model on one batch. ``caption_major`` scores every valid
+    (step, row) prefix of the batch, as training does, not each row's last."""
     from ..captioner import Captioner, CaptionerConfig
 
     cfg = CaptionerConfig(
@@ -150,10 +152,12 @@ def _check_micro_captioner(rng):
     prefix = rng.randint(1, 10, size=(batch, 3))
     mask = np.ones((batch, 3))
     mask[0, 2] = 0.0  # one short prefix exercises the masked recurrence
-    targets = rng.randint(0, 10, size=batch)
+    positions = np.nonzero(mask.T) if caption_major else None
+    targets = rng.randint(0, 10, size=int(mask.sum()) if caption_major else batch)
 
     def loss_fn():
-        probs = model.forward(audio, prefix, mask, mode="train", update_running=False)
+        probs = model.forward(audio, prefix, mask, mode="train", update_running=False,
+                              positions=positions)
         return T.cross_entropy(probs, targets)
 
     return max_relative_error(loss_fn, model.parameters(), rng=rng, max_coords=6)
@@ -176,5 +180,6 @@ def run_suite(seed: int = 0) -> dict[str, float]:
         "softmax_cross_entropy": _check_softmax_xent,
         "mlp_stack": _check_mlp_stack,
         "micro_captioner": _check_micro_captioner,
+        "micro_captioner_caption_major": lambda rng: _check_micro_captioner(rng, True),
     }
     return {name: fn(np.random.RandomState(seed + i)) for i, (name, fn) in enumerate(checks.items())}

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .errors import SemanticsError
 from .text import strip_special_tokens
 
@@ -136,7 +137,7 @@ class TagLexicon:
 
     def save(self, path: str | Path) -> None:
         lines = [f"{w}\t{t}\n" for w, t in sorted(self.entries.items())]
-        Path(path).write_text("".join(lines), encoding="utf-8")
+        atomic.write_bytes(path, "".join(lines).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path, suffix_rules=DEFAULT_SUFFIX_RULES) -> "TagLexicon":
@@ -172,7 +173,7 @@ class SubjectVerbCorpus:
         return len(self.words)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("".join(f"{w}\n" for w in self.words), encoding="utf-8")
+        atomic.write_bytes(path, "".join(f"{w}\n" for w in self.words).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path, lexicon: TagLexicon) -> "SubjectVerbCorpus":

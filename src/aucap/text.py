@@ -130,6 +130,8 @@ class Vocabulary:
                 idx = int(idx_text)
             except ValueError:
                 raise VocabularyError(f"{path}:{lineno + 1}: index {idx_text!r} is not an integer")
+            if idx < 0:
+                raise VocabularyError(f"{path}:{lineno + 1}: index {idx} is negative")
             if idx < len(RESERVED):
                 if vocab._index_to_word[idx] != word:
                     raise VocabularyError(f"{path}:{lineno + 1}: reserved slot {idx} holds {word!r}")

@@ -5,13 +5,14 @@ from aucap.captioner import (
     Captioner,
     CaptionerCheckpoint,
     CaptionerConfig,
-    _build_examples,
+    _batch_arrays,
+    _caption_batches,
     _dataset_loss,
+    _encode_captions,
     build_encoder_input,
-    prefix_examples,
     train_captioner,
 )
-from aucap import atomic
+from aucap import atomic, captioner
 from aucap.errors import CheckpointError, ShapeError, TrainingError
 from aucap.nn import tensor as T
 from aucap.nn.layers import BiGRU, GRUCellParams
@@ -56,30 +57,96 @@ class TestBuildEncoderInput:
             build_encoder_input(np.zeros((1, 8)), None, "mfcc")
 
 
+def batch_examples(captions, batches):
+    """(clip_id, prefix, target) per example of the caption batches, as
+    ``_batch_arrays`` lays them out."""
+    inputs = {clip_id: np.zeros((1, 2)) for clip_id, _ in captions}
+    out = []
+    for batch in batches:
+        chosen = [captions[i] for i in batch]
+        _, prefix, mask, (steps, rows), targets = _batch_arrays(chosen, inputs)
+        for step, row, target in zip(steps, rows, targets):
+            assert mask[row, : step + 1].all()
+            out.append((chosen[row][0], tuple(prefix[row, : step + 1].tolist()), int(target)))
+    return out
+
+
 class TestPrefixExpansion:
+    """Caption batches hold every (prefix -> next word) example once."""
+
     def test_six_token_caption(self):
-        indices = [1, 5, 6, 7, 8, 2]
-        assert len(prefix_examples(indices)) == 5
+        captions = [("c", [1, 5, 6, 7, 8, 2])]
+        assert len(batch_examples(captions, [[0]])) == 5
 
     def test_pairs_content(self):
-        pairs = prefix_examples([1, 5, 2])
-        assert pairs == [((1,), 5), ((1, 5), 2)]
+        examples = batch_examples([("c", [1, 5, 2])], [[0]])
+        assert [(prefix, target) for _, prefix, target in examples] == [((1,), 5), ((1, 5), 2)]
 
     def test_counts_match_brute_force(self):
         rng = np.random.RandomState(1)
-        captions = [[1, *rng.randint(4, 10, rng.randint(1, 9)).tolist(), 2]
-                    for _ in range(40)]
-        total = sum(len(prefix_examples(c)) for c in captions)
-        brute = 0
-        for caption in captions:
-            for i in range(len(caption)):
-                if i >= 1:
-                    brute += 1
-        assert total == brute == sum(len(c) - 1 for c in captions)
+        captions = [(f"c{j}", [1, *rng.randint(4, 10, rng.randint(1, 9)).tolist(), 2])
+                    for j in range(40)]
+        lengths = [len(ids) for _, ids in captions]
+        brute = [(clip_id, tuple(ids[:i]), ids[i])
+                 for clip_id, ids in captions for i in range(1, len(ids))]
+        assert len(brute) == sum(len(ids) - 1 for _, ids in captions)
+        for batch_size in (1, 8, 64, 1000):
+            batches = _caption_batches(lengths, rng.permutation(len(captions)), batch_size)
+            assert sorted(batch_examples(captions, batches)) == sorted(brute)
 
     def test_too_short_rejected(self):
+        vocab = build_vocabulary([clean_caption("dog barks")])
         with pytest.raises(ShapeError):
-            prefix_examples([1])
+            _encode_captions([("c", [SOS])], vocab)
+        with pytest.raises(ShapeError, match="does not start"):
+            _encode_captions([("c", ["dog", EOS])], vocab)
+
+
+class TestCaptionBatches:
+    @pytest.mark.parametrize("batch_size", [1, 5, 16, 64, 500])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_caption_once_and_two_per_batch(self, batch_size, seed):
+        rng = np.random.RandomState(seed)
+        lengths = rng.randint(2, 20, size=rng.randint(2, 60)).tolist()
+        order = rng.permutation(len(lengths))
+        batches = _caption_batches(lengths, order, batch_size)
+        assert sorted(i for b in batches for i in b) == list(range(len(lengths)))
+        assert [i for b in batches for i in b] == order.tolist()  # packed in order
+        assert all(len(b) >= 2 for b in batches)
+        # every batch but the last reaches the example budget
+        assert all(sum(lengths[i] - 1 for i in b) >= batch_size for b in batches[:-1])
+
+    def test_trailing_single_caption_joins_previous(self):
+        assert _caption_batches([5, 5, 5], range(3), 8) == [[0, 1, 2]]
+        assert _caption_batches([5, 5, 5, 5], range(4), 8) == [[0, 1], [2, 3]]
+        assert _caption_batches([5], range(1), 8) == [[0]]
+
+    def test_one_audio_pass_per_caption_in_training(self, monkeypatch):
+        captions = [clean_caption(t) for t in
+                    ["dog barks loudly near the old house", "man speaks", "rain falls down",
+                     "a car passes by quickly", "birds sing", "water runs"]]
+        vocab = build_vocabulary(captions)
+        rng = np.random.RandomState(0)
+        feats = {f"c{i}": rng.standard_normal((5, 8)) for i in range(len(captions))}
+        pairs = [(f"c{i}", c) for i, c in enumerate(captions)]
+        steps, audio_rows = [], []
+        batch_arrays, run = captioner._batch_arrays, BiGRU.run
+
+        def recording_batch(chosen, inputs):
+            steps.append([clip_id for clip_id, _ in chosen])
+            return batch_arrays(chosen, inputs)
+
+        def recording_run(self, xs, *args, **kwargs):
+            audio_rows.append(xs.data.shape[1])
+            return run(self, xs, *args, **kwargs)
+
+        monkeypatch.setattr(captioner, "_batch_arrays", recording_batch)
+        monkeypatch.setattr(BiGRU, "run", recording_run)
+        train_captioner(pairs, feats, None, vocab, micro_config(epochs=2, dropout=0.5))
+        assert len(steps) >= 4  # 2 epochs of at least 2 batches
+        assert audio_rows == [len(clips) for clips in steps for _ in range(2)]
+        per_epoch = sum(len(clips) for clips in steps) // 2
+        assert per_epoch == len(pairs)
 
 
 class TestEncodeDecode:
@@ -121,6 +188,25 @@ class TestEncodeDecode:
                               np.ones((3, 2)), mode="infer")
         assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
         assert 0 <= int(np.argmax(probs.data[0])) < 12
+
+    def test_default_positions_are_each_rows_final_state(self):
+        model, _ = micro_model()
+        rng = np.random.RandomState(4)
+        audio = rng.standard_normal((3, 4, 8))
+        prefix = np.array([[1, 5, 6], [1, 7, 0], [1, 0, 0]])
+        mask = (prefix > 0).astype(float)
+        default = model.forward(audio, prefix, mask, mode="infer").data
+        explicit = model.forward(audio, prefix, mask, mode="infer",
+                                 positions=([2, 1, 0], [0, 1, 2])).data
+        assert np.array_equal(default, explicit)
+
+    @pytest.mark.parametrize("positions", [([0, 3], [0, 1]), ([0, 1], [0, 2]),
+                                           ([-1], [0]), ([0, 1], [0]), ([], [])])
+    def test_positions_outside_the_prefix_matrix_rejected(self, positions):
+        model, _ = micro_model()
+        with pytest.raises(ShapeError, match="positions"):
+            model.forward(np.zeros((2, 4, 8)), np.ones((2, 3), dtype=int), np.ones((2, 3)),
+                          mode="infer", positions=positions)
 
     def test_infer_deterministic(self):
         model, _ = micro_model()
@@ -334,9 +420,33 @@ class TestTraining:
                        for p in initial.parameters())
             return
         assert history["best_epoch"] < epochs - 1  # restored from a saved state
-        val_loss = _dataset_loss(ckpt.build_model(), _build_examples(pairs[2:], vocab),
+        val_loss = _dataset_loss(ckpt.build_model(), _encode_captions(pairs[2:], vocab),
                                  feats, cfg.batch_size)
         assert val_loss == history["val_loss"][history["best_epoch"]]
+
+    def test_validation_loss_matches_per_prefix_reference(self):
+        captions = [clean_caption(t) for t in
+                    ["dog barks loudly", "man speaks", "rain falls down on the roof",
+                     "a car passes", "birds sing loudly"]]
+        vocab = build_vocabulary(captions)
+        rng = np.random.RandomState(3)
+        feats = {f"c{i}": rng.standard_normal((4, 8)) for i in range(len(captions))}
+        pairs = [(f"c{i}", c) for i, c in enumerate(captions)]
+        ckpt, _ = train_captioner(pairs, feats, None, vocab,
+                                  micro_config(epochs=3, dropout=0.3, learning_rate=1e-2))
+        model = ckpt.build_model()
+        encoded = _encode_captions(pairs, vocab)
+        nlls = []
+        for clip_id, ids in encoded:
+            for i in range(1, len(ids)):
+                prefix = np.array([ids[:i]])
+                probs = model.forward(feats[clip_id][None], prefix, np.ones(prefix.shape),
+                                      mode="infer")
+                nlls.append(-np.log(probs.data[0, ids[i]]))
+        reference = float(np.mean(nlls))
+        for batch_size in (1, 6, 100):
+            assert _dataset_loss(model, encoded, feats, batch_size) == pytest.approx(
+                reference, rel=1e-12, abs=0.0)
 
     def test_nan_feature_raises(self):
         pairs, feats, vocab = self._tiny_dataset()

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from aucap import cli, embfile
 from aucap.audio.embeddings import VARIANT_DIMS
 from aucap.captioner import CaptionerCheckpoint
+from aucap.errors import ConfigError
 from aucap.semantics import build_corpus
 from aucap.text import Vocabulary, build_vocabulary, clean_caption
 from aucap.word2vec import WordEmbeddingTable
@@ -160,3 +165,25 @@ class TestGradcheck:
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("micro_captioner:") for line in lines)
         assert all(line.endswith("[ok]") for line in lines)
+
+
+class TestOutputLock:
+    def test_lock_of_dead_pid_is_replaced(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its PID names no process now
+        lock = tmp_path / cli.LOCK_NAME
+        lock.write_text(f"{child.pid}\n", encoding="utf-8")
+        with cli.output_lock(tmp_path):
+            assert lock.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+        assert not lock.exists()
+
+    @pytest.mark.parametrize("content", ["live", "not a pid\n", "", "0\n", "-1\n"])
+    def test_live_or_unparsable_lock_is_kept(self, tmp_path, content):
+        lock = tmp_path / cli.LOCK_NAME
+        if content == "live":
+            content = f"{os.getpid()}\n"
+        lock.write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigError, match="locked by another run"):
+            with cli.output_lock(tmp_path):
+                pass
+        assert lock.read_text(encoding="utf-8") == content

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aucap import atomic
 from aucap.errors import SemanticsError
 from aucap.semantics import (
     NOUN,
@@ -137,6 +138,25 @@ class TestBuildCorpus:
         loaded = SubjectVerbCorpus.load(tmp_path / "corpus.txt", toy_lexicon)
         assert loaded.words == corpus.words
         assert loaded.sha256() == corpus.sha256()
+
+    def test_failed_rename_keeps_old_files_and_removes_temp(self, tmp_path, toy_lexicon,
+                                                             monkeypatch):
+        corpus = build_corpus([clean_caption("dog barks")], toy_lexicon)
+        corpus.save(tmp_path / "corpus.txt")
+        toy_lexicon.save(tmp_path / "lex.tsv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(atomic.os, "replace", fail)
+        bigger = build_corpus([clean_caption("dog barks"), clean_caption("rain falls")],
+                              toy_lexicon)
+        with pytest.raises(OSError, match="disk full"):
+            bigger.save(tmp_path / "corpus.txt")
+        with pytest.raises(OSError, match="disk full"):
+            TagLexicon({"cat": NOUN}).save(tmp_path / "lex.tsv")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestEncodeSve:

@@ -113,6 +113,13 @@ class TestVocabulary:
         with pytest.raises(VocabularyError, match=r"v\.tsv:5: index 'x' is not an integer"):
             Vocabulary.load(path)
 
+    def test_negative_index_rejected(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        build_vocabulary([[SOS, "dog", EOS]]).save(path)
+        path.write_text(path.read_text(encoding="utf-8") + "-4\t<sos>\n", encoding="utf-8")
+        with pytest.raises(VocabularyError, match=r"v\.tsv:6: index -4 is negative"):
+            Vocabulary.load(path)
+
     def test_failed_save_keeps_old_file(self, tmp_path):
         path = tmp_path / "v.tsv"
         build_vocabulary([[SOS, "dog", EOS]]).save(path)
