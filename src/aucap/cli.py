@@ -233,6 +233,7 @@ def cmd_train_mlp(args) -> int:
                        batch_size=args.batch, seed=args.seed,
                        learning_rate=args.learning_rate)
     model, history = train_mlp(x, y, config)
+    model.variant = args.variant
     out = Path(args.out)
     with output_lock(out):
         model.save(out / "sve_mlp.ckpt")
@@ -310,14 +311,14 @@ def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
     if source == "off":
         raise ConfigError("checkpoint was trained with SVE; --sve-source off is inconsistent")
     if source == "mlp":
-        model = MLP.load(_require(args.mlp, "SVE MLP checkpoint"))
+        path = _require(args.mlp, "SVE MLP checkpoint")
+        model = MLP.load(path)
         if model.config.output_dim != k:
             raise ConfigError(f"MLP predicts {model.config.output_dim} labels, checkpoint needs {k}")
-        mlp_variant = next((v for v, d in VARIANT_DIMS.items() if d == model.config.input_dim),
-                           None)
-        if mlp_variant is None:
-            raise ConfigError(f"MLP input dim {model.config.input_dim} matches no variant")
-        feats = ds.load_cached_features(cache, mlp_variant, [r.clip_id for r in records])
+        if model.variant is None:
+            raise ConfigError(f"MLP checkpoint {path} records no feature variant; "
+                              f"retrain it with train-mlp, which records --variant")
+        feats = ds.load_cached_features(cache, model.variant, [r.clip_id for r in records])
         return {r.clip_id: predict_sve(model, feats[r.clip_id].reshape(-1)) for r in records}
     lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
     corpus = SubjectVerbCorpus.load(_require(args.corpus, "subject-verb corpus"), lexicon)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import embfile
+from . import atomic, embfile
 from .audio.embeddings import VARIANT_DIMS, load_variant_features
 from .audio.features import FeatureConfig, extract_log_mel
 from .audio.wav import load_wav
@@ -250,7 +250,7 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
             else:
                 values = load_variant_features(record.path, variant)
             embfile.write_matrix(target, values)
-            sidecar.write_text(src_hash + "\n")
+            atomic.write_bytes(sidecar, (src_hash + "\n").encode("ascii"))
             result.computed.append(clip_id)
         except (AucapError, OSError) as exc:
             result.errors[clip_id] = str(exc)

@@ -45,6 +45,7 @@ class MLPConfig:
 class MLP:
     def __init__(self, config: MLPConfig, rng: np.random.RandomState):
         self.config = config
+        self.variant: str | None = None  # the feature variant it reads; saved in its checkpoint
         self.layers: list[layers.Dense] = []
         prev = config.input_dim
         for i, width in enumerate(config.hidden_widths):
@@ -86,13 +87,17 @@ class MLP:
             p.data = np.array(tensors[p.name], dtype=np.float64)
 
     def save(self, path) -> None:
-        save_tensors(path, self.state(), {"kind": "sve-mlp", "config": asdict(self.config)})
+        meta = {"kind": "sve-mlp", "config": asdict(self.config)}
+        if self.variant is not None:
+            meta["variant"] = self.variant
+        save_tensors(path, self.state(), meta)
 
     @classmethod
     def load(cls, path) -> "MLP":
         tensors, meta = load_tensors(path)
         config = MLPConfig.from_dict(meta["config"])
         model = cls(config, np.random.RandomState(config.seed))
+        model.variant = meta.get("variant")
         model.load_state(tensors)
         return model
 

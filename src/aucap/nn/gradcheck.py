@@ -87,11 +87,11 @@ def _check_gru_sequence(rng, masked=False, with_h0=False, **options):
     )
 
 
-def _check_bigru(rng):
+def _check_bigru(rng, return_sequence=True):
     layer = BiGRU(4, 3, rng, name="gc.bigru")
     xs = Parameter(rng.standard_normal((3, 2, 4)), "gc.bigru.xs")
     return max_relative_error(
-        lambda: _quadratic_target(layer.run(xs, return_sequence=True)),
+        lambda: _quadratic_target(layer.run(xs, return_sequence=return_sequence)),
         layer.parameters() + [xs], rng=rng,
     )
 
@@ -175,6 +175,7 @@ def run_suite(seed: int = 0) -> dict[str, float]:
         "gru_sequence_return_sequence":
             lambda rng: _check_gru_sequence(rng, return_sequence=True),
         "bigru": _check_bigru,
+        "bigru_final": lambda rng: _check_bigru(rng, return_sequence=False),
         "embedding": _check_embedding,
         "batch_norm": _check_batch_norm,
         "softmax_cross_entropy": _check_softmax_xent,

@@ -156,96 +156,165 @@ class GRUCellParams:
         return [self.W_z, self.W_r, self.W, self.b_z, self.b_r, self.b]
 
 
-def gru_sequence(xs, cell: GRUCellParams, masks=None, h0=None, reverse: bool = False,
+def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
                  return_sequence: bool = False) -> Tensor:
-    """Run the GRU over a time-major (T, batch, input) sequence as one autodiff node.
+    """Run D GRU cells over one time-major (T, batch, input) sequence as one autodiff node.
 
-    Per step: z = sigmoid([h, x] @ W_z.T + b_z); r = sigmoid([h, x] @ W_r.T + b_r);
-    h_hat = tanh([r*h, x] @ W.T + b); h' = (1 - z)*h + z*h_hat; with (T, batch)
-    0/1 ``masks``, m*h' + (1 - m)*h carries the state over masked-out steps.
-    Starts from ``h0`` (default zeros); ``reverse`` runs last step first. Returns
-    the final (batch, hidden) state or all (T, batch, hidden) states in input order.
+    ``cells`` is one GRUCellParams or a sequence of D of them, all of one shape;
+    ``reverse`` is one flag for all cells or one per cell, and a reversed cell
+    runs last step first. Per cell and step: z = sigmoid([h, x] @ W_z.T + b_z);
+    r = sigmoid([h, x] @ W_r.T + b_r); h_hat = tanh([r*h, x] @ W.T + b);
+    h' = (1 - z)*h + z*h_hat; with (T, batch) 0/1 ``masks``, m*h' + (1 - m)*h
+    carries the state over masked-out steps. Starts from the (batch, D*hidden)
+    ``h0`` (default zeros). Returns the final (batch, D*hidden) states or all
+    (T, batch, D*hidden) states in input order; cell d owns columns
+    d*hidden:(d+1)*hidden.
+
+    One time loop serves all D cells. The matrix products stay per cell, with
+    the operands and memory layouts of a one-cell run, and write into stacked
+    (D, batch, .) gate buffers; each elementwise op then runs once over the
+    stack (in place in the forward), in the op order of ``tensor.linear`` and
+    the activations. A D-cell run is therefore bitwise equal to D one-cell runs
+    joined on the last axis, gradients included.
 
     The input projection stays in the loop: a row of a many-row BLAS product
     need not be bitwise equal to that row computed alone, and ``gru_cell_step``
-    must reproduce a step of a sequence exactly. The backward is one BPTT loop.
+    must reproduce a step of a sequence exactly. The backward is one BPTT loop
+    over the stack, then per cell one weight, bias and input product over the
+    T*batch rows in input-time order.
     """
+    cells = (cells,) if isinstance(cells, GRUCellParams) else tuple(cells)
+    rev = (reverse,) * len(cells) if isinstance(reverse, bool) else tuple(reverse)
+    if not cells or len(rev) != len(cells) or any(
+            c.W_z.data.shape != cells[0].W_z.data.shape for c in cells):
+        raise ShapeError(f"gru_sequence needs one or more cells of one shape and one reverse "
+                         f"flag per cell, got {len(cells)} cells and {len(rev)} flags")
     xs = T._as_tensor(xs)
-    if xs.data.ndim != 3 or xs.data.shape[0] < 1 or xs.data.shape[2] != cell.input_dim:
-        raise ShapeError(f"gru_sequence expects a non-empty (T, batch, {cell.input_dim}) "
+    in_dim, hid, n_dir = cells[0].input_dim, cells[0].hidden, len(cells)
+    if xs.data.ndim != 3 or xs.data.shape[0] < 1 or xs.data.shape[2] != in_dim:
+        raise ShapeError(f"gru_sequence expects a non-empty (T, batch, {in_dim}) "
                          f"tensor, got {xs.data.shape}")
-    steps, batch, in_dim = xs.data.shape
-    hid = cell.hidden
+    steps, batch, _ = xs.data.shape
+    width = n_dir * hid
     if h0 is not None:
         h0 = T._as_tensor(h0)
-        if h0.data.shape != (batch, hid):
-            raise ShapeError(f"gru_sequence got h0 {h0.data.shape}, want {(batch, hid)}")
+        if h0.data.shape != (batch, width):
+            raise ShapeError(f"gru_sequence got h0 {h0.data.shape}, want {(batch, width)}")
+
+    def step_order(parts):
+        """One (T, ...) input-time array per cell -> (T, D, ...) in each cell's step order."""
+        parts = [a[::-1] if r else a for a, r in zip(parts, rev)]
+        return parts[0][:, None] if n_dir == 1 else np.stack(parts, axis=1)
+
     if masks is not None:
         masks = np.asarray(masks, dtype=np.float64)
         if masks.shape != (steps, batch):
             raise ShapeError(f"gru_sequence got masks {masks.shape}, want {(steps, batch)}")
-        masks = masks.reshape(steps, batch, 1)
+        masks = step_order([masks.reshape(steps, batch, 1)] * n_dir)
+        keep = 1.0 - masks
 
-    W_z, W_r, W = cell.W_z.data, cell.W_r.data, cell.W.data
-    b_z, b_r, b = cell.b_z.data, cell.b_r.data, cell.b.data
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    hx = np.empty((steps, batch, hid + in_dim))  # [h, x] per step, then [r*h, x] in rhx
-    hx[:, :, hid:] = xs.data
+    # per cell, in its own step order: [h, x] in hx, then [r*h, x] in rhx
+    hx = np.empty((n_dir, steps, batch, hid + in_dim))
+    b_zr, b = np.empty((2, n_dir, 1, hid)), np.empty((n_dir, 1, hid))
+    mats = []  # (W_z.T, W_r.T, W.T) per cell
+    for d, (c, r) in enumerate(zip(cells, rev)):
+        hx[d, :, :, hid:] = xs.data[::-1] if r else xs.data
+        b_zr[0, d, 0], b_zr[1, d, 0], b[d, 0] = c.b_z.data, c.b_r.data, c.b.data
+        mats.append((c.W_z.data.T, c.W_r.data.T, c.W.data.T))
     rhx = hx.copy()
-    gates = [None] * steps  # (z, r, h_hat) per step
-    states = np.empty((steps, batch, hid))
-    h = h0.data if h0 is not None else np.zeros((batch, hid))
+    gates = [None] * steps  # (z, r, h_hat) per step, each (D, batch, hid)
+    states = np.empty((steps, n_dir, batch, hid))
+    tmp = np.empty((n_dir, batch, hid))
+    if h0 is None:
+        h = h_start = np.zeros((n_dir, batch, hid))
+    else:
+        h = h_start = h0.data.reshape(batch, n_dir, hid).transpose(1, 0, 2)
     with np.errstate(over="ignore"):  # exp overflow gives a gate of exactly 0
-        for t in order:
-            hx[t, :, :hid] = h
-            # x @ w.T + b per gate, in the op order of ``tensor.linear``
-            z = 1.0 / (1.0 + np.exp(-(hx[t] @ W_z.T + b_z)))
-            r = 1.0 / (1.0 + np.exp(-(hx[t] @ W_r.T + b_r)))
-            rhx[t, :, :hid] = r * h
-            hh = np.tanh(rhx[t] @ W.T + b)
-            h_new = (1.0 - z) * h + z * hh
+        for i in range(steps):
+            hx[:, i, :, :hid] = h
+            zr, hh = np.empty((2, n_dir, batch, hid)), np.empty((n_dir, batch, hid))
+            h_new = states[i]
+            for d, (w_z, w_r, _) in enumerate(mats):
+                np.matmul(hx[d, i], w_z, out=zr[0, d])
+                np.matmul(hx[d, i], w_r, out=zr[1, d])
+            zr += b_zr
+            np.negative(zr, out=zr)  # sigmoid as 1 / (1 + exp(-a))
+            np.exp(zr, out=zr)
+            zr += 1.0
+            np.divide(1.0, zr, out=zr)
+            z, r = zr[0], zr[1]
+            np.multiply(r, h, out=rhx[:, i, :, :hid])
+            for d, (_, _, w) in enumerate(mats):
+                np.matmul(rhx[d, i], w, out=hh[d])
+            hh += b
+            np.tanh(hh, out=hh)
+            np.subtract(1.0, z, out=h_new)
+            h_new *= h
+            np.multiply(z, hh, out=tmp)
+            h_new += tmp
             if masks is not None:
-                h_new = masks[t] * h_new + (1.0 - masks[t]) * h
-            h = states[t] = h_new
-            gates[t] = (z, r, hh)
+                h_new *= masks[i]
+                np.multiply(keep[i], h, out=tmp)
+                h_new += tmp
+            h = h_new
+            gates[i] = z, r, hh
 
-    params = cell.parameters()
+    params = [q for c in cells for q in c.parameters()]
     parents = (xs, *params) if h0 is None else (xs, h0, *params)
     out_req = any(q.requires_grad for q in parents)
+    if return_sequence:
+        parts = [states[::-1, d] if r else states[:, d] for d, r in enumerate(rev)]
+        out = parts[0] if n_dir == 1 else np.concatenate(parts, axis=2)
+    else:
+        out = h.transpose(1, 0, 2).reshape(batch, width)
 
     def back(g):
-        da = np.empty((steps, batch, 3 * hid))  # pre-activation gradients of z, r, h_hat
-        w_rec = np.concatenate([W_z[:, :hid], W_r[:, :hid]])
-        dh = np.zeros((batch, hid)) if return_sequence else g
-        for t in reversed(order):
+        da = np.empty((n_dir, steps, batch, 3 * hid))  # pre-activation gradients of z, r, h_hat
+        w_h = [c.W.data[:, :hid] for c in cells]
+        w_rec = [np.concatenate([c.W_z.data[:, :hid], c.W_r.data[:, :hid]]) for c in cells]
+        d_rh = np.empty((n_dir, batch, hid))
+        if return_sequence:
+            g_steps = step_order(np.moveaxis(g.reshape(steps, batch, n_dir, hid), 2, 0))
+            dh = np.zeros((n_dir, batch, hid))
+        else:
+            dh = g.reshape(batch, n_dir, hid).transpose(1, 0, 2)
+        for i in range(steps - 1, -1, -1):
             if return_sequence:
-                dh = dh + g[t]
-            h_prev, (z, r, hh) = hx[t, :, :hid], gates[t]
-            d_new = dh if masks is None else masks[t] * dh
-            dh_prev = d_new * (1.0 - z)
+                dh += g_steps[i]
+            h_prev, (z, r, hh) = states[i - 1] if i else h_start, gates[i]
+            d_new = dh if masks is None else masks[i] * dh
+            one_m_z = 1.0 - z
+            dh_prev = d_new * one_m_z
             if masks is not None:
-                dh_prev += (1.0 - masks[t]) * dh
-            da_h = da[t, :, 2 * hid:] = d_new * z * (1.0 - hh * hh)
-            da[t, :, :hid] = d_new * (hh - h_prev) * z * (1.0 - z)
-            d_rh = da_h @ W[:, :hid]
-            da[t, :, hid : 2 * hid] = d_rh * h_prev * r * (1.0 - r)
-            dh_prev += d_rh * r
-            dh_prev += da[t, :, : 2 * hid] @ w_rec
+                dh_prev += keep[i] * dh
+            da_h = d_new * z * (1.0 - hh * hh)
+            for d in range(n_dir):
+                np.matmul(da_h[d], w_h[d], out=d_rh[d])
+            da[:, i, :, :hid] = d_new * (hh - h_prev) * z * one_m_z
+            da[:, i, :, hid : 2 * hid] = d_rh * h_prev * r * (1.0 - r)
+            da[:, i, :, 2 * hid:] = da_h
+            d_rh *= r
+            dh_prev += d_rh
+            for d in range(n_dir):
+                dh_prev[d] += da[d, i, :, : 2 * hid] @ w_rec[d]
             dh = dh_prev
 
-        flat = da.reshape(steps * batch, 3 * hid)
-        d_w_zr = flat[:, : 2 * hid].T @ hx.reshape(steps * batch, -1)
-        grads = [d_w_zr[:hid], d_w_zr[hid:], flat[:, 2 * hid:].T @ rhx.reshape(steps * batch, -1),
-                 *np.split(flat.sum(axis=0), 3)]
-        for q, d in zip(params, grads):
-            T._accumulate(q, d)
-        if xs.requires_grad:
-            w_in = np.concatenate([W_z[:, hid:], W_r[:, hid:], W[:, hid:]])
-            T._accumulate(xs, (flat @ w_in).reshape(steps, batch, in_dim))
+        rows = steps * batch
+        for d, (c, r) in enumerate(zip(cells, rev)):
+            order = slice(None, None, -1 if r else 1)  # back to input-time rows
+            flat = da[d, order].reshape(rows, 3 * hid)
+            d_w_zr = flat[:, : 2 * hid].T @ hx[d, order].reshape(rows, -1)
+            d_w = flat[:, 2 * hid:].T @ rhx[d, order].reshape(rows, -1)
+            grads = [d_w_zr[:hid], d_w_zr[hid:], d_w, *np.split(flat.sum(axis=0), 3)]
+            for q, dq in zip(c.parameters(), grads):
+                T._accumulate(q, dq)
+            if xs.requires_grad:
+                w_in = np.concatenate([c.W_z.data[:, hid:], c.W_r.data[:, hid:], c.W.data[:, hid:]])
+                T._accumulate(xs, (flat @ w_in).reshape(steps, batch, in_dim))
         if h0 is not None:
-            T._accumulate(h0, dh)
+            T._accumulate(h0, dh.transpose(1, 0, 2).reshape(batch, width))
 
-    return Tensor(states if return_sequence else h, out_req, parents, back if out_req else None)
+    return Tensor(out, out_req, parents, back if out_req else None)
 
 
 def gru_cell_step(x_t: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
@@ -275,7 +344,8 @@ class GRU:
 
 
 class BiGRU:
-    """Two GRUs over the sequence, one time-reversed; outputs concatenated."""
+    """Two GRU cells over the sequence, the second time-reversed, run as one
+    two-cell ``gru_sequence``: one autodiff node, forward half first."""
 
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "bigru"):
         self.fwd = GRUCellParams.create(input_dim, hidden, rng, name=f"{name}.fwd")
@@ -288,9 +358,8 @@ class BiGRU:
     def run(self, xs: Tensor, return_sequence: bool = False) -> Tensor:
         """(T, batch, 2*hidden) per-step states, or the (batch, 2*hidden) final
         states, of a time-major (T, batch, input) tensor; forward half first."""
-        fwd = gru_sequence(xs, self.fwd, return_sequence=return_sequence)
-        bwd = gru_sequence(xs, self.bwd, reverse=True, return_sequence=return_sequence)
-        return T.concat([fwd, bwd], axis=fwd.data.ndim - 1)
+        return gru_sequence(xs, (self.fwd, self.bwd), reverse=(False, True),
+                            return_sequence=return_sequence)
 
     def parameters(self) -> list[Parameter]:
         return [*self.fwd.parameters(), *self.bwd.parameters()]

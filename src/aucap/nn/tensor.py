@@ -168,7 +168,8 @@ def linear(x, weights, bias=None) -> Tensor:
     out_req = any(p.requires_grad for p in parents)
 
     def back(g):
-        _accumulate(x, g @ weights.data)
+        if x.requires_grad:  # e.g. the MLP's input features: no product to drop
+            _accumulate(x, g @ weights.data)
         if isinstance(weights, Parameter) and not weights.grad_ready:
             np.matmul(g.T, x.data, out=weights.grad)  # the cleared gradient, no temporary
             weights.grad_ready = True
@@ -228,15 +229,6 @@ def mean_all(x) -> Tensor:
         _accumulate(x, np.full_like(x.data, float(g) / n))
 
     return Tensor(x.data.mean(), x.requires_grad, (x,), back if x.requires_grad else None)
-
-
-def sum_all(x) -> Tensor:
-    x = _as_tensor(x)
-
-    def back(g):
-        _accumulate(x, np.full_like(x.data, float(g)))
-
-    return Tensor(x.data.sum(), x.requires_grad, (x,), back if x.requires_grad else None)
 
 
 # ---------------------------------------------------------------------------

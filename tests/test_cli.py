@@ -9,6 +9,7 @@ from aucap import cli, embfile
 from aucap.audio.embeddings import VARIANT_DIMS
 from aucap.captioner import CaptionerCheckpoint
 from aucap.errors import ConfigError
+from aucap.mlp import MLP, MLPConfig
 from aucap.semantics import build_corpus
 from aucap.text import Vocabulary, build_vocabulary, clean_caption
 from aucap.word2vec import WordEmbeddingTable
@@ -86,6 +87,58 @@ class TestTrainCaptioner:
         assert not (out / "captioner.ckpt").exists()
 
 
+def train_mlp_args(root, out, variant="panns"):
+    return ["train-mlp", "--csv", str(root / "captions.csv"),
+            "--lexicon", str(root / "lexicon.tsv"), "--corpus", str(root / "sve_corpus.txt"),
+            "--cache", str(root / "cache"), "--variant", variant,
+            "--epochs", "1", "--batch", "8", "--out", str(out)]
+
+
+def predict_args(root, captioner, mlp, out):
+    return ["predict", "--csv", str(root / "captions.csv"), "--checkpoint", str(captioner),
+            "--vocab", str(root / "vocabulary.tsv"), "--cache", str(root / "cache"),
+            "--sve-source", "mlp", "--mlp", str(mlp), "--max-len", "4", "--out", str(out)]
+
+
+@pytest.fixture
+def logmel_fixture(panns_fixture):
+    """``panns_fixture`` plus a log-Mel AUCAP-EMB cache of 5 frames per clip."""
+    root, corpus = panns_fixture
+    (root / "cache" / "logmel").mkdir()
+    rng = np.random.RandomState(1)
+    for clip in CAPTIONS:
+        embfile.write_matrix(root / "cache" / "logmel" / f"{clip}.emb",
+                             rng.standard_normal((5, VARIANT_DIMS["logmel"])))
+    return root, corpus
+
+
+class TestPredictSveFromMlp:
+    def test_logmel_mlp_feeds_predict(self, logmel_fixture):
+        root, _ = logmel_fixture
+        assert cli.main(train_mlp_args(root, root / "mlp", variant="logmel")) == 0
+        mlp = root / "mlp" / "sve_mlp.ckpt"
+        assert MLP.load(mlp).variant == "logmel"
+        captioner = root / "captioner"
+        assert cli.main(train_captioner_args(root, captioner) + ["--variant", "logmel"]) == 0
+        out = root / "predictions.tsv"
+        assert cli.main(predict_args(root, captioner / "captioner.ckpt", mlp, out)) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == list(CAPTIONS)
+
+    def test_mlp_without_recorded_variant_exits_2(self, panns_fixture, caplog):
+        root, corpus = panns_fixture
+        captioner = root / "captioner"
+        assert cli.main(train_captioner_args(root, captioner)) == 0
+        mlp = root / "old_mlp.ckpt"
+        config = MLPConfig(input_dim=VARIANT_DIMS["panns"], output_dim=corpus.size,
+                           hidden_widths=(4,))
+        MLP(config, np.random.RandomState(0)).save(mlp)
+        out = root / "predictions.tsv"
+        assert cli.main(predict_args(root, captioner / "captioner.ckpt", mlp, out)) == 2
+        assert "records no feature variant; retrain it with train-mlp" in caplog.text
+        assert not out.exists()
+
+
 @pytest.fixture
 def nan_feature(monkeypatch):
     """Cached features as loaded, with one value of one clip replaced by NaN."""
@@ -111,11 +164,7 @@ class TestNonFiniteLoss:
     def test_train_mlp_fails_without_checkpoint(self, panns_fixture, nan_feature, caplog):
         root, _ = panns_fixture
         out = root / "mlp"
-        args = ["train-mlp", "--csv", str(root / "captions.csv"),
-                "--lexicon", str(root / "lexicon.tsv"), "--corpus", str(root / "sve_corpus.txt"),
-                "--cache", str(root / "cache"), "--variant", "panns",
-                "--epochs", "1", "--batch", "8", "--out", str(out)]
-        assert cli.main(args) == 1
+        assert cli.main(train_mlp_args(root, out)) == 1
         assert "TrainingError: epoch 1 batch 1" in caplog.text
         assert not (out / "sve_mlp.ckpt").exists()
 

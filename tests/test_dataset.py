@@ -1,6 +1,11 @@
+import hashlib
+
+import numpy as np
 import pytest
 
-from aucap.dataset import load_caption_csv
+from aucap.audio.features import FeatureConfig
+from aucap.dataset import ClipRecord, cache_features, cache_path, load_caption_csv
+from aucap.embfile import read_matrix
 from aucap.errors import DatasetError
 
 
@@ -35,3 +40,28 @@ class TestLoadCaptionCsv:
     def test_audiocaps_rejects_bad_rows(self, tmp_path, text):
         with pytest.raises(DatasetError):
             load_caption_csv(write(tmp_path, text), "audiocaps")
+
+
+class TestCacheFeatures:
+    def test_skips_unchanged_clips_and_recomputes_edited_ones(self, tmp_path, wav_file):
+        config = FeatureConfig(pad_seconds=0.5)
+        records = [ClipRecord(name, wav_file(samples, name=f"{name}.wav"), (), "development")
+                   for name, samples in (("a", [1000, -1000] * 4000), ("b", [300] * 8000))]
+        cache = tmp_path / "cache"
+        first = cache_features(records, "logmel", cache, config)
+        assert (first.computed, first.skipped, first.errors) == (["a", "b"], [], {})
+        a_before = read_matrix(cache_path(cache, "logmel", "a"))
+        b_bytes = cache_path(cache, "logmel", "b").read_bytes()
+
+        again = cache_features(records, "logmel", cache, config)
+        assert (again.computed, again.skipped) == ([], ["a", "b"])
+
+        wav_file([0, 2000, 0, -2000] * 2000, name="a.wav")  # edit clip a in place
+        edited = cache_features(records, "logmel", cache, config)
+        assert (edited.computed, edited.skipped, edited.errors) == (["a"], ["b"], {})
+        assert not np.array_equal(read_matrix(cache_path(cache, "logmel", "a")), a_before)
+        assert cache_path(cache, "logmel", "b").read_bytes() == b_bytes
+        sidecar = (cache / "logmel" / "a.sha256").read_text(encoding="ascii").strip()
+        assert sidecar == hashlib.sha256(records[0].path.read_bytes()).hexdigest()
+        assert sorted(p.name for p in (cache / "logmel").iterdir()) == [
+            "a.emb", "a.sha256", "b.emb", "b.sha256"]  # no temp file left behind

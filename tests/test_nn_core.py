@@ -15,8 +15,15 @@ from aucap.nn.layers import (
     gru_sequence,
     orthogonal,
 )
-from aucap.nn.optim import CHUNK, AdamState, adam_step
+from aucap.nn.optim import CHUNK, AdamState, adam_step, zero_grads
 from aucap.nn.tensor import Parameter, Tensor
+
+
+def sum_all(x):
+    """Sum of all entries as a scalar node; the gradient is g everywhere."""
+    x = T._as_tensor(x)
+    return Tensor(x.data.sum(), x.requires_grad, (x,),
+                  lambda g: T._accumulate(x, np.full_like(x.data, float(g))))
 
 
 def zero_cell(input_dim, hidden):
@@ -168,6 +175,33 @@ class TestBiGRU:
         seq = Tensor(rng.standard_normal((5, 2, 4)))
         assert layer.run(seq, return_sequence=True).data.shape == (5, 2, 12)
         assert layer.run(seq).data.shape == (2, 12)
+
+    @pytest.mark.parametrize("steps, batch", [(1, 1), (1, 4), (6, 1), (6, 4)])
+    @pytest.mark.parametrize("return_sequence", [False, True])
+    def test_one_node_equal_to_two_joined_runs(self, steps, batch, return_sequence):
+        rng = np.random.RandomState(9)
+        layer = BiGRU(5, 3, rng)
+        for p in layer.parameters():
+            p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)  # biases off zero too
+        x = rng.standard_normal((steps, batch, 5))
+        weights = Tensor(rng.standard_normal((steps, batch, 6) if return_sequence else (batch, 6)))
+
+        def run(build):
+            xs = Parameter(x, "xs")
+            zero_grads(layer.parameters())
+            out = build(xs)
+            T.backward(T.mean_all(T.mul(out, weights)))
+            return xs, out, [xs.grad, *(p.grad.copy() for p in layer.parameters())]
+
+        xs, fused, fused_grads = run(lambda xs: layer.run(xs, return_sequence=return_sequence))
+        assert fused._parents == (xs, *layer.parameters())  # one node, no concat behind it
+        _, joined, joined_grads = run(lambda xs: T.concat(
+            [gru_sequence(xs, layer.fwd, return_sequence=return_sequence),
+             gru_sequence(xs, layer.bwd, reverse=True, return_sequence=return_sequence)],
+            axis=2 if return_sequence else 1))
+        assert np.array_equal(fused.data, joined.data)
+        for a, b in zip(fused_grads, joined_grads):
+            assert np.array_equal(a, b)
 
 
 class TestActivations:
@@ -330,12 +364,25 @@ class TestGradients:
         T.backward(loss)
         assert x.grad is not None and x.grad.shape == (3, 4)
 
+    def test_linear_backward_with_constant_input(self):
+        rng = np.random.RandomState(16)
+        x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 4)), rng.standard_normal(2)
+        grads = []
+        for x_t in (Tensor(x), Tensor(x, requires_grad=True)):
+            params = [Parameter(w, "w"), Parameter(b, "b")]
+            T.backward(T.mean_all(T.mul(T.linear(x_t, *params), T.linear(x_t, *params))))
+            grads.append([p.grad for p in params])
+            if not x_t.requires_grad:
+                assert x_t.grad is None
+        for a, b_ in zip(*grads):
+            assert np.array_equal(a, b_)
+
     def test_concat_and_slice_backward(self):
         a = Parameter(np.ones((2, 3)), "a")
         b = Parameter(np.ones((2, 2)), "b")
         out = T.concat([a, b], axis=1)
         sliced = T.row_slice(out, 0, 1)
-        T.backward(T.sum_all(sliced))
+        T.backward(sum_all(sliced))
         assert np.array_equal(a.grad, [[1, 1, 1], [0, 0, 0]])
         assert np.array_equal(b.grad, [[1, 1], [0, 0]])
 
@@ -343,7 +390,7 @@ class TestGradients:
         w = Parameter(np.array([[2.0]]), "w")
         x = Tensor(np.array([[3.0]]))
         y = T.add(T.mul(w, x), T.mul(w, x))  # dL/dw = 2x
-        T.backward(T.sum_all(y))
+        T.backward(sum_all(y))
         assert w.grad[0, 0] == pytest.approx(6.0)
 
     def test_backward_requires_scalar(self):
@@ -367,7 +414,7 @@ class TestAdam:
         for scale in (1e-3, 1.0, 1e3):
             w = Parameter(np.array([scale]), "w")
             state = AdamState(learning_rate=0.1)
-            T.backward(T.sum_all(T.mul(w, Tensor(np.array([1.0])))))
+            T.backward(sum_all(T.mul(w, Tensor(np.array([1.0])))))
             before = w.data.copy()
             adam_step([w], state)
             assert abs(abs(before[0] - w.data[0]) - 0.1) < 1e-3
@@ -380,7 +427,7 @@ class TestAdam:
     def test_grads_cleared_after_step(self):
         w = Parameter(np.array([1.0]), "w")
         state = AdamState()
-        T.backward(T.sum_all(T.mul(w, w)))
+        T.backward(sum_all(T.mul(w, w)))
         adam_step([w], state)
         assert np.all(w.grad == 0.0) and not w.grad_ready
 
