@@ -2,16 +2,19 @@
 
 The chain is resample -> pad/truncate -> 96 ms Hamming frames with 50%
 overlap -> power spectrum (radix-2 rFFT) -> 64 triangular HTK-mel filters
-over 125-7500 Hz -> natural log with a 1e-10 floor.
+over 125-7500 Hz -> natural log with a 1e-10 floor. The Hamming window and
+the filterbank are built once per shape and shared read-only across clips.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 from .wav import WaveBuffer, resample, zero_pad_or_truncate
 
 LOG_FLOOR = 1e-10
@@ -26,6 +29,25 @@ class FeatureConfig:
     n_mels: int = 64
     fmin: float = 125.0
     fmax: float = 7500.0
+
+    def __post_init__(self):
+        """Reject a setting that every clip would fail on, or that builds no filterbank."""
+        if self.sample_rate <= 0:
+            raise ConfigError(f"feature sample_rate must be positive, got {self.sample_rate}")
+        if self.n_mels < 1:
+            raise ConfigError(f"feature n_mels must be at least 1, got {self.n_mels}")
+        if not 0.0 <= self.overlap < 1.0:
+            raise ConfigError(f"feature overlap must lie in [0, 1), got {self.overlap}")
+        if not 0.0 <= self.fmin < self.fmax <= self.sample_rate / 2:
+            raise ConfigError(f"feature band {self.fmin}-{self.fmax} Hz must satisfy "
+                              f"0 <= fmin < fmax <= Nyquist ({self.sample_rate / 2} Hz)")
+        w = window_length(self.sample_rate, self.window_ms) if 0 < self.window_ms < math.inf else 0
+        if w < 1:
+            raise ConfigError(f"feature window_ms must hold one sample, got {self.window_ms}")
+        pad = self.pad_seconds * self.sample_rate
+        if not (math.isfinite(pad) and round(pad) >= w):
+            raise ConfigError(f"feature pad_seconds must be finite and hold one "
+                              f"{self.window_ms} ms window, got {self.pad_seconds}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +84,16 @@ def frame_count(n_samples: int, window: int, hop: int) -> int:
     return (n_samples - window) // hop + 1
 
 
+@lru_cache(maxsize=8)
+def hamming_window(w: int) -> np.ndarray:
+    """``np.hamming(w)``, built once per length and shared read-only."""
+    window = np.hamming(w)
+    window.flags.writeable = False
+    return window
+
+
 def frame_signal(buf: WaveBuffer, window_ms: float = 96.0, overlap: float = 0.5) -> np.ndarray:
-    """Split into Hamming-windowed frames; returns a (T, W) array.
+    """Split into Hamming-windowed frames; returns a new (T, W) array.
 
     W = round(window_ms * rate), hop = W * (1 - overlap); frame t covers
     samples [t*hop, t*hop + W). Raises if the buffer is shorter than one
@@ -75,8 +105,7 @@ def frame_signal(buf: WaveBuffer, window_ms: float = 96.0, overlap: float = 0.5)
     t = frame_count(n, w, h)
     if t == 0:
         raise ShapeError(f"buffer of {n} samples is shorter than one {w}-sample window")
-    idx = np.arange(w)[None, :] + (np.arange(t) * h)[:, None]
-    return buf.samples[idx] * np.hamming(w)[None, :]
+    return np.lib.stride_tricks.sliding_window_view(buf.samples, w)[::h][:t] * hamming_window(w)
 
 
 def next_pow2(n: int) -> int:
@@ -93,7 +122,7 @@ def power_spectrum(frames: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected a non-empty (T, W) frame matrix, got {frames.shape}")
     n_fft = next_pow2(frames.shape[1])
     spec = np.fft.rfft(frames, n=n_fft, axis=1)
-    return (spec.real**2 + spec.imag**2).astype(np.float64)
+    return spec.real**2 + spec.imag**2
 
 
 def hz_to_mel(f):
@@ -125,6 +154,17 @@ def mel_filterbank(
     )
 
 
+@lru_cache(maxsize=8)
+def shared_filterbank(
+    n_mels: int, n_fft: int, sample_rate: int, fmin: float, fmax: float
+) -> MelFilterbank:
+    """``mel_filterbank`` built once per argument tuple and shared read-only."""
+    fb = mel_filterbank(n_mels, n_fft, sample_rate, fmin, fmax)
+    fb.weights.flags.writeable = False
+    fb.center_freqs.flags.writeable = False
+    return fb
+
+
 def apply_log_mel(power: np.ndarray, fb: MelFilterbank, floor: float = LOG_FLOOR) -> LogMelFeatures:
     """values = ln(max(power @ weights.T, floor)); output is (T, n_mels)."""
     power = np.asarray(power, dtype=np.float64)
@@ -143,5 +183,5 @@ def extract_log_mel(buf: WaveBuffer, config: FeatureConfig = FeatureConfig()) ->
     frames = frame_signal(buf, config.window_ms, config.overlap)
     power = power_spectrum(frames)
     n_fft = next_pow2(frames.shape[1])
-    fb = mel_filterbank(config.n_mels, n_fft, config.sample_rate, config.fmin, config.fmax)
+    fb = shared_filterbank(config.n_mels, n_fft, config.sample_rate, config.fmin, config.fmax)
     return apply_log_mel(power, fb)

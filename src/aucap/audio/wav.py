@@ -71,8 +71,9 @@ def _decode_samples(raw: bytes, bits: int, fmt: int, n_channels: int) -> np.ndar
 
     if data.size % n_channels != 0:
         raise WavHeaderError("data chunk length is not a whole number of frames")
-    frames = data.reshape(-1, n_channels)
-    return frames.mean(axis=1)
+    if n_channels == 1:
+        return data
+    return data.reshape(-1, n_channels).mean(axis=1)
 
 
 def load_wav(path: str | Path) -> WaveBuffer:

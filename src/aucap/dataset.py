@@ -6,8 +6,10 @@ consecutive repeated ids accumulating up to 5 captions). Captions are cleaned
 at load time; clip ids must be unique within a split.
 
 The cache stores one AUCAP-EMB file per clip and variant under
-``<cache>/<variant>/<clip_id>.emb`` with a sha256 sidecar of the source file,
-so unchanged clips are never recomputed and edited audio is.
+``<cache>/<variant>/<clip_id>.emb`` with a ``.sha256`` sidecar that holds the
+source file's hash, the variant and, for logmel, every ``FeatureConfig`` field,
+so unchanged clips are never recomputed while edited audio or another feature
+config is.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +220,15 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _cache_key(src_hash: str, variant: str, feature_config: FeatureConfig) -> str:
+    """Sidecar content: ``<sha256> <variant>``, then ``name=value`` per FeatureConfig
+    field for logmel, the only variant computed from the config."""
+    parts = [src_hash, variant]
+    if variant == "logmel":
+        parts += [f"{f.name}={getattr(feature_config, f.name)!r}" for f in fields(feature_config)]
+    return " ".join(parts)
+
+
 def cache_path(cache_root: str | Path, variant: str, clip_id: str) -> Path:
     return Path(cache_root) / variant / f"{clip_id}.emb"
 
@@ -226,7 +237,8 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
                    feature_config: FeatureConfig = FeatureConfig()) -> CacheResult:
     """Extract (logmel) or validate-and-copy (vggish/panns) features per clip.
 
-    Idempotent: a clip is recomputed only when its source hash changed.
+    Idempotent: a clip is recomputed only when its cache key (source hash,
+    variant and feature config) changed.
     Failures are collected per clip, never raised mid-run.
     """
     if variant not in VARIANT_DIMS:
@@ -239,10 +251,10 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
         try:
             if record.path is None:
                 raise DatasetError("record has no source path")
-            src_hash = _sha256_file(record.path)
+            key = _cache_key(_sha256_file(record.path), variant, feature_config)
             target = out_dir / f"{clip_id}.emb"
             sidecar = out_dir / f"{clip_id}.sha256"
-            if target.exists() and sidecar.exists() and sidecar.read_text().strip() == src_hash:
+            if target.exists() and sidecar.exists() and sidecar.read_text().strip() == key:
                 result.skipped.append(clip_id)
                 continue
             if variant == "logmel":
@@ -250,7 +262,7 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
             else:
                 values = load_variant_features(record.path, variant)
             embfile.write_matrix(target, values)
-            atomic.write_bytes(sidecar, (src_hash + "\n").encode("ascii"))
+            atomic.write_bytes(sidecar, (key + "\n").encode("ascii"))
             result.computed.append(clip_id)
         except (AucapError, OSError) as exc:
             result.errors[clip_id] = str(exc)

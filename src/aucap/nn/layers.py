@@ -210,7 +210,8 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
         masks = np.asarray(masks, dtype=np.float64)
         if masks.shape != (steps, batch):
             raise ShapeError(f"gru_sequence got masks {masks.shape}, want {(steps, batch)}")
-        masks = step_order([masks.reshape(steps, batch, 1)] * n_dir)
+        # full (T, D, batch, hidden) operands: same-shape ops beat a broadcast per step
+        masks = step_order([np.repeat(masks[:, :, None], hid, axis=2)] * n_dir)
         keep = 1.0 - masks
 
     # per cell, in its own step order: [h, x] in hx, then [r*h, x] in rhx

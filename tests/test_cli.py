@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from aucap import cli, embfile
 from aucap.audio.embeddings import VARIANT_DIMS
+from aucap.audio.features import frame_count
 from aucap.captioner import CaptionerCheckpoint
 from aucap.errors import ConfigError
 from aucap.mlp import MLP, MLPConfig
@@ -167,6 +169,65 @@ class TestNonFiniteLoss:
         assert cli.main(train_mlp_args(root, out)) == 1
         assert "TrainingError: epoch 1 batch 1" in caplog.text
         assert not (out / "sve_mlp.ckpt").exists()
+
+
+WAV_CLIPS = ("w0", "w1", "w2")
+
+
+@pytest.fixture
+def wav_clips(tmp_path, wav_file):
+    """A generic CSV naming three 0.5 s, 16 kHz clips in ``tmp_path``."""
+    csv = tmp_path / "clips.csv"
+    csv.write_text("clip_id,caption\n" + "".join(f"{c},a dog barks\n" for c in WAV_CLIPS),
+                   encoding="utf-8")
+    for i, clip in enumerate(WAV_CLIPS):
+        wav_file(np.round(8000 * np.sin(0.05 * (i + 1) * np.arange(8000))).astype(int).tolist(),
+                 name=f"{clip}.wav")
+    return tmp_path
+
+
+def extract_args(root, pad_seconds):
+    return ["extract-features", "--csv", str(root / "clips.csv"), "--audio-dir", str(root),
+            "--cache", str(root / "cache"), "--pad-seconds", pad_seconds]
+
+
+class TestExtractFeatures:
+    def cached_shape(self, root, clip):
+        return embfile.read_matrix(root / "cache" / "logmel" / f"{clip}.emb").shape
+
+    def test_caches_every_clip_then_skips_them(self, wav_clips, caplog):
+        caplog.set_level(logging.INFO)
+        assert cli.main(extract_args(wav_clips, "1.0")) == 0
+        assert sorted(p.name for p in (wav_clips / "cache" / "logmel").iterdir()) == sorted(
+            f"{c}{ext}" for c in WAV_CLIPS for ext in (".emb", ".sha256"))
+        assert all(self.cached_shape(wav_clips, c) == (frame_count(16000, 1536, 768), 64)
+                   for c in WAV_CLIPS)
+        assert "3 computed, 0 skipped, 0 failed" in caplog.text
+        caplog.clear()
+        assert cli.main(extract_args(wav_clips, "1.0")) == 0
+        assert "0 computed, 3 skipped, 0 failed" in caplog.text
+
+    def test_other_pad_seconds_recomputes_every_clip(self, wav_clips, caplog):
+        caplog.set_level(logging.INFO)
+        assert cli.main(extract_args(wav_clips, "1.0")) == 0
+        caplog.clear()
+        assert cli.main(extract_args(wav_clips, "2.0")) == 0
+        assert "3 computed, 0 skipped, 0 failed" in caplog.text
+        assert all(self.cached_shape(wav_clips, c) == (frame_count(32000, 1536, 768), 64)
+                   for c in WAV_CLIPS)
+
+    def test_corrupt_wav_exits_1_and_names_the_clip(self, wav_clips, caplog):
+        (wav_clips / "w1.wav").write_bytes(b"RIFF\x00\x00\x00\x00JUNK")
+        assert cli.main(extract_args(wav_clips, "1.0")) == 1
+        assert "clip w1: " in caplog.text
+        assert not (wav_clips / "cache" / "logmel" / "w1.emb").exists()
+        assert (wav_clips / "cache" / "logmel" / "w2.emb").exists()
+
+    @pytest.mark.parametrize("pad_seconds", ["0", "-1"])
+    def test_bad_pad_seconds_exits_2_and_writes_nothing(self, wav_clips, pad_seconds, caplog):
+        assert cli.main(extract_args(wav_clips, pad_seconds)) == 2
+        assert "configuration error: feature pad_seconds" in caplog.text
+        assert not (wav_clips / "cache").exists()
 
 
 class TestTrainW2v:

@@ -1,9 +1,11 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aucap.audio.features import FeatureConfig
+from aucap.audio.features import FeatureConfig, extract_log_mel
+from aucap.audio.wav import load_wav
 from aucap.dataset import ClipRecord, cache_features, cache_path, load_caption_csv
 from aucap.embfile import read_matrix
 from aucap.errors import DatasetError
@@ -62,6 +64,23 @@ class TestCacheFeatures:
         assert not np.array_equal(read_matrix(cache_path(cache, "logmel", "a")), a_before)
         assert cache_path(cache, "logmel", "b").read_bytes() == b_bytes
         sidecar = (cache / "logmel" / "a.sha256").read_text(encoding="ascii").strip()
-        assert sidecar == hashlib.sha256(records[0].path.read_bytes()).hexdigest()
+        assert sidecar == (hashlib.sha256(records[0].path.read_bytes()).hexdigest()
+                           + " logmel sample_rate=16000 pad_seconds=0.5 window_ms=96.0"
+                             " overlap=0.5 n_mels=64 fmin=125.0 fmax=7500.0")
         assert sorted(p.name for p in (cache / "logmel").iterdir()) == [
             "a.emb", "a.sha256", "b.emb", "b.sha256"]  # no temp file left behind
+
+    @pytest.mark.parametrize("change", [{"pad_seconds": 1.0}, {"n_mels": 32}, {"fmax": 7000.0},
+                                        {"overlap": 0.25}])
+    def test_another_feature_config_recomputes(self, tmp_path, wav_file, change):
+        config = FeatureConfig(pad_seconds=0.5)
+        records = [ClipRecord("a", wav_file([1000, -1000] * 4000, name="a.wav"), (),
+                              "development")]
+        cache = tmp_path / "cache"
+        assert cache_features(records, "logmel", cache, config).computed == ["a"]
+        other = replace(config, **change)
+        again = cache_features(records, "logmel", cache, other)
+        assert (again.computed, again.skipped, again.errors) == (["a"], [], {})
+        expected = extract_log_mel(load_wav(records[0].path), other).values.astype(np.float32)
+        assert np.array_equal(read_matrix(cache_path(cache, "logmel", "a")), expected)
+        assert cache_features(records, "logmel", cache, other).skipped == ["a"]

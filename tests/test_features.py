@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
 
+from aucap.audio import features
 from aucap.audio.features import (
     FeatureConfig,
     apply_log_mel,
     extract_log_mel,
     frame_count,
     frame_signal,
+    hamming_window,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
     next_pow2,
     power_spectrum,
+    shared_filterbank,
 )
-from aucap.audio.wav import WaveBuffer, zero_pad_or_truncate
-from aucap.errors import ShapeError
+from aucap.audio.wav import WaveBuffer, load_wav, resample, zero_pad_or_truncate
+from aucap.errors import ConfigError, ShapeError
 
-from conftest import tone
+from conftest import make_wav_bytes, tone
 
 RATE = 16000
 W = 1536  # round(0.096 * 16000)
@@ -178,3 +181,80 @@ class TestExtractLogMel:
         buf = WaveBuffer(tone(440, 1.0, rate=32000), 32000)
         feats = extract_log_mel(buf, FeatureConfig(pad_seconds=1.0))
         assert feats.values.shape == ((16000 - W) // H + 1, 64)
+
+
+def reference_log_mel(samples, rate, config):
+    """The per-clip formulas extract_log_mel replaced: index-gather framing, a
+    filterbank and a window built per call, and a float64 copy of the power."""
+    buf = zero_pad_or_truncate(resample(WaveBuffer(samples, rate), config.sample_rate),
+                               config.pad_seconds)
+    w = int(round(config.window_ms / 1000.0 * config.sample_rate))
+    h = max(1, int(round(w * (1.0 - config.overlap))))
+    t = (buf.samples.size - w) // h + 1
+    idx = np.arange(w)[None, :] + (np.arange(t) * h)[:, None]
+    frames = buf.samples[idx] * np.hamming(w)[None, :]
+    spec = np.fft.rfft(frames, n=next_pow2(w), axis=1)
+    power = (spec.real**2 + spec.imag**2).astype(np.float64)
+    fb = mel_filterbank(config.n_mels, next_pow2(w), config.sample_rate, config.fmin, config.fmax)
+    return np.log(np.maximum(power @ fb.weights.T, 1e-10))
+
+
+# (bits, format code) -> (integer or float samples in range, their value in [-1, 1])
+ENCODINGS = {
+    (8, 1): (lambda rng, n: rng.randint(0, 256, n), lambda v: (v - 128.0) / 128.0),
+    (16, 1): (lambda rng, n: rng.randint(-32768, 32768, n), lambda v: v / 32768.0),
+    (24, 1): (lambda rng, n: rng.randint(-(1 << 23), 1 << 23, n), lambda v: v / float(1 << 23)),
+    (32, 3): (lambda rng, n: rng.uniform(-1.2, 1.2, n).astype(np.float32).astype(np.float64),
+              lambda v: np.clip(v, -1.0, 1.0)),
+}
+
+
+class TestExtractionMatchesReference:
+    """extract_log_mel(load_wav(path)) equals the old per-clip formulas bit for bit."""
+
+    config = FeatureConfig(pad_seconds=0.25)
+
+    @pytest.mark.parametrize("rate", [16000, 22050, 44100])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_bitwise_equal(self, tmp_path, rate, channels, encoding):
+        draw, scale = ENCODINGS[encoding]
+        bits, fmt = encoding
+        rng = np.random.RandomState(rate + 10 * channels + bits)
+        for seconds in (0.2, 0.25, 0.3):  # below, at and above pad_seconds
+            raw = draw(rng, int(round(seconds * rate)) * channels)
+            path = tmp_path / f"{seconds}.wav"
+            path.write_bytes(make_wav_bytes(raw.tolist(), rate, bits, channels, fmt))
+            mono = scale(raw.astype(np.float64)).reshape(-1, channels).mean(axis=1)
+            got = extract_log_mel(load_wav(path), self.config).values
+            assert np.array_equal(got, reference_log_mel(mono, rate, self.config))
+
+    def test_filterbank_and_window_are_built_once_per_config(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(features, "mel_filterbank",
+                            lambda *a: calls.append(a) or mel_filterbank(*a))
+        shared_filterbank.cache_clear()
+        buf = WaveBuffer(tone(440, 0.5), RATE)
+        for pad in (0.5, 0.5, 0.6):
+            extract_log_mel(buf, FeatureConfig(pad_seconds=pad))
+        extract_log_mel(buf, FeatureConfig(pad_seconds=0.5, n_mels=32))
+        assert calls == [(64, 2048, RATE, 125.0, 7500.0), (32, 2048, RATE, 125.0, 7500.0)]
+        assert hamming_window(W) is hamming_window(W)
+
+    def test_shared_arrays_reject_writes(self):
+        fb = shared_filterbank(64, 2048, RATE, 125.0, 7500.0)
+        for array in (fb.weights, fb.center_freqs, hamming_window(W)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+class TestFeatureConfig:
+    @pytest.mark.parametrize("change", [
+        {"pad_seconds": 0.0}, {"pad_seconds": -1.0}, {"pad_seconds": float("nan")},
+        {"pad_seconds": 0.05},                   # shorter than one 96 ms window
+        {"fmax": 8000.5}, {"fmin": 7500.0},      # above Nyquist; empty band
+        {"sample_rate": 0}, {"n_mels": 0}, {"overlap": 1.0}, {"window_ms": 0.0},
+    ])
+    def test_rejects_settings_no_clip_can_use(self, change):
+        with pytest.raises(ConfigError):
+            FeatureConfig(**change)
