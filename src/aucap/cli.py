@@ -1,10 +1,15 @@
 """Command-line entry point.
 
 Commands cover the pipeline end to end: extract-features, build-sve,
-train-w2v, train-mlp, train-captioner, predict, evaluate, gradcheck. Flags
-override values from an optional ``key = value`` config file; every run logs
-its fully resolved configuration. Output directories are guarded by a lock
-file so two runs cannot mutate the same cache or checkpoint concurrently.
+train-w2v, train-mlp, train-captioner, predict, evaluate, gradcheck. Each
+option is one argparse declaration that holds its type, choices and default;
+a model or feature default is read from its config dataclass. A value is
+resolved as flag > ``key = value`` config file (``--config``) > default. A
+config-file value passes through its flag's type and choices (a switch reads
+on/off) before it becomes a default, so a bad value fails like a bad flag.
+Every run logs its fully resolved configuration. Output directories are
+guarded by a lock file so two runs cannot mutate the same cache or checkpoint
+concurrently.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic, metrics
+from . import atomic, embfile, metrics
 from . import dataset as ds
 from .captioner import CaptionerCheckpoint, CaptionerConfig, build_encoder_input, train_captioner
 from .audio.embeddings import VARIANT_DIMS
@@ -26,7 +31,7 @@ from .audio.features import FeatureConfig
 from .errors import AucapError, ConfigError
 from .mlp import MLP, MLPConfig, predict_sve, train_mlp
 from .nn.gradcheck import run_suite
-from .semantics import SubjectVerbCorpus, TagLexicon
+from .semantics import SubjectVerbCorpus, TagLexicon, build_corpus
 from .text import Vocabulary, build_vocabulary, strip_special_tokens
 from .word2vec import Word2VecConfig, WordEmbeddingTable, train_word2vec
 
@@ -35,6 +40,8 @@ log = logging.getLogger("aucap")
 CACHE_ENV = "AUCAP_CACHE"
 LOCK_NAME = ".aucap.lock"
 GRADCHECK_TOLERANCE = 1e-4
+SWITCH_VALUES = {"on": True, "true": True, "1": True, "yes": True,
+                 "off": False, "false": False, "0": False, "no": False}
 
 
 @contextlib.contextmanager
@@ -95,41 +102,38 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, text: str, like) -> object:
-    if isinstance(like, bool):
-        lowered = text.lower()
-        if lowered in ("on", "true", "1", "yes"):
-            return True
-        if lowered in ("off", "false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key!r}: cannot parse boolean from {text!r}")
-    if isinstance(like, (int, float)):
-        try:
-            return type(like)(text)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: cannot parse {type(like).__name__} "
-                              f"from {text!r}") from None
-    return text
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Command name -> its subparser."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
 
 
-def apply_config_file(args: argparse.Namespace, defaults: dict) -> None:
-    """Fill unset flags from the config file, then apply defaults."""
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = parse_config_file(Path(args.config))
-    for key, value in file_values.items():
-        if key not in defaults and not hasattr(args, key):
+def config_defaults(command: argparse.ArgumentParser, values: dict[str, str]) -> dict:
+    """Config-file values converted as their flags convert them: by ``type``,
+    checked against ``choices``, and on/off for a switch."""
+    actions = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    converted = {}
+    for key, text in values.items():
+        action = actions.get(key)
+        if action is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            like = defaults.get(key)
-            setattr(args, key, _coerce(key, value, like) if like is not None else value)
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        switch = action.nargs == 0  # store_true
+        convert = action.type or str
+        try:
+            value = SWITCH_VALUES[text.lower()] if switch else convert(text)
+        except (KeyError, ValueError):
+            kind = "boolean" if switch else convert.__name__
+            raise ConfigError(f"config key {key!r}: cannot parse {kind} from {text!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key!r}: {text!r} is not one of "
+                              f"{', '.join(map(str, action.choices))}")
+        converted[key] = value
+    return converted
 
 
 def resolved_config(args: argparse.Namespace) -> str:
-    skip = {"func", "defaults", "command"}
+    skip = {"func", "command"}
     items = sorted((k, v) for k, v in vars(args).items() if k not in skip)
     return " ".join(f"{k}={v}" for k, v in items)
 
@@ -146,6 +150,17 @@ def _load_manifest(args, split: str = "development") -> ds.DatasetManifest:
     manifest.add(split, ds.load_caption_csv(args.csv, args.format, split=split,
                                             audio_dir=getattr(args, "audio_dir", None)))
     return manifest
+
+
+def _load_corpus(args) -> tuple[TagLexicon, SubjectVerbCorpus]:
+    lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
+    return lexicon, SubjectVerbCorpus.load(_require(args.corpus, "subject-verb corpus"))
+
+
+def _training_fields(args) -> dict:
+    """The ``_add_training`` flags as ``MLPConfig``/``CaptionerConfig`` fields."""
+    return dict(dropout=args.dropout, learning_rate=args.learning_rate, epochs=args.epochs,
+                batch_size=args.batch, seed=args.seed)
 
 
 def _require(path_text: str | None, what: str) -> Path:
@@ -179,21 +194,16 @@ def cmd_extract_features(args) -> int:
 def cmd_build_sve(args) -> int:
     manifest = _load_manifest(args)
     lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
-    from .semantics import build_corpus
-
     corpus = build_corpus(manifest.captions("development"), lexicon)
     out = Path(args.out)
     with output_lock(out):
         corpus.save(out / "sve_corpus.txt")
         if args.matrix_out:
             records = manifest.split("development")
-            targets = ds.sve_targets(records, corpus, lexicon)
-            from . import embfile
-
-            matrix = np.stack([targets[r.clip_id] for r in records]) if corpus.size else \
-                np.zeros((len(records), 0))
             if corpus.size:
-                embfile.write_matrix(out / "sve_targets.emb", matrix)
+                targets = ds.sve_targets(records, corpus, lexicon)
+                embfile.write_matrix(out / "sve_targets.emb",
+                                     np.stack([targets[r.clip_id] for r in records]))
             atomic.write_bytes(out / "sve_clips.txt",
                                "".join(f"{r.clip_id}\n" for r in records).encode("utf-8"))
     log.info("build-sve: corpus of K=%d roots written to %s", corpus.size, out)
@@ -219,8 +229,7 @@ def cmd_train_w2v(args) -> int:
 def cmd_train_mlp(args) -> int:
     manifest = _load_manifest(args)
     records = manifest.split("development")
-    lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
-    corpus = SubjectVerbCorpus.load(_require(args.corpus, "subject-verb corpus"), lexicon)
+    lexicon, corpus = _load_corpus(args)
     if corpus.size == 0:
         raise ConfigError("subject-verb corpus is empty (K=0); nothing to train")
     cache = _cache_root(args)
@@ -228,10 +237,7 @@ def cmd_train_mlp(args) -> int:
     targets = ds.sve_targets(records, corpus, lexicon)
     x = np.stack([features[r.clip_id].reshape(-1) for r in records])
     y = np.stack([targets[r.clip_id] for r in records])
-    config = MLPConfig(input_dim=x.shape[1], output_dim=corpus.size,
-                       dropout=args.dropout, epochs=args.epochs,
-                       batch_size=args.batch, seed=args.seed,
-                       learning_rate=args.learning_rate)
+    config = MLPConfig(input_dim=x.shape[1], output_dim=corpus.size, **_training_fields(args))
     model, history = train_mlp(x, y, config)
     model.variant = args.variant
     out = Path(args.out)
@@ -256,27 +262,21 @@ def _load_word_embeddings(args, vocab: Vocabulary, embed_dim: int):
 
 def cmd_train_captioner(args) -> int:
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))
-    manifest = ds.DatasetManifest(source_format=args.format)
-    manifest.add("development", ds.load_caption_csv(args.csv, args.format, split="development"))
+    manifest = _load_manifest(args)
     if args.val_csv:
         manifest.add("validation",
                      ds.load_caption_csv(args.val_csv, args.format, split="validation"))
     elif args.val_fraction > 0:
         manifest = ds.hold_out_validation(manifest, args.val_fraction, args.seed)
 
-    if args.use_sve not in ("on", "off"):
-        raise ConfigError(f"use_sve must be on or off, got {args.use_sve!r}")
-    use_sve = args.use_sve == "on"
     sves = None
     corpus_sha = ""
     sve_dim = 0
     records = manifest.split("development") + manifest.split("validation")
-    if use_sve:
-        lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
-        corpus = SubjectVerbCorpus.load(_require(args.corpus, "subject-verb corpus"), lexicon)
+    if args.use_sve == "on":
+        lexicon, corpus = _load_corpus(args)
         if corpus.size == 0:
             log.warning("subject-verb corpus is empty; continuing without SVE")
-            use_sve = False
         else:
             sves = ds.sve_targets(records, corpus, lexicon)
             corpus_sha = corpus.sha256()
@@ -284,11 +284,8 @@ def cmd_train_captioner(args) -> int:
 
     cache = _cache_root(args)
     features = ds.load_cached_features(cache, args.variant, [r.clip_id for r in records])
-    config = CaptionerConfig(
-        variant=args.variant, sve_dim=sve_dim, dropout=args.dropout,
-        learning_rate=args.learning_rate, epochs=args.epochs, batch_size=args.batch,
-        seed=args.seed, embed_dim=args.embed_dim,
-    )
+    config = CaptionerConfig(variant=args.variant, sve_dim=sve_dim, embed_dim=args.embed_dim,
+                             **_training_fields(args))
     embed_init = _load_word_embeddings(args, vocab, config.embed_dim)
     train_pairs = ds.expand_pairs(manifest, "development")
     val_pairs = ds.expand_pairs(manifest, "validation") or None
@@ -320,8 +317,7 @@ def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
                               f"retrain it with train-mlp, which records --variant")
         feats = ds.load_cached_features(cache, model.variant, [r.clip_id for r in records])
         return {r.clip_id: predict_sve(model, feats[r.clip_id].reshape(-1)) for r in records}
-    lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
-    corpus = SubjectVerbCorpus.load(_require(args.corpus, "subject-verb corpus"), lexicon)
+    lexicon, corpus = _load_corpus(args)
     if corpus.sha256() != checkpoint.corpus_sha256:
         raise ConfigError("subject-verb corpus does not match the checkpoint")
     return ds.sve_targets(records, corpus, lexicon)
@@ -382,10 +378,27 @@ def cmd_gradcheck(args) -> int:
 
 def _add_common(sub, *, csv=True):
     sub.add_argument("--config", help="key = value config file; flags override it")
-    sub.add_argument("--seed", type=int, help="seed for all randomness")
     if csv:
         sub.add_argument("--csv", help="caption CSV")
-        sub.add_argument("--format", choices=ds.FORMATS, help="CSV layout")
+        sub.add_argument("--format", choices=ds.FORMATS, default="generic", help="CSV layout")
+
+
+def _add_seed(sub, default: int):
+    sub.add_argument("--seed", type=int, default=default, help="seed for all randomness")
+
+
+def _add_corpus(sub):
+    sub.add_argument("--lexicon", help="word<TAB>TAG lexicon file")
+    sub.add_argument("--corpus", help="sve_corpus.txt from build-sve")
+
+
+def _add_training(sub, config_cls, batch_help=None):
+    """Optimizer flags shared by train-mlp and train-captioner; defaults from ``config_cls``."""
+    sub.add_argument("--dropout", type=float, default=config_cls.dropout)
+    sub.add_argument("--learning-rate", type=float, default=config_cls.learning_rate)
+    sub.add_argument("--epochs", type=int, default=config_cls.epochs)
+    sub.add_argument("--batch", type=int, default=config_cls.batch_size, help=batch_help)
+    _add_seed(sub, config_cls.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,17 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="audio captioning pipeline")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     commands = parser.add_subparsers(dest="command", required=True)
+    variants = sorted(VARIANT_DIMS)
 
     p = commands.add_parser("extract-features", help="fill the feature cache")
     _add_common(p)
-    p.add_argument("--split", choices=ds.SPLITS)
+    p.add_argument("--split", choices=ds.SPLITS, default="development")
     p.add_argument("--audio-dir", help="directory holding the referenced files")
-    p.add_argument("--variant", choices=sorted(VARIANT_DIMS))
+    p.add_argument("--variant", choices=variants, default="logmel")
     p.add_argument("--cache", help=f"cache root (default ${CACHE_ENV})")
-    p.add_argument("--pad-seconds", type=float)
-    p.set_defaults(func=cmd_extract_features,
-                   defaults={"seed": 0, "format": "generic", "split": "development",
-                             "variant": "logmel", "pad_seconds": 30.0})
+    p.add_argument("--pad-seconds", type=float, default=FeatureConfig.pad_seconds)
+    p.set_defaults(func=cmd_extract_features)
 
     p = commands.add_parser("build-sve", help="build the subject-verb corpus")
     _add_common(p)
@@ -411,100 +423,82 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-out", action="store_true",
                    help="also write per-clip SVE target matrix")
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_build_sve,
-                   defaults={"seed": 0, "format": "generic", "matrix_out": False})
+    p.set_defaults(func=cmd_build_sve)
 
     p = commands.add_parser("train-w2v", help="train word embeddings and the vocabulary")
     _add_common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
+    for name in ("dim", "window", "negatives", "epochs"):
+        p.add_argument(f"--{name}", type=int, default=getattr(Word2VecConfig, name))
+    _add_seed(p, Word2VecConfig.seed)
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_train_w2v,
-                   defaults={"seed": 0, "format": "generic", "dim": 256, "window": 5,
-                             "negatives": 5, "epochs": 15})
+    p.set_defaults(func=cmd_train_w2v)
 
     p = commands.add_parser("train-mlp", help="train the SVE predictor")
     _add_common(p)
-    p.add_argument("--lexicon")
-    p.add_argument("--corpus", help="sve_corpus.txt from build-sve")
+    _add_corpus(p)
     p.add_argument("--cache")
-    p.add_argument("--variant", choices=sorted(VARIANT_DIMS))
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--variant", choices=variants, default="panns")
+    _add_training(p, MLPConfig)
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_train_mlp,
-                   defaults={"seed": 0, "format": "generic", "variant": "panns",
-                             "dropout": 0.5, "learning_rate": 1e-3, "epochs": 100,
-                             "batch": 64})
+    p.set_defaults(func=cmd_train_mlp)
 
     p = commands.add_parser("train-captioner", help="train the encoder-decoder")
     _add_common(p)
     p.add_argument("--val-csv", help="explicit validation CSV")
-    p.add_argument("--val-fraction", type=float,
+    p.add_argument("--val-fraction", type=float, default=0.1,
                    help="held-out fraction of development when no --val-csv")
     p.add_argument("--vocab", help="vocabulary.tsv from train-w2v")
     p.add_argument("--w2v", help="word_embeddings.emb from train-w2v")
     p.add_argument("--cache")
-    p.add_argument("--variant", choices=sorted(VARIANT_DIMS))
-    p.add_argument("--use-sve", choices=("on", "off"))
-    p.add_argument("--lexicon")
-    p.add_argument("--corpus")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int,
-                   help="examples (caption prefixes) per optimizer step, made of whole captions")
+    p.add_argument("--variant", choices=variants, default=CaptionerConfig.variant)
+    p.add_argument("--use-sve", choices=("on", "off"), default="on")
+    _add_corpus(p)
+    p.add_argument("--embed-dim", type=int, default=CaptionerConfig.embed_dim)
+    _add_training(p, CaptionerConfig,
+                  batch_help="examples (caption prefixes) per optimizer step, made of whole captions")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_train_captioner,
-                   defaults={"seed": 0, "format": "generic", "variant": "panns",
-                             "use_sve": "on", "dropout": 0.5, "learning_rate": 1e-3,
-                             "embed_dim": 256, "epochs": 50, "batch": 64,
-                             "val_fraction": 0.1})
+    p.set_defaults(func=cmd_train_captioner)
 
     p = commands.add_parser("predict", help="greedy-decode captions for clips")
     _add_common(p)
     p.add_argument("--checkpoint", help="captioner.ckpt")
     p.add_argument("--vocab")
     p.add_argument("--cache")
-    p.add_argument("--sve-source", choices=("mlp", "captions", "off"))
+    p.add_argument("--sve-source", choices=("mlp", "captions", "off"), default="mlp")
     p.add_argument("--mlp", help="sve_mlp.ckpt for --sve-source mlp")
-    p.add_argument("--lexicon")
-    p.add_argument("--corpus")
-    p.add_argument("--max-len", type=int)
+    _add_corpus(p)
+    p.add_argument("--max-len", type=int, help="caption length cap (default: the checkpoint's)")
     p.add_argument("--out", help="output file or directory")
-    p.set_defaults(func=cmd_predict,
-                   defaults={"seed": 0, "format": "generic", "sve_source": "mlp",
-                             "max_len": 22})
+    p.set_defaults(func=cmd_predict)
 
     p = commands.add_parser("evaluate", help="score candidates against references")
     _add_common(p, csv=False)
     p.add_argument("--candidates", help="clip_id<TAB>caption file")
     p.add_argument("--references", help="clip_id<TAB>caption file (repeat ids for >1 ref)")
     p.add_argument("--out", help="optional report file")
-    p.set_defaults(func=cmd_evaluate, defaults={"seed": 0})
+    p.set_defaults(func=cmd_evaluate)
 
     p = commands.add_parser("gradcheck", help="finite-difference gradient suite")
     _add_common(p, csv=False)
-    p.set_defaults(func=cmd_gradcheck, defaults={"seed": 0})
+    _add_seed(p, 0)
+    p.set_defaults(func=cmd_gradcheck)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
     try:
-        apply_config_file(args, args.defaults)
+        if args.config:  # file values become the command's defaults; flags still win
+            command = subcommands(parser)[args.command]
+            command.set_defaults(**config_defaults(command, parse_config_file(Path(args.config))))
+            args = parser.parse_args(argv)
         log.info("resolved config: %s", resolved_config(args))
-        np.random.seed(args.seed)  # module-level fallback; components seed explicitly
         return args.func(args)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)

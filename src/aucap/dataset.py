@@ -166,8 +166,8 @@ def expand_pairs(manifest: DatasetManifest, split: str) -> list[tuple[str, list[
     return [(r.clip_id, list(caption)) for r in manifest.split(split) for caption in r.captions]
 
 
-def hold_out_validation(manifest: DatasetManifest, fraction: float = 0.1,
-                        seed: int = 0) -> DatasetManifest:
+def hold_out_validation(manifest: DatasetManifest, fraction: float,
+                        seed: int) -> DatasetManifest:
     """Move a deterministic fraction of development clips into validation."""
     if not 0.0 <= fraction < 1.0:
         raise DatasetError(f"fraction must be in [0, 1), got {fraction}")

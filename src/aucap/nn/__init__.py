@@ -1,73 +1,2 @@
-from .layers import (
-    BatchNorm,
-    BiGRU,
-    Dense,
-    Embedding,
-    GRU,
-    GRUCellParams,
-    glorot_uniform,
-    gru_cell_step,
-    orthogonal,
-    gru_sequence,
-)
-from .optim import AdamState, adam_step, zero_grads
-from .tensor import (
-    Parameter,
-    Tensor,
-    add,
-    backward,
-    batch_norm_infer,
-    batch_norm_train,
-    binary_cross_entropy,
-    concat,
-    cross_entropy,
-    dropout,
-    embedding_lookup,
-    linear,
-    mean_all,
-    mul,
-    relu,
-    reshape,
-    row_slice,
-    sigmoid,
-    softmax,
-    sub,
-    tanh,
-)
-
-__all__ = [
-    "AdamState",
-    "BatchNorm",
-    "BiGRU",
-    "Dense",
-    "Embedding",
-    "GRU",
-    "GRUCellParams",
-    "Parameter",
-    "Tensor",
-    "adam_step",
-    "add",
-    "backward",
-    "batch_norm_infer",
-    "batch_norm_train",
-    "binary_cross_entropy",
-    "concat",
-    "cross_entropy",
-    "dropout",
-    "embedding_lookup",
-    "glorot_uniform",
-    "gru_cell_step",
-    "gru_sequence",
-    "linear",
-    "mean_all",
-    "mul",
-    "orthogonal",
-    "relu",
-    "reshape",
-    "row_slice",
-    "sigmoid",
-    "softmax",
-    "sub",
-    "tanh",
-    "zero_grads",
-]
+"""Autodiff core: ``tensor`` (ops and backward), ``layers`` (GRU/BiGRU, dense,
+batch norm, embedding), ``optim`` (Adam), ``checkpoint`` and ``gradcheck``."""

@@ -163,7 +163,7 @@ def _check_micro_captioner(rng, caption_major: bool = False):
     return max_relative_error(loss_fn, model.parameters(), rng=rng, max_coords=6)
 
 
-def run_suite(seed: int = 0) -> dict[str, float]:
+def run_suite(seed: int) -> dict[str, float]:
     """Finite-difference check per layer type; returns max relative error each."""
     checks = {
         "dense": _check_dense,

@@ -29,9 +29,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -34,6 +34,8 @@ _VOWELS = set("aeiou")
 
 DEFAULT_SUFFIX_RULES = (("ing", VERB), ("ed", VERB))
 
+_LEXICON_HEADER = "# lexicon "  # first line of a saved corpus, before the lexicon's SHA-256
+
 
 def _has_vowel(word: str) -> bool:
     return any(ch in _VOWELS or ch == "y" for ch in word)
@@ -173,12 +175,19 @@ class SubjectVerbCorpus:
         return len(self.words)
 
     def save(self, path: str | Path) -> None:
-        atomic.write_bytes(path, "".join(f"{w}\n" for w in self.words).encode("utf-8"))
+        """One root per line after a ``# lexicon <sha256>`` header naming the lexicon."""
+        lines = [f"{_LEXICON_HEADER}{self.lexicon_sha256}\n", *(f"{w}\n" for w in self.words)]
+        atomic.write_bytes(path, "".join(lines).encode("utf-8"))
 
     @classmethod
-    def load(cls, path: str | Path, lexicon: TagLexicon) -> "SubjectVerbCorpus":
-        words = [w for w in Path(path).read_text(encoding="utf-8").splitlines() if w]
-        return cls(words=tuple(words), lexicon_sha256=lexicon.sha256())
+    def load(cls, path: str | Path) -> "SubjectVerbCorpus":
+        """Read a corpus and the hash of the lexicon it was built with."""
+        header, *words = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+        if not header.startswith(_LEXICON_HEADER):
+            raise SemanticsError(f"{path}: no '{_LEXICON_HEADER.strip()}' header; "
+                                 f"rebuild the corpus with build-sve")
+        return cls(words=tuple(w for w in words if w),
+                   lexicon_sha256=header[len(_LEXICON_HEADER):].strip())
 
     def sha256(self) -> str:
         digest = hashlib.sha256()

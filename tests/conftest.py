@@ -41,7 +41,7 @@ def wav_file(tmp_path):
     return write
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def toy_lexicon():
     return TagLexicon({
         "dog": NOUN, "dogs": NOUN, "man": NOUN, "woman": NOUN, "rain": NOUN,

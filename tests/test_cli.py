@@ -2,19 +2,22 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aucap import cli, embfile
+from aucap import dataset as ds
 from aucap.audio.embeddings import VARIANT_DIMS
 from aucap.audio.features import frame_count
 from aucap.captioner import CaptionerCheckpoint
 from aucap.errors import ConfigError
 from aucap.mlp import MLP, MLPConfig
-from aucap.semantics import build_corpus
+from aucap.semantics import SubjectVerbCorpus, build_corpus
 from aucap.text import Vocabulary, build_vocabulary, clean_caption
 from aucap.word2vec import WordEmbeddingTable
+from conftest import make_wav_bytes
 
 CAPTIONS = {
     "c0": ["a dog barks loudly", "dogs bark outside"],
@@ -24,9 +27,8 @@ CAPTIONS = {
 }
 
 
-@pytest.fixture
-def caption_csv(tmp_path):
-    csv = tmp_path / "captions.csv"
+def write_caption_csv(root):
+    csv = root / "captions.csv"
     csv.write_text("clip_id,caption\n" + "".join(
         f"{clip},{text}\n" for clip, texts in CAPTIONS.items() for text in texts),
         encoding="utf-8")
@@ -34,20 +36,30 @@ def caption_csv(tmp_path):
 
 
 @pytest.fixture
-def panns_fixture(tmp_path, caption_csv, toy_lexicon):
-    """Caption CSV, vocabulary, lexicon, subject-verb corpus and a panns cache."""
+def caption_csv(tmp_path):
+    return write_caption_csv(tmp_path)
+
+
+def write_panns_inputs(root, lexicon):
+    """Vocabulary, lexicon, subject-verb corpus and a panns cache for ``CAPTIONS``."""
     captions = [clean_caption(t) for texts in CAPTIONS.values() for t in texts]
-    build_vocabulary(captions).save(tmp_path / "vocabulary.tsv")
-    toy_lexicon.save(tmp_path / "lexicon.tsv")
-    corpus = build_corpus(captions, toy_lexicon)
-    corpus.save(tmp_path / "sve_corpus.txt")
-    cache = tmp_path / "cache"
+    build_vocabulary(captions).save(root / "vocabulary.tsv")
+    lexicon.save(root / "lexicon.tsv")
+    corpus = build_corpus(captions, lexicon)
+    corpus.save(root / "sve_corpus.txt")
+    cache = root / "cache"
     (cache / "panns").mkdir(parents=True)
     rng = np.random.RandomState(0)
     for clip in CAPTIONS:
         embfile.write_matrix(cache / "panns" / f"{clip}.emb",
                              rng.standard_normal((1, VARIANT_DIMS["panns"])))
-    return tmp_path, corpus
+    return corpus
+
+
+@pytest.fixture
+def panns_fixture(tmp_path, caption_csv, toy_lexicon):
+    """Caption CSV, vocabulary, lexicon, subject-verb corpus and a panns cache."""
+    return tmp_path, write_panns_inputs(tmp_path, toy_lexicon)
 
 
 def train_captioner_args(root, out):
@@ -174,15 +186,18 @@ class TestNonFiniteLoss:
 WAV_CLIPS = ("w0", "w1", "w2")
 
 
-@pytest.fixture
-def wav_clips(tmp_path, wav_file):
-    """A generic CSV naming three 0.5 s, 16 kHz clips in ``tmp_path``."""
-    csv = tmp_path / "clips.csv"
-    csv.write_text("clip_id,caption\n" + "".join(f"{c},a dog barks\n" for c in WAV_CLIPS),
-                   encoding="utf-8")
+def write_wav_clips(root):
+    """A generic CSV naming three 0.5 s, 16 kHz clips in ``root``."""
+    (root / "clips.csv").write_text(
+        "clip_id,caption\n" + "".join(f"{c},a dog barks\n" for c in WAV_CLIPS), encoding="utf-8")
     for i, clip in enumerate(WAV_CLIPS):
-        wav_file(np.round(8000 * np.sin(0.05 * (i + 1) * np.arange(8000))).astype(int).tolist(),
-                 name=f"{clip}.wav")
+        samples = np.round(8000 * np.sin(0.05 * (i + 1) * np.arange(8000))).astype(int).tolist()
+        (root / f"{clip}.wav").write_bytes(make_wav_bytes(samples))
+
+
+@pytest.fixture
+def wav_clips(tmp_path):
+    write_wav_clips(tmp_path)
     return tmp_path
 
 
@@ -297,3 +312,172 @@ class TestOutputLock:
             with cli.output_lock(tmp_path):
                 pass
         assert lock.read_text(encoding="utf-8") == content
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory, toy_lexicon):
+    """Inputs for every command, with the MLP and captioner that predict reads,
+    and per command an argument list that runs to exit 0 (``test_base_run``).
+    No list names a flag with choices, so a config-file value would be used."""
+    root = tmp_path_factory.mktemp("pipeline")
+    csv = str(write_caption_csv(root))
+    write_panns_inputs(root, toy_lexicon)
+    write_wav_clips(root)
+    assert cli.main(train_mlp_args(root, root / "mlp")) == 0
+    assert cli.main(train_captioner_args(root, root / "captioner")) == 0
+    pairs = "".join(f"{clip}\t{texts[0]}\n" for clip, texts in CAPTIONS.items())
+    (root / "candidates.tsv").write_text(pairs, encoding="utf-8")
+    (root / "references.tsv").write_text(pairs, encoding="utf-8")
+    corpus = ["--lexicon", str(root / "lexicon.tsv"), "--corpus", str(root / "sve_corpus.txt")]
+    train = ["--csv", csv, "--cache", str(root / "cache"), "--epochs", "1", "--batch", "8"]
+    commands = {
+        "extract-features": extract_args(root, "1.0"),
+        "build-sve": ["build-sve", "--csv", csv, "--lexicon", str(root / "lexicon.tsv"),
+                      "--out", str(root / "sve")],
+        "train-w2v": ["train-w2v", "--csv", csv, "--dim", "6", "--epochs", "1",
+                      "--out", str(root / "w2v")],
+        "train-mlp": ["train-mlp", *train, *corpus, "--out", str(root / "mlp2")],
+        "train-captioner": ["train-captioner", *train, *corpus, "--vocab",
+                            str(root / "vocabulary.tsv"), "--embed-dim", "8",
+                            "--val-fraction", "0", "--out", str(root / "captioner2")],
+        "predict": ["predict", "--csv", csv, "--cache", str(root / "cache"), *corpus,
+                    "--checkpoint", str(root / "captioner" / "captioner.ckpt"),
+                    "--vocab", str(root / "vocabulary.tsv"),
+                    "--mlp", str(root / "mlp" / "sve_mlp.ckpt"),
+                    "--out", str(root / "predictions.tsv")],
+        "evaluate": ["evaluate", "--candidates", str(root / "candidates.tsv"),
+                     "--references", str(root / "references.tsv"),
+                     "--out", str(root / "report.txt")],
+        "gradcheck": ["gradcheck"],
+    }
+    assert sorted(commands) == sorted(cli.subcommands(cli.build_parser()))
+    return root, commands
+
+
+def config_flags(kind):
+    """(command, config key) per flag with ``choices``, or per typed flag (a
+    ``type`` or a store_true switch), found by walking ``build_parser()``."""
+    cases = []
+    for name, command in cli.subcommands(cli.build_parser()).items():
+        for action in command._actions:
+            if not action.option_strings or action.dest in ("help", "config"):
+                continue
+            typed = action.type is not None or action.nargs == 0
+            if (action.choices is not None) if kind == "choices" else typed:
+                cases.append((name, action.dest))
+    return cases
+
+
+def tree(root):
+    """Every path under ``root`` with its size and modification time."""
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in root.rglob("*")}
+
+
+def run_with_config(argv, config_dir, text):
+    config = config_dir / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    return cli.main(argv + ["--config", str(config)])
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command", sorted(cli.subcommands(cli.build_parser())))
+    def test_base_run(self, pipeline, command):
+        root, commands = pipeline
+        assert cli.main(commands[command]) == 0
+
+    @pytest.mark.parametrize("command, key", config_flags("choices"))
+    def test_out_of_range_choice_exits_2_and_writes_nothing(self, pipeline, tmp_path, command,
+                                                            key, caplog):
+        root, commands = pipeline
+        before = tree(root)
+        assert run_with_config(commands[command], tmp_path, f"{key} = not-a-choice\n") == 2
+        assert f"config key {key!r}: 'not-a-choice' is not one of" in caplog.text
+        assert tree(root) == before
+
+    @pytest.mark.parametrize("command, key", config_flags("typed"))
+    def test_unparsable_typed_value_exits_2_and_writes_nothing(self, pipeline, tmp_path,
+                                                                command, key, caplog):
+        root, commands = pipeline
+        before = tree(root)
+        assert run_with_config(commands[command], tmp_path, f"{key} = x1\n") == 2
+        assert f"config key {key!r}: cannot parse" in caplog.text
+        assert tree(root) == before
+
+    def test_misspelt_sve_source_exits_2_and_writes_no_predictions(self, pipeline, tmp_path):
+        _, commands = pipeline
+        out = tmp_path / "predictions.tsv"
+        argv = commands["predict"] + ["--out", str(out)]
+        assert run_with_config(argv, tmp_path, "sve_source = mpl\n") == 2
+        assert not out.exists()
+        assert run_with_config(argv, tmp_path, "sve_source = captions\n") == 0
+        assert out.exists()
+
+    def test_flag_overrides_config_file_which_overrides_default(self, pipeline, tmp_path):
+        _, commands = pipeline
+        out = tmp_path / "w2v"
+        argv = commands["train-w2v"] + ["--out", str(out)]
+        assert run_with_config(argv, tmp_path, "dim = 4\nnegatives = 2\n") == 0
+        assert WordEmbeddingTable.load(out / "word_embeddings.emb").dim == 6
+
+    def test_switch_reads_on_from_config_file(self, panns_fixture, tmp_path):
+        root, _ = panns_fixture
+        argv = ["build-sve", "--csv", str(root / "captions.csv"),
+                "--lexicon", str(root / "lexicon.tsv"), "--out", str(tmp_path / "sve")]
+        assert run_with_config(argv, tmp_path, "matrix_out = on\n") == 0
+        assert (tmp_path / "sve" / "sve_targets.emb").exists()
+
+    def test_seed_only_on_commands_that_draw_random_numbers(self, pipeline, tmp_path, caplog):
+        _, commands = pipeline
+        seeded = {name for name, command in cli.subcommands(cli.build_parser()).items()
+                  if any(a.dest == "seed" for a in command._actions)}
+        assert seeded == {"train-w2v", "train-mlp", "train-captioner", "gradcheck"}
+        for name in sorted(set(commands) - seeded):
+            caplog.clear()
+            assert run_with_config(commands[name], tmp_path, "seed = 1\n") == 2
+            assert "unknown config key 'seed'" in caplog.text
+
+
+def read_captions(path):
+    return [line.split("\t")[1].split() for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestPredictMaxLen:
+    def test_default_cap_is_the_checkpoints_max_len(self, pipeline, tmp_path):
+        root, commands = pipeline
+        checkpoint = CaptionerCheckpoint.load(root / "captioner" / "captioner.ckpt")
+        short = tmp_path / "short.ckpt"
+        replace(checkpoint, config=replace(checkpoint.config, max_len=3)).save(short)
+        out = tmp_path / "predictions.tsv"
+        argv = commands["predict"] + ["--checkpoint", str(short), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert all(len(words) <= 2 for words in read_captions(out))  # <sos> + 2 tokens
+        assert cli.main(argv + ["--max-len", "22"]) == 0
+        assert max(len(words) for words in read_captions(out)) > 2
+
+
+class TestBuildSve:
+    def test_matrix_rows_follow_clip_list_and_equal_sve_targets(self, panns_fixture, tmp_path,
+                                                                toy_lexicon):
+        root, _ = panns_fixture
+        out = tmp_path / "sve"
+        assert cli.main(["build-sve", "--csv", str(root / "captions.csv"), "--lexicon",
+                         str(root / "lexicon.tsv"), "--matrix-out", "--out", str(out)]) == 0
+        clips = (out / "sve_clips.txt").read_text(encoding="utf-8").splitlines()
+        assert clips == list(CAPTIONS)
+        records = ds.load_caption_csv(root / "captions.csv", "generic")
+        targets = ds.sve_targets(records, SubjectVerbCorpus.load(out / "sve_corpus.txt"),
+                                 toy_lexicon)
+        matrix = embfile.read_matrix(out / "sve_targets.emb")
+        assert np.array_equal(matrix, np.stack([targets[clip] for clip in clips]))
+        assert matrix.any(axis=1).all()
+
+
+class TestEvaluate:
+    def test_out_file_holds_the_printed_report(self, pipeline, tmp_path, capsys):
+        _, commands = pipeline
+        out = tmp_path / "report.txt"
+        capsys.readouterr()
+        assert cli.main(commands["evaluate"] + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == printed
+        assert "CIDEr" in printed and "B-1: 1.000000" in printed

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aucap import atomic
+from aucap import dataset as ds
 from aucap.errors import SemanticsError
 from aucap.semantics import (
     NOUN,
@@ -135,9 +136,26 @@ class TestBuildCorpus:
         corpus = build_corpus([clean_caption("dog barks"), clean_caption("rain falls")],
                               toy_lexicon)
         corpus.save(tmp_path / "corpus.txt")
-        loaded = SubjectVerbCorpus.load(tmp_path / "corpus.txt", toy_lexicon)
+        loaded = SubjectVerbCorpus.load(tmp_path / "corpus.txt")
         assert loaded.words == corpus.words
         assert loaded.sha256() == corpus.sha256()
+        assert loaded.lexicon_sha256 == toy_lexicon.sha256()
+
+    def test_loaded_corpus_used_with_another_lexicon_raises(self, tmp_path, toy_lexicon):
+        captions = [clean_caption("dog barks")]
+        build_corpus(captions, toy_lexicon).save(tmp_path / "corpus.txt")
+        other = TagLexicon({**toy_lexicon.entries, "dog": OTHER})
+        loaded = SubjectVerbCorpus.load(tmp_path / "corpus.txt")
+        with pytest.raises(SemanticsError, match="different lexicon"):
+            encode_sve(captions[0], loaded, other)
+        with pytest.raises(SemanticsError, match="different lexicon"):
+            ds.sve_targets([ds.ClipRecord("c0", None, (tuple(captions[0]),), "development")],
+                           loaded, other)
+
+    def test_file_without_lexicon_header_names_build_sve(self, tmp_path):
+        (tmp_path / "corpus.txt").write_text("dog\nbark\n", encoding="utf-8")
+        with pytest.raises(SemanticsError, match="rebuild the corpus with build-sve"):
+            SubjectVerbCorpus.load(tmp_path / "corpus.txt")
 
     def test_failed_rename_keeps_old_files_and_removes_temp(self, tmp_path, toy_lexicon,
                                                              monkeypatch):
