@@ -455,6 +455,8 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     lengths = {v.shape[0] for v in inputs.values()}
     if len(lengths) != 1:
         raise ShapeError(f"clips disagree on sequence length: {sorted(lengths)}")
+    if len(pairs) < 2 and lengths == {1}:  # train-mode bn_audio1 would see one row
+        raise ShapeError("at T=1 at least 2 training captions are needed for batch norm")
 
     rng = np.random.RandomState(config.seed)
     model = Captioner(len(vocab), config, rng, embed_init=embed_init)

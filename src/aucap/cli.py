@@ -90,8 +90,12 @@ def _lock_is_stale(lock: Path) -> bool:
 
 def parse_config_file(path: Path) -> dict[str, str]:
     """Parse ``key = value`` lines; blank lines and # comments are skipped."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -163,6 +167,13 @@ def _training_fields(args) -> dict:
                 batch_size=args.batch, seed=args.seed)
 
 
+def _out(args) -> Path:
+    """``--out``, checked before a command does any work."""
+    if not args.out:
+        raise ConfigError(f"{args.command} needs --out")
+    return Path(args.out)
+
+
 def _require(path_text: str | None, what: str) -> Path:
     if not path_text:
         raise ConfigError(f"missing required artifact: {what}")
@@ -192,10 +203,10 @@ def cmd_extract_features(args) -> int:
 
 
 def cmd_build_sve(args) -> int:
+    out = _out(args)
     manifest = _load_manifest(args)
     lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
     corpus = build_corpus(manifest.captions("development"), lexicon)
-    out = Path(args.out)
     with output_lock(out):
         corpus.save(out / "sve_corpus.txt")
         if args.matrix_out:
@@ -211,13 +222,13 @@ def cmd_build_sve(args) -> int:
 
 
 def cmd_train_w2v(args) -> int:
+    out = _out(args)
     manifest = _load_manifest(args)
     captions = manifest.captions("development")
     vocab = build_vocabulary(captions)
     config = Word2VecConfig(dim=args.dim, window=args.window, negatives=args.negatives,
                             epochs=args.epochs, seed=args.seed)
     table = train_word2vec(captions, vocab, config)
-    out = Path(args.out)
     with output_lock(out):
         vocab.save(out / "vocabulary.tsv")
         table.save(out / "word_embeddings.emb")
@@ -227,6 +238,7 @@ def cmd_train_w2v(args) -> int:
 
 
 def cmd_train_mlp(args) -> int:
+    out = _out(args)
     manifest = _load_manifest(args)
     records = manifest.split("development")
     lexicon, corpus = _load_corpus(args)
@@ -240,7 +252,6 @@ def cmd_train_mlp(args) -> int:
     config = MLPConfig(input_dim=x.shape[1], output_dim=corpus.size, **_training_fields(args))
     model, history = train_mlp(x, y, config)
     model.variant = args.variant
-    out = Path(args.out)
     with output_lock(out):
         model.save(out / "sve_mlp.ckpt")
     log.info("train-mlp: best epoch %d, final train loss %.4f",
@@ -261,6 +272,7 @@ def _load_word_embeddings(args, vocab: Vocabulary, embed_dim: int):
 
 
 def cmd_train_captioner(args) -> int:
+    out = _out(args)
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))
     manifest = _load_manifest(args)
     if args.val_csv:
@@ -293,7 +305,6 @@ def cmd_train_captioner(args) -> int:
         train_pairs, features, sves, vocab, config,
         val_pairs=val_pairs, embed_init=embed_init, corpus_sha256=corpus_sha,
     )
-    out = Path(args.out)
     with output_lock(out):
         checkpoint.save(out / "captioner.ckpt")
     log.info("train-captioner: best epoch %d, final train loss %.4f",
@@ -324,6 +335,7 @@ def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
 
 
 def cmd_predict(args) -> int:
+    out = _out(args)
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))
     checkpoint = CaptionerCheckpoint.load(_require(args.checkpoint, "captioner checkpoint"),
                                           vocab=vocab)
@@ -343,7 +355,6 @@ def cmd_predict(args) -> int:
         tokens = model.greedy_decode(enc, vocab, max_len=args.max_len)
         caption = " ".join(strip_special_tokens(tokens))
         lines.append(f"{record.clip_id}\t{caption}\n")
-    out = Path(args.out)
     with output_lock(out.parent if out.suffix else out):
         target = out if out.suffix else out / "predictions.tsv"
         atomic.write_bytes(target, "".join(lines).encode("utf-8"))

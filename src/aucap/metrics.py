@@ -7,6 +7,14 @@ penalty; ROUGE-L is the F-measure over longest common subsequences
 (beta = 1.2); CIDEr follows the original TF-IDF cosine formulation over
 1..4-grams scaled by 10; METEOR aligns exact matches first, stems second,
 and applies the fragmentation penalty 0.5 * (chunks / matches)^3.
+
+This CIDEr is plain CIDEr, not the CIDEr-D of the coco-caption and DCASE
+toolkits: candidate counts are not clipped to the references' and there is
+no Gaussian length penalty (sigma = 6). This METEOR is the original formula
+(Banerjee & Lavie, 2005) with exact and stem matches only, aligned greedily
+left to right rather than by fewest crossings; METEOR 1.5 adds synonym and
+paraphrase matches, weighs content and function words apart and uses tuned
+parameters, none of which is here.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .errors import EmptyCaptionError, MetricError
@@ -40,13 +49,44 @@ def _prepare(candidates, reference_lists):
     return cands, refs
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens, max_n: int) -> list[Counter]:
+    """The 1..max_n-gram counts of ``tokens``, each in first-appearance order."""
+    return [Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(1, max_n + 1)]
+
+
+def _count(cands, refs, max_n: int):
+    return ([_ngram_counts(c, max_n) for c in cands],
+            [[_ngram_counts(r, max_n) for r in group] for group in refs])
 
 
 # ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------
+
+
+def _bleu_orders(cands, refs, cand_grams, ref_grams, n: int) -> list[float]:
+    """BLEU-1..n from one pass of clipped n-gram tallies."""
+    correct = [0] * n
+    guess = [0] * n
+    cand_len = 0
+    ref_len = 0
+    for cand, group, counts, group_counts in zip(cands, refs, cand_grams, ref_grams):
+        c = len(cand)
+        cand_len += c
+        ref_len += min((abs(len(r) - c), len(r)) for r in group)[1]
+        for k in range(n):
+            guess[k] += max(0, c - k)
+            correct[k] += sum(min(cnt, max(r[k].get(ngram, 0) for r in group_counts))
+                              for ngram, cnt in counts[k].items())
+    scores = []
+    for m in range(1, n + 1):
+        precisions = [correct[k] / guess[k] if guess[k] > 0 else 0.0 for k in range(m)]
+        if any(p == 0.0 for p in precisions) or cand_len == 0:
+            scores.append(0.0)
+            continue
+        bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+        scores.append(bp * math.exp(sum(math.log(p) for p in precisions) / m))
+    return scores
 
 
 def bleu(candidates, reference_lists, n: int = 4) -> float:
@@ -55,32 +95,7 @@ def bleu(candidates, reference_lists, n: int = 4) -> float:
     if n < 1:
         raise MetricError(f"bleu order must be >= 1, got {n}")
     cands, refs = _prepare(candidates, reference_lists)
-    correct = [0] * n
-    guess = [0] * n
-    cand_len = 0
-    ref_len = 0
-    for cand, group in zip(cands, refs):
-        c = len(cand)
-        cand_len += c
-        ref_len += min((abs(len(r) - c), len(r)) for r in group)[1]
-        for k in range(1, n + 1):
-            counts = _ngram_counts(cand, k)
-            guess[k - 1] += max(0, c - k + 1)
-            if not counts:
-                continue
-            max_ref = Counter()
-            for r in group:
-                for ngram, cnt in _ngram_counts(r, k).items():
-                    if cnt > max_ref[ngram]:
-                        max_ref[ngram] = cnt
-            correct[k - 1] += sum(min(cnt, max_ref[ngram]) for ngram, cnt in counts.items())
-    precisions = [correct[k] / guess[k] if guess[k] > 0 else 0.0 for k in range(n)]
-    if any(p == 0.0 for p in precisions):
-        return 0.0
-    if cand_len == 0:
-        return 0.0
-    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return bp * math.exp(sum(math.log(p) for p in precisions) / n)
+    return _bleu_orders(cands, refs, *_count(cands, refs, n), n)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -89,21 +104,24 @@ def bleu(candidates, reference_lists, n: int = 4) -> float:
 
 
 def lcs_length(a, b) -> int:
-    """Longest common subsequence via the standard DP table."""
+    """Longest common subsequence, bit-parallel (Allison & Dix 1986, in
+    Hyyrö's 2004 form). After each token of ``a``, the 0 bits of ``v`` mark
+    the positions j where the DP row steps up (L[j + 1] = L[j] + 1), so one
+    big-integer step per token replaces a row and the LCS is their count.
+    """
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
+    masks: dict = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = v = (1 << len(b)) - 1
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
-def rouge_l(candidates, reference_lists, beta: float = _ROUGE_BETA) -> float:
-    """Mean over the corpus of the best per-reference LCS F-measure."""
-    cands, refs = _prepare(candidates, reference_lists)
+def _rouge_l(cands, refs, beta: float) -> float:
     total = 0.0
     for cand, group in zip(cands, refs):
         best = 0.0
@@ -119,22 +137,45 @@ def rouge_l(candidates, reference_lists, beta: float = _ROUGE_BETA) -> float:
     return total / len(cands)
 
 
+def rouge_l(candidates, reference_lists, beta: float = _ROUGE_BETA) -> float:
+    """Mean over the corpus of the best per-reference LCS F-measure."""
+    return _rouge_l(*_prepare(candidates, reference_lists), beta)
+
+
 # ---------------------------------------------------------------------------
 # CIDEr
 # ---------------------------------------------------------------------------
 
 
-def _tfidf_vector(counts: Counter, idf: dict) -> dict:
-    return {ng: cnt * idf[ng] for ng, cnt in counts.items()}
+def _norm(vec: dict) -> float:
+    return math.sqrt(sum(w * w for w in vec.values()))
 
 
-def _cosine(a: dict, b: dict) -> float:
-    dot = sum(w * b[ng] for ng, w in a.items() if ng in b)
-    na = math.sqrt(sum(w * w for w in a.values()))
-    nb = math.sqrt(sum(w * w for w in b.values()))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
+def _cider(cand_grams, ref_grams) -> float:
+    n_docs = len(cand_grams)
+    if n_docs < 2:
+        raise MetricError("CIDEr needs a corpus of at least 2 clips for IDF")
+    idf_by_n: list[dict] = []
+    for k in range(_CIDER_MAX_N):
+        df = Counter(ng for group in ref_grams for ng in set().union(*(r[k] for r in group)))
+        idf_by_n.append({ng: math.log(n_docs / max(1, cnt)) for ng, cnt in df.items()})
+
+    unseen_idf = math.log(n_docs)  # of a candidate n-gram no reference holds
+    total = 0.0
+    for counts, group in zip(cand_grams, ref_grams):
+        per_n = []
+        for k, idf in enumerate(idf_by_n):
+            cand_vec = {ng: cnt * idf.get(ng, unseen_idf) for ng, cnt in counts[k].items()}
+            na = _norm(cand_vec)
+            sims = []
+            for r in group:
+                ref_vec = {ng: cnt * idf[ng] for ng, cnt in r[k].items()}
+                nb = _norm(ref_vec)
+                dot = sum(w * ref_vec[ng] for ng, w in cand_vec.items() if ng in ref_vec)
+                sims.append(0.0 if na == 0.0 or nb == 0.0 else dot / (na * nb))
+            per_n.append(10.0 * sum(sims) / len(sims))
+        total += sum(per_n) / len(per_n)
+    return total / n_docs
 
 
 def cider(candidates, reference_lists) -> float:
@@ -146,32 +187,7 @@ def cider(candidates, reference_lists) -> float:
     clips for the document statistics to exist.
     """
     cands, refs = _prepare(candidates, reference_lists)
-    n_docs = len(cands)
-    if n_docs < 2:
-        raise MetricError("CIDEr needs a corpus of at least 2 clips for IDF")
-    idf_by_n: list[dict] = []
-    for n in range(1, _CIDER_MAX_N + 1):
-        df: Counter = Counter()
-        for group in refs:
-            seen = set()
-            for ref in group:
-                seen.update(_ngram_counts(ref, n).keys())
-            df.update(seen)
-        idf_by_n.append({ng: math.log(n_docs / max(1, cnt)) for ng, cnt in df.items()})
-
-    total = 0.0
-    for cand, group in zip(cands, refs):
-        per_n = []
-        for n in range(1, _CIDER_MAX_N + 1):
-            idf = idf_by_n[n - 1]
-            cand_counts = _ngram_counts(cand, n)
-            # candidate n-grams never seen in any reference carry idf = ln(N)
-            cand_vec = {ng: cnt * idf.get(ng, math.log(n_docs))
-                        for ng, cnt in cand_counts.items()}
-            sims = [_cosine(cand_vec, _tfidf_vector(_ngram_counts(r, n), idf)) for r in group]
-            per_n.append(10.0 * sum(sims) / len(sims))
-        total += sum(per_n) / len(per_n)
-    return total / len(cands)
+    return _cider(*_count(cands, refs, _CIDER_MAX_N))
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +195,15 @@ def cider(candidates, reference_lists) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_align(cand, ref) -> list[tuple[int, int]]:
+def _greedy_align(cand, ref, roots: dict) -> list[tuple[int, int]]:
     """One-to-one alignment: exact matches first, then stem matches."""
     pairs: list[tuple[int, int]] = []
     used_c = [False] * len(cand)
     used_r = [False] * len(ref)
-    for stage_key in (lambda w: w, to_root):
-        ref_keys = [stage_key(w) for w in ref]
-        for i, word in enumerate(cand):
+    for cand_keys, ref_keys in ((cand, ref), ([roots[w] for w in cand], [roots[w] for w in ref])):
+        for i, key in enumerate(cand_keys):
             if used_c[i]:
                 continue
-            key = stage_key(word)
             for j, rkey in enumerate(ref_keys):
                 if not used_r[j] and rkey == key:
                     pairs.append((i, j))
@@ -209,19 +223,15 @@ def _chunk_count(pairs: list[tuple[int, int]]) -> int:
     return chunks
 
 
-def meteor(candidates, reference_lists) -> float:
-    """Best per-reference METEOR, averaged over the corpus.
-
-    F_mean = 10PR / (R + 9P); penalty = 0.5 * (chunks / matches)^3.
-    """
-    cands, refs = _prepare(candidates, reference_lists)
+def _meteor(cands, refs) -> float:
+    roots = {w: to_root(w) for w in {w for caption in chain(cands, *refs) for w in caption}}
     total = 0.0
     for cand, group in zip(cands, refs):
         best = 0.0
         for ref in group:
             if not cand or not ref:
                 continue
-            pairs = _greedy_align(cand, ref)
+            pairs = _greedy_align(cand, ref, roots)
             m = len(pairs)
             if m == 0:
                 continue
@@ -232,6 +242,14 @@ def meteor(candidates, reference_lists) -> float:
             best = max(best, f_mean * (1.0 - penalty))
         total += best
     return total / len(cands)
+
+
+def meteor(candidates, reference_lists) -> float:
+    """Best per-reference METEOR, averaged over the corpus.
+
+    F_mean = 10PR / (R + 9P); penalty = 0.5 * (chunks / matches)^3.
+    """
+    return _meteor(*_prepare(candidates, reference_lists))
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +284,15 @@ class ScoreReport:
 
 
 def score_corpus(candidates, reference_lists) -> ScoreReport:
-    return ScoreReport(
-        bleu_1=bleu(candidates, reference_lists, 1),
-        bleu_2=bleu(candidates, reference_lists, 2),
-        bleu_3=bleu(candidates, reference_lists, 3),
-        bleu_4=bleu(candidates, reference_lists, 4),
-        cider=cider(candidates, reference_lists),
-        meteor=meteor(candidates, reference_lists),
-        rouge_l=rouge_l(candidates, reference_lists),
-    )
+    """All seven scores, equal to the separate scorers' but with each caption
+    prepared and n-gram counted once (the counts serve BLEU-1..4 and CIDEr
+    alike) and each distinct word stemmed once."""
+    cands, refs = _prepare(candidates, reference_lists)
+    cand_grams, ref_grams = _count(cands, refs, _CIDER_MAX_N)
+    b1, b2, b3, b4 = _bleu_orders(cands, refs, cand_grams, ref_grams, 4)
+    return ScoreReport(bleu_1=b1, bleu_2=b2, bleu_3=b3, bleu_4=b4,
+                       cider=_cider(cand_grams, ref_grams), meteor=_meteor(cands, refs),
+                       rouge_l=_rouge_l(cands, refs, _ROUGE_BETA))
 
 
 def _tokenize_line(text: str) -> list[str]:

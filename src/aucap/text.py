@@ -34,10 +34,11 @@ def clean_caption(raw: str) -> TokenizedCaption:
     for token in raw.lower().split():
         if token in (SOS, EOS):
             continue  # boundary tokens are re-added below
-        token = _strip_punctuation(token)
+        if not token.isalpha():  # a letter is neither punctuation nor a digit
+            token = _strip_punctuation(token)
+            if any(ch.isdigit() for ch in token):
+                continue
         if len(token) <= 1:
-            continue
-        if any(ch.isdigit() for ch in token):
             continue
         words.append(token)
     if not words:

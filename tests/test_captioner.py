@@ -392,6 +392,20 @@ class TestTraining:
         with pytest.raises(ShapeError):
             train_captioner(pairs, feats, None, vocab, micro_config())
 
+    def test_single_caption_at_t1_rejected_before_training(self, monkeypatch):
+        # train-mode batch norm over the T*B audio frames would see one row
+        caption = clean_caption("dog barks loudly")
+        vocab = build_vocabulary([caption])
+        cfg = micro_config(variant="panns")
+        feats = {"c0": np.ones((1, cfg.audio_dim)), "c1": np.zeros((1, cfg.audio_dim))}
+        monkeypatch.setattr(captioner, "Captioner", None)  # no model is built
+        with pytest.raises(ShapeError, match="at least 2 training captions"):
+            train_captioner([("c0", caption)], feats, None, vocab, cfg)
+        monkeypatch.undo()
+        _, history = train_captioner([("c0", caption), ("c1", caption)], feats, None, vocab,
+                                     cfg)
+        assert len(history["train_loss"]) == cfg.epochs
+
     def test_sve_dim_requires_vectors(self):
         pairs, feats, vocab = self._tiny_dataset()
         with pytest.raises(ShapeError):

@@ -426,6 +426,16 @@ class TestConfigFile:
         assert run_with_config(argv, tmp_path, "matrix_out = on\n") == 0
         assert (tmp_path / "sve" / "sve_targets.emb").exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, kind, caplog):
+        config = tmp_path / "run.cfg"
+        if kind == "directory":
+            config.mkdir()
+        elif kind == "not utf-8":
+            config.write_bytes(b"seed = \xff\n")
+        assert cli.main(["gradcheck", "--config", str(config)]) == 2
+        assert f"cannot read config file {config}" in caplog.text
+
     def test_seed_only_on_commands_that_draw_random_numbers(self, pipeline, tmp_path, caplog):
         _, commands = pipeline
         seeded = {name for name, command in cli.subcommands(cli.build_parser()).items()
@@ -435,6 +445,26 @@ class TestConfigFile:
             caplog.clear()
             assert run_with_config(commands[name], tmp_path, "seed = 1\n") == 2
             assert "unknown config key 'seed'" in caplog.text
+
+
+class TestOutRequired:
+    @pytest.mark.parametrize("command",
+                             ["build-sve", "train-w2v", "train-mlp", "train-captioner", "predict"])
+    def test_missing_out_exits_2_before_any_work(self, pipeline, command, monkeypatch, caplog):
+        root, commands = pipeline
+        argv = list(commands[command])
+        del argv[argv.index("--out"):argv.index("--out") + 2]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work without --out")
+
+        for name in ("_load_manifest", "build_corpus", "train_word2vec", "train_mlp",
+                     "train_captioner"):
+            monkeypatch.setattr(cli, name, no_work)
+        before = tree(root)
+        assert cli.main(argv) == 2
+        assert f"{command} needs --out" in caplog.text
+        assert tree(root) == before
 
 
 def read_captions(path):

@@ -1,9 +1,23 @@
+import hashlib
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucap.errors import MetricError
-from aucap.metrics import bleu, cider, evaluate_files, meteor, rouge_l, score_corpus
+from aucap.metrics import (
+    ScoreReport,
+    bleu,
+    cider,
+    evaluate_files,
+    lcs_length,
+    meteor,
+    rouge_l,
+    score_corpus,
+)
+from aucap.text import clean_caption
 
 CAT = "the cat sat on the mat".split()
 CAT_REF = "the cat is on the mat".split()
@@ -69,6 +83,37 @@ class TestRougeL:
     def test_equal_precision_and_recall(self):
         # LCS = the cat on the mat = 5, P = R = 5/6, so F = 5/6 for any beta
         assert rouge_l([CAT], [[CAT_REF]]) == pytest.approx(5 / 6)
+
+
+def dp_lcs_length(a, b) -> int:
+    """Longest common subsequence via the standard DP table (the reference)."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+class TestLcsLength:
+    @settings(max_examples=400)
+    @given(st.lists(st.sampled_from("abcd"), max_size=90),
+           st.lists(st.sampled_from("abcde"), max_size=90))
+    def test_bit_parallel_matches_dp(self, a, b):
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.text(max_size=2), max_size=20), st.lists(st.text(max_size=2), max_size=20))
+    def test_bit_parallel_matches_dp_on_words(self, a, b):
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
+
+    def test_hand_values(self):
+        assert lcs_length(CAT, CAT_REF) == 5
+        assert lcs_length(CAT, []) == 0
+        assert lcs_length(list("abcbdab"), list("bdcaba")) == 4
 
 
 class TestCider:
@@ -151,3 +196,79 @@ class TestEvaluateFiles:
         ref.write_text("c0\tdog barks\n", encoding="utf-8")
         with pytest.raises(MetricError, match="2 candidates"):
             evaluate_files(cand, ref)
+
+
+WORDS = ("dog dogs barking barks barked car cars passing passes rain raining falls falling "
+         "birds bird chirping chirps man speaking speaks talked water flowing flows door doors "
+         "closing closed loudly softly the a and while in distance street busy engine running "
+         "runs quietly").split()
+
+
+def golden_corpus(seed=11, clips=48):
+    """Seeded clips of 5 cleaned references and one candidate, each a perturbed
+    copy of one base sentence: words replaced or dropped, digit tokens
+    inserted, punctuation attached and case changed. The last clip's candidate
+    is empty."""
+    rng = random.Random(seed)
+
+    def perturb(base):
+        out = []
+        for word in base:
+            roll = rng.random()
+            if roll < 0.1:
+                continue
+            if roll < 0.25:
+                word = rng.choice(WORDS)
+            if rng.random() < 0.1:
+                out.append(rng.choice(("2", "10s", "3rd", "4x4")))
+            if rng.random() < 0.2:
+                word = word.capitalize()
+            out.append(word + rng.choice(("", "", "", "", ",", ".", "!", "'s", "?")))
+        return " ".join(out)
+
+    candidates, references = [], []
+    for _ in range(clips):
+        base = [rng.choice(WORDS) for _ in range(rng.randint(6, 12))]
+        references.append([clean_caption(perturb(base)) for _ in range(5)])
+        candidates.append(clean_caption(perturb(base)))
+    candidates[-1] = []
+    return candidates, references
+
+
+class TestScoreCorpus:
+    def test_golden_values(self):
+        # scores of the plain per-scorer implementation (DP LCS, n-grams counted
+        # per scorer and order, every word stemmed per pair), pinned bit for bit
+        report = score_corpus(*golden_corpus())
+        assert report == ScoreReport(
+            bleu_1=float.fromhex("0x1.9800a22a14775p-1"),
+            bleu_2=float.fromhex("0x1.4933f61086604p-1"),
+            bleu_3=float.fromhex("0x1.007a53a0ff20dp-1"),
+            bleu_4=float.fromhex("0x1.87fddd59169f2p-2"),
+            cider=float.fromhex("0x1.0d3a4c2123b29p+1"),
+            meteor=float.fromhex("0x1.5cf8ac903a944p-1"),
+            rouge_l=float.fromhex("0x1.4e318bf382d29p-1"),
+        )
+
+    def test_golden_values_of_clip_pairs(self):
+        # a corpus mean can hide a last-bit change in one clip's score and a
+        # 2-clip corpus does not: the 24 pairs' 168 scores are pinned by digest
+        cands, refs = golden_corpus()
+        text = "".join(f"{v.hex()}\n" for i in range(0, len(cands), 2)
+                       for v in score_corpus(cands[i:i + 2], refs[i:i + 2]).as_dict().values())
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "bb39f605e0394446f34fc04f806508a324aa44f7f43e232cb01c8306900c45e6"
+
+    def test_equals_the_separate_scorers(self):
+        cands, refs = golden_corpus()
+        report = score_corpus(cands, refs)
+        assert [report.bleu_1, report.bleu_2, report.bleu_3, report.bleu_4] == \
+            [bleu(cands, refs, n) for n in (1, 2, 3, 4)]
+        assert report.cider == cider(cands, refs)
+        assert report.meteor == meteor(cands, refs)
+        assert report.rouge_l == rouge_l(cands, refs)
+
+    def test_bleu_beyond_order_four(self):
+        # every 5-gram of a 6-word candidate equal to its reference matches
+        assert bleu([CAT], [[CAT]], 5) == 1.0
+        assert bleu([CAT], [[CAT_REF]], 5) == 0.0

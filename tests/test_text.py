@@ -60,6 +60,25 @@ class TestCleanCaption:
             return
         assert clean_caption(" ".join(first)) == first
 
+    @settings(max_examples=500)
+    @given(st.one_of(st.text(max_size=60),
+                     st.text(st.characters(categories=("L", "N", "P", "Zs")), max_size=60)))
+    def test_matches_the_per_character_rule(self, raw):
+        # every token through the per-character punctuation and digit checks,
+        # which clean_caption skips for all-letter tokens
+        words = []
+        for token in raw.lower().split():
+            if token in (SOS, EOS):
+                continue
+            token = "".join(ch for ch in token if not unicodedata.category(ch).startswith("P"))
+            if len(token) > 1 and not any(ch.isdigit() for ch in token):
+                words.append(token)
+        if not words:
+            with pytest.raises(EmptyCaptionError):
+                clean_caption(raw)
+        else:
+            assert clean_caption(raw) == [SOS, *words, EOS]
+
 
 class TestVocabulary:
     def test_reserved_layout(self):
