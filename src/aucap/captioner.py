@@ -31,22 +31,19 @@ every step decodes the same numbers as ``forward`` on the whole prefix.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .audio.embeddings import VARIANT_DIMS
-from .errors import CheckpointError, ShapeError, check_finite_loss
-from .nn.checkpoint import load_tensors, save_tensors
+from .errors import CheckpointError, ShapeError
+from .nn.checkpoint import load_parameters, load_tensors, save_tensors
 from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUCellParams
 from .nn import tensor as T
-from .nn.optim import AdamState, adam_step
+from .nn.optim import AdamState, adam_step, check_training_fields, fit
 from .nn.tensor import Parameter, Tensor
 from .text import SOS, Vocabulary, encode
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -65,6 +62,9 @@ class CaptionerConfig:
     batch_size: int = 64          # examples (prefixes) per optimizer step, made of whole captions
     max_len: int = 22
     seed: int = 0
+
+    def __post_init__(self):
+        check_training_fields(self)
 
     @property
     def feature_dim(self) -> int:
@@ -145,25 +145,18 @@ class Captioner:
     def _batch_norms(self) -> list[BatchNorm]:
         return [self.bn_audio1, self.bn_audio2, self.bn_text, self.bn_decoder]
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
+    def state(self) -> dict[str, np.ndarray]:
+        """Copies of the parameters by name, then of the batch-norm buffers
+        (``buffer.<name>.*``): the tensors of a checkpoint, in file order."""
+        out = {p.name: p.data.copy() for p in self.parameters()}
         for bn in self._batch_norms():
-            out.update(bn.buffers())
+            out.update({k: v.copy() for k, v in bn.buffers().items()})
         return out
 
-    def state(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        return ({p.name: p.data.copy() for p in self.parameters()},
-                {k: v.copy() for k, v in self.buffers().items()})
-
-    def load_state(self, params: dict[str, np.ndarray], buffers: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            if p.name not in params:
-                raise CheckpointError(f"missing parameter {p.name!r}")
-            if params[p.name].shape != p.data.shape:
-                raise CheckpointError(f"shape mismatch for {p.name!r}")
-            p.data = np.array(params[p.name], dtype=np.float64)
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        load_parameters(self.parameters(), state)
         for bn in self._batch_norms():
-            bn.load_buffers(buffers)
+            bn.load_buffers(state)
 
     # -- forward ------------------------------------------------------------
 
@@ -174,8 +167,7 @@ class Captioner:
         return drop
 
     def encode_audio(self, audio: np.ndarray, mode: str,
-                     rng: np.random.RandomState | None = None,
-                     update_running: bool = True, rows=None) -> Tensor:
+                     rng: np.random.RandomState | None = None, rows=None) -> Tensor:
         """(batch, 2*bigru2) audio state: BiGRU -> BN -> BiGRU -> BN (final state).
 
         ``rows`` gathers clip rows of the final BiGRU state before ``bn_audio2``,
@@ -193,16 +185,14 @@ class Captioner:
         seq1 = self.audio_gru1.run(xs, return_sequence=True)
         steps, batch, width = seq1.data.shape
         # one batch-norm batch of all T*B frame states, rows in time-major order
-        normed = self.bn_audio1(T.reshape(seq1, (steps * batch, width)), mode=mode,
-                                update_running=update_running)
+        normed = self.bn_audio1(T.reshape(seq1, (steps * batch, width)), mode=mode)
         audio_vec = self.audio_gru2.run(T.reshape(normed, (steps, batch, width)))
         if rows is not None:
             audio_vec = T.embedding_lookup(audio_vec, rows)
-        return self.bn_audio2(audio_vec, mode=mode, update_running=update_running)
+        return self.bn_audio2(audio_vec, mode=mode)
 
     def encode(self, audio: np.ndarray, prefix: np.ndarray, mask: np.ndarray, mode: str,
-               rng: np.random.RandomState | None = None, update_running: bool = True,
-               positions=None) -> Tensor:
+               rng: np.random.RandomState | None = None, positions=None) -> Tensor:
         """Fused (examples, 2*bigru2 + text_gru) representation of audio + partial captions.
 
         ``prefix`` and ``mask`` are (batch, L) and run through the text GRU in
@@ -227,8 +217,7 @@ class Captioner:
                     or not (0 <= rows.min() <= rows.max() < batch)):
                 raise ShapeError(f"positions must be two equal-length index vectors within "
                                  f"the (batch, L) = {prefix.shape} prefix matrix")
-        audio_vec = self.encode_audio(audio, mode, rng=rng, update_running=update_running,
-                                      rows=rows)
+        audio_vec = self.encode_audio(audio, mode, rng=rng, rows=rows)
 
         drop = self._dropout_rate(mode, rng)
         text = T.reshape(self.embedding(prefix.T.ravel()), (length, batch, self.config.embed_dim))
@@ -237,23 +226,21 @@ class Captioner:
         states = self.text_gru.run(text, masks=mask.T, return_sequence=True)
         text_vec = T.embedding_lookup(T.reshape(states, (length * batch, self.text_gru.hidden)),
                                       steps * batch + rows)  # time-major row of (step, row)
-        text_vec = self.bn_text(text_vec, mode=mode, update_running=update_running)
+        text_vec = self.bn_text(text_vec, mode=mode)
 
         return T.concat([audio_vec, text_vec], axis=1)
 
-    def decode_step(self, fused: Tensor, mode: str, update_running: bool = True) -> Tensor:
+    def decode_step(self, fused: Tensor, mode: str) -> Tensor:
         """Next-word distribution over the vocabulary; rows sum to 1."""
         h = T.mul(T.sigmoid(T.linear(fused, self.dec_W_z, self.dec_b_z)),
                   T.tanh(T.linear(fused, self.dec_W, self.dec_b)))
-        h = self.bn_decoder(h, mode=mode, update_running=update_running)
+        h = self.bn_decoder(h, mode=mode)
         return T.softmax(self.out(h))
 
-    def forward(self, audio, prefix, mask, mode: str, rng=None,
-                update_running: bool = True, positions=None) -> Tensor:
+    def forward(self, audio, prefix, mask, mode: str, rng=None, positions=None) -> Tensor:
         """Next-word distributions of the examples ``positions`` names (see ``encode``)."""
-        fused = self.encode(audio, prefix, mask, mode, rng=rng, update_running=update_running,
-                            positions=positions)
-        return self.decode_step(fused, mode, update_running=update_running)
+        fused = self.encode(audio, prefix, mask, mode, rng=rng, positions=positions)
+        return self.decode_step(fused, mode)
 
     # -- inference ----------------------------------------------------------
 
@@ -300,8 +287,7 @@ class Captioner:
 
 @dataclass
 class CaptionerCheckpoint:
-    params: dict[str, np.ndarray]
-    buffers: dict[str, np.ndarray]
+    state: dict[str, np.ndarray]  # Captioner.state(): the file's tensors
     config: CaptionerConfig
     vocab_size: int
     vocab_sha256: str
@@ -309,7 +295,6 @@ class CaptionerCheckpoint:
     history: dict = field(default_factory=dict)
 
     def save(self, path: str | Path) -> None:
-        tensors = {**self.params, **{f"buffer.{k}": v for k, v in self.buffers.items()}}
         meta = {
             "kind": "captioner",
             "config": asdict(self.config),
@@ -318,7 +303,7 @@ class CaptionerCheckpoint:
             "corpus_sha256": self.corpus_sha256,
             "history": self.history,
         }
-        save_tensors(path, tensors, meta)
+        save_tensors(path, self.state, meta)
 
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary | None = None,
@@ -327,9 +312,7 @@ class CaptionerCheckpoint:
         if meta.get("kind") != "captioner":
             raise CheckpointError(f"{path}: not a captioner checkpoint")
         ckpt = cls(
-            params={k: v for k, v in tensors.items() if not k.startswith("buffer.")},
-            buffers={k.removeprefix("buffer."): v for k, v in tensors.items()
-                     if k.startswith("buffer.")},
+            state=tensors,
             config=CaptionerConfig.from_dict(meta["config"]),
             vocab_size=meta["vocab_size"],
             vocab_sha256=meta["vocab_sha256"],
@@ -345,7 +328,7 @@ class CaptionerCheckpoint:
     def build_model(self) -> Captioner:
         model = Captioner(self.vocab_size, self.config,
                           np.random.RandomState(self.config.seed))
-        model.load_state(self.params, self.buffers)
+        model.load_state(self.state)
         return model
 
 
@@ -466,49 +449,29 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     captions = _encode_captions(pairs, vocab)
     val_captions = _encode_captions(val_pairs, vocab) if val_pairs else None
     lengths = [len(ids) for _, ids in captions]
-    history: dict = {"train_loss": [], "val_loss": [], "best_epoch": -1}
-    best_loss = np.inf
-    best_state = None
 
-    n = sum(lengths) - len(lengths)  # examples per epoch
-    for epoch in range(config.epochs):
-        if epoch > 0 and history["best_epoch"] == epoch - 1:
-            best_state = model.state()  # the best epoch so far is about to be trained past
-        batches = _caption_batches(lengths, rng.permutation(len(captions)), config.batch_size)
-        total = 0.0
-        for batch_no, batch in enumerate(batches):
-            audio, prefix, mask, positions, targets = _batch_arrays(
-                [captions[i] for i in batch], inputs)
-            probs = model.forward(audio, prefix, mask, mode="train", rng=rng, positions=positions)
-            loss = T.cross_entropy(probs, targets)
-            check_finite_loss(loss.item(), f"epoch {epoch + 1} batch {batch_no + 1}")
-            T.backward(loss)
-            adam_step(params, state)
-            total += float(loss.data) * len(targets)
-        train_loss = total / n
-        history["train_loss"].append(train_loss)
-        if val_captions:
-            watched = _dataset_loss(model, val_captions, inputs, config.batch_size)
-            history["val_loss"].append(watched)
-        else:
-            watched = train_loss
-        check_finite_loss(watched, f"epoch {epoch + 1} watched")
-        if watched < best_loss:
-            best_loss = watched
-            history["best_epoch"] = epoch
-        log.info("captioner epoch %d/%d train %.4f watched %.4f",
-                 epoch + 1, config.epochs, train_loss, watched)
-        if stop_loss is not None and train_loss < stop_loss:
-            log.info("captioner reached stop loss %.4g at epoch %d", stop_loss, epoch + 1)
-            break
+    def batches():
+        return _caption_batches(lengths, rng.permutation(len(captions)), config.batch_size)
 
-    if history["best_epoch"] == len(history["train_loss"]) - 1:
-        best_state = model.state()
-    best_params, best_buffers = best_state
+    def batch_loss(batch):
+        audio, prefix, mask, positions, targets = _batch_arrays(
+            [captions[i] for i in batch], inputs)
+        probs = model.forward(audio, prefix, mask, mode="train", rng=rng, positions=positions)
+        return T.cross_entropy(probs, targets), len(targets)
+
+    def val_loss():
+        return _dataset_loss(model, val_captions, inputs, config.batch_size)
+
+    # adam_step, _batch_arrays and _dataset_loss are looked up here at call time
+    history = fit(model, config.epochs, batches, batch_loss,
+                  update=lambda: adam_step(params, state),
+                  val_loss=val_loss if val_captions else None,
+                  stop_loss=stop_loss, name="captioner")
     checkpoint = CaptionerCheckpoint(
-        params=best_params, buffers=best_buffers, config=config,
+        state=model.state(), config=config,
         vocab_size=len(vocab), vocab_sha256=vocab.sha256(),
         corpus_sha256=corpus_sha256,
-        history={"best_epoch": history["best_epoch"]},
+        history={"best_epoch": history.best_epoch},
     )
-    return checkpoint, history
+    return checkpoint, {"train_loss": history.train_losses, "val_loss": history.val_losses,
+                        "best_epoch": history.best_epoch}

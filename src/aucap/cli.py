@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Commands cover the pipeline end to end: extract-features, build-sve,
-train-w2v, train-mlp, train-captioner, predict, evaluate, gradcheck. Each
+train-w2v, train-mlp, train-captioner, predict, evaluate. train-mlp and
+train-captioner both train through ``aucap.nn.optim.fit``. Each
 option is one argparse declaration that holds its type, choices and default;
 a model or feature default is read from its config dataclass. A value is
 resolved as flag > ``key = value`` config file (``--config``) > default. A
@@ -30,7 +31,6 @@ from .audio.embeddings import VARIANT_DIMS
 from .audio.features import FeatureConfig
 from .errors import AucapError, ConfigError
 from .mlp import MLP, MLPConfig, predict_sve, train_mlp
-from .nn.gradcheck import run_suite
 from .semantics import SubjectVerbCorpus, TagLexicon, build_corpus
 from .text import Vocabulary, build_vocabulary, strip_special_tokens
 from .word2vec import Word2VecConfig, WordEmbeddingTable, train_word2vec
@@ -39,7 +39,6 @@ log = logging.getLogger("aucap")
 
 CACHE_ENV = "AUCAP_CACHE"
 LOCK_NAME = ".aucap.lock"
-GRADCHECK_TOLERANCE = 1e-4
 SWITCH_VALUES = {"on": True, "true": True, "1": True, "yes": True,
                  "off": False, "false": False, "0": False, "no": False}
 
@@ -167,6 +166,11 @@ def _training_fields(args) -> dict:
                 batch_size=args.batch, seed=args.seed)
 
 
+def _last(losses: list[float]) -> float:
+    """The final epoch's loss; NaN after zero epochs."""
+    return losses[-1] if losses else float("nan")
+
+
 def _out(args) -> Path:
     """``--out``, checked before a command does any work."""
     if not args.out:
@@ -233,7 +237,7 @@ def cmd_train_w2v(args) -> int:
         vocab.save(out / "vocabulary.tsv")
         table.save(out / "word_embeddings.emb")
     log.info("train-w2v: vocabulary of %d words, %d-dim embeddings, final loss %.4f",
-             len(vocab), table.dim, table.epoch_losses[-1] if table.epoch_losses else float("nan"))
+             len(vocab), table.dim, _last(table.epoch_losses))
     return 0
 
 
@@ -255,7 +259,7 @@ def cmd_train_mlp(args) -> int:
     with output_lock(out):
         model.save(out / "sve_mlp.ckpt")
     log.info("train-mlp: best epoch %d, final train loss %.4f",
-             history.best_epoch + 1, history.train_losses[-1])
+             history.best_epoch + 1, _last(history.train_losses))
     return 0
 
 
@@ -308,7 +312,7 @@ def cmd_train_captioner(args) -> int:
     with output_lock(out):
         checkpoint.save(out / "captioner.ckpt")
     log.info("train-captioner: best epoch %d, final train loss %.4f",
-             history["best_epoch"] + 1, history["train_loss"][-1])
+             history["best_epoch"] + 1, _last(history["train_loss"]))
     return 0
 
 
@@ -370,16 +374,6 @@ def cmd_evaluate(args) -> int:
     if args.out:
         atomic.write_bytes(args.out, text.encode("utf-8"))
     return 0
-
-
-def cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed)
-    failed = False
-    for name, err in results.items():
-        status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
-        sys.stdout.write(f"{name}: max relative error {err:.3e} [{status}]\n")
-        failed |= err >= GRADCHECK_TOLERANCE
-    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", help="clip_id<TAB>caption file (repeat ids for >1 ref)")
     p.add_argument("--out", help="optional report file")
     p.set_defaults(func=cmd_evaluate)
-
-    p = commands.add_parser("gradcheck", help="finite-difference gradient suite")
-    _add_common(p, csv=False)
-    _add_seed(p, 0)
-    p.set_defaults(func=cmd_gradcheck)
     return parser
 
 

@@ -7,20 +7,18 @@ the parameters from the epoch with the lowest validation loss.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ShapeError, check_finite_loss
+from .errors import CheckpointError, ShapeError
 from .nn import layers
 from .nn import tensor as T
-from .nn.checkpoint import load_tensors, save_tensors
-from .nn.optim import AdamState, adam_step
+from .nn.checkpoint import load_parameters, load_tensors, save_tensors
+from .nn.optim import AdamState, TrainHistory, adam_step, check_training_fields, fit
 from .nn.tensor import Parameter, Tensor
 
-log = logging.getLogger(__name__)
-
+KIND = "sve-mlp"
 DEFAULT_HIDDEN = (1024, 1024, 512, 512, 256, 256)
 
 
@@ -34,6 +32,9 @@ class MLPConfig:
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
+
+    def __post_init__(self):
+        check_training_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MLPConfig":
@@ -78,16 +79,11 @@ class MLP:
     def state(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.parameters()}
 
-    def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            if p.name not in tensors:
-                raise ShapeError(f"missing tensor {p.name!r} in state")
-            if tensors[p.name].shape != p.data.shape:
-                raise ShapeError(f"shape mismatch for {p.name!r}")
-            p.data = np.array(tensors[p.name], dtype=np.float64)
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        load_parameters(self.parameters(), state)
 
     def save(self, path) -> None:
-        meta = {"kind": "sve-mlp", "config": asdict(self.config)}
+        meta = {"kind": KIND, "config": asdict(self.config)}
         if self.variant is not None:
             meta["variant"] = self.variant
         save_tensors(path, self.state(), meta)
@@ -95,18 +91,13 @@ class MLP:
     @classmethod
     def load(cls, path) -> "MLP":
         tensors, meta = load_tensors(path)
+        if meta.get("kind") != KIND:
+            raise CheckpointError(f"{path}: not an SVE MLP checkpoint")
         config = MLPConfig.from_dict(meta["config"])
         model = cls(config, np.random.RandomState(config.seed))
         model.variant = meta.get("variant")
         model.load_state(tensors)
         return model
-
-
-@dataclass
-class TrainHistory:
-    train_losses: list[float] = field(default_factory=list)
-    val_losses: list[float] = field(default_factory=list)
-    best_epoch: int = -1
 
 
 def _dataset_loss(model: MLP, features: np.ndarray, targets: np.ndarray) -> float:
@@ -136,39 +127,24 @@ def train_mlp(features: np.ndarray, targets: np.ndarray, config: MLPConfig,
     model = MLP(config, rng)
     params = model.parameters()
     state = AdamState(learning_rate=config.learning_rate)
-    history = TrainHistory()
-    best_loss = np.inf
-    best_state = None
-
     n = features.shape[0]
-    for epoch in range(config.epochs):
-        if epoch > 0 and history.best_epoch == epoch - 1:
-            best_state = model.state()  # the best epoch so far is about to be trained past
-        order = rng.permutation(n)
-        total = 0.0
-        for batch_no, start in enumerate(range(0, n, config.batch_size)):
-            batch = order[start : start + config.batch_size]
-            probs = model.forward(Tensor(features[batch]), mode="train", rng=rng)
-            loss = T.binary_cross_entropy(probs, targets[batch])
-            check_finite_loss(loss.item(), f"epoch {epoch + 1} batch {batch_no + 1}")
-            T.backward(loss)
-            adam_step(params, state)
-            total += float(loss.data) * batch.size
-        history.train_losses.append(total / n)
-        if val_features is not None:
-            watched = _dataset_loss(model, val_features, val_targets)
-            history.val_losses.append(watched)
-        else:
-            watched = _dataset_loss(model, features, targets)
-        check_finite_loss(watched, f"epoch {epoch + 1} watched")
-        if watched < best_loss:
-            best_loss = watched
-            history.best_epoch = epoch
-        log.debug("mlp epoch %d train %.4f watched %.4f", epoch + 1,
-                  history.train_losses[-1], watched)
 
-    if history.best_epoch != len(history.train_losses) - 1:
-        model.load_state(best_state)
+    def batches():
+        order = rng.permutation(n)
+        return [order[i : i + config.batch_size] for i in range(0, n, config.batch_size)]
+
+    def batch_loss(batch):
+        probs = model.forward(Tensor(features[batch]), mode="train", rng=rng)
+        return T.binary_cross_entropy(probs, targets[batch]), batch.size
+
+    def val_loss():
+        return _dataset_loss(model, val_features, val_targets)
+
+    # adam_step is looked up here at call time
+    history = fit(model, config.epochs, batches, batch_loss,
+                  update=lambda: adam_step(params, state),
+                  val_loss=None if val_features is None else val_loss,
+                  fallback_loss=lambda: _dataset_loss(model, features, targets), name="mlp")
     return model, history
 
 

@@ -7,7 +7,9 @@ Layout:
     <N payloads, concatenated in manifest order>
 
 Payloads reuse the AUCAP-EMB container with the ``dtype=f8`` extension so a
-save/load cycle reproduces float64 values bit for bit.
+save/load cycle reproduces float64 values bit for bit. A model's ``state()``
+is such a name -> array dict, and its ``load_state`` reads one back through
+``state_tensor``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .. import atomic, embfile
 from ..errors import CheckpointError, EmbeddingFormatError
+from .tensor import Parameter
 
 _MAGIC = "AUCAP-CKPT v1"
 
@@ -34,6 +37,21 @@ def _parse_shape(text: str) -> tuple:
         return tuple(int(d) for d in text.split("x"))
     except ValueError as exc:
         raise CheckpointError(f"bad shape field {text!r}") from exc
+
+
+def state_tensor(state: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """A float64 copy of ``state[name]``; CheckpointError if it is missing or not of ``shape``."""
+    if name not in state:
+        raise CheckpointError(f"missing tensor {name!r}")
+    if np.shape(state[name]) != tuple(shape):
+        raise CheckpointError(f"tensor {name!r} has shape {np.shape(state[name])}, "
+                              f"expected {tuple(shape)}")
+    return np.array(state[name], dtype=np.float64)
+
+
+def load_parameters(params: list[Parameter], state: dict[str, np.ndarray]) -> None:
+    for p in params:
+        p.data = state_tensor(state, p.name, p.data.shape)
 
 
 def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: dict) -> None:

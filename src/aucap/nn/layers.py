@@ -14,6 +14,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from . import tensor as T
+from .checkpoint import state_tensor
 from .tensor import Parameter, Tensor
 
 
@@ -63,7 +64,7 @@ class BatchNorm:
 
     Train mode uses batch statistics (batch >= 2) and updates the running
     mean/variance, an EMA with momentum m = 0.99 that starts at mean 0 and
-    variance 1, and counts the updates in the ``<name>.steps`` buffer. Infer
+    variance 1, and counts the updates in the ``buffer.<name>.steps`` buffer. Infer
     mode applies frozen statistics with the start values' share m**t removed,
     as in Adam's bias correction: mean / (1 - m**t) and
     max((var - m**t) / (1 - m**t), 0). With t = 0 (untrained, or a checkpoint
@@ -80,14 +81,13 @@ class BatchNorm:
         self.running_var = np.ones(dim)
         self.steps = 0
 
-    def __call__(self, x: Tensor, mode: str, update_running: bool = True) -> Tensor:
+    def __call__(self, x: Tensor, mode: str) -> Tensor:
         if mode == "train":
             out, mean, var = T.batch_norm_train(x, self.gamma, self.beta, self.eps)
-            if update_running:
-                m = self.momentum
-                self.running_mean = m * self.running_mean + (1.0 - m) * mean
-                self.running_var = m * self.running_var + (1.0 - m) * var
-                self.steps += 1
+            m = self.momentum
+            self.running_mean = m * self.running_mean + (1.0 - m) * mean
+            self.running_var = m * self.running_var + (1.0 - m) * var
+            self.steps += 1
             return out
         if mode == "infer":
             mean, var = self.running_mean, self.running_var
@@ -102,14 +102,19 @@ class BatchNorm:
         return [self.gamma, self.beta]
 
     def buffers(self) -> dict[str, np.ndarray]:
-        return {f"{self.name}.running_mean": self.running_mean,
-                f"{self.name}.running_var": self.running_var,
-                f"{self.name}.steps": np.array(float(self.steps))}
+        """Named ``buffer.<name>.*``, apart from the parameters in a model's state."""
+        name = f"buffer.{self.name}"
+        return {f"{name}.running_mean": self.running_mean,
+                f"{name}.running_var": self.running_var,
+                f"{name}.steps": np.array(float(self.steps))}
 
-    def load_buffers(self, values: dict[str, np.ndarray]):
-        self.running_mean = np.array(values[f"{self.name}.running_mean"], dtype=np.float64).ravel()
-        self.running_var = np.array(values[f"{self.name}.running_var"], dtype=np.float64).ravel()
-        self.steps = int(values.get(f"{self.name}.steps", 0))
+    def load_buffers(self, state: dict[str, np.ndarray]) -> None:
+        """Read ``buffers()`` back from a model's ``state``."""
+        name = f"buffer.{self.name}"
+        self.running_mean = state_tensor(state, f"{name}.running_mean", self.running_mean.shape)
+        self.running_var = state_tensor(state, f"{name}.running_var", self.running_var.shape)
+        steps = f"{name}.steps"  # absent from checkpoints written before the count
+        self.steps = int(state_tensor(state, steps, ())) if steps in state else 0
 
 
 # ---------------------------------------------------------------------------

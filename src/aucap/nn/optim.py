@@ -1,13 +1,18 @@
-"""Adam optimizer with bias correction."""
+"""Adam optimizer with bias correction, and the epoch loop both models train with."""
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import GraphStateError
+from ..errors import ConfigError, GraphStateError, check_finite_loss
+from . import tensor as T
 from .tensor import Parameter
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -69,3 +74,72 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
             a /= b
             data[lo:hi] -= a
         p.grad_ready = False
+
+
+def check_training_fields(config) -> None:
+    """Raise ConfigError unless the config's ``epochs`` >= 0, ``batch_size`` >= 1,
+    0 <= ``dropout`` < 1 and ``learning_rate`` is finite and positive."""
+    rate = config.learning_rate
+    for name, ok, need in (("epochs", config.epochs >= 0, "at least 0"),
+                           ("batch_size", config.batch_size >= 1, "at least 1"),
+                           ("dropout", 0.0 <= config.dropout < 1.0, "in [0, 1)"),
+                           ("learning_rate", math.isfinite(rate) and rate > 0,
+                            "finite and positive")):
+        if not ok:
+            raise ConfigError(f"{type(config).__name__} {name} must be {need}, "
+                              f"got {getattr(config, name)!r}")
+
+
+@dataclass
+class TrainHistory:
+    train_losses: list[float] = field(default_factory=list)
+    val_losses: list[float] = field(default_factory=list)
+    best_epoch: int = -1
+
+
+def fit(model, epochs: int, batches, batch_loss, update, val_loss=None, fallback_loss=None,
+        stop_loss: float | None = None, name: str = "model") -> TrainHistory:
+    """Train ``model`` for up to ``epochs`` epochs and leave it in its best epoch's state.
+
+    Each epoch takes its batches from ``batches()``. Per batch,
+    ``batch_loss(batch)`` gives the mean loss tensor and its example count; the
+    loss is checked finite, back-propagated and applied by ``update()``. The
+    epoch's training loss is the example-weighted mean. The watched loss is
+    ``val_loss()``, recorded in ``val_losses``; without it, ``fallback_loss()``,
+    or else the training loss. The epoch of the lowest watched loss is kept:
+    ``model.state()`` is snapshot just before that epoch is trained past, and
+    ``model.load_state`` restores it at the end. Training stops once an epoch's
+    training loss is below ``stop_loss``. Raises TrainingError at the first
+    batch or watched loss that is not finite.
+    """
+    history = TrainHistory()
+    best_loss, best_state = np.inf, None
+    for epoch in range(epochs):
+        if epoch > 0 and history.best_epoch == epoch - 1:
+            best_state = model.state()  # the best epoch so far is about to be trained past
+        total, count = 0.0, 0
+        for batch_no, batch in enumerate(batches()):
+            loss, examples = batch_loss(batch)
+            check_finite_loss(loss.item(), f"epoch {epoch + 1} batch {batch_no + 1}")
+            T.backward(loss)
+            update()
+            total += float(loss.data) * examples
+            count += examples
+        train_loss = total / count
+        history.train_losses.append(train_loss)
+        if val_loss is not None:
+            watched = val_loss()
+            history.val_losses.append(watched)
+        else:
+            watched = train_loss if fallback_loss is None else fallback_loss()
+        check_finite_loss(watched, f"epoch {epoch + 1} watched")
+        if watched < best_loss:
+            best_loss, history.best_epoch = watched, epoch
+        log.info("%s epoch %d/%d train %.4f watched %.4f",
+                 name, epoch + 1, epochs, train_loss, watched)
+        if stop_loss is not None and train_loss < stop_loss:
+            log.info("%s reached stop loss %.4g at epoch %d", name, stop_loss, epoch + 1)
+            break
+    if history.best_epoch != len(history.train_losses) - 1:
+        model.load_state(best_state)
+    return history

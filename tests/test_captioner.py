@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from aucap.captioner import (
     build_encoder_input,
     train_captioner,
 )
-from aucap import atomic, captioner
+from aucap import atomic, captioner, mlp
 from aucap.errors import CheckpointError, ShapeError, TrainingError
 from aucap.nn import tensor as T
 from aucap.nn.layers import BiGRU, GRUCellParams
@@ -122,6 +124,10 @@ class TestCaptionBatches:
         assert _caption_batches([5], range(1), 8) == [[0]]
 
     def test_one_audio_pass_per_caption_in_training(self, monkeypatch):
+        """Also the order the benchmark's tracer relies on: it wraps these
+        module attributes, so training must look each up through its module.
+        A train step opens with ``_batch_arrays`` and closes with that module's
+        ``adam_step``, and ``_dataset_loss`` is one validation pass per epoch."""
         captions = [clean_caption(t) for t in
                     ["dog barks loudly near the old house", "man speaks", "rain falls down",
                      "a car passes by quickly", "birds sing", "water runs"]]
@@ -129,24 +135,48 @@ class TestCaptionBatches:
         rng = np.random.RandomState(0)
         feats = {f"c{i}": rng.standard_normal((5, 8)) for i in range(len(captions))}
         pairs = [(f"c{i}", c) for i, c in enumerate(captions)]
-        steps, audio_rows = [], []
+        steps, audio_rows, events, in_val = [], [], [], []
         batch_arrays, run = captioner._batch_arrays, BiGRU.run
+        dataset_loss, adam_step = captioner._dataset_loss, captioner.adam_step
 
         def recording_batch(chosen, inputs):
-            steps.append([clip_id for clip_id, _ in chosen])
+            if not in_val:
+                steps.append([clip_id for clip_id, _ in chosen])
+                events.append("b")
             return batch_arrays(chosen, inputs)
 
         def recording_run(self, xs, *args, **kwargs):
-            audio_rows.append(xs.data.shape[1])
+            if not in_val:
+                audio_rows.append(xs.data.shape[1])
             return run(self, xs, *args, **kwargs)
+
+        def recording_val(*args):
+            events.append("v")
+            in_val.append(True)
+            try:
+                return dataset_loss(*args)
+            finally:
+                in_val.pop()
 
         monkeypatch.setattr(captioner, "_batch_arrays", recording_batch)
         monkeypatch.setattr(BiGRU, "run", recording_run)
-        train_captioner(pairs, feats, None, vocab, micro_config(epochs=2, dropout=0.5))
+        monkeypatch.setattr(captioner, "_dataset_loss", recording_val)
+        monkeypatch.setattr(captioner, "adam_step", lambda *a: events.append("u") or adam_step(*a))
+        monkeypatch.setattr(mlp, "adam_step", lambda *a: events.append("m") or adam_step(*a))
+        train_captioner(pairs, feats, None, vocab, micro_config(epochs=2, dropout=0.5),
+                        val_pairs=pairs[:2])
+        assert re.fullmatch(r"((bu)+v){2}", "".join(events))
         assert len(steps) >= 4  # 2 epochs of at least 2 batches
         assert audio_rows == [len(clips) for clips in steps for _ in range(2)]
         per_epoch = sum(len(clips) for clips in steps) // 2
         assert per_epoch == len(pairs)
+
+        events.clear()
+        x = rng.standard_normal((10, 3))
+        config = mlp.MLPConfig(input_dim=3, output_dim=2, hidden_widths=(4,), epochs=2,
+                               batch_size=4)
+        mlp.train_mlp(x, (x[:, :2] > 0).astype(float), config, x, (x[:, :2] > 0).astype(float))
+        assert events == ["m"] * 6  # 2 epochs of 3 batches
 
 
 class TestEncodeDecode:
@@ -154,7 +184,7 @@ class TestEncodeDecode:
         model, cfg = micro_model()
         assert cfg.fused_dim == 2 * cfg.bigru2 + cfg.text_gru
         fused = model.encode(np.zeros((2, 5, 8)), np.array([[1], [1]]),
-                             np.ones((2, 1)), mode="train", update_running=False)
+                             np.ones((2, 1)), mode="train")
         assert fused.data.shape == (2, cfg.fused_dim)
 
     def test_default_widths_match_paper_sizes(self):
@@ -176,7 +206,7 @@ class TestEncodeDecode:
         model.bn_audio2.beta.data[...] = 0.25
         model.bn_text.beta.data[...] = -0.5
         fused = model.encode(np.zeros((2, 3, 8)), np.array([[1], [1]]),
-                             np.ones((2, 1)), mode="train", update_running=False)
+                             np.ones((2, 1)), mode="train")
         expected = np.concatenate([np.full(2 * cfg.bigru2, 0.25), np.full(cfg.text_gru, -0.5)])
         assert np.allclose(fused.data, expected[None, :])
 
@@ -293,8 +323,8 @@ class TestIncrementalDecode:
         steps = []
         decode_step = model.decode_step
 
-        def recording(fused, mode, update_running=True):
-            probs = decode_step(fused, mode, update_running=update_running)
+        def recording(fused, mode):
+            probs = decode_step(fused, mode)
             steps.append(probs.data.copy())
             return probs
 
@@ -347,7 +377,7 @@ class TestTraining:
 
     def test_initial_loss_near_log_vocab(self):
         pairs, feats, vocab = self._tiny_dataset()
-        cfg = micro_config(epochs=1, learning_rate=0.0)
+        cfg = micro_config(epochs=1, learning_rate=1e-12)  # the smallest steps: a rate must be > 0
         _, history = train_captioner(pairs, feats, None, vocab, cfg)
         assert history["train_loss"][0] == pytest.approx(np.log(len(vocab)), rel=0.25)
 
@@ -416,11 +446,9 @@ class TestTraining:
         cfg = micro_config(epochs=3)
         a, _ = train_captioner(pairs, feats, None, vocab, cfg)
         b, _ = train_captioner(pairs, feats, None, vocab, cfg)
-        assert set(a.params) == set(b.params)
-        for name in a.params:
-            assert np.array_equal(a.params[name], b.params[name])
-        for name in a.buffers:
-            assert np.array_equal(a.buffers[name], b.buffers[name])
+        assert list(a.state) == list(b.state)
+        for name in a.state:
+            assert np.array_equal(a.state[name], b.state[name])
 
 
     @pytest.mark.parametrize("learning_rate,epochs", [(1e-2, 8), (3e-2, 8), (1e-2, 0)])
@@ -430,7 +458,7 @@ class TestTraining:
         ckpt, history = train_captioner(pairs[:2], feats, None, vocab, cfg, val_pairs=pairs[2:])
         if epochs == 0:
             initial = Captioner(len(vocab), cfg, np.random.RandomState(cfg.seed))
-            assert all(np.array_equal(ckpt.params[p.name], p.data)
+            assert all(np.array_equal(ckpt.state[p.name], p.data)
                        for p in initial.parameters())
             return
         assert history["best_epoch"] < epochs - 1  # restored from a saved state
@@ -534,8 +562,7 @@ class TestCheckpoint:
     def _checkpoint(self):
         vocab = build_vocabulary([clean_caption("dog barks")])
         model, cfg = micro_model(vocab_size=len(vocab))
-        params, buffers = model.state()
-        return CaptionerCheckpoint(params=params, buffers=buffers, config=cfg,
+        return CaptionerCheckpoint(state=model.state(), config=cfg,
                                    vocab_size=len(vocab), vocab_sha256=vocab.sha256(),
                                    corpus_sha256="abc"), vocab
 
@@ -544,11 +571,9 @@ class TestCheckpoint:
         path = tmp_path / "cap.ckpt"
         ckpt.save(path)
         again = CaptionerCheckpoint.load(path, vocab=vocab)
-        assert set(again.params) == set(ckpt.params)
-        for name in ckpt.params:
-            assert np.array_equal(again.params[name], ckpt.params[name])
-        for name in ckpt.buffers:
-            assert np.array_equal(again.buffers[name], ckpt.buffers[name])
+        assert list(again.state) == list(ckpt.state)
+        for name in ckpt.state:
+            assert np.array_equal(again.state[name], ckpt.state[name])
         # saving the loaded checkpoint reproduces the file byte for byte
         again.save(tmp_path / "cap2.ckpt")
         assert (tmp_path / "cap2.ckpt").read_bytes() == path.read_bytes()
@@ -588,7 +613,7 @@ class TestCheckpoint:
             raise OSError("disk full")
 
         monkeypatch.setattr(atomic.os, "replace", fail)
-        ckpt.params = {name: value + 1.0 for name, value in ckpt.params.items()}
+        ckpt.state = {name: value + 1.0 for name, value in ckpt.state.items()}
         with pytest.raises(OSError, match="disk full"):
             ckpt.save(path)
         assert path.read_bytes() == before
@@ -598,21 +623,31 @@ class TestCheckpoint:
         # checkpoints of the GRU-cell decoder hold dec.gru.{W_z,W_r,W,b_z,b_r,b}
         ckpt, _ = self._checkpoint()
         cfg = ckpt.config
-        params = {k: v for k, v in ckpt.params.items()
-                  if k not in ("dec.W_z", "dec.b_z", "dec.W", "dec.b")}
+        state = {k: v for k, v in ckpt.state.items()
+                 if k not in ("dec.W_z", "dec.b_z", "dec.W", "dec.b")}
         cell = GRUCellParams.create(cfg.fused_dim, cfg.decoder_gru, np.random.RandomState(0),
                                     name="dec.gru")
-        params.update({p.name: p.data for p in cell.parameters()})
-        ckpt.params = params
+        state.update({p.name: p.data for p in cell.parameters()})
+        ckpt.state = state
         ckpt.save(tmp_path / "old.ckpt")
-        with pytest.raises(CheckpointError, match="missing parameter 'dec.W_z'"):
+        with pytest.raises(CheckpointError, match="missing tensor 'dec.W_z'"):
             CaptionerCheckpoint.load(tmp_path / "old.ckpt").build_model()
+
+    @pytest.mark.parametrize("name", ["enc.bn_text.gamma", "buffer.enc.bn_text.running_var"])
+    def test_missing_or_misshaped_tensor_rejected(self, name):
+        ckpt, _ = self._checkpoint()
+        state = ckpt.state
+        ckpt.state = {k: v for k, v in state.items() if k != name}
+        with pytest.raises(CheckpointError, match=f"missing tensor '{name}'"):
+            ckpt.build_model()
+        ckpt.state = {**state, name: state[name][:-1]}
+        with pytest.raises(CheckpointError, match=f"'{name}' has shape"):
+            ckpt.build_model()
 
     def test_rebuilt_model_decodes_identically(self, tmp_path):
         vocab = build_vocabulary([clean_caption("dog barks loudly")])
         model, cfg = micro_model(vocab_size=len(vocab))
-        params, buffers = model.state()
-        ckpt = CaptionerCheckpoint(params=params, buffers=buffers, config=cfg,
+        ckpt = CaptionerCheckpoint(state=model.state(), config=cfg,
                                    vocab_size=len(vocab), vocab_sha256=vocab.sha256())
         ckpt.save(tmp_path / "m.ckpt")
         rebuilt = CaptionerCheckpoint.load(tmp_path / "m.ckpt").build_model()
@@ -626,19 +661,19 @@ class TestCheckpoint:
         ckpt, _ = train_captioner(pairs, feats, None, vocab, micro_config(epochs=2))
         ckpt.save(tmp_path / "m.ckpt")
         loaded = CaptionerCheckpoint.load(tmp_path / "m.ckpt")
-        buffers = dict(loaded.buffers)
-        steps = [k for k in buffers if k.endswith(".steps")]
-        assert steps and all(buffers[k] > 0 for k in steps)
+        state = dict(loaded.state)
+        steps = [k for k in state if k.endswith(".steps")]
+        assert steps and all(state[k] > 0 for k in steps)
 
         audio = np.stack([feats[c] for c, _ in pairs])
         prefix = np.array([[vocab.sos_index, 5], [vocab.sos_index, 6], [vocab.sos_index, 7]])
         mask = np.ones(prefix.shape)
 
-        def infer(with_buffers):
-            loaded.buffers = with_buffers
+        def infer(with_state):
+            loaded.state = with_state
             return loaded.build_model().forward(audio, prefix, mask, mode="infer").data
 
-        legacy = infer({k: v for k, v in buffers.items() if k not in steps})
-        zeroed = infer({**buffers, **{k: np.zeros_like(buffers[k]) for k in steps}})
+        legacy = infer({k: v for k, v in state.items() if k not in steps})
+        zeroed = infer({**state, **{k: np.zeros_like(state[k]) for k in steps}})
         assert np.array_equal(legacy, zeroed)
-        assert not np.allclose(legacy, infer(buffers))
+        assert not np.allclose(legacy, infer(state))

@@ -152,6 +152,41 @@ class TestPredictSveFromMlp:
         assert "records no feature variant; retrain it with train-mlp" in caplog.text
         assert not out.exists()
 
+    def test_captioner_checkpoint_as_mlp_exits_1(self, panns_fixture, caplog):
+        root, _ = panns_fixture
+        captioner = root / "captioner" / "captioner.ckpt"
+        assert cli.main(train_captioner_args(root, captioner.parent)) == 0
+        out = root / "predictions.tsv"
+        assert cli.main(predict_args(root, captioner, captioner, out)) == 1
+        assert f"CheckpointError: {captioner}: not an SVE MLP checkpoint" in caplog.text
+        assert not out.exists()
+
+
+TRAINERS = {"train-mlp": train_mlp_args, "train-captioner": train_captioner_args}
+
+
+class TestTrainingFields:
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch", "-3"), ("--batch", "0"), ("--dropout", "1.0"), ("--dropout", "-0.1"),
+        ("--epochs", "-1"), ("--learning-rate", "0"), ("--learning-rate", "nan"),
+        ("--learning-rate", "inf")])
+    @pytest.mark.parametrize("command", sorted(TRAINERS))
+    def test_bad_value_exits_2_and_writes_nothing(self, panns_fixture, command, flag, value,
+                                                  caplog):
+        root, _ = panns_fixture
+        before = tree(root)
+        assert cli.main(TRAINERS[command](root, root / "out") + [flag, value]) == 2
+        assert "configuration error: " in caplog.text and " must be " in caplog.text
+        assert tree(root) == before
+
+    @pytest.mark.parametrize("command", sorted(TRAINERS))
+    def test_zero_epochs_write_the_initial_model(self, panns_fixture, command, caplog):
+        caplog.set_level(logging.INFO)
+        root, _ = panns_fixture
+        assert cli.main(TRAINERS[command](root, root / "out") + ["--epochs", "0"]) == 0
+        assert f"{command}: best epoch 0, final train loss nan" in caplog.text
+        assert len(list((root / "out").glob("*.ckpt"))) == 1
+
 
 @pytest.fixture
 def nan_feature(monkeypatch):
@@ -284,14 +319,6 @@ class TestTrainW2v:
         assert not (out / "word_embeddings.emb").exists()
 
 
-class TestGradcheck:
-    def test_every_check_passes(self, capsys):
-        assert cli.main(["gradcheck"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("micro_captioner:") for line in lines)
-        assert all(line.endswith("[ok]") for line in lines)
-
-
 class TestOutputLock:
     def test_lock_of_dead_pid_is_replaced(self, tmp_path):
         child = subprocess.Popen([sys.executable, "-c", "pass"])
@@ -348,7 +375,6 @@ def pipeline(tmp_path_factory, toy_lexicon):
         "evaluate": ["evaluate", "--candidates", str(root / "candidates.tsv"),
                      "--references", str(root / "references.tsv"),
                      "--out", str(root / "report.txt")],
-        "gradcheck": ["gradcheck"],
     }
     assert sorted(commands) == sorted(cli.subcommands(cli.build_parser()))
     return root, commands
@@ -433,14 +459,14 @@ class TestConfigFile:
             config.mkdir()
         elif kind == "not utf-8":
             config.write_bytes(b"seed = \xff\n")
-        assert cli.main(["gradcheck", "--config", str(config)]) == 2
+        assert cli.main(["evaluate", "--config", str(config)]) == 2
         assert f"cannot read config file {config}" in caplog.text
 
     def test_seed_only_on_commands_that_draw_random_numbers(self, pipeline, tmp_path, caplog):
         _, commands = pipeline
         seeded = {name for name, command in cli.subcommands(cli.build_parser()).items()
                   if any(a.dest == "seed" for a in command._actions)}
-        assert seeded == {"train-w2v", "train-mlp", "train-captioner", "gradcheck"}
+        assert seeded == {"train-w2v", "train-mlp", "train-captioner"}
         for name in sorted(set(commands) - seeded):
             caplog.clear()
             assert run_with_config(commands[name], tmp_path, "seed = 1\n") == 2

@@ -1,54 +1,20 @@
-"""Central finite-difference gradient checking.
-
-``max_relative_error`` compares the analytic gradients of a scalar loss with
-central differences on a sampled subset of coordinates per parameter. The
-layer suite used by the CLI and the acceptance tests lives here too, so both
-run the exact same checks.
-"""
-
-from __future__ import annotations
+"""Finite-difference gradient check of every layer type, both models and the
+captioner's caption-major batch. Check ``i`` draws its weights and inputs from
+seed ``SEED + i``; each must match its central differences within 1e-4
+relative error."""
 
 import numpy as np
+import pytest
 
-from . import tensor as T
-from .layers import BatchNorm, BiGRU, Dense, Embedding, GRUCellParams, gru_cell_step, gru_sequence
-from .optim import zero_grads
-from .tensor import Parameter, Tensor
+from aucap.captioner import Captioner, CaptionerConfig
+from aucap.mlp import MLP, MLPConfig
+from aucap.nn import tensor as T
+from aucap.nn.layers import (BatchNorm, BiGRU, Dense, Embedding, GRUCellParams, gru_cell_step,
+                             gru_sequence)
+from aucap.nn.tensor import Parameter, Tensor
+from gradcheck import max_relative_error
 
-
-def max_relative_error(loss_fn, params: list[Parameter], delta: float = 1e-5,
-                       max_coords: int = 24, rng: np.random.RandomState | None = None,
-                       tiny: float = 1e-6) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` must rebuild the forward pass deterministically on each call.
-    Coordinates are subsampled to ``max_coords`` per parameter. The
-    denominator is floored at ``tiny``: below that magnitude the difference
-    quotient is float64 roundoff, not signal.
-    """
-    rng = rng or np.random.RandomState(0)
-    zero_grads(params)
-    loss = loss_fn()
-    T.backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        n = flat.size
-        coords = np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)
-        for c in coords:
-            keep = flat[c]
-            flat[c] = keep + delta
-            hi = float(loss_fn().data)
-            flat[c] = keep - delta
-            lo = float(loss_fn().data)
-            flat[c] = keep
-            numeric = (hi - lo) / (2.0 * delta)
-            a = analytic[p.name].reshape(-1)[c]
-            denom = max(abs(a), abs(numeric), tiny)
-            worst = max(worst, abs(a - numeric) / denom)
-    zero_grads(params)
-    return worst
+SEED = 0
 
 
 def _quadratic_target(out: Tensor) -> Tensor:
@@ -110,7 +76,7 @@ def _check_batch_norm(rng):
     x = Tensor(rng.standard_normal((8, 6)))
     params = bn.parameters() + lin.parameters()
     return max_relative_error(
-        lambda: _quadratic_target(bn(lin(x), mode="train", update_running=False)),
+        lambda: _quadratic_target(bn(lin(x), mode="train")),
         params, rng=rng,
     )
 
@@ -125,8 +91,6 @@ def _check_softmax_xent(rng):
 
 
 def _check_mlp_stack(rng):
-    from ..mlp import MLP, MLPConfig
-
     cfg = MLPConfig(input_dim=6, hidden_widths=(8, 5), output_dim=4, dropout=0.0)
     mlp = MLP(cfg, np.random.RandomState(rng.randint(1 << 31)))
     x = Tensor(rng.standard_normal((5, 6)))
@@ -140,8 +104,6 @@ def _check_mlp_stack(rng):
 def _check_micro_captioner(rng, caption_major: bool = False):
     """The whole model on one batch. ``caption_major`` scores every valid
     (step, row) prefix of the batch, as training does, not each row's last."""
-    from ..captioner import Captioner, CaptionerConfig
-
     cfg = CaptionerConfig(
         variant="logmel", audio_dim=6, sve_dim=3, bigru1=4, bigru2=4, text_gru=8,
         decoder_gru=8, embed_dim=8, dropout=0.0, batch_size=4, seed=9,
@@ -156,31 +118,32 @@ def _check_micro_captioner(rng, caption_major: bool = False):
     targets = rng.randint(0, 10, size=int(mask.sum()) if caption_major else batch)
 
     def loss_fn():
-        probs = model.forward(audio, prefix, mask, mode="train", update_running=False,
-                              positions=positions)
+        probs = model.forward(audio, prefix, mask, mode="train", positions=positions)
         return T.cross_entropy(probs, targets)
 
     return max_relative_error(loss_fn, model.parameters(), rng=rng, max_coords=6)
 
 
-def run_suite(seed: int) -> dict[str, float]:
-    """Finite-difference check per layer type; returns max relative error each."""
-    checks = {
-        "dense": _check_dense,
-        "gru_cell": _check_gru_cell,
-        "gru_sequence": _check_gru_sequence,
-        "gru_sequence_masked": lambda rng: _check_gru_sequence(rng, masked=True),
-        "gru_sequence_h0": lambda rng: _check_gru_sequence(rng, with_h0=True),
-        "gru_sequence_reverse": lambda rng: _check_gru_sequence(rng, reverse=True),
-        "gru_sequence_return_sequence":
-            lambda rng: _check_gru_sequence(rng, return_sequence=True),
-        "bigru": _check_bigru,
-        "bigru_final": lambda rng: _check_bigru(rng, return_sequence=False),
-        "embedding": _check_embedding,
-        "batch_norm": _check_batch_norm,
-        "softmax_cross_entropy": _check_softmax_xent,
-        "mlp_stack": _check_mlp_stack,
-        "micro_captioner": _check_micro_captioner,
-        "micro_captioner_caption_major": lambda rng: _check_micro_captioner(rng, True),
-    }
-    return {name: fn(np.random.RandomState(seed + i)) for i, (name, fn) in enumerate(checks.items())}
+CHECKS = {
+    "dense": _check_dense,
+    "gru_cell": _check_gru_cell,
+    "gru_sequence": _check_gru_sequence,
+    "gru_sequence_masked": lambda rng: _check_gru_sequence(rng, masked=True),
+    "gru_sequence_h0": lambda rng: _check_gru_sequence(rng, with_h0=True),
+    "gru_sequence_reverse": lambda rng: _check_gru_sequence(rng, reverse=True),
+    "gru_sequence_return_sequence":
+        lambda rng: _check_gru_sequence(rng, return_sequence=True),
+    "bigru": _check_bigru,
+    "bigru_final": lambda rng: _check_bigru(rng, return_sequence=False),
+    "embedding": _check_embedding,
+    "batch_norm": _check_batch_norm,
+    "softmax_cross_entropy": _check_softmax_xent,
+    "mlp_stack": _check_mlp_stack,
+    "micro_captioner": _check_micro_captioner,
+    "micro_captioner_caption_major": lambda rng: _check_micro_captioner(rng, True),
+}
+
+
+@pytest.mark.parametrize("i, name", enumerate(CHECKS), ids=list(CHECKS))
+def test_analytic_gradient_matches_central_differences(i, name):
+    assert CHECKS[name](np.random.RandomState(SEED + i)) < 1e-4

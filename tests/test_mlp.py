@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from aucap.errors import ShapeError, TrainingError
+from aucap.errors import CheckpointError, ShapeError, TrainingError
 from aucap.mlp import MLP, MLPConfig, _dataset_loss, predict_sve, train_mlp
 from aucap.nn import tensor as T
-from aucap.nn.gradcheck import max_relative_error
+from gradcheck import max_relative_error
 from aucap.nn.tensor import Tensor
 
 
@@ -160,6 +160,14 @@ class TestGradientsAndState:
         assert again.config == model.config
         for pa, pb in zip(model.parameters(), again.parameters()):
             assert np.array_equal(pa.data, pb.data)
+
+    def test_load_state_rejects_missing_or_misshaped_tensor(self):
+        model = MLP(small_config(), np.random.RandomState(4))
+        state = model.state()
+        with pytest.raises(CheckpointError, match="missing tensor 'mlp.out.bias'"):
+            model.load_state({k: v for k, v in state.items() if k != "mlp.out.bias"})
+        with pytest.raises(CheckpointError, match="'mlp.h0.weights' has shape"):
+            model.load_state({**state, "mlp.h0.weights": state["mlp.h0.weights"].T})
 
     def test_predict_single_vector(self):
         model = MLP(small_config(), np.random.RandomState(5))
