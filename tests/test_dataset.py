@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,113 @@ class TestLoadCaptionCsv:
     def test_audiocaps_rejects_bad_rows(self, tmp_path, text):
         with pytest.raises(DatasetError):
             load_caption_csv(write(tmp_path, text), "audiocaps")
+
+
+def _clip(*words):
+    return ("<sos>", *words, "<eos>")
+
+
+CLOTHO_HEADER = "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n"
+
+
+class TestLoadCaptionCsvGolden:
+    """Exact records for every format, and one CSV per fault with its message."""
+
+    @pytest.fixture
+    def audio(self, tmp_path):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        for name in ("dog.wav", "rain.wav", "Y1.wav", "Y2.wav", "bell.wav", "wind.flac",
+                     "car.wav"):
+            (audio / name).write_bytes(b"")
+        return audio
+
+    def test_clotho_records(self, tmp_path, audio):
+        path = write(tmp_path, CLOTHO_HEADER
+                     + "dog.wav,A dog barks!,The dog barks loudly.,dog 2 barks,"
+                       "\"Dogs, barking\",a dog\n"
+                     + "rain.wav, Rain falls , rain falls,RAIN,rain drips,rain falls down\n")
+        assert load_caption_csv(path, "clotho", "validation", audio) == [
+            ClipRecord("dog", audio / "dog.wav",
+                       (_clip("dog", "barks"), _clip("the", "dog", "barks", "loudly"),
+                        _clip("dog", "barks"), _clip("dogs", "barking"), _clip("dog")),
+                       "validation"),
+            ClipRecord("rain", audio / "rain.wav",
+                       (_clip("rain", "falls"), _clip("rain", "falls"), _clip("rain"),
+                        _clip("rain", "drips"), _clip("rain", "falls", "down")),
+                       "validation"),
+        ]
+
+    def test_audiocaps_records(self, tmp_path, audio):
+        path = write(tmp_path, "file_name,caption\nY1.wav,Rain falls.\nY2.wav,A man speaks\n")
+        assert load_caption_csv(path, "audiocaps", "evaluation", audio) == [
+            ClipRecord("Y1", audio / "Y1.wav", (_clip("rain", "falls"),), "evaluation"),
+            ClipRecord("Y2", audio / "Y2.wav", (_clip("man", "speaks"),), "evaluation"),
+        ]
+
+    def test_generic_groups_consecutive_rows_up_to_five(self, tmp_path, audio):
+        rows = ["bell,a bell rings {}".format(w) for w in ("once", "twice", "loudly", "softly",
+                                                            "again")]
+        path = write(tmp_path, "clip_id,caption\n" + "\n".join(rows)
+                     + "\nwind.flac,Wind blows.\ncar,a car honks\ncar,the car passes\n")
+        assert load_caption_csv(path, "generic", "development", audio) == [
+            ClipRecord("bell", audio / "bell.wav",
+                       tuple(_clip("bell", "rings", w)
+                             for w in ("once", "twice", "loudly", "softly", "again")),
+                       "development"),
+            ClipRecord("wind.flac", audio / "wind.flac", (_clip("wind", "blows"),),
+                       "development"),
+            ClipRecord("car", audio / "car.wav",
+                       (_clip("car", "honks"), _clip("the", "car", "passes")), "development"),
+        ]
+
+    def test_without_audio_dir_records_carry_no_path(self, tmp_path):
+        path = write(tmp_path, "clip_id,caption\nnowhere,a dog barks\nnowhere,a dog runs\n")
+        assert load_caption_csv(path, "generic") == [
+            ClipRecord("nowhere", None, (_clip("dog", "barks"), _clip("dog", "runs")),
+                       "development")]
+
+    @pytest.mark.parametrize("source_format, text, line, message", [
+        ("clotho", "file_name,caption_1\ndog.wav,a dog\n", None,
+         "missing columns ['caption_2', 'caption_3', 'caption_4', 'caption_5']"),
+        ("audiocaps", "file_name\nY1.wav\n", None, "missing columns ['caption']"),
+        ("generic", "clip,caption\nbell,a bell\n", None, "missing columns ['clip_id']"),
+        ("audiocaps", "file_name,caption\n", None, "no records"),
+        ("audiocaps", "", None, "missing CSV header"),
+        ("audiocaps", "file_name,caption\nY1.wav,rain\n,rain\n", 3, "empty file_name"),
+        ("generic", "clip_id,caption\nbell,a bell\n,a bell\n", 3, "empty clip_id"),
+        ("clotho", CLOTHO_HEADER + "dog.wav,a dog,a dog,,a dog,a dog\n", 2,
+         "empty caption cell"),
+        ("audiocaps", "file_name,caption\nY1.wav,rain\nY2.wav,\n", 3, "empty caption cell"),
+        ("generic", "clip_id,caption\nbell,a bell\nbell, \n", 3, "empty caption cell"),
+        ("audiocaps", "file_name,caption\nY1.wav,rain\nY2.wav,!! 42\n", 3,
+         "caption is empty after cleaning"),
+        ("audiocaps", "file_name,caption\nY1.wav,rain\nY1.wav,wind\n", 3,
+         "duplicate clip_id 'Y1'"),
+        ("clotho", CLOTHO_HEADER + "a/dog.wav" + ",a dog" * 5 + "\nb/dog.mp3" + ",a dog" * 5
+         + "\n", 3, "duplicate clip_id 'dog'"),
+        ("generic", "clip_id,caption\nbell,a bell\ncar,a car\nbell,a bell\n", 4,
+         "duplicate clip_id 'bell' (rows must be grouped)"),
+        ("generic", "clip_id,caption\n" + "bell,a bell rings\n" * 6, 7,
+         "clip 'bell' has more than 5 captions"),
+    ])
+    def test_faults_name_the_csv_and_line(self, tmp_path, source_format, text, line, message):
+        path = write(tmp_path, text)
+        where = str(path) if line is None else f"{path}:{line}"
+        with pytest.raises(DatasetError, match=re.escape(f"{where}: {message}")):
+            load_caption_csv(path, source_format)
+
+    @pytest.mark.parametrize("source_format, text", [
+        ("clotho", CLOTHO_HEADER + "dog.wav" + ",a dog" * 5 + "\ngone.wav" + ",a dog" * 5
+         + "\n"),
+        ("audiocaps", "file_name,caption\nY1.wav,rain\ngone.wav,rain\n"),
+        ("generic", "clip_id,caption\nbell,a bell\ngone,a dog\ngone,a cat\n"),
+    ])
+    def test_missing_audio_file_is_named(self, tmp_path, audio, source_format, text):
+        path = write(tmp_path, text)
+        pattern = f"^{re.escape(str(path))}:.*referenced file {re.escape(str(audio / 'gone.wav'))}"
+        with pytest.raises(DatasetError, match=pattern + " does not exist$"):
+            load_caption_csv(path, source_format, audio_dir=audio)
 
 
 class TestCacheFeatures:
