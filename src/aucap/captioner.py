@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio.embeddings import VARIANT_DIMS
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .nn.checkpoint import load_parameters, load_tensors, save_tensors
 from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUCellParams
 from .nn import tensor as T
@@ -65,6 +65,11 @@ class CaptionerConfig:
 
     def __post_init__(self):
         check_training_fields(self)
+        for name, low in (("embed_dim", 1), ("bigru1", 1), ("bigru2", 1), ("text_gru", 1),
+                          ("decoder_gru", 1), ("sve_dim", 0), ("audio_dim", 1), ("max_len", 2)):
+            value = getattr(self, name)
+            if value is not None and value < low:  # audio_dim None: the variant's width
+                raise ConfigError(f"CaptionerConfig {name} must be at least {low}, got {value!r}")
 
     @property
     def feature_dim(self) -> int:

@@ -277,6 +277,8 @@ def _load_word_embeddings(args, vocab: Vocabulary, embed_dim: int):
 
 def cmd_train_captioner(args) -> int:
     out = _out(args)
+    if not 0.0 <= args.val_fraction < 1.0:
+        raise ConfigError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))
     manifest = _load_manifest(args)
     if args.val_csv:
@@ -340,6 +342,8 @@ def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
 
 def cmd_predict(args) -> int:
     out = _out(args)
+    if args.max_len is not None and args.max_len < 2:
+        raise ConfigError(f"--max-len must be at least 2 (<sos> and one word), got {args.max_len}")
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))
     checkpoint = CaptionerCheckpoint.load(_require(args.checkpoint, "captioner checkpoint"),
                                           vocab=vocab)

@@ -2,8 +2,12 @@
 
 Three CSV layouts are understood: ``clotho`` (file_name,caption_1..caption_5),
 ``audiocaps`` (file_name,caption), and ``generic`` (clip_id,caption with
-consecutive repeated ids accumulating up to 5 captions). Captions are cleaned
-at load time; clip ids must be unique within a split.
+consecutive repeated ids accumulating up to 5 captions). One row loop reads
+them all; a per-format ``_Layout`` names the id column, the caption columns,
+whether rows of one id group, and how an id names its audio file (a
+``file_name`` cell is the file and its stem the id; a ``clip_id`` without an
+extension names ``<clip_id>.wav``). Captions are cleaned at load time; clip
+ids must be unique within a split.
 
 The cache stores one AUCAP-EMB file per clip and variant under
 ``<cache>/<variant>/<clip_id>.emb`` with a ``.sha256`` sidecar that holds the
@@ -19,6 +23,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,13 +32,12 @@ from .audio.embeddings import VARIANT_DIMS, load_variant_features
 from .audio.features import FeatureConfig, extract_log_mel
 from .audio.wav import load_wav
 from .errors import AucapError, DatasetError, EmptyCaptionError
-from .semantics import SubjectVerbCorpus, TagLexicon, _encode_checked, check_lexicon
+from .semantics import SubjectVerbCorpus, TagLexicon, check_lexicon, subject_verb_roots
 from .semantics import encode_sve  # noqa: F401  (perfbench/tracing.py wraps dataset.encode_sve)
 from .text import clean_caption
 
 log = logging.getLogger(__name__)
 
-FORMATS = ("clotho", "audiocaps", "generic")
 SPLITS = ("development", "validation", "evaluation")
 MAX_CAPTIONS = 5
 
@@ -68,20 +72,21 @@ class DatasetManifest:
         return [list(c) for r in self.split(split) for c in r.captions]
 
 
-def _clean_or_raise(text: str, where: str) -> tuple[str, ...]:
-    try:
-        return tuple(clean_caption(text))
-    except EmptyCaptionError as exc:
-        raise DatasetError(f"{where}: caption is empty after cleaning") from exc
+class _Layout(NamedTuple):
+    id_column: str
+    caption_columns: tuple[str, ...]
+    grouped: bool  # consecutive rows of one id add captions, up to MAX_CAPTIONS
+    name: Callable[[str], tuple[str, str]]  # id cell -> (clip_id, audio file name)
 
 
-def _resolve_path(audio_dir: Path | None, file_name: str, where: str) -> Path | None:
-    if audio_dir is None:
-        return None
-    path = audio_dir / file_name
-    if not path.exists():
-        raise DatasetError(f"{where}: referenced file {path} does not exist")
-    return path
+_LAYOUTS = {
+    "clotho": _Layout("file_name", tuple(f"caption_{i}" for i in range(1, 6)), False,
+                      lambda cell: (Path(cell).stem, cell)),
+    "audiocaps": _Layout("file_name", ("caption",), False, lambda cell: (Path(cell).stem, cell)),
+    "generic": _Layout("clip_id", ("caption",), True,
+                       lambda cell: (cell, cell if "." in cell else f"{cell}.wav")),
+}
+FORMATS = tuple(_LAYOUTS)
 
 
 def load_caption_csv(path: str | Path, source_format: str, split: str = "development",
@@ -93,6 +98,7 @@ def load_caption_csv(path: str | Path, source_format: str, split: str = "develop
     """
     if source_format not in FORMATS:
         raise DatasetError(f"unknown format {source_format!r}, want one of {FORMATS}")
+    layout = _LAYOUTS[source_format]
     path = Path(path)
     audio_dir = Path(audio_dir) if audio_dir is not None else None
     with open(path, newline="", encoding="utf-8") as fh:
@@ -102,63 +108,42 @@ def load_caption_csv(path: str | Path, source_format: str, split: str = "develop
         header = [h.strip() for h in reader.fieldnames]
         rows = [{k.strip(): (v or "").strip() for k, v in row.items() if k is not None}
                 for row in reader]
+    missing = [c for c in (layout.id_column, *layout.caption_columns) if c not in header]
+    if missing:
+        raise DatasetError(f"{path}: missing columns {missing}")
 
-    records: list[ClipRecord] = []
-    seen: dict[str, int] = {}
-
-    if source_format in ("clotho", "audiocaps"):  # one row per clip
-        caption_cols = ([f"caption_{i}" for i in range(1, 6)] if source_format == "clotho"
-                        else ["caption"])
-        missing = [c for c in ["file_name", *caption_cols] if c not in header]
-        if missing:
-            raise DatasetError(f"{path}: missing columns {missing}")
-        for lineno, row in enumerate(rows, start=2):
-            where = f"{path}:{lineno}"
-            name = row["file_name"]
-            if not name:
-                raise DatasetError(f"{where}: empty file_name")
-            clip_id = Path(name).stem
-            if clip_id in seen:
-                raise DatasetError(f"{where}: duplicate clip_id {clip_id!r}")
-            seen[clip_id] = lineno
-            captions = []
-            for col in caption_cols:
-                if not row.get(col):
-                    raise DatasetError(f"{where}: empty caption cell {col}")
-                captions.append(_clean_or_raise(row[col], where))
-            records.append(ClipRecord(clip_id, _resolve_path(audio_dir, name, where),
-                                      tuple(captions), split))
-    else:  # generic
-        missing = [c for c in ("clip_id", "caption") if c not in header]
-        if missing:
-            raise DatasetError(f"{path}: missing columns {missing}")
-        grouped: dict[str, list[tuple[str, ...]]] = {}
-        order: list[str] = []
-        last = None
-        for lineno, row in enumerate(rows, start=2):
-            where = f"{path}:{lineno}"
-            clip_id = row["clip_id"]
-            if not clip_id:
-                raise DatasetError(f"{where}: empty clip_id")
-            if not row.get("caption"):
-                raise DatasetError(f"{where}: empty caption cell")
-            if clip_id in grouped and clip_id != last:
-                raise DatasetError(f"{where}: duplicate clip_id {clip_id!r} (rows must be grouped)")
-            if clip_id not in grouped:
-                grouped[clip_id] = []
-                order.append(clip_id)
-            grouped[clip_id].append(_clean_or_raise(row["caption"], where))
-            if len(grouped[clip_id]) > MAX_CAPTIONS:
-                raise DatasetError(f"{where}: clip {clip_id!r} has more than {MAX_CAPTIONS} captions")
-            last = clip_id
-        for clip_id in order:
-            file_name = clip_id if "." in clip_id else f"{clip_id}.wav"
-            path_or_none = _resolve_path(audio_dir, file_name, f"{path}:{clip_id}")
-            records.append(ClipRecord(clip_id, path_or_none, tuple(grouped[clip_id]), split))
-
-    if not records:
+    clips: dict[str, tuple[Path | None, list[tuple[str, ...]]]] = {}
+    last = None
+    for lineno, row in enumerate(rows, start=2):
+        where = f"{path}:{lineno}"
+        cell = row[layout.id_column]
+        if not cell:
+            raise DatasetError(f"{where}: empty {layout.id_column}")
+        clip_id, file_name = layout.name(cell)
+        new = clip_id not in clips
+        if not new and not (layout.grouped and clip_id == last):
+            hint = " (rows must be grouped)" if layout.grouped else ""
+            raise DatasetError(f"{where}: duplicate clip_id {clip_id!r}{hint}")
+        captions = [] if new else clips[clip_id][1]
+        for col in layout.caption_columns:
+            if not row[col]:
+                raise DatasetError(f"{where}: empty caption cell {col}")
+            try:
+                captions.append(tuple(clean_caption(row[col])))
+            except EmptyCaptionError as exc:
+                raise DatasetError(f"{where}: caption is empty after cleaning") from exc
+        if len(captions) > MAX_CAPTIONS:
+            raise DatasetError(f"{where}: clip {clip_id!r} has more than {MAX_CAPTIONS} captions")
+        if new:
+            audio = audio_dir / file_name if audio_dir is not None else None
+            if audio is not None and not audio.exists():
+                raise DatasetError(f"{where}: referenced file {audio} does not exist")
+            clips[clip_id] = (audio, captions)
+        last = clip_id
+    if not clips:
         raise DatasetError(f"{path}: no records")
-    return records
+    return [ClipRecord(clip_id, audio, tuple(captions), split)
+            for clip_id, (audio, captions) in clips.items()]
 
 
 def expand_pairs(manifest: DatasetManifest, split: str) -> list[tuple[str, list[str]]]:
@@ -191,13 +176,9 @@ def sve_targets(records: list[ClipRecord], corpus: SubjectVerbCorpus,
                 lexicon: TagLexicon) -> dict[str, np.ndarray]:
     """Per-clip binary SVE target: the union over the clip's captions."""
     check_lexicon(corpus, lexicon)  # once per call: hashing the lexicon costs ~1 ms
-    out: dict[str, np.ndarray] = {}
-    for r in records:
-        vec = np.zeros(corpus.size, dtype=np.float64)
-        for caption in r.captions:
-            vec = np.maximum(vec, _encode_checked(list(caption), corpus, lexicon))
-        out[r.clip_id] = vec
-    return out
+    roots = iter(subject_verb_roots((c for r in records for c in r.captions), lexicon))
+    return {r.clip_id: corpus.encode([w for _ in r.captions for w in next(roots)])
+            for r in records}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ features (dim 64), word embeddings (dim 256) and SVE matrices (dim K).
 Checkpoint payloads reuse the container with an extra ``dtype=f8`` header
 token for lossless float64 round-trips; plain readers reject that token, so
 interchange files remain exactly the v1 format.
+
+One encoder and one parser serve files and in-memory records alike:
+:func:`write_matrix` checks the values and writes what :func:`pack_matrix`
+builds, and :func:`read_matrix` parses the file's bytes with
+:func:`unpack_matrix` and rejects anything after the record.
 """
 
 from __future__ import annotations
@@ -19,12 +24,11 @@ import numpy as np
 from . import atomic
 from .errors import EmbeddingFormatError
 
-MAGIC = b"AUCAP-EMB v1"
 _MAX_HEADER = 128  # header line is tiny; anything longer is corrupt
 
 
-def write_matrix(path: str | os.PathLike, values: np.ndarray, *, dtype: str = "f4") -> None:
-    """Write a 2-D matrix; ``dtype`` is ``f4`` (standard) or ``f8`` (checkpoints only).
+def write_matrix(path: str | os.PathLike, values: np.ndarray) -> None:
+    """Write a 1-D or 2-D matrix as a v1 (float32) file.
 
     The file is replaced whole (:func:`atomic.write_bytes`): a failed write
     leaves an earlier file at ``path`` as it was.
@@ -34,11 +38,11 @@ def write_matrix(path: str | os.PathLike, values: np.ndarray, *, dtype: str = "f
         raise EmbeddingFormatError(f"expected a 1-D or 2-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise EmbeddingFormatError("refusing to write non-finite values")
-    atomic.write_bytes(path, pack_matrix(arr, dtype=dtype))
+    atomic.write_bytes(path, pack_matrix(arr))
 
 
 def pack_matrix(values: np.ndarray, *, dtype: str = "f4") -> bytes:
-    """In-memory form of :func:`write_matrix`, used by checkpoint containers."""
+    """One container record as bytes; ``dtype`` is ``f4`` (v1) or ``f8`` (checkpoints only)."""
     if dtype not in ("f4", "f8"):
         raise EmbeddingFormatError(f"unsupported dtype {dtype!r}")
     arr = np.asarray(values, dtype=np.float64)
@@ -84,47 +88,42 @@ def _parse_header(line: bytes, *, allow_f8: bool) -> tuple[int, int, str]:
     return rows, dim, dtype
 
 
-def _read_payload(data: bytes, rows: int, dim: int, dtype: str, where: str) -> np.ndarray:
-    itemsize = 4 if dtype == "f4" else 8
-    expected = rows * dim * itemsize
-    if len(data) < expected:
-        raise EmbeddingFormatError(f"{where}: payload truncated ({len(data)} < {expected} bytes)")
-    if len(data) > expected:
-        raise EmbeddingFormatError(f"{where}: {len(data) - expected} trailing bytes after payload")
-    arr = np.frombuffer(data, dtype="<f4" if dtype == "f4" else "<f8", count=rows * dim)
+def unpack_matrix(blob: bytes, *, allow_f8: bool = False) -> tuple[np.ndarray, int]:
+    """Parse the container record at the start of ``blob``; returns (matrix, bytes_consumed).
+
+    Raises :class:`EmbeddingFormatError` on a corrupt header, a truncated
+    payload or non-finite values; bytes after the record are the caller's.
+    """
+    newline = blob.find(b"\n", 0, _MAX_HEADER)
+    if newline < 0:
+        raise EmbeddingFormatError("missing or oversized header line")
+    rows, dim, dtype = _parse_header(blob[: newline + 1], allow_f8=allow_f8)
+    start = newline + 1
+    size = rows * dim * (4 if dtype == "f4" else 8)
+    if len(blob) - start < size:
+        raise EmbeddingFormatError(f"payload truncated ({len(blob) - start} < {size} bytes)")
+    arr = np.frombuffer(blob, dtype=f"<{dtype}", count=rows * dim, offset=start)
     arr = arr.astype(np.float64).reshape(rows, dim)
     if not np.all(np.isfinite(arr)):
-        raise EmbeddingFormatError(f"{where}: non-finite values in payload")
-    return arr
+        raise EmbeddingFormatError("non-finite values in payload")
+    return arr, start + size
 
 
 def read_matrix(path: str | os.PathLike, *, expected_dim: int | None = None) -> np.ndarray:
     """Read an AUCAP-EMB v1 file into a (rows, dim) float64 array.
 
-    Raises :class:`EmbeddingFormatError` on a corrupt header, truncated or
-    oversized payload, non-finite values, or a dim that differs from
+    Raises :class:`EmbeddingFormatError` on anything :func:`unpack_matrix`
+    rejects, on bytes after the payload, or on a dim that differs from
     ``expected_dim``.
     """
     with open(path, "rb") as fh:
-        head = fh.readline(_MAX_HEADER)
-        if not head.endswith(b"\n"):
-            raise EmbeddingFormatError(f"{path}: missing or oversized header line")
-        rows, dim, dtype = _parse_header(head, allow_f8=False)
         data = fh.read()
-    if expected_dim is not None and dim != expected_dim:
-        raise EmbeddingFormatError(f"{path}: dim={dim} but expected {expected_dim}")
-    return _read_payload(data, rows, dim, dtype, str(path))
-
-
-def unpack_matrix(blob: bytes, *, allow_f8: bool = False) -> tuple[np.ndarray, int]:
-    """Parse one container record from ``blob``; returns (matrix, bytes_consumed)."""
-    newline = blob.find(b"\n", 0, _MAX_HEADER)
-    if newline < 0:
-        raise EmbeddingFormatError("missing header line in packed record")
-    rows, dim, dtype = _parse_header(blob[: newline + 1], allow_f8=allow_f8)
-    itemsize = 4 if dtype == "f4" else 8
-    end = newline + 1 + rows * dim * itemsize
-    if len(blob) < end:
-        raise EmbeddingFormatError("packed record truncated")
-    arr = _read_payload(blob[newline + 1 : end], rows, dim, dtype, "packed record")
-    return arr, end
+    try:
+        arr, end = unpack_matrix(data)
+    except EmbeddingFormatError as exc:
+        raise EmbeddingFormatError(f"{path}: {exc}") from None
+    if end < len(data):
+        raise EmbeddingFormatError(f"{path}: {len(data) - end} trailing bytes after payload")
+    if expected_dim is not None and arr.shape[1] != expected_dim:
+        raise EmbeddingFormatError(f"{path}: dim={arr.shape[1]} but expected {expected_dim}")
+    return arr

@@ -174,6 +174,12 @@ class SubjectVerbCorpus:
     def __len__(self) -> int:
         return len(self.words)
 
+    def encode(self, roots) -> np.ndarray:
+        """Binary vector: bit k set iff ``words[k]`` is one of ``roots``."""
+        vec = np.zeros(self.size, dtype=np.float64)
+        vec[[self._index[w] for w in roots if w in self._index]] = 1.0
+        return vec
+
     def save(self, path: str | Path) -> None:
         """One root per line after a ``# lexicon <sha256>`` header naming the lexicon."""
         lines = [f"{_LEXICON_HEADER}{self.lexicon_sha256}\n", *(f"{w}\n" for w in self.words)]
@@ -209,19 +215,28 @@ def extract_subjects_verbs(caption: list[str], lex: TagLexicon) -> list[str]:
     return out
 
 
+def subject_verb_roots(captions, lex: TagLexicon) -> list[list[str]]:
+    """Per caption, the roots of its subjects and verbs in caption order.
+
+    Each distinct word is stemmed once per call, however many captions hold it.
+    """
+    roots: dict[str, str] = {}
+    out = []
+    for caption in captions:
+        words = extract_subjects_verbs(caption, lex)
+        for word in words:
+            if word not in roots:
+                roots[word] = to_root(word)
+        out.append([roots[word] for word in words])
+    return out
+
+
 def build_corpus(captions, lex: TagLexicon) -> SubjectVerbCorpus:
     """Union of rooted subjects/verbs over all captions, first-appearance order."""
     captions = list(captions)
     if not captions:
         raise SemanticsError("caption list is empty")
-    words: list[str] = []
-    seen: set[str] = set()
-    for caption in captions:
-        for word in extract_subjects_verbs(caption, lex):
-            root = to_root(word)
-            if root not in seen:
-                seen.add(root)
-                words.append(root)
+    words = dict.fromkeys(root for roots in subject_verb_roots(captions, lex) for root in roots)
     if not words:
         log.warning("subject-verb corpus is empty; SVE features are disabled (K=0)")
     return SubjectVerbCorpus(words=tuple(words), lexicon_sha256=lex.sha256())
@@ -236,15 +251,4 @@ def check_lexicon(corpus: SubjectVerbCorpus, lex: TagLexicon) -> None:
 def encode_sve(caption: list[str], corpus: SubjectVerbCorpus, lex: TagLexicon) -> np.ndarray:
     """Binary vector: bit k set iff corpus[k] is a rooted subject/verb of the caption."""
     check_lexicon(corpus, lex)
-    return _encode_checked(caption, corpus, lex)
-
-
-def _encode_checked(caption: list[str], corpus: SubjectVerbCorpus,
-                    lex: TagLexicon) -> np.ndarray:
-    """``encode_sve`` for a corpus already checked against ``lex``."""
-    roots = {to_root(w) for w in extract_subjects_verbs(caption, lex)}
-    vec = np.zeros(corpus.size, dtype=np.float64)
-    for k, word in enumerate(corpus.words):
-        if word in roots:
-            vec[k] = 1.0
-    return vec
+    return corpus.encode(subject_verb_roots([caption], lex)[0])

@@ -15,7 +15,7 @@ from aucap.captioner import (
     train_captioner,
 )
 from aucap import atomic, captioner, mlp
-from aucap.errors import CheckpointError, ShapeError, TrainingError
+from aucap.errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from aucap.nn import tensor as T
 from aucap.nn.layers import BiGRU, GRUCellParams
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
@@ -192,6 +192,18 @@ class TestEncodeDecode:
         assert (cfg.bigru1, cfg.bigru2, cfg.text_gru, cfg.decoder_gru) == (32, 64, 128, 128)
         assert cfg.fused_dim == 256
         assert cfg.embed_dim == 256
+
+    @pytest.mark.parametrize("field, value", [
+        ("embed_dim", 0), ("bigru1", 0), ("bigru2", -1), ("text_gru", 0), ("decoder_gru", 0),
+        ("sve_dim", -1), ("audio_dim", 0), ("max_len", 1), ("max_len", 0)])
+    def test_unusable_width_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"CaptionerConfig {field} must be at least"):
+            micro_config(**{field: value})
+
+    def test_smallest_usable_widths_accepted(self):
+        cfg = micro_config(embed_dim=1, bigru1=1, bigru2=1, text_gru=1, decoder_gru=1,
+                           sve_dim=0, audio_dim=1, max_len=2)
+        assert cfg.fused_dim == 3 and micro_config(audio_dim=None).feature_dim == 64
 
     def test_sos_only_prefix_valid(self):
         model, _ = micro_model()

@@ -101,6 +101,29 @@ class TestTrainCaptioner:
         assert not (out / "captioner.ckpt").exists()
 
 
+    @pytest.mark.parametrize("flag, value", [("--embed-dim", "0"), ("--embed-dim", "-2")])
+    def test_unusable_width_exits_2_and_writes_nothing(self, panns_fixture, flag, value, caplog):
+        root, _ = panns_fixture
+        before = tree(root)
+        assert cli.main(train_captioner_args(root, root / "out") + [flag, value]) == 2
+        assert "CaptionerConfig embed_dim must be at least 1" in caplog.text
+        assert tree(root) == before
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "1", "1.5", "nan"])
+    def test_val_fraction_outside_unit_interval_exits_2_before_any_work(
+            self, panns_fixture, fraction, monkeypatch, caplog):
+        root, _ = panns_fixture
+        monkeypatch.setattr(cli, "_load_manifest", no_work)
+        before = tree(root)
+        assert cli.main(train_captioner_args(root, root / "out") + ["--val-fraction", fraction]) == 2
+        assert "--val-fraction must be in [0, 1)" in caplog.text
+        assert tree(root) == before
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
 def train_mlp_args(root, out, variant="panns"):
     return ["train-mlp", "--csv", str(root / "captions.csv"),
             "--lexicon", str(root / "lexicon.tsv"), "--corpus", str(root / "sve_corpus.txt"),
@@ -509,6 +532,18 @@ class TestPredictMaxLen:
         assert all(len(words) <= 2 for words in read_captions(out))  # <sos> + 2 tokens
         assert cli.main(argv + ["--max-len", "22"]) == 0
         assert max(len(words) for words in read_captions(out)) > 2
+
+
+    @pytest.mark.parametrize("max_len", ["1", "0", "-3"])
+    def test_cap_below_2_exits_2_before_loading_anything(self, pipeline, tmp_path, max_len,
+                                                         monkeypatch, caplog):
+        root, commands = pipeline
+        monkeypatch.setattr(cli, "_require", no_work)
+        monkeypatch.setattr(cli, "_load_manifest", no_work)
+        out = tmp_path / "predictions.tsv"
+        assert cli.main(commands["predict"] + ["--max-len", max_len, "--out", str(out)]) == 2
+        assert "--max-len must be at least 2" in caplog.text
+        assert not out.exists()
 
 
 class TestBuildSve:

@@ -1,10 +1,11 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from aucap import atomic, embfile
-from aucap.audio.embeddings import load_embedding_file, load_variant_features
+from aucap.audio.embeddings import load_variant_features
 from aucap.errors import EmbeddingFormatError
 
 
@@ -32,19 +33,21 @@ class TestContainer:
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "m.emb"
         path.write_bytes(b"AUCAP-XYZ v1 dim=2 rows=1\n" + b"\x00" * 8)
-        with pytest.raises(EmbeddingFormatError):
+        with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path}: bad magic")):
             embfile.read_matrix(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "m.emb"
         path.write_bytes(b"AUCAP-EMB v1 dim=4 rows=2\n" + b"\x00" * 12)
-        with pytest.raises(EmbeddingFormatError):
+        with pytest.raises(EmbeddingFormatError,
+                           match=re.escape(f"{path}: payload truncated (12 < 32 bytes)")):
             embfile.read_matrix(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "m.emb"
         path.write_bytes(b"AUCAP-EMB v1 dim=1 rows=1\n" + b"\x00" * 4 + b"junk")
-        with pytest.raises(EmbeddingFormatError):
+        with pytest.raises(EmbeddingFormatError,
+                           match=re.escape(f"{path}: 4 trailing bytes after payload")):
             embfile.read_matrix(path)
 
     def test_non_finite_rejected_on_read(self, tmp_path):
@@ -59,9 +62,20 @@ class TestContainer:
 
     def test_f8_rejected_outside_checkpoints(self, tmp_path):
         path = tmp_path / "m.emb"
-        embfile.write_matrix(path, np.array([[1.0]]), dtype="f8")
-        with pytest.raises(EmbeddingFormatError):
+        atomic.write_bytes(path, embfile.pack_matrix(np.array([[1.0]]), dtype="f8"))
+        with pytest.raises(EmbeddingFormatError, match="only valid inside checkpoints"):
             embfile.read_matrix(path)
+
+    def test_oversized_header_line(self, tmp_path):
+        path = tmp_path / "m.emb"
+        path.write_bytes(b"AUCAP-EMB v1 dim=1 rows=1" + b" " * 200 + b"\n" + b"\x00" * 4)
+        with pytest.raises(EmbeddingFormatError, match="missing or oversized header line"):
+            embfile.read_matrix(path)
+
+    def test_unpack_leaves_following_bytes_to_the_caller(self):
+        blob = embfile.pack_matrix(np.array([[1.0, 2.0]]))
+        out, consumed = embfile.unpack_matrix(blob + b"next record")
+        assert consumed == len(blob) and np.array_equal(out, [[1.0, 2.0]])
 
     def test_f8_pack_unpack_bitwise(self):
         rng = np.random.RandomState(1)
@@ -109,22 +123,27 @@ class TestClipEmbeddings:
     def test_panns_single_row(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.ones((1, 2048)))
-        assert load_embedding_file(path, 2048).shape == (1, 2048)
         assert load_variant_features(path, "panns").shape == (1, 2048)
 
     def test_vggish_per_second_rows(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.zeros((30, 128)))
-        assert load_embedding_file(path, 128).shape == (30, 128)
+        assert load_variant_features(path, "vggish").shape == (30, 128)
 
     def test_dim_mismatch(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.zeros((1, 128)))
         with pytest.raises(EmbeddingFormatError):
-            load_embedding_file(path, 2048)
+            load_variant_features(path, "panns")
 
     def test_panns_multi_row_rejected(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.zeros((3, 2048)))
         with pytest.raises(EmbeddingFormatError):
             load_variant_features(path, "panns")
+
+    def test_no_rows_rejected(self, tmp_path):
+        path = tmp_path / "clip.emb"
+        embfile.write_matrix(path, np.zeros((0, 128)))
+        with pytest.raises(EmbeddingFormatError, match="holds no rows"):
+            load_variant_features(path, "vggish")
