@@ -76,7 +76,7 @@ class _Layout(NamedTuple):
     id_column: str
     caption_columns: tuple[str, ...]
     grouped: bool  # consecutive rows of one id add captions, up to MAX_CAPTIONS
-    name: Callable[[str], tuple[str, str]]  # id cell -> (clip_id, audio file name)
+    clip_and_file: Callable[[str], tuple[str, str]]  # id cell -> (clip_id, audio file name)
 
 
 _LAYOUTS = {
@@ -119,7 +119,7 @@ def load_caption_csv(path: str | Path, source_format: str, split: str = "develop
         cell = row[layout.id_column]
         if not cell:
             raise DatasetError(f"{where}: empty {layout.id_column}")
-        clip_id, file_name = layout.name(cell)
+        clip_id, file_name = layout.clip_and_file(cell)
         new = clip_id not in clips
         if not new and not (layout.grouped and clip_id == last):
             hint = " (rows must be grouped)" if layout.grouped else ""
