@@ -88,16 +88,17 @@ def _parse_header(line: bytes, *, allow_f8: bool) -> tuple[int, int, str]:
     return rows, dim, dtype
 
 
-def unpack_matrix(blob: bytes, *, allow_f8: bool = False) -> tuple[np.ndarray, int]:
-    """Parse the container record at the start of ``blob``; returns (matrix, bytes_consumed).
+def unpack_matrix(blob: bytes, *, allow_f8: bool = False,
+                  offset: int = 0) -> tuple[np.ndarray, int]:
+    """Parse the container record at ``blob[offset:]``; returns (matrix, bytes_consumed).
 
     Raises :class:`EmbeddingFormatError` on a corrupt header, a truncated
     payload or non-finite values; bytes after the record are the caller's.
     """
-    newline = blob.find(b"\n", 0, _MAX_HEADER)
+    newline = blob.find(b"\n", offset, offset + _MAX_HEADER)
     if newline < 0:
         raise EmbeddingFormatError("missing or oversized header line")
-    rows, dim, dtype = _parse_header(blob[: newline + 1], allow_f8=allow_f8)
+    rows, dim, dtype = _parse_header(blob[offset : newline + 1], allow_f8=allow_f8)
     start = newline + 1
     size = rows * dim * (4 if dtype == "f4" else 8)
     if len(blob) - start < size:
@@ -106,7 +107,7 @@ def unpack_matrix(blob: bytes, *, allow_f8: bool = False) -> tuple[np.ndarray, i
     arr = arr.astype(np.float64).reshape(rows, dim)
     if not np.all(np.isfinite(arr)):
         raise EmbeddingFormatError("non-finite values in payload")
-    return arr, start + size
+    return arr, start + size - offset
 
 
 def read_matrix(path: str | os.PathLike, *, expected_dim: int | None = None) -> np.ndarray:

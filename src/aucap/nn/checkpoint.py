@@ -73,9 +73,12 @@ def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: 
 
 def load_tensors(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
     try:
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except FileNotFoundError as exc:
         raise CheckpointError(f"checkpoint not found: {path}") from exc
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
 
     newline = blob.find(b"\n")
     if newline < 0:
@@ -117,7 +120,7 @@ def load_tensors(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
         if name in tensors:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         try:
-            arr, consumed = embfile.unpack_matrix(blob[pos:], allow_f8=True)
+            arr, consumed = embfile.unpack_matrix(blob, allow_f8=True, offset=pos)
         except EmbeddingFormatError as exc:
             raise CheckpointError(f"{path}: payload for {name!r}: {exc}") from exc
         pos += consumed

@@ -1,4 +1,16 @@
-"""Adam optimizer with bias correction, and the epoch loop both models train with."""
+"""Adam optimizer with bias correction, and the epoch loop both models train with.
+
+Row-sparse Adam, exactly. A row no gradient has written yet has m = v = 0 and
+a zero gradient, so Adam leaves it bit for bit: m = b1*0 + (1-b1)*0 = 0,
+likewise v, and w - scale*0 / (sqrt(0) + eps) = w. For a parameter whose
+gradients all come from ``embedding_lookup`` (``Parameter.grad_rows``), the
+rows those lookups name turn live for good, and while at most half the rows
+are live ``adam_step`` updates only them, with the same ops in the same order.
+An idle live row keeps moving on its momentum; this is not lazy Adam. Past
+half, or after any other write to the gradient, the update is dense. With the
+paper's data every training word is live within epoch 1, so there the saving
+ends in that epoch.
+"""
 
 from __future__ import annotations
 
@@ -24,11 +36,7 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def zero_grads(params: list[Parameter]) -> None:
-    for p in params:
-        p.zero_grad()
+    live: dict[str, np.ndarray] = field(default_factory=dict)  # row masks while row-sparse
 
 
 CHUNK = 1 << 14  # elements per block: m, v, grad and data slices stay in cache together
@@ -41,6 +49,7 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
     which catches a step issued before backward. Runs in place over blocks of
     each parameter with two reused buffers; per element the ops and their order
     are m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2, w -= scale*m / (sqrt(v) + eps).
+    A lookup-fed parameter is updated over its live rows (module docstring).
     """
     stale = [p.name for p in params if not p.grad_ready]
     if stale:
@@ -48,32 +57,63 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
     state.step += 1
     t = state.step
     scale = state.learning_rate * np.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t)
-    buf_a, buf_b = np.empty(CHUNK), np.empty(CHUNK)
+    bufs = np.empty(CHUNK), np.empty(CHUNK)
     for p in params:
         if not (p.data.flags.c_contiguous and p.grad.flags.c_contiguous):  # blocks are views
             p.data, p.grad = np.ascontiguousarray(p.data), np.ascontiguousarray(p.grad)
         if p.name not in state.m:
             state.m[p.name], state.v[p.name] = np.zeros(p.data.shape), np.zeros(p.data.shape)
-        data, grad, m, v = (a.reshape(-1) for a in
-                            (p.data, p.grad, state.m[p.name], state.v[p.name]))
-        for lo in range(0, data.size, CHUNK):
-            hi = min(lo + CHUNK, data.size)
-            g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
-            a, b = buf_a[: hi - lo], buf_b[: hi - lo]
-            mb *= state.beta1
-            np.multiply(1.0 - state.beta1, g, out=a)
-            mb += a
-            vb *= state.beta2
-            np.square(g, out=a)
-            a *= 1.0 - state.beta2
-            vb += a
-            g[...] = 0.0
-            np.multiply(scale, mb, out=a)
-            np.sqrt(vb, out=b)
-            b += state.eps
-            a /= b
-            data[lo:hi] -= a
-        p.grad_ready = False
+            if p.grad_rows is not None:
+                state.live[p.name] = np.zeros(p.data.shape[0], dtype=bool)
+        m, v = state.m[p.name], state.v[p.name]
+        rows = _live_rows(p, state.live)
+        if rows is None:
+            _update_blocks(state, scale, bufs, p.data, p.grad, m, v)
+        else:
+            data, grad, m_rows, v_rows = p.data[rows], p.grad[rows], m[rows], v[rows]
+            _update_blocks(state, scale, bufs, data, grad, m_rows, v_rows)
+            p.data[rows], m[rows], v[rows] = data, m_rows, v_rows
+            p.grad[rows] = 0.0
+        p.grad_ready, p.grad_rows = False, None
+
+
+def _live_rows(p: Parameter, live: dict[str, np.ndarray]) -> np.ndarray | None:
+    """Mark the rows ``p``'s lookups wrote live; returns the live rows, or None
+    once ``p`` is updated densely (a non-lookup gradient, or over half live)."""
+    mask = live.get(p.name)
+    if mask is None:
+        return None
+    if p.grad_rows is not None:
+        mask[np.concatenate(p.grad_rows)] = True
+        rows = np.flatnonzero(mask)
+        if 2 * rows.size <= mask.size:
+            return rows
+    del live[p.name]
+    return None
+
+
+def _update_blocks(state: AdamState, scale: float, bufs, data: np.ndarray, grad: np.ndarray,
+                   m: np.ndarray, v: np.ndarray) -> None:
+    """The Adam update in place over contiguous data, grad, m and v, block by block."""
+    data, grad, m, v = (a.reshape(-1) for a in (data, grad, m, v))
+    buf_a, buf_b = bufs
+    for lo in range(0, data.size, CHUNK):
+        hi = min(lo + CHUNK, data.size)
+        g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = buf_a[: hi - lo], buf_b[: hi - lo]
+        mb *= state.beta1
+        np.multiply(1.0 - state.beta1, g, out=a)
+        mb += a
+        vb *= state.beta2
+        np.square(g, out=a)
+        a *= 1.0 - state.beta2
+        vb += a
+        g[...] = 0.0
+        np.multiply(scale, mb, out=a)
+        np.sqrt(vb, out=b)
+        b += state.eps
+        a /= b
+        data[lo:hi] -= a
 
 
 def check_training_fields(config) -> None:

@@ -34,19 +34,27 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor with a persistent gradient slot."""
+    """A named leaf tensor with a persistent gradient slot.
 
-    __slots__ = ("name", "grad_ready")
+    ``grad_rows`` lists the index arrays of the ``embedding_lookup`` backward
+    passes that wrote the gradient since it was last cleared, when those are
+    its only writers. It is None for a dense gradient (any other writer) and
+    whenever ``grad_ready`` is False.
+    """
+
+    __slots__ = ("name", "grad_ready", "grad_rows")
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
         self.grad = np.zeros_like(self.data)
         self.grad_ready = False
+        self.grad_rows = None
 
     def zero_grad(self):
         self.grad[...] = 0.0
         self.grad_ready = False
+        self.grad_rows = None
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape})"
@@ -64,6 +72,7 @@ def _accumulate(t: Tensor, g: np.ndarray):
     t.grad += g
     if isinstance(t, Parameter):
         t.grad_ready = True
+        t.grad_rows = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -306,7 +315,10 @@ def dropout(x, rate: float, mode: str, rng: np.random.RandomState) -> Tensor:
 
 
 def embedding_lookup(table, indices) -> Tensor:
-    """Gather rows of a (V, D) table by an integer index vector."""
+    """Gather rows of a (V, D) table by an integer index vector.
+
+    The backward of a Parameter table also records the indices in its ``grad_rows``.
+    """
     table = _as_tensor(table)
     idx = np.asarray(indices)
     if idx.ndim != 1:
@@ -321,6 +333,10 @@ def embedding_lookup(table, indices) -> Tensor:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, idx, g)
         if isinstance(table, Parameter):
+            if not table.grad_ready:
+                table.grad_rows = [idx]
+            elif table.grad_rows is not None:
+                table.grad_rows.append(idx)
             table.grad_ready = True
 
     return Tensor(table.data[idx], table.requires_grad, (table,), back if table.requires_grad else None)

@@ -3,8 +3,12 @@
 import numpy as np
 
 from aucap.nn import tensor as T
-from aucap.nn.optim import zero_grads
 from aucap.nn.tensor import Parameter
+
+
+def zero_grads(params: list[Parameter]) -> None:
+    for p in params:
+        p.zero_grad()
 
 
 def max_relative_error(loss_fn, params: list[Parameter], delta: float = 1e-5,

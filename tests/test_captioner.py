@@ -463,6 +463,24 @@ class TestTraining:
             assert np.array_equal(a.state[name], b.state[name])
 
 
+    @pytest.mark.parametrize("unseen", [3, 40])  # dense Adam once most rows are live; row-sparse
+    @pytest.mark.parametrize("with_init", [False, True])
+    def test_unseen_word_rows_keep_their_initial_values(self, unseen, with_init):
+        pairs, feats, vocab = self._tiny_dataset()
+        extra = [f"word{i}" for i in range(unseen)]  # in the vocabulary, in no training caption
+        vocab = build_vocabulary([caption for _, caption in pairs] + [[SOS, *extra, EOS]])
+        cfg = micro_config(epochs=3, learning_rate=3e-2)
+        init = (np.random.RandomState(4).standard_normal((len(vocab), cfg.embed_dim))
+                if with_init else None)
+        start = Captioner(len(vocab), cfg, np.random.RandomState(cfg.seed),
+                          embed_init=init).embedding.table.data
+        ckpt, _ = train_captioner(pairs, feats, None, vocab, cfg, embed_init=init)
+        table = ckpt.state["enc.embedding.table"]
+        rows = [vocab.index(word) for word in extra]
+        assert np.array_equal(table[rows], start[rows])
+        seen = [vocab.index(word) for word in pairs[0][1][1:-1]]
+        assert not np.array_equal(table[seen], start[seen])
+
     @pytest.mark.parametrize("learning_rate,epochs", [(1e-2, 8), (3e-2, 8), (1e-2, 0)])
     def test_checkpoint_holds_best_epoch(self, learning_rate, epochs):
         pairs, feats, vocab = self._tiny_dataset()

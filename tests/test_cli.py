@@ -184,6 +184,13 @@ class TestPredictSveFromMlp:
         assert f"CheckpointError: {captioner}: not an SVE MLP checkpoint" in caplog.text
         assert not out.exists()
 
+    def test_directory_as_checkpoint_exits_1(self, panns_fixture, caplog):
+        root, _ = panns_fixture
+        out = root / "predictions.tsv"
+        assert cli.main(predict_args(root, root, root, out)) == 1
+        assert f"CheckpointError: cannot read checkpoint {root}" in caplog.text
+        assert not out.exists()
+
 
 TRAINERS = {"train-mlp": train_mlp_args, "train-captioner": train_captioner_args}
 

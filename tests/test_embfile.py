@@ -6,7 +6,8 @@ import pytest
 
 from aucap import atomic, embfile
 from aucap.audio.embeddings import load_variant_features
-from aucap.errors import EmbeddingFormatError
+from aucap.errors import CheckpointError, EmbeddingFormatError
+from aucap.nn import checkpoint
 
 
 class TestContainer:
@@ -147,3 +148,23 @@ class TestClipEmbeddings:
         embfile.write_matrix(path, np.zeros((0, 128)))
         with pytest.raises(EmbeddingFormatError, match="holds no rows"):
             load_variant_features(path, "vggish")
+
+
+class TestCheckpointFile:
+    def test_round_trip_of_many_tensors(self, tmp_path):
+        rng = np.random.RandomState(3)
+        shapes = [(), (1,), (7,), (3, 5), (2, 3, 4), (40, 2)]
+        tensors = {f"layer{i}.w": rng.standard_normal(shapes[i % len(shapes)]) * 10.0 ** (i % 5)
+                   for i in range(60)}
+        meta = {"kind": "test", "widths": [3, 5]}
+        path = tmp_path / "many.ckpt"
+        checkpoint.save_tensors(path, tensors, meta)
+        loaded, loaded_meta = checkpoint.load_tensors(path)
+        assert loaded_meta == meta and list(loaded) == list(tensors)
+        for name, values in tensors.items():
+            assert loaded[name].shape == values.shape
+            assert np.array_equal(loaded[name], values)
+
+    def test_directory_is_a_checkpoint_error(self, tmp_path):
+        with pytest.raises(CheckpointError, match=f"cannot read checkpoint {re.escape(str(tmp_path))}"):
+            checkpoint.load_tensors(tmp_path)

@@ -5,17 +5,18 @@ import pytest
 
 from aucap.errors import GraphStateError, ShapeError
 from aucap.nn import tensor as T
-from gradcheck import max_relative_error
+from gradcheck import max_relative_error, zero_grads
 from aucap.nn.layers import (
     BatchNorm,
     BiGRU,
     Dense,
+    Embedding,
     GRUCellParams,
     gru_cell_step,
     gru_sequence,
     orthogonal,
 )
-from aucap.nn.optim import CHUNK, AdamState, adam_step, zero_grads
+from aucap.nn.optim import CHUNK, AdamState, adam_step
 from aucap.nn.tensor import Parameter, Tensor
 
 
@@ -422,7 +423,8 @@ class TestAdam:
 
 
 def adam_reference(data, grads, steps, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Unblocked Adam with full-size temporaries, op for op as adam_step."""
+    """Unblocked Adam with full-size temporaries, op for op as adam_step;
+    returns the data, m and v after ``steps`` steps."""
     data = data.copy()
     m, v = np.zeros_like(data), np.zeros_like(data)
     for t in range(1, steps + 1):
@@ -433,7 +435,7 @@ def adam_reference(data, grads, steps, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8
         v *= beta2
         v += (1.0 - beta2) * g**2
         data -= scale * m / (np.sqrt(v) + eps)
-    return data
+    return data, m, v
 
 
 class TestAdamBlocked:
@@ -451,7 +453,79 @@ class TestAdamBlocked:
                 p.grad_ready = True
             adam_step(params, state)
         for p, p0, g in zip(params, start, grads):
-            assert np.array_equal(p.data, adam_reference(p0, g, 3))
+            assert np.array_equal(p.data, adam_reference(p0, g, 3)[0])
+
+
+class TestRowSparseAdam:
+    """A table fed by lookups is updated over its live rows only; every step must
+    equal dense Adam bit for bit."""
+
+    ROWS, DIM, STEPS = 40, 3, 24
+
+    def train(self, lookups, dense_steps=(), dense_first=False):
+        """Train an Embedding table for STEPS steps. Step s looks up each index
+        vector in ``lookups(s)`` and, on ``dense_steps``, also feeds the whole table
+        to ``T.linear`` (before the lookups when ``dense_first``). Checks data,
+        m and v against adam_reference after every step; returns the start table,
+        the table after every step and whether each step ran row-sparse."""
+        rng = np.random.RandomState(31)
+        table = Embedding(self.ROWS, self.DIM, rng).table
+        start = table.data.copy()
+        state = AdamState(learning_rate=1e-2)
+        grads, history, sparse = [], [], []
+        for step in range(self.STEPS):
+            terms = [T.mul(T.embedding_lookup(table, idx),
+                           Tensor(rng.standard_normal((len(idx), self.DIM))))
+                     for idx in lookups(step)]
+            if step in dense_steps:
+                dense = T.linear(Tensor(rng.standard_normal((2, self.DIM))), table)
+                terms = [dense, *terms] if dense_first else [*terms, dense]
+            loss = sum_all(terms[0])
+            for term in terms[1:]:
+                loss = T.add(loss, sum_all(term))
+            T.backward(loss)
+            grads.append(table.grad.copy())
+            adam_step([table], state)
+            sparse.append(table.name in state.live)
+            data, m, v = adam_reference(start, grads, step + 1)
+            assert np.array_equal(table.data, data), step
+            assert np.array_equal(state.m[table.name], m), step
+            assert np.array_equal(state.v[table.name], v), step
+            assert not table.grad.any() and table.grad_rows is None
+            history.append(table.data.copy())
+        return start, history, sparse
+
+    def test_repeated_indices_idle_and_untouched_rows(self):
+        def lookups(step):
+            first = [np.array([5])] if step == 0 else []  # row 5 once, then idle
+            return [np.array([2, 2, 2, 9, 2]), np.array([(step % 7) + 10, 9])] + first
+
+        start, history, sparse = self.train(lookups)
+        assert all(sparse)
+        touched = [2, 5, 9, *range(10, 17)]
+        untouched = np.setdiff1d(np.arange(self.ROWS), touched)
+        assert np.array_equal(history[-1][untouched], start[untouched])
+        for before, after in zip(history[1:], history[2:]):  # idle row 5 keeps moving
+            assert not np.array_equal(before[5], after[5])
+
+    def test_live_count_crossing_half_the_table(self):
+        start, history, sparse = self.train(lambda step: [np.arange(step, step + 3)])
+        crossed = sparse.index(False)  # step s leaves s + 3 rows live
+        assert crossed == self.ROWS // 2 - 2 and not any(sparse[crossed:])
+        assert np.array_equal(history[-1][self.STEPS + 2:], start[self.STEPS + 2:])
+
+    @pytest.mark.parametrize("dense_first", [False, True])
+    def test_lookup_and_dense_op_in_one_step(self, dense_first):
+        _, _, sparse = self.train(lambda step: [np.array([1, 3, 3])], dense_steps={6},
+                                  dense_first=dense_first)
+        assert all(sparse[:6]) and not any(sparse[6:])
+
+    def test_zero_grad_clears_recorded_rows(self):
+        table = Embedding(6, 2, np.random.RandomState(0)).table
+        T.backward(sum_all(T.embedding_lookup(table, np.array([1, 4]))))
+        assert [list(r) for r in table.grad_rows] == [[1, 4]] and table.grad_ready
+        table.zero_grad()
+        assert table.grad_rows is None and not table.grad_ready and not table.grad.any()
 
 
 class TestInits:
