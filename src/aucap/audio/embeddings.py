@@ -14,14 +14,15 @@ from ..errors import EmbeddingFormatError
 VARIANT_DIMS = {"logmel": 64, "vggish": 128, "panns": 2048}
 
 
-def load_variant_features(path: str | os.PathLike, variant: str) -> np.ndarray:
-    """Load a clip's (rows, dim) feature matrix under the rules of ``variant``.
+def parse_variant_features(blob: bytes, path: str | os.PathLike, variant: str) -> np.ndarray:
+    """Parse a clip's (rows, dim) feature matrix from ``blob``, the bytes of its
+    file ``path``, under the rules of ``variant``.
 
     The dim must be the variant's and the file must hold a row; panns files
     hold exactly one 2048-vector, vggish and logmel files one row per second
     / frame.
     """
-    values = embfile.read_matrix(path, expected_dim=VARIANT_DIMS[variant])
+    values = embfile.parse_matrix(blob, path, expected_dim=VARIANT_DIMS[variant])
     if values.shape[0] == 0:
         raise EmbeddingFormatError(f"{path}: embedding file holds no rows")
     if variant == "panns" and values.shape[0] != 1:

@@ -77,16 +77,21 @@ def _decode_samples(raw: bytes, bits: int, fmt: int, n_channels: int) -> np.ndar
 
 
 def load_wav(path: str | Path) -> WaveBuffer:
-    """Load a PCM WAV file, averaging stereo to mono and scaling to [-1, 1].
+    """Load a PCM WAV file with :func:`decode_wav`; a missing file raises WavMissingFileError."""
+    try:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise WavMissingFileError(f"no such file: {path}") from None
+    return decode_wav(blob, path)
+
+
+def decode_wav(blob: bytes, path: str | Path) -> WaveBuffer:
+    """Parse the bytes of a PCM WAV file, averaging stereo to mono and scaling to [-1, 1].
 
     Integer samples are scaled by the full-scale magnitude of their type, so a
-    16-bit sample of 32767 maps to 32767/32768.
+    16-bit sample of 32767 maps to 32767/32768. ``path`` names the source in
+    error messages.
     """
-    path = Path(path)
-    if not path.exists():
-        raise WavMissingFileError(f"no such file: {path}")
-    blob = path.read_bytes()
-
     if len(blob) < 12 or blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise WavHeaderError(f"{path}: not a RIFF/WAVE file")
 
@@ -137,11 +142,19 @@ def resample(buf: WaveBuffer, target_rate: int) -> WaveBuffer:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if target_rate == buf.sample_rate:
         return WaveBuffer(samples=buf.samples.copy(), sample_rate=buf.sample_rate)
-    n_in = buf.samples.size
-    n_out = int(round(n_in * target_rate / buf.sample_rate))
-    n_out = max(n_out, 1)
-    positions = np.arange(n_out, dtype=np.float64) * (buf.sample_rate / target_rate)
-    out = np.interp(positions, np.arange(n_in, dtype=np.float64), buf.samples)
+    f = buf.samples
+    last = f.size - 1
+    n_out = max(int(round(f.size * target_rate / buf.sample_rate)), 1)
+    x = np.arange(n_out, dtype=np.float64) * (buf.sample_rate / target_rate)
+    # np.interp(x, arange(f.size), f) without its binary search, bit for bit: x
+    # lies in [j, j + 1) for j = floor(x), where np.interp takes (f[j+1] - f[j]) *
+    # (x - j) + f[j], as two roundings; on a grid point and from the last sample
+    # on it takes f[j] itself, which keeps the sign of a -0.0 sample.
+    j = np.minimum(x.astype(np.intp), last)
+    at = f[j]
+    out = (f[np.minimum(j + 1, last)] - at) * (x - j) + at
+    exact = (x == j) | (j == last)
+    out[exact] = at[exact]
     return WaveBuffer(samples=out, sample_rate=target_rate)
 
 

@@ -28,9 +28,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import atomic, embfile
-from .audio.embeddings import VARIANT_DIMS, load_variant_features
+from .audio.embeddings import VARIANT_DIMS, parse_variant_features
 from .audio.features import FeatureConfig, extract_log_mel
-from .audio.wav import load_wav
+from .audio.wav import decode_wav
+from .audio.wav import load_wav  # noqa: F401  (perfbench/tracing.py wraps dataset.load_wav)
 from .errors import AucapError, DatasetError, EmptyCaptionError
 from .semantics import SubjectVerbCorpus, TagLexicon, check_lexicon, subject_verb_roots
 from .semantics import encode_sve  # noqa: F401  (perfbench/tracing.py wraps dataset.encode_sve)
@@ -175,7 +176,7 @@ def hold_out_validation(manifest: DatasetManifest, fraction: float,
 def sve_targets(records: list[ClipRecord], corpus: SubjectVerbCorpus,
                 lexicon: TagLexicon) -> dict[str, np.ndarray]:
     """Per-clip binary SVE target: the union over the clip's captions."""
-    check_lexicon(corpus, lexicon)  # once per call: hashing the lexicon costs ~1 ms
+    check_lexicon(corpus, lexicon)
     roots = iter(subject_verb_roots((c for r in records for c in r.captions), lexicon))
     return {r.clip_id: corpus.encode([w for _ in r.captions for w in next(roots)])
             for r in records}
@@ -191,14 +192,6 @@ class CacheResult:
     computed: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     errors: dict[str, str] = field(default_factory=dict)
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _cache_key(src_hash: str, variant: str, feature_config: FeatureConfig) -> str:
@@ -219,7 +212,8 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
     """Extract (logmel) or validate-and-copy (vggish/panns) features per clip.
 
     Idempotent: a clip is recomputed only when its cache key (source hash,
-    variant and feature config) changed.
+    variant and feature config) changed. Each source is read once; the same
+    bytes are hashed and, when the clip is computed, decoded.
     Failures are collected per clip, never raised mid-run.
     """
     if variant not in VARIANT_DIMS:
@@ -232,16 +226,17 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
         try:
             if record.path is None:
                 raise DatasetError("record has no source path")
-            key = _cache_key(_sha256_file(record.path), variant, feature_config)
+            blob = record.path.read_bytes()
+            key = _cache_key(hashlib.sha256(blob).hexdigest(), variant, feature_config)
             target = out_dir / f"{clip_id}.emb"
             sidecar = out_dir / f"{clip_id}.sha256"
             if target.exists() and sidecar.exists() and sidecar.read_text().strip() == key:
                 result.skipped.append(clip_id)
                 continue
             if variant == "logmel":
-                values = extract_log_mel(load_wav(record.path), feature_config).values
+                values = extract_log_mel(decode_wav(blob, record.path), feature_config).values
             else:
-                values = load_variant_features(record.path, variant)
+                values = parse_variant_features(blob, record.path, variant)
             embfile.write_matrix(target, values)
             atomic.write_bytes(sidecar, (key + "\n").encode("ascii"))
             result.computed.append(clip_id)

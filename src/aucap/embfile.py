@@ -11,8 +11,9 @@ interchange files remain exactly the v1 format.
 
 One encoder and one parser serve files and in-memory records alike:
 :func:`write_matrix` checks the values and writes what :func:`pack_matrix`
-builds, and :func:`read_matrix` parses the file's bytes with
-:func:`unpack_matrix` and rejects anything after the record.
+builds, and :func:`read_matrix` hands the file's bytes to :func:`parse_matrix`,
+which parses them with :func:`unpack_matrix` and rejects anything after the
+record.
 """
 
 from __future__ import annotations
@@ -111,20 +112,25 @@ def unpack_matrix(blob: bytes, *, allow_f8: bool = False,
 
 
 def read_matrix(path: str | os.PathLike, *, expected_dim: int | None = None) -> np.ndarray:
-    """Read an AUCAP-EMB v1 file into a (rows, dim) float64 array.
-
-    Raises :class:`EmbeddingFormatError` on anything :func:`unpack_matrix`
-    rejects, on bytes after the payload, or on a dim that differs from
-    ``expected_dim``.
-    """
+    """Read an AUCAP-EMB v1 file into a (rows, dim) float64 array with :func:`parse_matrix`."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return parse_matrix(fh.read(), path, expected_dim=expected_dim)
+
+
+def parse_matrix(blob: bytes, path: str | os.PathLike, *,
+                 expected_dim: int | None = None) -> np.ndarray:
+    """Parse ``blob``, the bytes of the AUCAP-EMB v1 file ``path``, into a (rows, dim) array.
+
+    Raises :class:`EmbeddingFormatError`, naming ``path``, on anything
+    :func:`unpack_matrix` rejects, on bytes after the payload, or on a dim
+    that differs from ``expected_dim``.
+    """
     try:
-        arr, end = unpack_matrix(data)
+        arr, end = unpack_matrix(blob)
     except EmbeddingFormatError as exc:
         raise EmbeddingFormatError(f"{path}: {exc}") from None
-    if end < len(data):
-        raise EmbeddingFormatError(f"{path}: {len(data) - end} trailing bytes after payload")
+    if end < len(blob):
+        raise EmbeddingFormatError(f"{path}: {len(blob) - end} trailing bytes after payload")
     if expected_dim is not None and arr.shape[1] != expected_dim:
         raise EmbeddingFormatError(f"{path}: dim={arr.shape[1]} but expected {expected_dim}")
     return arr

@@ -65,9 +65,9 @@ def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: 
     for name, values in tensors.items():
         arr = np.asarray(values, dtype=np.float64)
         chunks.append(f"{name} {_shape_text(arr.shape)}\n".encode("ascii"))
-        rows = arr.shape[0] if arr.ndim >= 1 and arr.size else 1
-        payloads.append(embfile.pack_matrix(arr.reshape(rows, -1) if arr.size else
-                                            np.zeros((1, 1)), dtype="f8"))
+        # an empty tensor is an empty payload of one column: its shape is the manifest's
+        matrix = arr.reshape(arr.shape[0] if arr.ndim else 1, -1) if arr.size else np.zeros((0, 1))
+        payloads.append(embfile.pack_matrix(matrix, dtype="f8"))
     atomic.write_bytes(path, b"".join(chunks + payloads))
 
 

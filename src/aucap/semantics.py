@@ -16,6 +16,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -104,7 +105,9 @@ class TagLexicon:
     """word -> part-of-speech table with ordered suffix-rule fallbacks.
 
     Resolution: exact entry, then the first matching suffix rule, then OTHER.
-    Every word therefore maps to exactly one tag.
+    Every word therefore maps to exactly one tag. A lexicon does not change
+    after construction (``entries`` is a read-only view), so its digest is
+    computed on the first ``sha256()`` call and kept.
     """
 
     def __init__(self, entries: dict[str, str] | None = None,
@@ -115,9 +118,10 @@ class TagLexicon:
                 raise SemanticsError(f"unknown tag {tag!r} for word {word!r}")
         if default not in _TAGS:
             raise SemanticsError(f"unknown default tag {default!r}")
-        self.entries = entries
+        self.entries = MappingProxyType(entries)
         self.suffix_rules = tuple(suffix_rules)
         self.default = default
+        self._sha256: str | None = None
 
     def tag(self, word: str) -> str:
         hit = self.entries.get(word)
@@ -129,13 +133,13 @@ class TagLexicon:
         return self.default
 
     def sha256(self) -> str:
-        digest = hashlib.sha256()
-        for word in sorted(self.entries):
-            digest.update(f"{word}\t{self.entries[word]}\n".encode("utf-8"))
-        for suffix, tag in self.suffix_rules:
-            digest.update(f"*{suffix}\t{tag}\n".encode("utf-8"))
-        digest.update(self.default.encode("ascii"))
-        return digest.hexdigest()
+        """Hex SHA-256 of a ``word<TAB>TAG`` line per entry in word order, a
+        ``*suffix<TAB>TAG`` line per rule, then the default tag."""
+        if self._sha256 is None:
+            text = "".join([*(f"{w}\t{t}\n" for w, t in sorted(self.entries.items())),
+                            *(f"*{s}\t{t}\n" for s, t in self.suffix_rules), self.default])
+            self._sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return self._sha256
 
     def save(self, path: str | Path) -> None:
         lines = [f"{w}\t{t}\n" for w, t in sorted(self.entries.items())]

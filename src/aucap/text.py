@@ -59,6 +59,7 @@ class Vocabulary:
     def __init__(self, words=()):
         self._word_to_index: dict[str, int] = {}
         self._index_to_word: list[str] = []
+        self._sha256 = (0, "")  # (words covered, hex digest)
         for w in RESERVED:
             self._add(w)
         for w in words:
@@ -143,11 +144,13 @@ class Vocabulary:
         return vocab
 
     def sha256(self) -> str:
-        digest = hashlib.sha256()
-        for word in self._index_to_word:
-            digest.update(word.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        """Hex SHA-256 of one line per word in index order. Words are only ever
+        appended, so the digest is kept with the count it covers until an ``add``."""
+        n = len(self._index_to_word)
+        if self._sha256[0] != n:
+            text = "".join(f"{w}\n" for w in self._index_to_word)
+            self._sha256 = (n, hashlib.sha256(text.encode("utf-8")).hexdigest())
+        return self._sha256[1]
 
 
 def build_vocabulary(captions) -> Vocabulary:

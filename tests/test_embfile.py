@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aucap import atomic, embfile
-from aucap.audio.embeddings import load_variant_features
+from aucap.audio.embeddings import parse_variant_features
 from aucap.errors import CheckpointError, EmbeddingFormatError
 from aucap.nn import checkpoint
 
@@ -124,30 +124,30 @@ class TestClipEmbeddings:
     def test_panns_single_row(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.ones((1, 2048)))
-        assert load_variant_features(path, "panns").shape == (1, 2048)
+        assert parse_variant_features(path.read_bytes(), path, "panns").shape == (1, 2048)
 
     def test_vggish_per_second_rows(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.zeros((30, 128)))
-        assert load_variant_features(path, "vggish").shape == (30, 128)
+        assert parse_variant_features(path.read_bytes(), path, "vggish").shape == (30, 128)
 
     def test_dim_mismatch(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.zeros((1, 128)))
         with pytest.raises(EmbeddingFormatError):
-            load_variant_features(path, "panns")
+            parse_variant_features(path.read_bytes(), path, "panns")
 
     def test_panns_multi_row_rejected(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.zeros((3, 2048)))
         with pytest.raises(EmbeddingFormatError):
-            load_variant_features(path, "panns")
+            parse_variant_features(path.read_bytes(), path, "panns")
 
     def test_no_rows_rejected(self, tmp_path):
         path = tmp_path / "clip.emb"
         embfile.write_matrix(path, np.zeros((0, 128)))
         with pytest.raises(EmbeddingFormatError, match="holds no rows"):
-            load_variant_features(path, "vggish")
+            parse_variant_features(path.read_bytes(), path, "vggish")
 
 
 class TestCheckpointFile:
@@ -164,6 +164,14 @@ class TestCheckpointFile:
         for name, values in tensors.items():
             assert loaded[name].shape == values.shape
             assert np.array_equal(loaded[name], values)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (2, 0, 4)])
+    def test_empty_tensor_round_trips(self, tmp_path, shape):
+        path = tmp_path / "empty.ckpt"
+        checkpoint.save_tensors(path, {"empty": np.zeros(shape), "after": np.arange(3.0)}, {})
+        loaded, _ = checkpoint.load_tensors(path)
+        assert loaded["empty"].shape == shape
+        assert np.array_equal(loaded["after"], np.arange(3.0))
 
     def test_directory_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match=f"cannot read checkpoint {re.escape(str(tmp_path))}"):

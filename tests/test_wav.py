@@ -98,6 +98,33 @@ class TestResample:
             resample(buf, 0)
 
 
+class TestResampleIsInterp:
+    """resample is np.interp over the input's sample grid, bit for bit."""
+
+    @staticmethod
+    def interp(samples, rate, target):
+        n_out = max(int(round(samples.size * target / rate)), 1)
+        x = np.arange(n_out, dtype=np.float64) * (rate / target)
+        return np.interp(x, np.arange(samples.size, dtype=np.float64), samples)
+
+    @pytest.mark.parametrize("rate, target", [(44100, 16000), (8000, 16000), (32000, 16000),
+                                              (22050, 16000), (3, 7)])
+    @pytest.mark.parametrize("n_in", [1, 2, 3, 1001, 44100])
+    def test_bitwise_equal_to_interp(self, rate, target, n_in):
+        rng = np.random.RandomState(n_in)
+        samples = rng.uniform(-1, 1, n_in)
+        samples[rng.random_sample(n_in) < 0.3] = -0.0
+        got = resample(WaveBuffer(samples, rate), target).samples
+        assert got.tobytes() == self.interp(samples, rate, target).tobytes()
+
+    def test_grid_points_keep_the_sign_of_zero(self):
+        # 8 -> 16 kHz: even outputs fall on samples, the last two at or past the last one
+        samples = np.array([-0.0, 0.5, -0.0, -0.25, -0.0])
+        got = resample(WaveBuffer(samples, 8000), 16000).samples
+        assert got.tobytes() == self.interp(samples, 8000, 16000).tobytes()
+        assert np.signbit(got[[0, 4, 8, 9]]).all() and got[2] == 0.5
+
+
 class TestZeroPadOrTruncate:
     def test_pad_15s_to_30s(self):
         buf = WaveBuffer(np.ones(15 * 16000), 16000)
