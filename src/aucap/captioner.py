@@ -39,7 +39,7 @@ import numpy as np
 from .audio.embeddings import VARIANT_DIMS
 from .errors import CheckpointError, ConfigError, ShapeError
 from .nn.checkpoint import load_parameters, load_tensors, save_tensors
-from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, glorot_uniform
+from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUCellParams
 from .nn import tensor as T
 from .nn.optim import AdamState, adam_step, check_training_fields, fit
 from .nn.tensor import Parameter, Tensor
@@ -128,18 +128,12 @@ class Captioner:
                                    name="enc.embedding")
         self.text_gru = GRU(c.embed_dim, c.text_gru, rng, name="enc.text")
         self.bn_text = BatchNorm(c.text_gru, name="enc.bn_text")
-        # Draw the GRU form's cell in its order (W_z, W_r, W: a recurrent block's normals,
-        # then a Glorot input block) but factorize nothing: only the input blocks of W_z
-        # and W are live, and they and dec.out start as in the GRU form.
-        h = c.decoder_gru
-        inputs = []
-        for _ in range(3):
-            rng.standard_normal((h, h))
-            inputs.append(glorot_uniform(rng, h, c.fused_dim))
-        self.dec_W_z = Parameter(inputs[0], "dec.W_z")
-        self.dec_b_z = Parameter(np.zeros(h), "dec.b_z")
-        self.dec_W = Parameter(inputs[2], "dec.W")
-        self.dec_b = Parameter(np.zeros(h), "dec.b")
+        # draw a whole GRU cell, keep its live part: it and dec.out start as in the GRU form
+        gru = GRUCellParams.create(c.fused_dim, c.decoder_gru, rng, name="dec")
+        self.dec_W_z = Parameter(gru.W_z.data[:, c.decoder_gru:].copy(), gru.W_z.name)
+        self.dec_b_z = gru.b_z
+        self.dec_W = Parameter(gru.W.data[:, c.decoder_gru:].copy(), gru.W.name)
+        self.dec_b = gru.b
         self.bn_decoder = BatchNorm(c.decoder_gru, name="dec.bn")
         self.out = Dense(c.decoder_gru, vocab_size, rng, name="dec.out")
 

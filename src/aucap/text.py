@@ -59,7 +59,6 @@ class Vocabulary:
     def __init__(self, words=()):
         self._word_to_index: dict[str, int] = {}
         self._index_to_word: list[str] = []
-        self._sha256 = (0, "")  # (words covered, hex digest)
         for w in RESERVED:
             self._add(w)
         for w in words:
@@ -144,13 +143,9 @@ class Vocabulary:
         return vocab
 
     def sha256(self) -> str:
-        """Hex SHA-256 of one line per word in index order. Words are only ever
-        appended, so the digest is kept with the count it covers until an ``add``."""
-        n = len(self._index_to_word)
-        if self._sha256[0] != n:
-            text = "".join(f"{w}\n" for w in self._index_to_word)
-            self._sha256 = (n, hashlib.sha256(text.encode("utf-8")).hexdigest())
-        return self._sha256[1]
+        """Hex SHA-256 of one line per word in index order."""
+        text = "".join(f"{w}\n" for w in self._index_to_word)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def build_vocabulary(captions) -> Vocabulary:

@@ -54,7 +54,6 @@ class TestTagLexicon:
         entries["dog"] = VERB
         assert lex.tag("dog") == NOUN and lex.sha256() == TagLexicon(LEXICON).sha256()
 
-
     def test_build_sve_hashes_the_lexicon_once(self, monkeypatch):
         """build-sve builds the corpus, then checks it against the lexicon for its targets."""
         lex = TagLexicon(LEXICON)
