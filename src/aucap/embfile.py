@@ -5,9 +5,10 @@ followed by R*D little-endian IEEE-754 float32 values in row-major order.
 The same container carries clip embeddings (dim 2048 / 128), cached log-Mel
 features (dim 64), word embeddings (dim 256) and SVE matrices (dim K).
 
-Checkpoint payloads reuse the container with an extra ``dtype=f8`` header
-token for lossless float64 round-trips; plain readers reject that token, so
-interchange files remain exactly the v1 format.
+Checkpoint payloads reuse the container at each tensor's own width: a
+float32 tensor is a plain v1 (f4) record, and a float64 one carries an extra
+``dtype=f8`` header token for a lossless round-trip. Plain readers reject that
+token, so interchange files remain exactly the v1 format.
 
 One encoder and one parser serve files and in-memory records alike:
 :func:`write_matrix` checks the values and writes what :func:`pack_matrix`

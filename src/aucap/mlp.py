@@ -1,8 +1,17 @@
 """Multilabel MLP that predicts subject-verb probabilities from audio features.
 
-Six ReLU hidden layers by default, dropout on the input connections, sigmoid
-outputs trained with per-label binary cross-entropy and Adam. Training keeps
-the parameters from the epoch with the lowest validation loss.
+Six ReLU hidden layers by default, dropout on the input connections and one
+logit per label. Training minimises the per-label binary cross-entropy of the
+sigmoid of those logits, fused into one node
+(``T.sigmoid_binary_cross_entropy``), with Adam, and keeps the parameters from
+the epoch with the lowest validation loss. ``predict_sve`` applies the sigmoid.
+
+The MLP trains and predicts at float32. Its training is memory-bound: each
+step's Adam update and dense products stream every parameter, and float32
+halves those bytes. The fused loss takes no log of a probability, so it needs
+no floor near 1, which float32 could not hold (1 - 1e-12 rounds to 1). The
+parameters are drawn at float64, as before, and cast once; the rest of the
+program keeps float64.
 """
 
 from __future__ import annotations
@@ -53,9 +62,11 @@ class MLP:
             self.layers.append(layers.Dense(prev, width, rng, name=f"mlp.h{i}"))
             prev = width
         self.out = layers.Dense(prev, config.output_dim, rng, name="mlp.out")
+        for p in self.parameters():
+            p.cast(np.float32)
 
     def forward(self, features, mode: str, rng: np.random.RandomState | None = None) -> Tensor:
-        """Probabilities in (0, 1) per label; dropout applies only in train mode."""
+        """One logit per label; dropout applies only in train mode."""
         x = T._as_tensor(features)
         if x.data.ndim != 2 or x.data.shape[1] != self.config.input_dim:
             raise ShapeError(
@@ -67,7 +78,7 @@ class MLP:
             x = T.dropout(x, self.config.dropout, mode, rng)
         for layer in self.layers:
             x = T.relu(layer(x))
-        return T.sigmoid(self.out(x))
+        return self.out(x)
 
     def parameters(self) -> list[Parameter]:
         out = []
@@ -101,27 +112,44 @@ class MLP:
 
 
 def _dataset_loss(model: MLP, features: np.ndarray, targets: np.ndarray) -> float:
-    probs = model.forward(Tensor(features), mode="infer")
-    return float(T.binary_cross_entropy(probs, targets).data)
+    logits = model.forward(Tensor(features), mode="infer")
+    return float(T.sigmoid_binary_cross_entropy(logits, targets).data)
+
+
+def _examples(features, targets, config: MLPConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``features`` and ``targets`` as float32 arrays. Raises ShapeError unless
+    the features are (N, input_dim) with N >= 1 and the targets binary (N, output_dim)."""
+    features = np.asarray(features, dtype=np.float32)
+    targets = np.asarray(targets, dtype=np.float32)
+    if features.ndim != 2 or features.shape[1] != config.input_dim:
+        raise ShapeError(f"{name} features {features.shape} vs expected (N, {config.input_dim})")
+    if features.shape[0] == 0:
+        raise ShapeError(f"{name} set is empty")
+    if targets.shape != (features.shape[0], config.output_dim):
+        raise ShapeError(f"{name} targets {targets.shape} vs expected "
+                         f"({features.shape[0]}, {config.output_dim})")
+    if not np.isin(targets, (0.0, 1.0)).all():
+        raise ShapeError(f"{name} targets must be binary")
+    return features, targets
 
 
 def train_mlp(features: np.ndarray, targets: np.ndarray, config: MLPConfig,
               val_features: np.ndarray | None = None,
               val_targets: np.ndarray | None = None) -> tuple[MLP, TrainHistory]:
-    """Train on (N, input_dim) features and binary (N, K) targets.
+    """Train on (N, input_dim) features and binary (N, K) targets, at float32.
 
     Checkpoints the best epoch by validation loss; without a validation set
     the training-set loss (evaluated in infer mode) drives the selection.
-    Raises TrainingError at the first batch or epoch whose loss is not finite.
+    Raises ShapeError before any training unless both sets are non-empty and
+    binary at the config's widths, and ``val_features`` and ``val_targets`` are
+    given together or not at all. Raises TrainingError at the first batch or
+    epoch whose loss is not finite.
     """
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if features.shape[0] == 0:
-        raise ShapeError("training set is empty")
-    if targets.shape != (features.shape[0], config.output_dim):
-        raise ShapeError(f"targets {targets.shape} vs expected ({features.shape[0]}, {config.output_dim})")
-    if not np.isin(targets, (0.0, 1.0)).all():
-        raise ShapeError("targets must be binary")
+    features, targets = _examples(features, targets, config, "training")
+    if (val_features is None) != (val_targets is None):
+        raise ShapeError("val_features and val_targets must be given together")
+    if val_features is not None:
+        val_features, val_targets = _examples(val_features, val_targets, config, "validation")
 
     rng = np.random.RandomState(config.seed)
     model = MLP(config, rng)
@@ -134,8 +162,8 @@ def train_mlp(features: np.ndarray, targets: np.ndarray, config: MLPConfig,
         return [order[i : i + config.batch_size] for i in range(0, n, config.batch_size)]
 
     def batch_loss(batch):
-        probs = model.forward(Tensor(features[batch]), mode="train", rng=rng)
-        return T.binary_cross_entropy(probs, targets[batch]), batch.size
+        logits = model.forward(Tensor(features[batch]), mode="train", rng=rng)
+        return T.sigmoid_binary_cross_entropy(logits, targets[batch]), batch.size
 
     def val_loss():
         return _dataset_loss(model, val_features, val_targets)
@@ -149,10 +177,11 @@ def train_mlp(features: np.ndarray, targets: np.ndarray, config: MLPConfig,
 
 
 def predict_sve(model: MLP, features: np.ndarray) -> np.ndarray:
-    """Soft label probabilities, no thresholding; shape (N, K)."""
-    features = np.asarray(features, dtype=np.float64)
+    """Soft label probabilities (the sigmoid of the logits, float32), no
+    thresholding; shape (N, K), or (K,) for one feature vector."""
+    features = np.asarray(features, dtype=np.float32)
     single = features.ndim == 1
     if single:
         features = features.reshape(1, -1)
-    probs = model.forward(Tensor(features), mode="infer").data
+    probs = T.sigmoid(model.forward(Tensor(features), mode="infer")).data
     return probs[0] if single else probs

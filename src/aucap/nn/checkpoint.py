@@ -6,10 +6,13 @@ Layout:
     <name> <d0>x<d1>...\\n          (one manifest line per tensor)
     <N payloads, concatenated in manifest order>
 
-Payloads reuse the AUCAP-EMB container with the ``dtype=f8`` extension so a
-save/load cycle reproduces float64 values bit for bit. A model's ``state()``
-is such a name -> array dict, and its ``load_state`` reads one back through
-``state_tensor``.
+Payloads reuse the AUCAP-EMB container at each tensor's own width: a float32
+tensor is a plain v1 (f4) payload and any other one takes the ``dtype=f8``
+extension, so a save/load cycle reproduces the values bit for bit at either
+width. A model's ``state()`` is such a name -> array dict, and its
+``load_state`` reads one back through ``state_tensor``, cast to the width of
+the parameter or buffer it fills: a float32 model loads a checkpoint written
+at f8 as well.
 """
 
 from __future__ import annotations
@@ -39,19 +42,20 @@ def _parse_shape(text: str) -> tuple:
         raise CheckpointError(f"bad shape field {text!r}") from exc
 
 
-def state_tensor(state: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
-    """A float64 copy of ``state[name]``; CheckpointError if it is missing or not of ``shape``."""
+def state_tensor(state: dict[str, np.ndarray], name: str, shape: tuple,
+                 dtype=np.float64) -> np.ndarray:
+    """A ``dtype`` copy of ``state[name]``; CheckpointError if it is missing or not of ``shape``."""
     if name not in state:
         raise CheckpointError(f"missing tensor {name!r}")
     if np.shape(state[name]) != tuple(shape):
         raise CheckpointError(f"tensor {name!r} has shape {np.shape(state[name])}, "
                               f"expected {tuple(shape)}")
-    return np.array(state[name], dtype=np.float64)
+    return np.array(state[name], dtype=dtype)
 
 
 def load_parameters(params: list[Parameter], state: dict[str, np.ndarray]) -> None:
     for p in params:
-        p.data = state_tensor(state, p.name, p.data.shape)
+        p.data = state_tensor(state, p.name, p.data.shape, p.data.dtype)
 
 
 def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: dict) -> None:
@@ -63,11 +67,12 @@ def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: 
     chunks.append(meta_blob + b"\n")
     payloads = []
     for name, values in tensors.items():
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
+        dtype = "f4" if arr.dtype == np.float32 else "f8"
         chunks.append(f"{name} {_shape_text(arr.shape)}\n".encode("ascii"))
         # an empty tensor is an empty payload of one column: its shape is the manifest's
         matrix = arr.reshape(arr.shape[0] if arr.ndim else 1, -1) if arr.size else np.zeros((0, 1))
-        payloads.append(embfile.pack_matrix(matrix, dtype="f8"))
+        payloads.append(embfile.pack_matrix(matrix, dtype=dtype))
     atomic.write_bytes(path, b"".join(chunks + payloads))
 
 

@@ -10,6 +10,11 @@ An idle live row keeps moving on its momentum; this is not lazy Adam. Past
 half, or after any other write to the gradient, the update is dense. With the
 paper's data every training word is live within epoch 1, so there the saving
 ends in that epoch.
+
+Widths. m, v and the block buffers are kept at each parameter's dtype, and
+every scalar in the update is a Python float, so a float32 parameter is
+updated wholly in float32: a numpy float64 scalar would compute its ops in
+float64 and round them back, which costs time and changes bits.
 """
 
 from __future__ import annotations
@@ -47,8 +52,9 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
 
     Raises if any parameter has not received a gradient since the last step,
     which catches a step issued before backward. Runs in place over blocks of
-    each parameter with two reused buffers; per element the ops and their order
-    are m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2, w -= scale*m / (sqrt(v) + eps).
+    each parameter with two reused buffers of its dtype; per element the ops and
+    their order are m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    w -= scale*m / (sqrt(v) + eps).
     A lookup-fed parameter is updated over its live rows (module docstring).
     """
     stale = [p.name for p in params if not p.grad_ready]
@@ -56,17 +62,19 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
         raise GraphStateError(f"adam_step before backward for: {', '.join(stale)}")
     state.step += 1
     t = state.step
-    scale = state.learning_rate * np.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t)
-    bufs = np.empty(CHUNK), np.empty(CHUNK)
+    scale = float(state.learning_rate * math.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t))
+    dtypes = {p.data.dtype for p in params}
+    buffers = {dt: (np.empty(CHUNK, dt), np.empty(CHUNK, dt)) for dt in dtypes}
     for p in params:
         if not (p.data.flags.c_contiguous and p.grad.flags.c_contiguous):  # blocks are views
             p.data, p.grad = np.ascontiguousarray(p.data), np.ascontiguousarray(p.grad)
         if p.name not in state.m:
-            state.m[p.name], state.v[p.name] = np.zeros(p.data.shape), np.zeros(p.data.shape)
+            state.m[p.name], state.v[p.name] = np.zeros_like(p.data), np.zeros_like(p.data)
             if p.grad_rows is not None:
                 state.live[p.name] = np.zeros(p.data.shape[0], dtype=bool)
         m, v = state.m[p.name], state.v[p.name]
         rows = _live_rows(p, state.live)
+        bufs = buffers[p.data.dtype]
         if rows is None:
             _update_blocks(state, scale, bufs, p.data, p.grad, m, v)
         else:

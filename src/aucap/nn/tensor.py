@@ -1,4 +1,9 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
+
+A tensor keeps the width of its data: float32 and float64 stay as they are,
+and anything else becomes float64. Every op computes at its inputs' width, so
+a graph of float32 data and parameters runs and back-propagates at float32
+throughout (the fused BCE loss alone sums its terms in float64).
 
 Every op builds a node holding its parents and a closure that routes the
 incoming gradient to them; ``backward`` walks the graph once in reverse
@@ -14,13 +19,17 @@ import numpy as np
 from ..errors import GraphStateError, ShapeError
 
 LOG_EPS = 1e-12  # floor inside cross-entropy logs
+# The data widths a Tensor keeps; float64 first, since `in` tries identity
+# before ==, and a float64 array then costs one identity check per node.
+WIDTHS = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in WIDTHS else data.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = parents
@@ -53,6 +62,13 @@ class Parameter(Tensor):
 
     def zero_grad(self):
         self.grad[...] = 0.0
+        self.grad_ready = False
+        self.grad_rows = None
+
+    def cast(self, dtype) -> None:
+        """Keep the values at ``dtype`` (float32 or float64), with a cleared gradient."""
+        self.data = self.data.astype(dtype)
+        self.grad = np.zeros_like(self.data)
         self.grad_ready = False
         self.grad_rows = None
 
@@ -301,7 +317,7 @@ def dropout(x, rate: float, mode: str, rng: np.random.RandomState) -> Tensor:
     x = _as_tensor(x)
     if mode == "infer" or rate == 0.0:
         return x
-    keep = (rng.random_sample(x.data.shape) >= rate) / (1.0 - rate)
+    keep = np.divide(rng.random_sample(x.data.shape) >= rate, 1.0 - rate, dtype=x.data.dtype)
 
     def back(g):
         _accumulate(x, g * keep)
@@ -366,21 +382,28 @@ def cross_entropy(probs, targets) -> Tensor:
     return Tensor(loss, probs.requires_grad, (probs,), back if probs.requires_grad else None)
 
 
-def binary_cross_entropy(probs, targets) -> Tensor:
-    """Mean per-label BCE for multilabel outputs already squashed to (0, 1)."""
-    probs = _as_tensor(probs)
-    y = np.asarray(targets, dtype=np.float64)
-    if probs.data.shape != y.shape:
-        raise ShapeError(f"bce shapes probs={probs.data.shape} targets={y.shape}")
-    p = np.clip(probs.data, LOG_EPS, 1.0 - LOG_EPS)
-    loss = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean()
+def sigmoid_binary_cross_entropy(logits, targets) -> Tensor:
+    """Mean per-label BCE of sigmoid(``logits``) against binary ``targets``.
+
+    Computed from the logits as max(z, 0) - z*y + log1p(exp(-|z|)), which
+    neither overflows nor takes the log of 0 at any z, so no floor is needed
+    (a 1e-12 floor next to 1 rounds to 1 in float32). The per-label terms keep
+    the logits' width and are summed in float64; the gradient is
+    (sigmoid(z) - y) / N.
+    """
+    logits = _as_tensor(logits)
+    z = logits.data
+    y = np.asarray(targets, dtype=z.dtype)
+    if z.shape != y.shape:
+        raise ShapeError(f"bce shapes logits={z.shape} targets={y.shape}")
+    e = np.exp(-np.abs(z))
+    loss = (np.maximum(z, 0.0) - z * y + np.log1p(e)).mean(dtype=np.float64)
 
     def back(g):
-        inside = (probs.data > LOG_EPS) & (probs.data < 1.0 - LOG_EPS)
-        dp = np.where(inside, (p - y) / (p * (1.0 - p)), 0.0)
-        _accumulate(probs, dp * (float(g) / y.size))
+        p = np.where(z >= 0, 1.0, e) / (1.0 + e)  # sigmoid(z) from exp(-|z|), overflow-free
+        _accumulate(logits, (p - y) * (float(g) / y.size))
 
-    return Tensor(loss, probs.requires_grad, (probs,), back if probs.requires_grad else None)
+    return Tensor(loss, logits.requires_grad, (logits,), back if logits.requires_grad else None)
 
 
 def batch_norm_train(x, gamma, beta, eps: float = 1e-5):

@@ -6,6 +6,18 @@ from aucap.nn import tensor as T
 from aucap.nn.tensor import Parameter
 
 
+def at_float64(params: list[Parameter]) -> list[Parameter]:
+    """Cast ``params`` to float64 in place and return them.
+
+    The autodiff core computes at its data's width, so a float32 model (the
+    SVE MLP) fed float64 inputs then runs at float64, where central
+    differences resolve its gradients; at float32 they would be roundoff.
+    """
+    for p in params:
+        p.cast(np.float64)
+    return params
+
+
 def zero_grads(params: list[Parameter]) -> None:
     for p in params:
         p.zero_grad()

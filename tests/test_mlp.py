@@ -1,10 +1,16 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from aucap import mlp
+from aucap.captioner import CaptionerConfig, train_captioner
 from aucap.errors import CheckpointError, ShapeError, TrainingError
 from aucap.mlp import MLP, MLPConfig, _dataset_loss, predict_sve, train_mlp
 from aucap.nn import tensor as T
-from gradcheck import max_relative_error
+from aucap.nn.checkpoint import save_tensors
+from aucap.text import build_vocabulary, clean_caption
+from gradcheck import at_float64, max_relative_error
 from aucap.nn.tensor import Tensor
 
 
@@ -35,16 +41,15 @@ class TestForward:
     def test_outputs_in_unit_interval(self):
         rng = np.random.RandomState(0)
         model = MLP(small_config(), rng)
-        out = model.forward(Tensor(rng.standard_normal((8, 16)) * 5), mode="infer")
-        assert np.all((out.data > 0.0) & (out.data < 1.0))
+        out = predict_sve(model, rng.standard_normal((8, 16)) * 5)
+        assert np.all((out > 0.0) & (out < 1.0))
 
     def test_zero_weights_give_half(self):
         model = MLP(small_config(), np.random.RandomState(0))
         for p in model.parameters():
             p.data[...] = 0.0
-        out = model.forward(Tensor(np.random.RandomState(1).standard_normal((3, 16))),
-                            mode="infer")
-        assert np.allclose(out.data, 0.5)
+        out = predict_sve(model, np.random.RandomState(1).standard_normal((3, 16)))
+        assert np.allclose(out, 0.5)
 
     def test_output_dim_is_corpus_size(self):
         cfg = MLPConfig(input_dim=2048, output_dim=37, hidden_widths=(8, 8))
@@ -99,6 +104,28 @@ class TestTraining:
         with pytest.raises(ShapeError):
             train_mlp(np.zeros((4, 16)), np.full((4, 4), 0.3), small_config())
 
+    def test_trains_and_predicts_at_float32(self):
+        x, y = separable_toy()
+        model, _ = train_mlp(x, y, small_config(epochs=2))
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        assert predict_sve(model, x).dtype == np.float32
+
+    @pytest.mark.parametrize("val, message", [
+        (lambda x, y: (x, None), "given together"),
+        (lambda x, y: (None, y), "given together"),
+        (lambda x, y: (x, y[:, :3]), r"validation targets \(128, 3\) vs expected \(128, 4\)"),
+        (lambda x, y: (x[:, :15], y), r"validation features \(128, 15\)"),
+        (lambda x, y: (x[:5], y), r"validation targets \(128, 4\) vs expected \(5, 4\)"),
+        (lambda x, y: (x, y * 0.5), "validation targets must be binary"),
+        (lambda x, y: (x[:0], y[:0]), "validation set is empty"),
+    ])
+    def test_bad_validation_set_raises_before_training(self, val, message, monkeypatch):
+        monkeypatch.setattr(mlp, "fit", lambda *a, **k: pytest.fail("training started"))
+        x, y = separable_toy()
+        val_features, val_targets = val(x, y)
+        with pytest.raises(ShapeError, match=message):
+            train_mlp(x, y, small_config(), val_features=val_features, val_targets=val_targets)
+
     def test_best_epoch_checkpointing(self):
         x, y = separable_toy()
         _, history = train_mlp(x, y, small_config(epochs=20),
@@ -114,7 +141,8 @@ class TestTraining:
         model, history = train_mlp(x, y, small_config(epochs=12, learning_rate=learning_rate),
                                    val_features=xv, val_targets=yv)
         assert history.best_epoch < 11  # the best state is restored, not the last one kept
-        assert _dataset_loss(model, xv, yv) == history.val_losses[history.best_epoch]
+        val_loss = _dataset_loss(model, xv.astype(np.float32), yv)  # as train_mlp casts it
+        assert val_loss == history.val_losses[history.best_epoch]
 
     def test_zero_epochs_return_the_initial_model(self):
         x, y = separable_toy()
@@ -148,18 +176,44 @@ class TestGradientsAndState:
         x = Tensor(rng.standard_normal((5, 6)))
         y = (rng.random_sample((5, 3)) > 0.5).astype(float)
         err = max_relative_error(
-            lambda: T.binary_cross_entropy(model.forward(x, mode="infer"), y),
-            model.parameters(),
+            lambda: T.sigmoid_binary_cross_entropy(model.forward(x, mode="infer"), y),
+            at_float64(model.parameters()),
         )
         assert err < 1e-4
 
     def test_save_load_round_trip(self, tmp_path):
+        """f4 payloads (plain v1 records) hold the float32 parameters bit for bit."""
         model = MLP(small_config(), np.random.RandomState(4))
         model.save(tmp_path / "mlp.ckpt")
+        assert b"dtype=f8" not in (tmp_path / "mlp.ckpt").read_bytes()
         again = MLP.load(tmp_path / "mlp.ckpt")
         assert again.config == model.config
         for pa, pb in zip(model.parameters(), again.parameters()):
-            assert np.array_equal(pa.data, pb.data)
+            assert pb.data.dtype == np.float32 and pa.data.tobytes() == pb.data.tobytes()
+
+    def test_float64_checkpoint_loads_into_float32(self, tmp_path):
+        """A checkpoint of float64 parameters, as the MLP wrote before it trained
+        at float32, loads with each value rounded to float32."""
+        model = MLP(small_config(), np.random.RandomState(4))
+        rng = np.random.RandomState(6)
+        state = {name: rng.standard_normal(v.shape) for name, v in model.state().items()}
+        save_tensors(tmp_path / "old.ckpt", state, {"kind": "sve-mlp",
+                                                    "config": asdict(model.config)})
+        assert (tmp_path / "old.ckpt").read_bytes().count(b"dtype=f8") == len(state)
+        again = MLP.load(tmp_path / "old.ckpt")
+        for p in again.parameters():
+            assert p.data.dtype == np.float32
+            assert np.array_equal(p.data, state[p.name].astype(np.float32))
+
+    def test_captioner_checkpoint_stays_float64(self, tmp_path):
+        captions = [clean_caption(t) for t in ("dog barks", "rain falls")]
+        feats = {f"c{i}": np.random.RandomState(i).standard_normal((2, 3)) for i in range(2)}
+        config = CaptionerConfig(variant="logmel", audio_dim=3, bigru1=2, bigru2=2, text_gru=4,
+                                 decoder_gru=4, embed_dim=4, epochs=1, batch_size=2)
+        ckpt, _ = train_captioner([(f"c{i}", c) for i, c in enumerate(captions)], feats, None,
+                                  build_vocabulary(captions), config)
+        ckpt.save(tmp_path / "captioner.ckpt")
+        assert (tmp_path / "captioner.ckpt").read_bytes().count(b"dtype=f8") == len(ckpt.state)
 
     def test_load_state_rejects_missing_or_misshaped_tensor(self):
         model = MLP(small_config(), np.random.RandomState(4))

@@ -1,3 +1,5 @@
+import inspect
+import math
 import warnings
 
 import numpy as np
@@ -324,6 +326,37 @@ class TestCrossEntropy:
             T.cross_entropy(Tensor(np.full((1, 2), 0.5)), np.array([5]))
 
 
+class TestSigmoidBinaryCrossEntropy:
+    def test_matches_the_probability_form(self):
+        rng = np.random.RandomState(4)
+        z = rng.standard_normal((5, 3)) * 4.0
+        y = (rng.random_sample((5, 3)) > 0.5).astype(float)
+        p = 1.0 / (1.0 + np.exp(-z))
+        reference = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean()
+        loss = T.sigmoid_binary_cross_entropy(Tensor(z), y)
+        assert float(loss.data) == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tails_are_exact_and_finite(self, dtype):
+        """At |z| = 1000, exp(|z|) overflows either width and 1 - sigmoid(z) is 0."""
+        logits = Tensor(np.array([[-1000.0, -50.0, 50.0, 1000.0]] * 2, dtype=dtype),
+                        requires_grad=True)
+        y = np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = T.sigmoid_binary_cross_entropy(logits, y)
+            T.backward(loss)
+        assert float(loss.data) == pytest.approx((1000.0 + 50.0 + 50.0 + 1000.0) / 8, rel=1e-6)
+        assert loss.data.dtype == np.float64  # the per-label terms are summed in float64
+        assert logits.grad.dtype == dtype
+        sigmoid = np.array([[0.0, math.exp(-50.0), 1.0 - math.exp(-50.0), 1.0]] * 2)
+        assert np.allclose(logits.grad, (sigmoid - y) / 8, rtol=1e-6, atol=0.0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.sigmoid_binary_cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(3))
+
+
 class TestGradients:
     def test_dense_strict(self):
         rng = np.random.RandomState(13)
@@ -423,13 +456,14 @@ class TestAdam:
 
 
 def adam_reference(data, grads, steps, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Unblocked Adam with full-size temporaries, op for op as adam_step;
-    returns the data, m and v after ``steps`` steps."""
+    """Unblocked Adam with full-size temporaries, op for op as adam_step, at
+    the width of ``data`` (every scalar is a Python float); returns the data,
+    m and v after ``steps`` steps."""
     data = data.copy()
     m, v = np.zeros_like(data), np.zeros_like(data)
     for t in range(1, steps + 1):
         g = grads[t - 1]
-        scale = lr * np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+        scale = lr * math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -439,13 +473,17 @@ def adam_reference(data, grads, steps, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8
 
 
 class TestAdamBlocked:
-    def test_matches_unblocked_formula(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_unblocked_formula(self, dtype):
+        """At float32 every op must run at float32: one computed at float64 and
+        rounded back (a numpy float64 scalar does that) changes bits."""
         rng = np.random.RandomState(22)
         shapes = {"big": (3, CHUNK // 2 + 7), "small": (7,)}  # 1.5 chunks and a partial one
-        params = [Parameter(rng.standard_normal(s), name) for name, s in shapes.items()]
+        params = [Parameter(rng.standard_normal(s).astype(dtype), name)
+                  for name, s in shapes.items()]
         start = [p.data.copy() for p in params]
-        grads = [[rng.standard_normal(s) * 10.0 ** rng.randint(-3, 3) for _ in range(3)]
-                 for s in shapes.values()]
+        grads = [[(rng.standard_normal(s) * 10.0 ** rng.randint(-3, 3)).astype(dtype)
+                  for _ in range(3)] for s in shapes.values()]
         state = AdamState(learning_rate=1e-2)
         for step in range(3):
             for p, g in zip(params, grads):
@@ -453,7 +491,11 @@ class TestAdamBlocked:
                 p.grad_ready = True
             adam_step(params, state)
         for p, p0, g in zip(params, start, grads):
-            assert np.array_equal(p.data, adam_reference(p0, g, 3)[0])
+            data, m, v = adam_reference(p0, g, 3)
+            assert p.data.dtype == p.grad.dtype == dtype
+            assert state.m[p.name].dtype == state.v[p.name].dtype == dtype
+            assert np.array_equal(p.data, data)
+            assert np.array_equal(state.m[p.name], m) and np.array_equal(state.v[p.name], v)
 
 
 class TestRowSparseAdam:
@@ -462,23 +504,25 @@ class TestRowSparseAdam:
 
     ROWS, DIM, STEPS = 40, 3, 24
 
-    def train(self, lookups, dense_steps=(), dense_first=False):
-        """Train an Embedding table for STEPS steps. Step s looks up each index
-        vector in ``lookups(s)`` and, on ``dense_steps``, also feeds the whole table
-        to ``T.linear`` (before the lookups when ``dense_first``). Checks data,
-        m and v against adam_reference after every step; returns the start table,
-        the table after every step and whether each step ran row-sparse."""
+    def train(self, lookups, dense_steps=(), dense_first=False, dtype=np.float64):
+        """Train an Embedding table at ``dtype`` for STEPS steps. Step s looks up
+        each index vector in ``lookups(s)`` and, on ``dense_steps``, also feeds the
+        whole table to ``T.linear`` (before the lookups when ``dense_first``).
+        Checks data, m and v, and their width, against adam_reference after every
+        step; returns the start table, the table after every step and whether
+        each step ran row-sparse."""
         rng = np.random.RandomState(31)
         table = Embedding(self.ROWS, self.DIM, rng).table
+        table.cast(dtype)
         start = table.data.copy()
         state = AdamState(learning_rate=1e-2)
         grads, history, sparse = [], [], []
         for step in range(self.STEPS):
             terms = [T.mul(T.embedding_lookup(table, idx),
-                           Tensor(rng.standard_normal((len(idx), self.DIM))))
+                           Tensor(rng.standard_normal((len(idx), self.DIM)).astype(dtype)))
                      for idx in lookups(step)]
             if step in dense_steps:
-                dense = T.linear(Tensor(rng.standard_normal((2, self.DIM))), table)
+                dense = T.linear(Tensor(rng.standard_normal((2, self.DIM)).astype(dtype)), table)
                 terms = [dense, *terms] if dense_first else [*terms, dense]
             loss = sum_all(terms[0])
             for term in terms[1:]:
@@ -488,6 +532,8 @@ class TestRowSparseAdam:
             adam_step([table], state)
             sparse.append(table.name in state.live)
             data, m, v = adam_reference(start, grads, step + 1)
+            assert table.data.dtype == state.m[table.name].dtype == state.v[table.name].dtype
+            assert table.data.dtype == table.grad.dtype == dtype
             assert np.array_equal(table.data, data), step
             assert np.array_equal(state.m[table.name], m), step
             assert np.array_equal(state.v[table.name], v), step
@@ -495,12 +541,13 @@ class TestRowSparseAdam:
             history.append(table.data.copy())
         return start, history, sparse
 
-    def test_repeated_indices_idle_and_untouched_rows(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_repeated_indices_idle_and_untouched_rows(self, dtype):
         def lookups(step):
             first = [np.array([5])] if step == 0 else []  # row 5 once, then idle
             return [np.array([2, 2, 2, 9, 2]), np.array([(step % 7) + 10, 9])] + first
 
-        start, history, sparse = self.train(lookups)
+        start, history, sparse = self.train(lookups, dtype=dtype)
         assert all(sparse)
         touched = [2, 5, 9, *range(10, 17)]
         untouched = np.setdiff1d(np.arange(self.ROWS), touched)
@@ -551,3 +598,68 @@ class TestMaskedRun:
         short = gru_sequence(Tensor(xs.data[:2]), cell)
         assert np.allclose(full.data[1], short.data[1])
         assert layer.hidden == 2
+
+
+ZERO_ONE = np.array([[0.0, 1.0, 1.0, 0.0]] * 3)
+
+# Every op of the autodiff core: (op on float32 inputs, the shapes of those inputs).
+WIDTH_CASES = {
+    "add": (T.add, [(3, 4), (4,)]),
+    "sub": (T.sub, [(3, 4), (3, 4)]),
+    "mul": (T.mul, [(3, 4), (1, 4)]),
+    "linear": (T.linear, [(3, 4), (5, 4), (5,)]),
+    "concat": (lambda a, b: T.concat([a, b]), [(3, 4), (3, 2)]),
+    "row_slice": (lambda x: T.row_slice(x, 1, 3), [(4, 3)]),
+    "reshape": (lambda x: T.reshape(x, (6, 2)), [(3, 4)]),
+    "mean_all": (T.mean_all, [(3, 4)]),
+    "sigmoid": (T.sigmoid, [(3, 4)]),
+    "tanh": (T.tanh, [(3, 4)]),
+    "relu": (T.relu, [(3, 4)]),
+    "softmax": (T.softmax, [(3, 4)]),
+    "dropout": (lambda x: T.dropout(x, 0.3, "train", np.random.RandomState(0)), [(3, 4)]),
+    "embedding_lookup": (lambda table: T.embedding_lookup(table, np.array([0, 2, 2])), [(5, 4)]),
+    "cross_entropy": (lambda x: T.cross_entropy(T.softmax(x), np.array([0, 3, 1])), [(3, 4)]),
+    "sigmoid_binary_cross_entropy": (lambda z: T.sigmoid_binary_cross_entropy(z, ZERO_ONE),
+                                     [(3, 4)]),
+    "batch_norm_train": (lambda x, g, b: T.batch_norm_train(x, g, b)[0], [(3, 4), (4,), (4,)]),
+    "batch_norm_infer": (lambda x, g, b: T.batch_norm_infer(
+        x, g, b, np.full(4, 0.1, np.float32), np.full(4, 0.9, np.float32)), [(3, 4), (4,), (4,)]),
+}
+
+
+class TestWidths:
+    """float32 in, float32 out: no op may compute in float64 and round back."""
+
+    def test_every_op_is_covered(self):
+        ops = {name for name, fn in vars(T).items()
+               if inspect.isfunction(fn) and fn.__module__ == T.__name__
+               and not name.startswith("_") and name != "backward"}
+        assert ops == set(WIDTH_CASES)
+
+    @pytest.mark.parametrize("name", WIDTH_CASES)
+    def test_float32_data_and_gradients_stay_float32(self, name, monkeypatch):
+        """Every gradient an op hands on is checked as it is accumulated,
+        before ``+=`` into a float32 buffer could round a float64 one back."""
+        widths = []
+        accumulate = T._accumulate
+
+        def recording(t, g):
+            widths.append(np.asarray(g).dtype)
+            accumulate(t, g)
+
+        monkeypatch.setattr(T, "_accumulate", recording)
+        op, shapes = WIDTH_CASES[name]
+        rng = np.random.RandomState(7)
+        inputs = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        out = op(*inputs)
+        # the one float64 result: the fused BCE sums its float32 terms in float64
+        assert out.data.dtype == (np.float64 if name == "sigmoid_binary_cross_entropy"
+                                  else np.float32)
+        T.backward(out if out.data.ndim == 0 else T.mean_all(T.mul(out, out)))
+        assert set(widths) == {np.dtype(np.float32)}
+        assert all(x.grad.dtype == np.float32 for x in inputs)
+
+    def test_other_inputs_become_float64(self):
+        for data in (np.arange(3), [1, 2], 2.5, np.ones(2, np.float16), np.array([True])):
+            assert Tensor(data).data.dtype == np.float64
