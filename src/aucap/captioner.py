@@ -3,17 +3,29 @@
 Audio branch: BiGRU -> batch norm -> BiGRU -> batch norm (final state).
 Text branch: embedding -> GRU -> batch norm (final state over the partial
 caption). The two states are concatenated into x and decoded by
-h = sigmoid(W_z x + b_z) * tanh(W x + b), batch norm, a dense layer and a
-softmax over the vocabulary. Training is teacher-forced: each caption of N
-tokens contributes N-1 (prefix -> next word) examples.
+h = sigmoid(W_z x + b_z) * tanh(W x + b), batch norm and a dense layer to one
+logit per vocabulary word. Training is teacher-forced: each caption of N
+tokens contributes N-1 (prefix -> next word) examples, and minimises the
+cross-entropy of the softmax of those logits, fused into one node
+(``T.softmax_cross_entropy``).
 
 A training batch is whole captions. The audio state never depends on the
 prefix, and the text state of prefix i is step i of one text-GRU pass over
 the caption, so a batch of k captions takes one audio pass over its k clips
-and one text-GRU pass over its (L, k) token matrix. The valid (step,
-caption) text states and each example's audio state, taken before
-``bn_audio2``, are then gathered to one row per example, so that
-``bn_audio2`` and ``bn_text`` see one row per example, and decoded together.
+and one text-GRU pass over its (L, k) token matrix. ``bn_audio2``
+normalizes the k final audio states, each weighted by its caption's number
+of examples, and the valid (step, caption) text states are gathered to one
+row per example for ``bn_text``; both thus see the statistics of one row per
+example. Each example's audio state is then gathered, and all are decoded
+together.
+
+The model runs at float32: its parameters are drawn at float64 and cast
+once, and its inputs are cast to the parameters' width, so the whole graph
+follows them. The loss and the train-mode batch-norm statistics reduce in
+float64 (see ``nn/tensor.py``). Weighting the clip rows instead of repeating
+them matters at float32: when a batch holds one caption, the gradient that
+``bn_audio2`` passes on is exactly zero, but summed over n repeated rows it
+keeps a rounding residue that 1/sqrt(eps) magnifies past Adam's eps.
 
 The paper's decoder is a GRU run for one step from h0 = 0. With h0 = 0 the
 reset gate only scales the zero state and the recurrent columns of the
@@ -136,6 +148,14 @@ class Captioner:
         self.dec_b = gru.b
         self.bn_decoder = BatchNorm(c.decoder_gru, name="dec.bn")
         self.out = Dense(c.decoder_gru, vocab_size, rng, name="dec.out")
+        for p in self.parameters():
+            p.cast(np.float32)
+
+    @property
+    def width(self) -> np.dtype:
+        """The parameters' dtype, which inputs are cast to: float32, or float64
+        once the parameters are cast up (as the gradient checks do)."""
+        return self.out.weights.data.dtype
 
     # -- plumbing -----------------------------------------------------------
 
@@ -175,10 +195,11 @@ class Captioner:
                      rng: np.random.RandomState | None = None, rows=None) -> Tensor:
         """(batch, 2*bigru2) audio state: BiGRU -> BN -> BiGRU -> BN (final state).
 
-        ``rows`` gathers clip rows of the final BiGRU state before ``bn_audio2``,
-        giving one output row per entry.
+        ``rows`` gathers clip rows of the state, giving one output row per
+        entry; a train-mode ``bn_audio2`` weights each clip row by the number
+        of entries that name it, its statistics those of the gathered rows.
         """
-        audio = np.asarray(audio, dtype=np.float64)
+        audio = np.asarray(audio, dtype=self.width)
         if audio.ndim != 3 or audio.shape[2] != self.config.encoder_input_dim:
             raise ShapeError(
                 f"audio batch must be (B, T, {self.config.encoder_input_dim}), got {audio.shape}"
@@ -192,9 +213,10 @@ class Captioner:
         # one batch-norm batch of all T*B frame states, rows in time-major order
         normed = self.bn_audio1(T.reshape(seq1, (steps * batch, width)), mode=mode)
         audio_vec = self.audio_gru2.run(T.reshape(normed, (steps, batch, width)))
-        if rows is not None:
-            audio_vec = T.embedding_lookup(audio_vec, rows)
-        return self.bn_audio2(audio_vec, mode=mode)
+        if rows is None:
+            return self.bn_audio2(audio_vec, mode=mode)
+        counts = np.bincount(rows, minlength=batch)
+        return T.embedding_lookup(self.bn_audio2(audio_vec, mode=mode, counts=counts), rows)
 
     def encode(self, audio: np.ndarray, prefix: np.ndarray, mask: np.ndarray, mode: str,
                rng: np.random.RandomState | None = None, positions=None) -> Tensor:
@@ -207,9 +229,9 @@ class Captioner:
         steps; masked steps carry the state, so that is the prefix up to the
         row's last valid step.
         """
-        audio = np.asarray(audio, dtype=np.float64)
+        audio = np.asarray(audio, dtype=self.width)
         prefix = np.asarray(prefix, dtype=np.int64)
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.asarray(mask, dtype=self.width)
         if prefix.ndim != 2 or prefix.shape != mask.shape or prefix.shape[:1] != audio.shape[:1]:
             raise ShapeError(f"prefix {prefix.shape} / mask {mask.shape} / audio {audio.shape}")
         batch, length = prefix.shape
@@ -236,14 +258,14 @@ class Captioner:
         return T.concat([audio_vec, text_vec], axis=1)
 
     def decode_step(self, fused: Tensor, mode: str) -> Tensor:
-        """Next-word distribution over the vocabulary; rows sum to 1."""
+        """Next-word logits over the vocabulary (softmax gives the distribution)."""
         h = T.mul(T.sigmoid(T.linear(fused, self.dec_W_z, self.dec_b_z)),
                   T.tanh(T.linear(fused, self.dec_W, self.dec_b)))
         h = self.bn_decoder(h, mode=mode)
-        return T.softmax(self.out(h))
+        return self.out(h)
 
     def forward(self, audio, prefix, mask, mode: str, rng=None, positions=None) -> Tensor:
-        """Next-word distributions of the examples ``positions`` names (see ``encode``)."""
+        """Next-word logits of the examples ``positions`` names (see ``encode``)."""
         fused = self.encode(audio, prefix, mask, mode, rng=rng, positions=positions)
         return self.decode_step(fused, mode)
 
@@ -256,27 +278,28 @@ class Captioner:
         The audio is encoded once; each token then takes one text-GRU step from
         the previous state, infer-mode ``bn_text``, and ``decode_step`` on the
         cached audio state. Batch 1 and the same ops in the same order as
-        ``forward`` on the whole prefix give bitwise-equal probabilities (see
-        the module docstring). The argmax runs over the words and ``<eos>``:
-        ``<pad>``, ``<sos>`` and ``<unk>`` are never emitted, since
-        ``strip_special_tokens`` would drop them and leave no caption word. Ties
-        break toward the lowest of those indices.
+        ``forward`` on the whole prefix give bitwise-equal logits (see
+        the module docstring). The argmax runs over the logits of the words and
+        ``<eos>`` (the softmax keeps their order): ``<pad>``, ``<sos>`` and
+        ``<unk>`` are never emitted, since ``strip_special_tokens`` would drop
+        them and leave no caption word. Equal logits break toward the lowest of
+        those indices.
         """
         max_len = max_len if max_len is not None else self.config.max_len
-        arr = np.asarray(encoder_input, dtype=np.float64)
+        arr = np.asarray(encoder_input, dtype=self.width)
         if arr.ndim == 2:
             arr = arr[None, :, :]
         if arr.ndim != 3 or arr.shape[0] != 1:
             raise ShapeError(f"greedy_decode takes one clip, got input of shape {arr.shape}")
         reserved = [vocab.pad_index, vocab.sos_index, vocab.unk_index]
         audio_vec = self.encode_audio(arr, mode="infer")
-        h = Tensor(np.zeros((1, self.text_gru.hidden)))
+        h = Tensor(np.zeros((1, self.text_gru.hidden), self.width))
         tokens = [vocab.sos_index]
         while len(tokens) < max_len:
             h = self.text_gru.step(self.embedding(np.array([tokens[-1]], dtype=np.int64)), h)
             text_vec = self.bn_text(h, mode="infer")
-            probs = self.decode_step(T.concat([audio_vec, text_vec], axis=1), mode="infer")
-            scores = probs.data[0].copy()
+            logits = self.decode_step(T.concat([audio_vec, text_vec], axis=1), mode="infer")
+            scores = logits.data[0].copy()
             scores[reserved] = -np.inf
             nxt = int(np.argmax(scores))
             tokens.append(nxt)
@@ -400,8 +423,8 @@ def _dataset_loss(model: Captioner, captions: list[tuple[str, list[int]]],
     for batch in _caption_batches(lengths, range(len(captions)), batch_size):
         audio, prefix, mask, positions, targets = _batch_arrays(
             [captions[i] for i in batch], inputs)
-        probs = model.forward(audio, prefix, mask, mode="infer", positions=positions)
-        total += float(T.cross_entropy(probs, targets).data) * len(targets)
+        logits = model.forward(audio, prefix, mask, mode="infer", positions=positions)
+        total += float(T.softmax_cross_entropy(logits, targets).data) * len(targets)
     return total / (sum(lengths) - len(lengths))
 
 
@@ -448,6 +471,7 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
 
     rng = np.random.RandomState(config.seed)
     model = Captioner(len(vocab), config, rng, embed_init=embed_init)
+    inputs = {clip_id: enc.astype(model.width) for clip_id, enc in inputs.items()}
     params = model.parameters()
     state = AdamState(learning_rate=config.learning_rate)
 
@@ -461,8 +485,8 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     def batch_loss(batch):
         audio, prefix, mask, positions, targets = _batch_arrays(
             [captions[i] for i in batch], inputs)
-        probs = model.forward(audio, prefix, mask, mode="train", rng=rng, positions=positions)
-        return T.cross_entropy(probs, targets), len(targets)
+        logits = model.forward(audio, prefix, mask, mode="train", rng=rng, positions=positions)
+        return T.softmax_cross_entropy(logits, targets), len(targets)
 
     def val_loss():
         return _dataset_loss(model, val_captions, inputs, config.batch_size)

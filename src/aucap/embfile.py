@@ -47,7 +47,7 @@ def pack_matrix(values: np.ndarray, *, dtype: str = "f4") -> bytes:
     """One container record as bytes; ``dtype`` is ``f4`` (v1) or ``f8`` (checkpoints only)."""
     if dtype not in ("f4", "f8"):
         raise EmbeddingFormatError(f"unsupported dtype {dtype!r}")
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     rows, dim = arr.shape
@@ -94,6 +94,7 @@ def unpack_matrix(blob: bytes, *, allow_f8: bool = False,
                   offset: int = 0) -> tuple[np.ndarray, int]:
     """Parse the container record at ``blob[offset:]``; returns (matrix, bytes_consumed).
 
+    The matrix is a read-only view of ``blob`` at the record's width (f4 or f8).
     Raises :class:`EmbeddingFormatError` on a corrupt header, a truncated
     payload or non-finite values; bytes after the record are the caller's.
     """
@@ -106,7 +107,7 @@ def unpack_matrix(blob: bytes, *, allow_f8: bool = False,
     if len(blob) - start < size:
         raise EmbeddingFormatError(f"payload truncated ({len(blob) - start} < {size} bytes)")
     arr = np.frombuffer(blob, dtype=f"<{dtype}", count=rows * dim, offset=start)
-    arr = arr.astype(np.float64).reshape(rows, dim)
+    arr = arr.reshape(rows, dim)
     if not np.all(np.isfinite(arr)):
         raise EmbeddingFormatError("non-finite values in payload")
     return arr, start + size - offset
@@ -122,9 +123,9 @@ def parse_matrix(blob: bytes, path: str | os.PathLike, *,
                  expected_dim: int | None = None) -> np.ndarray:
     """Parse ``blob``, the bytes of the AUCAP-EMB v1 file ``path``, into a (rows, dim) array.
 
-    Raises :class:`EmbeddingFormatError`, naming ``path``, on anything
-    :func:`unpack_matrix` rejects, on bytes after the payload, or on a dim
-    that differs from ``expected_dim``.
+    The array is float64. Raises :class:`EmbeddingFormatError`, naming
+    ``path``, on anything :func:`unpack_matrix` rejects, on bytes after the
+    payload, or on a dim that differs from ``expected_dim``.
     """
     try:
         arr, end = unpack_matrix(blob)
@@ -134,4 +135,4 @@ def parse_matrix(blob: bytes, path: str | os.PathLike, *,
         raise EmbeddingFormatError(f"{path}: {len(blob) - end} trailing bytes after payload")
     if expected_dim is not None and arr.shape[1] != expected_dim:
         raise EmbeddingFormatError(f"{path}: dim={arr.shape[1]} but expected {expected_dim}")
-    return arr
+    return arr.astype(np.float64)

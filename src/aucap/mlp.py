@@ -10,8 +10,8 @@ The MLP trains and predicts at float32. Its training is memory-bound: each
 step's Adam update and dense products stream every parameter, and float32
 halves those bytes. The fused loss takes no log of a probability, so it needs
 no floor near 1, which float32 could not hold (1 - 1e-12 rounds to 1). The
-parameters are drawn at float64, as before, and cast once; the rest of the
-program keeps float64.
+parameters are drawn at float64, as before, and cast once, as the
+captioner's are.
 """
 
 from __future__ import annotations

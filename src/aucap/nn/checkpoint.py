@@ -8,11 +8,13 @@ Layout:
 
 Payloads reuse the AUCAP-EMB container at each tensor's own width: a float32
 tensor is a plain v1 (f4) payload and any other one takes the ``dtype=f8``
-extension, so a save/load cycle reproduces the values bit for bit at either
-width. A model's ``state()`` is such a name -> array dict, and its
-``load_state`` reads one back through ``state_tensor``, cast to the width of
-the parameter or buffer it fills: a float32 model loads a checkpoint written
-at f8 as well.
+extension, and ``load_tensors`` returns each at its stored width (f4 as
+float32, f8 as float64), so a save/load cycle reproduces the values, and a
+re-save the file, bit for bit. The captioner and the MLP keep their
+parameters at float32 and the batch-norm buffers at float64. A model's
+``state()`` is such a name -> array dict, and its ``load_state`` reads one
+back through ``state_tensor``, cast to the width of the parameter or buffer
+it fills: a float32 model loads a checkpoint written at f8 as well.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def load_tensors(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(
                 f"{path}: tensor {name!r} holds {arr.size} values for shape {shape}"
             )
-        tensors[name] = arr.reshape(shape)
+        tensors[name] = arr.reshape(shape).copy()  # a writable array at the stored width
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes")
     return tensors, meta

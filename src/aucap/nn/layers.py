@@ -69,6 +69,11 @@ class BatchNorm:
     as in Adam's bias correction: mean / (1 - m**t) and
     max((var - m**t) / (1 - m**t), 0). With t = 0 (untrained, or a checkpoint
     written without the step buffer) the raw buffers are used unchanged.
+
+    The running statistics stay float64 whatever the width of the data; infer
+    mode casts them to it (``T.batch_norm_infer``). In train mode ``counts``
+    weighs each row as that many copies of itself (``T.batch_norm_train``);
+    infer mode normalizes each row on its own and ignores it.
     """
 
     def __init__(self, dim: int, momentum: float = 0.99, eps: float = 1e-5, name: str = "bn"):
@@ -81,9 +86,9 @@ class BatchNorm:
         self.running_var = np.ones(dim)
         self.steps = 0
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
+    def __call__(self, x: Tensor, mode: str, counts=None) -> Tensor:
         if mode == "train":
-            out, mean, var = T.batch_norm_train(x, self.gamma, self.beta, self.eps)
+            out, mean, var = T.batch_norm_train(x, self.gamma, self.beta, self.eps, counts)
             m = self.momentum
             self.running_mean = m * self.running_mean + (1.0 - m) * mean
             self.running_var = m * self.running_var + (1.0 - m) * var
@@ -173,7 +178,8 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
     carries the state over masked-out steps. Starts from the (batch, D*hidden)
     ``h0`` (default zeros). Returns the final (batch, D*hidden) states or all
     (T, batch, D*hidden) states in input order; cell d owns columns
-    d*hidden:(d+1)*hidden.
+    d*hidden:(d+1)*hidden. Every buffer, the masks and the zero ``h0`` take
+    the width of the input and the weights, so a float32 run stays float32.
 
     One time loop serves all D cells. The matrix products stay per cell, with
     the operands and memory layouts of a one-cell run, and write into stacked
@@ -201,6 +207,7 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
                          f"tensor, got {xs.data.shape}")
     steps, batch, _ = xs.data.shape
     width = n_dir * hid
+    dtype = np.result_type(xs.data, cells[0].W_z.data)  # every buffer's width
     if h0 is not None:
         h0 = T._as_tensor(h0)
         if h0.data.shape != (batch, width):
@@ -212,7 +219,7 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
         return parts[0][:, None] if n_dir == 1 else np.stack(parts, axis=1)
 
     if masks is not None:
-        masks = np.asarray(masks, dtype=np.float64)
+        masks = np.asarray(masks, dtype=dtype)
         if masks.shape != (steps, batch):
             raise ShapeError(f"gru_sequence got masks {masks.shape}, want {(steps, batch)}")
         # full (T, D, batch, hidden) operands: same-shape ops beat a broadcast per step
@@ -220,8 +227,8 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
         keep = 1.0 - masks
 
     # per cell, in its own step order: [h, x] in hx, then [r*h, x] in rhx
-    hx = np.empty((n_dir, steps, batch, hid + in_dim))
-    b_zr, b = np.empty((2, n_dir, 1, hid)), np.empty((n_dir, 1, hid))
+    hx = np.empty((n_dir, steps, batch, hid + in_dim), dtype)
+    b_zr, b = np.empty((2, n_dir, 1, hid), dtype), np.empty((n_dir, 1, hid), dtype)
     mats = []  # (W_z.T, W_r.T, W.T) per cell
     for d, (c, r) in enumerate(zip(cells, rev)):
         hx[d, :, :, hid:] = xs.data[::-1] if r else xs.data
@@ -229,16 +236,16 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
         mats.append((c.W_z.data.T, c.W_r.data.T, c.W.data.T))
     rhx = hx.copy()
     gates = [None] * steps  # (z, r, h_hat) per step, each (D, batch, hid)
-    states = np.empty((steps, n_dir, batch, hid))
-    tmp = np.empty((n_dir, batch, hid))
+    states = np.empty((steps, n_dir, batch, hid), dtype)
+    tmp = np.empty((n_dir, batch, hid), dtype)
     if h0 is None:
-        h = h_start = np.zeros((n_dir, batch, hid))
+        h = h_start = np.zeros((n_dir, batch, hid), dtype)
     else:
         h = h_start = h0.data.reshape(batch, n_dir, hid).transpose(1, 0, 2)
     with np.errstate(over="ignore"):  # exp overflow gives a gate of exactly 0
         for i in range(steps):
             hx[:, i, :, :hid] = h
-            zr, hh = np.empty((2, n_dir, batch, hid)), np.empty((n_dir, batch, hid))
+            zr, hh = np.empty((2, n_dir, batch, hid), dtype), np.empty((n_dir, batch, hid), dtype)
             h_new = states[i]
             for d, (w_z, w_r, _) in enumerate(mats):
                 np.matmul(hx[d, i], w_z, out=zr[0, d])
@@ -275,13 +282,13 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
         out = h.transpose(1, 0, 2).reshape(batch, width)
 
     def back(g):
-        da = np.empty((n_dir, steps, batch, 3 * hid))  # pre-activation gradients of z, r, h_hat
+        da = np.empty((n_dir, steps, batch, 3 * hid), dtype)  # pre-activation grads of z, r, h_hat
         w_h = [c.W.data[:, :hid] for c in cells]
         w_rec = [np.concatenate([c.W_z.data[:, :hid], c.W_r.data[:, :hid]]) for c in cells]
-        d_rh = np.empty((n_dir, batch, hid))
+        d_rh = np.empty((n_dir, batch, hid), dtype)
         if return_sequence:
             g_steps = step_order(np.moveaxis(g.reshape(steps, batch, n_dir, hid), 2, 0))
-            dh = np.zeros((n_dir, batch, hid))
+            dh = np.zeros((n_dir, batch, hid), dtype)
         else:
             dh = g.reshape(batch, n_dir, hid).transpose(1, 0, 2)
         for i in range(steps - 1, -1, -1):

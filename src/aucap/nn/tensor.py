@@ -3,7 +3,10 @@
 A tensor keeps the width of its data: float32 and float64 stay as they are,
 and anything else becomes float64. Every op computes at its inputs' width, so
 a graph of float32 data and parameters runs and back-propagates at float32
-throughout (the fused BCE loss alone sums its terms in float64).
+throughout. Two kinds of reduction run in float64 and hand back their
+inputs' width: the fused losses sum their per-example terms in float64 (the
+loss scalar is float64), and train-mode batch norm computes its statistics,
+its normalized values and its backward in float64.
 
 Every op builds a node holding its parents and a closure that routes the
 incoming gradient to them; ``backward`` walks the graph once in reverse
@@ -18,7 +21,7 @@ import numpy as np
 
 from ..errors import GraphStateError, ShapeError
 
-LOG_EPS = 1e-12  # floor inside cross-entropy logs
+LOG_EPS = 1e-12  # floor inside the logs of ``cross_entropy``, kept for the benchmark tracer
 # The data widths a Tensor keeps; float64 first, since `in` tries identity
 # before ==, and a float64 array then costs one identity check per node.
 WIDTHS = (np.dtype(np.float64), np.dtype(np.float32))
@@ -290,7 +293,12 @@ def relu(x) -> Tensor:
 
 
 def softmax(x) -> Tensor:
-    """Row softmax with max-subtraction; rows sum to 1 even for huge logits."""
+    """Row softmax with max-subtraction; rows sum to 1 even for huge logits.
+
+    No model calls it: the captioner trains through ``softmax_cross_entropy``
+    and decodes from logits. It is kept because the benchmark tracer wraps it
+    by name (ROADMAP item 9).
+    """
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"softmax expects (batch, classes), got {x.data.shape}")
@@ -361,14 +369,13 @@ def embedding_lookup(table, indices) -> Tensor:
 def cross_entropy(probs, targets) -> Tensor:
     """Mean over the batch of -ln p(target); logs floored at 1e-12.
 
-    ``probs`` rows must already be a distribution (softmax output).
+    ``probs`` rows must already be a distribution (softmax output). No model
+    calls it (see ``softmax_cross_entropy``); it is kept because the benchmark
+    tracer wraps it by name (ROADMAP item 9).
     """
     probs = _as_tensor(probs)
     t = np.asarray(targets)
-    if probs.data.ndim != 2 or t.ndim != 1 or t.shape[0] != probs.data.shape[0]:
-        raise ShapeError(f"cross_entropy shapes probs={probs.data.shape} targets={t.shape}")
-    if t.size and (t.min() < 0 or t.max() >= probs.data.shape[1]):
-        raise ShapeError(f"target index out of range for {probs.data.shape[1]} classes")
+    _check_targets(probs.data, t, "cross_entropy")
     batch = probs.data.shape[0]
     picked = probs.data[np.arange(batch), t]
     loss = -np.log(np.maximum(picked, LOG_EPS)).mean()
@@ -380,6 +387,44 @@ def cross_entropy(probs, targets) -> Tensor:
         _accumulate(probs, dp * (float(g) / batch))
 
     return Tensor(loss, probs.requires_grad, (probs,), back if probs.requires_grad else None)
+
+
+def _check_targets(scores: np.ndarray, t: np.ndarray, op: str) -> None:
+    if scores.ndim != 2 or t.ndim != 1 or t.shape[0] != scores.shape[0]:
+        raise ShapeError(f"{op} shapes {scores.shape} vs targets {t.shape}")
+    if t.size and (t.min() < 0 or t.max() >= scores.shape[1]):
+        raise ShapeError(f"target index out of range for {scores.shape[1]} classes")
+
+
+def softmax_cross_entropy(logits, targets) -> Tensor:
+    """Mean over the batch of -ln softmax(``logits``)[target], from the logits.
+
+    Per row, log-sum-exp minus the target logit, both taken after subtracting
+    the row's largest logit, so nothing overflows and no log floor is needed
+    (a 1e-12 floor means little in float32). The exponentials keep the
+    logits' width; the row sums, the logs and the mean run in float64, and so
+    the loss is a float64 scalar. The gradient, (softmax(z) - one-hot) / B, is
+    at the logits' width.
+    """
+    logits = _as_tensor(logits)
+    z = logits.data
+    t = np.asarray(targets)
+    _check_targets(z, t, "softmax_cross_entropy")
+    batch = z.shape[0]
+    rows = np.arange(batch)
+    e = z - z.max(axis=1, keepdims=True)
+    picked = e[rows, t].astype(np.float64)
+    np.exp(e, out=e)
+    sums = e.sum(axis=1, dtype=np.float64)
+    loss = (np.log(sums) - picked).mean()
+
+    def back(g):
+        grad = e / sums.astype(z.dtype)[:, None]
+        grad[rows, t] -= 1.0
+        grad *= float(g) / batch
+        _accumulate(logits, grad)
+
+    return Tensor(loss, logits.requires_grad, (logits,), back if logits.requires_grad else None)
 
 
 def sigmoid_binary_cross_entropy(logits, targets) -> Tensor:
@@ -406,41 +451,68 @@ def sigmoid_binary_cross_entropy(logits, targets) -> Tensor:
     return Tensor(loss, logits.requires_grad, (logits,), back if logits.requires_grad else None)
 
 
-def batch_norm_train(x, gamma, beta, eps: float = 1e-5):
+def batch_norm_train(x, gamma, beta, eps: float = 1e-5, counts=None):
     """Normalize by batch statistics; returns (y, batch_mean, batch_var).
 
     Biased variance, matching the running-statistics update. Gradient flows
-    through the statistics (the full batch-norm backward).
+    through the statistics (the full batch-norm backward). ``counts`` weighs
+    row i as ``counts[i]`` copies of itself: the statistics, outputs and
+    summed input gradients equal those of batch norm over the rows repeated
+    that often (the gradient of a row is the sum over its copies), without
+    the rounding residue that summing identical rows' gradients leaves.
+
+    The statistics, the normalized values and the backward run in float64;
+    ``y`` and every gradient come back at ``x``'s width, and the statistics
+    stay float64.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim != 2:
         raise ShapeError(f"batch_norm expects (batch, features), got {x.data.shape}")
-    n = x.data.shape[0]
+    xs = x.data.astype(np.float64)
+    if counts is None:
+        w, n = None, xs.shape[0]
+    else:
+        w = np.asarray(counts, dtype=np.float64)
+        if w.shape != xs.shape[:1] or (w < 0).any():
+            raise ShapeError(f"batch_norm counts {w.shape} must be >= 0, one per row of "
+                             f"{xs.shape}")
+        n = w.sum()
     if n < 2:
         raise ShapeError("train-mode batch norm needs a batch of at least 2")
-    mean = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
+    if w is None:
+        mean = xs.mean(axis=0)
+        var = xs.var(axis=0)
+    else:
+        mean = (w @ xs) / n
+        var = (w @ np.square(xs - mean)) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    y = gamma.data * xhat + beta.data
+    xhat = (xs - mean) * inv_std
+    width = x.data.dtype
+    y = (gamma.data * xhat + beta.data).astype(width)
     out_req = x.requires_grad or gamma.requires_grad or beta.requires_grad
 
     def back(g):
-        _accumulate(gamma, (g * xhat).sum(axis=0))
-        _accumulate(beta, g.sum(axis=0))
+        g = g.astype(np.float64)
+        _accumulate(gamma, (g * xhat).sum(axis=0).astype(width))
+        _accumulate(beta, g.sum(axis=0).astype(width))
         if x.requires_grad:
             gxh = g * gamma.data
-            dx = (inv_std / n) * (n * gxh - gxh.sum(axis=0) - xhat * (gxh * xhat).sum(axis=0))
-            _accumulate(x, dx)
+            spread = gxh.sum(axis=0) + xhat * (gxh * xhat).sum(axis=0)
+            if w is not None:
+                spread *= w[:, None]
+            _accumulate(x, ((inv_std / n) * (n * gxh - spread)).astype(width))
 
     out = Tensor(y, out_req, (x, gamma, beta), back if out_req else None)
     return out, mean, var
 
 
 def batch_norm_infer(x, gamma, beta, running_mean, running_var, eps: float = 1e-5) -> Tensor:
-    """Normalize by frozen running statistics (deterministic)."""
+    """Normalize by frozen running statistics (deterministic), at ``x``'s width:
+    float64 statistics are cast to it after ``1 / sqrt(var + eps)``."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    inv_std = 1.0 / np.sqrt(running_var + eps)
+    width = x.data.dtype
+    running_mean = np.asarray(running_mean).astype(width, copy=False)
+    inv_std = (1.0 / np.sqrt(running_var + eps)).astype(width, copy=False)
     y = gamma.data * (x.data - running_mean) * inv_std + beta.data
     out_req = x.requires_grad or gamma.requires_grad or beta.requires_grad
 

@@ -165,6 +165,3 @@ def encode(caption: TokenizedCaption, vocab: Vocabulary) -> list[int]:
     """Map tokens to indices; out-of-vocabulary tokens become ``<unk>``."""
     return [vocab.index(t) for t in caption]
 
-
-def decode(indices, vocab: Vocabulary) -> TokenizedCaption:
-    return [vocab.word(i) for i in indices]

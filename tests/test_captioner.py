@@ -17,8 +17,11 @@ from aucap.captioner import (
 from aucap import atomic, captioner, mlp
 from aucap.errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from aucap.nn import tensor as T
+from aucap.nn.checkpoint import load_tensors
 from aucap.nn.layers import BiGRU, GRUCellParams
+from aucap.nn.optim import AdamState, adam_step
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
+from gradcheck import at_float64
 
 
 def micro_config(**overrides):
@@ -222,14 +225,15 @@ class TestEncodeDecode:
         expected = np.concatenate([np.full(2 * cfg.bigru2, 0.25), np.full(cfg.text_gru, -0.5)])
         assert np.allclose(fused.data, expected[None, :])
 
-    def test_decode_rows_sum_to_one(self):
+    def test_decode_gives_float32_logits(self):
         model, _ = micro_model()
         rng = np.random.RandomState(2)
-        probs = model.forward(rng.standard_normal((3, 4, 8)),
-                              np.array([[1, 5], [1, 6], [1, 7]]),
-                              np.ones((3, 2)), mode="infer")
-        assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
-        assert 0 <= int(np.argmax(probs.data[0])) < 12
+        logits = model.forward(rng.standard_normal((3, 4, 8)),
+                               np.array([[1, 5], [1, 6], [1, 7]]),
+                               np.ones((3, 2)), mode="infer")
+        assert logits.data.shape == (3, 12) and logits.data.dtype == np.float32
+        assert np.allclose(T.softmax(logits).data.sum(axis=1), 1.0, atol=1e-6)
+        assert (logits.data < 0).any()  # not probabilities
 
     def test_default_positions_are_each_rows_final_state(self):
         model, _ = micro_model()
@@ -322,11 +326,13 @@ class TestIncrementalDecode:
             bn.gamma.data = rng.uniform(0.5, 1.5, bn.gamma.data.shape)
             bn.beta.data = rng.standard_normal(bn.beta.data.shape)
         model.out.bias.data[vocab.eos_index] = -50.0  # decode up to the length cap
+        for p in model.parameters():  # the batch-norm draws above are float64
+            p.cast(np.float32)
         return model, cfg, rng
 
     @pytest.mark.parametrize("variant,frames", [("panns", 1), ("logmel", 5)])
     @pytest.mark.parametrize("sve_dim", [0, 3])
-    def test_step_probabilities_equal_full_prefix_forward(self, variant, frames, sve_dim):
+    def test_step_logits_equal_full_prefix_forward(self, variant, frames, sve_dim):
         vocab = build_vocabulary([clean_caption("dog barks loudly outside")])
         model, cfg, rng = self._decoding_model(vocab, variant=variant, sve_dim=sve_dim)
         sve = rng.randint(0, 2, sve_dim).astype(float) if sve_dim else None
@@ -336,9 +342,9 @@ class TestIncrementalDecode:
         decode_step = model.decode_step
 
         def recording(fused, mode):
-            probs = decode_step(fused, mode)
-            steps.append(probs.data.copy())
-            return probs
+            logits = decode_step(fused, mode)
+            steps.append(logits.data.copy())
+            return logits
 
         model.decode_step = recording
         tokens = model.greedy_decode(enc, vocab, max_len=7)
@@ -346,10 +352,11 @@ class TestIncrementalDecode:
 
         assert len(steps) == len(tokens) - 1 == 6
         indices = [vocab.index(t) for t in tokens]
-        for i, probs in enumerate(steps):
+        for i, logits in enumerate(steps):
             prefix = np.array([indices[: i + 1]])
             full = model.forward(enc[None], prefix, np.ones(prefix.shape), mode="infer")
-            assert np.array_equal(probs, full.data)
+            assert logits.dtype == np.float32
+            assert np.array_equal(logits, full.data)
             words_and_eos = full.data[0].copy()
             words_and_eos[[vocab.pad_index, vocab.sos_index, vocab.unk_index]] = -np.inf
             assert indices[i + 1] == int(np.argmax(words_and_eos))
@@ -508,17 +515,23 @@ class TestTraining:
                                   micro_config(epochs=3, dropout=0.3, learning_rate=1e-2))
         model = ckpt.build_model()
         encoded = _encode_captions(pairs, vocab)
-        nlls = []
-        for clip_id, ids in encoded:
-            for i in range(1, len(ids)):
-                prefix = np.array([ids[:i]])
-                probs = model.forward(feats[clip_id][None], prefix, np.ones(prefix.shape),
-                                      mode="infer")
-                nlls.append(-np.log(probs.data[0, ids[i]]))
-        reference = float(np.mean(nlls))
-        for batch_size in (1, 6, 100):
-            assert _dataset_loss(model, encoded, feats, batch_size) == pytest.approx(
-                reference, rel=1e-12, abs=0.0)
+
+        def check(rel):
+            nlls = []
+            for clip_id, ids in encoded:
+                for i in range(1, len(ids)):
+                    prefix = np.array([ids[:i]])
+                    logits = model.forward(feats[clip_id][None], prefix, np.ones(prefix.shape),
+                                           mode="infer")
+                    nlls.append(float(T.softmax_cross_entropy(logits, [ids[i]]).data))
+            reference = float(np.mean(nlls))
+            for batch_size in (1, 6, 100):
+                assert _dataset_loss(model, encoded, feats, batch_size) == pytest.approx(
+                    reference, rel=rel, abs=0.0)
+
+        check(rel=1e-6)  # float32: a row of a many-row product may round apart from it alone
+        at_float64(model.parameters())
+        check(rel=1e-12)
 
     def test_nan_feature_raises(self):
         pairs, feats, vocab = self._tiny_dataset()
@@ -532,9 +545,9 @@ class TestTraining:
 
         def nodes(frames, words):
             prefix = rng.randint(1, 12, size=(4, words))
-            probs = model.forward(rng.standard_normal((4, frames, 8)), prefix,
-                                  np.ones(prefix.shape), mode="train", rng=rng)
-            return len(T._toposort(T.cross_entropy(probs, rng.randint(0, 12, size=4))))
+            logits = model.forward(rng.standard_normal((4, frames, 8)), prefix,
+                                   np.ones(prefix.shape), mode="train", rng=rng)
+            return len(T._toposort(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4))))
 
         assert nodes(2, 1) == nodes(9, 1) == nodes(2, 7) == nodes(30, 12)
 
@@ -542,13 +555,71 @@ class TestTraining:
         model, _ = micro_model()
         rng = np.random.RandomState(8)
         prefix = rng.randint(1, 12, size=(4, 3))
-        probs = model.forward(rng.standard_normal((4, 3, 8)), prefix, np.ones(prefix.shape),
-                              mode="train", rng=rng)
-        T.backward(T.cross_entropy(probs, rng.randint(0, 12, size=4)))
+        logits = model.forward(rng.standard_normal((4, 3, 8)), prefix, np.ones(prefix.shape),
+                               mode="train", rng=rng)
+        T.backward(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4)))
         for p in model.parameters():
             assert np.any(p.grad != 0.0), p.name
             if p.data.ndim == 2:
                 assert np.all(np.any(p.grad != 0.0, axis=0)), p.name  # every input column
+
+    def test_captions_of_one_clip_give_the_audio_branch_no_gradient(self):
+        """With every example on one clip, ``bn_audio2`` sees one clip row
+        weighted by the example count: its output is ``beta`` and its input
+        gradient exactly 0 at float32, so no weight before it moves (the
+        summed gradient of repeated rows would leave a rounding residue that
+        Adam turns into full-size steps)."""
+        model, _ = micro_model(dropout=0.5)
+        rng = np.random.RandomState(10)
+        prefix = rng.randint(1, 12, size=(1, 4))
+        mask = np.ones(prefix.shape)
+        logits = model.forward(rng.standard_normal((1, 5, 8)), prefix, mask, mode="train",
+                               rng=rng, positions=np.nonzero(mask.T))
+        T.backward(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=logits.data.shape[0])))
+        audio_branch = [*model.audio_gru1.parameters(), *model.bn_audio1.parameters(),
+                        *model.audio_gru2.parameters(), model.bn_audio2.gamma]
+        for p in audio_branch:
+            assert p.grad.dtype == np.float32
+            assert np.all(p.grad == 0.0), p.name
+        assert np.any(model.bn_audio2.beta.grad != 0.0)
+
+    def test_float32_throughout(self):
+        """After a train step and a greedy decode every graph node but the
+        loss, every parameter and gradient and every Adam moment is float32:
+        numpy would widen a stray float64 buffer silently."""
+        pairs, feats, vocab = self._tiny_dataset()
+        model, _ = micro_model(vocab_size=len(vocab), dropout=0.5)
+        params = model.parameters()
+        state = AdamState(learning_rate=1e-2)
+        rng = np.random.RandomState(11)
+        audio, prefix, mask, positions, targets = _batch_arrays(
+            _encode_captions(pairs, vocab), feats)
+        loss = T.softmax_cross_entropy(
+            model.forward(audio, prefix, mask, mode="train", rng=rng, positions=positions),
+            targets)
+        T.backward(loss)
+        nodes = T._toposort(loss)
+        assert loss.data.dtype == np.float64 and nodes[-1] is loss
+        assert {n.data.dtype for n in nodes[:-1]} == {np.dtype(np.float32)}
+        assert {n.grad.dtype for n in nodes if n.grad is not None and n is not loss} == {
+            np.dtype(np.float32)}
+        adam_step(params, state)
+        assert {p.data.dtype for p in params} | {p.grad.dtype for p in params} == {
+            np.dtype(np.float32)}
+        assert {a.dtype for a in [*state.m.values(), *state.v.values()]} == {
+            np.dtype(np.float32)}
+
+        seen = []
+        decode_step = model.decode_step
+
+        def recording(fused, mode):
+            logits = decode_step(fused, mode)
+            seen.extend(n.data.dtype for n in T._toposort(T.mean_all(logits))[:-1])
+            return logits
+
+        model.decode_step = recording
+        model.greedy_decode(feats[pairs[0][0]], vocab, max_len=4)
+        assert set(seen) == {np.dtype(np.float32)}
 
 
 class TestSveAblationEquivalence:
@@ -607,6 +678,29 @@ class TestCheckpoint:
         # saving the loaded checkpoint reproduces the file byte for byte
         again.save(tmp_path / "cap2.ckpt")
         assert (tmp_path / "cap2.ckpt").read_bytes() == path.read_bytes()
+
+    def test_float64_checkpoint_loads_into_float32(self, tmp_path):
+        """A checkpoint of float64 parameters, as the captioner wrote before it
+        ran at float32, loads with each value rounded to float32."""
+        ckpt, vocab = self._checkpoint()
+        rng = np.random.RandomState(12)
+        ckpt.state = {name: v if name.startswith("buffer.") else rng.standard_normal(v.shape)
+                      for name, v in ckpt.state.items()}
+        ckpt.save(tmp_path / "old.ckpt")
+        assert (tmp_path / "old.ckpt").read_bytes().count(b"dtype=f8") == len(ckpt.state)
+        model = CaptionerCheckpoint.load(tmp_path / "old.ckpt", vocab=vocab).build_model()
+        for p in model.parameters():
+            assert p.data.dtype == np.float32
+            assert np.array_equal(p.data, ckpt.state[p.name].astype(np.float32))
+
+    def test_tensors_load_at_their_stored_width(self, tmp_path):
+        ckpt, _ = self._checkpoint()
+        ckpt.save(tmp_path / "cap.ckpt")
+        tensors, _ = load_tensors(tmp_path / "cap.ckpt")
+        assert {name: v.dtype for name, v in tensors.items()} == {
+            name: v.dtype for name, v in ckpt.state.items()}
+        widths = {v.dtype for v in tensors.values()}
+        assert widths == {np.dtype(np.float32), np.dtype(np.float64)}  # parameters, buffers
 
     def test_corrupt_manifest(self, tmp_path):
         ckpt, _ = self._checkpoint()

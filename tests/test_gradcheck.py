@@ -1,8 +1,8 @@
 """Finite-difference gradient check of every layer type, both models and the
 captioner's caption-major batch. Check ``i`` draws its weights and inputs from
 seed ``SEED + i``; each must match its central differences within 1e-4
-relative error. Every check runs at float64: the float32 SVE MLP is cast up
-by ``at_float64``."""
+relative error. Every check runs at float64: the float32 SVE MLP and
+captioner are cast up by ``at_float64``."""
 
 import numpy as np
 import pytest
@@ -82,12 +82,25 @@ def _check_batch_norm(rng):
     )
 
 
+def _check_batch_norm_counts(rng):
+    """Rows weighted 3, 1, 0 and 2 copies: the zero-weight row gets no gradient
+    through the statistics, only its own output's."""
+    bn = BatchNorm(6, name="gc.bnc")
+    lin = Dense(6, 6, rng, name="gc.bncin")
+    x = Tensor(rng.standard_normal((4, 6)))
+    counts = np.array([3, 1, 0, 2])
+    return max_relative_error(
+        lambda: _quadratic_target(bn(lin(x), mode="train", counts=counts)),
+        bn.parameters() + lin.parameters(), rng=rng,
+    )
+
+
 def _check_softmax_xent(rng):
     layer = Dense(6, 5, rng, name="gc.sm")
     x = Tensor(rng.standard_normal((7, 6)))
     targets = rng.randint(0, 5, size=7)
     return max_relative_error(
-        lambda: T.cross_entropy(T.softmax(layer(x)), targets), layer.parameters(), rng=rng
+        lambda: T.softmax_cross_entropy(layer(x), targets), layer.parameters(), rng=rng
     )
 
 
@@ -128,10 +141,10 @@ def _check_micro_captioner(rng, caption_major: bool = False):
     targets = rng.randint(0, 10, size=int(mask.sum()) if caption_major else batch)
 
     def loss_fn():
-        probs = model.forward(audio, prefix, mask, mode="train", positions=positions)
-        return T.cross_entropy(probs, targets)
+        logits = model.forward(audio, prefix, mask, mode="train", positions=positions)
+        return T.softmax_cross_entropy(logits, targets)
 
-    return max_relative_error(loss_fn, model.parameters(), rng=rng, max_coords=6)
+    return max_relative_error(loss_fn, at_float64(model.parameters()), rng=rng, max_coords=6)
 
 
 CHECKS = {
@@ -152,6 +165,7 @@ CHECKS = {
     "micro_captioner": _check_micro_captioner,
     "micro_captioner_caption_major": lambda rng: _check_micro_captioner(rng, True),
     "sigmoid_binary_cross_entropy": _check_sigmoid_bce,
+    "batch_norm_counts": _check_batch_norm_counts,
 }
 
 

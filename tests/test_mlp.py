@@ -205,7 +205,8 @@ class TestGradientsAndState:
             assert p.data.dtype == np.float32
             assert np.array_equal(p.data, state[p.name].astype(np.float32))
 
-    def test_captioner_checkpoint_stays_float64(self, tmp_path):
+    def test_captioner_checkpoint_is_float32(self, tmp_path):
+        """Parameters are written as f4 records; the batch-norm buffers stay f8."""
         captions = [clean_caption(t) for t in ("dog barks", "rain falls")]
         feats = {f"c{i}": np.random.RandomState(i).standard_normal((2, 3)) for i in range(2)}
         config = CaptionerConfig(variant="logmel", audio_dim=3, bigru1=2, bigru2=2, text_gru=4,
@@ -213,7 +214,11 @@ class TestGradientsAndState:
         ckpt, _ = train_captioner([(f"c{i}", c) for i, c in enumerate(captions)], feats, None,
                                   build_vocabulary(captions), config)
         ckpt.save(tmp_path / "captioner.ckpt")
-        assert (tmp_path / "captioner.ckpt").read_bytes().count(b"dtype=f8") == len(ckpt.state)
+        buffers = [name for name in ckpt.state if name.startswith("buffer.")]
+        assert len(buffers) == 12  # running mean, variance and steps of 4 batch norms
+        assert all(ckpt.state[name].dtype == (np.float64 if name in buffers else np.float32)
+                   for name in ckpt.state)
+        assert (tmp_path / "captioner.ckpt").read_bytes().count(b"dtype=f8") == len(buffers)
 
     def test_load_state_rejects_missing_or_misshaped_tensor(self):
         model = MLP(small_config(), np.random.RandomState(4))

@@ -278,6 +278,52 @@ class TestBatchNorm:
             train_out = bn(x, mode="train").data
         assert np.allclose(bn(x, mode="infer").data, train_out, atol=1e-8)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_counts_equal_repeated_rows(self, dtype):
+        """Row i weighted counts[i] gives the statistics and output of the rows
+        repeated, and each row's gradient is the sum over its copies."""
+        rng = np.random.RandomState(13)
+        counts = np.array([3, 1, 0, 2, 1])
+        x = Tensor(rng.standard_normal((5, 4)).astype(dtype) * 2 + 1, requires_grad=True)
+        weighted, repeated = BatchNorm(4), BatchNorm(4)
+        gamma, beta = rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)
+        for bn in (weighted, repeated):
+            bn.gamma.data, bn.beta.data = gamma, beta
+            bn.gamma.cast(dtype)
+            bn.beta.cast(dtype)
+        rows = np.repeat(np.arange(5), counts)
+        g = rng.standard_normal((rows.size, 4)).astype(dtype)
+        x_rep = Tensor(x.data, requires_grad=True)
+        out = T.embedding_lookup(weighted(x, "train", counts=counts), rows)
+        out_rep = repeated(T.embedding_lookup(x_rep, rows), "train")
+        T.backward(sum_all(T.mul(out, Tensor(g))))
+        T.backward(sum_all(T.mul(out_rep, Tensor(g))))
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        assert out.data.dtype == dtype
+        assert np.allclose(out.data, out_rep.data, rtol=tol, atol=tol)
+        assert np.allclose(weighted.running_mean, repeated.running_mean, rtol=tol, atol=tol)
+        assert np.allclose(weighted.running_var, repeated.running_var, rtol=tol, atol=tol)
+        for a, b in ((x.grad, x_rep.grad), (weighted.gamma.grad, repeated.gamma.grad),
+                     (weighted.beta.grad, repeated.beta.grad)):
+            assert a.dtype == dtype
+            assert np.allclose(a, b, rtol=tol, atol=tol)
+        assert np.all(x.grad[2] == 0.0)  # weight 0: in no statistic and gathered nowhere
+
+    def test_one_weighted_row_gives_exactly_zero_input_gradient(self):
+        x = Tensor(np.random.RandomState(14).standard_normal((1, 6)).astype(np.float32),
+                   requires_grad=True)
+        bn = BatchNorm(6)
+        out = bn(x, "train", counts=np.array([7]))
+        assert np.array_equal(out.data, np.broadcast_to(bn.beta.data, (1, 6)))
+        T.backward(sum_all(T.mul(out, Tensor(np.arange(6, dtype=np.float32) + 0.5))))
+        assert np.all(x.grad == 0.0) and np.all(bn.gamma.grad == 0.0)
+
+    @pytest.mark.parametrize("counts", [[1], [1, 2, 3], [0, 1], [3, -1]])
+    def test_bad_counts_rejected(self, counts):
+        bn = BatchNorm(3)
+        with pytest.raises(ShapeError):
+            bn(Tensor(np.zeros((2, 3))), mode="train", counts=np.array(counts))
+
     def test_infer_constant_batch_gives_beta(self):
         bn = BatchNorm(3)
         bn.beta.data = np.array([0.5, -1.0, 2.0])
@@ -324,6 +370,53 @@ class TestCrossEntropy:
     def test_invalid_target(self):
         with pytest.raises(ShapeError):
             T.cross_entropy(Tensor(np.full((1, 2), 0.5)), np.array([5]))
+
+
+class TestSoftmaxCrossEntropy:
+    def test_matches_minus_log_softmax(self):
+        rng = np.random.RandomState(5)
+        z = rng.standard_normal((40, 30)) * 8.0
+        t = rng.randint(0, 30, size=40)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        picked = p[np.arange(40), t]
+        live = picked > 1e-12
+        assert 0 < live.sum() < 40  # both kinds of row occur
+        loss = T.softmax_cross_entropy(Tensor(z[live]), t[live])
+        assert loss.data.dtype == np.float64
+        assert float(loss.data) == pytest.approx(-np.log(picked[live]).mean(), rel=1e-12)
+        for i in np.flatnonzero(live):
+            loss = T.softmax_cross_entropy(Tensor(z[i : i + 1]), t[i : i + 1])
+            assert float(loss.data) == pytest.approx(-np.log(picked[i]), rel=1e-12)
+
+    def test_gradient_is_softmax_minus_one_hot(self):
+        rng = np.random.RandomState(6)
+        z = Tensor(rng.standard_normal((5, 7)) * 3.0, requires_grad=True)
+        t = np.array([0, 6, 3, 3, 1])
+        T.backward(T.softmax_cross_entropy(z, t))
+        expected = T.softmax(Tensor(z.data)).data
+        expected[np.arange(5), t] -= 1.0
+        assert np.allclose(z.grad, expected / 5, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_huge_logits_are_finite(self, dtype):
+        z = Tensor(np.array([[1000.0, -1000.0, 0.0], [-1000.0, -1000.0, 1000.0],
+                             [1000.0, 1000.0, -1000.0]], dtype=dtype), requires_grad=True)
+        t = np.array([1, 2, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = T.softmax_cross_entropy(z, t)
+            T.backward(loss)
+        assert float(loss.data) == pytest.approx((2000.0 + 0.0 + math.log(2.0)) / 3, rel=1e-12)
+        assert z.grad.dtype == dtype and np.all(np.isfinite(z.grad))
+        expected = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [-0.5, 0.5, 0.0]]) / 3
+        assert np.allclose(z.grad, expected, rtol=1e-6, atol=0.0)
+
+    def test_shape_and_target_checked(self):
+        with pytest.raises(ShapeError):
+            T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(3, dtype=int))
+        with pytest.raises(ShapeError, match="out of range"):
+            T.softmax_cross_entropy(Tensor(np.zeros((1, 3))), np.array([3]))
 
 
 class TestSigmoidBinaryCrossEntropy:
@@ -619,6 +712,8 @@ WIDTH_CASES = {
     "dropout": (lambda x: T.dropout(x, 0.3, "train", np.random.RandomState(0)), [(3, 4)]),
     "embedding_lookup": (lambda table: T.embedding_lookup(table, np.array([0, 2, 2])), [(5, 4)]),
     "cross_entropy": (lambda x: T.cross_entropy(T.softmax(x), np.array([0, 3, 1])), [(3, 4)]),
+    "softmax_cross_entropy": (lambda z: T.softmax_cross_entropy(z, np.array([0, 3, 1])),
+                              [(3, 4)]),
     "sigmoid_binary_cross_entropy": (lambda z: T.sigmoid_binary_cross_entropy(z, ZERO_ONE),
                                      [(3, 4)]),
     "batch_norm_train": (lambda x, g, b: T.batch_norm_train(x, g, b)[0], [(3, 4), (4,), (4,)]),
@@ -653,9 +748,9 @@ class TestWidths:
         inputs = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
                   for s in shapes]
         out = op(*inputs)
-        # the one float64 result: the fused BCE sums its float32 terms in float64
-        assert out.data.dtype == (np.float64 if name == "sigmoid_binary_cross_entropy"
-                                  else np.float32)
+        # the float64 results: the fused losses sum their float32 terms in float64
+        assert out.data.dtype == (np.float64 if name.endswith("_cross_entropy")
+                                  and name != "cross_entropy" else np.float32)
         T.backward(out if out.data.ndim == 0 else T.mean_all(T.mul(out, out)))
         assert set(widths) == {np.dtype(np.float32)}
         assert all(x.grad.dtype == np.float32 for x in inputs)

@@ -12,7 +12,6 @@ from aucap.text import (
     Vocabulary,
     build_vocabulary,
     clean_caption,
-    decode,
     encode,
     strip_special_tokens,
 )
@@ -98,19 +97,19 @@ class TestVocabulary:
         vocab = build_vocabulary([[SOS, "zebra", "ant", EOS], [SOS, "ant", "bee", EOS]])
         assert vocab.words[4:] == ["zebra", "ant", "bee"]
 
-    def test_encode_decode_identity(self):
+    def test_encode_word_identity(self):
         caps = [[SOS, "dog", "barks", EOS]]
         vocab = build_vocabulary(caps)
-        assert decode(encode(caps[0], vocab), vocab) == caps[0]
+        assert [vocab.word(i) for i in encode(caps[0], vocab)] == caps[0]
 
     def test_unknown_maps_to_unk(self):
         vocab = build_vocabulary([[SOS, "dog", EOS]])
         assert encode([SOS, "cat", EOS], vocab)[1] == vocab.unk_index
 
-    def test_decode_out_of_range(self):
+    def test_word_out_of_range(self):
         vocab = Vocabulary()
         with pytest.raises(VocabularyError):
-            decode([99], vocab)
+            vocab.word(99)
 
     def test_empty_build_rejected(self):
         with pytest.raises(VocabularyError):
