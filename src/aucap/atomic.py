@@ -1,4 +1,7 @@
-"""Whole-file artifact writes.
+"""Whole-file artifact reads and writes.
+
+``read_text`` reads a UTF-8 text file whole and reports a file it cannot
+read or decode as the caller's typed error.
 
 A writer fills a sibling temp file and renames it over the target with
 ``os.replace``, an atomic rename on POSIX. A write that fails partway
@@ -11,6 +14,15 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+
+
+def read_text(path: str | os.PathLike, what: str, error: type[Exception]) -> str:
+    """The UTF-8 text of the file ``what`` names, line endings untranslated.
+    Raises ``error`` when it cannot be read (missing, a directory) or is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
 
 
 def write_bytes(path: str | os.PathLike, data: bytes) -> None:

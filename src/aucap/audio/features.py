@@ -165,15 +165,15 @@ def shared_filterbank(
     return fb
 
 
-def apply_log_mel(power: np.ndarray, fb: MelFilterbank, floor: float = LOG_FLOOR) -> LogMelFeatures:
-    """values = ln(max(power @ weights.T, floor)); output is (T, n_mels)."""
+def apply_log_mel(power: np.ndarray, fb: MelFilterbank) -> LogMelFeatures:
+    """values = ln(max(power @ weights.T, LOG_FLOOR)); output is (T, n_mels)."""
     power = np.asarray(power, dtype=np.float64)
     if power.ndim != 2 or power.shape[1] != fb.weights.shape[1]:
         raise ShapeError(
             f"power has {power.shape} bins but filterbank expects (T, {fb.weights.shape[1]})"
         )
     mel = power @ fb.weights.T
-    return LogMelFeatures(values=np.log(np.maximum(mel, floor)))
+    return LogMelFeatures(values=np.log(np.maximum(mel, LOG_FLOOR)))
 
 
 def extract_log_mel(buf: WaveBuffer, config: FeatureConfig = FeatureConfig()) -> LogMelFeatures:

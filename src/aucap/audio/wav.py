@@ -172,19 +172,3 @@ def zero_pad_or_truncate(buf: WaveBuffer, target_seconds: float) -> WaveBuffer:
         out = np.zeros(target_len, dtype=np.float64)
         out[:n] = buf.samples
     return WaveBuffer(samples=out, sample_rate=buf.sample_rate)
-
-
-def write_wav(path: str | Path, buf: WaveBuffer) -> None:
-    """Write 16-bit PCM mono; the inverse of load_wav for fixtures and tooling."""
-    samples = np.clip(buf.samples, -1.0, 1.0)
-    ints = np.round(samples * 32767.0).astype("<i2")
-    data = ints.tobytes()
-    header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
-    fmt = b"fmt " + struct.pack(
-        "<IHHIIHH", 16, _FORMAT_PCM, 1, buf.sample_rate, buf.sample_rate * 2, 2, 16
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(fmt)
-        fh.write(b"data" + struct.pack("<I", len(data)))
-        fh.write(data)

@@ -12,7 +12,10 @@ cross-entropy of the softmax of those logits, fused into one node
 A training batch is whole captions. The audio state never depends on the
 prefix, and the text state of prefix i is step i of one text-GRU pass over
 the caption, so a batch of k captions takes one audio pass over its k clips
-and one text-GRU pass over its (L, k) token matrix. ``bn_audio2``
+and one text-GRU pass over its (L, k) token matrix, in which shorter
+captions are padded after their last token. The GRU runs forward in time,
+so a valid step's state never sees the padding after it, and every
+gradient at a pad step is zero: the padding needs no mask. ``bn_audio2``
 normalizes the k final audio states, each weighted by its caption's number
 of examples, and the valid (step, caption) text states are gathered to one
 row per example for ``bn_text``; both thus see the statistics of one row per
@@ -185,12 +188,6 @@ class Captioner:
 
     # -- forward ------------------------------------------------------------
 
-    def _dropout_rate(self, mode: str, rng: np.random.RandomState | None) -> float:
-        drop = self.config.dropout if mode == "train" else 0.0
-        if drop > 0.0 and rng is None:
-            raise ValueError("train-mode encode needs an rng for dropout")
-        return drop
-
     def encode_audio(self, audio: np.ndarray, mode: str,
                      rng: np.random.RandomState | None = None, rows=None) -> Tensor:
         """(batch, 2*bigru2) audio state: BiGRU -> BN -> BiGRU -> BN (final state).
@@ -204,10 +201,8 @@ class Captioner:
             raise ShapeError(
                 f"audio batch must be (B, T, {self.config.encoder_input_dim}), got {audio.shape}"
             )
-        drop = self._dropout_rate(mode, rng)
         xs = Tensor(audio.transpose(1, 0, 2))  # time-major (T, B, d)
-        if drop > 0.0:
-            xs = T.dropout(xs, drop, mode, rng)
+        xs = T.dropout(xs, self.config.dropout, mode, rng)
         seq1 = self.audio_gru1.run(xs, return_sequence=True)
         steps, batch, width = seq1.data.shape
         # one batch-norm batch of all T*B frame states, rows in time-major order
@@ -218,22 +213,22 @@ class Captioner:
         counts = np.bincount(rows, minlength=batch)
         return T.embedding_lookup(self.bn_audio2(audio_vec, mode=mode, counts=counts), rows)
 
-    def encode(self, audio: np.ndarray, prefix: np.ndarray, mask: np.ndarray, mode: str,
+    def encode(self, audio: np.ndarray, prefix: np.ndarray, mode: str,
                rng: np.random.RandomState | None = None, positions=None) -> Tensor:
         """Fused (examples, 2*bigru2 + text_gru) representation of audio + partial captions.
 
-        ``prefix`` and ``mask`` are (batch, L) and run through the text GRU in
-        one pass. ``positions`` = (steps, rows) index arrays name the examples:
-        example e is the prefix ``prefix[rows[e], :steps[e] + 1]`` of clip
-        ``rows[e]``. The default is one example per row, its state after all L
-        steps; masked steps carry the state, so that is the prefix up to the
-        row's last valid step.
+        ``prefix`` is (batch, L) and runs through the text GRU in one pass.
+        ``positions`` = (steps, rows) index arrays name the examples: example e
+        is the prefix ``prefix[rows[e], :steps[e] + 1]`` of clip ``rows[e]``.
+        The default is one example per row, its state after all L steps: each
+        row's last column, i.e. rows taken at full length. Columns after an
+        example's step (padding, in a batch of captions of several lengths)
+        come later in time, so they change neither its state nor its gradient.
         """
         audio = np.asarray(audio, dtype=self.width)
         prefix = np.asarray(prefix, dtype=np.int64)
-        mask = np.asarray(mask, dtype=self.width)
-        if prefix.ndim != 2 or prefix.shape != mask.shape or prefix.shape[:1] != audio.shape[:1]:
-            raise ShapeError(f"prefix {prefix.shape} / mask {mask.shape} / audio {audio.shape}")
+        if prefix.ndim != 2 or prefix.shape[:1] != audio.shape[:1]:
+            raise ShapeError(f"prefix {prefix.shape} / audio {audio.shape}")
         batch, length = prefix.shape
         if positions is None:
             steps, rows = np.full(batch, length - 1), np.arange(batch)
@@ -246,11 +241,9 @@ class Captioner:
                                  f"the (batch, L) = {prefix.shape} prefix matrix")
         audio_vec = self.encode_audio(audio, mode, rng=rng, rows=rows)
 
-        drop = self._dropout_rate(mode, rng)
         text = T.reshape(self.embedding(prefix.T.ravel()), (length, batch, self.config.embed_dim))
-        if drop > 0.0:
-            text = T.dropout(text, drop, mode, rng)
-        states = self.text_gru.run(text, masks=mask.T, return_sequence=True)
+        text = T.dropout(text, self.config.dropout, mode, rng)
+        states = self.text_gru.run(text, return_sequence=True)
         text_vec = T.embedding_lookup(T.reshape(states, (length * batch, self.text_gru.hidden)),
                                       steps * batch + rows)  # time-major row of (step, row)
         text_vec = self.bn_text(text_vec, mode=mode)
@@ -264,9 +257,9 @@ class Captioner:
         h = self.bn_decoder(h, mode=mode)
         return self.out(h)
 
-    def forward(self, audio, prefix, mask, mode: str, rng=None, positions=None) -> Tensor:
+    def forward(self, audio, prefix, mode: str, rng=None, positions=None) -> Tensor:
         """Next-word logits of the examples ``positions`` names (see ``encode``)."""
-        fused = self.encode(audio, prefix, mask, mode, rng=rng, positions=positions)
+        fused = self.encode(audio, prefix, mode, rng=rng, positions=positions)
         return self.decode_step(fused, mode)
 
     # -- inference ----------------------------------------------------------
@@ -401,18 +394,16 @@ def _caption_batches(lengths: list[int], order, batch_size: int) -> list[list[in
 
 def _batch_arrays(captions: list[tuple[str, list[int]]], inputs: dict[str, np.ndarray]):
     """One batch of whole (clip_id, token indices) captions: the (k, T, d)
-    audio, the (k, L) input tokens and mask (each caption less its last token),
-    and per example, in time-major order, its (steps, rows) position and its
-    target, the token after the prefix that ends at that step."""
-    longest = max(len(ids) for _, ids in captions)
-    tokens = np.zeros((len(captions), longest), dtype=np.int64)
-    mask = np.zeros((len(captions), longest - 1))
+    audio, the (k, L) input tokens (each caption less its last token, padded
+    after it), and per example, in time-major order, its (steps, rows)
+    position and its target, the token after the prefix that ends at that step."""
+    lengths = np.array([len(ids) for _, ids in captions])
+    tokens = np.zeros((len(captions), lengths.max()), dtype=np.int64)
     for row, (_, ids) in enumerate(captions):
         tokens[row, : len(ids)] = ids
-        mask[row, : len(ids) - 1] = 1.0
-    steps, rows = np.nonzero(mask.T)
+    steps, rows = np.nonzero(np.arange(lengths.max() - 1)[:, None] < lengths - 1)
     audio = np.stack([inputs[clip_id] for clip_id, _ in captions])
-    return audio, tokens[:, :-1], mask, (steps, rows), tokens[rows, steps + 1]
+    return audio, tokens[:, :-1], (steps, rows), tokens[rows, steps + 1]
 
 
 def _dataset_loss(model: Captioner, captions: list[tuple[str, list[int]]],
@@ -421,9 +412,8 @@ def _dataset_loss(model: Captioner, captions: list[tuple[str, list[int]]],
     total = 0.0
     lengths = [len(ids) for _, ids in captions]
     for batch in _caption_batches(lengths, range(len(captions)), batch_size):
-        audio, prefix, mask, positions, targets = _batch_arrays(
-            [captions[i] for i in batch], inputs)
-        logits = model.forward(audio, prefix, mask, mode="infer", positions=positions)
+        audio, prefix, positions, targets = _batch_arrays([captions[i] for i in batch], inputs)
+        logits = model.forward(audio, prefix, mode="infer", positions=positions)
         total += float(T.softmax_cross_entropy(logits, targets).data) * len(targets)
     return total / (sum(lengths) - len(lengths))
 
@@ -432,16 +422,14 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
                     sves: dict[str, np.ndarray] | None,
                     vocab: Vocabulary, config: CaptionerConfig,
                     val_pairs=None, embed_init: np.ndarray | None = None,
-                    corpus_sha256: str = "",
-                    stop_loss: float | None = None) -> tuple[CaptionerCheckpoint, dict]:
+                    corpus_sha256: str = "") -> tuple[CaptionerCheckpoint, dict]:
     """Teacher-forced training over (clip_id, caption tokens) pairs.
 
     ``features`` maps clip_id to its raw feature matrix for the configured
     variant; SVE vectors (when ``sve_dim > 0``) are concatenated per clip.
     Returns the best checkpoint by validation loss (training loss when no
-    validation pairs are given) and the loss history. ``stop_loss`` ends
-    training early once the epoch training loss drops below it. Raises
-    TrainingError at the first batch or epoch whose loss is not finite.
+    validation pairs are given) and the loss history. Raises TrainingError
+    at the first batch or epoch whose loss is not finite.
     """
     pairs = list(pairs)
     if not pairs:
@@ -483,9 +471,8 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
         return _caption_batches(lengths, rng.permutation(len(captions)), config.batch_size)
 
     def batch_loss(batch):
-        audio, prefix, mask, positions, targets = _batch_arrays(
-            [captions[i] for i in batch], inputs)
-        logits = model.forward(audio, prefix, mask, mode="train", rng=rng, positions=positions)
+        audio, prefix, positions, targets = _batch_arrays([captions[i] for i in batch], inputs)
+        logits = model.forward(audio, prefix, mode="train", rng=rng, positions=positions)
         return T.softmax_cross_entropy(logits, targets), len(targets)
 
     def val_loss():
@@ -494,8 +481,7 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     # adam_step, _batch_arrays and _dataset_loss are looked up here at call time
     history = fit(model, config.epochs, batches, batch_loss,
                   update=lambda: adam_step(params, state),
-                  val_loss=val_loss if val_captions else None,
-                  stop_loss=stop_loss, name="captioner")
+                  val_loss=val_loss if val_captions else None, name="captioner")
     checkpoint = CaptionerCheckpoint(
         state=model.state(), config=config,
         vocab_size=len(vocab), vocab_sha256=vocab.sha256(),

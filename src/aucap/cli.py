@@ -89,10 +89,7 @@ def _lock_is_stale(lock: Path) -> bool:
 
 def parse_config_file(path: Path) -> dict[str, str]:
     """Parse ``key = value`` lines; blank lines and # comments are skipped."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    text = atomic.read_text(path, "config file", ConfigError)
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -150,14 +147,21 @@ def _cache_root(args) -> Path:
 
 def _load_manifest(args, split: str = "development") -> ds.DatasetManifest:
     manifest = ds.DatasetManifest(source_format=args.format)
-    manifest.add(split, ds.load_caption_csv(args.csv, args.format, split=split,
-                                            audio_dir=getattr(args, "audio_dir", None)))
+    records = ds.load_caption_csv(_require(args.csv, "caption CSV"), args.format, split=split,
+                                  audio_dir=getattr(args, "audio_dir", None))
+    manifest.add(split, records)
     return manifest
 
 
 def _load_corpus(args) -> tuple[TagLexicon, SubjectVerbCorpus]:
+    """The lexicon and the subject-verb corpus, which must not be empty: every
+    command that reads one trains or predicts with its K > 0 labels."""
     lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
-    return lexicon, SubjectVerbCorpus.load(_require(args.corpus, "subject-verb corpus"))
+    corpus = SubjectVerbCorpus.load(_require(args.corpus, "subject-verb corpus"))
+    if corpus.size == 0:
+        raise ConfigError(f"subject-verb corpus {args.corpus} is empty (K=0); there is no SVE "
+                          f"to train or predict with")
+    return lexicon, corpus
 
 
 def _training_fields(args) -> dict:
@@ -179,11 +183,14 @@ def _out(args) -> Path:
 
 
 def _require(path_text: str | None, what: str) -> Path:
+    """The path of a required input file, which must exist and not be a directory."""
     if not path_text:
         raise ConfigError(f"missing required artifact: {what}")
     path = Path(path_text)
     if not path.exists():
         raise ConfigError(f"{what} not found at {path}")
+    if path.is_dir():
+        raise ConfigError(f"{what} at {path} is a directory, not a file")
     return path
 
 
@@ -246,8 +253,6 @@ def cmd_train_mlp(args) -> int:
     manifest = _load_manifest(args)
     records = manifest.split("development")
     lexicon, corpus = _load_corpus(args)
-    if corpus.size == 0:
-        raise ConfigError("subject-verb corpus is empty (K=0); nothing to train")
     cache = _cache_root(args)
     features = ds.load_cached_features(cache, args.variant, [r.clip_id for r in records])
     targets = ds.sve_targets(records, corpus, lexicon)
@@ -282,8 +287,8 @@ def cmd_train_captioner(args) -> int:
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))
     manifest = _load_manifest(args)
     if args.val_csv:
-        manifest.add("validation",
-                     ds.load_caption_csv(args.val_csv, args.format, split="validation"))
+        manifest.add("validation", ds.load_caption_csv(_require(args.val_csv, "validation CSV"),
+                                                       args.format, split="validation"))
     elif args.val_fraction > 0:
         manifest = ds.hold_out_validation(manifest, args.val_fraction, args.seed)
 
@@ -293,12 +298,9 @@ def cmd_train_captioner(args) -> int:
     records = manifest.split("development") + manifest.split("validation")
     if args.use_sve == "on":
         lexicon, corpus = _load_corpus(args)
-        if corpus.size == 0:
-            log.warning("subject-verb corpus is empty; continuing without SVE")
-        else:
-            sves = ds.sve_targets(records, corpus, lexicon)
-            corpus_sha = corpus.sha256()
-            sve_dim = corpus.size
+        sves = ds.sve_targets(records, corpus, lexicon)
+        corpus_sha = corpus.sha256()
+        sve_dim = corpus.size
 
     cache = _cache_root(args)
     features = ds.load_cached_features(cache, args.variant, [r.clip_id for r in records])
@@ -321,10 +323,7 @@ def cmd_train_captioner(args) -> int:
 def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
     records = manifest.split("development")
     k = checkpoint.config.sve_dim
-    source = args.sve_source
-    if source == "off":
-        raise ConfigError("checkpoint was trained with SVE; --sve-source off is inconsistent")
-    if source == "mlp":
+    if args.sve_source == "mlp":
         path = _require(args.mlp, "SVE MLP checkpoint")
         model = MLP.load(path)
         if model.config.output_dim != k:
@@ -473,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="captioner.ckpt")
     p.add_argument("--vocab")
     p.add_argument("--cache")
-    p.add_argument("--sve-source", choices=("mlp", "captions", "off"), default="mlp")
+    p.add_argument("--sve-source", choices=("mlp", "captions"), default="mlp",
+                   help="SVE of a checkpoint trained with SVE; ignored without")
     p.add_argument("--mlp", help="sve_mlp.ckpt for --sve-source mlp")
     _add_corpus(p)
     p.add_argument("--max-len", type=int, help="caption length cap (default: the checkpoint's)")

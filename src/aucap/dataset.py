@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -102,13 +103,13 @@ def load_caption_csv(path: str | Path, source_format: str, split: str = "develop
     layout = _LAYOUTS[source_format]
     path = Path(path)
     audio_dir = Path(audio_dir) if audio_dir is not None else None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DatasetError(f"{path}: missing CSV header")
-        header = [h.strip() for h in reader.fieldnames]
-        rows = [{k.strip(): (v or "").strip() for k, v in row.items() if k is not None}
-                for row in reader]
+    text = atomic.read_text(path, "caption CSV", DatasetError)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise DatasetError(f"{path}: missing CSV header")
+    header = [h.strip() for h in reader.fieldnames]
+    rows = [{k.strip(): (v or "").strip() for k, v in row.items() if k is not None}
+            for row in reader]
     missing = [c for c in (layout.id_column, *layout.caption_columns) if c not in header]
     if missing:
         raise DatasetError(f"{path}: missing columns {missing}")
@@ -230,7 +231,9 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
             key = _cache_key(hashlib.sha256(blob).hexdigest(), variant, feature_config)
             target = out_dir / f"{clip_id}.emb"
             sidecar = out_dir / f"{clip_id}.sha256"
-            if target.exists() and sidecar.exists() and sidecar.read_text().strip() == key:
+            # compared as bytes: a sidecar that is not ASCII matches no key and is rewritten
+            if (target.exists() and sidecar.exists()
+                    and sidecar.read_bytes().strip() == key.encode()):
                 result.skipped.append(clip_id)
                 continue
             if variant == "logmel":

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
+from . import atomic
 from .errors import EmptyCaptionError, MetricError
 from .semantics import to_root
 from .text import clean_caption, strip_special_tokens
@@ -305,7 +306,7 @@ def _tokenize_line(text: str) -> list[str]:
 def read_caption_tsv(path: str | Path) -> dict[str, list[list[str]]]:
     """Read ``clip_id<TAB>caption`` lines; repeated ids accumulate captions."""
     table: dict[str, list[list[str]]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    for lineno, line in enumerate(atomic.read_text(path, "caption TSV", MetricError).splitlines()):
         if not line.strip():
             continue
         clip_id, sep, caption = line.partition("\t")

@@ -72,10 +72,7 @@ class MLP:
             raise ShapeError(
                 f"expected (batch, {self.config.input_dim}) features, got {x.data.shape}"
             )
-        if mode == "train" and self.config.dropout > 0.0:
-            if rng is None:
-                raise ValueError("train-mode forward needs an rng for dropout")
-            x = T.dropout(x, self.config.dropout, mode, rng)
+        x = T.dropout(x, self.config.dropout, mode, rng)
         for layer in self.layers:
             x = T.relu(layer(x))
         return self.out(x)

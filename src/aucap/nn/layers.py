@@ -17,6 +17,8 @@ from . import tensor as T
 from .checkpoint import state_tensor
 from .tensor import Parameter, Tensor
 
+BN_MOMENTUM = 0.99  # of the batch-norm running statistics' EMA
+
 
 def glorot_uniform(rng: np.random.RandomState, fan_out: int, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -63,7 +65,7 @@ class BatchNorm:
     """Feature-wise batch normalization with running statistics.
 
     Train mode uses batch statistics (batch >= 2) and updates the running
-    mean/variance, an EMA with momentum m = 0.99 that starts at mean 0 and
+    mean/variance, an EMA with momentum m = ``BN_MOMENTUM`` that starts at mean 0 and
     variance 1, and counts the updates in the ``buffer.<name>.steps`` buffer. Infer
     mode applies frozen statistics with the start values' share m**t removed,
     as in Adam's bias correction: mean / (1 - m**t) and
@@ -76,11 +78,9 @@ class BatchNorm:
     infer mode normalizes each row on its own and ignores it.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.99, eps: float = 1e-5, name: str = "bn"):
+    def __init__(self, dim: int, name: str = "bn"):
         self.gamma = Parameter(np.ones(dim), f"{name}.gamma")
         self.beta = Parameter(np.zeros(dim), f"{name}.beta")
-        self.momentum = momentum
-        self.eps = eps
         self.name = name
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
@@ -88,19 +88,19 @@ class BatchNorm:
 
     def __call__(self, x: Tensor, mode: str, counts=None) -> Tensor:
         if mode == "train":
-            out, mean, var = T.batch_norm_train(x, self.gamma, self.beta, self.eps, counts)
-            m = self.momentum
+            out, mean, var = T.batch_norm_train(x, self.gamma, self.beta, counts)
+            m = BN_MOMENTUM
             self.running_mean = m * self.running_mean + (1.0 - m) * mean
             self.running_var = m * self.running_var + (1.0 - m) * var
             self.steps += 1
             return out
         if mode == "infer":
             mean, var = self.running_mean, self.running_var
-            start_share = self.momentum ** self.steps
+            start_share = BN_MOMENTUM ** self.steps
             if start_share < 1.0:
                 mean = mean / (1.0 - start_share)
                 var = np.maximum((var - start_share) / (1.0 - start_share), 0.0)
-            return T.batch_norm_infer(x, self.gamma, self.beta, mean, var, self.eps)
+            return T.batch_norm_infer(x, self.gamma, self.beta, mean, var)
         raise ValueError(f"mode must be train or infer, got {mode!r}")
 
     def parameters(self) -> list[Parameter]:
@@ -166,20 +166,18 @@ class GRUCellParams:
         return [self.W_z, self.W_r, self.W, self.b_z, self.b_r, self.b]
 
 
-def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
-                 return_sequence: bool = False) -> Tensor:
+def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = False) -> Tensor:
     """Run D GRU cells over one time-major (T, batch, input) sequence as one autodiff node.
 
     ``cells`` is one GRUCellParams or a sequence of D of them, all of one shape;
     ``reverse`` is one flag for all cells or one per cell, and a reversed cell
     runs last step first. Per cell and step: z = sigmoid([h, x] @ W_z.T + b_z);
     r = sigmoid([h, x] @ W_r.T + b_r); h_hat = tanh([r*h, x] @ W.T + b);
-    h' = (1 - z)*h + z*h_hat; with (T, batch) 0/1 ``masks``, m*h' + (1 - m)*h
-    carries the state over masked-out steps. Starts from the (batch, D*hidden)
-    ``h0`` (default zeros). Returns the final (batch, D*hidden) states or all
+    h' = (1 - z)*h + z*h_hat. Starts from the (batch, D*hidden) ``h0``
+    (default zeros). Returns the final (batch, D*hidden) states or all
     (T, batch, D*hidden) states in input order; cell d owns columns
-    d*hidden:(d+1)*hidden. Every buffer, the masks and the zero ``h0`` take
-    the width of the input and the weights, so a float32 run stays float32.
+    d*hidden:(d+1)*hidden. Every buffer and the zero ``h0`` take the width of
+    the input and the weights, so a float32 run stays float32.
 
     One time loop serves all D cells. The matrix products stay per cell, with
     the operands and memory layouts of a one-cell run, and write into stacked
@@ -217,14 +215,6 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
         """One (T, ...) input-time array per cell -> (T, D, ...) in each cell's step order."""
         parts = [a[::-1] if r else a for a, r in zip(parts, rev)]
         return parts[0][:, None] if n_dir == 1 else np.stack(parts, axis=1)
-
-    if masks is not None:
-        masks = np.asarray(masks, dtype=dtype)
-        if masks.shape != (steps, batch):
-            raise ShapeError(f"gru_sequence got masks {masks.shape}, want {(steps, batch)}")
-        # full (T, D, batch, hidden) operands: same-shape ops beat a broadcast per step
-        masks = step_order([np.repeat(masks[:, :, None], hid, axis=2)] * n_dir)
-        keep = 1.0 - masks
 
     # per cell, in its own step order: [h, x] in hx, then [r*h, x] in rhx
     hx = np.empty((n_dir, steps, batch, hid + in_dim), dtype)
@@ -265,10 +255,6 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
             h_new *= h
             np.multiply(z, hh, out=tmp)
             h_new += tmp
-            if masks is not None:
-                h_new *= masks[i]
-                np.multiply(keep[i], h, out=tmp)
-                h_new += tmp
             h = h_new
             gates[i] = z, r, hh
 
@@ -295,15 +281,12 @@ def gru_sequence(xs, cells, masks=None, h0=None, reverse=False,
             if return_sequence:
                 dh += g_steps[i]
             h_prev, (z, r, hh) = states[i - 1] if i else h_start, gates[i]
-            d_new = dh if masks is None else masks[i] * dh
             one_m_z = 1.0 - z
-            dh_prev = d_new * one_m_z
-            if masks is not None:
-                dh_prev += keep[i] * dh
-            da_h = d_new * z * (1.0 - hh * hh)
+            dh_prev = dh * one_m_z
+            da_h = dh * z * (1.0 - hh * hh)
             for d in range(n_dir):
                 np.matmul(da_h[d], w_h[d], out=d_rh[d])
-            da[:, i, :, :hid] = d_new * (hh - h_prev) * z * one_m_z
+            da[:, i, :, :hid] = dh * (hh - h_prev) * z * one_m_z
             da[:, i, :, hid : 2 * hid] = d_rh * h_prev * r * (1.0 - r)
             da[:, i, :, 2 * hid:] = da_h
             d_rh *= r
@@ -344,9 +327,9 @@ class GRU:
     def hidden(self) -> int:
         return self.cell.hidden
 
-    def run(self, xs: Tensor, masks=None, return_sequence: bool = False) -> Tensor:
+    def run(self, xs: Tensor, return_sequence: bool = False) -> Tensor:
         """``gru_sequence`` over a time-major (T, batch, input) tensor from h0 = 0."""
-        return gru_sequence(xs, self.cell, masks=masks, return_sequence=return_sequence)
+        return gru_sequence(xs, self.cell, return_sequence=return_sequence)
 
     def step(self, x_t: Tensor, h_prev: Tensor) -> Tensor:
         """One step from state ``h_prev``: the same ops ``run`` applies per step."""
@@ -363,10 +346,6 @@ class BiGRU:
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "bigru"):
         self.fwd = GRUCellParams.create(input_dim, hidden, rng, name=f"{name}.fwd")
         self.bwd = GRUCellParams.create(input_dim, hidden, rng, name=f"{name}.bwd")
-
-    @property
-    def hidden(self) -> int:
-        return self.fwd.hidden
 
     def run(self, xs: Tensor, return_sequence: bool = False) -> Tensor:
         """(T, batch, 2*hidden) per-step states, or the (batch, 2*hidden) final

@@ -32,12 +32,12 @@ from .tensor import Parameter
 log = logging.getLogger(__name__)
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator offset
+
+
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -62,7 +62,7 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
         raise GraphStateError(f"adam_step before backward for: {', '.join(stale)}")
     state.step += 1
     t = state.step
-    scale = float(state.learning_rate * math.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t))
+    scale = float(state.learning_rate * math.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t))
     dtypes = {p.data.dtype for p in params}
     buffers = {dt: (np.empty(CHUNK, dt), np.empty(CHUNK, dt)) for dt in dtypes}
     for p in params:
@@ -76,10 +76,10 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
         rows = _live_rows(p, state.live)
         bufs = buffers[p.data.dtype]
         if rows is None:
-            _update_blocks(state, scale, bufs, p.data, p.grad, m, v)
+            _update_blocks(scale, bufs, p.data, p.grad, m, v)
         else:
             data, grad, m_rows, v_rows = p.data[rows], p.grad[rows], m[rows], v[rows]
-            _update_blocks(state, scale, bufs, data, grad, m_rows, v_rows)
+            _update_blocks(scale, bufs, data, grad, m_rows, v_rows)
             p.data[rows], m[rows], v[rows] = data, m_rows, v_rows
             p.grad[rows] = 0.0
         p.grad_ready, p.grad_rows = False, None
@@ -100,8 +100,8 @@ def _live_rows(p: Parameter, live: dict[str, np.ndarray]) -> np.ndarray | None:
     return None
 
 
-def _update_blocks(state: AdamState, scale: float, bufs, data: np.ndarray, grad: np.ndarray,
-                   m: np.ndarray, v: np.ndarray) -> None:
+def _update_blocks(scale: float, bufs, data: np.ndarray, grad: np.ndarray, m: np.ndarray,
+                   v: np.ndarray) -> None:
     """The Adam update in place over contiguous data, grad, m and v, block by block."""
     data, grad, m, v = (a.reshape(-1) for a in (data, grad, m, v))
     buf_a, buf_b = bufs
@@ -109,17 +109,17 @@ def _update_blocks(state: AdamState, scale: float, bufs, data: np.ndarray, grad:
         hi = min(lo + CHUNK, data.size)
         g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
         a, b = buf_a[: hi - lo], buf_b[: hi - lo]
-        mb *= state.beta1
-        np.multiply(1.0 - state.beta1, g, out=a)
+        mb *= BETA1
+        np.multiply(1.0 - BETA1, g, out=a)
         mb += a
-        vb *= state.beta2
+        vb *= BETA2
         np.square(g, out=a)
-        a *= 1.0 - state.beta2
+        a *= 1.0 - BETA2
         vb += a
         g[...] = 0.0
         np.multiply(scale, mb, out=a)
         np.sqrt(vb, out=b)
-        b += state.eps
+        b += ADAM_EPS
         a /= b
         data[lo:hi] -= a
 
@@ -146,8 +146,8 @@ class TrainHistory:
 
 
 def fit(model, epochs: int, batches, batch_loss, update, val_loss=None, fallback_loss=None,
-        stop_loss: float | None = None, name: str = "model") -> TrainHistory:
-    """Train ``model`` for up to ``epochs`` epochs and leave it in its best epoch's state.
+        name: str = "model") -> TrainHistory:
+    """Train ``model`` for ``epochs`` epochs and leave it in its best epoch's state.
 
     Each epoch takes its batches from ``batches()``. Per batch,
     ``batch_loss(batch)`` gives the mean loss tensor and its example count; the
@@ -156,9 +156,8 @@ def fit(model, epochs: int, batches, batch_loss, update, val_loss=None, fallback
     ``val_loss()``, recorded in ``val_losses``; without it, ``fallback_loss()``,
     or else the training loss. The epoch of the lowest watched loss is kept:
     ``model.state()`` is snapshot just before that epoch is trained past, and
-    ``model.load_state`` restores it at the end. Training stops once an epoch's
-    training loss is below ``stop_loss``. Raises TrainingError at the first
-    batch or watched loss that is not finite.
+    ``model.load_state`` restores it at the end. Raises TrainingError at the
+    first batch or watched loss that is not finite.
     """
     history = TrainHistory()
     best_loss, best_state = np.inf, None
@@ -185,9 +184,6 @@ def fit(model, epochs: int, batches, batch_loss, update, val_loss=None, fallback
             best_loss, history.best_epoch = watched, epoch
         log.info("%s epoch %d/%d train %.4f watched %.4f",
                  name, epoch + 1, epochs, train_loss, watched)
-        if stop_loss is not None and train_loss < stop_loss:
-            log.info("%s reached stop loss %.4g at epoch %d", name, stop_loss, epoch + 1)
-            break
-    if history.best_epoch != len(history.train_losses) - 1:
+    if history.best_epoch != epochs - 1:
         model.load_state(best_state)
     return history

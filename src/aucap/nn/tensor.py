@@ -25,6 +25,7 @@ LOG_EPS = 1e-12  # floor inside the logs of ``cross_entropy``, kept for the benc
 # The data widths a Tensor keeps; float64 first, since `in` tries identity
 # before ==, and a float64 array then costs one identity check per node.
 WIDTHS = (np.dtype(np.float64), np.dtype(np.float32))
+BN_EPS = 1e-5  # added to the batch-norm variance before its square root
 
 
 class Tensor:
@@ -155,17 +156,6 @@ def add(a, b) -> Tensor:
     return Tensor(a.data + b.data, out_req, (a, b), back if out_req else None)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_req = a.requires_grad or b.requires_grad
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return Tensor(a.data - b.data, out_req, (a, b), back if out_req else None)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_req = a.requires_grad or b.requires_grad
@@ -246,16 +236,6 @@ def reshape(x, shape) -> Tensor:
     return Tensor(x.data.reshape(shape), x.requires_grad, (x,), back if x.requires_grad else None)
 
 
-def mean_all(x) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size
-
-    def back(g):
-        _accumulate(x, np.full_like(x.data, float(g) / n))
-
-    return Tensor(x.data.mean(), x.requires_grad, (x,), back if x.requires_grad else None)
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -313,10 +293,11 @@ def softmax(x) -> Tensor:
     return Tensor(y, x.requires_grad, (x,), back if x.requires_grad else None)
 
 
-def dropout(x, rate: float, mode: str, rng: np.random.RandomState) -> Tensor:
+def dropout(x, rate: float, mode: str, rng: np.random.RandomState | None = None) -> Tensor:
     """Inverted dropout: zero units with probability ``rate`` in train mode.
 
-    Infer mode (or rate 0) is the identity and consumes no randomness.
+    Infer mode (or rate 0) is the identity and consumes no randomness, so
+    ``rng`` may then be None; train mode at a rate above 0 needs it.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be train or infer, got {mode!r}")
@@ -325,6 +306,8 @@ def dropout(x, rate: float, mode: str, rng: np.random.RandomState) -> Tensor:
     x = _as_tensor(x)
     if mode == "infer" or rate == 0.0:
         return x
+    if rng is None:
+        raise ValueError("train-mode dropout needs an rng")
     keep = np.divide(rng.random_sample(x.data.shape) >= rate, 1.0 - rate, dtype=x.data.dtype)
 
     def back(g):
@@ -451,7 +434,7 @@ def sigmoid_binary_cross_entropy(logits, targets) -> Tensor:
     return Tensor(loss, logits.requires_grad, (logits,), back if logits.requires_grad else None)
 
 
-def batch_norm_train(x, gamma, beta, eps: float = 1e-5, counts=None):
+def batch_norm_train(x, gamma, beta, counts=None):
     """Normalize by batch statistics; returns (y, batch_mean, batch_var).
 
     Biased variance, matching the running-statistics update. Gradient flows
@@ -485,7 +468,7 @@ def batch_norm_train(x, gamma, beta, eps: float = 1e-5, counts=None):
     else:
         mean = (w @ xs) / n
         var = (w @ np.square(xs - mean)) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (xs - mean) * inv_std
     width = x.data.dtype
     y = (gamma.data * xhat + beta.data).astype(width)
@@ -506,13 +489,13 @@ def batch_norm_train(x, gamma, beta, eps: float = 1e-5, counts=None):
     return out, mean, var
 
 
-def batch_norm_infer(x, gamma, beta, running_mean, running_var, eps: float = 1e-5) -> Tensor:
+def batch_norm_infer(x, gamma, beta, running_mean, running_var) -> Tensor:
     """Normalize by frozen running statistics (deterministic), at ``x``'s width:
-    float64 statistics are cast to it after ``1 / sqrt(var + eps)``."""
+    float64 statistics are cast to it after ``1 / sqrt(var + BN_EPS)``."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     width = x.data.dtype
     running_mean = np.asarray(running_mean).astype(width, copy=False)
-    inv_std = (1.0 / np.sqrt(running_var + eps)).astype(width, copy=False)
+    inv_std = (1.0 / np.sqrt(running_var + BN_EPS)).astype(width, copy=False)
     y = gamma.data * (x.data - running_mean) * inv_std + beta.data
     out_req = x.requires_grad or gamma.requires_grad or beta.requires_grad
 

@@ -33,7 +33,8 @@ _TAGS = (NOUN, VERB, OTHER)
 
 _VOWELS = set("aeiou")
 
-DEFAULT_SUFFIX_RULES = (("ing", VERB), ("ed", VERB))
+SUFFIX_RULES = (("ing", VERB), ("ed", VERB))  # tried in order for a word with no entry
+DEFAULT_TAG = OTHER  # of a word with no entry and no matching rule
 
 _LEXICON_HEADER = "# lexicon "  # first line of a saved corpus, before the lexicon's SHA-256
 
@@ -104,40 +105,35 @@ def to_root(word: str) -> str:
 class TagLexicon:
     """word -> part-of-speech table with ordered suffix-rule fallbacks.
 
-    Resolution: exact entry, then the first matching suffix rule, then OTHER.
-    Every word therefore maps to exactly one tag. A lexicon does not change
-    after construction (``entries`` is a read-only view), so its digest is
-    computed on the first ``sha256()`` call and kept.
+    Resolution: exact entry, then the first matching ``SUFFIX_RULES`` entry,
+    then ``DEFAULT_TAG``. Every word therefore maps to exactly one tag. A
+    lexicon does not change after construction (``entries`` is a read-only
+    view), so its digest is computed on the first ``sha256()`` call and kept.
     """
 
-    def __init__(self, entries: dict[str, str] | None = None,
-                 suffix_rules=DEFAULT_SUFFIX_RULES, default: str = OTHER):
+    def __init__(self, entries: dict[str, str] | None = None):
         entries = dict(entries or {})
         for word, tag in entries.items():
             if tag not in _TAGS:
                 raise SemanticsError(f"unknown tag {tag!r} for word {word!r}")
-        if default not in _TAGS:
-            raise SemanticsError(f"unknown default tag {default!r}")
         self.entries = MappingProxyType(entries)
-        self.suffix_rules = tuple(suffix_rules)
-        self.default = default
         self._sha256: str | None = None
 
     def tag(self, word: str) -> str:
         hit = self.entries.get(word)
         if hit is not None:
             return hit
-        for suffix, tag in self.suffix_rules:
+        for suffix, tag in SUFFIX_RULES:
             if word.endswith(suffix) and len(word) > len(suffix):
                 return tag
-        return self.default
+        return DEFAULT_TAG
 
     def sha256(self) -> str:
         """Hex SHA-256 of a ``word<TAB>TAG`` line per entry in word order, a
         ``*suffix<TAB>TAG`` line per rule, then the default tag."""
         if self._sha256 is None:
             text = "".join([*(f"{w}\t{t}\n" for w, t in sorted(self.entries.items())),
-                            *(f"*{s}\t{t}\n" for s, t in self.suffix_rules), self.default])
+                            *(f"*{s}\t{t}\n" for s, t in SUFFIX_RULES), DEFAULT_TAG])
             self._sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self._sha256
 
@@ -146,16 +142,17 @@ class TagLexicon:
         atomic.write_bytes(path, "".join(lines).encode("utf-8"))
 
     @classmethod
-    def load(cls, path: str | Path, suffix_rules=DEFAULT_SUFFIX_RULES) -> "TagLexicon":
+    def load(cls, path: str | Path) -> "TagLexicon":
         entries = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+        text = atomic.read_text(path, "tag lexicon", SemanticsError)
+        for lineno, line in enumerate(text.splitlines()):
             if not line or line.startswith("#"):
                 continue
             word, sep, tag = line.partition("\t")
             if not sep:
                 raise SemanticsError(f"{path}:{lineno + 1}: expected word<TAB>TAG")
             entries[word] = tag.strip()
-        return cls(entries, suffix_rules=suffix_rules)
+        return cls(entries)
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,8 @@ class SubjectVerbCorpus:
     @classmethod
     def load(cls, path: str | Path) -> "SubjectVerbCorpus":
         """Read a corpus and the hash of the lexicon it was built with."""
-        header, *words = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+        text = atomic.read_text(path, "subject-verb corpus", SemanticsError)
+        header, *words = text.splitlines() or [""]
         if not header.startswith(_LEXICON_HEADER):
             raise SemanticsError(f"{path}: no '{_LEXICON_HEADER.strip()}' header; "
                                  f"rebuild the corpus with build-sve")

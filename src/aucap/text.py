@@ -121,7 +121,8 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         vocab = cls()
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+        text = atomic.read_text(path, "vocabulary", VocabularyError)
+        for lineno, line in enumerate(text.splitlines()):
             if not line:
                 continue
             idx_text, sep, word = line.partition("\t")

@@ -63,9 +63,6 @@ class WordEmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def vector(self, index: int) -> np.ndarray:
-        return self.matrix[index]
-
     def save(self, path: str | Path) -> None:
         embfile.write_matrix(path, self.matrix)
 
@@ -225,10 +222,3 @@ def train_word2vec(corpus, vocab: Vocabulary, config: Word2VecConfig = Word2VecC
             check_finite_loss(epoch_losses[-1], f"word2vec epoch {epoch + 1}")
             log.debug("word2vec epoch %d loss %.4f", epoch + 1, epoch_losses[-1])
     return WordEmbeddingTable(matrix=w_in, epoch_losses=epoch_losses)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(a @ b / (na * nb))

@@ -1,9 +1,31 @@
-"""Central finite-difference gradient checking for the tests."""
+"""Central finite-difference gradient checking for the tests, and the
+autodiff ops that only tests build losses with."""
 
 import numpy as np
 
 from aucap.nn import tensor as T
-from aucap.nn.tensor import Parameter
+from aucap.nn.tensor import Parameter, Tensor
+
+
+def sub(a, b) -> Tensor:
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    out_req = a.requires_grad or b.requires_grad
+
+    def back(g):
+        T._accumulate(a, T._unbroadcast(g, a.data.shape))
+        T._accumulate(b, T._unbroadcast(-g, b.data.shape))
+
+    return Tensor(a.data - b.data, out_req, (a, b), back if out_req else None)
+
+
+def mean_all(x) -> Tensor:
+    x = T._as_tensor(x)
+    n = x.data.size
+
+    def back(g):
+        T._accumulate(x, np.full_like(x.data, float(g) / n))
+
+    return Tensor(x.data.mean(), x.requires_grad, (x,), back if x.requires_grad else None)
 
 
 def at_float64(params: list[Parameter]) -> list[Parameter]:

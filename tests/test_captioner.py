@@ -18,10 +18,10 @@ from aucap import atomic, captioner, mlp
 from aucap.errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from aucap.nn import tensor as T
 from aucap.nn.checkpoint import load_tensors
-from aucap.nn.layers import BiGRU, GRUCellParams
+from aucap.nn.layers import BN_MOMENTUM, BiGRU, GRUCellParams
 from aucap.nn.optim import AdamState, adam_step
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
-from gradcheck import at_float64
+from gradcheck import at_float64, mean_all
 
 
 def micro_config(**overrides):
@@ -69,9 +69,9 @@ def batch_examples(captions, batches):
     out = []
     for batch in batches:
         chosen = [captions[i] for i in batch]
-        _, prefix, mask, (steps, rows), targets = _batch_arrays(chosen, inputs)
+        _, prefix, (steps, rows), targets = _batch_arrays(chosen, inputs)
         for step, row, target in zip(steps, rows, targets):
-            assert mask[row, : step + 1].all()
+            assert step + 1 < len(chosen[row][1])  # prefix and target within the caption
             out.append((chosen[row][0], tuple(prefix[row, : step + 1].tolist()), int(target)))
     return out
 
@@ -186,8 +186,7 @@ class TestEncodeDecode:
     def test_fused_width(self):
         model, cfg = micro_model()
         assert cfg.fused_dim == 2 * cfg.bigru2 + cfg.text_gru
-        fused = model.encode(np.zeros((2, 5, 8)), np.array([[1], [1]]),
-                             np.ones((2, 1)), mode="train")
+        fused = model.encode(np.zeros((2, 5, 8)), np.array([[1], [1]]), mode="train")
         assert fused.data.shape == (2, cfg.fused_dim)
 
     def test_default_widths_match_paper_sizes(self):
@@ -210,8 +209,7 @@ class TestEncodeDecode:
 
     def test_sos_only_prefix_valid(self):
         model, _ = micro_model()
-        probs = model.forward(np.zeros((2, 4, 8)), np.array([[1], [1]]),
-                              np.ones((2, 1)), mode="infer")
+        probs = model.forward(np.zeros((2, 4, 8)), np.array([[1], [1]]), mode="infer")
         assert probs.data.shape == (2, 12)
 
     def test_zero_weights_fused_is_shift(self):
@@ -220,8 +218,7 @@ class TestEncodeDecode:
             p.data[...] = 0.0
         model.bn_audio2.beta.data[...] = 0.25
         model.bn_text.beta.data[...] = -0.5
-        fused = model.encode(np.zeros((2, 3, 8)), np.array([[1], [1]]),
-                             np.ones((2, 1)), mode="train")
+        fused = model.encode(np.zeros((2, 3, 8)), np.array([[1], [1]]), mode="train")
         expected = np.concatenate([np.full(2 * cfg.bigru2, 0.25), np.full(cfg.text_gru, -0.5)])
         assert np.allclose(fused.data, expected[None, :])
 
@@ -229,21 +226,19 @@ class TestEncodeDecode:
         model, _ = micro_model()
         rng = np.random.RandomState(2)
         logits = model.forward(rng.standard_normal((3, 4, 8)),
-                               np.array([[1, 5], [1, 6], [1, 7]]),
-                               np.ones((3, 2)), mode="infer")
+                               np.array([[1, 5], [1, 6], [1, 7]]), mode="infer")
         assert logits.data.shape == (3, 12) and logits.data.dtype == np.float32
         assert np.allclose(T.softmax(logits).data.sum(axis=1), 1.0, atol=1e-6)
         assert (logits.data < 0).any()  # not probabilities
 
-    def test_default_positions_are_each_rows_final_state(self):
+    def test_default_positions_are_each_rows_last_column(self):
         model, _ = micro_model()
         rng = np.random.RandomState(4)
         audio = rng.standard_normal((3, 4, 8))
-        prefix = np.array([[1, 5, 6], [1, 7, 0], [1, 0, 0]])
-        mask = (prefix > 0).astype(float)
-        default = model.forward(audio, prefix, mask, mode="infer").data
-        explicit = model.forward(audio, prefix, mask, mode="infer",
-                                 positions=([2, 1, 0], [0, 1, 2])).data
+        prefix = np.array([[1, 5, 6], [1, 7, 5], [1, 6, 6]])
+        default = model.forward(audio, prefix, mode="infer").data
+        explicit = model.forward(audio, prefix, mode="infer",
+                                 positions=([2, 2, 2], [0, 1, 2])).data
         assert np.array_equal(default, explicit)
 
     @pytest.mark.parametrize("positions", [([0, 3], [0, 1]), ([0, 1], [0, 2]),
@@ -251,17 +246,16 @@ class TestEncodeDecode:
     def test_positions_outside_the_prefix_matrix_rejected(self, positions):
         model, _ = micro_model()
         with pytest.raises(ShapeError, match="positions"):
-            model.forward(np.zeros((2, 4, 8)), np.ones((2, 3), dtype=int), np.ones((2, 3)),
-                          mode="infer", positions=positions)
+            model.forward(np.zeros((2, 4, 8)), np.ones((2, 3), dtype=int), mode="infer",
+                          positions=positions)
 
     def test_infer_deterministic(self):
         model, _ = micro_model()
         rng = np.random.RandomState(3)
         audio = rng.standard_normal((2, 4, 8))
         prefix = np.array([[1, 5], [1, 6]])
-        mask = np.ones((2, 2))
-        a = model.forward(audio, prefix, mask, mode="infer").data
-        b = model.forward(audio, prefix, mask, mode="infer").data
+        a = model.forward(audio, prefix, mode="infer").data
+        b = model.forward(audio, prefix, mode="infer").data
         assert np.array_equal(a, b)
 
 
@@ -319,7 +313,7 @@ class TestIncrementalDecode:
             # raw EMA buffers after 9 updates whose bias-corrected statistics
             # are mean ~N(0, 1) and variance in [0.5, 2]
             bn.steps = 9
-            start_share = bn.momentum ** bn.steps
+            start_share = BN_MOMENTUM ** bn.steps
             bn.running_mean = (1.0 - start_share) * rng.standard_normal(bn.running_mean.shape)
             bn.running_var = start_share + (1.0 - start_share) * rng.uniform(
                 0.5, 2.0, bn.running_var.shape)
@@ -354,7 +348,7 @@ class TestIncrementalDecode:
         indices = [vocab.index(t) for t in tokens]
         for i, logits in enumerate(steps):
             prefix = np.array([indices[: i + 1]])
-            full = model.forward(enc[None], prefix, np.ones(prefix.shape), mode="infer")
+            full = model.forward(enc[None], prefix, mode="infer")
             assert logits.dtype == np.float32
             assert np.array_equal(logits, full.data)
             words_and_eos = full.data[0].copy()
@@ -384,6 +378,42 @@ class TestIncrementalDecode:
             model.greedy_decode(np.zeros((2, 3, 8)), vocab)
 
 
+class TestPaddingInvariance:
+    """A caption batch pads its shorter captions after their last token. The
+    text GRU runs forward in time, so no example's state reads a pad column
+    and every gradient at one is zero: appending pad columns or changing the
+    pad ids must leave the loss and every parameter gradient bitwise equal."""
+
+    @staticmethod
+    def _loss_and_grads(model, audio, prefix, positions, targets, mode):
+        for p in model.parameters():
+            p.zero_grad()
+        loss = T.softmax_cross_entropy(
+            model.forward(audio, prefix, mode=mode, positions=positions), targets)
+        T.backward(loss)
+        return float(loss.data), [p.grad.copy() for p in model.parameters()]
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_pad_columns_and_pad_ids_change_nothing(self, mode):
+        model, _ = micro_model(dropout=0.0)
+        rng = np.random.RandomState(12)
+        captions = [("a", [1, 5, 6, 7, 8, 2]), ("b", [1, 9, 2]), ("c", [1, 10, 11, 2])]
+        inputs = {clip_id: rng.standard_normal((3, 8)) for clip_id, _ in captions}
+        audio, prefix, positions, targets = _batch_arrays(captions, inputs)
+        pads = np.arange(prefix.shape[1]) >= np.array([[len(ids) - 1] for _, ids in captions])
+        assert pads.any() and not pads.all()
+        relabelled = prefix.copy()
+        relabelled[pads] = rng.randint(1, 12, size=int(pads.sum()))
+        widened = np.pad(prefix, ((0, 0), (0, 3)))
+        widened_relabelled = np.pad(relabelled, ((0, 0), (0, 3)), constant_values=7)
+        reference = self._loss_and_grads(model, audio, prefix, positions, targets, mode)
+        for other in (relabelled, widened, widened_relabelled):
+            loss, grads = self._loss_and_grads(model, audio, other, positions, targets, mode)
+            assert loss == reference[0]
+            for p, g, g_ref in zip(model.parameters(), grads, reference[1]):
+                assert np.array_equal(g, g_ref), p.name
+
+
 class TestTraining:
     def _tiny_dataset(self):
         captions = [clean_caption(t) for t in
@@ -405,9 +435,8 @@ class TestTraining:
         vocab = build_vocabulary([caption])
         feats = {"only": np.random.RandomState(1).standard_normal((6, 8))}
         cfg = micro_config(bigru1=8, bigru2=8, text_gru=16, decoder_gru=16,
-                           embed_dim=16, epochs=500, learning_rate=5e-3)
-        ckpt, history = train_captioner([("only", caption)], feats, None, vocab, cfg,
-                                        stop_loss=0.01)
+                           embed_dim=16, epochs=94, learning_rate=5e-3)
+        ckpt, history = train_captioner([("only", caption)], feats, None, vocab, cfg)
         assert history["train_loss"][-1] < 0.01
         decoded = ckpt.build_model().greedy_decode(feats["only"], vocab)
         assert decoded == caption
@@ -521,8 +550,7 @@ class TestTraining:
             for clip_id, ids in encoded:
                 for i in range(1, len(ids)):
                     prefix = np.array([ids[:i]])
-                    logits = model.forward(feats[clip_id][None], prefix, np.ones(prefix.shape),
-                                           mode="infer")
+                    logits = model.forward(feats[clip_id][None], prefix, mode="infer")
                     nlls.append(float(T.softmax_cross_entropy(logits, [ids[i]]).data))
             reference = float(np.mean(nlls))
             for batch_size in (1, 6, 100):
@@ -545,8 +573,8 @@ class TestTraining:
 
         def nodes(frames, words):
             prefix = rng.randint(1, 12, size=(4, words))
-            logits = model.forward(rng.standard_normal((4, frames, 8)), prefix,
-                                   np.ones(prefix.shape), mode="train", rng=rng)
+            logits = model.forward(rng.standard_normal((4, frames, 8)), prefix, mode="train",
+                                   rng=rng)
             return len(T._toposort(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4))))
 
         assert nodes(2, 1) == nodes(9, 1) == nodes(2, 7) == nodes(30, 12)
@@ -555,8 +583,7 @@ class TestTraining:
         model, _ = micro_model()
         rng = np.random.RandomState(8)
         prefix = rng.randint(1, 12, size=(4, 3))
-        logits = model.forward(rng.standard_normal((4, 3, 8)), prefix, np.ones(prefix.shape),
-                               mode="train", rng=rng)
+        logits = model.forward(rng.standard_normal((4, 3, 8)), prefix, mode="train", rng=rng)
         T.backward(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4)))
         for p in model.parameters():
             assert np.any(p.grad != 0.0), p.name
@@ -572,9 +599,8 @@ class TestTraining:
         model, _ = micro_model(dropout=0.5)
         rng = np.random.RandomState(10)
         prefix = rng.randint(1, 12, size=(1, 4))
-        mask = np.ones(prefix.shape)
-        logits = model.forward(rng.standard_normal((1, 5, 8)), prefix, mask, mode="train",
-                               rng=rng, positions=np.nonzero(mask.T))
+        logits = model.forward(rng.standard_normal((1, 5, 8)), prefix, mode="train",
+                               rng=rng, positions=np.nonzero(np.ones(prefix.shape).T))
         T.backward(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=logits.data.shape[0])))
         audio_branch = [*model.audio_gru1.parameters(), *model.bn_audio1.parameters(),
                         *model.audio_gru2.parameters(), model.bn_audio2.gamma]
@@ -592,11 +618,9 @@ class TestTraining:
         params = model.parameters()
         state = AdamState(learning_rate=1e-2)
         rng = np.random.RandomState(11)
-        audio, prefix, mask, positions, targets = _batch_arrays(
-            _encode_captions(pairs, vocab), feats)
+        audio, prefix, positions, targets = _batch_arrays(_encode_captions(pairs, vocab), feats)
         loss = T.softmax_cross_entropy(
-            model.forward(audio, prefix, mask, mode="train", rng=rng, positions=positions),
-            targets)
+            model.forward(audio, prefix, mode="train", rng=rng, positions=positions), targets)
         T.backward(loss)
         nodes = T._toposort(loss)
         assert loss.data.dtype == np.float64 and nodes[-1] is loss
@@ -614,7 +638,7 @@ class TestTraining:
 
         def recording(fused, mode):
             logits = decode_step(fused, mode)
-            seen.extend(n.data.dtype for n in T._toposort(T.mean_all(logits))[:-1])
+            seen.extend(n.data.dtype for n in T._toposort(mean_all(logits))[:-1])
             return logits
 
         model.decode_step = recording
@@ -653,9 +677,8 @@ class TestSveAblationEquivalence:
         sve = np.zeros(3)
         inp_sve = np.stack([build_encoder_input(a, sve, "logmel") for a in audio])
         prefix = np.array([[1, 5], [1, 6]])
-        mask = np.ones((2, 2))
-        a = with_sve.forward(inp_sve, prefix, mask, mode="infer").data
-        b = without.forward(audio, prefix, mask, mode="infer").data
+        a = with_sve.forward(inp_sve, prefix, mode="infer").data
+        b = without.forward(audio, prefix, mode="infer").data
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -791,11 +814,10 @@ class TestCheckpoint:
 
         audio = np.stack([feats[c] for c, _ in pairs])
         prefix = np.array([[vocab.sos_index, 5], [vocab.sos_index, 6], [vocab.sos_index, 7]])
-        mask = np.ones(prefix.shape)
 
         def infer(with_state):
             loaded.state = with_state
-            return loaded.build_model().forward(audio, prefix, mask, mode="infer").data
+            return loaded.build_model().forward(audio, prefix, mode="infer").data
 
         legacy = infer({k: v for k, v in state.items() if k not in steps})
         zeroed = infer({**state, **{k: np.zeros_like(state[k]) for k in steps}})

@@ -184,11 +184,11 @@ class TestPredictSveFromMlp:
         assert f"CheckpointError: {captioner}: not an SVE MLP checkpoint" in caplog.text
         assert not out.exists()
 
-    def test_directory_as_checkpoint_exits_1(self, panns_fixture, caplog):
+    def test_directory_as_checkpoint_exits_2(self, panns_fixture, caplog):
         root, _ = panns_fixture
         out = root / "predictions.tsv"
-        assert cli.main(predict_args(root, root, root, out)) == 1
-        assert f"CheckpointError: cannot read checkpoint {root}" in caplog.text
+        assert cli.main(predict_args(root, root, root, out)) == 2
+        assert f"captioner checkpoint at {root} is a directory, not a file" in caplog.text
         assert not out.exists()
 
 
@@ -468,6 +468,17 @@ class TestConfigFile:
         assert run_with_config(argv, tmp_path, "sve_source = captions\n") == 0
         assert out.exists()
 
+    def test_sve_source_is_mlp_or_captions(self, pipeline, tmp_path):
+        _, commands = pipeline
+        out = tmp_path / "predictions.tsv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(commands["predict"] + ["--sve-source", "off", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert run_with_config(commands["predict"] + ["--out", str(out)], tmp_path,
+                               "sve_source = off\n") == 2
+        assert not out.exists()
+
     def test_flag_overrides_config_file_which_overrides_default(self, pipeline, tmp_path):
         _, commands = pipeline
         out = tmp_path / "w2v"
@@ -521,6 +532,61 @@ class TestOutRequired:
         assert cli.main(argv) == 2
         assert f"{command} needs --out" in caplog.text
         assert tree(root) == before
+
+
+# (command, flag) of every input file a pipeline command reads as it runs
+INPUT_FLAGS = [("extract-features", "--csv"), ("build-sve", "--csv"), ("build-sve", "--lexicon"),
+               ("train-w2v", "--csv"), ("train-mlp", "--csv"), ("train-mlp", "--lexicon"),
+               ("train-mlp", "--corpus"), ("train-captioner", "--csv"),
+               ("train-captioner", "--val-csv"), ("train-captioner", "--vocab"),
+               ("train-captioner", "--w2v"), ("train-captioner", "--lexicon"),
+               ("train-captioner", "--corpus"), ("predict", "--csv"), ("predict", "--checkpoint"),
+               ("predict", "--vocab"), ("predict", "--mlp"), ("evaluate", "--candidates"),
+               ("evaluate", "--references")]
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    @pytest.mark.parametrize("command, flag", INPUT_FLAGS)
+    def test_exits_1_or_2_without_traceback_and_writes_nothing(self, pipeline, tmp_path, command,
+                                                               flag, kind, capsys, caplog):
+        root, commands = pipeline
+        bad = tmp_path / "input"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "not utf-8":
+            bad.write_bytes(b"clip_id,caption\nc0,a dog \xff barks\n")
+        argv = list(commands[command])
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(bad)
+        else:
+            argv += [flag, str(bad)]
+        before = tree(root)
+        assert cli.main(argv) in (1, 2)
+        assert tree(root) == before
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+
+    @pytest.mark.parametrize("command", ["extract-features", "build-sve", "train-w2v",
+                                         "train-mlp", "train-captioner", "predict"])
+    def test_no_csv_exits_2_and_writes_nothing(self, pipeline, command, caplog):
+        root, commands = pipeline
+        argv = list(commands[command])
+        del argv[argv.index("--csv"):argv.index("--csv") + 2]
+        before = tree(root)
+        assert cli.main(argv) == 2
+        assert "missing required artifact: caption CSV" in caplog.text
+        assert tree(root) == before
+
+
+class TestEmptyCorpus:
+    @pytest.mark.parametrize("command", TRAINERS)
+    def test_exits_2_and_writes_no_checkpoint(self, panns_fixture, command, caplog):
+        root, _ = panns_fixture
+        SubjectVerbCorpus(words=(), lexicon_sha256="0" * 64).save(root / "sve_corpus.txt")
+        out = root / "out"
+        assert cli.main(TRAINERS[command](root, out)) == 2
+        assert "is empty (K=0)" in caplog.text
+        assert not out.exists()
 
 
 def read_captions(path):

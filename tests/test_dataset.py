@@ -178,6 +178,18 @@ class TestCacheFeatures:
         assert sorted(p.name for p in (cache / "logmel").iterdir()) == [
             "a.emb", "a.sha256", "b.emb", "b.sha256"]  # no temp file left behind
 
+    def test_corrupt_sidecar_recomputes_its_clip(self, tmp_path, wav_file):
+        records = [ClipRecord("a", wav_file([1000, -1000] * 4000, name="a.wav"), (),
+                              "development")]
+        cache = tmp_path / "cache"
+        assert cache_features(records, "logmel", cache).computed == ["a"]
+        sidecar = cache / "logmel" / "a.sha256"
+        key = sidecar.read_bytes()
+        sidecar.write_bytes(b"\xff\xfe not a key\n")
+        again = cache_features(records, "logmel", cache)
+        assert (again.computed, again.skipped, again.errors) == (["a"], [], {})
+        assert sidecar.read_bytes() == key
+
     @pytest.mark.parametrize("change", [{"pad_seconds": 1.0}, {"n_mels": 32}, {"fmax": 7000.0},
                                         {"overlap": 0.25}])
     def test_another_feature_config_recomputes(self, tmp_path, wav_file, change):

@@ -73,6 +73,12 @@ class TestForward:
         t2 = model.forward(x, mode="train", rng=np.random.RandomState(2)).data
         assert not np.array_equal(t1, t2)
 
+    @pytest.mark.parametrize("mode, rng", [("eval", None), ("train", None)])
+    def test_misspelt_mode_or_train_without_rng_rejected(self, mode, rng):
+        model = MLP(small_config(), np.random.RandomState(3))
+        with pytest.raises(ValueError):
+            model.forward(Tensor(np.zeros((2, 16))), mode=mode, rng=rng)
+
 
 class TestTraining:
     def test_separable_exact_match(self):

@@ -7,8 +7,9 @@ import pytest
 
 from aucap.errors import GraphStateError, ShapeError
 from aucap.nn import tensor as T
-from gradcheck import max_relative_error, zero_grads
+from gradcheck import max_relative_error, mean_all, sub, zero_grads
 from aucap.nn.layers import (
+    BN_MOMENTUM,
     BatchNorm,
     BiGRU,
     Dense,
@@ -66,7 +67,7 @@ class TestGRUAnalytic:
             gru_cell_step(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 3))), cell)
 
 
-def reference_run(xs, cell, masks=None, h0=None, reverse=False, return_sequence=False):
+def reference_run(xs, cell, h0=None, reverse=False, return_sequence=False):
     """A GRU run as a chain of per-step autodiff ops; the fused kernel must
     reproduce it bit for bit."""
     steps, batch, _ = xs.shape
@@ -79,11 +80,7 @@ def reference_run(xs, cell, masks=None, h0=None, reverse=False, return_sequence=
         r = T.sigmoid(T.linear(hx, cell.W_r, cell.b_r))
         rhx = T.concat([T.mul(r, h), x_t], axis=1)
         h_hat = T.tanh(T.linear(rhx, cell.W, cell.b))
-        h_new = T.add(T.mul(T.sub(1.0, z), h), T.mul(z, h_hat))
-        if masks is not None:
-            m = masks[t].reshape(batch, 1)
-            h_new = T.add(T.mul(Tensor(m), h_new), T.mul(Tensor(1.0 - m), h))
-        h = states[t] = h_new
+        h = states[t] = T.add(T.mul(sub(1.0, z), h), T.mul(z, h_hat))
     return np.stack([s.data for s in states]) if return_sequence else h.data
 
 
@@ -117,27 +114,23 @@ class TestGRUForward:
 
     @pytest.mark.parametrize("random_bias", [True, False])  # False: the zero start biases
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_kernel_equals_per_step_ops(self, random_bias, reverse, masked):
+    def test_kernel_equals_per_step_ops(self, random_bias, reverse):
         rng = np.random.RandomState(20)
         cell = GRUCellParams.create(5, 4, rng)
         if random_bias:
             for b in (cell.b_z, cell.b_r, cell.b):
                 b.data = rng.standard_normal(4)
         xs = rng.standard_normal((6, 3, 5)) * 2.0
-        masks = (rng.random_sample((6, 3)) > 0.3).astype(float) if masked else None
         h0 = rng.uniform(-0.9, 0.9, (3, 4))
         for options in ({}, {"h0": h0}, {"return_sequence": True},
                         {"h0": h0, "return_sequence": True}):
-            out = gru_sequence(Tensor(xs), cell, masks=masks, reverse=reverse, **options)
-            ref = reference_run(xs, cell, masks=masks, reverse=reverse, **options)
+            out = gru_sequence(Tensor(xs), cell, reverse=reverse, **options)
+            ref = reference_run(xs, cell, reverse=reverse, **options)
             assert np.array_equal(out.data, ref)
 
-    def test_masks_and_h0_shapes_checked(self):
+    def test_h0_and_input_shapes_checked(self):
         cell = zero_cell(4, 3)
         xs = Tensor(np.zeros((5, 2, 4)))
-        with pytest.raises(ShapeError):
-            gru_sequence(xs, cell, masks=np.ones((2, 5)))
         with pytest.raises(ShapeError):
             gru_sequence(xs, cell, h0=Tensor(np.zeros((3, 3))))
         with pytest.raises(ShapeError):
@@ -193,7 +186,7 @@ class TestBiGRU:
             xs = Parameter(x, "xs")
             zero_grads(layer.parameters())
             out = build(xs)
-            T.backward(T.mean_all(T.mul(out, weights)))
+            T.backward(mean_all(T.mul(out, weights)))
             return xs, out, [xs.grad, *(p.grad.copy() for p in layer.parameters())]
 
         xs, fused, fused_grads = run(lambda xs: layer.run(xs, return_sequence=return_sequence))
@@ -264,10 +257,11 @@ class TestBatchNorm:
             bn(Tensor(np.zeros((1, 3))), mode="train")
 
     def test_running_stats_update(self):
-        bn = BatchNorm(2, momentum=0.5)
+        bn = BatchNorm(2)
         x = Tensor(np.array([[0.0, 10.0], [2.0, 14.0]]))
         bn(x, mode="train")
-        assert np.allclose(bn.running_mean, [0.5, 6.0])  # 0.5*0 + 0.5*batch_mean
+        # m*0 + (1 - m)*batch_mean from the start mean 0
+        assert np.allclose(bn.running_mean, (1.0 - BN_MOMENTUM) * np.array([1.0, 12.0]))
 
     def test_infer_matches_train_after_updates(self):
         # the running statistics' start values (mean 0, var 1) must not leak into infer mode
@@ -341,6 +335,14 @@ class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.ones((4, 4)))
         assert T.dropout(x, 0.0, "train", np.random.RandomState(0)) is x
+
+    def test_no_rng_needed_where_identity(self):
+        x = Tensor(np.ones((4, 4)))
+        assert T.dropout(x, 0.5, "infer") is x and T.dropout(x, 0.0, "train") is x
+
+    def test_train_mode_without_rng_rejected(self):
+        with pytest.raises(ValueError, match="rng"):
+            T.dropout(Tensor(np.ones((4, 4))), 0.5, "train", None)
 
     def test_expectation_preserved(self):
         rng = np.random.RandomState(12)
@@ -456,7 +458,7 @@ class TestGradients:
         layer = Dense(6, 4, rng)
         x = Tensor(rng.standard_normal((5, 6)))
         err = max_relative_error(
-            lambda: T.mean_all(T.mul(layer(x), layer(x))), layer.parameters(),
+            lambda: mean_all(T.mul(layer(x), layer(x))), layer.parameters(),
             delta=1e-6, tiny=1e-8,
         )
         assert err < 1e-5
@@ -467,7 +469,7 @@ class TestGradients:
         x = Tensor(rng.standard_normal((2, 3)))
         h = Tensor(rng.uniform(-0.8, 0.8, (2, 3)))
         err = max_relative_error(
-            lambda: T.mean_all(T.mul(gru_cell_step(x, h, cell), gru_cell_step(x, h, cell))),
+            lambda: mean_all(T.mul(gru_cell_step(x, h, cell), gru_cell_step(x, h, cell))),
             cell.parameters(), delta=1e-6, tiny=1e-8,
         )
         assert err < 1e-5
@@ -476,7 +478,7 @@ class TestGradients:
         rng = np.random.RandomState(15)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = Parameter(rng.standard_normal((2, 4)), "w")
-        loss = T.mean_all(T.linear(x, w))
+        loss = mean_all(T.linear(x, w))
         T.backward(loss)
         assert x.grad is not None and x.grad.shape == (3, 4)
 
@@ -486,7 +488,7 @@ class TestGradients:
         grads = []
         for x_t in (Tensor(x), Tensor(x, requires_grad=True)):
             params = [Parameter(w, "w"), Parameter(b, "b")]
-            T.backward(T.mean_all(T.mul(T.linear(x_t, *params), T.linear(x_t, *params))))
+            T.backward(mean_all(T.mul(T.linear(x_t, *params), T.linear(x_t, *params))))
             grads.append([p.grad for p in params])
             if not x_t.requires_grad:
                 assert x_t.grad is None
@@ -520,7 +522,7 @@ class TestAdam:
         w = Parameter(np.array([5.0]), "w")
         state = AdamState(learning_rate=1e-2)
         for _ in range(2000):
-            loss = T.mean_all(T.mul(w, w))
+            loss = mean_all(T.mul(w, w))
             T.backward(loss)
             adam_step([w], state)
         assert abs(w.data[0]) < 0.1
@@ -679,32 +681,18 @@ class TestInits:
         assert np.array_equal(a, b)
 
 
-class TestMaskedRun:
-    def test_masked_steps_keep_state(self):
-        rng = np.random.RandomState(17)
-        layer = BiGRU(3, 2, rng)
-        cell = GRUCellParams.create(3, 4, rng)
-        xs = Tensor(rng.standard_normal((4, 2, 3)))
-        masks = np.ones((4, 2))
-        masks[2:, 1] = 0.0  # row 1 stops after step 1
-        full = gru_sequence(xs, cell, masks=masks)
-        short = gru_sequence(Tensor(xs.data[:2]), cell)
-        assert np.allclose(full.data[1], short.data[1])
-        assert layer.hidden == 2
-
-
 ZERO_ONE = np.array([[0.0, 1.0, 1.0, 0.0]] * 3)
 
 # Every op of the autodiff core: (op on float32 inputs, the shapes of those inputs).
 WIDTH_CASES = {
     "add": (T.add, [(3, 4), (4,)]),
-    "sub": (T.sub, [(3, 4), (3, 4)]),
+    "sub": (sub, [(3, 4), (3, 4)]),  # a test helper, as is mean_all
     "mul": (T.mul, [(3, 4), (1, 4)]),
     "linear": (T.linear, [(3, 4), (5, 4), (5,)]),
     "concat": (lambda a, b: T.concat([a, b]), [(3, 4), (3, 2)]),
     "row_slice": (lambda x: T.row_slice(x, 1, 3), [(4, 3)]),
     "reshape": (lambda x: T.reshape(x, (6, 2)), [(3, 4)]),
-    "mean_all": (T.mean_all, [(3, 4)]),
+    "mean_all": (mean_all, [(3, 4)]),
     "sigmoid": (T.sigmoid, [(3, 4)]),
     "tanh": (T.tanh, [(3, 4)]),
     "relu": (T.relu, [(3, 4)]),
@@ -729,7 +717,7 @@ class TestWidths:
         ops = {name for name, fn in vars(T).items()
                if inspect.isfunction(fn) and fn.__module__ == T.__name__
                and not name.startswith("_") and name != "backward"}
-        assert ops == set(WIDTH_CASES)
+        assert ops == set(WIDTH_CASES) - {"sub", "mean_all"}
 
     @pytest.mark.parametrize("name", WIDTH_CASES)
     def test_float32_data_and_gradients_stay_float32(self, name, monkeypatch):
@@ -751,7 +739,7 @@ class TestWidths:
         # the float64 results: the fused losses sum their float32 terms in float64
         assert out.data.dtype == (np.float64 if name.endswith("_cross_entropy")
                                   and name != "cross_entropy" else np.float32)
-        T.backward(out if out.data.ndim == 0 else T.mean_all(T.mul(out, out)))
+        T.backward(out if out.data.ndim == 0 else mean_all(T.mul(out, out)))
         assert set(widths) == {np.dtype(np.float32)}
         assert all(x.grad.dtype == np.float32 for x in inputs)
 

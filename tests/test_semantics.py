@@ -70,7 +70,7 @@ class TestToRoot:
 
 class TestTagLexicon:
     def test_resolution_order(self):
-        lex = TagLexicon({"running": NOUN}, suffix_rules=(("ing", VERB),))
+        lex = TagLexicon({"running": NOUN})
         assert lex.tag("running") == NOUN  # exact beats suffix
         assert lex.tag("jumping") == VERB
         assert lex.tag("table") == OTHER

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from aucap.audio.wav import WaveBuffer, load_wav, resample, write_wav, zero_pad_or_truncate
+from aucap.audio.wav import WaveBuffer, load_wav, resample, zero_pad_or_truncate
 from aucap.errors import WavEncodingError, WavHeaderError, WavMissingFileError
 
 from conftest import make_wav_bytes
+
+
+def write_wav(path, buf: WaveBuffer) -> None:
+    """Write 16-bit PCM mono: the inverse of load_wav."""
+    ints = np.round(np.clip(buf.samples, -1.0, 1.0) * 32767.0).astype(int)
+    path.write_bytes(make_wav_bytes(ints.tolist(), sample_rate=buf.sample_rate))
 
 
 class TestLoadWav:

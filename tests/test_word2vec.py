@@ -8,11 +8,17 @@ from aucap.text import build_vocabulary, clean_caption
 from aucap.word2vec import (
     Word2VecConfig,
     WordEmbeddingTable,
-    cosine,
     sgns_event_grads,
     sgns_event_loss,
     train_word2vec,
 )
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(a @ b / (na * nb))
 
 
 def toy_corpus():
@@ -49,9 +55,9 @@ class TestTraining:
         corpus = toy_corpus()
         vocab = build_vocabulary(corpus)
         table = train_word2vec(corpus, vocab, Word2VecConfig(dim=32, epochs=20, seed=3))
-        cat = table.vector(vocab.index("cat"))
-        feline = table.vector(vocab.index("feline"))
-        unrelated = table.vector(vocab.index("rooftops"))
+        cat = table.matrix[vocab.index("cat")]
+        feline = table.matrix[vocab.index("feline")]
+        unrelated = table.matrix[vocab.index("rooftops")]
         assert cosine(cat, feline) > cosine(cat, unrelated)
 
     def test_matrix_covers_vocabulary(self):
