@@ -35,13 +35,6 @@ class WaveBuffer:
         if not np.all(np.isfinite(self.samples)):
             raise WavHeaderError("non-finite samples")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    def __len__(self) -> int:
-        return self.samples.size
-
 
 def _decode_samples(raw: bytes, bits: int, fmt: int, n_channels: int) -> np.ndarray:
     if fmt == _FORMAT_IEEE_FLOAT:

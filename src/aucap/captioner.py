@@ -213,32 +213,28 @@ class Captioner:
         counts = np.bincount(rows, minlength=batch)
         return T.embedding_lookup(self.bn_audio2(audio_vec, mode=mode, counts=counts), rows)
 
-    def encode(self, audio: np.ndarray, prefix: np.ndarray, mode: str,
-               rng: np.random.RandomState | None = None, positions=None) -> Tensor:
+    def encode(self, audio: np.ndarray, prefix: np.ndarray, positions, mode: str,
+               rng: np.random.RandomState | None = None) -> Tensor:
         """Fused (examples, 2*bigru2 + text_gru) representation of audio + partial captions.
 
         ``prefix`` is (batch, L) and runs through the text GRU in one pass.
         ``positions`` = (steps, rows) index arrays name the examples: example e
         is the prefix ``prefix[rows[e], :steps[e] + 1]`` of clip ``rows[e]``.
-        The default is one example per row, its state after all L steps: each
-        row's last column, i.e. rows taken at full length. Columns after an
-        example's step (padding, in a batch of captions of several lengths)
-        come later in time, so they change neither its state nor its gradient.
+        Columns after an example's step (padding, in a batch of captions of
+        several lengths) come later in time, so they change neither its state
+        nor its gradient.
         """
         audio = np.asarray(audio, dtype=self.width)
         prefix = np.asarray(prefix, dtype=np.int64)
         if prefix.ndim != 2 or prefix.shape[:1] != audio.shape[:1]:
             raise ShapeError(f"prefix {prefix.shape} / audio {audio.shape}")
         batch, length = prefix.shape
-        if positions is None:
-            steps, rows = np.full(batch, length - 1), np.arange(batch)
-        else:
-            steps, rows = (np.asarray(a, dtype=np.int64) for a in positions)
-            if (steps.ndim != 1 or steps.shape != rows.shape or not steps.size
-                    or not (0 <= steps.min() <= steps.max() < length)
-                    or not (0 <= rows.min() <= rows.max() < batch)):
-                raise ShapeError(f"positions must be two equal-length index vectors within "
-                                 f"the (batch, L) = {prefix.shape} prefix matrix")
+        steps, rows = (np.asarray(a, dtype=np.int64) for a in positions)
+        if (steps.ndim != 1 or steps.shape != rows.shape or not steps.size
+                or not (0 <= steps.min() <= steps.max() < length)
+                or not (0 <= rows.min() <= rows.max() < batch)):
+            raise ShapeError(f"positions must be two equal-length index vectors within "
+                             f"the (batch, L) = {prefix.shape} prefix matrix")
         audio_vec = self.encode_audio(audio, mode, rng=rng, rows=rows)
 
         text = T.reshape(self.embedding(prefix.T.ravel()), (length, batch, self.config.embed_dim))
@@ -257,9 +253,9 @@ class Captioner:
         h = self.bn_decoder(h, mode=mode)
         return self.out(h)
 
-    def forward(self, audio, prefix, mode: str, rng=None, positions=None) -> Tensor:
+    def forward(self, audio, prefix, positions, mode: str, rng=None) -> Tensor:
         """Next-word logits of the examples ``positions`` names (see ``encode``)."""
-        fused = self.encode(audio, prefix, mode, rng=rng, positions=positions)
+        fused = self.encode(audio, prefix, positions, mode, rng=rng)
         return self.decode_step(fused, mode)
 
     # -- inference ----------------------------------------------------------

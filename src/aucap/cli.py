@@ -175,11 +175,21 @@ def _last(losses: list[float]) -> float:
     return losses[-1] if losses else float("nan")
 
 
-def _out(args) -> Path:
-    """``--out``, checked before a command does any work."""
+def _out(args, file_ok: bool = False) -> Path:
+    """``--out``, checked before a command does any work: the directory the
+    output goes in, which may exist but must not be a file. With ``file_ok``, a
+    ``--out`` with a suffix names the output file instead: it must not be a
+    directory, and the directory it goes in must not be a file."""
     if not args.out:
         raise ConfigError(f"{args.command} needs --out")
-    return Path(args.out)
+    out = Path(args.out)
+    directory = out.parent if file_ok and out.suffix else out
+    if directory != out and out.is_dir():
+        raise ConfigError(f"--out {out} is a directory, not a file")
+    nearest = next(p for p in (directory, *directory.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out}: {nearest} exists and is not a directory")
+    return out
 
 
 def _require(path_text: str | None, what: str) -> Path:
@@ -340,7 +350,7 @@ def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
 
 
 def cmd_predict(args) -> int:
-    out = _out(args)
+    out = _out(args, file_ok=True)
     if args.max_len is not None and args.max_len < 2:
         raise ConfigError(f"--max-len must be at least 2 (<sos> and one word), got {args.max_len}")
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))

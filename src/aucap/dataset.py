@@ -11,9 +11,10 @@ ids must be unique within a split.
 
 The cache stores one AUCAP-EMB file per clip and variant under
 ``<cache>/<variant>/<clip_id>.emb`` with a ``.sha256`` sidecar that holds the
-source file's hash, the variant and, for logmel, every ``FeatureConfig`` field,
-so unchanged clips are never recomputed while edited audio or another feature
-config is.
+source file's hash, the variant and, for logmel, the whole log-Mel recipe as
+``name=value`` pairs. The recipe is fixed and only its clip length
+(``pad_seconds``) varies, so unchanged clips are never recomputed while edited
+audio or another clip length is.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import csv
 import hashlib
 import io
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -196,12 +197,11 @@ class CacheResult:
 
 
 def _cache_key(src_hash: str, variant: str, feature_config: FeatureConfig) -> str:
-    """Sidecar content: ``<sha256> <variant>``, then ``name=value`` per FeatureConfig
-    field for logmel, the only variant computed from the config."""
-    parts = [src_hash, variant]
+    """Sidecar content: ``<sha256> <variant>``, then for logmel, the only variant
+    computed here, the recipe's ``name=value`` pairs (``FeatureConfig.recipe``)."""
     if variant == "logmel":
-        parts += [f"{f.name}={getattr(feature_config, f.name)!r}" for f in fields(feature_config)]
-    return " ".join(parts)
+        return f"{src_hash} {variant} {feature_config.recipe()}"
+    return f"{src_hash} {variant}"
 
 
 def cache_path(cache_root: str | Path, variant: str, clip_id: str) -> Path:
@@ -213,7 +213,7 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
     """Extract (logmel) or validate-and-copy (vggish/panns) features per clip.
 
     Idempotent: a clip is recomputed only when its cache key (source hash,
-    variant and feature config) changed. Each source is read once; the same
+    variant and, for logmel, clip length) changed. Each source is read once; the same
     bytes are hashed and, when the clip is computed, decoded.
     Failures are collected per clip, never raised mid-run.
     """
@@ -237,7 +237,7 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
                 result.skipped.append(clip_id)
                 continue
             if variant == "logmel":
-                values = extract_log_mel(decode_wav(blob, record.path), feature_config).values
+                values = extract_log_mel(decode_wav(blob, record.path), feature_config)
             else:
                 values = parse_variant_features(blob, record.path, variant)
             embfile.write_matrix(target, values)

@@ -3,7 +3,9 @@
 Layout is bit-exact: one ASCII header line ``AUCAP-EMB v1 dim=<D> rows=<R>\\n``
 followed by R*D little-endian IEEE-754 float32 values in row-major order.
 The same container carries clip embeddings (dim 2048 / 128), cached log-Mel
-features (dim 64), word embeddings (dim 256) and SVE matrices (dim K).
+features, word embeddings (dim 256) and SVE matrices (dim K). A log-Mel cache
+holds one row per frame of the fixed recipe in ``audio.features``, as wide as
+its band count; only the clip length, and so the row count, varies.
 
 Checkpoint payloads reuse the container at each tensor's own width: a
 float32 tensor is a plain v1 (f4) record, and a float64 one carries an extra

@@ -37,6 +37,12 @@ def micro_model(vocab_size=12, **overrides):
     return Captioner(vocab_size, cfg, np.random.RandomState(cfg.seed)), cfg
 
 
+def last_columns(prefix):
+    """``positions`` naming one example per row of ``prefix``: the row at full length."""
+    batch, length = np.shape(prefix)
+    return np.full(batch, length - 1), np.arange(batch)
+
+
 class TestBuildEncoderInput:
     def test_panns_concatenation(self):
         out = build_encoder_input(np.zeros(2048), np.ones(100), "panns")
@@ -186,7 +192,8 @@ class TestEncodeDecode:
     def test_fused_width(self):
         model, cfg = micro_model()
         assert cfg.fused_dim == 2 * cfg.bigru2 + cfg.text_gru
-        fused = model.encode(np.zeros((2, 5, 8)), np.array([[1], [1]]), mode="train")
+        fused = model.encode(np.zeros((2, 5, 8)), np.array([[1], [1]]), ([0, 0], [0, 1]),
+                             mode="train")
         assert fused.data.shape == (2, cfg.fused_dim)
 
     def test_default_widths_match_paper_sizes(self):
@@ -209,7 +216,8 @@ class TestEncodeDecode:
 
     def test_sos_only_prefix_valid(self):
         model, _ = micro_model()
-        probs = model.forward(np.zeros((2, 4, 8)), np.array([[1], [1]]), mode="infer")
+        probs = model.forward(np.zeros((2, 4, 8)), np.array([[1], [1]]), ([0, 0], [0, 1]),
+                              mode="infer")
         assert probs.data.shape == (2, 12)
 
     def test_zero_weights_fused_is_shift(self):
@@ -218,28 +226,32 @@ class TestEncodeDecode:
             p.data[...] = 0.0
         model.bn_audio2.beta.data[...] = 0.25
         model.bn_text.beta.data[...] = -0.5
-        fused = model.encode(np.zeros((2, 3, 8)), np.array([[1], [1]]), mode="train")
+        fused = model.encode(np.zeros((2, 3, 8)), np.array([[1], [1]]), ([0, 0], [0, 1]),
+                             mode="train")
         expected = np.concatenate([np.full(2 * cfg.bigru2, 0.25), np.full(cfg.text_gru, -0.5)])
         assert np.allclose(fused.data, expected[None, :])
 
     def test_decode_gives_float32_logits(self):
         model, _ = micro_model()
         rng = np.random.RandomState(2)
-        logits = model.forward(rng.standard_normal((3, 4, 8)),
-                               np.array([[1, 5], [1, 6], [1, 7]]), mode="infer")
+        prefix = np.array([[1, 5], [1, 6], [1, 7]])
+        logits = model.forward(rng.standard_normal((3, 4, 8)), prefix, last_columns(prefix),
+                               mode="infer")
         assert logits.data.shape == (3, 12) and logits.data.dtype == np.float32
         assert np.allclose(T.softmax(logits).data.sum(axis=1), 1.0, atol=1e-6)
         assert (logits.data < 0).any()  # not probabilities
 
-    def test_default_positions_are_each_rows_last_column(self):
+    def test_last_column_positions_match_each_row_alone(self):
         model, _ = micro_model()
         rng = np.random.RandomState(4)
         audio = rng.standard_normal((3, 4, 8))
         prefix = np.array([[1, 5, 6], [1, 7, 5], [1, 6, 6]])
-        default = model.forward(audio, prefix, mode="infer").data
-        explicit = model.forward(audio, prefix, mode="infer",
-                                 positions=([2, 2, 2], [0, 1, 2])).data
-        assert np.array_equal(default, explicit)
+        batched = model.forward(audio, prefix, positions=([2, 2, 2], [0, 1, 2]),
+                                mode="infer").data
+        alone = [model.forward(audio[i : i + 1], prefix[i : i + 1], positions=([2], [0]),
+                               mode="infer").data[0] for i in range(3)]
+        # float32: a row of a many-row product may round apart from the row alone
+        assert np.allclose(batched, alone, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("positions", [([0, 3], [0, 1]), ([0, 1], [0, 2]),
                                            ([-1], [0]), ([0, 1], [0]), ([], [])])
@@ -254,8 +266,8 @@ class TestEncodeDecode:
         rng = np.random.RandomState(3)
         audio = rng.standard_normal((2, 4, 8))
         prefix = np.array([[1, 5], [1, 6]])
-        a = model.forward(audio, prefix, mode="infer").data
-        b = model.forward(audio, prefix, mode="infer").data
+        a = model.forward(audio, prefix, last_columns(prefix), mode="infer").data
+        b = model.forward(audio, prefix, last_columns(prefix), mode="infer").data
         assert np.array_equal(a, b)
 
 
@@ -348,7 +360,7 @@ class TestIncrementalDecode:
         indices = [vocab.index(t) for t in tokens]
         for i, logits in enumerate(steps):
             prefix = np.array([indices[: i + 1]])
-            full = model.forward(enc[None], prefix, mode="infer")
+            full = model.forward(enc[None], prefix, last_columns(prefix), mode="infer")
             assert logits.dtype == np.float32
             assert np.array_equal(logits, full.data)
             words_and_eos = full.data[0].copy()
@@ -550,7 +562,8 @@ class TestTraining:
             for clip_id, ids in encoded:
                 for i in range(1, len(ids)):
                     prefix = np.array([ids[:i]])
-                    logits = model.forward(feats[clip_id][None], prefix, mode="infer")
+                    logits = model.forward(feats[clip_id][None], prefix, last_columns(prefix),
+                                           mode="infer")
                     nlls.append(float(T.softmax_cross_entropy(logits, [ids[i]]).data))
             reference = float(np.mean(nlls))
             for batch_size in (1, 6, 100):
@@ -573,8 +586,8 @@ class TestTraining:
 
         def nodes(frames, words):
             prefix = rng.randint(1, 12, size=(4, words))
-            logits = model.forward(rng.standard_normal((4, frames, 8)), prefix, mode="train",
-                                   rng=rng)
+            logits = model.forward(rng.standard_normal((4, frames, 8)), prefix,
+                                   last_columns(prefix), mode="train", rng=rng)
             return len(T._toposort(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4))))
 
         assert nodes(2, 1) == nodes(9, 1) == nodes(2, 7) == nodes(30, 12)
@@ -583,7 +596,8 @@ class TestTraining:
         model, _ = micro_model()
         rng = np.random.RandomState(8)
         prefix = rng.randint(1, 12, size=(4, 3))
-        logits = model.forward(rng.standard_normal((4, 3, 8)), prefix, mode="train", rng=rng)
+        logits = model.forward(rng.standard_normal((4, 3, 8)), prefix, last_columns(prefix),
+                               mode="train", rng=rng)
         T.backward(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4)))
         for p in model.parameters():
             assert np.any(p.grad != 0.0), p.name
@@ -677,8 +691,8 @@ class TestSveAblationEquivalence:
         sve = np.zeros(3)
         inp_sve = np.stack([build_encoder_input(a, sve, "logmel") for a in audio])
         prefix = np.array([[1, 5], [1, 6]])
-        a = with_sve.forward(inp_sve, prefix, mode="infer").data
-        b = without.forward(audio, prefix, mode="infer").data
+        a = with_sve.forward(inp_sve, prefix, last_columns(prefix), mode="infer").data
+        b = without.forward(audio, prefix, last_columns(prefix), mode="infer").data
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -817,7 +831,8 @@ class TestCheckpoint:
 
         def infer(with_state):
             loaded.state = with_state
-            return loaded.build_model().forward(audio, prefix, mode="infer").data
+            return loaded.build_model().forward(audio, prefix, last_columns(prefix),
+                                                mode="infer").data
 
         legacy = infer({k: v for k, v in state.items() if k not in steps})
         zeroed = infer({**state, **{k: np.zeros_like(state[k]) for k in steps}})

@@ -10,7 +10,6 @@ import pytest
 from aucap import cli, embfile
 from aucap import dataset as ds
 from aucap.audio.embeddings import VARIANT_DIMS
-from aucap.audio.features import frame_count
 from aucap.captioner import CaptionerCheckpoint
 from aucap.errors import ConfigError
 from aucap.mlp import MLP, MLPConfig
@@ -280,7 +279,8 @@ class TestExtractFeatures:
         assert cli.main(extract_args(wav_clips, "1.0")) == 0
         assert sorted(p.name for p in (wav_clips / "cache" / "logmel").iterdir()) == sorted(
             f"{c}{ext}" for c in WAV_CLIPS for ext in (".emb", ".sha256"))
-        assert all(self.cached_shape(wav_clips, c) == (frame_count(16000, 1536, 768), 64)
+        # 1 s at 16 kHz, in frames of 1536 samples with a hop of 768
+        assert all(self.cached_shape(wav_clips, c) == ((16000 - 1536) // 768 + 1, 64)
                    for c in WAV_CLIPS)
         assert "3 computed, 0 skipped, 0 failed" in caplog.text
         caplog.clear()
@@ -293,7 +293,7 @@ class TestExtractFeatures:
         caplog.clear()
         assert cli.main(extract_args(wav_clips, "2.0")) == 0
         assert "3 computed, 0 skipped, 0 failed" in caplog.text
-        assert all(self.cached_shape(wav_clips, c) == (frame_count(32000, 1536, 768), 64)
+        assert all(self.cached_shape(wav_clips, c) == ((32000 - 1536) // 768 + 1, 64)
                    for c in WAV_CLIPS)
 
     def test_corrupt_wav_exits_1_and_names_the_clip(self, wav_clips, caplog):
@@ -514,23 +514,66 @@ class TestConfigFile:
             assert "unknown config key 'seed'" in caplog.text
 
 
+OUT_COMMANDS = ["build-sve", "train-w2v", "train-mlp", "train-captioner", "predict"]
+
+
+def forbid_work(monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started work despite a bad --out")
+
+    for name in ("_load_manifest", "build_corpus", "train_word2vec", "train_mlp",
+                 "train_captioner"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+def with_out(argv, out):
+    """``argv`` with its ``--out`` value replaced, or dropped when ``out`` is None."""
+    i = argv.index("--out")
+    return argv[:i] + ([] if out is None else ["--out", str(out)]) + argv[i + 2:]
+
+
 class TestOutRequired:
-    @pytest.mark.parametrize("command",
-                             ["build-sve", "train-w2v", "train-mlp", "train-captioner", "predict"])
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
     def test_missing_out_exits_2_before_any_work(self, pipeline, command, monkeypatch, caplog):
         root, commands = pipeline
-        argv = list(commands[command])
-        del argv[argv.index("--out"):argv.index("--out") + 2]
-
-        def no_work(*args, **kwargs):
-            raise AssertionError(f"{command} started work without --out")
-
-        for name in ("_load_manifest", "build_corpus", "train_word2vec", "train_mlp",
-                     "train_captioner"):
-            monkeypatch.setattr(cli, name, no_work)
+        forbid_work(monkeypatch, command)
         before = tree(root)
-        assert cli.main(argv) == 2
+        assert cli.main(with_out(commands[command], None)) == 2
         assert f"{command} needs --out" in caplog.text
+        assert tree(root) == before
+
+    @pytest.mark.parametrize("inside", [False, True])
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_out_directory_that_is_a_file_exits_2_before_any_work(
+            self, pipeline, tmp_path, command, inside, monkeypatch, caplog):
+        root, commands = pipeline
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"")
+        forbid_work(monkeypatch, command)
+        before = tree(root)
+        assert cli.main(with_out(commands[command], taken / "run" if inside else taken)) == 2
+        assert f"{taken} exists and is not a directory" in caplog.text
+        assert tree(root) == before and taken.read_bytes() == b""
+
+    def test_predict_out_file_that_is_a_directory_exits_2_before_any_work(
+            self, pipeline, tmp_path, monkeypatch, caplog):
+        root, commands = pipeline
+        (tmp_path / "predictions.tsv").mkdir()
+        forbid_work(monkeypatch, "predict")
+        before = tree(root)
+        assert cli.main(with_out(commands["predict"], tmp_path / "predictions.tsv")) == 2
+        assert "is a directory, not a file" in caplog.text
+        assert tree(root) == before
+        assert list((tmp_path / "predictions.tsv").iterdir()) == []
+
+    def test_predict_out_file_in_a_file_exits_2_before_any_work(
+            self, pipeline, tmp_path, monkeypatch, caplog):
+        root, commands = pipeline
+        (tmp_path / "taken").write_bytes(b"")
+        forbid_work(monkeypatch, "predict")
+        before = tree(root)
+        assert cli.main(with_out(commands["predict"], tmp_path / "taken" / "p.tsv")) == 2
+        assert f"{tmp_path / 'taken'} exists and is not a directory" in caplog.text
         assert tree(root) == before
 
 

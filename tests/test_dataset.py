@@ -7,7 +7,8 @@ import pytest
 
 from aucap.audio.features import FeatureConfig, extract_log_mel
 from aucap.audio.wav import load_wav
-from aucap.dataset import ClipRecord, cache_features, cache_path, load_caption_csv
+from aucap.dataset import (ClipRecord, DatasetManifest, cache_features, cache_path,
+                           hold_out_validation, load_caption_csv)
 from aucap.embfile import read_matrix
 from aucap.errors import DatasetError
 
@@ -190,17 +191,94 @@ class TestCacheFeatures:
         assert (again.computed, again.skipped, again.errors) == (["a"], [], {})
         assert sidecar.read_bytes() == key
 
-    @pytest.mark.parametrize("change", [{"pad_seconds": 1.0}, {"n_mels": 32}, {"fmax": 7000.0},
-                                        {"overlap": 0.25}])
-    def test_another_feature_config_recomputes(self, tmp_path, wav_file, change):
+    @pytest.mark.parametrize("pad_seconds", [1.0, 0.25])
+    def test_another_clip_length_recomputes(self, tmp_path, wav_file, pad_seconds):
         config = FeatureConfig(pad_seconds=0.5)
         records = [ClipRecord("a", wav_file([1000, -1000] * 4000, name="a.wav"), (),
                               "development")]
         cache = tmp_path / "cache"
         assert cache_features(records, "logmel", cache, config).computed == ["a"]
-        other = replace(config, **change)
+        other = FeatureConfig(pad_seconds=pad_seconds)
         again = cache_features(records, "logmel", cache, other)
         assert (again.computed, again.skipped, again.errors) == (["a"], [], {})
-        expected = extract_log_mel(load_wav(records[0].path), other).values.astype(np.float32)
+        expected = extract_log_mel(load_wav(records[0].path), other).astype(np.float32)
         assert np.array_equal(read_matrix(cache_path(cache, "logmel", "a")), expected)
         assert cache_features(records, "logmel", cache, other).skipped == ["a"]
+
+    def test_a_sidecar_of_the_seven_field_config_stays_warm(self, tmp_path, wav_file):
+        # the text a cache written while every recipe value was a FeatureConfig field holds
+        path = wav_file([1000, -1000] * 4000, name="a.wav")
+        cache = tmp_path / "cache"
+        (cache / "logmel").mkdir(parents=True)
+        emb = cache_path(cache, "logmel", "a")
+        emb.write_bytes(b"left as it was")
+        (cache / "logmel" / "a.sha256").write_text(
+            hashlib.sha256(path.read_bytes()).hexdigest() + " logmel sample_rate=16000"
+            " pad_seconds=0.5 window_ms=96.0 overlap=0.5 n_mels=64 fmin=125.0 fmax=7500.0\n",
+            encoding="ascii")
+        result = cache_features([ClipRecord("a", path, (), "development")], "logmel", cache,
+                                FeatureConfig(pad_seconds=0.5))
+        assert (result.computed, result.skipped, result.errors) == ([], ["a"], {})
+        assert emb.read_bytes() == b"left as it was"
+
+
+def manifest_of(n_dev, n_val=0, n_eval=0):
+    """A caption-only manifest of ``n_dev``/``n_val``/``n_eval`` one-caption clips."""
+    manifest = DatasetManifest("generic")
+    for split, prefix, n in (("development", "d", n_dev), ("validation", "v", n_val),
+                             ("evaluation", "e", n_eval)):
+        if n:
+            manifest.add(split, [ClipRecord(f"{prefix}{i}", None, (_clip("a", f"w{i}"),), split)
+                                 for i in range(n)])
+    return manifest
+
+
+def ids(manifest, split):
+    return [r.clip_id for r in manifest.split(split)]
+
+
+class TestHoldOutValidation:
+    def test_same_seed_gives_the_same_split(self):
+        manifest = manifest_of(20)
+        first = hold_out_validation(manifest, 0.3, seed=5)
+        assert first.records == hold_out_validation(manifest, 0.3, seed=5).records
+        assert ids(hold_out_validation(manifest, 0.3, seed=6), "validation") != ids(
+            first, "validation")
+
+    def test_splits_are_disjoint_and_their_union_is_the_development_set(self):
+        manifest = manifest_of(20)
+        out = hold_out_validation(manifest, 0.3, seed=5)
+        dev, val = ids(out, "development"), ids(out, "validation")
+        assert not set(dev) & set(val)
+        assert sorted(dev + val) == sorted(ids(manifest, "development"))
+        assert dev == [i for i in ids(manifest, "development") if i in dev]  # order kept
+        originals = {r.clip_id: r for r in manifest.split("development")}
+        assert all(replace(r, split="development") == originals[r.clip_id]
+                   for r in out.split("validation"))  # only the split changes
+        assert {r.split for r in out.split("validation")} == {"validation"}
+
+    @pytest.mark.parametrize("n, fraction", [(20, 0.3), (7, 0.5), (3, 0.34), (10, 0.99),
+                                             (100, 0.29)])
+    def test_int_of_n_times_fraction_clips_move(self, n, fraction):
+        out = hold_out_validation(manifest_of(n), fraction, seed=1)
+        assert len(out.split("validation")) == int(n * fraction)
+        assert len(out.split("development")) == n - int(n * fraction)
+
+    def test_evaluation_and_validation_splits_carry_over(self):
+        manifest = manifest_of(10, n_val=2, n_eval=3)
+        out = hold_out_validation(manifest, 0.2, seed=2)
+        assert out.split("evaluation") == manifest.split("evaluation")
+        assert ids(out, "validation")[2:] == ["v0", "v1"]  # after the 2 held-out clips
+        assert out.source_format == manifest.source_format
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.09])
+    def test_a_fraction_of_no_clip_adds_no_validation_split(self, fraction):
+        manifest = manifest_of(10)
+        out = hold_out_validation(manifest, fraction, seed=3)
+        assert "validation" not in out.records
+        assert out.split("development") == manifest.split("development")
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(DatasetError, match="fraction must be in"):
+            hold_out_validation(manifest_of(4), fraction, seed=0)

@@ -1,18 +1,26 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from aucap.audio import features
+from aucap.audio.embeddings import VARIANT_DIMS
 from aucap.audio.features import (
+    FMAX,
+    FMIN,
+    N_FFT,
+    N_MELS,
+    OVERLAP,
+    SAMPLE_RATE,
+    WINDOW_MS,
     FeatureConfig,
     apply_log_mel,
     extract_log_mel,
-    frame_count,
     frame_signal,
     hamming_window,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
-    next_pow2,
     power_spectrum,
     shared_filterbank,
 )
@@ -24,6 +32,8 @@ from conftest import make_wav_bytes, tone
 RATE = 16000
 W = 1536  # round(0.096 * 16000)
 H = 768
+# the band centres the recipe names: N_MELS points evenly spaced in mel between the band edges
+CENTERS = mel_to_hz(np.linspace(hz_to_mel(FMIN), hz_to_mel(FMAX), N_MELS + 2))[1:-1]
 
 
 def brute_force_dft_power(frame):
@@ -54,12 +64,16 @@ class TestFraming:
         with pytest.raises(ShapeError):
             frame_signal(WaveBuffer(np.ones(W - 1), RATE))
 
+    def test_another_rate_is_refused(self):
+        with pytest.raises(ShapeError, match="22050 Hz"):
+            frame_signal(WaveBuffer(np.ones(4 * W), 22050))
+
     def test_frame_count_formula_randomized(self):
         rng = np.random.RandomState(42)
         for _ in range(1000):
             n = rng.randint(W, 500000)
             buf = WaveBuffer(np.zeros(n), RATE)
-            assert frame_signal(buf).shape[0] == (n - W) // H + 1 == frame_count(n, W, H)
+            assert frame_signal(buf).shape[0] == (n - W) // H + 1
 
 
 class TestPowerSpectrum:
@@ -76,41 +90,42 @@ class TestPowerSpectrum:
         assert int(np.argmax(spec[0])) == 128
 
     def test_matches_brute_force_dft(self):
-        rng = np.random.RandomState(3)
-        for n in (16, 32, 64):
-            frames = rng.uniform(-1, 1, (3, n))
-            fast = power_spectrum(frames)
-            for row in range(3):
-                slow = brute_force_dft_power(frames[row])
-                assert np.max(np.abs(fast[row] - slow)) < 1e-9
+        frames = np.random.RandomState(3).uniform(-1, 1, (2, W))
+        fast = power_spectrum(frames)
+        for row in range(2):
+            slow = brute_force_dft_power(np.concatenate([frames[row], np.zeros(N_FFT - W)]))
+            assert np.max(np.abs(fast[row] - slow)) < 1e-9 * slow.max()
 
     def test_parseval(self):
         rng = np.random.RandomState(5)
-        frame = rng.uniform(-1, 1, 64)
+        frame = rng.uniform(-1, 1, W)
         power = power_spectrum(frame[None, :])[0]
         # rfft keeps half the spectrum; interior bins appear twice in the full sum
         full = power[0] + 2 * power[1:-1].sum() + power[-1]
-        energy = 64 * np.sum(frame**2)
+        energy = N_FFT * np.sum(frame**2)  # the zero padding adds no energy
         assert abs(full - energy) / energy < 1e-6
 
-    def test_next_pow2(self):
-        assert next_pow2(1536) == 2048
-        assert next_pow2(64) == 64
-        assert next_pow2(65) == 128
+    def test_window_hop_and_fft_size(self):
+        assert (features.WINDOW, features.HOP, N_FFT) == (W, H, 2048)
+
+    def test_other_frame_widths_are_refused(self):
+        with pytest.raises(ShapeError):
+            power_spectrum(np.zeros((1, 64)))
 
 
 class TestMelFilterbank:
-    fb = mel_filterbank(64, 2048, RATE)
+    fb = mel_filterbank()
 
     def test_shape_and_range(self):
-        assert self.fb.weights.shape == (64, 1025)
-        assert np.all(self.fb.weights >= 0.0)
+        assert self.fb.shape == (64, 1025)
+        assert N_MELS == VARIANT_DIMS["logmel"]  # the cached width is the band count
+        assert np.all(self.fb >= 0.0)
 
     def test_rows_sum_positive(self):
-        assert np.all(self.fb.weights.sum(axis=1) > 0.0)
+        assert np.all(self.fb.sum(axis=1) > 0.0)
 
     def test_rows_unimodal(self):
-        for row in self.fb.weights:
+        for row in self.fb:
             support = row[row > 0]
             diffs = np.sign(np.diff(support))
             # rises then falls: at most one sign change in the nonzero run
@@ -118,13 +133,14 @@ class TestMelFilterbank:
             assert changes <= 1
 
     def test_centers_ascending_and_bounded(self):
-        assert np.all(np.diff(self.fb.center_freqs) > 0)
-        assert self.fb.center_freqs[0] > 125.0
-        assert self.fb.center_freqs[-1] < 7500.0
+        peaks = self.fb.argmax(axis=1) * RATE / N_FFT  # each filter's peak bin, in Hz
+        assert np.all(np.diff(peaks) > 0)
+        assert peaks[0] > 125.0
+        assert peaks[-1] < 7500.0
 
     def test_supports_overlap(self):
-        starts = [np.flatnonzero(row)[0] for row in self.fb.weights]
-        ends = [np.flatnonzero(row)[-1] for row in self.fb.weights]
+        starts = [np.flatnonzero(row)[0] for row in self.fb]
+        ends = [np.flatnonzero(row)[-1] for row in self.fb]
         assert starts == sorted(starts)
         for i in range(63):
             assert starts[i + 1] <= ends[i]  # neighbouring triangles share bins
@@ -136,67 +152,63 @@ class TestMelFilterbank:
 
 
 class TestApplyLogMel:
-    fb = mel_filterbank(64, 2048, RATE)
-
     def test_zero_power_floors(self):
-        out = apply_log_mel(np.zeros((3, 1025)), self.fb)
-        assert np.all(out.values == np.log(1e-10))
+        out = apply_log_mel(np.zeros((3, 1025)))
+        assert np.all(out == np.log(1e-10))
 
     def test_sine_hits_nearest_band(self):
         buf = zero_pad_or_truncate(WaveBuffer(tone(1000, 2.0), RATE), 2.0)
-        feats = apply_log_mel(power_spectrum(frame_signal(buf)), self.fb)
-        expected = int(np.argmin(np.abs(self.fb.center_freqs - 1000.0)))
-        assert int(np.argmax(feats.values[0])) == expected
+        feats = apply_log_mel(power_spectrum(frame_signal(buf)))
+        expected = int(np.argmin(np.abs(CENTERS - 1000.0)))
+        assert int(np.argmax(feats[0])) == expected
 
     def test_doubling_adds_ln2(self):
         rng = np.random.RandomState(7)
         power = rng.uniform(0.1, 2.0, (4, 1025))
-        a = apply_log_mel(power, self.fb).values
-        b = apply_log_mel(2.0 * power, self.fb).values
+        a = apply_log_mel(power)
+        b = apply_log_mel(2.0 * power)
         unfloored = a > np.log(1e-10)
         assert np.allclose((b - a)[unfloored], np.log(2.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            apply_log_mel(np.zeros((2, 100)), self.fb)
+            apply_log_mel(np.zeros((2, 100)))
 
 
 class TestExtractLogMel:
     def test_shape_30s(self):
         buf = WaveBuffer(tone(440, 3.0), RATE)
-        feats = extract_log_mel(buf)
-        assert feats.values.shape == (624, 64)
-        assert feats.frame_count == 624
+        assert extract_log_mel(buf).shape == (624, 64)
 
     def test_trailing_silence_invariant(self):
         cfg = FeatureConfig(pad_seconds=2.0)
         base = tone(440, 1.0)
         short = WaveBuffer(base, RATE)
         padded = WaveBuffer(np.concatenate([base, np.zeros(3 * RATE)]), RATE)
-        a = extract_log_mel(short, cfg).values
-        b = extract_log_mel(padded, cfg).values
+        a = extract_log_mel(short, cfg)
+        b = extract_log_mel(padded, cfg)
         assert np.array_equal(a, b)
 
     def test_resamples_input(self):
         buf = WaveBuffer(tone(440, 1.0, rate=32000), 32000)
         feats = extract_log_mel(buf, FeatureConfig(pad_seconds=1.0))
-        assert feats.values.shape == ((16000 - W) // H + 1, 64)
+        assert feats.shape == ((16000 - W) // H + 1, 64)
 
 
 def reference_log_mel(samples, rate, config):
     """The per-clip formulas extract_log_mel replaced: index-gather framing, a
     filterbank and a window built per call, and a float64 copy of the power."""
-    buf = zero_pad_or_truncate(resample(WaveBuffer(samples, rate), config.sample_rate),
+    buf = zero_pad_or_truncate(resample(WaveBuffer(samples, rate), SAMPLE_RATE),
                                config.pad_seconds)
-    w = int(round(config.window_ms / 1000.0 * config.sample_rate))
-    h = max(1, int(round(w * (1.0 - config.overlap))))
+    w = int(round(WINDOW_MS / 1000.0 * SAMPLE_RATE))
+    h = max(1, int(round(w * (1.0 - OVERLAP))))
     t = (buf.samples.size - w) // h + 1
     idx = np.arange(w)[None, :] + (np.arange(t) * h)[:, None]
     frames = buf.samples[idx] * np.hamming(w)[None, :]
-    spec = np.fft.rfft(frames, n=next_pow2(w), axis=1)
+    spec = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = (spec.real**2 + spec.imag**2).astype(np.float64)
-    fb = mel_filterbank(config.n_mels, next_pow2(w), config.sample_rate, config.fmin, config.fmax)
-    return np.log(np.maximum(power @ fb.weights.T, 1e-10))
+    fb = mel_filterbank()
+    return np.log(np.maximum(power @ fb.T, 1e-10))
 
 
 # (bits, format code) -> (integer or float samples in range, their value in [-1, 1])
@@ -226,24 +238,22 @@ class TestExtractionMatchesReference:
             path = tmp_path / f"{seconds}.wav"
             path.write_bytes(make_wav_bytes(raw.tolist(), rate, bits, channels, fmt))
             mono = scale(raw.astype(np.float64)).reshape(-1, channels).mean(axis=1)
-            got = extract_log_mel(load_wav(path), self.config).values
+            got = extract_log_mel(load_wav(path), self.config)
             assert np.array_equal(got, reference_log_mel(mono, rate, self.config))
 
-    def test_filterbank_and_window_are_built_once_per_config(self, monkeypatch):
+    def test_filterbank_and_window_are_built_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(features, "mel_filterbank",
-                            lambda *a: calls.append(a) or mel_filterbank(*a))
+        monkeypatch.setattr(features, "mel_filterbank", lambda: calls.append(1) or mel_filterbank())
         shared_filterbank.cache_clear()
         buf = WaveBuffer(tone(440, 0.5), RATE)
         for pad in (0.5, 0.5, 0.6):
             extract_log_mel(buf, FeatureConfig(pad_seconds=pad))
-        extract_log_mel(buf, FeatureConfig(pad_seconds=0.5, n_mels=32))
-        assert calls == [(64, 2048, RATE, 125.0, 7500.0), (32, 2048, RATE, 125.0, 7500.0)]
-        assert hamming_window(W) is hamming_window(W)
+        assert calls == [1]
+        assert hamming_window() is hamming_window()
+        assert np.array_equal(hamming_window(), np.hamming(W))
 
     def test_shared_arrays_reject_writes(self):
-        fb = shared_filterbank(64, 2048, RATE, 125.0, 7500.0)
-        for array in (fb.weights, fb.center_freqs, hamming_window(W)):
+        for array in (shared_filterbank(), hamming_window()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
@@ -252,9 +262,14 @@ class TestFeatureConfig:
     @pytest.mark.parametrize("change", [
         {"pad_seconds": 0.0}, {"pad_seconds": -1.0}, {"pad_seconds": float("nan")},
         {"pad_seconds": 0.05},                   # shorter than one 96 ms window
-        {"fmax": 8000.5}, {"fmin": 7500.0},      # above Nyquist; empty band
-        {"sample_rate": 0}, {"n_mels": 0}, {"overlap": 1.0}, {"window_ms": 0.0},
+        {"pad_seconds": float("inf")},
     ])
     def test_rejects_settings_no_clip_can_use(self, change):
         with pytest.raises(ConfigError):
             FeatureConfig(**change)
+
+    def test_the_clip_length_is_the_only_setting(self):
+        assert [f.name for f in fields(FeatureConfig)] == ["pad_seconds"]
+        assert FeatureConfig(pad_seconds=0.25).recipe() == (
+            "sample_rate=16000 pad_seconds=0.25 window_ms=96.0 overlap=0.5 n_mels=64"
+            " fmin=125.0 fmax=7500.0")

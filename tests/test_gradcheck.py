@@ -133,7 +133,8 @@ def _check_micro_captioner(rng, caption_major: bool = False):
     prefix = rng.randint(1, 10, size=(batch, 3))
     valid = np.ones((batch, 3))
     valid[0, 2] = 0.0  # caption-major: row 0 is one token shorter, its last column padding
-    positions = np.nonzero(valid.T) if caption_major else None
+    # caption-major: every valid (step, row) prefix; otherwise each row at full length
+    positions = np.nonzero(valid.T) if caption_major else (np.full(batch, 2), np.arange(batch))
     targets = rng.randint(0, 10, size=int(valid.sum()) if caption_major else batch)
 
     def loss_fn():
