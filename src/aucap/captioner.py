@@ -423,9 +423,9 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
 
     ``features`` maps clip_id to its raw feature matrix for the configured
     variant; SVE vectors (when ``sve_dim > 0``) are concatenated per clip.
-    Returns the best checkpoint by validation loss (training loss when no
-    validation pairs are given) and the loss history. Raises TrainingError
-    at the first batch or epoch whose loss is not finite.
+    Returns the checkpoint of the epoch with the lowest validation loss (of
+    the last epoch when no validation pairs are given) and the loss history.
+    Raises TrainingError at the first batch or epoch whose loss is not finite.
     """
     pairs = list(pairs)
     if not pairs:
@@ -471,13 +471,11 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
         logits = model.forward(audio, prefix, mode="train", rng=rng, positions=positions)
         return T.softmax_cross_entropy(logits, targets), len(targets)
 
-    def val_loss():
-        return _dataset_loss(model, val_captions, inputs, config.batch_size)
-
     # adam_step, _batch_arrays and _dataset_loss are looked up here at call time
-    history = fit(model, config.epochs, batches, batch_loss,
+    history = fit(model, config.epochs, batches, batch_loss, name="captioner",
                   update=lambda: adam_step(params, state),
-                  val_loss=val_loss if val_captions else None, name="captioner")
+                  val_loss=None if val_captions is None else
+                  lambda: _dataset_loss(model, val_captions, inputs, config.batch_size))
     checkpoint = CaptionerCheckpoint(
         state=model.state(), config=config,
         vocab_size=len(vocab), vocab_sha256=vocab.sha256(),

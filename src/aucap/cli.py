@@ -176,15 +176,18 @@ def _last(losses: list[float]) -> float:
 
 
 def _out(args, file_ok: bool = False) -> Path:
-    """``--out``, checked before a command does any work: the directory the
-    output goes in, which may exist but must not be a file. With ``file_ok``, a
-    ``--out`` with a suffix names the output file instead: it must not be a
-    directory, and the directory it goes in must not be a file."""
+    """``--out``, checked before a command does any work: the output directory,
+    or with ``file_ok`` and a suffix, the output file."""
     if not args.out:
         raise ConfigError(f"{args.command} needs --out")
-    out = Path(args.out)
-    directory = out.parent if file_ok and out.suffix else out
-    if directory != out and out.is_dir():
+    return _check_out(Path(args.out), is_file=file_ok and bool(Path(args.out).suffix))
+
+
+def _check_out(out: Path, is_file: bool) -> Path:
+    """``out``, unless it names a file that is a directory, or the directory the
+    output goes in (``out`` itself, or the file's parent) is a file or lies in one."""
+    directory = out.parent if is_file else out
+    if is_file and out.is_dir():
         raise ConfigError(f"--out {out} is a directory, not a file")
     nearest = next(p for p in (directory, *directory.parents) if p.exists())
     if not nearest.is_dir():
@@ -270,7 +273,7 @@ def cmd_train_mlp(args) -> int:
     y = np.stack([targets[r.clip_id] for r in records])
     config = MLPConfig(input_dim=x.shape[1], output_dim=corpus.size, **_training_fields(args))
     model, history = train_mlp(x, y, config)
-    model.variant = args.variant
+    model.variant, model.corpus_sha256 = args.variant, corpus.sha256()
     with output_lock(out):
         model.save(out / "sve_mlp.ckpt")
     log.info("train-mlp: best epoch %d, final train loss %.4f",
@@ -332,15 +335,15 @@ def cmd_train_captioner(args) -> int:
 
 def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
     records = manifest.split("development")
-    k = checkpoint.config.sve_dim
     if args.sve_source == "mlp":
         path = _require(args.mlp, "SVE MLP checkpoint")
         model = MLP.load(path)
-        if model.config.output_dim != k:
-            raise ConfigError(f"MLP predicts {model.config.output_dim} labels, checkpoint needs {k}")
         if model.variant is None:
             raise ConfigError(f"MLP checkpoint {path} records no feature variant; "
                               f"retrain it with train-mlp, which records --variant")
+        if model.corpus_sha256 != checkpoint.corpus_sha256:  # its labels, and so their number
+            raise ConfigError(f"MLP checkpoint {path} does not record the captioner's "
+                              f"subject-verb corpus; retrain it with train-mlp on that --corpus")
         feats = ds.load_cached_features(cache, model.variant, [r.clip_id for r in records])
         return {r.clip_id: predict_sve(model, feats[r.clip_id].reshape(-1)) for r in records}
     lexicon, corpus = _load_corpus(args)
@@ -380,12 +383,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = _check_out(Path(args.out), is_file=True) if args.out else None
     report = metrics.evaluate_files(_require(args.candidates, "candidate file"),
                                     _require(args.references, "reference file"))
     text = report.table() + report.key_value_lines()
     sys.stdout.write(text)
-    if args.out:
-        atomic.write_bytes(args.out, text.encode("utf-8"))
+    if out:
+        with output_lock(out.parent):
+            atomic.write_bytes(out, text.encode("utf-8"))
     return 0
 
 

@@ -52,7 +52,7 @@ class GraphStateError(AucapError):
 
 
 class TrainingError(AucapError):
-    """Training diverged: a batch loss or the watched loss is not finite."""
+    """Training diverged: a batch loss or the validation loss is not finite."""
 
 
 def check_finite_loss(loss: float, where: str) -> None:

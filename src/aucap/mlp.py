@@ -3,8 +3,8 @@
 Six ReLU hidden layers by default, dropout on the input connections and one
 logit per label. Training minimises the per-label binary cross-entropy of the
 sigmoid of those logits, fused into one node
-(``T.sigmoid_binary_cross_entropy``), with Adam, and keeps the parameters from
-the epoch with the lowest validation loss. ``predict_sve`` applies the sigmoid.
+(``T.sigmoid_binary_cross_entropy``), with Adam; ``fit`` keeps the epoch of
+the lowest validation loss, else the last. ``predict_sve`` applies the sigmoid.
 
 The MLP trains and predicts at float32. Its training is memory-bound: each
 step's Adam update and dense products stream every parameter, and float32
@@ -56,6 +56,7 @@ class MLP:
     def __init__(self, config: MLPConfig, rng: np.random.RandomState):
         self.config = config
         self.variant: str | None = None  # the feature variant it reads; saved in its checkpoint
+        self.corpus_sha256: str | None = None  # the subject-verb corpus it predicts; saved too
         self.layers: list[layers.Dense] = []
         prev = config.input_dim
         for i, width in enumerate(config.hidden_widths):
@@ -92,8 +93,9 @@ class MLP:
 
     def save(self, path) -> None:
         meta = {"kind": KIND, "config": asdict(self.config)}
-        if self.variant is not None:
-            meta["variant"] = self.variant
+        for key in ("variant", "corpus_sha256"):
+            if getattr(self, key) is not None:
+                meta[key] = getattr(self, key)
         save_tensors(path, self.state(), meta)
 
     @classmethod
@@ -103,7 +105,7 @@ class MLP:
             raise CheckpointError(f"{path}: not an SVE MLP checkpoint")
         config = MLPConfig.from_dict(meta["config"])
         model = cls(config, np.random.RandomState(config.seed))
-        model.variant = meta.get("variant")
+        model.variant, model.corpus_sha256 = meta.get("variant"), meta.get("corpus_sha256")
         model.load_state(tensors)
         return model
 
@@ -135,8 +137,8 @@ def train_mlp(features: np.ndarray, targets: np.ndarray, config: MLPConfig,
               val_targets: np.ndarray | None = None) -> tuple[MLP, TrainHistory]:
     """Train on (N, input_dim) features and binary (N, K) targets, at float32.
 
-    Checkpoints the best epoch by validation loss; without a validation set
-    the training-set loss (evaluated in infer mode) drives the selection.
+    Keeps the epoch of the lowest validation loss; without a validation set,
+    the last epoch (``fit``).
     Raises ShapeError before any training unless both sets are non-empty and
     binary at the config's widths, and ``val_features`` and ``val_targets`` are
     given together or not at all. Raises TrainingError at the first batch or
@@ -162,14 +164,11 @@ def train_mlp(features: np.ndarray, targets: np.ndarray, config: MLPConfig,
         logits = model.forward(Tensor(features[batch]), mode="train", rng=rng)
         return T.sigmoid_binary_cross_entropy(logits, targets[batch]), batch.size
 
-    def val_loss():
-        return _dataset_loss(model, val_features, val_targets)
-
     # adam_step is looked up here at call time
     history = fit(model, config.epochs, batches, batch_loss,
                   update=lambda: adam_step(params, state),
-                  val_loss=None if val_features is None else val_loss,
-                  fallback_loss=lambda: _dataset_loss(model, features, targets), name="mlp")
+                  val_loss=None if val_features is None else
+                  lambda: _dataset_loss(model, val_features, val_targets), name="mlp")
     return model, history
 
 

@@ -145,24 +145,25 @@ class TrainHistory:
     best_epoch: int = -1
 
 
-def fit(model, epochs: int, batches, batch_loss, update, val_loss=None, fallback_loss=None,
+def fit(model, epochs: int, batches, batch_loss, update, val_loss=None,
         name: str = "model") -> TrainHistory:
-    """Train ``model`` for ``epochs`` epochs and leave it in its best epoch's state.
+    """Train ``model`` for ``epochs`` epochs; with ``val_loss``, keep its best epoch.
 
     Each epoch takes its batches from ``batches()``. Per batch,
     ``batch_loss(batch)`` gives the mean loss tensor and its example count; the
     loss is checked finite, back-propagated and applied by ``update()``. The
-    epoch's training loss is the example-weighted mean. The watched loss is
-    ``val_loss()``, recorded in ``val_losses``; without it, ``fallback_loss()``,
-    or else the training loss. The epoch of the lowest watched loss is kept:
-    ``model.state()`` is snapshot just before that epoch is trained past, and
-    ``model.load_state`` restores it at the end. Raises TrainingError at the
-    first batch or watched loss that is not finite.
+    epoch's training loss is the example-weighted mean. With ``val_loss``, the
+    epoch of the lowest ``val_loss()`` (recorded in ``val_losses``) is kept:
+    ``model.state()`` is snapshot just before it is trained past and restored
+    by ``model.load_state`` at the end. Without it the model ends in its last
+    epoch, never snapshot: a training loss, which the optimizer minimises, does
+    not select. Raises TrainingError at the first batch or validation loss that
+    is not finite.
     """
     history = TrainHistory()
-    best_loss, best_state = np.inf, None
+    best_state = None
     for epoch in range(epochs):
-        if epoch > 0 and history.best_epoch == epoch - 1:
+        if val_loss is not None and epoch > 0 and history.best_epoch == epoch - 1:
             best_state = model.state()  # the best epoch so far is about to be trained past
         total, count = 0.0, 0
         for batch_no, batch in enumerate(batches()):
@@ -172,18 +173,15 @@ def fit(model, epochs: int, batches, batch_loss, update, val_loss=None, fallback
             update()
             total += float(loss.data) * examples
             count += examples
-        train_loss = total / count
-        history.train_losses.append(train_loss)
+        history.train_losses.append(total / count)
+        held_out = math.nan
         if val_loss is not None:
-            watched = val_loss()
-            history.val_losses.append(watched)
-        else:
-            watched = train_loss if fallback_loss is None else fallback_loss()
-        check_finite_loss(watched, f"epoch {epoch + 1} watched")
-        if watched < best_loss:
-            best_loss, history.best_epoch = watched, epoch
-        log.info("%s epoch %d/%d train %.4f watched %.4f",
-                 name, epoch + 1, epochs, train_loss, watched)
+            held_out = val_loss()
+            check_finite_loss(held_out, f"epoch {epoch + 1} validation")
+            history.val_losses.append(held_out)
+        history.best_epoch = epoch if val_loss is None else int(np.argmin(history.val_losses))
+        log.info("%s epoch %d/%d train %.4f validation %.4f",
+                 name, epoch + 1, epochs, total / count, held_out)
     if history.best_epoch != epochs - 1:
         model.load_state(best_state)
     return history

@@ -174,6 +174,25 @@ class TestPredictSveFromMlp:
         assert "records no feature variant; retrain it with train-mlp" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("mlp_corpus", ["same K, other order", "none recorded"])
+    def test_mlp_of_another_corpus_exits_2(self, panns_fixture, mlp_corpus, caplog):
+        root, corpus = panns_fixture
+        other = root / "other_corpus.txt"
+        SubjectVerbCorpus(words=corpus.words[::-1], lexicon_sha256=corpus.lexicon_sha256).save(other)
+        assert corpus.size > 1 and SubjectVerbCorpus.load(other).sha256() != corpus.sha256()
+        assert cli.main(train_mlp_args(root, root / "mlp") + ["--corpus", str(other)]) == 0
+        mlp = root / "mlp" / "sve_mlp.ckpt"
+        if mlp_corpus == "none recorded":  # as train-mlp wrote it before it recorded one
+            model = MLP.load(mlp)
+            model.corpus_sha256 = None
+            model.save(mlp)
+        captioner = root / "captioner"
+        assert cli.main(train_captioner_args(root, captioner)) == 0
+        out = root / "predictions.tsv"
+        assert cli.main(predict_args(root, captioner / "captioner.ckpt", mlp, out)) == 2
+        assert "does not record the captioner's subject-verb corpus" in caplog.text
+        assert not out.exists()
+
     def test_captioner_checkpoint_as_mlp_exits_1(self, panns_fixture, caplog):
         root, _ = panns_fixture
         captioner = root / "captioner" / "captioner.ckpt"
@@ -524,6 +543,7 @@ def forbid_work(monkeypatch, command):
     for name in ("_load_manifest", "build_corpus", "train_word2vec", "train_mlp",
                  "train_captioner"):
         monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.metrics, "evaluate_files", no_work)
 
 
 def with_out(argv, out):
@@ -555,26 +575,32 @@ class TestOutRequired:
         assert f"{taken} exists and is not a directory" in caplog.text
         assert tree(root) == before and taken.read_bytes() == b""
 
-    def test_predict_out_file_that_is_a_directory_exits_2_before_any_work(
-            self, pipeline, tmp_path, monkeypatch, caplog):
+    # evaluate's --out always names a file, with a suffix or not
+    @pytest.mark.parametrize("command, name", [("predict", "predictions.tsv"),
+                                               ("evaluate", "report.txt"), ("evaluate", "outdir")])
+    def test_out_file_that_is_a_directory_exits_2_before_any_work(
+            self, pipeline, tmp_path, command, name, monkeypatch, capsys, caplog):
         root, commands = pipeline
-        (tmp_path / "predictions.tsv").mkdir()
-        forbid_work(monkeypatch, "predict")
+        (tmp_path / name).mkdir()
+        forbid_work(monkeypatch, command)
         before = tree(root)
-        assert cli.main(with_out(commands["predict"], tmp_path / "predictions.tsv")) == 2
+        capsys.readouterr()
+        assert cli.main(with_out(commands[command], tmp_path / name)) == 2
         assert "is a directory, not a file" in caplog.text
-        assert tree(root) == before
-        assert list((tmp_path / "predictions.tsv").iterdir()) == []
+        assert tree(root) == before and capsys.readouterr().out == ""
+        assert list((tmp_path / name).iterdir()) == []
 
-    def test_predict_out_file_in_a_file_exits_2_before_any_work(
-            self, pipeline, tmp_path, monkeypatch, caplog):
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_out_file_in_a_file_exits_2_before_any_work(
+            self, pipeline, tmp_path, command, monkeypatch, capsys, caplog):
         root, commands = pipeline
         (tmp_path / "taken").write_bytes(b"")
-        forbid_work(monkeypatch, "predict")
+        forbid_work(monkeypatch, command)
         before = tree(root)
-        assert cli.main(with_out(commands["predict"], tmp_path / "taken" / "p.tsv")) == 2
+        capsys.readouterr()
+        assert cli.main(with_out(commands[command], tmp_path / "taken" / "p.tsv")) == 2
         assert f"{tmp_path / 'taken'} exists and is not a directory" in caplog.text
-        assert tree(root) == before
+        assert tree(root) == before and capsys.readouterr().out == ""
 
 
 # (command, flag) of every input file a pipeline command reads as it runs
@@ -680,11 +706,57 @@ class TestBuildSve:
 
 
 class TestEvaluate:
-    def test_out_file_holds_the_printed_report(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["report.txt", "new/dir/report"])
+    def test_out_file_holds_the_printed_report(self, pipeline, tmp_path, name, capsys):
         _, commands = pipeline
-        out = tmp_path / "report.txt"
+        out = tmp_path / name
         capsys.readouterr()
         assert cli.main(commands["evaluate"] + ["--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == printed
         assert "CIDEr" in printed and "B-1: 1.000000" in printed
+
+
+def test_commands_chain_from_wav_clips_to_scores(tmp_path, toy_lexicon, caplog):
+    """Each command reads what the one before it wrote: log-Mel features, the
+    subject-verb corpus, the vocabulary and word embeddings, the MLP, the
+    captioner and its predictions."""
+    caplog.set_level(logging.INFO)
+    csv = str(write_caption_csv(tmp_path))
+    for i, clip in enumerate(CAPTIONS):
+        samples = np.round(8000 * np.sin(0.05 * (i + 1) * np.arange(4000))).astype(int).tolist()
+        (tmp_path / f"{clip}.wav").write_bytes(make_wav_bytes(samples))
+    lexicon = tmp_path / "lexicon.tsv"
+    toy_lexicon.save(lexicon)
+    references = tmp_path / "references.tsv"  # every caption of the CSV, one per line
+    rows = [line.split(",", 1) for line in (tmp_path / "captions.csv").read_text(
+        encoding="utf-8").splitlines()[1:]]
+    references.write_text("".join(f"{clip}\t{text}\n" for clip, text in rows), encoding="utf-8")
+    cache, sve, w2v = str(tmp_path / "cache"), tmp_path / "sve", tmp_path / "w2v"
+    corpus = ["--lexicon", str(lexicon), "--corpus", str(sve / "sve_corpus.txt")]
+    train = ["--csv", csv, "--cache", cache, "--variant", "logmel", "--epochs", "2",
+             "--batch", "8", *corpus]
+    predictions, report = tmp_path / "predictions.tsv", tmp_path / "report.txt"
+    for argv in (
+            ["extract-features", "--csv", csv, "--audio-dir", str(tmp_path), "--cache", cache,
+             "--pad-seconds", "0.25"],
+            ["build-sve", "--csv", csv, "--lexicon", str(lexicon), "--out", str(sve)],
+            ["train-w2v", "--csv", csv, "--dim", "8", "--epochs", "1", "--out", str(w2v)],
+            ["train-mlp", *train, "--out", str(tmp_path / "mlp")],
+            ["train-captioner", *train, "--vocab", str(w2v / "vocabulary.tsv"),
+             "--w2v", str(w2v / "word_embeddings.emb"), "--embed-dim", "8",
+             "--val-fraction", "0.25", "--out", str(tmp_path / "captioner")],
+            ["predict", "--csv", csv, "--cache", cache, "--sve-source", "mlp",
+             "--checkpoint", str(tmp_path / "captioner" / "captioner.ckpt"),
+             "--vocab", str(w2v / "vocabulary.tsv"),
+             "--mlp", str(tmp_path / "mlp" / "sve_mlp.ckpt"), "--max-len", "6",
+             "--out", str(predictions)],
+            ["evaluate", "--candidates", str(predictions), "--references", str(references),
+             "--out", str(report)]):
+        assert cli.main(argv) == 0, argv[0]
+    assert "extract-features: 4 computed, 0 skipped, 0 failed" in caplog.text
+    assert (MLP.load(tmp_path / "mlp" / "sve_mlp.ckpt").corpus_sha256
+            == SubjectVerbCorpus.load(sve / "sve_corpus.txt").sha256())
+    assert [line.split("\t")[0] for line in predictions.read_text(
+        encoding="utf-8").splitlines()] == list(CAPTIONS)
+    assert "CIDEr" in report.read_text(encoding="utf-8")

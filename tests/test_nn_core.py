@@ -19,7 +19,7 @@ from aucap.nn.layers import (
     gru_sequence,
     orthogonal,
 )
-from aucap.nn.optim import CHUNK, AdamState, adam_step
+from aucap.nn.optim import CHUNK, AdamState, adam_step, fit
 from aucap.nn.tensor import Parameter, Tensor
 
 
@@ -548,6 +548,29 @@ class TestAdam:
         T.backward(sum_all(T.mul(w, w)))
         adam_step([w], state)
         assert np.all(w.grad == 0.0) and not w.grad_ready
+
+
+class StateForbidden:
+    """A model whose state must be neither snapshot nor restored."""
+
+    def state(self):
+        raise AssertionError("state snapshot without a validation loss")
+
+    def load_state(self, state):
+        raise AssertionError("state restored without a validation loss")
+
+
+class TestFit:
+    @pytest.mark.parametrize("epoch_losses", [[3.0, 2.0, 1.0], [1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
+    def test_without_validation_keeps_the_last_epoch(self, epoch_losses):
+        w = Parameter(np.array([1.0]), "w")  # update() leaves it at 1: each loss is its coefficient
+        epochs = iter([[c] for c in epoch_losses])
+        history = fit(StateForbidden(), len(epoch_losses), batches=lambda: next(epochs),
+                      batch_loss=lambda c: (sum_all(T.mul(w, Tensor(np.array([c])))), 1),
+                      update=w.zero_grad)
+        assert history.train_losses == epoch_losses
+        assert history.val_losses == []
+        assert history.best_epoch == len(epoch_losses) - 1
 
 
 def adam_reference(data, grads, steps, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -30,7 +30,8 @@ MLP_RATES = {"validation": 0.01, "no_validation": 0.2, "restore": 0.15}
 
 
 def run_mlp(case, tmp_path):
-    """At these rates ``no_validation`` keeps epoch 5 of 6 and ``restore`` epoch 2."""
+    """``no_validation`` keeps its last epoch, although at this rate its training
+    loss is lowest in epoch 5 of 6; ``restore`` keeps epoch 2."""
     x, y = mlp_data(0)
     xv, yv = mlp_data(2, n=12, noise=1.5)
     config = MLPConfig(input_dim=6, output_dim=3, hidden_widths=(8, 8), dropout=0.25,
@@ -88,8 +89,8 @@ GOLDEN = {
             "0x1.f6687eb5980e4p-2", "0x1.af044134d0cbdp-2", "0x1.c1f96f2172e4bp-2",
         ],
         "val": [],
-        "best_epoch": 4,
-        "sha256": "566877e40dcb052ce4d659a484a4f7433d9fdd31288ae9f358e1ef80ec6a2994",
+        "best_epoch": 5,
+        "sha256": "c91a9881c8c9f7804ebc16afbd5cbd19b4b766ea3e30b1c39ae440e94157cbfb",
     },
     ("mlp", "restore"): {
         "train": [
