@@ -22,13 +22,14 @@ row per example for ``bn_text``; both thus see the statistics of one row per
 example. Each example's audio state is then gathered, and all are decoded
 together.
 
-The model runs at float32: its parameters are drawn at float64 and cast
-once, and its inputs are cast to the parameters' width, so the whole graph
-follows them. The loss and the train-mode batch-norm statistics reduce in
-float64 (see ``nn/tensor.py``). Weighting the clip rows instead of repeating
-them matters at float32: when a batch holds one caption, the gradient that
-``bn_audio2`` passes on is exactly zero, but summed over n repeated rows it
-keeps a rounding residue that 1/sqrt(eps) magnifies past Adam's eps.
+The model runs at float32: its layers hand out float32 parameters (each
+drawn at float64 and cast at once), and its inputs are cast to their width,
+so the whole graph follows them. The loss and the train-mode batch-norm
+statistics reduce in float64 (see ``nn/tensor.py``). Weighting the clip rows
+instead of repeating them matters at float32: when a batch holds one
+caption, the gradient that ``bn_audio2`` passes on is exactly zero, but
+summed over n repeated rows it keeps a rounding residue that 1/sqrt(eps)
+magnifies past Adam's eps.
 
 The paper's decoder is a GRU run for one step from h0 = 0. With h0 = 0 the
 reset gate only scales the zero state and the recurrent columns of the
@@ -128,7 +129,7 @@ def build_encoder_input(audio, sve: np.ndarray | None, variant: str) -> np.ndarr
 
 class Captioner:
     def __init__(self, vocab_size: int, config: CaptionerConfig,
-                 rng: np.random.RandomState, embed_init: np.ndarray | None = None):
+                 rng: np.random.RandomState | None, embed_init: np.ndarray | None = None):
         if vocab_size < 5:
             raise ShapeError("vocabulary must hold the reserved tokens plus at least one word")
         self.config = config
@@ -151,13 +152,11 @@ class Captioner:
         self.dec_b = gru.b
         self.bn_decoder = BatchNorm(c.decoder_gru, name="dec.bn")
         self.out = Dense(c.decoder_gru, vocab_size, rng, name="dec.out")
-        for p in self.parameters():
-            p.cast(np.float32)
 
     @property
     def width(self) -> np.dtype:
-        """The parameters' dtype, which inputs are cast to: float32, or float64
-        once the parameters are cast up (as the gradient checks do)."""
+        """The parameters' dtype, which inputs are cast to: float32 as built,
+        or float64 once the parameters are cast up (as the gradient checks do)."""
         return self.out.weights.data.dtype
 
     # -- plumbing -----------------------------------------------------------
@@ -343,8 +342,7 @@ class CaptionerCheckpoint:
         return ckpt
 
     def build_model(self) -> Captioner:
-        model = Captioner(self.vocab_size, self.config,
-                          np.random.RandomState(self.config.seed))
+        model = Captioner(self.vocab_size, self.config, None)
         model.load_state(self.state)
         return model
 

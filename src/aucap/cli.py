@@ -175,6 +175,13 @@ def _last(losses: list[float]) -> float:
     return losses[-1] if losses else float("nan")
 
 
+def _log_kept(command: str, train: list[float], val: list[float], best: int) -> None:
+    """Log the epoch a trainer kept: the best by validation loss, else the last."""
+    kept = (f"best epoch {best + 1} of {len(train)}, validation loss {val[best]:.4f}" if val
+            else f"kept epoch {best + 1} of {len(train)} (no validation loss)")
+    log.info("%s: %s, final train loss %.4f", command, kept, _last(train))
+
+
 def _out(args, file_ok: bool = False) -> Path:
     """``--out``, checked before a command does any work: the output directory,
     or with ``file_ok`` and a suffix, the output file."""
@@ -276,8 +283,7 @@ def cmd_train_mlp(args) -> int:
     model.variant, model.corpus_sha256 = args.variant, corpus.sha256()
     with output_lock(out):
         model.save(out / "sve_mlp.ckpt")
-    log.info("train-mlp: best epoch %d, final train loss %.4f",
-             history.best_epoch + 1, _last(history.train_losses))
+    _log_kept("train-mlp", history.train_losses, history.val_losses, history.best_epoch)
     return 0
 
 
@@ -328,8 +334,7 @@ def cmd_train_captioner(args) -> int:
     )
     with output_lock(out):
         checkpoint.save(out / "captioner.ckpt")
-    log.info("train-captioner: best epoch %d, final train loss %.4f",
-             history["best_epoch"] + 1, _last(history["train_loss"]))
+    _log_kept("train-captioner", history["train_loss"], history["val_loss"], history["best_epoch"])
     return 0
 
 

@@ -9,9 +9,9 @@ the lowest validation loss, else the last. ``predict_sve`` applies the sigmoid.
 The MLP trains and predicts at float32. Its training is memory-bound: each
 step's Adam update and dense products stream every parameter, and float32
 halves those bytes. The fused loss takes no log of a probability, so it needs
-no floor near 1, which float32 could not hold (1 - 1e-12 rounds to 1). The
-parameters are drawn at float64, as before, and cast once, as the
-captioner's are.
+no floor near 1, which float32 could not hold (1 - 1e-12 rounds to 1). Its
+layers hand out float32 parameters, each drawn at float64 and cast at once
+(``nn/layers.py``), and ``MLP.load`` draws nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class MLPConfig:
 
 
 class MLP:
-    def __init__(self, config: MLPConfig, rng: np.random.RandomState):
+    def __init__(self, config: MLPConfig, rng: np.random.RandomState | None):
         self.config = config
         self.variant: str | None = None  # the feature variant it reads; saved in its checkpoint
         self.corpus_sha256: str | None = None  # the subject-verb corpus it predicts; saved too
@@ -63,8 +63,6 @@ class MLP:
             self.layers.append(layers.Dense(prev, width, rng, name=f"mlp.h{i}"))
             prev = width
         self.out = layers.Dense(prev, config.output_dim, rng, name="mlp.out")
-        for p in self.parameters():
-            p.cast(np.float32)
 
     def forward(self, features, mode: str, rng: np.random.RandomState | None = None) -> Tensor:
         """One logit per label; dropout applies only in train mode."""
@@ -104,7 +102,7 @@ class MLP:
         if meta.get("kind") != KIND:
             raise CheckpointError(f"{path}: not an SVE MLP checkpoint")
         config = MLPConfig.from_dict(meta["config"])
-        model = cls(config, np.random.RandomState(config.seed))
+        model = cls(config, None)
         model.variant, model.corpus_sha256 = meta.get("variant"), meta.get("corpus_sha256")
         model.load_state(tensors)
         return model

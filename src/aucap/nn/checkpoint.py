@@ -12,9 +12,9 @@ extension, and ``load_tensors`` returns each at its stored width (f4 as
 float32, f8 as float64), so a save/load cycle reproduces the values, and a
 re-save the file, bit for bit. The captioner and the MLP keep their
 parameters at float32 and the batch-norm buffers at float64. A model's
-``state()`` is such a name -> array dict, and its ``load_state`` reads one
-back through ``state_tensor``, cast to the width of the parameter or buffer
-it fills: a float32 model loads a checkpoint written at f8 as well.
+``state()`` is such a name -> array dict; its ``load_state`` copies each
+tensor into its parameter or buffer in place, cast to the width it fills, so
+a float32 model loads a checkpoint written at f8 as well.
 """
 
 from __future__ import annotations
@@ -44,20 +44,20 @@ def _parse_shape(text: str) -> tuple:
         raise CheckpointError(f"bad shape field {text!r}") from exc
 
 
-def state_tensor(state: dict[str, np.ndarray], name: str, shape: tuple,
-                 dtype=np.float64) -> np.ndarray:
-    """A ``dtype`` copy of ``state[name]``; CheckpointError if it is missing or not of ``shape``."""
+def state_tensor(state: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """``state[name]``, not copied; CheckpointError if it is missing or not of ``shape``."""
     if name not in state:
         raise CheckpointError(f"missing tensor {name!r}")
     if np.shape(state[name]) != tuple(shape):
         raise CheckpointError(f"tensor {name!r} has shape {np.shape(state[name])}, "
                               f"expected {tuple(shape)}")
-    return np.array(state[name], dtype=dtype)
+    return state[name]
 
 
 def load_parameters(params: list[Parameter], state: dict[str, np.ndarray]) -> None:
+    """Copy each parameter's tensor of ``state`` into its data in place, cast to its width."""
     for p in params:
-        p.data = state_tensor(state, p.name, p.data.shape, p.data.dtype)
+        np.copyto(p.data, state_tensor(state, p.name, p.data.shape))
 
 
 def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: dict) -> None:

@@ -3,7 +3,8 @@
 A layer owns named Parameters plus any non-trainable buffers; models collect
 both through ``parameters()`` / ``buffers()`` for the optimizer and the
 checkpoint container. Recurrent matrices start orthogonal, everything else
-Glorot-uniform.
+Glorot-uniform, each drawn at float64 and stored at float32. With ``rng=None``
+nothing is drawn: the weights stay uninitialized, for a state loaded next.
 """
 
 from __future__ import annotations
@@ -31,10 +32,15 @@ def orthogonal(rng: np.random.RandomState, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))  # sign-fix makes the factorization unique
 
 
+def _drawn(rng, draw, *shape: int) -> np.ndarray:
+    """``draw(rng, *shape)`` at float32, or uninitialized float32 when ``rng`` is None."""
+    return np.empty(shape, np.float32) if rng is None else draw(rng, *shape).astype(np.float32)
+
+
 class Dense:
     def __init__(self, in_dim: int, out_dim: int, rng, name: str = "dense"):
-        self.weights = Parameter(glorot_uniform(rng, out_dim, in_dim), f"{name}.weights")
-        self.bias = Parameter(np.zeros(out_dim), f"{name}.bias")
+        self.weights = Parameter(_drawn(rng, glorot_uniform, out_dim, in_dim), f"{name}.weights")
+        self.bias = Parameter(np.zeros(out_dim, np.float32), f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weights, self.bias)
@@ -49,9 +55,9 @@ class Embedding:
         if init is not None:
             if init.shape != (vocab_size, dim):
                 raise ShapeError(f"embedding init {init.shape} vs ({vocab_size}, {dim})")
-            table = np.array(init, dtype=np.float64)
+            table = np.array(init, dtype=np.float32)
         else:
-            table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
+            table = _drawn(rng, lambda r, *size: r.uniform(-0.05, 0.05, size), vocab_size, dim)
         self.table = Parameter(table, f"{name}.table")
 
     def __call__(self, indices) -> Tensor:
@@ -79,8 +85,8 @@ class BatchNorm:
     """
 
     def __init__(self, dim: int, name: str = "bn"):
-        self.gamma = Parameter(np.ones(dim), f"{name}.gamma")
-        self.beta = Parameter(np.zeros(dim), f"{name}.beta")
+        self.gamma = Parameter(np.ones(dim, np.float32), f"{name}.gamma")
+        self.beta = Parameter(np.zeros(dim, np.float32), f"{name}.beta")
         self.name = name
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
@@ -116,8 +122,8 @@ class BatchNorm:
     def load_buffers(self, state: dict[str, np.ndarray]) -> None:
         """Read ``buffers()`` back from a model's ``state``."""
         name = f"buffer.{self.name}"
-        self.running_mean = state_tensor(state, f"{name}.running_mean", self.running_mean.shape)
-        self.running_var = state_tensor(state, f"{name}.running_var", self.running_var.shape)
+        for buf, stat in ((self.running_mean, "running_mean"), (self.running_var, "running_var")):
+            np.copyto(buf, state_tensor(state, f"{name}.{stat}", buf.shape))
         steps = f"{name}.steps"  # absent from checkpoints written before the count
         self.steps = int(state_tensor(state, steps, ())) if steps in state else 0
 
@@ -152,15 +158,15 @@ class GRUCellParams:
     @classmethod
     def create(cls, input_dim: int, hidden: int, rng, name: str = "gru") -> "GRUCellParams":
         def gate(label):
-            w = np.empty((hidden, hidden + input_dim))
-            w[:, :hidden] = orthogonal(rng, hidden)
-            w[:, hidden:] = glorot_uniform(rng, hidden, input_dim)
+            w = np.empty((hidden, hidden + input_dim), np.float32)
+            if rng is not None:  # each draw is cast as it is stored
+                w[:, :hidden] = orthogonal(rng, hidden)
+                w[:, hidden:] = glorot_uniform(rng, hidden, input_dim)
             return Parameter(w, f"{name}.{label}")
 
-        return cls(W_z=gate("W_z"), W_r=gate("W_r"), W=gate("W"),
-                   b_z=Parameter(np.zeros(hidden), f"{name}.b_z"),
-                   b_r=Parameter(np.zeros(hidden), f"{name}.b_r"),
-                   b=Parameter(np.zeros(hidden), f"{name}.b"))
+        zeros = [Parameter(np.zeros(hidden, np.float32), f"{name}.{label}")
+                 for label in ("b_z", "b_r", "b")]
+        return cls(gate("W_z"), gate("W_r"), gate("W"), *zeros)
 
     def parameters(self) -> list[Parameter]:
         return [self.W_z, self.W_r, self.W, self.b_z, self.b_r, self.b]

@@ -149,17 +149,22 @@ def fit(model, epochs: int, batches, batch_loss, update, val_loss=None,
         name: str = "model") -> TrainHistory:
     """Train ``model`` for ``epochs`` epochs; with ``val_loss``, keep its best epoch.
 
-    Each epoch takes its batches from ``batches()``. Per batch,
-    ``batch_loss(batch)`` gives the mean loss tensor and its example count; the
-    loss is checked finite, back-propagated and applied by ``update()``. The
-    epoch's training loss is the example-weighted mean. With ``val_loss``, the
-    epoch of the lowest ``val_loss()`` (recorded in ``val_losses``) is kept:
-    ``model.state()`` is snapshot just before it is trained past and restored
-    by ``model.load_state`` at the end. Without it the model ends in its last
-    epoch, never snapshot: a training loss, which the optimizer minimises, does
-    not select. Raises TrainingError at the first batch or validation loss that
-    is not finite.
+    Logs first the parameters' count and bytes, and four times those bytes:
+    weights, gradients and Adam's m and v. Each epoch takes its batches from
+    ``batches()``. Per batch, ``batch_loss(batch)`` gives the mean loss tensor
+    and its example count; the loss is checked finite, back-propagated and
+    applied by ``update()``. The epoch's training loss is the example-weighted
+    mean. With ``val_loss``, the epoch of the lowest ``val_loss()`` (recorded
+    in ``val_losses``) is kept: ``model.state()`` is snapshot just before it is
+    trained past and restored by ``model.load_state`` at the end. Without it
+    the model ends in its last epoch, never snapshot: a training loss, which
+    the optimizer minimises, does not select. Raises TrainingError at the first
+    batch or validation loss that is not finite.
     """
+    params = model.parameters()
+    mb = sum(p.data.nbytes for p in params) / 1e6
+    log.info("%s: %d parameters, %.1f MB of weights, %.1f MB with gradients and Adam moments",
+             name, sum(p.data.size for p in params), mb, 4 * mb)
     history = TrainHistory()
     best_state = None
     for epoch in range(epochs):

@@ -47,7 +47,8 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor with a persistent gradient slot.
+    """A named leaf tensor. Its gradient is None until a backward pass writes
+    it; ``grad_ready`` is False while it is None or cleared (zeros).
 
     ``grad_rows`` lists the index arrays of the ``embedding_lookup`` backward
     passes that wrote the gradient since it was last cleared, when those are
@@ -60,19 +61,6 @@ class Parameter(Tensor):
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
-        self.grad_ready = False
-        self.grad_rows = None
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
-        self.grad_ready = False
-        self.grad_rows = None
-
-    def cast(self, dtype) -> None:
-        """Keep the values at ``dtype`` (float32 or float64), with a cleared gradient."""
-        self.data = self.data.astype(dtype)
-        self.grad = np.zeros_like(self.data)
         self.grad_ready = False
         self.grad_rows = None
 
@@ -186,7 +174,8 @@ def linear(x, weights, bias=None) -> Tensor:
         if x.requires_grad:  # e.g. the MLP's input features: no product to drop
             _accumulate(x, g @ weights.data)
         if isinstance(weights, Parameter) and not weights.grad_ready:
-            np.matmul(g.T, x.data, out=weights.grad)  # the cleared gradient, no temporary
+            grad = np.empty_like(weights.data) if weights.grad is None else weights.grad
+            weights.grad = np.matmul(g.T, x.data, out=grad)  # in place: no temporary
             weights.grad_ready = True
         else:
             _accumulate(weights, g.T @ x.data)
@@ -334,8 +323,6 @@ def embedding_lookup(table, indices) -> Tensor:
         raise ShapeError(f"index out of range for table of {table.data.shape[0]} rows")
 
     def back(g):
-        if not table.requires_grad:
-            return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, idx, g)

@@ -1,9 +1,21 @@
+import contextlib
 import struct
 
 import numpy as np
 import pytest
 
 from aucap.semantics import NOUN, OTHER, VERB, TagLexicon
+
+
+@contextlib.contextmanager
+def no_random_draws():
+    """Within the block, creating an ``np.random.RandomState`` raises AssertionError."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RandomState was created")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "RandomState", refuse)
+        yield
 
 
 def make_wav_bytes(samples, sample_rate=16000, bits=16, channels=1, fmt=1):

@@ -28,21 +28,32 @@ def mean_all(x) -> Tensor:
     return Tensor(x.data.mean(), x.requires_grad, (x,), back if x.requires_grad else None)
 
 
-def at_float64(params: list[Parameter]) -> list[Parameter]:
-    """Cast ``params`` to float64 in place and return them.
-
-    The autodiff core computes at its data's width, so a float32 model (the
-    SVE MLP) fed float64 inputs then runs at float64, where central
-    differences resolve its gradients; at float32 they would be roundoff.
-    """
+def cast(params: list[Parameter], dtype) -> list[Parameter]:
+    """Keep the values of ``params`` at ``dtype`` (float32 or float64), each
+    without a gradient, and return them. Models build their parameters at
+    float32; only tests run them at another width."""
     for p in params:
-        p.cast(np.float64)
+        p.data = p.data.astype(dtype)
+        p.grad, p.grad_ready, p.grad_rows = None, False, None
     return params
 
 
+def at_float64(params: list[Parameter]) -> list[Parameter]:
+    """Cast ``params`` to float64 in place and return them.
+
+    The autodiff core computes at its data's width, so a float32 model fed
+    float64 inputs then runs at float64, where central differences resolve
+    its gradients; at float32 they would be roundoff.
+    """
+    return cast(params, np.float64)
+
+
 def zero_grads(params: list[Parameter]) -> None:
+    """Clear the gradients of ``params``, as ``adam_step`` does; a missing one stays missing."""
     for p in params:
-        p.zero_grad()
+        if p.grad is not None:
+            p.grad[...] = 0.0
+        p.grad_ready, p.grad_rows = False, None
 
 
 def max_relative_error(loss_fn, params: list[Parameter], delta: float = 1e-5,

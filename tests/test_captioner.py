@@ -21,7 +21,8 @@ from aucap.nn.checkpoint import load_tensors
 from aucap.nn.layers import BN_MOMENTUM, BiGRU, GRUCellParams
 from aucap.nn.optim import AdamState, adam_step
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
-from gradcheck import at_float64, mean_all
+from conftest import no_random_draws
+from gradcheck import at_float64, cast, mean_all, zero_grads
 
 
 def micro_config(**overrides):
@@ -332,8 +333,7 @@ class TestIncrementalDecode:
             bn.gamma.data = rng.uniform(0.5, 1.5, bn.gamma.data.shape)
             bn.beta.data = rng.standard_normal(bn.beta.data.shape)
         model.out.bias.data[vocab.eos_index] = -50.0  # decode up to the length cap
-        for p in model.parameters():  # the batch-norm draws above are float64
-            p.cast(np.float32)
+        cast(model.parameters(), np.float32)  # the batch-norm draws above are float64
         return model, cfg, rng
 
     @pytest.mark.parametrize("variant,frames", [("panns", 1), ("logmel", 5)])
@@ -398,8 +398,7 @@ class TestPaddingInvariance:
 
     @staticmethod
     def _loss_and_grads(model, audio, prefix, positions, targets, mode):
-        for p in model.parameters():
-            p.zero_grad()
+        zero_grads(model.parameters())
         loss = T.softmax_cross_entropy(
             model.forward(audio, prefix, mode=mode, positions=positions), targets)
         T.backward(loss)
@@ -725,10 +724,28 @@ class TestCheckpoint:
                       for name, v in ckpt.state.items()}
         ckpt.save(tmp_path / "old.ckpt")
         assert (tmp_path / "old.ckpt").read_bytes().count(b"dtype=f8") == len(ckpt.state)
-        model = CaptionerCheckpoint.load(tmp_path / "old.ckpt", vocab=vocab).build_model()
+        loaded = CaptionerCheckpoint.load(tmp_path / "old.ckpt", vocab=vocab)
+        with no_random_draws():
+            model = loaded.build_model()
         for p in model.parameters():
             assert p.data.dtype == np.float32
             assert np.array_equal(p.data, ckpt.state[p.name].astype(np.float32))
+
+    def test_build_model_draws_nothing_and_restores_every_bit(self, tmp_path):
+        ckpt, vocab = self._checkpoint()
+        rng = np.random.RandomState(13)
+        ckpt.state = {  # values no initialization draws; the update counts stay integers
+            name: v if name.endswith(".steps") else (v + rng.uniform(0.5, 1.0, v.shape)).astype(v.dtype)
+            for name, v in ckpt.state.items()}
+        ckpt.save(tmp_path / "cap.ckpt")
+        loaded = CaptionerCheckpoint.load(tmp_path / "cap.ckpt", vocab=vocab)
+        with no_random_draws():
+            model = loaded.build_model()
+        state = model.state()
+        assert list(state) == list(ckpt.state)
+        for name, v in ckpt.state.items():
+            assert state[name].dtype == v.dtype and state[name].tobytes() == v.tobytes(), name
+        assert all(p.grad is None for p in model.parameters())
 
     def test_tensors_load_at_their_stored_width(self, tmp_path):
         ckpt, _ = self._checkpoint()

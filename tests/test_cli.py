@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ from aucap.audio.embeddings import VARIANT_DIMS
 from aucap.captioner import CaptionerCheckpoint
 from aucap.errors import ConfigError
 from aucap.mlp import MLP, MLPConfig
+from aucap.nn.checkpoint import load_tensors
 from aucap.semantics import SubjectVerbCorpus, build_corpus
 from aucap.text import Vocabulary, build_vocabulary, clean_caption
 from aucap.word2vec import WordEmbeddingTable
@@ -232,8 +234,44 @@ class TestTrainingFields:
         caplog.set_level(logging.INFO)
         root, _ = panns_fixture
         assert cli.main(TRAINERS[command](root, root / "out") + ["--epochs", "0"]) == 0
-        assert f"{command}: best epoch 0, final train loss nan" in caplog.text
+        assert f"{command}: kept epoch 0 of 0 (no validation loss), final train loss nan" in (
+            caplog.text)
         assert len(list((root / "out").glob("*.ckpt"))) == 1
+
+    @pytest.mark.parametrize("command", sorted(TRAINERS))
+    def test_without_validation_the_last_epoch_is_kept(self, panns_fixture, command, caplog):
+        caplog.set_level(logging.INFO)
+        root, _ = panns_fixture
+        assert cli.main(TRAINERS[command](root, root / "out") + ["--epochs", "3"]) == 0
+        assert re.search(rf"{command}: kept epoch 3 of 3 \(no validation loss\), "
+                         r"final train loss \d+\.\d{4}$", caplog.text, re.M)
+        assert "best epoch" not in caplog.text
+
+    def test_with_validation_the_best_epoch_and_its_loss_are_logged(self, panns_fixture, caplog):
+        caplog.set_level(logging.INFO)
+        root, _ = panns_fixture
+        args = train_captioner_args(root, root / "out") + ["--epochs", "3", "--val-fraction", "0.3"]
+        assert cli.main(args) == 0
+        history = CaptionerCheckpoint.load(root / "out" / "captioner.ckpt").history
+        val = [float(v) for v in re.findall(r"captioner epoch \d/3 train \S+ validation (\S+)",
+                                            caplog.text)]
+        best = history["best_epoch"]
+        assert len(val) == 3 and best == int(np.argmin(val))
+        assert (f"train-captioner: best epoch {best + 1} of 3, validation loss {val[best]:.4f}, "
+                "final train loss ") in caplog.text
+
+    @pytest.mark.parametrize("command", sorted(TRAINERS))
+    def test_model_size_is_logged_at_start(self, panns_fixture, command, caplog):
+        caplog.set_level(logging.INFO)
+        root, _ = panns_fixture
+        assert cli.main(TRAINERS[command](root, root / "out") + ["--epochs", "0"]) == 0
+        tensors, _ = load_tensors(next((root / "out").glob("*.ckpt")))
+        params = [v for k, v in tensors.items() if not k.startswith("buffer.")]
+        count = sum(v.size for v in params)
+        mb = sum(v.nbytes for v in params) / 1e6
+        assert all(v.dtype == np.float32 for v in params)
+        assert (f"{command.removeprefix('train-')}: {count} parameters, {mb:.1f} MB of weights, "
+                f"{4 * mb:.1f} MB with gradients and Adam moments") in caplog.text
 
 
 @pytest.fixture

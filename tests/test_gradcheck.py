@@ -2,8 +2,8 @@
 captioner's caption-major batch. Check ``i`` draws its weights and inputs from
 seed ``SEED + i``, with ``i`` fixed per check so that removing one moves no
 other's seed; each must match its central differences within 1e-4 relative
-error. Every check runs at float64: the float32 SVE MLP and
-captioner are cast up by ``at_float64``."""
+error. Every check runs at float64: the float32 parameters of the layers and
+models are cast up by ``at_float64``."""
 
 import numpy as np
 import pytest
@@ -26,7 +26,8 @@ def _quadratic_target(out: Tensor) -> Tensor:
 def _check_dense(rng):
     layer = Dense(7, 5, rng, name="gc.dense")
     x = Tensor(rng.standard_normal((4, 7)))
-    return max_relative_error(lambda: _quadratic_target(layer(x)), layer.parameters(), rng=rng)
+    return max_relative_error(lambda: _quadratic_target(layer(x)), at_float64(layer.parameters()),
+                              rng=rng)
 
 
 def _check_gru_cell(rng):
@@ -34,7 +35,8 @@ def _check_gru_cell(rng):
     x = Tensor(rng.standard_normal((2, 4)))
     h = Tensor(rng.uniform(-0.9, 0.9, (2, 3)))
     return max_relative_error(
-        lambda: _quadratic_target(gru_cell_step(x, h, cell)), cell.parameters(), rng=rng
+        lambda: _quadratic_target(gru_cell_step(x, h, cell)), at_float64(cell.parameters()),
+        rng=rng,
     )
 
 
@@ -43,7 +45,7 @@ def _check_gru_sequence(rng, with_h0=False, **options):
     cell = GRUCellParams.create(5, 4, rng, name="gc.gru")
     xs = Parameter(rng.standard_normal((4, 3, 5)), "gc.gru.xs")
     h0 = Parameter(rng.uniform(-0.9, 0.9, (3, 4)), "gc.gru.h0") if with_h0 else None
-    params = cell.parameters() + [xs] + ([h0] if with_h0 else [])
+    params = at_float64(cell.parameters()) + [xs] + ([h0] if with_h0 else [])
     return max_relative_error(
         lambda: _quadratic_target(gru_sequence(xs, cell, h0=h0, **options)),
         params, rng=rng,
@@ -55,7 +57,7 @@ def _check_bigru(rng, return_sequence=True):
     xs = Parameter(rng.standard_normal((3, 2, 4)), "gc.bigru.xs")
     return max_relative_error(
         lambda: _quadratic_target(layer.run(xs, return_sequence=return_sequence)),
-        layer.parameters() + [xs], rng=rng,
+        at_float64(layer.parameters()) + [xs], rng=rng,
     )
 
 
@@ -63,7 +65,7 @@ def _check_embedding(rng):
     layer = Embedding(9, 5, rng, name="gc.embed")
     idx = rng.randint(0, 9, size=6)
     return max_relative_error(
-        lambda: _quadratic_target(layer(idx)), layer.parameters(), rng=rng
+        lambda: _quadratic_target(layer(idx)), at_float64(layer.parameters()), rng=rng
     )
 
 
@@ -71,7 +73,7 @@ def _check_batch_norm(rng):
     bn = BatchNorm(6, name="gc.bn")
     lin = Dense(6, 6, rng, name="gc.bnin")
     x = Tensor(rng.standard_normal((8, 6)))
-    params = bn.parameters() + lin.parameters()
+    params = at_float64(bn.parameters() + lin.parameters())
     return max_relative_error(
         lambda: _quadratic_target(bn(lin(x), mode="train")),
         params, rng=rng,
@@ -87,7 +89,7 @@ def _check_batch_norm_counts(rng):
     counts = np.array([3, 1, 0, 2])
     return max_relative_error(
         lambda: _quadratic_target(bn(lin(x), mode="train", counts=counts)),
-        bn.parameters() + lin.parameters(), rng=rng,
+        at_float64(bn.parameters() + lin.parameters()), rng=rng,
     )
 
 
@@ -96,7 +98,8 @@ def _check_softmax_xent(rng):
     x = Tensor(rng.standard_normal((7, 6)))
     targets = rng.randint(0, 5, size=7)
     return max_relative_error(
-        lambda: T.softmax_cross_entropy(layer(x), targets), layer.parameters(), rng=rng
+        lambda: T.softmax_cross_entropy(layer(x), targets), at_float64(layer.parameters()),
+        rng=rng,
     )
 
 

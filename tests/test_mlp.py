@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +10,9 @@ from aucap.errors import CheckpointError, ShapeError, TrainingError
 from aucap.mlp import MLP, MLPConfig, _dataset_loss, predict_sve, train_mlp
 from aucap.nn import tensor as T
 from aucap.nn.checkpoint import save_tensors
+from aucap.nn.optim import AdamState, adam_step
 from aucap.text import build_vocabulary, clean_caption
+from conftest import no_random_draws
 from gradcheck import at_float64, max_relative_error
 from aucap.nn.tensor import Tensor
 
@@ -206,10 +209,22 @@ class TestGradientsAndState:
         save_tensors(tmp_path / "old.ckpt", state, {"kind": "sve-mlp",
                                                     "config": asdict(model.config)})
         assert (tmp_path / "old.ckpt").read_bytes().count(b"dtype=f8") == len(state)
-        again = MLP.load(tmp_path / "old.ckpt")
+        with no_random_draws():
+            again = MLP.load(tmp_path / "old.ckpt")
         for p in again.parameters():
             assert p.data.dtype == np.float32
             assert np.array_equal(p.data, state[p.name].astype(np.float32))
+
+    def test_load_draws_nothing_and_restores_every_bit(self, tmp_path):
+        model = MLP(small_config(), np.random.RandomState(4))
+        for p in model.parameters():  # values no initialization draws
+            p.data += np.random.RandomState(5).uniform(0.5, 1.0, p.data.shape).astype(np.float32)
+        model.save(tmp_path / "mlp.ckpt")
+        with no_random_draws():
+            again = MLP.load(tmp_path / "mlp.ckpt")
+        for pa, pb in zip(model.parameters(), again.parameters(), strict=True):
+            assert pa.name == pb.name and pa.data.tobytes() == pb.data.tobytes()
+            assert pb.data.dtype == np.float32 and pb.grad is None
 
     def test_captioner_checkpoint_is_float32(self, tmp_path):
         """Parameters are written as f4 records; the batch-norm buffers stay f8."""
@@ -238,3 +253,59 @@ class TestGradientsAndState:
         model = MLP(small_config(), np.random.RandomState(5))
         out = predict_sve(model, np.zeros(16))
         assert out.shape == (4,)
+
+
+class TestMemory:
+    """tracemalloc peaks of a 2.1M-parameter MLP against budgets in bytes per
+    parameter, each plus SLACK (1 MiB, about 0.5 B/parameter) for the
+    activations of an 8-example batch, Adam's block buffers and the checkpoint
+    header. The budgets are those of float32 parameters that hold no gradient
+    until backward and are not drawn when loaded."""
+
+    CONFIG = MLPConfig(input_dim=1500, output_dim=64, hidden_widths=(1024, 512), batch_size=8)
+    SLACK = 1 << 20
+
+    @staticmethod
+    def peak(fn):
+        """``fn()`` and the peak of the memory it allocated, in bytes."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def build(self):
+        return MLP(self.CONFIG, np.random.RandomState(0))
+
+    def test_construction_holds_float32_and_one_float64_draw(self):
+        model, peak = self.peak(self.build)
+        sizes = [p.data.size for p in model.parameters()]
+        assert 2_000_000 < sum(sizes) < 2_200_000
+        assert peak <= 4 * sum(sizes) + 8 * max(sizes) + self.SLACK
+
+    def test_training_step_holds_16_bytes_per_parameter(self):
+        """Weights, gradients and Adam's m and v, at 4 bytes each."""
+        rng = np.random.RandomState(1)
+        x = rng.standard_normal((8, self.CONFIG.input_dim)).astype(np.float32)
+        y = (rng.random_sample((8, self.CONFIG.output_dim)) > 0.5).astype(np.float32)
+
+        def step():
+            model = self.build()
+            T.backward(T.sigmoid_binary_cross_entropy(model.forward(Tensor(x), "train", rng), y))
+            adam_step(model.parameters(), AdamState())
+            return model
+
+        model, peak = self.peak(step)
+        assert peak <= 16 * sum(p.data.size for p in model.parameters()) + self.SLACK
+
+    def test_load_holds_8_bytes_per_parameter(self, tmp_path):
+        """The file's tensors and the model's parameters, at 4 bytes each."""
+        self.build().save(tmp_path / "mlp.ckpt")
+        model, peak = self.peak(lambda: MLP.load(tmp_path / "mlp.ckpt"))
+        assert peak <= 8 * sum(p.data.size for p in model.parameters()) + self.SLACK

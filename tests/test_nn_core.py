@@ -7,9 +7,12 @@ import pytest
 
 from aucap.errors import GraphStateError, ShapeError
 from aucap.nn import tensor as T
-from gradcheck import max_relative_error, mean_all, sub, zero_grads
+from gradcheck import at_float64, cast, max_relative_error, mean_all, sub, zero_grads
+from aucap.captioner import Captioner, CaptionerConfig
+from aucap.mlp import MLP, MLPConfig
 from aucap.nn.layers import (
     BN_MOMENTUM,
+    GRU,
     BatchNorm,
     BiGRU,
     Dense,
@@ -283,8 +286,7 @@ class TestBatchNorm:
         gamma, beta = rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)
         for bn in (weighted, repeated):
             bn.gamma.data, bn.beta.data = gamma, beta
-            bn.gamma.cast(dtype)
-            bn.beta.cast(dtype)
+            cast(bn.parameters(), dtype)
         rows = np.repeat(np.arange(5), counts)
         g = rng.standard_normal((rows.size, 4)).astype(dtype)
         x_rep = Tensor(x.data, requires_grad=True)
@@ -458,7 +460,7 @@ class TestGradients:
         layer = Dense(6, 4, rng)
         x = Tensor(rng.standard_normal((5, 6)))
         err = max_relative_error(
-            lambda: mean_all(T.mul(layer(x), layer(x))), layer.parameters(),
+            lambda: mean_all(T.mul(layer(x), layer(x))), at_float64(layer.parameters()),
             delta=1e-6, tiny=1e-8,
         )
         assert err < 1e-5
@@ -470,7 +472,7 @@ class TestGradients:
         h = Tensor(rng.uniform(-0.8, 0.8, (2, 3)))
         err = max_relative_error(
             lambda: mean_all(T.mul(gru_cell_step(x, h, cell), gru_cell_step(x, h, cell))),
-            cell.parameters(), delta=1e-6, tiny=1e-8,
+            at_float64(cell.parameters()), delta=1e-6, tiny=1e-8,
         )
         assert err < 1e-5
 
@@ -550,8 +552,61 @@ class TestAdam:
         assert np.all(w.grad == 0.0) and not w.grad_ready
 
 
+class TestParameterLifecycle:
+    """A parameter holds its values and no gradient until a backward pass writes one."""
+
+    def test_new_parameter_holds_no_gradient(self):
+        w = Parameter(np.ones(3, np.float32), "w")
+        assert w.grad is None and not w.grad_ready and w.grad_rows is None
+        zero_grads([w])  # a missing gradient stays missing
+        assert w.grad is None and not w.grad_ready
+
+    @pytest.mark.parametrize("build", [
+        lambda rng: MLP(MLPConfig(input_dim=6, output_dim=3, hidden_widths=(5, 4)), rng),
+        lambda rng: Captioner(12, CaptionerConfig(variant="logmel", audio_dim=3, bigru1=2,
+                                                  bigru2=2, text_gru=4, decoder_gru=4,
+                                                  embed_dim=4), rng),
+    ], ids=["mlp", "captioner"])
+    def test_fresh_model_holds_float32_parameters_and_no_gradient(self, build):
+        params = build(np.random.RandomState(0)).parameters()
+        assert all(p.data.dtype == np.float32 for p in params)
+        assert all(p.grad is None and not p.grad_ready for p in params)
+
+    @staticmethod
+    def through(op, rng, x):
+        """A float32 layer and its output on ``x`` through ``op``."""
+        if op == "linear":
+            layer = Dense(3, 2, rng)
+            return layer, layer(x)
+        if op == "batch_norm":
+            layer = BatchNorm(3)
+            return layer, layer(x, "train")
+        if op == "gru_sequence":
+            layer = GRU(3, 2, rng)
+            return layer, layer.run(T.reshape(x, (2, 2, 3)))
+        layer = Embedding(5, 3, rng)
+        return layer, layer(np.array([1, 4, 1]))
+
+    @pytest.mark.parametrize("op", ["linear", "batch_norm", "gru_sequence", "embedding_lookup"])
+    def test_first_backward_allocates_the_gradient(self, op):
+        rng = np.random.RandomState(40)
+        x = rng.standard_normal((4, 3)).astype(np.float32)
+        layer, out = self.through(op, rng, Tensor(x))
+        params = layer.parameters()
+        assert all(p.grad is None for p in params)
+        T.backward(sum_all(out))
+        for p in params:
+            assert p.grad_ready and p.grad.shape == p.data.shape
+            assert p.grad.dtype == p.data.dtype == np.float32
+        if op == "linear":  # written in place into a fresh array: exactly g.T @ x
+            assert np.array_equal(layer.weights.grad, np.ones((4, 2), np.float32).T @ x)
+
+
 class StateForbidden:
     """A model whose state must be neither snapshot nor restored."""
+
+    def parameters(self):
+        return []
 
     def state(self):
         raise AssertionError("state snapshot without a validation loss")
@@ -567,7 +622,7 @@ class TestFit:
         epochs = iter([[c] for c in epoch_losses])
         history = fit(StateForbidden(), len(epoch_losses), batches=lambda: next(epochs),
                       batch_loss=lambda c: (sum_all(T.mul(w, Tensor(np.array([c])))), 1),
-                      update=w.zero_grad)
+                      update=lambda: zero_grads([w]))
         assert history.train_losses == epoch_losses
         assert history.val_losses == []
         assert history.best_epoch == len(epoch_losses) - 1
@@ -604,9 +659,8 @@ class TestAdamBlocked:
                   for _ in range(3)] for s in shapes.values()]
         state = AdamState(learning_rate=1e-2)
         for step in range(3):
-            for p, g in zip(params, grads):
-                p.grad[...] = g[step]
-                p.grad_ready = True
+            for p, g in zip(params, grads):  # as a backward pass writes them
+                T._accumulate(p, g[step])
             adam_step(params, state)
         for p, p0, g in zip(params, start, grads):
             data, m, v = adam_reference(p0, g, 3)
@@ -631,7 +685,7 @@ class TestRowSparseAdam:
         each step ran row-sparse."""
         rng = np.random.RandomState(31)
         table = Embedding(self.ROWS, self.DIM, rng).table
-        table.cast(dtype)
+        cast([table], dtype)
         start = table.data.copy()
         state = AdamState(learning_rate=1e-2)
         grads, history, sparse = [], [], []
@@ -689,7 +743,7 @@ class TestRowSparseAdam:
         table = Embedding(6, 2, np.random.RandomState(0)).table
         T.backward(sum_all(T.embedding_lookup(table, np.array([1, 4]))))
         assert [list(r) for r in table.grad_rows] == [[1, 4]] and table.grad_ready
-        table.zero_grad()
+        zero_grads([table])
         assert table.grad_rows is None and not table.grad_ready and not table.grad.any()
 
 
