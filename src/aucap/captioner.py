@@ -43,6 +43,18 @@ state by one step per emitted token. This is exact: the text state of a
 prefix is one cell step on from the state of the prefix one token shorter,
 and infer-mode batch norm normalizes each row with frozen statistics, so
 every step decodes the same numbers as ``forward`` on the whole prefix.
+
+Only the audio encoding builds autodiff nodes; the tokens are stepped on
+plain arrays (``_TokenSteps``). What stays fixed during a decode is prepared
+once per clip: the text-GRU cell's ``GRUStep`` (its transposed weight views
+and stacked biases) and reused buffers, each batch norm's bias-corrected
+mean and 1/sqrt(var + eps) at the model's width, and transposed views of the
+decoder and output weights. A token then runs the ops ``forward`` runs at
+batch 1, in the same order, on the same memory layouts: ``GRUStep`` is the
+body of ``gru_sequence``'s loop, ``BatchNorm.infer_statistics`` gives both
+paths the same statistics, and every product takes the weights' transposed
+view as ``tensor.linear`` does (a C-contiguous copy would let BLAS round
+differently). So every logit is bitwise equal to ``forward``'s.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ import numpy as np
 from .audio.embeddings import VARIANT_DIMS
 from .errors import CheckpointError, ConfigError, ShapeError
 from .nn.checkpoint import load_parameters, load_tensors, save_tensors
-from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUCellParams
+from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUCellParams, GRUStep
 from .nn import tensor as T
 from .nn.optim import AdamState, adam_step, check_training_fields, fit
 from .nn.tensor import Parameter, Tensor
@@ -264,36 +276,101 @@ class Captioner:
         """Argmax decoding of one clip from ``<sos>`` until ``<eos>`` or the length cap.
 
         The audio is encoded once; each token then takes one text-GRU step from
-        the previous state, infer-mode ``bn_text``, and ``decode_step`` on the
-        cached audio state. Batch 1 and the same ops in the same order as
-        ``forward`` on the whole prefix give bitwise-equal logits (see
-        the module docstring). The argmax runs over the logits of the words and
-        ``<eos>`` (the softmax keeps their order): ``<pad>``, ``<sos>`` and
-        ``<unk>`` are never emitted, since ``strip_special_tokens`` would drop
-        them and leave no caption word. Equal logits break toward the lowest of
-        those indices.
+        the previous state, infer-mode ``bn_text``, the decoder and ``out`` on
+        plain arrays prepared once per call (``_TokenSteps``), building no
+        autodiff node, and its logits are bitwise equal to ``forward``'s on the
+        whole prefix (see the module docstring). The argmax runs over the logits
+        of the words and ``<eos>`` (the softmax keeps their order): ``<pad>``,
+        ``<sos>`` and ``<unk>`` are never emitted, since ``strip_special_tokens``
+        would drop them and leave no caption word. Equal logits break toward the
+        lowest of those indices. ``max_len`` counts ``<sos>``; below 2 it raises
+        ConfigError.
         """
         max_len = max_len if max_len is not None else self.config.max_len
+        if max_len < 2:
+            raise ConfigError(f"greedy_decode max_len must be at least 2 (<sos> and one "
+                              f"token), got {max_len!r}")
         arr = np.asarray(encoder_input, dtype=self.width)
         if arr.ndim == 2:
             arr = arr[None, :, :]
         if arr.ndim != 3 or arr.shape[0] != 1:
             raise ShapeError(f"greedy_decode takes one clip, got input of shape {arr.shape}")
         reserved = [vocab.pad_index, vocab.sos_index, vocab.unk_index]
-        audio_vec = self.encode_audio(arr, mode="infer")
-        h = Tensor(np.zeros((1, self.text_gru.hidden), self.width))
+        next_logits = _TokenSteps(self, self.encode_audio(arr, mode="infer").data)
         tokens = [vocab.sos_index]
-        while len(tokens) < max_len:
-            h = self.text_gru.step(self.embedding(np.array([tokens[-1]], dtype=np.int64)), h)
-            text_vec = self.bn_text(h, mode="infer")
-            logits = self.decode_step(T.concat([audio_vec, text_vec], axis=1), mode="infer")
-            scores = logits.data[0].copy()
-            scores[reserved] = -np.inf
-            nxt = int(np.argmax(scores))
-            tokens.append(nxt)
-            if nxt == vocab.eos_index:
-                break
+        with np.errstate(over="ignore"):  # exp overflow gives a gate of exactly 0
+            while len(tokens) < max_len:
+                scores = next_logits(tokens[-1])[0]
+                scores[reserved] = -np.inf
+                nxt = int(np.argmax(scores))
+                tokens.append(nxt)
+                if nxt == vocab.eos_index:
+                    break
         return [vocab.word(i) for i in tokens]
+
+
+def _batch_norm_infer(x, norm, out) -> None:
+    """``out`` = gamma * (x - mean) * inv_std + beta for ``norm`` = (gamma,
+    beta, mean, inv_std): the ops of ``tensor.batch_norm_infer``, in place."""
+    gamma, beta, mean, inv_std = norm
+    np.subtract(x, mean, out=out)
+    out *= gamma
+    out *= inv_std
+    out += beta
+
+
+class _TokenSteps:
+    """The token loop of ``Captioner.greedy_decode`` on plain arrays.
+
+    Built once per clip from the model and the clip's (1, 2*bigru2) audio
+    state; each call takes the last token and returns the (1, V) logits of
+    the next, one text-GRU step on from the previous call's state (h0 = 0 at
+    the first), in an array the next call reuses. The caller ignores exp
+    overflow, as ``tensor.sigmoid`` does.
+    """
+
+    def __init__(self, model: Captioner, audio_state: np.ndarray):
+        width, cell = model.width, model.text_gru.cell
+        hid, audio = cell.hidden, audio_state.shape[1]
+        self.hid, self.table = hid, model.embedding.table.data
+        self.gru = GRUStep((cell,), 1, width)
+        self.hx, self.rhx = (np.empty((1, 1, hid + cell.input_dim), width) for _ in range(2))
+        self.zr, self.hh = np.empty((2, 1, 1, hid), width), np.empty((1, 1, hid), width)
+        self.h, self.h_new = np.zeros((1, 1, hid), width), np.empty((1, 1, hid), width)
+        self.fused = np.empty((1, audio + hid), width)  # the row T.concat gives forward
+        self.fused[:, :audio] = audio_state
+        self.text = self.fused[:, audio:]
+        self.bn_text, self.bn_decoder = (
+            (bn.gamma.data, bn.beta.data, *bn.infer_statistics(width))
+            for bn in (model.bn_text, model.bn_decoder))
+        self.dec_z, self.dec, self.out = (
+            (w.data.T, b.data) for w, b in ((model.dec_W_z, model.dec_b_z),
+                                            (model.dec_W, model.dec_b),
+                                            (model.out.weights, model.out.bias)))
+        self.z, self.h_hat, self.normed = (
+            np.empty((1, model.config.decoder_gru), width) for _ in range(3))
+        self.logits = np.empty((1, model.vocab_size), width)
+
+    def __call__(self, token: int) -> np.ndarray:
+        fused, z, h_hat = self.fused, self.z, self.h_hat
+        self.hx[0, 0, self.hid:] = self.rhx[0, 0, self.hid:] = self.table[token]
+        self.gru(self.h, self.h_new, self.hx, self.rhx, self.zr, self.hh)
+        self.h, self.h_new = self.h_new, self.h
+        _batch_norm_infer(self.h[0], self.bn_text, out=self.text)
+        np.matmul(fused, self.dec_z[0], out=z)  # sigmoid as tensor.sigmoid computes it
+        z += self.dec_z[1]
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        np.matmul(fused, self.dec[0], out=h_hat)
+        h_hat += self.dec[1]
+        np.tanh(h_hat, out=h_hat)
+        z *= h_hat
+        _batch_norm_infer(z, self.bn_decoder, out=self.normed)
+        np.matmul(self.normed, self.out[0], out=self.logits)
+        self.logits += self.out[1]
+        return self.logits
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +521,7 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
                 f"clip {clip_id!r}: encoder input width {enc.shape[1]} != "
                 f"{config.encoder_input_dim}"
             )
-        inputs[clip_id] = enc
+        inputs[clip_id] = enc.astype(np.float32)  # the model's width, one clip at a time
     lengths = {v.shape[0] for v in inputs.values()}
     if len(lengths) != 1:
         raise ShapeError(f"clips disagree on sequence length: {sorted(lengths)}")
@@ -453,7 +530,6 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
 
     rng = np.random.RandomState(config.seed)
     model = Captioner(len(vocab), config, rng, embed_init=embed_init)
-    inputs = {clip_id: enc.astype(model.width) for clip_id, enc in inputs.items()}
     params = model.parameters()
     state = AdamState(learning_rate=config.learning_rate)
 

@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import ShapeError
 from . import tensor as T
 from .checkpoint import state_tensor
-from .tensor import Parameter, Tensor
+from .tensor import BN_EPS, Parameter, Tensor
 
 BN_MOMENTUM = 0.99  # of the batch-norm running statistics' EMA
 
@@ -79,7 +79,7 @@ class BatchNorm:
     written without the step buffer) the raw buffers are used unchanged.
 
     The running statistics stay float64 whatever the width of the data; infer
-    mode casts them to it (``T.batch_norm_infer``). In train mode ``counts``
+    mode casts them to it (``infer_statistics``). In train mode ``counts``
     weighs each row as that many copies of itself (``T.batch_norm_train``);
     infer mode normalizes each row on its own and ignores it.
     """
@@ -101,13 +101,20 @@ class BatchNorm:
             self.steps += 1
             return out
         if mode == "infer":
-            mean, var = self.running_mean, self.running_var
-            start_share = BN_MOMENTUM ** self.steps
-            if start_share < 1.0:
-                mean = mean / (1.0 - start_share)
-                var = np.maximum((var - start_share) / (1.0 - start_share), 0.0)
-            return T.batch_norm_infer(x, self.gamma, self.beta, mean, var)
+            return T.batch_norm_infer(x, self.gamma, self.beta,
+                                      *self.infer_statistics(x.data.dtype))
         raise ValueError(f"mode must be train or infer, got {mode!r}")
+
+    def infer_statistics(self, width) -> tuple[np.ndarray, np.ndarray]:
+        """Infer mode's (mean, 1 / sqrt(var + eps)): bias-corrected and computed
+        in float64 from the running statistics, then cast to ``width``."""
+        mean, var = self.running_mean, self.running_var
+        start_share = BN_MOMENTUM ** self.steps
+        if start_share < 1.0:
+            mean = mean / (1.0 - start_share)
+            var = np.maximum((var - start_share) / (1.0 - start_share), 0.0)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        return mean.astype(width, copy=False), inv_std.astype(width, copy=False)
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
@@ -172,6 +179,57 @@ class GRUCellParams:
         return [self.W_z, self.W_r, self.W, self.b_z, self.b_r, self.b]
 
 
+class GRUStep:
+    """One time step of D GRU cells of one shape, on plain arrays: the body of
+    ``gru_sequence``'s time loop, which greedy decoding also runs token by token.
+
+    Built once per run: each cell's W_z.T, W_r.T and W.T stay transposed
+    views of the weights (a C-contiguous copy would let BLAS round
+    differently), and the biases are stacked at ``dtype`` as (2, D, 1, hidden)
+    for z and r and (D, 1, hidden) for h_hat. A call takes (D, batch, .)
+    buffers at ``dtype``: the states ``h`` and ``h_new``, which must not
+    overlap; ``hx`` and ``rhx``, whose last ``input_dim`` columns hold each
+    cell's input and whose first ``hidden`` get h and r*h; ``zr`` (2, D,
+    batch, hidden), which gets z and r; and ``hh``, which gets h_hat. It
+    writes the next states to ``h_new``. The caller ignores exp overflow,
+    which gives a gate of exactly 0.
+
+    The matrix products stay per cell, with the operands and memory layouts
+    of a one-cell run; each elementwise op then runs once over the stack, in
+    place, in the op order of ``tensor.linear`` and the activations.
+    """
+
+    def __init__(self, cells, batch: int, dtype):
+        hid, n_dir = cells[0].hidden, len(cells)
+        self.mats = [(c.W_z.data.T, c.W_r.data.T, c.W.data.T) for c in cells]
+        self.b_zr, self.b = np.empty((2, n_dir, 1, hid), dtype), np.empty((n_dir, 1, hid), dtype)
+        for d, c in enumerate(cells):
+            self.b_zr[0, d, 0], self.b_zr[1, d, 0], self.b[d, 0] = c.b_z.data, c.b_r.data, c.b.data
+        self.tmp = np.empty((n_dir, batch, hid), dtype)
+
+    def __call__(self, h, h_new, hx, rhx, zr, hh) -> None:
+        hid = h.shape[-1]
+        hx[:, :, :hid] = h
+        for d, (w_z, w_r, _) in enumerate(self.mats):
+            np.matmul(hx[d], w_z, out=zr[0, d])
+            np.matmul(hx[d], w_r, out=zr[1, d])
+        zr += self.b_zr
+        np.negative(zr, out=zr)  # sigmoid as 1 / (1 + exp(-a))
+        np.exp(zr, out=zr)
+        zr += 1.0
+        np.divide(1.0, zr, out=zr)
+        z, r = zr[0], zr[1]
+        np.multiply(r, h, out=rhx[:, :, :hid])
+        for d, (_, _, w) in enumerate(self.mats):
+            np.matmul(rhx[d], w, out=hh[d])
+        hh += self.b
+        np.tanh(hh, out=hh)
+        np.subtract(1.0, z, out=h_new)
+        h_new *= h
+        np.multiply(z, hh, out=self.tmp)
+        h_new += self.tmp
+
+
 def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = False) -> Tensor:
     """Run D GRU cells over one time-major (T, batch, input) sequence as one autodiff node.
 
@@ -185,18 +243,15 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
     d*hidden:(d+1)*hidden. Every buffer and the zero ``h0`` take the width of
     the input and the weights, so a float32 run stays float32.
 
-    One time loop serves all D cells. The matrix products stay per cell, with
-    the operands and memory layouts of a one-cell run, and write into stacked
-    (D, batch, .) gate buffers; each elementwise op then runs once over the
-    stack (in place in the forward), in the op order of ``tensor.linear`` and
-    the activations. A D-cell run is therefore bitwise equal to D one-cell runs
-    joined on the last axis, gradients included.
+    One time loop serves all D cells, one ``GRUStep`` per step into stacked
+    (D, batch, .) gate buffers. A D-cell run is therefore bitwise equal to D
+    one-cell runs joined on the last axis, gradients included.
 
     The input projection stays in the loop: a row of a many-row BLAS product
     need not be bitwise equal to that row computed alone, and ``gru_cell_step``
-    must reproduce a step of a sequence exactly. The backward is one BPTT loop
-    over the stack, then per cell one weight, bias and input product over the
-    T*batch rows in input-time order.
+    and greedy decoding must reproduce a step of a sequence exactly. The
+    backward is one BPTT loop over the stack, then per cell one weight, bias
+    and input product over the T*batch rows in input-time order.
     """
     cells = (cells,) if isinstance(cells, GRUCellParams) else tuple(cells)
     rev = (reverse,) * len(cells) if isinstance(reverse, bool) else tuple(reverse)
@@ -224,45 +279,22 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
 
     # per cell, in its own step order: [h, x] in hx, then [r*h, x] in rhx
     hx = np.empty((n_dir, steps, batch, hid + in_dim), dtype)
-    b_zr, b = np.empty((2, n_dir, 1, hid), dtype), np.empty((n_dir, 1, hid), dtype)
-    mats = []  # (W_z.T, W_r.T, W.T) per cell
-    for d, (c, r) in enumerate(zip(cells, rev)):
+    for d, r in enumerate(rev):
         hx[d, :, :, hid:] = xs.data[::-1] if r else xs.data
-        b_zr[0, d, 0], b_zr[1, d, 0], b[d, 0] = c.b_z.data, c.b_r.data, c.b.data
-        mats.append((c.W_z.data.T, c.W_r.data.T, c.W.data.T))
     rhx = hx.copy()
+    step = GRUStep(cells, batch, dtype)
     gates = [None] * steps  # (z, r, h_hat) per step, each (D, batch, hid)
     states = np.empty((steps, n_dir, batch, hid), dtype)
-    tmp = np.empty((n_dir, batch, hid), dtype)
     if h0 is None:
         h = h_start = np.zeros((n_dir, batch, hid), dtype)
     else:
         h = h_start = h0.data.reshape(batch, n_dir, hid).transpose(1, 0, 2)
     with np.errstate(over="ignore"):  # exp overflow gives a gate of exactly 0
         for i in range(steps):
-            hx[:, i, :, :hid] = h
             zr, hh = np.empty((2, n_dir, batch, hid), dtype), np.empty((n_dir, batch, hid), dtype)
-            h_new = states[i]
-            for d, (w_z, w_r, _) in enumerate(mats):
-                np.matmul(hx[d, i], w_z, out=zr[0, d])
-                np.matmul(hx[d, i], w_r, out=zr[1, d])
-            zr += b_zr
-            np.negative(zr, out=zr)  # sigmoid as 1 / (1 + exp(-a))
-            np.exp(zr, out=zr)
-            zr += 1.0
-            np.divide(1.0, zr, out=zr)
-            z, r = zr[0], zr[1]
-            np.multiply(r, h, out=rhx[:, i, :, :hid])
-            for d, (_, _, w) in enumerate(mats):
-                np.matmul(rhx[d, i], w, out=hh[d])
-            hh += b
-            np.tanh(hh, out=hh)
-            np.subtract(1.0, z, out=h_new)
-            h_new *= h
-            np.multiply(z, hh, out=tmp)
-            h_new += tmp
-            h = h_new
-            gates[i] = z, r, hh
+            step(h, states[i], hx[:, i], rhx[:, i], zr, hh)
+            h = states[i]
+            gates[i] = zr[0], zr[1], hh
 
     params = [q for c in cells for q in c.parameters()]
     parents = (xs, *params) if h0 is None else (xs, h0, *params)
@@ -336,10 +368,6 @@ class GRU:
     def run(self, xs: Tensor, return_sequence: bool = False) -> Tensor:
         """``gru_sequence`` over a time-major (T, batch, input) tensor from h0 = 0."""
         return gru_sequence(xs, self.cell, return_sequence=return_sequence)
-
-    def step(self, x_t: Tensor, h_prev: Tensor) -> Tensor:
-        """One step from state ``h_prev``: the same ops ``run`` applies per step."""
-        return gru_cell_step(x_t, h_prev, self.cell)
 
     def parameters(self) -> list[Parameter]:
         return self.cell.parameters()

@@ -476,18 +476,16 @@ def batch_norm_train(x, gamma, beta, counts=None):
     return out, mean, var
 
 
-def batch_norm_infer(x, gamma, beta, running_mean, running_var) -> Tensor:
-    """Normalize by frozen running statistics (deterministic), at ``x``'s width:
-    float64 statistics are cast to it after ``1 / sqrt(var + BN_EPS)``."""
+def batch_norm_infer(x, gamma, beta, mean, inv_std) -> Tensor:
+    """Normalize by frozen statistics (deterministic): gamma * (x - mean) *
+    inv_std + beta, with ``mean`` and ``inv_std`` = 1 / sqrt(var + BN_EPS)
+    given at ``x``'s width (``BatchNorm.infer_statistics``)."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    width = x.data.dtype
-    running_mean = np.asarray(running_mean).astype(width, copy=False)
-    inv_std = (1.0 / np.sqrt(running_var + BN_EPS)).astype(width, copy=False)
-    y = gamma.data * (x.data - running_mean) * inv_std + beta.data
+    y = gamma.data * (x.data - mean) * inv_std + beta.data
     out_req = x.requires_grad or gamma.requires_grad or beta.requires_grad
 
     def back(g):
-        xhat = (x.data - running_mean) * inv_std
+        xhat = (x.data - mean) * inv_std
         _accumulate(gamma, (g * xhat).sum(axis=0))
         _accumulate(beta, g.sum(axis=0))
         _accumulate(x, g * gamma.data * inv_std)

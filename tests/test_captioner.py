@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from aucap import atomic, captioner, mlp
 from aucap.errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from aucap.nn import tensor as T
 from aucap.nn.checkpoint import load_tensors
-from aucap.nn.layers import BN_MOMENTUM, BiGRU, GRUCellParams
+from aucap.nn.layers import BN_MOMENTUM, BiGRU, GRUCellParams, GRUStep
 from aucap.nn.optim import AdamState, adam_step
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
 from conftest import no_random_draws
-from gradcheck import at_float64, cast, mean_all, zero_grads
+from gradcheck import at_float64, cast, zero_grads
 
 
 def micro_config(**overrides):
@@ -42,6 +43,32 @@ def last_columns(prefix):
     """``positions`` naming one example per row of ``prefix``: the row at full length."""
     batch, length = np.shape(prefix)
     return np.full(batch, length - 1), np.arange(batch)
+
+
+def recorded_steps(monkeypatch, holds=False):
+    """A list that gets a copy of the logits of each token a greedy decode
+    steps, or with ``holds`` those logits and every array the token loop
+    holds (``captioner._TokenSteps``)."""
+    seen = []
+    call = captioner._TokenSteps.__call__
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, (tuple, list)):
+            return [a for v in value for a in arrays(v)]
+        if isinstance(value, GRUStep):
+            return arrays(list(vars(value).values()))
+        return []
+
+    def recording(self, token):
+        logits = call(self, token)
+        seen.append([logits.copy(), *arrays(list(vars(self).values()))] if holds
+                    else logits.copy())
+        return logits
+
+    monkeypatch.setattr(captioner._TokenSteps, "__call__", recording)
+    return seen
 
 
 class TestBuildEncoderInput:
@@ -336,36 +363,74 @@ class TestIncrementalDecode:
         cast(model.parameters(), np.float32)  # the batch-norm draws above are float64
         return model, cfg, rng
 
-    @pytest.mark.parametrize("variant,frames", [("panns", 1), ("logmel", 5)])
-    @pytest.mark.parametrize("sve_dim", [0, 3])
-    def test_step_logits_equal_full_prefix_forward(self, variant, frames, sve_dim):
+    def _check_steps_against_forward(self, monkeypatch, variant, frames, sve_dim, width):
         vocab = build_vocabulary([clean_caption("dog barks loudly outside")])
         model, cfg, rng = self._decoding_model(vocab, variant=variant, sve_dim=sve_dim)
+        cast(model.parameters(), width)
         sve = rng.randint(0, 2, sve_dim).astype(float) if sve_dim else None
         enc = build_encoder_input(rng.standard_normal((frames, cfg.feature_dim)), sve, variant)
 
-        steps = []
-        decode_step = model.decode_step
-
-        def recording(fused, mode):
-            logits = decode_step(fused, mode)
-            steps.append(logits.data.copy())
-            return logits
-
-        model.decode_step = recording
+        steps = recorded_steps(monkeypatch)
         tokens = model.greedy_decode(enc, vocab, max_len=7)
-        del model.decode_step
 
         assert len(steps) == len(tokens) - 1 == 6
         indices = [vocab.index(t) for t in tokens]
         for i, logits in enumerate(steps):
             prefix = np.array([indices[: i + 1]])
             full = model.forward(enc[None], prefix, last_columns(prefix), mode="infer")
-            assert logits.dtype == np.float32
+            assert logits.dtype == full.data.dtype == width
             assert np.array_equal(logits, full.data)
             words_and_eos = full.data[0].copy()
             words_and_eos[[vocab.pad_index, vocab.sos_index, vocab.unk_index]] = -np.inf
             assert indices[i + 1] == int(np.argmax(words_and_eos))
+
+    @pytest.mark.parametrize("variant,frames", [("panns", 1), ("logmel", 5)])
+    @pytest.mark.parametrize("sve_dim", [0, 3])
+    def test_step_logits_equal_full_prefix_forward(self, monkeypatch, variant, frames, sve_dim):
+        self._check_steps_against_forward(monkeypatch, variant, frames, sve_dim, np.float32)
+
+    def test_step_logits_equal_full_prefix_forward_at_float64(self, monkeypatch):
+        """The gradient checks' width: the decode follows the parameters."""
+        self._check_steps_against_forward(monkeypatch, "logmel", 5, 3, np.float64)
+
+    @pytest.mark.parametrize("max_len", [0, 1, -3])
+    def test_length_cap_below_two_rejected(self, max_len):
+        vocab = build_vocabulary([clean_caption("dog barks")])
+        model, _ = micro_model(vocab_size=len(vocab))
+        with pytest.raises(ConfigError, match="max_len"):
+            model.greedy_decode(np.zeros((3, 8)), vocab, max_len=max_len)
+
+    def test_token_loop_builds_no_autodiff_node(self, monkeypatch):
+        """Only ``encode_audio`` builds Tensors, so a decode builds as many at
+        2 tokens as at 15, and no parameter gets a gradient."""
+        vocab = build_vocabulary([clean_caption("dog barks loudly")])
+        model, _, rng = self._decoding_model(vocab)
+        audio = rng.standard_normal((4, 8))
+        built = {"encode_audio": 0, "elsewhere": 0}
+        inside = []
+        init, encode_audio = T.Tensor.__init__, Captioner.encode_audio
+
+        def counting_init(self, *args, **kwargs):
+            built["encode_audio" if inside else "elsewhere"] += 1
+            init(self, *args, **kwargs)
+
+        def marked(self, *args, **kwargs):
+            inside.append(True)
+            try:
+                return encode_audio(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(T.Tensor, "__init__", counting_init)
+        monkeypatch.setattr(Captioner, "encode_audio", marked)
+        counts = []
+        for max_len in (2, 15):
+            built.update(encode_audio=0, elsewhere=0)
+            assert len(model.greedy_decode(audio, vocab, max_len=max_len)) == max_len
+            counts.append(dict(built))
+        assert counts[0] == counts[1]
+        assert counts[0]["elsewhere"] == 0 and counts[0]["encode_audio"] > 0
+        assert all(p.grad is None and not p.grad_ready for p in model.parameters())
 
     @pytest.mark.parametrize("max_len", [2, 6, 15])
     def test_audio_encoded_once_per_decode(self, monkeypatch, max_len):
@@ -495,6 +560,28 @@ class TestTraining:
                                      cfg)
         assert len(history["train_loss"]) == cfg.epochs
 
+    def test_encoder_inputs_are_held_once_at_float32(self):
+        """Each clip's encoder input is cast as it is built: the tracemalloc
+        peak of building 300 of them (and a micro model) stays within their
+        float32 bytes plus one clip at float64 and SLACK (1 MiB). Built all at
+        float64 before the cast, they would peak at 12 bytes a value."""
+        cfg = micro_config(audio_dim=64, sve_dim=4, epochs=0)
+        caption = clean_caption("dog barks loudly")
+        vocab = build_vocabulary([caption])
+        rng = np.random.RandomState(5)
+        feats = {f"c{i}": rng.standard_normal((40, 64)) for i in range(300)}
+        sves = {i: rng.randint(0, 2, 4).astype(float) for i in feats}
+        pairs = [(i, caption) for i in feats]
+        values = len(feats) * 40 * cfg.encoder_input_dim
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_captioner(pairs, feats, sves, vocab, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * values + 8 * values // len(feats) + (1 << 20)
+
     def test_sve_dim_requires_vectors(self):
         pairs, feats, vocab = self._tiny_dataset()
         with pytest.raises(ShapeError):
@@ -622,10 +709,11 @@ class TestTraining:
             assert np.all(p.grad == 0.0), p.name
         assert np.any(model.bn_audio2.beta.grad != 0.0)
 
-    def test_float32_throughout(self):
-        """After a train step and a greedy decode every graph node but the
-        loss, every parameter and gradient and every Adam moment is float32:
-        numpy would widen a stray float64 buffer silently."""
+    def test_float32_throughout(self, monkeypatch):
+        """After a train step every graph node but the loss, every parameter
+        and gradient and every Adam moment is float32, and so is every array a
+        greedy decode's token loop holds or returns: numpy would widen a stray
+        float64 buffer silently."""
         pairs, feats, vocab = self._tiny_dataset()
         model, _ = micro_model(vocab_size=len(vocab), dropout=0.5)
         params = model.parameters()
@@ -646,17 +734,11 @@ class TestTraining:
         assert {a.dtype for a in [*state.m.values(), *state.v.values()]} == {
             np.dtype(np.float32)}
 
-        seen = []
-        decode_step = model.decode_step
-
-        def recording(fused, mode):
-            logits = decode_step(fused, mode)
-            seen.extend(n.data.dtype for n in T._toposort(mean_all(logits))[:-1])
-            return logits
-
-        model.decode_step = recording
+        steps = recorded_steps(monkeypatch, holds=True)
+        model.out.bias.data[vocab.eos_index] = -50.0  # decode up to the length cap
         model.greedy_decode(feats[pairs[0][0]], vocab, max_len=4)
-        assert set(seen) == {np.dtype(np.float32)}
+        assert len(steps) == 3
+        assert {a.dtype for step in steps for a in step} == {np.dtype(np.float32)}
 
 
 class TestSveAblationEquivalence:

@@ -2,8 +2,10 @@
 
 Each case trains a seeded micro model and pins its per-epoch losses bit for
 bit (``float.hex``), the epoch it keeps and the SHA-256 of the checkpoint file
-it writes. Any change to the training loop's order of random draws, updates,
-loss sums, best-epoch selection or state restore shows here. The values are
+it writes, and each captioner case also the greedy captions its checkpoint
+decodes. Any change to the training loop's order of random draws, updates,
+loss sums, best-epoch selection or state restore, or to the decode's
+arithmetic, shows here. The values are
 results of numpy on x86-64, both models at float32 (their losses summed in
 float64); another BLAS may round differently.
 """
@@ -13,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from aucap.captioner import CaptionerConfig, train_captioner
+from aucap.captioner import CaptionerCheckpoint, CaptionerConfig, train_captioner
 from aucap.mlp import MLPConfig, train_mlp
 from aucap.text import build_vocabulary, clean_caption
 
@@ -48,13 +50,19 @@ CAPTIONS = ["dog barks loudly", "man speaks softly", "rain falls down", "a bell 
             "dogs bark outside", "the man talks"]
 
 
-def run_captioner(case, tmp_path):
-    """``restore`` keeps epoch 3 of 6."""
+def captioner_data():
+    """The captions, their vocabulary, one (3, 5) log-Mel-like matrix per clip
+    and the (clip_id, caption) pairs."""
     captions = [clean_caption(t) for t in CAPTIONS]
     vocab = build_vocabulary(captions)
     rng = np.random.RandomState(2)
     feats = {f"c{i}": rng.standard_normal((3, 5)) + i % 3 for i in range(len(captions))}
-    pairs = [(f"c{i}", c) for i, c in enumerate(captions)]
+    return captions, vocab, feats, [(f"c{i}", c) for i, c in enumerate(captions)]
+
+
+def run_captioner(case, tmp_path):
+    """``restore`` keeps epoch 3 of 6."""
+    _, vocab, feats, pairs = captioner_data()
     config = CaptionerConfig(variant="logmel", audio_dim=5, bigru1=3, bigru2=3, text_gru=6,
                              decoder_gru=6, embed_dim=6, dropout=0.2,
                              learning_rate=0.05 if case == "restore" else 0.01,
@@ -140,6 +148,42 @@ GOLDEN = {
 }
 
 
+# Greedy captions (max_len 22) of every clip from each captioner case's checkpoint file.
+CAPTIONS_DECODED = {
+    "validation": [
+        "<sos> <eos>",
+        "<sos> dog <eos>",
+        "<sos> bell rings rings speaks rings down speaks rings down speaks down speaks "
+        "down rain speaks down rain speaks down rain speaks",
+        "<sos> down down rings down rings down down rings down rings down rings down "
+        "rings down rings down rings down rings down",
+        "<sos> falls bell rings rings down rings down rings down down rings down speaks "
+        "rings down rings down speaks rings down rings",
+        "<sos> man rain rain rain rain rain rain rain rain rain rain rain rain rain rain "
+        "rain rain rain rain rain rain",
+    ],
+    "no_validation": [
+        "<sos> man <eos>",
+        "<sos> rain rain <eos>",
+        "<sos> man rain rings <eos>",
+        "<sos> the the down down <eos>",
+        "<sos> man down rings rings rings rings rings rings rings rings rings rings rings "
+        "rings rings rings rings rings rings rings rings",
+        "<sos> man rain rain <eos>",
+    ],
+    "restore": [
+        "<sos> man speaks speaks <eos>",
+        "<sos> man speaks speaks speaks speaks speaks speaks speaks speaks speaks speaks "
+        "speaks speaks speaks speaks speaks speaks speaks speaks speaks speaks",
+        "<sos> bell rings bell rings rings <eos>",
+        "<sos> bell rings <eos>",
+        "<sos> bell rings bell rings rings <eos>",
+        "<sos> down down down down down down down down down down down down down down down "
+        "down down down down down down",
+    ],
+}
+
+
 def record(run, case, tmp_path):
     train, val, best, path = run(case, tmp_path)
     return {"train": [float(v).hex() for v in train], "val": [float(v).hex() for v in val],
@@ -149,3 +193,13 @@ def record(run, case, tmp_path):
 @pytest.mark.parametrize("model, case", [(m, c) for m in RUNS for c in CASES])
 def test_training_trajectory_is_pinned(model, case, tmp_path):
     assert record(RUNS[model], case, tmp_path) == GOLDEN[model, case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_greedy_captions_are_pinned(case, tmp_path):
+    captions, vocab, feats, _ = captioner_data()
+    path = run_captioner(case, tmp_path)[3]
+    model = CaptionerCheckpoint.load(path, vocab=vocab).build_model()
+    decoded = [" ".join(model.greedy_decode(feats[f"c{i}"], vocab, max_len=22))
+               for i in range(len(captions))]
+    assert decoded == CAPTIONS_DECODED[case]
