@@ -111,10 +111,6 @@ class CaptionerConfig:
     def fused_dim(self) -> int:
         return 2 * self.bigru2 + self.text_gru
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CaptionerConfig":
-        return cls(**data)
-
 
 def build_encoder_input(audio, sve: np.ndarray | None, variant: str) -> np.ndarray:
     """Combine audio features with the SVE vector into a (T', d) sequence.
@@ -406,7 +402,7 @@ class CaptionerCheckpoint:
             raise CheckpointError(f"{path}: not a captioner checkpoint")
         ckpt = cls(
             state=tensors,
-            config=CaptionerConfig.from_dict(meta["config"]),
+            config=CaptionerConfig(**meta["config"]),
             vocab_size=meta["vocab_size"],
             vocab_sha256=meta["vocab_sha256"],
             corpus_sha256=meta.get("corpus_sha256", ""),

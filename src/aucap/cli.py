@@ -8,9 +8,14 @@ a model or feature default is read from its config dataclass. A value is
 resolved as flag > ``key = value`` config file (``--config``) > default. A
 config-file value passes through its flag's type and choices (a switch reads
 on/off) before it becomes a default, so a bad value fails like a bad flag.
-Every run logs its fully resolved configuration. Output directories are
-guarded by a lock file so two runs cannot mutate the same cache or checkpoint
-concurrently.
+Every run logs its fully resolved configuration.
+
+One output rule: a command derives every path it writes from ``--out``
+(extract-features: ``<cache root>/<variant>``) and checks each before any
+work: no file may be a directory, and no directory a file or under one.
+``--out`` is a directory, except evaluate's optional report file and
+predict's file when it has a suffix. Writes take a lock in their directory,
+so two runs cannot mutate the same cache or checkpoint concurrently.
 """
 
 from __future__ import annotations
@@ -145,12 +150,15 @@ def _cache_root(args) -> Path:
     return Path(root)
 
 
-def _load_manifest(args, split: str = "development") -> ds.DatasetManifest:
-    manifest = ds.DatasetManifest(source_format=args.format)
-    records = ds.load_caption_csv(_require(args.csv, "caption CSV"), args.format, split=split,
-                                  audio_dir=getattr(args, "audio_dir", None))
-    manifest.add(split, records)
-    return manifest
+def _load_records(args, split: str = "development") -> list[ds.ClipRecord]:
+    """The clips of ``--csv``, as records of ``split``."""
+    return ds.load_caption_csv(_require(args.csv, "caption CSV"), args.format, split=split,
+                               audio_dir=getattr(args, "audio_dir", None))
+
+
+def _load_features(args, variant: str, records: list[ds.ClipRecord]) -> dict[str, np.ndarray]:
+    """The cached ``variant`` features of ``records``, keyed by clip id."""
+    return ds.load_cached_features(_cache_root(args), variant, [r.clip_id for r in records])
 
 
 def _load_corpus(args) -> tuple[TagLexicon, SubjectVerbCorpus]:
@@ -182,24 +190,28 @@ def _log_kept(command: str, train: list[float], val: list[float], best: int) -> 
     log.info("%s: %s, final train loss %.4f", command, kept, _last(train))
 
 
-def _out(args, file_ok: bool = False) -> Path:
-    """``--out``, checked before a command does any work: the output directory,
-    or with ``file_ok`` and a suffix, the output file."""
-    if not args.out:
-        raise ConfigError(f"{args.command} needs --out")
-    return _check_out(Path(args.out), is_file=file_ok and bool(Path(args.out).suffix))
-
-
-def _check_out(out: Path, is_file: bool) -> Path:
-    """``out``, unless it names a file that is a directory, or the directory the
-    output goes in (``out`` itself, or the file's parent) is a file or lies in one."""
-    directory = out.parent if is_file else out
-    if is_file and out.is_dir():
-        raise ConfigError(f"--out {out} is a directory, not a file")
+def _outputs(args, *names: str) -> list[Path]:
+    """The paths ``args.command`` writes, checked by the module's output rule: ``names``
+    in the ``--out`` directory, the one ``--out`` file, or extract-features' cache directory."""
+    if args.command == "extract-features":
+        directory = _cache_root(args) / args.variant
+        what = f"cache root {directory.parent}"
+    elif not args.out:
+        if args.command != "evaluate":
+            raise ConfigError(f"{args.command} needs --out")
+        return []  # evaluate's report goes to stdout only
+    else:
+        directory, what = Path(args.out), f"--out {args.out}"
+        if args.command == "evaluate" or (args.command == "predict" and directory.suffix):
+            directory, names = directory.parent, (directory.name,)  # --out names the file
     nearest = next(p for p in (directory, *directory.parents) if p.exists())
     if not nearest.is_dir():
-        raise ConfigError(f"--out {out}: {nearest} exists and is not a directory")
-    return out
+        raise ConfigError(f"{what}: {nearest} exists and is not a directory")
+    files = [directory / name for name in names]
+    for path in files:
+        if path.is_dir():
+            raise ConfigError(f"{what}: {path} is a directory, not a file")
+    return files or [directory]  # extract-features writes one file per clip in it
 
 
 def _require(path_text: str | None, what: str) -> Path:
@@ -220,12 +232,11 @@ def _require(path_text: str | None, what: str) -> Path:
 
 
 def cmd_extract_features(args) -> int:
-    manifest = _load_manifest(args, args.split)
-    cache = _cache_root(args)
+    (directory,) = _outputs(args)
+    records = _load_records(args, args.split)
     feature_config = FeatureConfig(pad_seconds=args.pad_seconds)
-    with output_lock(cache / args.variant):
-        result = ds.cache_features(manifest.split(args.split), args.variant, cache,
-                                   feature_config)
+    with output_lock(directory):
+        result = ds.cache_features(records, args.variant, directory.parent, feature_config)
     log.info("extract-features: %d computed, %d skipped, %d failed",
              len(result.computed), len(result.skipped), len(result.errors))
     for clip_id, message in result.errors.items():
@@ -234,55 +245,52 @@ def cmd_extract_features(args) -> int:
 
 
 def cmd_build_sve(args) -> int:
-    out = _out(args)
-    manifest = _load_manifest(args)
+    matrix = ("sve_targets.emb", "sve_clips.txt") if args.matrix_out else ()
+    corpus_file, *matrix_files = _outputs(args, "sve_corpus.txt", *matrix)
+    records = _load_records(args)
     lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
-    corpus = build_corpus(manifest.captions("development"), lexicon)
-    with output_lock(out):
-        corpus.save(out / "sve_corpus.txt")
-        if args.matrix_out:
-            records = manifest.split("development")
+    corpus = build_corpus([c for r in records for c in r.captions], lexicon)
+    with output_lock(corpus_file.parent):
+        corpus.save(corpus_file)
+        if matrix_files:
+            targets_file, clips_file = matrix_files
             if corpus.size:
                 targets = ds.sve_targets(records, corpus, lexicon)
-                embfile.write_matrix(out / "sve_targets.emb",
-                                     np.stack([targets[r.clip_id] for r in records]))
-            atomic.write_bytes(out / "sve_clips.txt",
+                embfile.write_matrix(targets_file, np.stack([targets[r.clip_id] for r in records]))
+            atomic.write_bytes(clips_file,
                                "".join(f"{r.clip_id}\n" for r in records).encode("utf-8"))
-    log.info("build-sve: corpus of K=%d roots written to %s", corpus.size, out)
+    log.info("build-sve: corpus of K=%d roots written to %s", corpus.size, corpus_file.parent)
     return 0
 
 
 def cmd_train_w2v(args) -> int:
-    out = _out(args)
-    manifest = _load_manifest(args)
-    captions = manifest.captions("development")
+    vocab_file, table_file = _outputs(args, "vocabulary.tsv", "word_embeddings.emb")
+    captions = [c for r in _load_records(args) for c in r.captions]
     vocab = build_vocabulary(captions)
     config = Word2VecConfig(dim=args.dim, window=args.window, negatives=args.negatives,
                             epochs=args.epochs, seed=args.seed)
     table = train_word2vec(captions, vocab, config)
-    with output_lock(out):
-        vocab.save(out / "vocabulary.tsv")
-        table.save(out / "word_embeddings.emb")
+    with output_lock(vocab_file.parent):
+        vocab.save(vocab_file)
+        table.save(table_file)
     log.info("train-w2v: vocabulary of %d words, %d-dim embeddings, final loss %.4f",
              len(vocab), table.dim, _last(table.epoch_losses))
     return 0
 
 
 def cmd_train_mlp(args) -> int:
-    out = _out(args)
-    manifest = _load_manifest(args)
-    records = manifest.split("development")
+    (model_file,) = _outputs(args, "sve_mlp.ckpt")
+    records = _load_records(args)
     lexicon, corpus = _load_corpus(args)
-    cache = _cache_root(args)
-    features = ds.load_cached_features(cache, args.variant, [r.clip_id for r in records])
+    features = _load_features(args, args.variant, records)
     targets = ds.sve_targets(records, corpus, lexicon)
     x = np.stack([features[r.clip_id].reshape(-1) for r in records])
     y = np.stack([targets[r.clip_id] for r in records])
     config = MLPConfig(input_dim=x.shape[1], output_dim=corpus.size, **_training_fields(args))
     model, history = train_mlp(x, y, config)
     model.variant, model.corpus_sha256 = args.variant, corpus.sha256()
-    with output_lock(out):
-        model.save(out / "sve_mlp.ckpt")
+    with output_lock(model_file.parent):
+        model.save(model_file)
     _log_kept("train-mlp", history.train_losses, history.val_losses, history.best_epoch)
     return 0
 
@@ -300,29 +308,26 @@ def _load_word_embeddings(args, vocab: Vocabulary, embed_dim: int):
 
 
 def cmd_train_captioner(args) -> int:
-    out = _out(args)
+    (checkpoint_file,) = _outputs(args, "captioner.ckpt")
     if not 0.0 <= args.val_fraction < 1.0:
         raise ConfigError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))
-    manifest = _load_manifest(args)
+    manifest = ds.DatasetManifest(source_format=args.format)
+    manifest.add("development", _load_records(args))
     if args.val_csv:
         manifest.add("validation", ds.load_caption_csv(_require(args.val_csv, "validation CSV"),
                                                        args.format, split="validation"))
     elif args.val_fraction > 0:
         manifest = ds.hold_out_validation(manifest, args.val_fraction, args.seed)
 
-    sves = None
-    corpus_sha = ""
-    sve_dim = 0
     records = manifest.split("development") + manifest.split("validation")
+    sves, corpus_sha, sve_dim = None, "", 0
     if args.use_sve == "on":
         lexicon, corpus = _load_corpus(args)
         sves = ds.sve_targets(records, corpus, lexicon)
-        corpus_sha = corpus.sha256()
-        sve_dim = corpus.size
+        corpus_sha, sve_dim = corpus.sha256(), corpus.size
 
-    cache = _cache_root(args)
-    features = ds.load_cached_features(cache, args.variant, [r.clip_id for r in records])
+    features = _load_features(args, args.variant, records)
     config = CaptionerConfig(variant=args.variant, sve_dim=sve_dim, embed_dim=args.embed_dim,
                              **_training_fields(args))
     embed_init = _load_word_embeddings(args, vocab, config.embed_dim)
@@ -332,14 +337,13 @@ def cmd_train_captioner(args) -> int:
         train_pairs, features, sves, vocab, config,
         val_pairs=val_pairs, embed_init=embed_init, corpus_sha256=corpus_sha,
     )
-    with output_lock(out):
-        checkpoint.save(out / "captioner.ckpt")
+    with output_lock(checkpoint_file.parent):
+        checkpoint.save(checkpoint_file)
     _log_kept("train-captioner", history["train_loss"], history["val_loss"], history["best_epoch"])
     return 0
 
 
-def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
-    records = manifest.split("development")
+def _predict_sves(args, checkpoint, records) -> dict[str, np.ndarray]:
     if args.sve_source == "mlp":
         path = _require(args.mlp, "SVE MLP checkpoint")
         model = MLP.load(path)
@@ -349,7 +353,7 @@ def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
         if model.corpus_sha256 != checkpoint.corpus_sha256:  # its labels, and so their number
             raise ConfigError(f"MLP checkpoint {path} does not record the captioner's "
                               f"subject-verb corpus; retrain it with train-mlp on that --corpus")
-        feats = ds.load_cached_features(cache, model.variant, [r.clip_id for r in records])
+        feats = _load_features(args, model.variant, records)
         return {r.clip_id: predict_sve(model, feats[r.clip_id].reshape(-1)) for r in records}
     lexicon, corpus = _load_corpus(args)
     if corpus.sha256() != checkpoint.corpus_sha256:
@@ -358,21 +362,16 @@ def _predict_sves(args, checkpoint, manifest, cache) -> dict[str, np.ndarray]:
 
 
 def cmd_predict(args) -> int:
-    out = _out(args, file_ok=True)
+    (predictions_file,) = _outputs(args, "predictions.tsv")
     if args.max_len is not None and args.max_len < 2:
         raise ConfigError(f"--max-len must be at least 2 (<sos> and one word), got {args.max_len}")
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))
     checkpoint = CaptionerCheckpoint.load(_require(args.checkpoint, "captioner checkpoint"),
                                           vocab=vocab)
     model = checkpoint.build_model()
-    manifest = _load_manifest(args)
-    records = manifest.split("development")
-    cache = _cache_root(args)
-    features = ds.load_cached_features(cache, checkpoint.config.variant,
-                                       [r.clip_id for r in records])
-    sves = None
-    if checkpoint.config.sve_dim > 0:
-        sves = _predict_sves(args, checkpoint, manifest, cache)
+    records = _load_records(args)
+    features = _load_features(args, checkpoint.config.variant, records)
+    sves = _predict_sves(args, checkpoint, records) if checkpoint.config.sve_dim > 0 else None
     lines = []
     for record in records:
         sve = sves[record.clip_id] if sves is not None else None
@@ -380,22 +379,21 @@ def cmd_predict(args) -> int:
         tokens = model.greedy_decode(enc, vocab, max_len=args.max_len)
         caption = " ".join(strip_special_tokens(tokens))
         lines.append(f"{record.clip_id}\t{caption}\n")
-    with output_lock(out.parent if out.suffix else out):
-        target = out if out.suffix else out / "predictions.tsv"
-        atomic.write_bytes(target, "".join(lines).encode("utf-8"))
-    log.info("predict: wrote %d captions to %s", len(lines), target)
+    with output_lock(predictions_file.parent):
+        atomic.write_bytes(predictions_file, "".join(lines).encode("utf-8"))
+    log.info("predict: wrote %d captions to %s", len(lines), predictions_file)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    out = _check_out(Path(args.out), is_file=True) if args.out else None
+    outputs = _outputs(args)
     report = metrics.evaluate_files(_require(args.candidates, "candidate file"),
                                     _require(args.references, "reference file"))
     text = report.table() + report.key_value_lines()
     sys.stdout.write(text)
-    if out:
-        with output_lock(out.parent):
-            atomic.write_bytes(out, text.encode("utf-8"))
+    for report_file in outputs:
+        with output_lock(report_file.parent):
+            atomic.write_bytes(report_file, text.encode("utf-8"))
     return 0
 
 

@@ -71,9 +71,6 @@ class DatasetManifest:
     def split(self, name: str) -> list[ClipRecord]:
         return self.records.get(name, [])
 
-    def captions(self, split: str) -> list[list[str]]:
-        return [list(c) for r in self.split(split) for c in r.captions]
-
 
 class _Layout(NamedTuple):
     id_column: str
@@ -229,8 +226,8 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
                 raise DatasetError("record has no source path")
             blob = record.path.read_bytes()
             key = _cache_key(hashlib.sha256(blob).hexdigest(), variant, feature_config)
-            target = out_dir / f"{clip_id}.emb"
-            sidecar = out_dir / f"{clip_id}.sha256"
+            target = cache_path(cache_root, variant, clip_id)
+            sidecar = target.with_suffix(".sha256")
             # compared as bytes: a sidecar that is not ASCII matches no key and is rewritten
             if (target.exists() and sidecar.exists()
                     and sidecar.read_bytes().strip() == key.encode()):

@@ -133,17 +133,6 @@ def backward(loss: Tensor):
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_req = a.requires_grad or b.requires_grad
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor(a.data + b.data, out_req, (a, b), back if out_req else None)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_req = a.requires_grad or b.requires_grad
@@ -266,7 +255,7 @@ def softmax(x) -> Tensor:
 
     No model calls it: the captioner trains through ``softmax_cross_entropy``
     and decodes from logits. It is kept because the benchmark tracer wraps it
-    by name (ROADMAP item 9).
+    by name (ROADMAP item 4).
     """
     x = _as_tensor(x)
     if x.data.ndim != 2:
@@ -341,7 +330,7 @@ def cross_entropy(probs, targets) -> Tensor:
 
     ``probs`` rows must already be a distribution (softmax output). No model
     calls it (see ``softmax_cross_entropy``); it is kept because the benchmark
-    tracer wraps it by name (ROADMAP item 9).
+    tracer wraps it by name (ROADMAP item 4).
     """
     probs = _as_tensor(probs)
     t = np.asarray(targets)

@@ -172,9 +172,6 @@ class SubjectVerbCorpus:
     def size(self) -> int:
         return len(self.words)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     def encode(self, roots) -> np.ndarray:
         """Binary vector: bit k set iff ``words[k]`` is one of ``roots``."""
         vec = np.zeros(self.size, dtype=np.float64)

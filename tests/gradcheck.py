@@ -7,6 +7,17 @@ from aucap.nn import tensor as T
 from aucap.nn.tensor import Parameter, Tensor
 
 
+def add(a, b) -> Tensor:
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    out_req = a.requires_grad or b.requires_grad
+
+    def back(g):
+        T._accumulate(a, T._unbroadcast(g, a.data.shape))
+        T._accumulate(b, T._unbroadcast(g, b.data.shape))
+
+    return Tensor(a.data + b.data, out_req, (a, b), back if out_req else None)
+
+
 def sub(a, b) -> Tensor:
     a, b = T._as_tensor(a), T._as_tensor(b)
     out_req = a.requires_grad or b.requires_grad

@@ -114,7 +114,7 @@ class TestTrainCaptioner:
     def test_val_fraction_outside_unit_interval_exits_2_before_any_work(
             self, panns_fixture, fraction, monkeypatch, caplog):
         root, _ = panns_fixture
-        monkeypatch.setattr(cli, "_load_manifest", no_work)
+        monkeypatch.setattr(cli, "_load_records", no_work)
         before = tree(root)
         assert cli.main(train_captioner_args(root, root / "out") + ["--val-fraction", fraction]) == 2
         assert "--val-fraction must be in [0, 1)" in caplog.text
@@ -360,6 +360,17 @@ class TestExtractFeatures:
         assert not (wav_clips / "cache" / "logmel" / "w1.emb").exists()
         assert (wav_clips / "cache" / "logmel" / "w2.emb").exists()
 
+    @pytest.mark.parametrize("taken", ["cache", "cache/logmel"])
+    def test_cache_directory_that_is_a_file_exits_2_before_any_work(self, wav_clips, taken,
+                                                                    monkeypatch, caplog):
+        (wav_clips / taken).parent.mkdir(exist_ok=True)
+        (wav_clips / taken).write_bytes(b"")
+        monkeypatch.setattr(cli, "_load_records", no_work)
+        before = tree(wav_clips)
+        assert cli.main(extract_args(wav_clips, "1.0")) == 2
+        assert f"{wav_clips / taken} exists and is not a directory" in caplog.text
+        assert tree(wav_clips) == before
+
     @pytest.mark.parametrize("pad_seconds", ["0", "-1"])
     def test_bad_pad_seconds_exits_2_and_writes_nothing(self, wav_clips, pad_seconds, caplog):
         assert cli.main(extract_args(wav_clips, pad_seconds)) == 2
@@ -571,14 +582,18 @@ class TestConfigFile:
             assert "unknown config key 'seed'" in caplog.text
 
 
-OUT_COMMANDS = ["build-sve", "train-w2v", "train-mlp", "train-captioner", "predict"]
+# Every command with --out. evaluate's names its optional report file; every
+# other one names a directory (predict's may name its file instead).
+OUT_COMMANDS = [name for name, command in cli.subcommands(cli.build_parser()).items()
+                if any("--out" in a.option_strings for a in command._actions)]
+DIRECTORY_OUT_COMMANDS = [name for name in OUT_COMMANDS if name != "evaluate"]
 
 
 def forbid_work(monkeypatch, command):
     def no_work(*args, **kwargs):
         raise AssertionError(f"{command} started work despite a bad --out")
 
-    for name in ("_load_manifest", "build_corpus", "train_word2vec", "train_mlp",
+    for name in ("_load_records", "build_corpus", "train_word2vec", "train_mlp",
                  "train_captioner"):
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.setattr(cli.metrics, "evaluate_files", no_work)
@@ -591,7 +606,7 @@ def with_out(argv, out):
 
 
 class TestOutRequired:
-    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    @pytest.mark.parametrize("command", DIRECTORY_OUT_COMMANDS)
     def test_missing_out_exits_2_before_any_work(self, pipeline, command, monkeypatch, caplog):
         root, commands = pipeline
         forbid_work(monkeypatch, command)
@@ -601,7 +616,7 @@ class TestOutRequired:
         assert tree(root) == before
 
     @pytest.mark.parametrize("inside", [False, True])
-    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    @pytest.mark.parametrize("command", DIRECTORY_OUT_COMMANDS)
     def test_out_directory_that_is_a_file_exits_2_before_any_work(
             self, pipeline, tmp_path, command, inside, monkeypatch, caplog):
         root, commands = pipeline
@@ -627,6 +642,25 @@ class TestOutRequired:
         assert "is a directory, not a file" in caplog.text
         assert tree(root) == before and capsys.readouterr().out == ""
         assert list((tmp_path / name).iterdir()) == []
+
+    @pytest.mark.parametrize("command", DIRECTORY_OUT_COMMANDS)
+    def test_each_file_it_writes_that_is_a_directory_exits_2_before_any_work(
+            self, pipeline, tmp_path, command, monkeypatch, caplog):
+        """Every file a run writes in its --out directory, listed after one run
+        that writes them all, is made a directory in turn."""
+        root, commands = pipeline
+        argv = commands[command] + (["--matrix-out"] if command == "build-sve" else [])
+        assert cli.main(with_out(argv, tmp_path / "all")) == 0
+        names = sorted(p.name for p in (tmp_path / "all").iterdir())
+        assert names
+        forbid_work(monkeypatch, command)
+        for i, name in enumerate(names):
+            out = tmp_path / f"out{i}"  # no suffix: predict's --out is then a directory
+            (out / name).mkdir(parents=True)
+            before = tree(root), tree(tmp_path)
+            assert cli.main(with_out(argv, out)) == 2
+            assert f"--out {out}: {out / name} is a directory, not a file" in caplog.text
+            assert (tree(root), tree(tmp_path)) == before
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_out_file_in_a_file_exits_2_before_any_work(
@@ -719,7 +753,7 @@ class TestPredictMaxLen:
                                                          monkeypatch, caplog):
         root, commands = pipeline
         monkeypatch.setattr(cli, "_require", no_work)
-        monkeypatch.setattr(cli, "_load_manifest", no_work)
+        monkeypatch.setattr(cli, "_load_records", no_work)
         out = tmp_path / "predictions.tsv"
         assert cli.main(commands["predict"] + ["--max-len", max_len, "--out", str(out)]) == 2
         assert "--max-len must be at least 2" in caplog.text
