@@ -51,10 +51,11 @@ and stacked biases) and reused buffers, each batch norm's bias-corrected
 mean and 1/sqrt(var + eps) at the model's width, and transposed views of the
 decoder and output weights. A token then runs the ops ``forward`` runs at
 batch 1, in the same order, on the same memory layouts: ``GRUStep`` is the
-body of ``gru_sequence``'s loop, ``BatchNorm.infer_statistics`` gives both
-paths the same statistics, and every product takes the weights' transposed
-view as ``tensor.linear`` does (a C-contiguous copy would let BLAS round
-differently). So every logit is bitwise equal to ``forward``'s.
+body of ``gru_sequence``'s loop, both paths normalize through
+``BatchNorm.infer_statistics`` and ``tensor._batch_norm_infer``, and every
+product takes the weights' transposed view as ``tensor.linear`` does (a
+C-contiguous copy would let BLAS round differently). So every logit is
+bitwise equal to ``forward``'s.
 """
 
 from __future__ import annotations
@@ -117,11 +118,12 @@ def build_encoder_input(audio, sve: np.ndarray | None, variant: str) -> np.ndarr
 
     panns: the single clip vector and the SVE vector concatenate into a
     length-1 sequence. logmel/vggish: the SVE vector is tiled onto every
-    frame. ``sve=None`` leaves the features unchanged (no-SVE ablation).
+    frame. ``sve=None`` leaves the features unchanged (no-SVE ablation). The
+    sequence is a new array at float32, the model's width (and ``embfile``'s).
     """
     if variant not in VARIANT_DIMS:
         raise ValueError(f"unknown variant {variant!r}")
-    arr = np.asarray(audio, dtype=np.float64)
+    arr = np.asarray(audio, dtype=np.float32)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
@@ -130,7 +132,7 @@ def build_encoder_input(audio, sve: np.ndarray | None, variant: str) -> np.ndarr
         raise ShapeError(f"panns features are one vector per clip, got {arr.shape[0]} rows")
     if sve is None:
         return arr.copy()
-    sve = np.asarray(sve, dtype=np.float64).reshape(-1)
+    sve = np.asarray(sve, dtype=np.float32).reshape(-1)
     tiled = np.tile(sve, (arr.shape[0], 1))
     return np.hstack([arr, tiled])
 
@@ -305,16 +307,6 @@ class Captioner:
         return [vocab.word(i) for i in tokens]
 
 
-def _batch_norm_infer(x, norm, out) -> None:
-    """``out`` = gamma * (x - mean) * inv_std + beta for ``norm`` = (gamma,
-    beta, mean, inv_std): the ops of ``tensor.batch_norm_infer``, in place."""
-    gamma, beta, mean, inv_std = norm
-    np.subtract(x, mean, out=out)
-    out *= gamma
-    out *= inv_std
-    out += beta
-
-
 class _TokenSteps:
     """The token loop of ``Captioner.greedy_decode`` on plain arrays.
 
@@ -352,7 +344,7 @@ class _TokenSteps:
         self.hx[0, 0, self.hid:] = self.rhx[0, 0, self.hid:] = self.table[token]
         self.gru(self.h, self.h_new, self.hx, self.rhx, self.zr, self.hh)
         self.h, self.h_new = self.h_new, self.h
-        _batch_norm_infer(self.h[0], self.bn_text, out=self.text)
+        T._batch_norm_infer(self.h[0], *self.bn_text, out=self.text)
         np.matmul(fused, self.dec_z[0], out=z)  # sigmoid as tensor.sigmoid computes it
         z += self.dec_z[1]
         np.negative(z, out=z)
@@ -363,7 +355,7 @@ class _TokenSteps:
         h_hat += self.dec[1]
         np.tanh(h_hat, out=h_hat)
         z *= h_hat
-        _batch_norm_infer(z, self.bn_decoder, out=self.normed)
+        T._batch_norm_infer(z, *self.bn_decoder, out=self.normed)
         np.matmul(self.normed, self.out[0], out=self.logits)
         self.logits += self.out[1]
         return self.logits
@@ -517,7 +509,7 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
                 f"clip {clip_id!r}: encoder input width {enc.shape[1]} != "
                 f"{config.encoder_input_dim}"
             )
-        inputs[clip_id] = enc.astype(np.float32)  # the model's width, one clip at a time
+        inputs[clip_id] = enc
     lengths = {v.shape[0] for v in inputs.values()}
     if len(lengths) != 1:
         raise ShapeError(f"clips disagree on sequence length: {sorted(lengths)}")

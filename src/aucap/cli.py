@@ -13,8 +13,8 @@ Every run logs its fully resolved configuration.
 One output rule: a command derives every path it writes from ``--out``
 (extract-features: ``<cache root>/<variant>``) and checks each before any
 work: no file may be a directory, and no directory a file or under one.
-``--out`` is a directory, except evaluate's optional report file and
-predict's file when it has a suffix. Writes take a lock in their directory,
+``--out`` is a directory, except evaluate's optional report file and a
+predict ``--out`` ending in ``.tsv``. Writes take a lock in their directory,
 so two runs cannot mutate the same cache or checkpoint concurrently.
 """
 
@@ -150,9 +150,9 @@ def _cache_root(args) -> Path:
     return Path(root)
 
 
-def _load_records(args, split: str = "development") -> list[ds.ClipRecord]:
-    """The clips of ``--csv``, as records of ``split``."""
-    return ds.load_caption_csv(_require(args.csv, "caption CSV"), args.format, split=split,
+def _load_records(args) -> list[ds.ClipRecord]:
+    """The clips of ``--csv``."""
+    return ds.load_caption_csv(_require(args.csv, "caption CSV"), args.format,
                                audio_dir=getattr(args, "audio_dir", None))
 
 
@@ -202,7 +202,7 @@ def _outputs(args, *names: str) -> list[Path]:
         return []  # evaluate's report goes to stdout only
     else:
         directory, what = Path(args.out), f"--out {args.out}"
-        if args.command == "evaluate" or (args.command == "predict" and directory.suffix):
+        if args.command == "evaluate" or (args.command, directory.suffix) == ("predict", ".tsv"):
             directory, names = directory.parent, (directory.name,)  # --out names the file
     nearest = next(p for p in (directory, *directory.parents) if p.exists())
     if not nearest.is_dir():
@@ -233,7 +233,7 @@ def _require(path_text: str | None, what: str) -> Path:
 
 def cmd_extract_features(args) -> int:
     (directory,) = _outputs(args)
-    records = _load_records(args, args.split)
+    records = _load_records(args)
     feature_config = FeatureConfig(pad_seconds=args.pad_seconds)
     with output_lock(directory):
         result = ds.cache_features(records, args.variant, directory.parent, feature_config)
@@ -312,15 +312,18 @@ def cmd_train_captioner(args) -> int:
     if not 0.0 <= args.val_fraction < 1.0:
         raise ConfigError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary"))
-    manifest = ds.DatasetManifest(source_format=args.format)
-    manifest.add("development", _load_records(args))
+    train = _load_records(args)
     if args.val_csv:
-        manifest.add("validation", ds.load_caption_csv(_require(args.val_csv, "validation CSV"),
-                                                       args.format, split="validation"))
-    elif args.val_fraction > 0:
-        manifest = ds.hold_out_validation(manifest, args.val_fraction, args.seed)
+        val = ds.load_caption_csv(_require(args.val_csv, "validation CSV"), args.format,
+                                  split="validation")
+        shared = sorted({r.clip_id for r in train} & {r.clip_id for r in val})
+        if shared:  # epochs would be chosen on training clips, and val captions replace their SVE
+            raise ConfigError(f"--csv and --val-csv share {len(shared)} clip(s), first "
+                              f"{', '.join(shared[:3])}; hold validation clips out of training")
+    else:
+        train, val = ds.hold_out_validation(train, args.val_fraction, args.seed)
 
-    records = manifest.split("development") + manifest.split("validation")
+    records = train + val
     sves, corpus_sha, sve_dim = None, "", 0
     if args.use_sve == "on":
         lexicon, corpus = _load_corpus(args)
@@ -331,11 +334,9 @@ def cmd_train_captioner(args) -> int:
     config = CaptionerConfig(variant=args.variant, sve_dim=sve_dim, embed_dim=args.embed_dim,
                              **_training_fields(args))
     embed_init = _load_word_embeddings(args, vocab, config.embed_dim)
-    train_pairs = ds.expand_pairs(manifest, "development")
-    val_pairs = ds.expand_pairs(manifest, "validation") or None
     checkpoint, history = train_captioner(
-        train_pairs, features, sves, vocab, config,
-        val_pairs=val_pairs, embed_init=embed_init, corpus_sha256=corpus_sha,
+        ds.caption_pairs(train), features, sves, vocab, config,
+        val_pairs=ds.caption_pairs(val) or None, embed_init=embed_init, corpus_sha256=corpus_sha,
     )
     with output_lock(checkpoint_file.parent):
         checkpoint.save(checkpoint_file)
@@ -436,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("extract-features", help="fill the feature cache")
     _add_common(p)
-    p.add_argument("--split", choices=ds.SPLITS, default="development")
     p.add_argument("--audio-dir", help="directory holding the referenced files")
     p.add_argument("--variant", choices=variants, default="logmel")
     p.add_argument("--cache", help=f"cache root (default ${CACHE_ENV})")

@@ -146,30 +146,26 @@ def load_caption_csv(path: str | Path, source_format: str, split: str = "develop
             for clip_id, (audio, captions) in clips.items()]
 
 
-def expand_pairs(manifest: DatasetManifest, split: str) -> list[tuple[str, list[str]]]:
+def caption_pairs(records: list[ClipRecord]) -> list[tuple[str, list[str]]]:
     """One (clip_id, caption) instance per caption, in clip then caption order."""
-    return [(r.clip_id, list(caption)) for r in manifest.split(split) for caption in r.captions]
+    return [(r.clip_id, list(caption)) for r in records for caption in r.captions]
 
 
-def hold_out_validation(manifest: DatasetManifest, fraction: float,
-                        seed: int) -> DatasetManifest:
-    """Move a deterministic fraction of development clips into validation."""
+def expand_pairs(manifest: DatasetManifest, split: str) -> list[tuple[str, list[str]]]:
+    """The :func:`caption_pairs` of the ``split`` records of ``manifest``."""
+    return caption_pairs(manifest.split(split))
+
+
+def hold_out_validation(records: list[ClipRecord], fraction: float,
+                        seed: int) -> tuple[list[ClipRecord], list[ClipRecord]]:
+    """Split ``records`` into (kept, held_out): ``int(len * fraction)`` clips
+    drawn by ``seed`` are held out. Both lists keep the records' order."""
     if not 0.0 <= fraction < 1.0:
         raise DatasetError(f"fraction must be in [0, 1), got {fraction}")
-    dev = manifest.split("development")
-    n_val = int(len(dev) * fraction)
-    rng = np.random.RandomState(seed)
-    picked = set(rng.permutation(len(dev))[:n_val].tolist())
-    out = DatasetManifest(source_format=manifest.source_format)
-    out.add("development", [r for i, r in enumerate(dev) if i not in picked])
-    val = [ClipRecord(r.clip_id, r.path, r.captions, "validation")
-           for i, r in enumerate(dev) if i in picked]
-    if val:
-        out.add("validation", val)
-    for split in ("validation", "evaluation"):
-        if manifest.split(split):
-            out.add(split, manifest.split(split))
-    return out
+    n_val = int(len(records) * fraction)
+    picked = set(np.random.RandomState(seed).permutation(len(records))[:n_val].tolist())
+    return ([r for i, r in enumerate(records) if i not in picked],
+            [r for i, r in enumerate(records) if i in picked])
 
 
 def sve_targets(records: list[ClipRecord], corpus: SubjectVerbCorpus,

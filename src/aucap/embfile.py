@@ -13,10 +13,10 @@ float32 tensor is a plain v1 (f4) record, and a float64 one carries an extra
 token, so interchange files remain exactly the v1 format.
 
 One encoder and one parser serve files and in-memory records alike:
-:func:`write_matrix` checks the values and writes what :func:`pack_matrix`
-builds, and :func:`read_matrix` hands the file's bytes to :func:`parse_matrix`,
-which parses them with :func:`unpack_matrix` and rejects anything after the
-record.
+:func:`write_matrix` casts the values to float32, checks them and writes what
+:func:`pack_matrix` builds; :func:`read_matrix` hands the file's bytes to
+:func:`parse_matrix`, which parses them with :func:`unpack_matrix`, rejects
+anything after the record and returns the stored float32 values, uncopied.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ _MAX_HEADER = 128  # header line is tiny; anything longer is corrupt
 
 
 def write_matrix(path: str | os.PathLike, values: np.ndarray) -> None:
-    """Write a 1-D or 2-D matrix as a v1 (float32) file.
-
+    """Write a 1-D or 2-D matrix as a v1 file, cast to float32 once and checked
+    as cast: a value beyond the float32 range is refused, not written as inf.
     The file is replaced whole (:func:`atomic.write_bytes`): a failed write
-    leaves an earlier file at ``path`` as it was.
-    """
-    arr = np.asarray(values, dtype=np.float64)
+    leaves an earlier file at ``path`` as it was."""
+    with np.errstate(over="ignore"):  # an overflow is the inf the check below refuses
+        arr = np.asarray(values, dtype=np.float32)
     if arr.ndim not in (1, 2):
         raise EmbeddingFormatError(f"expected a 1-D or 2-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -116,7 +116,7 @@ def unpack_matrix(blob: bytes, *, allow_f8: bool = False,
 
 
 def read_matrix(path: str | os.PathLike, *, expected_dim: int | None = None) -> np.ndarray:
-    """Read an AUCAP-EMB v1 file into a (rows, dim) float64 array with :func:`parse_matrix`."""
+    """Read an AUCAP-EMB v1 file into a (rows, dim) float32 array with :func:`parse_matrix`."""
     with open(path, "rb") as fh:
         return parse_matrix(fh.read(), path, expected_dim=expected_dim)
 
@@ -125,9 +125,9 @@ def parse_matrix(blob: bytes, path: str | os.PathLike, *,
                  expected_dim: int | None = None) -> np.ndarray:
     """Parse ``blob``, the bytes of the AUCAP-EMB v1 file ``path``, into a (rows, dim) array.
 
-    The array is float64. Raises :class:`EmbeddingFormatError`, naming
-    ``path``, on anything :func:`unpack_matrix` rejects, on bytes after the
-    payload, or on a dim that differs from ``expected_dim``.
+    The array is a read-only float32 view of ``blob``. Raises
+    :class:`EmbeddingFormatError`, naming ``path``, on anything :func:`unpack_matrix`
+    rejects, on bytes after the payload, or on a dim that differs from ``expected_dim``.
     """
     try:
         arr, end = unpack_matrix(blob)
@@ -137,4 +137,4 @@ def parse_matrix(blob: bytes, path: str | os.PathLike, *,
         raise EmbeddingFormatError(f"{path}: {len(blob) - end} trailing bytes after payload")
     if expected_dim is not None and arr.shape[1] != expected_dim:
         raise EmbeddingFormatError(f"{path}: dim={arr.shape[1]} but expected {expected_dim}")
-    return arr.astype(np.float64)
+    return arr

@@ -470,7 +470,7 @@ def batch_norm_infer(x, gamma, beta, mean, inv_std) -> Tensor:
     inv_std + beta, with ``mean`` and ``inv_std`` = 1 / sqrt(var + BN_EPS)
     given at ``x``'s width (``BatchNorm.infer_statistics``)."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    y = gamma.data * (x.data - mean) * inv_std + beta.data
+    y = _batch_norm_infer(x.data, gamma.data, beta.data, mean, inv_std)
     out_req = x.requires_grad or gamma.requires_grad or beta.requires_grad
 
     def back(g):
@@ -480,3 +480,13 @@ def batch_norm_infer(x, gamma, beta, mean, inv_std) -> Tensor:
         _accumulate(x, g * gamma.data * inv_std)
 
     return Tensor(y, out_req, (x, gamma, beta), back if out_req else None)
+
+
+def _batch_norm_infer(x, gamma, beta, mean, inv_std, out=None) -> np.ndarray:
+    """``batch_norm_infer``'s forward, in place in ``out`` (new when None) and
+    returned; greedy decoding's token steps call it too, so they round alike."""
+    out = np.subtract(x, mean, out=out)
+    out *= gamma
+    out *= inv_std
+    out += beta
+    return out

@@ -173,8 +173,8 @@ class SubjectVerbCorpus:
         return len(self.words)
 
     def encode(self, roots) -> np.ndarray:
-        """Binary vector: bit k set iff ``words[k]`` is one of ``roots``."""
-        vec = np.zeros(self.size, dtype=np.float64)
+        """Binary float32 vector: bit k set iff ``words[k]`` is one of ``roots``."""
+        vec = np.zeros(self.size, dtype=np.float32)
         vec[[self._index[w] for w in roots if w in self._index]] = 1.0
         return vec
 

@@ -120,6 +120,36 @@ class TestTrainCaptioner:
         assert "--val-fraction must be in [0, 1)" in caplog.text
         assert tree(root) == before
 
+    def write_val_csv(self, root, clips):
+        val = root / "val.csv"
+        val.write_text("clip_id,caption\n" + "".join(f"{c},{CAPTIONS[c][0]}\n" for c in clips),
+                       encoding="utf-8")
+        return ["--val-csv", str(val)]
+
+    @pytest.mark.parametrize("shared, named", [
+        (["c2"], "1 clip(s), first c2; "),
+        (["c3", "c2", "c1", "c0"], "4 clip(s), first c0, c1, c2; ")])
+    def test_val_csv_sharing_clips_with_csv_exits_2_and_writes_nothing(
+            self, panns_fixture, shared, named, monkeypatch, caplog):
+        root, _ = panns_fixture
+        val_flag = self.write_val_csv(root, shared)
+        monkeypatch.setattr(cli, "_load_features", no_work)
+        before = tree(root)
+        assert cli.main(train_captioner_args(root, root / "out") + val_flag) == 2
+        assert f"--csv and --val-csv share {named}" in caplog.text
+        assert tree(root) == before
+
+    def test_disjoint_val_csv_selects_epochs_on_its_clips(self, panns_fixture, caplog):
+        caplog.set_level(logging.INFO)
+        root, _ = panns_fixture
+        csv = root / "captions.csv"
+        csv.write_text("".join(line + "\n" for line in csv.read_text(encoding="utf-8")
+                               .splitlines() if not line.startswith("c3,")), encoding="utf-8")
+        argv = train_captioner_args(root, root / "out") + self.write_val_csv(root, ["c3"])
+        assert cli.main(argv + ["--epochs", "2"]) == 0
+        assert re.search(r"train-captioner: best epoch \d of 2, validation loss", caplog.text)
+        assert (root / "out" / "captioner.ckpt").is_file()
+
 
 def no_work(*args, **kwargs):
     raise AssertionError("work started before the arguments were checked")
@@ -661,6 +691,11 @@ class TestOutRequired:
             assert cli.main(with_out(argv, out)) == 2
             assert f"--out {out}: {out / name} is a directory, not a file" in caplog.text
             assert (tree(root), tree(tmp_path)) == before
+
+    def test_predict_out_with_another_suffix_is_a_directory(self, pipeline, tmp_path):
+        root, commands = pipeline
+        assert cli.main(with_out(commands["predict"], tmp_path / "v1.0")) == 0
+        assert [p.name for p in (tmp_path / "v1.0").iterdir()] == ["predictions.tsv"]
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_out_file_in_a_file_exits_2_before_any_work(

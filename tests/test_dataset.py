@@ -1,6 +1,5 @@
 import hashlib
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from aucap.audio.features import FeatureConfig, extract_log_mel
 from aucap.audio.wav import load_wav
 from aucap.dataset import (ClipRecord, DatasetManifest, cache_features, cache_path,
-                           hold_out_validation, load_caption_csv)
+                           caption_pairs, expand_pairs, hold_out_validation, load_caption_csv)
 from aucap.embfile import read_matrix
 from aucap.errors import DatasetError
 
@@ -222,63 +221,68 @@ class TestCacheFeatures:
         assert emb.read_bytes() == b"left as it was"
 
 
-def manifest_of(n_dev, n_val=0, n_eval=0):
-    """A caption-only manifest of ``n_dev``/``n_val``/``n_eval`` one-caption clips."""
-    manifest = DatasetManifest("generic")
-    for split, prefix, n in (("development", "d", n_dev), ("validation", "v", n_val),
-                             ("evaluation", "e", n_eval)):
-        if n:
-            manifest.add(split, [ClipRecord(f"{prefix}{i}", None, (_clip("a", f"w{i}"),), split)
-                                 for i in range(n)])
-    return manifest
+def records_of(n, prefix="d"):
+    """``n`` caption-only one-caption clips ``<prefix>0``, ``<prefix>1``, ..."""
+    return [ClipRecord(f"{prefix}{i}", None, (_clip("a", f"w{i}"),), "development")
+            for i in range(n)]
 
 
-def ids(manifest, split):
-    return [r.clip_id for r in manifest.split(split)]
+def ids(records):
+    return [r.clip_id for r in records]
+
+
+class TestCaptionPairs:
+    def test_one_pair_per_caption_in_clip_then_caption_order(self):
+        records = [ClipRecord("a", None, (_clip("dog"), _clip("cat")), "development"),
+                   ClipRecord("b", None, (_clip("rain"),), "development")]
+        assert caption_pairs(records) == [("a", list(_clip("dog"))), ("a", list(_clip("cat"))),
+                                          ("b", list(_clip("rain")))]
+
+    def test_expand_pairs_gives_the_pairs_of_a_manifest_split(self):
+        manifest = DatasetManifest("generic")
+        manifest.add("development", records_of(3))
+        manifest.add("validation", records_of(2, prefix="v"))
+        assert expand_pairs(manifest, "validation") == caption_pairs(records_of(2, prefix="v"))
+        assert expand_pairs(manifest, "evaluation") == []
 
 
 class TestHoldOutValidation:
     def test_same_seed_gives_the_same_split(self):
-        manifest = manifest_of(20)
-        first = hold_out_validation(manifest, 0.3, seed=5)
-        assert first.records == hold_out_validation(manifest, 0.3, seed=5).records
-        assert ids(hold_out_validation(manifest, 0.3, seed=6), "validation") != ids(
-            first, "validation")
+        records = records_of(20)
+        first = hold_out_validation(records, 0.3, seed=5)
+        assert first == hold_out_validation(records, 0.3, seed=5)
+        assert ids(hold_out_validation(records, 0.3, seed=6)[1]) != ids(first[1])
 
-    def test_splits_are_disjoint_and_their_union_is_the_development_set(self):
-        manifest = manifest_of(20)
-        out = hold_out_validation(manifest, 0.3, seed=5)
-        dev, val = ids(out, "development"), ids(out, "validation")
-        assert not set(dev) & set(val)
-        assert sorted(dev + val) == sorted(ids(manifest, "development"))
-        assert dev == [i for i in ids(manifest, "development") if i in dev]  # order kept
-        originals = {r.clip_id: r for r in manifest.split("development")}
-        assert all(replace(r, split="development") == originals[r.clip_id]
-                   for r in out.split("validation"))  # only the split changes
-        assert {r.split for r in out.split("validation")} == {"validation"}
+    @pytest.mark.parametrize("seed, held_out", [
+        (5, ["d1", "d2", "d5", "d12", "d17", "d19"]),
+        (6, ["d2", "d5", "d6", "d7", "d8", "d17"]),
+    ])
+    def test_the_held_out_clips_of_a_seed_stay_the_same(self, seed, held_out):
+        """The clips that the manifest-based split held out, so a seed keeps its split."""
+        assert ids(hold_out_validation(records_of(20), 0.3, seed=seed)[1]) == held_out
+
+    def test_the_lists_are_disjoint_and_split_the_records_in_order(self):
+        records = records_of(20)
+        kept, held_out = hold_out_validation(records, 0.3, seed=5)
+        assert not set(ids(kept)) & set(ids(held_out))
+        assert all(r in records for r in kept + held_out)  # the records themselves, unchanged
+        for part in (kept, held_out):
+            assert part == [r for r in records if r in part]  # order kept
+        assert len(kept) + len(held_out) == len(records)
 
     @pytest.mark.parametrize("n, fraction", [(20, 0.3), (7, 0.5), (3, 0.34), (10, 0.99),
                                              (100, 0.29)])
     def test_int_of_n_times_fraction_clips_move(self, n, fraction):
-        out = hold_out_validation(manifest_of(n), fraction, seed=1)
-        assert len(out.split("validation")) == int(n * fraction)
-        assert len(out.split("development")) == n - int(n * fraction)
-
-    def test_evaluation_and_validation_splits_carry_over(self):
-        manifest = manifest_of(10, n_val=2, n_eval=3)
-        out = hold_out_validation(manifest, 0.2, seed=2)
-        assert out.split("evaluation") == manifest.split("evaluation")
-        assert ids(out, "validation")[2:] == ["v0", "v1"]  # after the 2 held-out clips
-        assert out.source_format == manifest.source_format
+        kept, held_out = hold_out_validation(records_of(n), fraction, seed=1)
+        assert len(held_out) == int(n * fraction)
+        assert len(kept) == n - int(n * fraction)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.09])
-    def test_a_fraction_of_no_clip_adds_no_validation_split(self, fraction):
-        manifest = manifest_of(10)
-        out = hold_out_validation(manifest, fraction, seed=3)
-        assert "validation" not in out.records
-        assert out.split("development") == manifest.split("development")
+    def test_a_fraction_of_no_clip_holds_out_nothing(self, fraction):
+        records = records_of(10)
+        assert hold_out_validation(records, fraction, seed=3) == (records, [])
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.0])
     def test_fraction_outside_unit_interval_rejected(self, fraction):
         with pytest.raises(DatasetError, match="fraction must be in"):
-            hold_out_validation(manifest_of(4), fraction, seed=0)
+            hold_out_validation(records_of(4), fraction, seed=0)

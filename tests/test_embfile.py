@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ class TestContainer:
     def test_non_finite_rejected_on_write(self, tmp_path):
         with pytest.raises(EmbeddingFormatError):
             embfile.write_matrix(tmp_path / "m.emb", np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_value_beyond_float32_range_rejected_on_write(self, tmp_path, value):
+        """It would be stored as inf, which the reader refuses; the cast warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingFormatError, match="non-finite"):
+                embfile.write_matrix(tmp_path / "m.emb", np.array([[1.0, value]]))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_read_gives_the_stored_float32_values_uncopied(self, tmp_path):
+        values = np.random.RandomState(1).standard_normal((3, 4)).astype(np.float32)
+        embfile.write_matrix(tmp_path / "m.emb", values)
+        read = embfile.read_matrix(tmp_path / "m.emb")
+        assert read.dtype == np.float32 and np.array_equal(read, values)
+        assert not read.flags.writeable and not read.flags.owndata  # a view of the file's bytes
 
     def test_f8_rejected_outside_checkpoints(self, tmp_path):
         path = tmp_path / "m.emb"
