@@ -25,12 +25,14 @@ def read_text(path: str | os.PathLike, what: str, error: type[Exception]) -> str
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
-def write_bytes(path: str | os.PathLike, data: bytes) -> None:
+def write_bytes(path: str | os.PathLike, *chunks) -> None:
+    """Write ``chunks`` (bytes, or C-contiguous arrays as their memory) in order as ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -183,11 +183,11 @@ class Captioner:
         return [self.bn_audio1, self.bn_audio2, self.bn_text, self.bn_decoder]
 
     def state(self) -> dict[str, np.ndarray]:
-        """Copies of the parameters by name, then of the batch-norm buffers
-        (``buffer.<name>.*``): the tensors of a checkpoint, in file order."""
-        out = {p.name: p.data.copy() for p in self.parameters()}
+        """The parameters' own arrays by name, then the batch-norm buffers
+        (``buffer.<name>.*``), uncopied: the tensors of a checkpoint, in file order."""
+        out = {p.name: p.data for p in self.parameters()}
         for bn in self._batch_norms():
-            out.update({k: v.copy() for k, v in bn.buffers().items()})
+            out.update(bn.buffers())
         return out
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:

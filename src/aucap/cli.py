@@ -162,14 +162,18 @@ def _load_features(args, variant: str, records: list[ds.ClipRecord]) -> dict[str
 
 
 def _load_corpus(args) -> tuple[TagLexicon, SubjectVerbCorpus]:
-    """The lexicon and the subject-verb corpus, which must not be empty: every
-    command that reads one trains or predicts with its K > 0 labels."""
+    """The lexicon and the subject-verb corpus of ``--corpus`` (``_nonempty``)."""
     lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
     corpus = SubjectVerbCorpus.load(_require(args.corpus, "subject-verb corpus"))
+    return lexicon, _nonempty(corpus, args.corpus)
+
+
+def _nonempty(corpus: SubjectVerbCorpus, path) -> SubjectVerbCorpus:
+    """``corpus`` (of ``path``), unless it is empty: every command trains or predicts with K > 0."""
     if corpus.size == 0:
-        raise ConfigError(f"subject-verb corpus {args.corpus} is empty (K=0); there is no SVE "
+        raise ConfigError(f"subject-verb corpus {path} is empty (K=0); there is no SVE "
                           f"to train or predict with")
-    return lexicon, corpus
+    return corpus
 
 
 def _training_fields(args) -> dict:
@@ -249,14 +253,13 @@ def cmd_build_sve(args) -> int:
     corpus_file, *matrix_files = _outputs(args, "sve_corpus.txt", *matrix)
     records = _load_records(args)
     lexicon = TagLexicon.load(_require(args.lexicon, "tag lexicon"))
-    corpus = build_corpus([c for r in records for c in r.captions], lexicon)
+    corpus = _nonempty(build_corpus([c for r in records for c in r.captions], lexicon), corpus_file)
     with output_lock(corpus_file.parent):
         corpus.save(corpus_file)
         if matrix_files:
             targets_file, clips_file = matrix_files
-            if corpus.size:
-                targets = ds.sve_targets(records, corpus, lexicon)
-                embfile.write_matrix(targets_file, np.stack([targets[r.clip_id] for r in records]))
+            targets = ds.sve_targets(records, corpus, lexicon)
+            embfile.write_matrix(targets_file, np.stack([targets[r.clip_id] for r in records]))
             atomic.write_bytes(clips_file,
                                "".join(f"{r.clip_id}\n" for r in records).encode("utf-8"))
     log.info("build-sve: corpus of K=%d roots written to %s", corpus.size, corpus_file.parent)
@@ -344,7 +347,8 @@ def cmd_train_captioner(args) -> int:
     return 0
 
 
-def _predict_sves(args, checkpoint, records) -> dict[str, np.ndarray]:
+def _predict_sves(args, checkpoint, records, features) -> dict[str, np.ndarray]:
+    """Each clip's SVE, by ``--mlp`` (on ``features`` if of its variant) or from ``--corpus``."""
     if args.sve_source == "mlp":
         path = _require(args.mlp, "SVE MLP checkpoint")
         model = MLP.load(path)
@@ -354,7 +358,8 @@ def _predict_sves(args, checkpoint, records) -> dict[str, np.ndarray]:
         if model.corpus_sha256 != checkpoint.corpus_sha256:  # its labels, and so their number
             raise ConfigError(f"MLP checkpoint {path} does not record the captioner's "
                               f"subject-verb corpus; retrain it with train-mlp on that --corpus")
-        feats = _load_features(args, model.variant, records)
+        feats = (features if model.variant == checkpoint.config.variant
+                 else _load_features(args, model.variant, records))
         return {r.clip_id: predict_sve(model, feats[r.clip_id].reshape(-1)) for r in records}
     lexicon, corpus = _load_corpus(args)
     if corpus.sha256() != checkpoint.corpus_sha256:
@@ -372,7 +377,7 @@ def cmd_predict(args) -> int:
     model = checkpoint.build_model()
     records = _load_records(args)
     features = _load_features(args, checkpoint.config.variant, records)
-    sves = _predict_sves(args, checkpoint, records) if checkpoint.config.sve_dim > 0 else None
+    sves = _predict_sves(args, checkpoint, records, features) if checkpoint.config.sve_dim else None
     lines = []
     for record in records:
         sve = sves[record.clip_id] if sves is not None else None

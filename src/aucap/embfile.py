@@ -13,10 +13,11 @@ float32 tensor is a plain v1 (f4) record, and a float64 one carries an extra
 token, so interchange files remain exactly the v1 format.
 
 One encoder and one parser serve files and in-memory records alike:
-:func:`write_matrix` casts the values to float32, checks them and writes what
-:func:`pack_matrix` builds; :func:`read_matrix` hands the file's bytes to
-:func:`parse_matrix`, which parses them with :func:`unpack_matrix`, rejects
-anything after the record and returns the stored float32 values, uncopied.
+:func:`write_matrix` casts the values to float32, checks them and writes the
+header and the values :func:`pack_matrix` returns, uncopied; :func:`read_matrix`
+hands the file's bytes to :func:`parse_matrix`, which parses them with
+:func:`unpack_matrix`, rejects anything after the record and returns the
+stored float32 values, uncopied.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ def write_matrix(path: str | os.PathLike, values: np.ndarray) -> None:
         arr = np.asarray(values, dtype=np.float32)
     if arr.ndim not in (1, 2):
         raise EmbeddingFormatError(f"expected a 1-D or 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite([arr.min(), arr.max()]).all():  # min/max keep NaN and inf
         raise EmbeddingFormatError("refusing to write non-finite values")
-    atomic.write_bytes(path, pack_matrix(arr))
+    atomic.write_bytes(path, *pack_matrix(arr))
 
 
-def pack_matrix(values: np.ndarray, *, dtype: str = "f4") -> bytes:
-    """One container record as bytes; ``dtype`` is ``f4`` (v1) or ``f8`` (checkpoints only)."""
+def pack_matrix(values: np.ndarray, *, dtype: str = "f4") -> tuple[bytes, np.ndarray]:
+    """A container record's header line, and its payload: ``values`` as a C-contiguous
+    little-endian ``f4`` (v1) or ``f8`` (checkpoints only) array, not copied if it is one."""
     if dtype not in ("f4", "f8"):
         raise EmbeddingFormatError(f"unsupported dtype {dtype!r}")
     arr = np.asarray(values)
@@ -55,7 +57,7 @@ def pack_matrix(values: np.ndarray, *, dtype: str = "f4") -> bytes:
     rows, dim = arr.shape
     token = " dtype=f8" if dtype == "f8" else ""
     header = f"AUCAP-EMB v1 dim={dim} rows={rows}{token}\n"
-    return header.encode("ascii") + arr.astype(f"<{dtype}").tobytes()
+    return header.encode("ascii"), np.ascontiguousarray(arr, dtype=f"<{dtype}")
 
 
 def _parse_header(line: bytes, *, allow_f8: bool) -> tuple[int, int, str]:

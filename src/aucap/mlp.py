@@ -84,7 +84,7 @@ class MLP:
         return out
 
     def state(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data.copy() for p in self.parameters()}
+        return {p.name: p.data for p in self.parameters()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         load_parameters(self.parameters(), state)

@@ -12,15 +12,17 @@ extension, and ``load_tensors`` returns each at its stored width (f4 as
 float32, f8 as float64), so a save/load cycle reproduces the values, and a
 re-save the file, bit for bit. The captioner and the MLP keep their
 parameters at float32 and the batch-norm buffers at float64. A model's
-``state()`` is such a name -> array dict; its ``load_state`` copies each
-tensor into its parameter or buffer in place, cast to the width it fills, so
-a float32 model loads a checkpoint written at f8 as well.
+``state()`` is a name -> array dict of its own arrays, which ``save_tensors``
+writes uncopied; ``load_tensors`` returns read-only views of the file's bytes,
+and ``load_state`` copies each into its parameter or buffer in place, cast to
+the width it fills, so a float32 model loads a checkpoint written at f8 as well.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -65,8 +67,8 @@ def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: 
         if not name or any(ch.isspace() for ch in name):
             raise CheckpointError(f"tensor name {name!r} must be non-empty without whitespace")
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    chunks = [f"{_MAGIC} tensors={len(tensors)} meta={len(meta_blob)}\n".encode("ascii")]
-    chunks.append(meta_blob + b"\n")
+    chunks = [f"{_MAGIC} tensors={len(tensors)} meta={len(meta_blob)}\n".encode("ascii"),
+              meta_blob, b"\n"]
     payloads = []
     for name, values in tensors.items():
         arr = np.asarray(values)
@@ -74,14 +76,13 @@ def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: 
         chunks.append(f"{name} {_shape_text(arr.shape)}\n".encode("ascii"))
         # an empty tensor is an empty payload of one column: its shape is the manifest's
         matrix = arr.reshape(arr.shape[0] if arr.ndim else 1, -1) if arr.size else np.zeros((0, 1))
-        payloads.append(embfile.pack_matrix(matrix, dtype=dtype))
-    atomic.write_bytes(path, b"".join(chunks + payloads))
+        payloads.extend(embfile.pack_matrix(matrix, dtype=dtype))
+    atomic.write_bytes(path, *chunks, *payloads)
 
 
 def load_tensors(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        blob = Path(path).read_bytes()
     except FileNotFoundError as exc:
         raise CheckpointError(f"checkpoint not found: {path}") from exc
     except OSError as exc:
@@ -131,12 +132,10 @@ def load_tensors(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
         except EmbeddingFormatError as exc:
             raise CheckpointError(f"{path}: payload for {name!r}: {exc}") from exc
         pos += consumed
-        expected = int(np.prod(shape)) if shape else 1
-        if arr.size != expected:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} holds {arr.size} values for shape {shape}"
-            )
-        tensors[name] = arr.reshape(shape).copy()  # a writable array at the stored width
+        if arr.size != int(np.prod(shape)):  # 1 for the () of a scalar
+            raise CheckpointError(f"{path}: tensor {name!r} holds {arr.size} values for "
+                                  f"shape {shape}")
+        tensors[name] = arr.reshape(shape)
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes")
     return tensors, meta

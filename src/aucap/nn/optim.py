@@ -1,15 +1,15 @@
 """Adam optimizer with bias correction, and the epoch loop both models train with.
 
-Row-sparse Adam, exactly. A row no gradient has written yet has m = v = 0 and
-a zero gradient, so Adam leaves it bit for bit: m = b1*0 + (1-b1)*0 = 0,
-likewise v, and w - scale*0 / (sqrt(0) + eps) = w. For a parameter whose
-gradients all come from ``embedding_lookup`` (``Parameter.grad_rows``), the
-rows those lookups name turn live for good, and while at most half the rows
-are live ``adam_step`` updates only them, with the same ops in the same order.
-An idle live row keeps moving on its momentum; this is not lazy Adam. Past
-half, or after any other write to the gradient, the update is dense. With the
-paper's data every training word is live within epoch 1, so there the saving
-ends in that epoch.
+Row-sparse Adam, exactly. A row no lookup has written yet has m = v = 0 and
+a gradient of zero (a lookup's gradient starts as zeros), so Adam leaves it
+bit for bit: m = b1*0 + (1-b1)*0 = 0, likewise v, and w - scale*0 / (sqrt(0) +
+eps) = w. For a parameter whose gradients all come from ``embedding_lookup``
+(``Parameter.grad_rows``), the rows those lookups name turn live for good, and
+while at most half the rows are live ``adam_step`` updates only them, with the
+same ops in the same order. An idle live row keeps moving on its momentum;
+this is not lazy Adam. Past half, or after any other write to the gradient,
+the update is dense. With the paper's data every training word is live within
+epoch 1, so there the saving ends in that epoch.
 
 Widths. m, v and the block buffers are kept at each parameter's dtype, and
 every scalar in the update is a Python float, so a float32 parameter is
@@ -48,7 +48,7 @@ CHUNK = 1 << 14  # elements per block: m, v, grad and data slices stay in cache 
 
 
 def adam_step(params: list[Parameter], state: AdamState) -> None:
-    """Apply one Adam update and clear the gradients.
+    """Apply one Adam update and drop the gradients (each becomes None).
 
     Raises if any parameter has not received a gradient since the last step,
     which catches a step issued before backward. Runs in place over blocks of
@@ -57,14 +57,13 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
     w -= scale*m / (sqrt(v) + eps).
     A lookup-fed parameter is updated over its live rows (module docstring).
     """
-    stale = [p.name for p in params if not p.grad_ready]
+    stale = [p.name for p in params if p.grad is None]
     if stale:
         raise GraphStateError(f"adam_step before backward for: {', '.join(stale)}")
     state.step += 1
     t = state.step
     scale = float(state.learning_rate * math.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t))
-    dtypes = {p.data.dtype for p in params}
-    buffers = {dt: (np.empty(CHUNK, dt), np.empty(CHUNK, dt)) for dt in dtypes}
+    buffers = {dt: np.empty((2, CHUNK), dt) for dt in {p.data.dtype for p in params}}
     for p in params:
         if not (p.data.flags.c_contiguous and p.grad.flags.c_contiguous):  # blocks are views
             p.data, p.grad = np.ascontiguousarray(p.data), np.ascontiguousarray(p.grad)
@@ -74,15 +73,13 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
                 state.live[p.name] = np.zeros(p.data.shape[0], dtype=bool)
         m, v = state.m[p.name], state.v[p.name]
         rows = _live_rows(p, state.live)
-        bufs = buffers[p.data.dtype]
         if rows is None:
-            _update_blocks(scale, bufs, p.data, p.grad, m, v)
+            _update_blocks(scale, buffers[p.data.dtype], p.data, p.grad, m, v)
         else:
-            data, grad, m_rows, v_rows = p.data[rows], p.grad[rows], m[rows], v[rows]
-            _update_blocks(scale, bufs, data, grad, m_rows, v_rows)
+            data, m_rows, v_rows = p.data[rows], m[rows], v[rows]
+            _update_blocks(scale, buffers[p.data.dtype], data, p.grad[rows], m_rows, v_rows)
             p.data[rows], m[rows], v[rows] = data, m_rows, v_rows
-            p.grad[rows] = 0.0
-        p.grad_ready, p.grad_rows = False, None
+        p.grad, p.grad_rows = None, None
 
 
 def _live_rows(p: Parameter, live: dict[str, np.ndarray]) -> np.ndarray | None:
@@ -102,7 +99,7 @@ def _live_rows(p: Parameter, live: dict[str, np.ndarray]) -> np.ndarray | None:
 
 def _update_blocks(scale: float, bufs, data: np.ndarray, grad: np.ndarray, m: np.ndarray,
                    v: np.ndarray) -> None:
-    """The Adam update in place over contiguous data, grad, m and v, block by block."""
+    """The Adam update in place over contiguous data, m and v (``grad`` is read), by blocks."""
     data, grad, m, v = (a.reshape(-1) for a in (data, grad, m, v))
     buf_a, buf_b = bufs
     for lo in range(0, data.size, CHUNK):
@@ -116,7 +113,6 @@ def _update_blocks(scale: float, bufs, data: np.ndarray, grad: np.ndarray, m: np
         np.square(g, out=a)
         a *= 1.0 - BETA2
         vb += a
-        g[...] = 0.0
         np.multiply(scale, mb, out=a)
         np.sqrt(vb, out=b)
         b += ADAM_EPS
@@ -155,8 +151,8 @@ def fit(model, epochs: int, batches, batch_loss, update, val_loss=None,
     and its example count; the loss is checked finite, back-propagated and
     applied by ``update()``. The epoch's training loss is the example-weighted
     mean. With ``val_loss``, the epoch of the lowest ``val_loss()`` (recorded
-    in ``val_losses``) is kept: ``model.state()`` is snapshot just before it is
-    trained past and restored by ``model.load_state`` at the end. Without it
+    in ``val_losses``) is kept: a copy of ``model.state()`` is taken just before
+    it is trained past and restored by ``model.load_state`` at the end. Without it
     the model ends in its last epoch, never snapshot: a training loss, which
     the optimizer minimises, does not select. Raises TrainingError at the first
     batch or validation loss that is not finite.
@@ -169,7 +165,7 @@ def fit(model, epochs: int, batches, batch_loss, update, val_loss=None,
     best_state = None
     for epoch in range(epochs):
         if val_loss is not None and epoch > 0 and history.best_epoch == epoch - 1:
-            best_state = model.state()  # the best epoch so far is about to be trained past
+            best_state = {k: v.copy() for k, v in model.state().items()}  # about to be trained past
         total, count = 0.0, 0
         for batch_no, batch in enumerate(batches()):
             loss, examples = batch_loss(batch)

@@ -47,21 +47,20 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor. Its gradient is None until a backward pass writes
-    it; ``grad_ready`` is False while it is None or cleared (zeros).
+    """A named leaf tensor. Its gradient exists from the backward pass that
+    first writes it to the ``adam_step`` that applies it, and is None
+    otherwise.
 
     ``grad_rows`` lists the index arrays of the ``embedding_lookup`` backward
-    passes that wrote the gradient since it was last cleared, when those are
-    its only writers. It is None for a dense gradient (any other writer) and
-    whenever ``grad_ready`` is False.
+    passes that wrote the gradient, when those are its only writers. It is
+    None for a dense gradient (any other writer) and while there is no gradient.
     """
 
-    __slots__ = ("name", "grad_ready", "grad_rows")
+    __slots__ = ("name", "grad_rows")
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.grad_ready = False
         self.grad_rows = None
 
     def __repr__(self):
@@ -75,11 +74,11 @@ def _as_tensor(x) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # a copy: ``g`` may be handed to another parent as well
+        t.grad = g.astype(t.data.dtype, order="C")
+    else:
+        t.grad += g
     if isinstance(t, Parameter):
-        t.grad_ready = True
         t.grad_rows = None
 
 
@@ -162,10 +161,8 @@ def linear(x, weights, bias=None) -> Tensor:
     def back(g):
         if x.requires_grad:  # e.g. the MLP's input features: no product to drop
             _accumulate(x, g @ weights.data)
-        if isinstance(weights, Parameter) and not weights.grad_ready:
-            grad = np.empty_like(weights.data) if weights.grad is None else weights.grad
-            weights.grad = np.matmul(g.T, x.data, out=grad)  # in place: no temporary
-            weights.grad_ready = True
+        if weights.requires_grad and weights.grad is None:  # the new product is the gradient
+            weights.grad = (g.T @ x.data).astype(weights.data.dtype, copy=False)
         else:
             _accumulate(weights, g.T @ x.data)
         if bias is not None:
@@ -312,15 +309,13 @@ def embedding_lookup(table, indices) -> Tensor:
         raise ShapeError(f"index out of range for table of {table.data.shape[0]} rows")
 
     def back(g):
-        if table.grad is None:
+        if table.grad is None:  # the first write: a Parameter records its rows from here
             table.grad = np.zeros_like(table.data)
+            if isinstance(table, Parameter):
+                table.grad_rows = []
         np.add.at(table.grad, idx, g)
-        if isinstance(table, Parameter):
-            if not table.grad_ready:
-                table.grad_rows = [idx]
-            elif table.grad_rows is not None:
-                table.grad_rows.append(idx)
-            table.grad_ready = True
+        if isinstance(table, Parameter) and table.grad_rows is not None:
+            table.grad_rows.append(idx)
 
     return Tensor(table.data[idx], table.requires_grad, (table,), back if table.requires_grad else None)
 

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from aucap.nn.optim import AdamState, adam_step
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
 from conftest import no_random_draws
 from gradcheck import at_float64, cast, zero_grads
+from memory import peak_bytes
 
 
 def micro_config(**overrides):
@@ -440,7 +440,7 @@ class TestIncrementalDecode:
             counts.append(dict(built))
         assert counts[0] == counts[1]
         assert counts[0]["elsewhere"] == 0 and counts[0]["encode_audio"] > 0
-        assert all(p.grad is None and not p.grad_ready for p in model.parameters())
+        assert all(p.grad is None for p in model.parameters())
 
     @pytest.mark.parametrize("max_len", [2, 6, 15])
     def test_audio_encoded_once_per_decode(self, monkeypatch, max_len):
@@ -583,14 +583,22 @@ class TestTraining:
         sves = {i: rng.randint(0, 2, 4).astype(float) for i in feats}
         pairs = [(i, caption) for i in feats]
         values = len(feats) * 40 * cfg.encoder_input_dim
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            train_captioner(pairs, feats, sves, vocab, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = peak_bytes(lambda: train_captioner(pairs, feats, sves, vocab, cfg))
         assert peak <= 4 * values + (1 << 20)
+
+    def test_no_parameter_holds_a_gradient_after_training(self, monkeypatch):
+        """Each Adam step drops the gradients it applies, so the trained model
+        (which the checkpoint's state is) keeps none."""
+        pairs, feats, vocab = self._tiny_dataset()
+        stepped = []
+
+        def recording_step(params, state):
+            stepped.append(params)
+            adam_step(params, state)
+
+        monkeypatch.setattr(captioner, "adam_step", recording_step)
+        train_captioner(pairs, feats, None, vocab, micro_config(epochs=2))
+        assert len(stepped) >= 2 and all(p.grad is None for p in stepped[-1])
 
     def test_sve_dim_requires_vectors(self):
         pairs, feats, vocab = self._tiny_dataset()
@@ -739,8 +747,8 @@ class TestTraining:
         assert {n.grad.dtype for n in nodes if n.grad is not None and n is not loss} == {
             np.dtype(np.float32)}
         adam_step(params, state)
-        assert {p.data.dtype for p in params} | {p.grad.dtype for p in params} == {
-            np.dtype(np.float32)}
+        assert {p.data.dtype for p in params} == {np.dtype(np.float32)}
+        assert all(p.grad is None for p in params)
         assert {a.dtype for a in [*state.m.values(), *state.v.values()]} == {
             np.dtype(np.float32)}
 

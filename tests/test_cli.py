@@ -193,6 +193,24 @@ class TestPredictSveFromMlp:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert [line.split("\t")[0] for line in lines] == list(CAPTIONS)
 
+    def test_mlp_of_the_captioners_variant_reuses_its_features(self, panns_fixture,
+                                                                monkeypatch):
+        root, _ = panns_fixture
+        assert cli.main(train_mlp_args(root, root / "mlp")) == 0
+        assert cli.main(train_captioner_args(root, root / "captioner")) == 0
+        loads = []
+        load_cached_features = ds.load_cached_features
+
+        def counting(*args, **kwargs):
+            loads.append(args[1])
+            return load_cached_features(*args, **kwargs)
+
+        monkeypatch.setattr(ds, "load_cached_features", counting)
+        out = root / "predictions.tsv"
+        assert cli.main(predict_args(root, root / "captioner" / "captioner.ckpt",
+                                     root / "mlp" / "sve_mlp.ckpt", out)) == 0
+        assert loads == ["panns"] and len(out.read_text(encoding="utf-8").splitlines()) == 4
+
     def test_mlp_without_recorded_variant_exits_2(self, panns_fixture, caplog):
         root, corpus = panns_fixture
         captioner = root / "captioner"
@@ -810,6 +828,18 @@ class TestBuildSve:
         matrix = embfile.read_matrix(out / "sve_targets.emb")
         assert np.array_equal(matrix, np.stack([targets[clip] for clip in clips]))
         assert matrix.any(axis=1).all()
+
+    def test_captions_without_subject_or_verb_exit_2_and_write_nothing(self, tmp_path,
+                                                                      toy_lexicon, caplog):
+        csv = tmp_path / "captions.csv"
+        csv.write_text("clip_id,caption\nc0,the loudly\nc1,near and outside\n",
+                       encoding="utf-8")
+        toy_lexicon.save(tmp_path / "lexicon.tsv")
+        out = tmp_path / "sve"
+        assert cli.main(["build-sve", "--csv", str(csv), "--lexicon", str(tmp_path / "lexicon.tsv"),
+                         "--matrix-out", "--out", str(out)]) == 2
+        assert f"subject-verb corpus {out / 'sve_corpus.txt'} is empty (K=0)" in caplog.text
+        assert not out.exists()
 
 
 class TestEvaluate:

@@ -9,6 +9,7 @@ from aucap import atomic, embfile
 from aucap.audio.embeddings import parse_variant_features
 from aucap.errors import CheckpointError, EmbeddingFormatError
 from aucap.nn import checkpoint
+from memory import peak_bytes
 
 
 class TestContainer:
@@ -80,7 +81,7 @@ class TestContainer:
 
     def test_f8_rejected_outside_checkpoints(self, tmp_path):
         path = tmp_path / "m.emb"
-        atomic.write_bytes(path, embfile.pack_matrix(np.array([[1.0]]), dtype="f8"))
+        atomic.write_bytes(path, *embfile.pack_matrix(np.array([[1.0]]), dtype="f8"))
         with pytest.raises(EmbeddingFormatError, match="only valid inside checkpoints"):
             embfile.read_matrix(path)
 
@@ -91,17 +92,47 @@ class TestContainer:
             embfile.read_matrix(path)
 
     def test_unpack_leaves_following_bytes_to_the_caller(self):
-        blob = embfile.pack_matrix(np.array([[1.0, 2.0]]))
+        blob = record(np.array([[1.0, 2.0]]))
         out, consumed = embfile.unpack_matrix(blob + b"next record")
         assert consumed == len(blob) and np.array_equal(out, [[1.0, 2.0]])
 
     def test_f8_pack_unpack_bitwise(self):
         rng = np.random.RandomState(1)
         values = rng.standard_normal((3, 4))
-        blob = embfile.pack_matrix(values, dtype="f8")
+        blob = record(values, dtype="f8")
         out, consumed = embfile.unpack_matrix(blob, allow_f8=True)
         assert consumed == len(blob)
         assert np.array_equal(out, values)
+
+    def test_pack_matrix_payload_is_the_values_themselves(self):
+        values = np.arange(12, dtype=np.float32).reshape(3, 4)
+        header, payload = embfile.pack_matrix(values)
+        assert header == b"AUCAP-EMB v1 dim=4 rows=3\n"
+        assert np.shares_memory(payload, values) and payload.dtype == np.dtype("<f4")
+        header, payload = embfile.pack_matrix(values.T)  # not C-contiguous: laid out anew
+        assert header == b"AUCAP-EMB v1 dim=3 rows=4\n" and payload.tobytes() == values.T.tobytes()
+
+    def test_write_matrix_writes_the_values_themselves(self, tmp_path):
+        """A float32 matrix reaches the file uncopied: the write allocates at
+        most 1 MiB above the 16 MiB matrix, no bytes copy and no joined record."""
+        values = np.random.RandomState(2).standard_normal((2000, 2048)).astype(np.float32)
+        _, peak, _ = peak_bytes(lambda: embfile.write_matrix(tmp_path / "m.emb", values))
+        assert peak <= 1 << 20
+        assert np.array_equal(embfile.read_matrix(tmp_path / "m.emb"), values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_matrix_refuses_every_non_finite_value(self, tmp_path, bad):
+        values = np.zeros((3, 5), np.float32)
+        values[1, 2] = bad
+        with pytest.raises(EmbeddingFormatError, match="non-finite"):
+            embfile.write_matrix(tmp_path / "m.emb", values)
+        assert not (tmp_path / "m.emb").exists()
+
+
+def record(values, dtype="f4") -> bytes:
+    """The bytes of one container record of ``values``."""
+    header, payload = embfile.pack_matrix(values, dtype=dtype)
+    return header + payload.tobytes()
 
 
 class TestAtomicWrite:
@@ -129,6 +160,11 @@ class TestAtomicWrite:
             embfile.write_matrix(path, np.zeros((4, 2)))
         assert path.read_bytes() == before
         assert [p.name for p in path.parent.iterdir()] == ["m.emb"]
+
+    def test_chunks_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic.write_bytes(path, b"head\n", np.array([1.0, 2.0], "<f8"), b"", b"tail")
+        assert path.read_bytes() == b"head\n" + struct.pack("<2d", 1.0, 2.0) + b"tail"
 
     def test_replaces_whole_file(self, existing):
         path, _ = existing
@@ -181,6 +217,7 @@ class TestCheckpointFile:
         for name, values in tensors.items():
             assert loaded[name].shape == values.shape
             assert np.array_equal(loaded[name], values)
+            assert not loaded[name].flags.writeable  # a view of the file's bytes
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (2, 0, 4)])
     def test_empty_tensor_round_trips(self, tmp_path, shape):

@@ -1,5 +1,4 @@
-import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from aucap.nn.optim import AdamState, adam_step
 from aucap.text import build_vocabulary, clean_caption
 from conftest import no_random_draws
 from gradcheck import at_float64, max_relative_error
+from memory import peak_bytes
 from aucap.nn.tensor import Tensor
 
 
@@ -256,44 +256,35 @@ class TestGradientsAndState:
 
 
 class TestMemory:
-    """tracemalloc peaks of a 2.1M-parameter MLP against budgets in bytes per
-    parameter, each plus SLACK (1 MiB, about 0.5 B/parameter) for the
-    activations of an 8-example batch, Adam's block buffers and the checkpoint
-    header. The budgets are those of float32 parameters that hold no gradient
-    until backward and are not drawn when loaded."""
+    """tracemalloc peaks (``peak_bytes``) of a 2.1M-parameter MLP against
+    budgets in bytes per parameter, each plus SLACK (1 MiB, about 0.5
+    B/parameter) for the activations of an 8-example batch, Adam's block
+    buffers and the checkpoint header. The budgets are those of float32
+    parameters that hold a gradient only from backward to the Adam step, are
+    not drawn when loaded and are written to a checkpoint uncopied."""
 
     CONFIG = MLPConfig(input_dim=1500, output_dim=64, hidden_widths=(1024, 512), batch_size=8)
     SLACK = 1 << 20
 
-    @staticmethod
-    def peak(fn):
-        """``fn()`` and the peak of the memory it allocated, in bytes."""
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            result = fn()
-            return result, tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
-
     def build(self):
         return MLP(self.CONFIG, np.random.RandomState(0))
 
+    def examples(self, n):
+        rng = np.random.RandomState(1)
+        x = rng.standard_normal((n, self.CONFIG.input_dim)).astype(np.float32)
+        y = (rng.random_sample((n, self.CONFIG.output_dim)) > 0.5).astype(np.float32)
+        return x, y
+
     def test_construction_holds_float32_and_one_float64_draw(self):
-        model, peak = self.peak(self.build)
+        model, peak, _ = peak_bytes(self.build)
         sizes = [p.data.size for p in model.parameters()]
         assert 2_000_000 < sum(sizes) < 2_200_000
         assert peak <= 4 * sum(sizes) + 8 * max(sizes) + self.SLACK
 
     def test_training_step_holds_16_bytes_per_parameter(self):
         """Weights, gradients and Adam's m and v, at 4 bytes each."""
+        x, y = self.examples(8)
         rng = np.random.RandomState(1)
-        x = rng.standard_normal((8, self.CONFIG.input_dim)).astype(np.float32)
-        y = (rng.random_sample((8, self.CONFIG.output_dim)) > 0.5).astype(np.float32)
 
         def step():
             model = self.build()
@@ -301,11 +292,28 @@ class TestMemory:
             adam_step(model.parameters(), AdamState())
             return model
 
-        model, peak = self.peak(step)
+        model, peak, _ = peak_bytes(step)
         assert peak <= 16 * sum(p.data.size for p in model.parameters()) + self.SLACK
+
+    def test_trained_model_holds_4_bytes_per_parameter(self):
+        """The weights alone: the last step dropped the gradients, and Adam's
+        moments end with the training."""
+        x, y = self.examples(16)
+        (model, _), _, held = peak_bytes(lambda: train_mlp(x, y, replace(self.CONFIG, epochs=1)))
+        assert all(p.grad is None for p in model.parameters())
+        assert held <= 4 * sum(p.data.size for p in model.parameters()) + self.SLACK
+
+    def test_save_writes_the_parameters_themselves(self, tmp_path):
+        """No copy of the state, of a tensor's bytes or of the whole file."""
+        model = self.build()
+        _, peak, _ = peak_bytes(lambda: model.save(tmp_path / "mlp.ckpt"))
+        assert peak <= self.SLACK
+        again = MLP.load(tmp_path / "mlp.ckpt")
+        for pa, pb in zip(model.parameters(), again.parameters(), strict=True):
+            assert np.array_equal(pa.data, pb.data)
 
     def test_load_holds_8_bytes_per_parameter(self, tmp_path):
         """The file's tensors and the model's parameters, at 4 bytes each."""
         self.build().save(tmp_path / "mlp.ckpt")
-        model, peak = self.peak(lambda: MLP.load(tmp_path / "mlp.ckpt"))
+        model, peak, _ = peak_bytes(lambda: MLP.load(tmp_path / "mlp.ckpt"))
         assert peak <= 8 * sum(p.data.size for p in model.parameters()) + self.SLACK

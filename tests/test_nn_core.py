@@ -513,6 +513,15 @@ class TestGradients:
         T.backward(sum_all(y))
         assert w.grad[0, 0] == pytest.approx(6.0)
 
+    def test_first_gradient_is_a_copy_of_a_shared_array(self):
+        """``add`` hands one array to both parents as their first gradient; a
+        second contribution to ``a`` must leave ``b``'s gradient as it was."""
+        a = Parameter(np.ones((2, 2)), "a")
+        b = Parameter(np.ones((2, 2)), "b")
+        T.backward(mean_all(add(add(a, b), a)))  # the outer add writes a first, then a + b
+        assert np.array_equal(a.grad, np.full((2, 2), 0.5))
+        assert np.array_equal(b.grad, np.full((2, 2), 0.25))
+
     def test_backward_requires_scalar(self):
         w = Parameter(np.ones((2, 2)), "w")
         with pytest.raises(GraphStateError):
@@ -544,12 +553,19 @@ class TestAdam:
         with pytest.raises(GraphStateError):
             adam_step([w], AdamState())
 
+    def test_second_step_without_backward_rejected(self):
+        w = Parameter(np.ones(3), "w")
+        T.backward(sum_all(T.mul(w, w)))
+        adam_step([w], AdamState())
+        with pytest.raises(GraphStateError, match="adam_step before backward for: w"):
+            adam_step([w], AdamState())
+
     def test_grads_cleared_after_step(self):
         w = Parameter(np.array([1.0]), "w")
         state = AdamState()
         T.backward(sum_all(T.mul(w, w)))
         adam_step([w], state)
-        assert np.all(w.grad == 0.0) and not w.grad_ready
+        assert w.grad is None and w.grad_rows is None
 
 
 class TestParameterLifecycle:
@@ -557,9 +573,9 @@ class TestParameterLifecycle:
 
     def test_new_parameter_holds_no_gradient(self):
         w = Parameter(np.ones(3, np.float32), "w")
-        assert w.grad is None and not w.grad_ready and w.grad_rows is None
+        assert w.grad is None and w.grad_rows is None
         zero_grads([w])  # a missing gradient stays missing
-        assert w.grad is None and not w.grad_ready
+        assert w.grad is None
 
     @pytest.mark.parametrize("build", [
         lambda rng: MLP(MLPConfig(input_dim=6, output_dim=3, hidden_widths=(5, 4)), rng),
@@ -570,7 +586,7 @@ class TestParameterLifecycle:
     def test_fresh_model_holds_float32_parameters_and_no_gradient(self, build):
         params = build(np.random.RandomState(0)).parameters()
         assert all(p.data.dtype == np.float32 for p in params)
-        assert all(p.grad is None and not p.grad_ready for p in params)
+        assert all(p.grad is None for p in params)
 
     @staticmethod
     def through(op, rng, x):
@@ -596,9 +612,9 @@ class TestParameterLifecycle:
         assert all(p.grad is None for p in params)
         T.backward(sum_all(out))
         for p in params:
-            assert p.grad_ready and p.grad.shape == p.data.shape
+            assert p.grad is not None and p.grad.shape == p.data.shape
             assert p.grad.dtype == p.data.dtype == np.float32
-        if op == "linear":  # written in place into a fresh array: exactly g.T @ x
+        if op == "linear":  # the new product itself: exactly g.T @ x
             assert np.array_equal(layer.weights.grad, np.ones((4, 2), np.float32).T @ x)
 
 
@@ -664,7 +680,7 @@ class TestAdamBlocked:
             adam_step(params, state)
         for p, p0, g in zip(params, start, grads):
             data, m, v = adam_reference(p0, g, 3)
-            assert p.data.dtype == p.grad.dtype == dtype
+            assert p.data.dtype == dtype and p.grad is None
             assert state.m[p.name].dtype == state.v[p.name].dtype == dtype
             assert np.array_equal(p.data, data)
             assert np.array_equal(state.m[p.name], m) and np.array_equal(state.v[p.name], v)
@@ -700,16 +716,16 @@ class TestRowSparseAdam:
             for term in terms[1:]:
                 loss = add(loss, sum_all(term))
             T.backward(loss)
-            grads.append(table.grad.copy())
+            grads.append(table.grad)
             adam_step([table], state)
             sparse.append(table.name in state.live)
             data, m, v = adam_reference(start, grads, step + 1)
             assert table.data.dtype == state.m[table.name].dtype == state.v[table.name].dtype
-            assert table.data.dtype == table.grad.dtype == dtype
+            assert table.data.dtype == grads[-1].dtype == dtype
             assert np.array_equal(table.data, data), step
             assert np.array_equal(state.m[table.name], m), step
             assert np.array_equal(state.v[table.name], v), step
-            assert not table.grad.any() and table.grad_rows is None
+            assert table.grad is None and table.grad_rows is None
             history.append(table.data.copy())
         return start, history, sparse
 
@@ -742,9 +758,9 @@ class TestRowSparseAdam:
     def test_zero_grad_clears_recorded_rows(self):
         table = Embedding(6, 2, np.random.RandomState(0)).table
         T.backward(sum_all(T.embedding_lookup(table, np.array([1, 4]))))
-        assert [list(r) for r in table.grad_rows] == [[1, 4]] and table.grad_ready
+        assert [list(r) for r in table.grad_rows] == [[1, 4]] and table.grad is not None
         zero_grads([table])
-        assert table.grad_rows is None and not table.grad_ready and not table.grad.any()
+        assert table.grad is None and table.grad_rows is None
 
 
 class TestInits:
