@@ -20,7 +20,8 @@ normalizes the k final audio states, each weighted by its caption's number
 of examples, and the valid (step, caption) text states are gathered to one
 row per example for ``bn_text``; both thus see the statistics of one row per
 example. Each example's audio state is then gathered, and all are decoded
-together.
+together. The k clips' features and SVEs are joined per batch, by one
+``build_encoder_input`` call: training holds no joined copy of the clips.
 
 The model runs at float32: its layers hand out float32 parameters (each
 drawn at float64 and cast at once), and its inputs are cast to their width,
@@ -114,27 +115,29 @@ class CaptionerConfig:
 
 
 def build_encoder_input(audio, sve: np.ndarray | None, variant: str) -> np.ndarray:
-    """Combine audio features with the SVE vector into a (T', d) sequence.
+    """The (T, F + K) encoder input of one clip's (T, F) features and (K,)
+    SVE, or the (B, T, F + K) input of a (B, T, F) stack and its (B, K) SVEs.
 
-    panns: the single clip vector and the SVE vector concatenate into a
-    length-1 sequence. logmel/vggish: the SVE vector is tiled onto every
-    frame. ``sve=None`` leaves the features unchanged (no-SVE ablation). The
-    sequence is a new array at float32, the model's width (and ``embfile``'s).
+    Each frame holds the clip's features, then its SVE (panns: one frame, the
+    clip vector, which may also come 1-D). ``sve=None`` leaves the features
+    unchanged (no-SVE ablation). The one place where features and SVE are
+    joined: it fills one new float32 array, the model's width (and ``embfile``'s).
     """
     if variant not in VARIANT_DIMS:
         raise ValueError(f"unknown variant {variant!r}")
-    arr = np.asarray(audio, dtype=np.float32)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ShapeError(f"audio features must be 1-D or 2-D, got shape {arr.shape}")
-    if variant == "panns" and arr.shape[0] != 1:
-        raise ShapeError(f"panns features are one vector per clip, got {arr.shape[0]} rows")
-    if sve is None:
-        return arr.copy()
-    sve = np.asarray(sve, dtype=np.float32).reshape(-1)
-    tiled = np.tile(sve, (arr.shape[0], 1))
-    return np.hstack([arr, tiled])
+    arr = np.asarray(audio)
+    arr = arr.reshape(1, -1) if arr.ndim == 1 else arr
+    if arr.ndim not in (2, 3):
+        raise ShapeError(f"audio features must be 1-D, 2-D or a 3-D stack, got shape {arr.shape}")
+    if variant == "panns" and arr.shape[-2] != 1:
+        raise ShapeError(f"panns features are one vector per clip, got {arr.shape[-2]} rows")
+    sve = np.zeros(arr.shape[:-2] + (0,)) if sve is None else np.asarray(sve)
+    if sve.ndim != arr.ndim - 1 or sve.shape[:-1] != arr.shape[:-2]:
+        raise ShapeError(f"SVE of shape {sve.shape} for features of shape {arr.shape}")
+    out = np.empty(arr.shape[:-1] + (arr.shape[-1] + sve.shape[-1],), dtype=np.float32)
+    out[..., : arr.shape[-1]] = arr
+    out[..., arr.shape[-1]:] = sve[..., None, :]  # the same SVE on every frame
+    return out
 
 
 class Captioner:
@@ -233,10 +236,9 @@ class Captioner:
         several lengths) come later in time, so they change neither its state
         nor its gradient.
         """
-        audio = np.asarray(audio, dtype=self.width)
         prefix = np.asarray(prefix, dtype=np.int64)
-        if prefix.ndim != 2 or prefix.shape[:1] != audio.shape[:1]:
-            raise ShapeError(f"prefix {prefix.shape} / audio {audio.shape}")
+        if prefix.ndim != 2 or prefix.shape[:1] != np.shape(audio)[:1]:
+            raise ShapeError(f"prefix {prefix.shape} / audio {np.shape(audio)}")
         batch, length = prefix.shape
         steps, rows = (np.asarray(a, dtype=np.int64) for a in positions)
         if (steps.ndim != 1 or steps.shape != rows.shape or not steps.size
@@ -451,27 +453,32 @@ def _caption_batches(lengths: list[int], order, batch_size: int) -> list[list[in
     return batches
 
 
-def _batch_arrays(captions: list[tuple[str, list[int]]], inputs: dict[str, np.ndarray]):
+def _batch_arrays(captions: list[tuple[str, list[int]]], features: dict[str, np.ndarray],
+                  sves: dict[str, np.ndarray] | None, variant: str):
     """One batch of whole (clip_id, token indices) captions: the (k, T, d)
-    audio, the (k, L) input tokens (each caption less its last token, padded
-    after it), and per example, in time-major order, its (steps, rows)
-    position and its target, the token after the prefix that ends at that step."""
+    encoder input of their clips, the (k, L) input tokens (each caption less
+    its last token, padded after it), and per example, in time-major order, its
+    (steps, rows) position and its target, the token after the prefix that ends there."""
     lengths = np.array([len(ids) for _, ids in captions])
     tokens = np.zeros((len(captions), lengths.max()), dtype=np.int64)
     for row, (_, ids) in enumerate(captions):
         tokens[row, : len(ids)] = ids
     steps, rows = np.nonzero(np.arange(lengths.max() - 1)[:, None] < lengths - 1)
-    audio = np.stack([inputs[clip_id] for clip_id, _ in captions])
+    clips = [clip_id for clip_id, _ in captions]
+    sve = None if sves is None else np.stack([sves[c] for c in clips])
+    audio = build_encoder_input(np.stack([features[c] for c in clips]), sve, variant)
     return audio, tokens[:, :-1], (steps, rows), tokens[rows, steps + 1]
 
 
 def _dataset_loss(model: Captioner, captions: list[tuple[str, list[int]]],
-                  inputs: dict[str, np.ndarray], batch_size: int) -> float:
+                  features: dict[str, np.ndarray], sves: dict[str, np.ndarray] | None,
+                  batch_size: int) -> float:
     """Mean -ln p(next word) over every example of the captions, in infer mode."""
     total = 0.0
     lengths = [len(ids) for _, ids in captions]
     for batch in _caption_batches(lengths, range(len(captions)), batch_size):
-        audio, prefix, positions, targets = _batch_arrays([captions[i] for i in batch], inputs)
+        audio, prefix, positions, targets = _batch_arrays(
+            [captions[i] for i in batch], features, sves, model.config.variant)
         logits = model.forward(audio, prefix, mode="infer", positions=positions)
         total += float(T.softmax_cross_entropy(logits, targets).data) * len(targets)
     return total / (sum(lengths) - len(lengths))
@@ -484,36 +491,33 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
                     corpus_sha256: str = "") -> tuple[CaptionerCheckpoint, dict]:
     """Teacher-forced training over (clip_id, caption tokens) pairs.
 
-    ``features`` maps clip_id to its raw feature matrix for the configured
-    variant; SVE vectors (when ``sve_dim > 0``) are concatenated per clip.
-    Returns the checkpoint of the epoch with the lowest validation loss (of
-    the last epoch when no validation pairs are given) and the loss history.
-    Raises TrainingError at the first batch or epoch whose loss is not finite.
+    ``features`` maps clip_id to its (T, feature_dim) matrix for the
+    configured variant, and ``sves`` (read when ``sve_dim > 0``) to its (K,)
+    SVE, both checked before a model is built and read as given: each batch
+    joins its clips' rows in ``_batch_arrays``. Returns the checkpoint of the epoch
+    with the lowest validation loss (of the last epoch when no validation
+    pairs are given) and the loss history. Raises TrainingError at the first
+    batch or epoch whose loss is not finite.
     """
     pairs = list(pairs)
     if not pairs:
         raise ShapeError("training set is empty")
     if config.sve_dim > 0 and sves is None:
         raise ShapeError("config.sve_dim > 0 but no SVE vectors were given")
+    sves = sves if config.sve_dim > 0 else None
 
-    inputs: dict[str, np.ndarray] = {}
-    for clip_id, _ in pairs + list(val_pairs or []):
-        if clip_id in inputs:
-            continue
+    frames = set()
+    for clip_id in dict.fromkeys(clip_id for clip_id, _ in pairs + list(val_pairs or [])):
         if clip_id not in features:
             raise ShapeError(f"no features for clip {clip_id!r}")
-        sve = sves[clip_id] if config.sve_dim > 0 else None
-        enc = build_encoder_input(features[clip_id], sve, config.variant)
-        if enc.shape[1] != config.encoder_input_dim:
-            raise ShapeError(
-                f"clip {clip_id!r}: encoder input width {enc.shape[1]} != "
-                f"{config.encoder_input_dim}"
-            )
-        inputs[clip_id] = enc
-    lengths = {v.shape[0] for v in inputs.values()}
-    if len(lengths) != 1:
-        raise ShapeError(f"clips disagree on sequence length: {sorted(lengths)}")
-    if len(pairs) < 2 and lengths == {1}:  # train-mode bn_audio1 would see one row
+        shape, sve = np.shape(features[clip_id]), (0,) if sves is None else np.shape(sves.get(clip_id))
+        if len(shape) != 2 or (shape[1], sve) != (config.feature_dim, (config.sve_dim,)):
+            raise ShapeError(f"clip {clip_id!r}: features {shape} and SVE {sve}, not "
+                             f"(T, {config.feature_dim}) and ({config.sve_dim},)")
+        frames.add(shape[0])
+    if len(frames) != 1:
+        raise ShapeError(f"clips disagree on sequence length: {sorted(frames)}")
+    if len(pairs) < 2 and frames == {1}:  # train-mode bn_audio1 would see one row
         raise ShapeError("at T=1 at least 2 training captions are needed for batch norm")
 
     rng = np.random.RandomState(config.seed)
@@ -529,7 +533,8 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
         return _caption_batches(lengths, rng.permutation(len(captions)), config.batch_size)
 
     def batch_loss(batch):
-        audio, prefix, positions, targets = _batch_arrays([captions[i] for i in batch], inputs)
+        audio, prefix, positions, targets = _batch_arrays(
+            [captions[i] for i in batch], features, sves, config.variant)
         logits = model.forward(audio, prefix, mode="train", rng=rng, positions=positions)
         return T.softmax_cross_entropy(logits, targets), len(targets)
 
@@ -537,7 +542,7 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     history = fit(model, config.epochs, batches, batch_loss, name="captioner",
                   update=lambda: adam_step(params, state),
                   val_loss=None if val_captions is None else
-                  lambda: _dataset_loss(model, val_captions, inputs, config.batch_size))
+                  lambda: _dataset_loss(model, val_captions, features, sves, config.batch_size))
     checkpoint = CaptionerCheckpoint(
         state=model.state(), config=config,
         vocab_size=len(vocab), vocab_sha256=vocab.sha256(),

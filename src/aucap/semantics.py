@@ -13,7 +13,6 @@ pre-tagged annotations can be dropped in.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -23,8 +22,6 @@ import numpy as np
 from . import atomic
 from .errors import SemanticsError
 from .text import strip_special_tokens
-
-log = logging.getLogger(__name__)
 
 NOUN = "NOUN"
 VERB = "VERB"
@@ -236,8 +233,6 @@ def build_corpus(captions, lex: TagLexicon) -> SubjectVerbCorpus:
     if not captions:
         raise SemanticsError("caption list is empty")
     words = dict.fromkeys(root for roots in subject_verb_roots(captions, lex) for root in roots)
-    if not words:
-        log.warning("subject-verb corpus is empty; SVE features are disabled (K=0)")
     return SubjectVerbCorpus(words=tuple(words), lexicon_sha256=lex.sha256())
 
 

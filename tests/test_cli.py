@@ -839,6 +839,7 @@ class TestBuildSve:
         assert cli.main(["build-sve", "--csv", str(csv), "--lexicon", str(tmp_path / "lexicon.tsv"),
                          "--matrix-out", "--out", str(out)]) == 2
         assert f"subject-verb corpus {out / 'sve_corpus.txt'} is empty (K=0)" in caplog.text
+        assert "SVE features are disabled" not in caplog.text  # one message: it is refused
         assert not out.exists()
 
 

@@ -128,6 +128,25 @@ class TestContainer:
             embfile.write_matrix(tmp_path / "m.emb", values)
         assert not (tmp_path / "m.emb").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_read_matrix_refuses_every_non_finite_value(self, tmp_path, bad):
+        values = np.zeros((3, 5), np.float32)
+        values[2, 4] = bad
+        (tmp_path / "m.emb").write_bytes(record(values))
+        with pytest.raises(EmbeddingFormatError, match="non-finite"):
+            embfile.read_matrix(tmp_path / "m.emb")
+
+    def test_read_matrix_holds_the_file_bytes_only(self, tmp_path):
+        """The matrix is a view of the file's bytes, and the finiteness check
+        allocates nothing of the payload's size: the read peaks within the
+        file's bytes and 1 MiB."""
+        values = np.random.RandomState(3).standard_normal((2000, 2048)).astype(np.float32)
+        path = tmp_path / "m.emb"
+        embfile.write_matrix(path, values)
+        read, peak, _ = peak_bytes(lambda: embfile.read_matrix(path))
+        assert peak <= path.stat().st_size + (1 << 20)
+        assert np.array_equal(read, values)
+
 
 def record(values, dtype="f4") -> bytes:
     """The bytes of one container record of ``values``."""
@@ -226,6 +245,16 @@ class TestCheckpointFile:
         loaded, _ = checkpoint.load_tensors(path)
         assert loaded["empty"].shape == shape
         assert np.array_equal(loaded["after"], np.arange(3.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_load_refuses_every_non_finite_value(self, tmp_path, bad, dtype):
+        values = np.zeros((3, 5), dtype)
+        values[0, 1] = bad
+        path = tmp_path / "bad.ckpt"
+        checkpoint.save_tensors(path, {"ok": np.ones(2), "bad": values}, {})
+        with pytest.raises(CheckpointError, match="payload for 'bad': non-finite"):
+            checkpoint.load_tensors(path)
 
     def test_directory_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match=f"cannot read checkpoint {re.escape(str(tmp_path))}"):
