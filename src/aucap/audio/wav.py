@@ -62,8 +62,6 @@ def _decode_samples(raw: bytes, bits: int, fmt: int, n_channels: int) -> np.ndar
     else:
         raise WavEncodingError(f"unsupported WAV format code {fmt}")
 
-    if data.size % n_channels != 0:
-        raise WavHeaderError("data chunk length is not a whole number of frames")
     if n_channels == 1:
         return data
     return data.reshape(-1, n_channels).mean(axis=1)

@@ -50,13 +50,13 @@ plain arrays (``_TokenSteps``). What stays fixed during a decode is prepared
 once per clip: the text-GRU cell's ``GRUStep`` (its transposed weight views
 and stacked biases) and reused buffers, each batch norm's bias-corrected
 mean and 1/sqrt(var + eps) at the model's width, and transposed views of the
-decoder and output weights. A token then runs the ops ``forward`` runs at
-batch 1, in the same order, on the same memory layouts: ``GRUStep`` is the
-body of ``gru_sequence``'s loop, both paths normalize through
-``BatchNorm.infer_statistics`` and ``tensor._batch_norm_infer``, and every
-product takes the weights' transposed view as ``tensor.linear`` does (a
+decoder and output weights. A token then runs, at batch 1, the kernels that
+``forward``'s ops run: ``GRUStep`` is the body of ``gru_sequence``'s loop,
+and the decoder calls the forwards of ``T.linear``, ``T.sigmoid`` and
+``T.batch_norm_infer`` (``tensor._linear``, ``_sigmoid``, ``_batch_norm_infer``)
+on the same operands, each product on the weights' transposed view (a
 C-contiguous copy would let BLAS round differently). So every logit is
-bitwise equal to ``forward``'s.
+bitwise equal to ``forward``'s: the two paths share code, not a copied op order.
 """
 
 from __future__ import annotations
@@ -347,20 +347,11 @@ class _TokenSteps:
         self.gru(self.h, self.h_new, self.hx, self.rhx, self.zr, self.hh)
         self.h, self.h_new = self.h_new, self.h
         T._batch_norm_infer(self.h[0], *self.bn_text, out=self.text)
-        np.matmul(fused, self.dec_z[0], out=z)  # sigmoid as tensor.sigmoid computes it
-        z += self.dec_z[1]
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.divide(1.0, z, out=z)
-        np.matmul(fused, self.dec[0], out=h_hat)
-        h_hat += self.dec[1]
-        np.tanh(h_hat, out=h_hat)
+        T._sigmoid(T._linear(fused, *self.dec_z, out=z), out=z)
+        np.tanh(T._linear(fused, *self.dec, out=h_hat), out=h_hat)
         z *= h_hat
         T._batch_norm_infer(z, *self.bn_decoder, out=self.normed)
-        np.matmul(self.normed, self.out[0], out=self.logits)
-        self.logits += self.out[1]
-        return self.logits
+        return T._linear(self.normed, *self.out, out=self.logits)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +490,7 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     pairs are given) and the loss history. Raises TrainingError at the first
     batch or epoch whose loss is not finite.
     """
-    pairs = list(pairs)
+    pairs, val_pairs = list(pairs), list(val_pairs or [])
     if not pairs:
         raise ShapeError("training set is empty")
     if config.sve_dim > 0 and sves is None:
@@ -507,7 +498,7 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     sves = sves if config.sve_dim > 0 else None
 
     frames = set()
-    for clip_id in dict.fromkeys(clip_id for clip_id, _ in pairs + list(val_pairs or [])):
+    for clip_id in dict.fromkeys(clip_id for clip_id, _ in pairs + val_pairs):
         if clip_id not in features:
             raise ShapeError(f"no features for clip {clip_id!r}")
         shape, sve = np.shape(features[clip_id]), (0,) if sves is None else np.shape(sves.get(clip_id))

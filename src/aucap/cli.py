@@ -34,7 +34,7 @@ from . import dataset as ds
 from .captioner import CaptionerCheckpoint, CaptionerConfig, build_encoder_input, train_captioner
 from .audio.embeddings import VARIANT_DIMS
 from .audio.features import FeatureConfig
-from .errors import AucapError, ConfigError
+from .errors import AucapError, ConfigError, ShapeError
 from .mlp import MLP, MLPConfig, predict_sve, train_mlp
 from .semantics import SubjectVerbCorpus, TagLexicon, build_corpus
 from .text import Vocabulary, build_vocabulary, strip_special_tokens
@@ -287,6 +287,11 @@ def cmd_train_mlp(args) -> int:
     lexicon, corpus = _load_corpus(args)
     features = _load_features(args, args.variant, records)
     targets = ds.sve_targets(records, corpus, lexicon)
+    shape = features[records[0].clip_id].shape
+    for r in records:  # one MLP input width: a VGGish clip has one row per second
+        if features[r.clip_id].shape != shape:
+            raise ShapeError(f"clip {r.clip_id!r} has features of shape "
+                             f"{features[r.clip_id].shape}, the first clip {shape}")
     x = np.stack([features[r.clip_id].reshape(-1) for r in records])
     y = np.stack([targets[r.clip_id] for r in records])
     config = MLPConfig(input_dim=x.shape[1], output_dim=corpus.size, **_training_fields(args))

@@ -60,38 +60,31 @@ def pack_matrix(values: np.ndarray, *, dtype: str = "f4") -> tuple[bytes, np.nda
     return header.encode("ascii"), np.ascontiguousarray(arr, dtype=f"<{dtype}")
 
 
-def _parse_header(line: bytes, *, allow_f8: bool) -> tuple[int, int, str]:
+def parse_header(line: bytes, magic: str, counts: tuple, optional: tuple = ()) -> dict:
+    """The fields of a container header ``<magic> key=value ...`` (without its
+    newline), the grammar of this container and of checkpoints: each of
+    ``counts`` once, as a non-negative integer, and each of ``optional`` at most
+    once, as text. Anything else raises :class:`EmbeddingFormatError`."""
     try:
         text = line.decode("ascii")
     except UnicodeDecodeError as exc:
         raise EmbeddingFormatError("header is not ASCII") from exc
-    parts = text.strip().split(" ")
-    if len(parts) < 4 or parts[0] != "AUCAP-EMB" or parts[1] != "v1":
-        raise EmbeddingFormatError(f"bad magic in header {text.strip()!r}")
+    if not text.startswith(magic + " "):
+        raise EmbeddingFormatError(f"bad magic in header {text!r}")
     fields = {}
-    for token in parts[2:]:
-        if "=" not in token:
+    for token in text[len(magic) + 1:].split(" "):
+        key, sep, value = token.partition("=")
+        if not sep:
             raise EmbeddingFormatError(f"bad header token {token!r}")
-        key, _, value = token.partition("=")
-        fields[key] = value
-    extra = set(fields) - {"dim", "rows", "dtype"}
-    if extra:
-        raise EmbeddingFormatError(f"unknown header fields {sorted(extra)}")
-    if "dim" not in fields or "rows" not in fields:
-        raise EmbeddingFormatError("header missing dim= or rows=")
-    try:
-        dim = int(fields["dim"])
-        rows = int(fields["rows"])
-    except ValueError as exc:
-        raise EmbeddingFormatError("dim/rows are not integers") from exc
-    if dim <= 0 or rows < 0:
-        raise EmbeddingFormatError(f"invalid dim={dim} rows={rows}")
-    dtype = fields.get("dtype", "f4")
-    if dtype == "f8" and not allow_f8:
-        raise EmbeddingFormatError("dtype=f8 payloads are only valid inside checkpoints")
-    if dtype not in ("f4", "f8"):
-        raise EmbeddingFormatError(f"unsupported dtype {dtype!r}")
-    return rows, dim, dtype
+        if key not in counts + optional or key in fields:
+            raise EmbeddingFormatError(f"unknown or repeated header field {key!r}")
+        if key in counts and not value.isdigit():  # ASCII digits only: no sign, no '_'
+            raise EmbeddingFormatError(f"header field {token!r} is not a non-negative integer")
+        fields[key] = int(value) if key in counts else value
+    missing = [f"{key}=" for key in counts if key not in fields]
+    if missing:
+        raise EmbeddingFormatError(f"header missing {' and '.join(missing)}")
+    return fields
 
 
 def unpack_matrix(blob: bytes, *, allow_f8: bool = False,
@@ -105,7 +98,14 @@ def unpack_matrix(blob: bytes, *, allow_f8: bool = False,
     newline = blob.find(b"\n", offset, offset + _MAX_HEADER)
     if newline < 0:
         raise EmbeddingFormatError("missing or oversized header line")
-    rows, dim, dtype = _parse_header(blob[offset : newline + 1], allow_f8=allow_f8)
+    fields = parse_header(blob[offset:newline], "AUCAP-EMB v1", ("dim", "rows"), ("dtype",))
+    rows, dim, dtype = fields["rows"], fields["dim"], fields.get("dtype", "f4")
+    if dim == 0:
+        raise EmbeddingFormatError(f"invalid dim=0 rows={rows}")
+    if dtype == "f8" and not allow_f8:
+        raise EmbeddingFormatError("dtype=f8 payloads are only valid inside checkpoints")
+    if dtype not in ("f4", "f8"):
+        raise EmbeddingFormatError(f"unsupported dtype {dtype!r}")
     start = newline + 1
     size = rows * dim * (4 if dtype == "f4" else 8)
     if len(blob) - start < size:

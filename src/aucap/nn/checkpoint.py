@@ -37,15 +37,6 @@ def _shape_text(shape: tuple) -> str:
     return "x".join(str(d) for d in shape) if shape else "scalar"
 
 
-def _parse_shape(text: str) -> tuple:
-    if text == "scalar":
-        return ()
-    try:
-        return tuple(int(d) for d in text.split("x"))
-    except ValueError as exc:
-        raise CheckpointError(f"bad shape field {text!r}") from exc
-
-
 def state_tensor(state: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
     """``state[name]``, not copied; CheckpointError if it is missing or not of ``shape``."""
     if name not in state:
@@ -91,15 +82,11 @@ def load_tensors(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
     newline = blob.find(b"\n")
     if newline < 0:
         raise CheckpointError(f"{path}: missing header line")
-    header = blob[:newline].decode("ascii", errors="replace")
-    parts = header.split(" ")
-    if len(parts) != 4 or " ".join(parts[:2]) != _MAGIC:
-        raise CheckpointError(f"{path}: bad magic {header!r}")
     try:
-        count = int(parts[2].removeprefix("tensors="))
-        meta_len = int(parts[3].removeprefix("meta="))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: bad header counts") from exc
+        fields = embfile.parse_header(blob[:newline], _MAGIC, ("tensors", "meta"))
+    except EmbeddingFormatError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    count, meta_len = fields["tensors"], fields["meta"]
 
     pos = newline + 1
     meta_blob = blob[pos : pos + meta_len]
@@ -107,8 +94,10 @@ def load_tensors(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: truncated metadata block")
     try:
         meta = json.loads(meta_blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: metadata is not valid JSON") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     pos += meta_len + 1
 
     manifest = []
@@ -120,7 +109,10 @@ def load_tensors(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
         name, sep, shape_text = line.partition(" ")
         if not sep or not name:
             raise CheckpointError(f"{path}: bad manifest line {line!r}")
-        manifest.append((name, _parse_shape(shape_text)))
+        dims = () if shape_text == "scalar" else shape_text.split("x")
+        if not all(d.isdigit() for d in dims):  # no sign: a negative dim would reach reshape
+            raise CheckpointError(f"{path}: bad shape field {shape_text!r}")
+        manifest.append((name, tuple(int(d) for d in dims)))
         pos = end + 1
 
     tensors: dict[str, np.ndarray] = {}

@@ -196,7 +196,7 @@ class GRUStep:
 
     The matrix products stay per cell, with the operands and memory layouts
     of a one-cell run; each elementwise op then runs once over the stack, in
-    place, in the op order of ``tensor.linear`` and the activations.
+    place, the gates through ``tensor._sigmoid``.
     """
 
     def __init__(self, cells, batch: int, dtype):
@@ -214,10 +214,7 @@ class GRUStep:
             np.matmul(hx[d], w_z, out=zr[0, d])
             np.matmul(hx[d], w_r, out=zr[1, d])
         zr += self.b_zr
-        np.negative(zr, out=zr)  # sigmoid as 1 / (1 + exp(-a))
-        np.exp(zr, out=zr)
-        zr += 1.0
-        np.divide(1.0, zr, out=zr)
+        T._sigmoid(zr, out=zr)
         z, r = zr[0], zr[1]
         np.multiply(r, h, out=rhx[:, :, :hid])
         for d, (_, _, w) in enumerate(self.mats):
@@ -298,7 +295,6 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
 
     params = [q for c in cells for q in c.parameters()]
     parents = (xs, *params) if h0 is None else (xs, h0, *params)
-    out_req = any(q.requires_grad for q in parents)
     if return_sequence:
         parts = [states[::-1, d] if r else states[:, d] for d, r in enumerate(rev)]
         out = parts[0] if n_dir == 1 else np.concatenate(parts, axis=2)
@@ -348,11 +344,12 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
         if h0 is not None:
             T._accumulate(h0, dh.transpose(1, 0, 2).reshape(batch, width))
 
-    return Tensor(out, out_req, parents, back if out_req else None)
+    return T._node(out, parents, back)
 
 
 def gru_cell_step(x_t: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
-    """One GRU step on a (batch, input) slice: ``gru_sequence`` at T = 1 from ``h_prev``."""
+    """One GRU step on a (batch, input) slice: ``gru_sequence`` at T = 1 from ``h_prev``.
+    No model calls it; the benchmark tracer wraps it by name (ROADMAP items 6 and 11)."""
     x_t = T._as_tensor(x_t)
     return gru_sequence(T.reshape(x_t, (1, *x_t.data.shape)), p, h0=h_prev)
 

@@ -8,11 +8,13 @@ inputs' width: the fused losses sum their per-example terms in float64 (the
 loss scalar is float64), and train-mode batch norm computes its statistics,
 its normalized values and its backward in float64.
 
-Every op builds a node holding its parents and a closure that routes the
-incoming gradient to them; ``backward`` walks the graph once in reverse
-topological order. The graph is a DAG by construction (parents exist before
-children), and traversal is iterative, so sequence models with thousands of
-chained steps do not hit recursion limits.
+Every op returns through ``_node``: a node holding its parents and a closure
+that routes the incoming gradient to them, or a plain tensor when no parent
+needs a gradient. ``backward`` walks the graph once in reverse topological
+order. The graph is a DAG by construction (parents exist before children),
+and traversal is iterative, so sequence models with thousands of chained
+steps do not hit recursion limits. The forwards of ``linear``, ``sigmoid`` and
+``batch_norm_infer`` are in-place kernels that greedy decoding calls as well.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ class Parameter(Tensor):
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _node(data, parents: tuple, back) -> Tensor:
+    """An op's output: a node with ``back`` if any of ``parents`` needs a gradient, else plain."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, True, parents, back)
+    return Tensor(data)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -134,13 +143,12 @@ def backward(loss: Tensor):
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out_req = a.requires_grad or b.requires_grad
 
     def back(g):
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return Tensor(a.data * b.data, out_req, (a, b), back if out_req else None)
+    return _node(a.data * b.data, (a, b), back)
 
 
 def linear(x, weights, bias=None) -> Tensor:
@@ -148,15 +156,13 @@ def linear(x, weights, bias=None) -> Tensor:
     x, weights = _as_tensor(x), _as_tensor(weights)
     if x.data.ndim != 2 or weights.data.ndim != 2 or x.data.shape[1] != weights.data.shape[1]:
         raise ShapeError(f"linear shapes x={x.data.shape} W={weights.data.shape}")
-    y = x.data @ weights.data.T
-    parents = [x, weights]
+    parents = (x, weights)
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.data.shape != (weights.data.shape[0],):
             raise ShapeError(f"bias shape {bias.data.shape} vs out dim {weights.data.shape[0]}")
-        y = y + bias.data
-        parents.append(bias)
-    out_req = any(p.requires_grad for p in parents)
+        parents += (bias,)
+    y = _linear(x.data, weights.data.T, None if bias is None else bias.data)
 
     def back(g):
         if x.requires_grad:  # e.g. the MLP's input features: no product to drop
@@ -168,12 +174,19 @@ def linear(x, weights, bias=None) -> Tensor:
         if bias is not None:
             _accumulate(bias, g.sum(axis=0))
 
-    return Tensor(y, out_req, tuple(parents), back if out_req else None)
+    return _node(y, parents, back)
+
+
+def _linear(x, w_t, b, out=None) -> np.ndarray:
+    """x @ ``w_t`` (the weights' transposed view) + ``b`` (or None) in ``out`` (new when None)."""
+    out = np.matmul(x, w_t, out=out)
+    if b is not None:
+        out += b
+    return out
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out_req = any(t.requires_grad for t in tensors)
+    tensors = tuple(_as_tensor(t) for t in tensors)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0, *sizes])
 
@@ -183,15 +196,12 @@ def concat(tensors, axis: int = 1) -> Tensor:
             sl[axis] = slice(lo, hi)
             _accumulate(t, g[tuple(sl)])
 
-    return Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        out_req,
-        tuple(tensors),
-        back if out_req else None,
-    )
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
 
 
 def row_slice(x, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop``. No model calls it; it is kept because the benchmark
+    tracer wraps it by name (ROADMAP items 6 and 11)."""
     x = _as_tensor(x)
 
     def back(g):
@@ -199,7 +209,7 @@ def row_slice(x, start: int, stop: int) -> Tensor:
         full[start:stop] = g
         _accumulate(x, full)
 
-    return Tensor(x.data[start:stop], x.requires_grad, (x,), back if x.requires_grad else None)
+    return _node(x.data[start:stop], (x,), back)
 
 
 def reshape(x, shape) -> Tensor:
@@ -208,7 +218,7 @@ def reshape(x, shape) -> Tensor:
     def back(g):
         _accumulate(x, g.reshape(x.data.shape))
 
-    return Tensor(x.data.reshape(shape), x.requires_grad, (x,), back if x.requires_grad else None)
+    return _node(x.data.reshape(shape), (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +229,20 @@ def reshape(x, shape) -> Tensor:
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     with np.errstate(over="ignore"):  # exp(-x) = inf for x < -709 gives y = 0, as it should
-        y = 1.0 / (1.0 + np.exp(-x.data))
+        y = _sigmoid(x.data)
 
     def back(g):
         _accumulate(x, g * y * (1.0 - y))
 
-    return Tensor(y, x.requires_grad, (x,), back if x.requires_grad else None)
+    return _node(y, (x,), back)
+
+
+def _sigmoid(a, out=None) -> np.ndarray:
+    """1 / (1 + exp(-a)) in ``out`` (new when None); the caller ignores exp overflow."""
+    out = np.negative(a, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def tanh(x) -> Tensor:
@@ -234,7 +252,7 @@ def tanh(x) -> Tensor:
     def back(g):
         _accumulate(x, g * (1.0 - y * y))
 
-    return Tensor(y, x.requires_grad, (x,), back if x.requires_grad else None)
+    return _node(y, (x,), back)
 
 
 def relu(x) -> Tensor:
@@ -244,7 +262,7 @@ def relu(x) -> Tensor:
     def back(g):
         _accumulate(x, g * mask)
 
-    return Tensor(x.data * mask, x.requires_grad, (x,), back if x.requires_grad else None)
+    return _node(x.data * mask, (x,), back)
 
 
 def softmax(x) -> Tensor:
@@ -252,7 +270,7 @@ def softmax(x) -> Tensor:
 
     No model calls it: the captioner trains through ``softmax_cross_entropy``
     and decodes from logits. It is kept because the benchmark tracer wraps it
-    by name (ROADMAP item 4).
+    by name (ROADMAP items 6 and 11).
     """
     x = _as_tensor(x)
     if x.data.ndim != 2:
@@ -265,7 +283,7 @@ def softmax(x) -> Tensor:
         inner = (g * y).sum(axis=1, keepdims=True)
         _accumulate(x, y * (g - inner))
 
-    return Tensor(y, x.requires_grad, (x,), back if x.requires_grad else None)
+    return _node(y, (x,), back)
 
 
 def dropout(x, rate: float, mode: str, rng: np.random.RandomState | None = None) -> Tensor:
@@ -288,7 +306,7 @@ def dropout(x, rate: float, mode: str, rng: np.random.RandomState | None = None)
     def back(g):
         _accumulate(x, g * keep)
 
-    return Tensor(x.data * keep, x.requires_grad, (x,), back if x.requires_grad else None)
+    return _node(x.data * keep, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +335,7 @@ def embedding_lookup(table, indices) -> Tensor:
         if isinstance(table, Parameter) and table.grad_rows is not None:
             table.grad_rows.append(idx)
 
-    return Tensor(table.data[idx], table.requires_grad, (table,), back if table.requires_grad else None)
+    return _node(table.data[idx], (table,), back)
 
 
 def cross_entropy(probs, targets) -> Tensor:
@@ -325,7 +343,7 @@ def cross_entropy(probs, targets) -> Tensor:
 
     ``probs`` rows must already be a distribution (softmax output). No model
     calls it (see ``softmax_cross_entropy``); it is kept because the benchmark
-    tracer wraps it by name (ROADMAP item 4).
+    tracer wraps it by name (ROADMAP items 6 and 11).
     """
     probs = _as_tensor(probs)
     t = np.asarray(targets)
@@ -340,7 +358,7 @@ def cross_entropy(probs, targets) -> Tensor:
         dp[np.arange(batch), t] = np.where(live, -1.0 / np.maximum(picked, LOG_EPS), 0.0)
         _accumulate(probs, dp * (float(g) / batch))
 
-    return Tensor(loss, probs.requires_grad, (probs,), back if probs.requires_grad else None)
+    return _node(loss, (probs,), back)
 
 
 def _check_targets(scores: np.ndarray, t: np.ndarray, op: str) -> None:
@@ -378,7 +396,7 @@ def softmax_cross_entropy(logits, targets) -> Tensor:
         grad *= float(g) / batch
         _accumulate(logits, grad)
 
-    return Tensor(loss, logits.requires_grad, (logits,), back if logits.requires_grad else None)
+    return _node(loss, (logits,), back)
 
 
 def sigmoid_binary_cross_entropy(logits, targets) -> Tensor:
@@ -402,7 +420,7 @@ def sigmoid_binary_cross_entropy(logits, targets) -> Tensor:
         p = np.where(z >= 0, 1.0, e) / (1.0 + e)  # sigmoid(z) from exp(-|z|), overflow-free
         _accumulate(logits, (p - y) * (float(g) / y.size))
 
-    return Tensor(loss, logits.requires_grad, (logits,), back if logits.requires_grad else None)
+    return _node(loss, (logits,), back)
 
 
 def batch_norm_train(x, gamma, beta, counts=None):
@@ -443,7 +461,6 @@ def batch_norm_train(x, gamma, beta, counts=None):
     xhat = (xs - mean) * inv_std
     width = x.data.dtype
     y = (gamma.data * xhat + beta.data).astype(width)
-    out_req = x.requires_grad or gamma.requires_grad or beta.requires_grad
 
     def back(g):
         g = g.astype(np.float64)
@@ -456,8 +473,7 @@ def batch_norm_train(x, gamma, beta, counts=None):
                 spread *= w[:, None]
             _accumulate(x, ((inv_std / n) * (n * gxh - spread)).astype(width))
 
-    out = Tensor(y, out_req, (x, gamma, beta), back if out_req else None)
-    return out, mean, var
+    return _node(y, (x, gamma, beta), back), mean, var
 
 
 def batch_norm_infer(x, gamma, beta, mean, inv_std) -> Tensor:
@@ -466,7 +482,6 @@ def batch_norm_infer(x, gamma, beta, mean, inv_std) -> Tensor:
     given at ``x``'s width (``BatchNorm.infer_statistics``)."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     y = _batch_norm_infer(x.data, gamma.data, beta.data, mean, inv_std)
-    out_req = x.requires_grad or gamma.requires_grad or beta.requires_grad
 
     def back(g):
         xhat = (x.data - mean) * inv_std
@@ -474,12 +489,11 @@ def batch_norm_infer(x, gamma, beta, mean, inv_std) -> Tensor:
         _accumulate(beta, g.sum(axis=0))
         _accumulate(x, g * gamma.data * inv_std)
 
-    return Tensor(y, out_req, (x, gamma, beta), back if out_req else None)
+    return _node(y, (x, gamma, beta), back)
 
 
 def _batch_norm_infer(x, gamma, beta, mean, inv_std, out=None) -> np.ndarray:
-    """``batch_norm_infer``'s forward, in place in ``out`` (new when None) and
-    returned; greedy decoding's token steps call it too, so they round alike."""
+    """``batch_norm_infer``'s forward, in place in ``out`` (new when None) and returned."""
     out = np.subtract(x, mean, out=out)
     out *= gamma
     out *= inv_std

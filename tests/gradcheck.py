@@ -9,24 +9,22 @@ from aucap.nn.tensor import Parameter, Tensor
 
 def add(a, b) -> Tensor:
     a, b = T._as_tensor(a), T._as_tensor(b)
-    out_req = a.requires_grad or b.requires_grad
 
     def back(g):
         T._accumulate(a, T._unbroadcast(g, a.data.shape))
         T._accumulate(b, T._unbroadcast(g, b.data.shape))
 
-    return Tensor(a.data + b.data, out_req, (a, b), back if out_req else None)
+    return T._node(a.data + b.data, (a, b), back)
 
 
 def sub(a, b) -> Tensor:
     a, b = T._as_tensor(a), T._as_tensor(b)
-    out_req = a.requires_grad or b.requires_grad
 
     def back(g):
         T._accumulate(a, T._unbroadcast(g, a.data.shape))
         T._accumulate(b, T._unbroadcast(-g, b.data.shape))
 
-    return Tensor(a.data - b.data, out_req, (a, b), back if out_req else None)
+    return T._node(a.data - b.data, (a, b), back)
 
 
 def mean_all(x) -> Tensor:
@@ -36,7 +34,7 @@ def mean_all(x) -> Tensor:
     def back(g):
         T._accumulate(x, np.full_like(x.data, float(g) / n))
 
-    return Tensor(x.data.mean(), x.requires_grad, (x,), back if x.requires_grad else None)
+    return T._node(x.data.mean(), (x,), back)
 
 
 def cast(params: list[Parameter], dtype) -> list[Parameter]:

@@ -555,6 +555,12 @@ class TestTraining:
                                      micro_config(epochs=3), val_pairs=pairs[2:])
         assert len(history["val_loss"]) == 3
 
+    def test_validation_pairs_may_come_from_a_generator(self):
+        pairs, feats, vocab = self._tiny_dataset()
+        runs = [train_captioner(pairs[:2], feats, None, vocab, micro_config(epochs=2),
+                                val_pairs=val)[1] for val in (pairs[2:], (p for p in pairs[2:]))]
+        assert runs[0] == runs[1]
+
     def test_empty_dataset(self):
         with pytest.raises(ShapeError):
             train_captioner([], {}, None, build_vocabulary([[SOS, "a2b", EOS]]),

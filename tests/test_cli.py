@@ -180,6 +180,21 @@ def logmel_fixture(panns_fixture):
     return root, corpus
 
 
+class TestTrainMlp:
+    def test_clips_of_different_feature_shapes_exit_1_and_write_nothing(self, panns_fixture,
+                                                                         caplog):
+        root, _ = panns_fixture
+        (root / "cache" / "vggish").mkdir()
+        for i, clip in enumerate(CAPTIONS):  # one row per second: c3 lasts a second longer
+            embfile.write_matrix(root / "cache" / "vggish" / f"{clip}.emb",
+                                 np.ones((3 + (i == 3), VARIANT_DIMS["vggish"])))
+        out = root / "mlp"
+        assert cli.main(train_mlp_args(root, out, variant="vggish")) == 1
+        assert "ShapeError: clip 'c3' has features of shape (4, 128), the first clip (3, 128)" \
+            in caplog.text
+        assert not (out / "sve_mlp.ckpt").exists()
+
+
 class TestPredictSveFromMlp:
     def test_logmel_mlp_feeds_predict(self, logmel_fixture):
         root, _ = logmel_fixture

@@ -148,6 +148,30 @@ class TestContainer:
         assert np.array_equal(read, values)
 
 
+HEADER_CASES = {  # header line -> what the refusal names
+    "non-ascii": (b"AUCAP-EMB v1 dim=1 rows=1 \xff", "header is not ASCII"),
+    "bad-magic": (b"AUCAP-EMB v2 dim=1 rows=1", "bad magic in header"),
+    "bad-token": (b"AUCAP-EMB v1 dim=1 rows", "bad header token 'rows'"),
+    "unknown-field": (b"AUCAP-EMB v1 dim=1 rows=1 kind=x", "unknown or repeated header field 'kind'"),
+    "repeated-field": (b"AUCAP-EMB v1 dim=1 dim=1 rows=1", "unknown or repeated header field 'dim'"),
+    "missing-field": (b"AUCAP-EMB v1 dim=1", "header missing rows="),
+    "missing-fields": (b"AUCAP-EMB v1 dtype=f4", "header missing dim= and rows="),
+    "non-integer-dim": (b"AUCAP-EMB v1 dim=one rows=1", "'dim=one' is not a non-negative integer"),
+    "negative-rows": (b"AUCAP-EMB v1 dim=1 rows=-1", "'rows=-1' is not a non-negative integer"),
+    "signed-dim": (b"AUCAP-EMB v1 dim=+1 rows=1", "'dim=+1' is not a non-negative integer"),
+    "underscored-dim": (b"AUCAP-EMB v1 dim=1_0 rows=1", "'dim=1_0' is not a non-negative integer"),
+    "zero-dim": (b"AUCAP-EMB v1 dim=0 rows=1", "invalid dim=0 rows=1"),
+    "unsupported-dtype": (b"AUCAP-EMB v1 dim=1 rows=1 dtype=f2", "unsupported dtype 'f2'"),
+}
+
+
+@pytest.mark.parametrize("case", HEADER_CASES)
+def test_bad_header_is_an_embedding_format_error(case):
+    header, message = HEADER_CASES[case]
+    with pytest.raises(EmbeddingFormatError, match=re.escape(message)):
+        embfile.unpack_matrix(header + b"\n" + b"\x00" * 40, allow_f8=True)
+
+
 def record(values, dtype="f4") -> bytes:
     """The bytes of one container record of ``values``."""
     header, payload = embfile.pack_matrix(values, dtype=dtype)
@@ -254,6 +278,57 @@ class TestCheckpointFile:
         path = tmp_path / "bad.ckpt"
         checkpoint.save_tensors(path, {"ok": np.ones(2), "bad": values}, {})
         with pytest.raises(CheckpointError, match="payload for 'bad': non-finite"):
+            checkpoint.load_tensors(path)
+
+    @pytest.mark.parametrize("case", [
+        "missing-header-line", "bad-magic", "non-ascii-header", "negative-count",
+        "non-integer-count", "unknown-field", "repeated-field", "missing-field",
+        "truncated-metadata", "invalid-json", "too-deep-json", "metadata-not-an-object",
+        "truncated-manifest",
+        "bad-manifest-line", "unnamed-tensor", "bad-shape-field", "negative-dims",
+        "duplicate-tensor", "size-mismatch", "trailing-bytes"])
+    def test_corrupt_file_is_a_checkpoint_error(self, tmp_path, case):
+        w = record(np.ones(2))  # the payload of tensor "w", shape (2,)
+        blob, message = {
+            "missing-header-line": (b"AUCAP-CKPT v1 tensors=0 meta=2", "missing header line"),
+            "bad-magic": (b"AUCAP-CKPT v2 tensors=1 meta=2\n{}\nw 2\n" + w, "bad magic"),
+            "non-ascii-header": (b"AUCAP-CKPT v1 tensors=1 meta=2\xff\n{}\nw 2\n" + w,
+                                 "header is not ASCII"),
+            "negative-count": (b"AUCAP-CKPT v1 tensors=-1 meta=2\n{}\n",
+                               "'tensors=-1' is not a non-negative integer"),
+            "non-integer-count": (b"AUCAP-CKPT v1 tensors=1 meta=two\n{}\nw 2\n" + w,
+                                  "'meta=two' is not a non-negative integer"),
+            "unknown-field": (b"AUCAP-CKPT v1 tensors=1 meta=2 x=1\n{}\nw 2\n" + w,
+                              "unknown or repeated header field 'x'"),
+            "repeated-field": (b"AUCAP-CKPT v1 tensors=1 tensors=1 meta=2\n{}\nw 2\n" + w,
+                               "unknown or repeated header field 'tensors'"),
+            "missing-field": (b"AUCAP-CKPT v1 tensors=0\n", "header missing meta="),
+            "truncated-metadata": (b"AUCAP-CKPT v1 tensors=0 meta=9\n{}\n",
+                                   "truncated metadata block"),
+            "invalid-json": (b"AUCAP-CKPT v1 tensors=0 meta=2\n{x\n", "metadata is not valid JSON"),
+            "too-deep-json": (b"AUCAP-CKPT v1 tensors=0 meta=200000\n" + b"[" * 100000
+                              + b"]" * 100000 + b"\n", "metadata is not valid JSON"),
+            "metadata-not-an-object": (b"AUCAP-CKPT v1 tensors=0 meta=2\n[]\n",
+                                       "metadata is not a JSON object"),
+            "truncated-manifest": (b"AUCAP-CKPT v1 tensors=1 meta=2\n{}\nw 2", "truncated manifest"),
+            "bad-manifest-line": (b"AUCAP-CKPT v1 tensors=1 meta=2\n{}\nw\n" + w,
+                                  "bad manifest line 'w'"),
+            "unnamed-tensor": (b"AUCAP-CKPT v1 tensors=1 meta=2\n{}\n 2\n" + w,
+                               "bad manifest line ' 2'"),
+            "bad-shape-field": (b"AUCAP-CKPT v1 tensors=1 meta=2\n{}\nw 2xq\n" + w,
+                                "bad shape field '2xq'"),
+            "negative-dims": (b"AUCAP-CKPT v1 tensors=1 meta=2\n{}\nw -1x-2\n" + w,
+                              "bad shape field '-1x-2'"),
+            "duplicate-tensor": (b"AUCAP-CKPT v1 tensors=2 meta=2\n{}\nw 2\nw 2\n" + w + w,
+                                 "duplicate tensor 'w'"),
+            "size-mismatch": (b"AUCAP-CKPT v1 tensors=1 meta=2\n{}\nw 3\n" + w,
+                              "tensor 'w' holds 2 values for shape (3,)"),
+            "trailing-bytes": (b"AUCAP-CKPT v1 tensors=1 meta=2\n{}\nw 2\n" + w + b"xy",
+                               "2 trailing bytes"),
+        }[case]
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             checkpoint.load_tensors(path)
 
     def test_directory_is_a_checkpoint_error(self, tmp_path):

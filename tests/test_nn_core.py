@@ -29,8 +29,7 @@ from aucap.nn.tensor import Parameter, Tensor
 def sum_all(x):
     """Sum of all entries as a scalar node; the gradient is g everywhere."""
     x = T._as_tensor(x)
-    return Tensor(x.data.sum(), x.requires_grad, (x,),
-                  lambda g: T._accumulate(x, np.full_like(x.data, float(g))))
+    return T._node(x.data.sum(), (x,), lambda g: T._accumulate(x, np.full_like(x.data, float(g))))
 
 
 def zero_cell(input_dim, hidden):
@@ -839,3 +838,14 @@ class TestWidths:
     def test_other_inputs_become_float64(self):
         for data in (np.arange(3), [1, 2], 2.5, np.ones(2, np.float16), np.array([True])):
             assert Tensor(data).data.dtype == np.float64
+
+
+class TestNodes:
+    @pytest.mark.parametrize("name", WIDTH_CASES)
+    def test_output_is_a_node_only_when_an_input_needs_a_gradient(self, name):
+        op, shapes = WIDTH_CASES[name]
+        rng = np.random.RandomState(7)
+        for needs in (False, True):
+            out = op(*[Tensor(rng.standard_normal(s), requires_grad=needs) for s in shapes])
+            assert out.requires_grad == needs
+            assert bool(out._parents) == needs and (out._backward_fn is not None) == needs

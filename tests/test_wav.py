@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from aucap.audio.wav import WaveBuffer, load_wav, resample, zero_pad_or_truncate
+from aucap.audio.wav import WaveBuffer, decode_wav, load_wav, resample, zero_pad_or_truncate
 from aucap.errors import WavEncodingError, WavHeaderError, WavMissingFileError
 
 from conftest import make_wav_bytes
@@ -80,6 +82,46 @@ class TestLoadWav:
         again = load_wav(tmp_path / "out.wav")
         assert again.sample_rate == 8000
         assert np.allclose(again.samples, buf.samples, atol=1 / 32767)
+
+
+def patched(blob: bytes, **fields) -> bytes:
+    """``blob``, a ``make_wav_bytes`` file, with fmt fields (``fmt``, ``channels``,
+    ``rate``, ``bits``) overwritten in place."""
+    out = bytearray(blob)
+    for name, value in fields.items():
+        offset, code = {"fmt": (20, "<H"), "channels": (22, "<H"), "rate": (24, "<I"),
+                        "bits": (34, "<H")}[name]
+        struct.pack_into(code, out, offset, value)
+    return bytes(out)
+
+
+WAV_CASES = {  # bytes -> (error type, what the refusal names)
+    "fmt-too-short": (b"RIFF\x00\x00\x00\x00WAVEfmt \x0e\x00\x00\x00" + b"\x00" * 14,
+                      WavHeaderError, "fmt chunk too short"),
+    "no-fmt-chunk": (b"RIFF\x00\x00\x00\x00WAVEdata\x02\x00\x00\x00\x00\x00",
+                     WavHeaderError, "missing fmt chunk"),
+    "no-data-chunk": (make_wav_bytes([0, 1])[:36], WavHeaderError, "missing data chunk"),
+    "3-channels": (patched(make_wav_bytes([0, 1, 2]), channels=3), WavEncodingError,
+                   "3 channels"),
+    "sample-rate-0": (patched(make_wav_bytes([0, 1]), rate=0), WavHeaderError,
+                      "nonsensical sample rate 0"),
+    "12-bit": (patched(make_wav_bytes([0, 1]), bits=12), WavHeaderError, "bad bit depth 12"),
+    "0-bit": (patched(make_wav_bytes([0, 1]), bits=0), WavHeaderError, "bad bit depth 0"),
+    "no-complete-frame": (make_wav_bytes([]), WavHeaderError, "no complete frame"),
+    "64-bit-float": (patched(make_wav_bytes([0.0, 0.5], fmt=3, bits=32), bits=64),
+                     WavEncodingError, "float WAV must be 32-bit, got 64"),
+    "32-bit-pcm": (patched(make_wav_bytes([0, 1]), bits=32), WavEncodingError,
+                   "unsupported PCM bit depth 32"),
+    "nan-float": (make_wav_bytes([0.0, float("nan")], fmt=3, bits=32), WavHeaderError,
+                  "non-finite samples"),
+}
+
+
+@pytest.mark.parametrize("case", WAV_CASES)
+def test_bad_wav_is_a_typed_error(case):
+    blob, error, message = WAV_CASES[case]
+    with pytest.raises(error, match=message):
+        decode_wav(blob, "x.wav")
 
 
 class TestResample:
