@@ -14,14 +14,20 @@ One output rule: a command derives every path it writes from ``--out``
 (extract-features: ``<cache root>/<variant>``) and checks each before any
 work: no file may be a directory, and no directory a file or under one.
 ``--out`` is a directory, except evaluate's optional report file and a
-predict ``--out`` ending in ``.tsv``. Writes take a lock in their directory,
-so two runs cannot mutate the same cache or checkpoint concurrently.
+predict ``--out`` ending in ``.tsv``. A command takes a kernel lock
+(``flock``) on ``.aucap.lock`` in its output directory around its writes
+only (extract-features around the whole cache fill), so two runs cannot
+mutate the same cache or checkpoint concurrently. The kernel drops the lock
+when its holder ends, however it ends, so a killed run never leaves its
+directory locked; a finished run removes the file. A run that fails, the
+lock refused included, writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import logging
 import os
 import sys
@@ -50,46 +56,27 @@ SWITCH_VALUES = {"on": True, "true": True, "1": True, "yes": True,
 
 @contextlib.contextmanager
 def output_lock(directory: Path):
-    """Exclusive per-directory lock holding the owner's PID. A lock whose PID
-    no longer exists was left by a killed run and is replaced; any other held
-    lock, or one whose content is not a PID, is a configuration error."""
+    """Exclusive ``flock`` on ``<directory>/.aucap.lock``; release unlinks the file while held."""
     directory.mkdir(parents=True, exist_ok=True)
     lock = directory / LOCK_NAME
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    fd = None
-    with contextlib.suppress(FileExistsError):
-        fd = os.open(lock, flags)
-    if fd is None and _lock_is_stale(lock):
-        log.warning("replacing the stale lock %s of a run that no longer exists", lock)
-        lock.unlink(missing_ok=True)
-        with contextlib.suppress(FileExistsError):  # another run may take it first
-            fd = os.open(lock, flags)
-    if fd is None:
-        raise ConfigError(f"output directory {directory} is locked by another run ({lock})")
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+    with contextlib.ExitStack() as held:
+        while True:
+            try:
+                fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+            except OSError as exc:
+                raise ConfigError(f"cannot open the lock file {lock}: {exc.strerror}") from exc
+            held.callback(os.close, fd)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise ConfigError(f"output directory {directory} is locked by another run "
+                                  f"({lock})") from None
+            with contextlib.suppress(FileNotFoundError):
+                if os.path.samestat(os.fstat(fd), os.stat(lock)):
+                    break
+            held.close()  # its holder unlinked the file before we locked it: lock the new one
+        held.callback(lock.unlink, missing_ok=True)  # runs before the close: unlinked while held
         yield
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            lock.unlink()
-
-
-def _lock_is_stale(lock: Path) -> bool:
-    """True when the lock holds the PID of no process: its run was killed."""
-    try:
-        pid = int(lock.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False  # os.kill would address a process group, not one process
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except OSError:
-        pass  # e.g. a live process of another user
-    return False
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -281,17 +268,23 @@ def cmd_train_w2v(args) -> int:
     return 0
 
 
+def _check_mlp_width(records, features, width: int, reference: str):
+    """Each clip's flattened features must be ``width`` values, the MLP's one
+    input width (``reference`` names its source): a VGGish clip has one row per second."""
+    for r in records:
+        if features[r.clip_id].size != width:
+            raise ShapeError(f"clip {r.clip_id!r} has features of shape "
+                             f"{features[r.clip_id].shape}, {reference}")
+
+
 def cmd_train_mlp(args) -> int:
     (model_file,) = _outputs(args, "sve_mlp.ckpt")
     records = _load_records(args)
     lexicon, corpus = _load_corpus(args)
     features = _load_features(args, args.variant, records)
     targets = ds.sve_targets(records, corpus, lexicon)
-    shape = features[records[0].clip_id].shape
-    for r in records:  # one MLP input width: a VGGish clip has one row per second
-        if features[r.clip_id].shape != shape:
-            raise ShapeError(f"clip {r.clip_id!r} has features of shape "
-                             f"{features[r.clip_id].shape}, the first clip {shape}")
+    first = features[records[0].clip_id]
+    _check_mlp_width(records, features, first.size, f"the first clip {first.shape}")
     x = np.stack([features[r.clip_id].reshape(-1) for r in records])
     y = np.stack([targets[r.clip_id] for r in records])
     config = MLPConfig(input_dim=x.shape[1], output_dim=corpus.size, **_training_fields(args))
@@ -365,6 +358,8 @@ def _predict_sves(args, checkpoint, records, features) -> dict[str, np.ndarray]:
                               f"subject-verb corpus; retrain it with train-mlp on that --corpus")
         feats = (features if model.variant == checkpoint.config.variant
                  else _load_features(args, model.variant, records))
+        width = model.config.input_dim
+        _check_mlp_width(records, feats, width, f"the MLP {path} takes {width} values")
         return {r.clip_id: predict_sve(model, feats[r.clip_id].reshape(-1)) for r in records}
     lexicon, corpus = _load_corpus(args)
     if corpus.sha256() != checkpoint.corpus_sha256:

@@ -10,14 +10,19 @@ its normalized values and its backward in float64.
 
 Every op returns through ``_node``: a node holding its parents and a closure
 that routes the incoming gradient to them, or a plain tensor when no parent
-needs a gradient. ``backward`` walks the graph once in reverse topological
-order. The graph is a DAG by construction (parents exist before children),
-and traversal is iterative, so sequence models with thousands of chained
-steps do not hit recursion limits. The forwards of ``linear``, ``sigmoid`` and
+needs a gradient. ``backward`` collects, from the loss, each node's parents
+that need a gradient, orders that graph with ``graphlib.TopologicalSorter``
+and runs the nodes' closures in the reverse of its ``static_order()``, so a
+node's gradient is complete before it is routed on. The graph is a DAG by
+construction (parents exist before children), and neither the walk nor the
+sort recurses, so sequence models with thousands of chained steps do not hit
+recursion limits. The forwards of ``linear``, ``sigmoid`` and
 ``batch_norm_infer`` are in-place kernels that greedy decoding calls as well.
 """
 
 from __future__ import annotations
+
+import graphlib
 
 import numpy as np
 
@@ -101,37 +106,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    state: dict[int, int] = {}  # id -> 0 visiting, 1 done
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        nid = id(node)
-        st = state.get(nid)
-        if st is None:
-            state[nid] = 0
-            for parent in node._parents:
-                if parent.requires_grad and state.get(id(parent)) is None:
-                    stack.append(parent)
-        elif st == 0:
-            state[nid] = 1
-            order.append(node)
-            stack.pop()
-        else:
-            stack.pop()
-    return order
-
-
 def backward(loss: Tensor):
     """Propagate gradients from a scalar loss into every reachable Parameter."""
     if loss.data.size != 1:
         raise GraphStateError(f"backward needs a scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise GraphStateError("loss does not depend on any parameter")
-    order = _toposort(loss)
+    graph: dict[Tensor, list[Tensor]] = {}  # node -> its parents that need a gradient
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if node not in graph:
+            graph[node] = [p for p in node._parents if p.requires_grad]
+            stack += graph[node]
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    for node in reversed([*graphlib.TopologicalSorter(graph).static_order()]):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
 

@@ -63,6 +63,18 @@ def zero_grads(params: list[Parameter]) -> None:
         p.grad, p.grad_rows = None, None
 
 
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    """``root`` and every node it reaches through parents that need a gradient,
+    each once, ``root`` first: the graph ``T.backward`` runs."""
+    nodes, seen = [root], {id(root)}
+    for node in nodes:
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                nodes.append(parent)
+    return nodes
+
+
 def max_relative_error(loss_fn, params: list[Parameter], delta: float = 1e-5,
                        max_coords: int = 24, rng: np.random.RandomState | None = None,
                        tiny: float = 1e-6) -> float:

@@ -22,7 +22,7 @@ from aucap.nn.layers import BN_MOMENTUM, BiGRU, GRUCellParams, GRUStep
 from aucap.nn.optim import AdamState, adam_step
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
 from conftest import no_random_draws
-from gradcheck import at_float64, cast, zero_grads
+from gradcheck import at_float64, cast, graph_nodes, zero_grads
 from memory import peak_bytes
 
 
@@ -733,7 +733,7 @@ class TestTraining:
             prefix = rng.randint(1, 12, size=(4, words))
             logits = model.forward(rng.standard_normal((4, frames, 8)), prefix,
                                    last_columns(prefix), mode="train", rng=rng)
-            return len(T._toposort(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4))))
+            return len(graph_nodes(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4))))
 
         assert nodes(2, 1) == nodes(9, 1) == nodes(2, 7) == nodes(30, 12)
 
@@ -783,9 +783,9 @@ class TestTraining:
         loss = T.softmax_cross_entropy(
             model.forward(audio, prefix, mode="train", rng=rng, positions=positions), targets)
         T.backward(loss)
-        nodes = T._toposort(loss)
-        assert loss.data.dtype == np.float64 and nodes[-1] is loss
-        assert {n.data.dtype for n in nodes[:-1]} == {np.dtype(np.float32)}
+        nodes = graph_nodes(loss)
+        assert loss.data.dtype == np.float64 and nodes[0] is loss
+        assert {n.data.dtype for n in nodes[1:]} == {np.dtype(np.float32)}
         assert {n.grad.dtype for n in nodes if n.grad is not None and n is not loss} == {
             np.dtype(np.float32)}
         adam_step(params, state)

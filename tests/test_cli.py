@@ -1,9 +1,11 @@
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +198,21 @@ class TestTrainMlp:
 
 
 class TestPredictSveFromMlp:
+    def test_clip_of_another_width_than_the_mlp_exits_1_naming_it(self, panns_fixture, caplog):
+        root, _ = panns_fixture
+        vggish = root / "cache" / "vggish"
+        vggish.mkdir()
+        for clip in CAPTIONS:
+            embfile.write_matrix(vggish / f"{clip}.emb", np.ones((3, VARIANT_DIMS["vggish"])))
+        assert cli.main(train_mlp_args(root, root / "mlp", variant="vggish")) == 0
+        assert cli.main(train_captioner_args(root, root / "captioner")) == 0
+        embfile.write_matrix(vggish / "c2.emb", np.ones((4, VARIANT_DIMS["vggish"])))
+        mlp, out = root / "mlp" / "sve_mlp.ckpt", root / "predictions.tsv"
+        assert cli.main(predict_args(root, root / "captioner" / "captioner.ckpt", mlp, out)) == 1
+        assert (f"ShapeError: clip 'c2' has features of shape (4, 128), the MLP {mlp} "
+                f"takes 384 values") in caplog.text
+        assert not out.exists()
+
     def test_logmel_mlp_feeds_predict(self, logmel_fixture):
         root, _ = logmel_fixture
         assert cli.main(train_mlp_args(root, root / "mlp", variant="logmel")) == 0
@@ -480,26 +497,86 @@ class TestTrainW2v:
         assert not (out / "word_embeddings.emb").exists()
 
 
+HOLD_LOCK = """import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from aucap import cli
+with cli.output_lock(Path(sys.argv[2])):
+    print("locked", flush=True)
+    sys.stdin.read()
+"""
+
+
+def train_w2v_args(csv, out):
+    return ["train-w2v", "--csv", str(csv), "--dim", "6", "--epochs", "1", "--out", str(out)]
+
+
 class TestOutputLock:
-    def test_lock_of_dead_pid_is_replaced(self, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped: its PID names no process now
+    def test_held_lock_refuses_a_command_until_its_holder_is_killed(self, tmp_path,
+                                                                    caption_csv):
+        out = tmp_path / "w2v"
+        argv = train_w2v_args(caption_csv, out)
+        assert cli.main(argv) == 0
+        src = Path(cli.__file__).resolve().parents[1]
+        with subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(src), str(out)],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as child:
+            try:
+                assert child.stdout.readline() == "locked\n"
+                before = tree(out)
+                assert cli.main(argv) == 2
+                assert tree(out) == before
+            finally:
+                child.kill()
+                child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        assert (out / cli.LOCK_NAME).exists()  # the killed holder's leftover file
+        assert cli.main(argv) == 0
+        assert not (out / cli.LOCK_NAME).exists()
+
+    @pytest.mark.parametrize("content", ["1\n", ""], ids=["pid-1", "empty"])
+    def test_leftover_lock_file_does_not_block(self, tmp_path, caption_csv, content):
+        out = tmp_path / "w2v"
+        out.mkdir()
+        (out / cli.LOCK_NAME).write_text(content, encoding="utf-8")
+        assert cli.main(train_w2v_args(caption_csv, out)) == 0
+        assert (out / "word_embeddings.emb").exists()
+        assert not (out / cli.LOCK_NAME).exists()
+
+    def test_lock_path_that_is_a_directory_exits_2(self, tmp_path, caption_csv, caplog):
+        out = tmp_path / "w2v"
+        (out / cli.LOCK_NAME).mkdir(parents=True)
+        before = tree(out)
+        assert cli.main(train_w2v_args(caption_csv, out)) == 2
+        assert f"cannot open the lock file {out / cli.LOCK_NAME}" in caplog.text
+        assert tree(out) == before
+
+    def test_second_lock_is_refused_while_the_first_is_held(self, tmp_path):
         lock = tmp_path / cli.LOCK_NAME
-        lock.write_text(f"{child.pid}\n", encoding="utf-8")
         with cli.output_lock(tmp_path):
-            assert lock.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+            with pytest.raises(ConfigError, match="is locked by another run"):
+                with cli.output_lock(tmp_path):
+                    pass
+            assert lock.read_bytes() == b""  # nothing is written into the file
         assert not lock.exists()
 
-    @pytest.mark.parametrize("content", ["live", "not a pid\n", "", "0\n", "-1\n"])
-    def test_live_or_unparsable_lock_is_kept(self, tmp_path, content):
+    def test_lock_on_a_file_unlinked_meanwhile_is_retried(self, tmp_path, monkeypatch):
+        """A holder that releases between our open and our flock unlinks the
+        file we then lock; we retry on the file the path names now."""
         lock = tmp_path / cli.LOCK_NAME
-        if content == "live":
-            content = f"{os.getpid()}\n"
-        lock.write_text(content, encoding="utf-8")
-        with pytest.raises(ConfigError, match="locked by another run"):
-            with cli.output_lock(tmp_path):
-                pass
-        assert lock.read_text(encoding="utf-8") == content
+        locked = []
+        flock = cli.fcntl.flock
+
+        def release_first(fd, op):
+            if not locked:
+                lock.unlink()
+            locked.append(os.fstat(fd))
+            flock(fd, op)
+
+        monkeypatch.setattr(cli.fcntl, "flock", release_first)
+        with cli.output_lock(tmp_path):
+            assert len(locked) == 2
+            assert os.path.samestat(locked[1], os.stat(lock))
+        assert not lock.exists()
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +648,7 @@ class TestConfigFile:
     def test_base_run(self, pipeline, command):
         root, commands = pipeline
         assert cli.main(commands[command]) == 0
+        assert not list(root.rglob(cli.LOCK_NAME))
 
     @pytest.mark.parametrize("command, key", config_flags("choices"))
     def test_out_of_range_choice_exits_2_and_writes_nothing(self, pipeline, tmp_path, command,
