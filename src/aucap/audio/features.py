@@ -8,6 +8,13 @@ resample to ``SAMPLE_RATE`` -> zero-pad or cut to ``FeatureConfig.pad_seconds``
 a module constant written once, and the band count is the logmel width of
 ``VARIANT_DIMS``. Only the clip length varies, so the Hamming window and the
 filterbank are built once and shared read-only across clips.
+
+Only the frames that touch the clip's own samples are windowed and
+transformed: frame t does when t*HOP is below the clip's length. Every later
+frame lies wholly in the zero padding, so its power row is exactly zero and
+is left as such. The mel product still runs over all T rows: a BLAS product
+of fewer rows need not give the same bits per row, and the features must not
+depend on how many frames were transformed.
 """
 
 from __future__ import annotations
@@ -128,6 +135,20 @@ def apply_log_mel(power: np.ndarray) -> np.ndarray:
 
 
 def extract_log_mel(buf: WaveBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Full pipeline from raw audio to (T, N_MELS) log-Mel features."""
-    buf = zero_pad_or_truncate(resample(buf, SAMPLE_RATE), config.pad_seconds)
-    return apply_log_mel(power_spectrum(frame_signal(buf)))
+    """Full pipeline from raw audio to (T, N_MELS) log-Mel features.
+
+    Only the first k = min(T, ceil(held / HOP)) frames, those that start
+    within the ``held`` resampled samples, are framed and transformed; the
+    power rows of the rest stay zero, which is what their transform gives.
+    ``apply_log_mel`` then takes all T rows, so every value is, bit for bit,
+    what transforming all T frames gives.
+    """
+    buf = resample(buf, SAMPLE_RATE)
+    held = buf.samples.size
+    buf = zero_pad_or_truncate(buf, config.pad_seconds)
+    n_frames = (buf.samples.size - WINDOW) // HOP + 1
+    k = min(n_frames, -(-held // HOP))
+    power = np.zeros((n_frames, N_FFT // 2 + 1))
+    clip = WaveBuffer(samples=buf.samples[:(k - 1) * HOP + WINDOW], sample_rate=SAMPLE_RATE)
+    power[:k] = power_spectrum(frame_signal(clip))
+    return apply_log_mel(power)

@@ -32,7 +32,8 @@ class WaveBuffer:
             raise WavHeaderError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.samples.size == 0:
             raise WavHeaderError("empty sample buffer")
-        if not np.all(np.isfinite(self.samples)):
+        # min and max keep NaN and inf, with no bool temporary of the whole buffer
+        if not np.isfinite([self.samples.min(), self.samples.max()]).all():
             raise WavHeaderError("non-finite samples")
 
 

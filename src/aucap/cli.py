@@ -12,15 +12,15 @@ Every run logs its fully resolved configuration.
 
 One output rule: a command derives every path it writes from ``--out``
 (extract-features: ``<cache root>/<variant>``) and checks each before any
-work: no file may be a directory, and no directory a file or under one.
-``--out`` is a directory, except evaluate's optional report file and a
-predict ``--out`` ending in ``.tsv``. A command takes a kernel lock
-(``flock``) on ``.aucap.lock`` in its output directory around its writes
-only (extract-features around the whole cache fill), so two runs cannot
-mutate the same cache or checkpoint concurrently. The kernel drops the lock
-when its holder ends, however it ends, so a killed run never leaves its
-directory locked; a finished run removes the file. A run that fails, the
-lock refused included, writes nothing.
+work: no file may be a directory (``.aucap.lock`` included), and no
+directory a file or under one. ``--out`` is a directory, except evaluate's
+optional report file and a predict ``--out`` ending in ``.tsv``. A command
+takes a kernel lock (``flock``) on ``.aucap.lock`` in its output directory
+around its writes only (extract-features around the whole cache fill), so
+two runs cannot mutate the same cache or checkpoint concurrently. The kernel
+drops the lock when its holder ends, however it ends, so a killed run never
+leaves its directory locked; a finished run removes the file. A run that
+fails, the lock refused included, writes nothing.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def _outputs(args, *names: str) -> list[Path]:
     if not nearest.is_dir():
         raise ConfigError(f"{what}: {nearest} exists and is not a directory")
     files = [directory / name for name in names]
-    for path in files:
+    for path in (*files, directory / LOCK_NAME):  # the lock file too, opened only at the writes
         if path.is_dir():
             raise ConfigError(f"{what}: {path} is a directory, not a file")
     return files or [directory]  # extract-features writes one file per clip in it

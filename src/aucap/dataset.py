@@ -205,9 +205,10 @@ def cache_features(records: list[ClipRecord], variant: str, cache_root: str | Pa
                    feature_config: FeatureConfig = FeatureConfig()) -> CacheResult:
     """Extract (logmel) or validate-and-copy (vggish/panns) features per clip.
 
-    Idempotent: a clip is recomputed only when its cache key (source hash,
-    variant and, for logmel, clip length) changed. Each source is read once; the same
-    bytes are hashed and, when the clip is computed, decoded.
+    Idempotent: a clip is recomputed only when its cache key changed: the
+    source's SHA-256, the variant and, for logmel, the whole recipe
+    (``FeatureConfig.recipe``). Each source is read once; the same bytes are
+    hashed and, when the clip is computed, decoded.
     Failures are collected per clip, never raised mid-run.
     """
     if variant not in VARIANT_DIMS:

@@ -542,13 +542,31 @@ class TestOutputLock:
         assert (out / "word_embeddings.emb").exists()
         assert not (out / cli.LOCK_NAME).exists()
 
-    def test_lock_path_that_is_a_directory_exits_2(self, tmp_path, caption_csv, caplog):
-        out = tmp_path / "w2v"
-        (out / cli.LOCK_NAME).mkdir(parents=True)
-        before = tree(out)
-        assert cli.main(train_w2v_args(caption_csv, out)) == 2
-        assert f"cannot open the lock file {out / cli.LOCK_NAME}" in caplog.text
-        assert tree(out) == before
+    @pytest.mark.parametrize("command", sorted(cli.subcommands(cli.build_parser())))
+    def test_lock_path_that_is_a_directory_exits_2(self, pipeline, tmp_path, command,
+                                                   monkeypatch, caplog):
+        """Refused with the other outputs, before any work; extract-features locks
+        ``<cache root>/<variant>``, evaluate and a ``.tsv`` predict the file's directory."""
+        root, commands = pipeline
+        argv, locked = list(commands[command]), tmp_path / "out"
+        if command == "extract-features":
+            argv[argv.index("--cache") + 1] = str(tmp_path / "cache")
+            locked = tmp_path / "cache" / "logmel"
+        else:
+            argv = with_out(argv, locked / "p.tsv" if command in ("predict", "evaluate")
+                            else locked)
+        (locked / cli.LOCK_NAME).mkdir(parents=True)
+        forbid_work(monkeypatch, command)
+        before = tree(root), tree(tmp_path)
+        assert cli.main(argv) == 2
+        assert f"{locked / cli.LOCK_NAME} is a directory, not a file" in caplog.text
+        assert (tree(root), tree(tmp_path)) == before
+
+    def test_lock_file_that_cannot_be_opened_is_a_config_error(self, tmp_path):
+        (tmp_path / cli.LOCK_NAME).mkdir()
+        with pytest.raises(ConfigError, match="cannot open the lock file"):
+            with cli.output_lock(tmp_path):
+                pass
 
     def test_second_lock_is_refused_while_the_first_is_held(self, tmp_path):
         lock = tmp_path / cli.LOCK_NAME

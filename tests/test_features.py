@@ -241,6 +241,25 @@ class TestExtractionMatchesReference:
             got = extract_log_mel(load_wav(path), self.config)
             assert np.array_equal(got, reference_log_mel(mono, rate, self.config))
 
+    heavy = FeatureConfig(pad_seconds=1.0)  # 19 frames
+
+    @pytest.mark.parametrize("n", [1, H - 1, H, H + 1, W - 1, W, W + 1, 3 * H])
+    def test_heavy_padding_bitwise_equal(self, n):
+        samples = np.random.RandomState(n).uniform(-1.0, 1.0, n)
+        got = extract_log_mel(WaveBuffer(samples, RATE), self.heavy)
+        assert np.array_equal(got, reference_log_mel(samples, RATE, self.heavy))
+
+    @pytest.mark.parametrize("samples, rate", [
+        (np.random.RandomState(0).uniform(-1.0, 1.0, 4410), 44100),  # 0.1 s at 44.1 kHz
+        (np.zeros(2 * H + 5), RATE),                                   # all zero
+        (np.r_[np.zeros(2 * H), 0.5], RATE),   # the last held sample starts frame 2
+        (np.r_[np.random.RandomState(1).uniform(-1.0, 1.0, 2 * H), -0.25], RATE),
+    ], ids=["0.1s-44.1kHz", "all-zero", "last-sample-alone-on-a-boundary",
+            "last-sample-on-a-boundary"])
+    def test_heavy_padding_edge_clips_bitwise_equal(self, samples, rate):
+        got = extract_log_mel(WaveBuffer(samples, rate), self.heavy)
+        assert np.array_equal(got, reference_log_mel(samples, rate, self.heavy))
+
     def test_filterbank_and_window_are_built_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(features, "mel_filterbank", lambda: calls.append(1) or mel_filterbank())
@@ -256,6 +275,32 @@ class TestExtractionMatchesReference:
         for array in (shared_filterbank(), hamming_window()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+
+class TestTransformedFrames:
+    """Only the frames that start within the clip's own samples reach power_spectrum."""
+
+    config = FeatureConfig(pad_seconds=1.0)
+    T = (RATE - W) // H + 1  # 19
+
+    @pytest.mark.parametrize("held, rows", [
+        (1, 1), (H, 1), (H + 1, 2), (1600, 3), (8000, 11),  # short: ceil(held / HOP)
+        ((T - 1) * H + 1, T), (15999, T),  # the last frame, and a tail past it
+        (RATE, T), (2 * RATE, T),          # at and above the pad
+    ])
+    def test_rows_transformed(self, monkeypatch, held, rows):
+        seen = []
+
+        def counting(frames):
+            seen.append(frames.shape[0])
+            return power_spectrum(frames)
+
+        monkeypatch.setattr(features, "power_spectrum", counting)
+        samples = np.random.RandomState(held).uniform(-1.0, 1.0, held)
+        got = extract_log_mel(WaveBuffer(samples, RATE), self.config)
+        assert seen == [rows] and rows == min(self.T, -(-held // H))
+        assert got.shape == (self.T, N_MELS)
+        assert np.all(got[rows:] == np.log(features.LOG_FLOOR))
 
 
 class TestFeatureConfig:

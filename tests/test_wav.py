@@ -124,6 +124,20 @@ def test_bad_wav_is_a_typed_error(case):
         decode_wav(blob, "x.wav")
 
 
+class TestWaveBuffer:
+    @pytest.mark.parametrize("at", [0, 37, 99], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_is_refused(self, value, at):
+        samples = np.random.RandomState(at).uniform(-1, 1, 100)
+        samples[at] = value
+        with pytest.raises(WavHeaderError, match="non-finite samples"):
+            WaveBuffer(samples, 16000)
+
+    def test_finite_extremes_are_kept(self):
+        samples = np.array([-1.0, 0.0, np.finfo(np.float64).max, np.finfo(np.float64).min])
+        assert WaveBuffer(samples, 16000).samples is samples
+
+
 class TestResample:
     def test_identity_rates(self):
         buf = WaveBuffer(np.random.RandomState(0).uniform(-1, 1, 100), 16000)
