@@ -9,12 +9,13 @@ a module constant written once, and the band count is the logmel width of
 ``VARIANT_DIMS``. Only the clip length varies, so the Hamming window and the
 filterbank are built once and shared read-only across clips.
 
-Only the frames that touch the clip's own samples are windowed and
-transformed: frame t does when t*HOP is below the clip's length. Every later
-frame lies wholly in the zero padding, so its power row is exactly zero and
-is left as such. The mel product still runs over all T rows: a BLAS product
-of fewer rows need not give the same bits per row, and the features must not
-depend on how many frames were transformed.
+The padded clip is never built. Of its T frames, only those that touch the
+clip's own samples (frame t when t*HOP is below their count) are framed, from
+those samples with zeros appended up to the last such frame's end. Every later
+frame lies wholly in the padding, so its power row is exactly zero and is left
+as such. The mel product still runs over all T rows: a BLAS product of fewer
+rows need not give the same bits per row, and the features must not depend on
+how many frames were transformed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from ..errors import ConfigError, ShapeError
 from .embeddings import VARIANT_DIMS
-from .wav import WaveBuffer, resample, zero_pad_or_truncate
+from .wav import WaveBuffer, resample
 
 SAMPLE_RATE = 16000
 WINDOW_MS = 96.0
@@ -50,10 +51,14 @@ class FeatureConfig:
 
     def __post_init__(self):
         """Reject a clip length that is not finite or holds no whole frame."""
-        pad = self.pad_seconds * SAMPLE_RATE
-        if not (math.isfinite(pad) and round(pad) >= WINDOW):
+        if not (math.isfinite(self.pad_seconds * SAMPLE_RATE) and self.frames >= 1):
             raise ConfigError(f"feature pad_seconds must be finite and hold one "
                               f"{WINDOW_MS} ms window, got {self.pad_seconds}")
+
+    @property
+    def frames(self) -> int:
+        """T: the whole windows, HOP apart, in round(pad_seconds * SAMPLE_RATE) samples."""
+        return (round(self.pad_seconds * SAMPLE_RATE) - WINDOW) // HOP + 1
 
     def recipe(self) -> str:
         """The whole recipe as ``name=value`` pairs, the text of a logmel cache sidecar.
@@ -135,20 +140,20 @@ def apply_log_mel(power: np.ndarray) -> np.ndarray:
 
 
 def extract_log_mel(buf: WaveBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Full pipeline from raw audio to (T, N_MELS) log-Mel features.
+    """Full pipeline from raw audio to (T, N_MELS) log-Mel features, T = ``config.frames``.
 
-    Only the first k = min(T, ceil(held / HOP)) frames, those that start
-    within the ``held`` resampled samples, are framed and transformed; the
-    power rows of the rest stay zero, which is what their transform gives.
-    ``apply_log_mel`` then takes all T rows, so every value is, bit for bit,
-    what transforming all T frames gives.
+    Of the n resampled samples, only the k = min(T, ceil(n / HOP)) frames that
+    start within them are framed, with zeros appended up to frame k-1's end,
+    and transformed; the other power rows stay zero, which is what their
+    transform gives. ``apply_log_mel`` takes all T rows, so every value is, bit
+    for bit, that of the clip zero-padded or cut to ``pad_seconds``.
     """
-    buf = resample(buf, SAMPLE_RATE)
-    held = buf.samples.size
-    buf = zero_pad_or_truncate(buf, config.pad_seconds)
-    n_frames = (buf.samples.size - WINDOW) // HOP + 1
-    k = min(n_frames, -(-held // HOP))
+    samples = resample(buf, SAMPLE_RATE).samples
+    n_frames = config.frames
+    k = min(n_frames, -(-samples.size // HOP))
+    end = (k - 1) * HOP + WINDOW
+    if samples.size < end:  # rebound, so a resampled copy is freed before framing
+        samples = np.concatenate([samples, np.zeros(end - samples.size)])
     power = np.zeros((n_frames, N_FFT // 2 + 1))
-    clip = WaveBuffer(samples=buf.samples[:(k - 1) * HOP + WINDOW], sample_rate=SAMPLE_RATE)
-    power[:k] = power_spectrum(frame_signal(clip))
+    power[:k] = power_spectrum(frame_signal(WaveBuffer(samples[:end], SAMPLE_RATE)))
     return apply_log_mel(power)

@@ -127,13 +127,14 @@ def decode_wav(blob: bytes, path: str | Path) -> WaveBuffer:
 def resample(buf: WaveBuffer, target_rate: int) -> WaveBuffer:
     """Linear-interpolation resampling to ``target_rate`` Hz.
 
-    Output length is round(len * target/source); equal rates return a copy
-    with bit-identical samples. No anti-alias filtering (desk-scale tool).
+    Output length is round(len * target/source); equal rates return ``buf``
+    itself, which is frozen and whose samples nothing downstream writes. No
+    anti-alias filtering (desk-scale tool).
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if target_rate == buf.sample_rate:
-        return WaveBuffer(samples=buf.samples.copy(), sample_rate=buf.sample_rate)
+        return buf
     f = buf.samples
     last = f.size - 1
     n_out = max(int(round(f.size * target_rate / buf.sample_rate)), 1)
@@ -148,19 +149,3 @@ def resample(buf: WaveBuffer, target_rate: int) -> WaveBuffer:
     exact = (x == j) | (j == last)
     out[exact] = at[exact]
     return WaveBuffer(samples=out, sample_rate=target_rate)
-
-
-def zero_pad_or_truncate(buf: WaveBuffer, target_seconds: float) -> WaveBuffer:
-    """Force the buffer to exactly ``target_seconds`` by zero-padding or truncating."""
-    if target_seconds <= 0:
-        raise ValueError(f"target_seconds must be positive, got {target_seconds}")
-    target_len = int(round(target_seconds * buf.sample_rate))
-    n = buf.samples.size
-    if n == target_len:
-        return buf
-    if n > target_len:
-        out = buf.samples[:target_len].copy()
-    else:
-        out = np.zeros(target_len, dtype=np.float64)
-        out[:n] = buf.samples
-    return WaveBuffer(samples=out, sample_rate=buf.sample_rate)

@@ -68,7 +68,7 @@ import numpy as np
 
 from .audio.embeddings import VARIANT_DIMS
 from .errors import CheckpointError, ConfigError, ShapeError
-from .nn.checkpoint import load_parameters, load_tensors, save_tensors
+from .nn.checkpoint import config_from_meta, load_parameters, load_tensors, save_tensors
 from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUCellParams, GRUStep
 from .nn import tensor as T
 from .nn.optim import AdamState, adam_step, check_training_fields, fit
@@ -387,7 +387,7 @@ class CaptionerCheckpoint:
             raise CheckpointError(f"{path}: not a captioner checkpoint")
         ckpt = cls(
             state=tensors,
-            config=CaptionerConfig(**meta["config"]),
+            config=config_from_meta(CaptionerConfig, meta, path, "vocab_size", "vocab_sha256"),
             vocab_size=meta["vocab_size"],
             vocab_sha256=meta["vocab_sha256"],
             corpus_sha256=meta.get("corpus_sha256", ""),

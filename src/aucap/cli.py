@@ -224,6 +224,8 @@ def _require(path_text: str | None, what: str) -> Path:
 
 def cmd_extract_features(args) -> int:
     (directory,) = _outputs(args)
+    if not args.audio_dir:  # without it no record names its source file
+        raise ConfigError("missing required artifact: audio directory (--audio-dir)")
     records = _load_records(args)
     feature_config = FeatureConfig(pad_seconds=args.pad_seconds)
     with output_lock(directory):

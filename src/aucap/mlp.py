@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CheckpointError, ShapeError
 from .nn import layers
 from .nn import tensor as T
-from .nn.checkpoint import load_parameters, load_tensors, save_tensors
+from .nn.checkpoint import config_from_meta, load_parameters, load_tensors, save_tensors
 from .nn.optim import AdamState, TrainHistory, adam_step, check_training_fields, fit
 from .nn.tensor import Parameter, Tensor
 
@@ -43,13 +43,8 @@ class MLPConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))  # JSON gives a list
         check_training_fields(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MLPConfig":
-        data = dict(data)
-        data["hidden_widths"] = tuple(data["hidden_widths"])
-        return cls(**data)
 
 
 class MLP:
@@ -101,8 +96,7 @@ class MLP:
         tensors, meta = load_tensors(path)
         if meta.get("kind") != KIND:
             raise CheckpointError(f"{path}: not an SVE MLP checkpoint")
-        config = MLPConfig.from_dict(meta["config"])
-        model = cls(config, None)
+        model = cls(config_from_meta(MLPConfig, meta, path), None)
         model.variant, model.corpus_sha256 = meta.get("variant"), meta.get("corpus_sha256")
         model.load_state(tensors)
         return model

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .. import atomic, embfile
-from ..errors import CheckpointError, EmbeddingFormatError
+from ..errors import CheckpointError, ConfigError, EmbeddingFormatError
 from .tensor import Parameter
 
 _MAGIC = "AUCAP-CKPT v1"
@@ -51,6 +52,23 @@ def load_parameters(params: list[Parameter], state: dict[str, np.ndarray]) -> No
     """Copy each parameter's tensor of ``state`` into its data in place, cast to its width."""
     for p in params:
         np.copyto(p.data, state_tensor(state, p.name, p.data.shape))
+
+
+def config_from_meta(config_cls, meta: dict, path, *required: str):
+    """``config_cls(**meta["config"])``; CheckpointError naming ``path`` when the
+    metadata lacks ``config`` or a ``required`` key, the config's keys are not
+    the class's fields, or its ``__post_init__`` refuses a value."""
+    missing = [key for key in ("config", *required) if key not in meta]
+    if missing or not isinstance(meta["config"], dict):
+        raise CheckpointError(f"{path}: metadata lacks {missing or 'a config object'}")
+    data, names = meta["config"], {f.name for f in fields(config_cls)}
+    for what, keys in (("lacks", names - set(data)), ("has unknown keys", set(data) - names)):
+        if keys:
+            raise CheckpointError(f"{path}: config {what} {sorted(keys)}")
+    try:
+        return config_cls(**data)
+    except (ConfigError, TypeError) as exc:  # a TypeError: a value of another type
+        raise CheckpointError(f"{path}: config refused: {exc}") from None
 
 
 def save_tensors(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: dict) -> None:

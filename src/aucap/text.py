@@ -122,24 +122,31 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         vocab = cls()
         text = atomic.read_text(path, "vocabulary", VocabularyError)
-        for lineno, line in enumerate(text.splitlines()):
+        listed = set()
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line:
                 continue
             idx_text, sep, word = line.partition("\t")
             if not sep:
-                raise VocabularyError(f"{path}:{lineno + 1}: expected index<TAB>word")
+                raise VocabularyError(f"{path}:{lineno}: expected index<TAB>word")
             try:
                 idx = int(idx_text)
             except ValueError:
-                raise VocabularyError(f"{path}:{lineno + 1}: index {idx_text!r} is not an integer")
+                raise VocabularyError(f"{path}:{lineno}: index {idx_text!r} is not an integer")
             if idx < 0:
-                raise VocabularyError(f"{path}:{lineno + 1}: index {idx} is negative")
+                raise VocabularyError(f"{path}:{lineno}: index {idx} is negative")
+            if not word:
+                raise VocabularyError(f"{path}:{lineno}: index {idx} holds an empty word")
+            if word in listed or (word in vocab and idx >= len(RESERVED)):
+                raise VocabularyError(f"{path}:{lineno}: word {word!r} repeats index "
+                                      f"{vocab.index(word)}")
+            listed.add(word)
             if idx < len(RESERVED):
                 if vocab._index_to_word[idx] != word:
-                    raise VocabularyError(f"{path}:{lineno + 1}: reserved slot {idx} holds {word!r}")
+                    raise VocabularyError(f"{path}:{lineno}: reserved slot {idx} holds {word!r}")
                 continue
             if idx != len(vocab._index_to_word):
-                raise VocabularyError(f"{path}:{lineno + 1}: indices must be dense, got {idx}")
+                raise VocabularyError(f"{path}:{lineno}: indices must be dense, got {idx}")
             vocab._add(word)
         return vocab
 

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from aucap.nn.checkpoint import load_tensors, save_tensors
 from aucap.semantics import NOUN, OTHER, VERB, TagLexicon
 
 
@@ -71,3 +72,38 @@ def toy_lexicon():
 def tone(freq, seconds=1.0, rate=16000, amplitude=0.5):
     t = np.arange(int(seconds * rate)) / rate
     return amplitude * np.sin(2 * np.pi * freq * t)
+
+
+def with_meta(source, target, change):
+    """``target``: a copy of checkpoint ``source`` whose metadata dict ``change`` has edited."""
+    tensors, meta = load_tensors(source)
+    change(meta)
+    save_tensors(target, tensors, meta)
+    return target
+
+
+# defects of a checkpoint's metadata -> (an edit that makes it, the CheckpointError's text)
+COMMON_META_DEFECTS = {
+    "no-config": (lambda m: m.pop("config"), "metadata lacks ['config']"),
+    "config-not-an-object": (lambda m: m.update(config=[1]), "metadata lacks a config object"),
+    "unknown-key": (lambda m: m["config"].update(bogus=1), "config has unknown keys ['bogus']"),
+    "value-of-another-type": (lambda m: m["config"].update(dropout="high"),
+                              "config refused: '<=' not supported"),
+}
+CAPTIONER_META_DEFECTS = {
+    **COMMON_META_DEFECTS,
+    "no-vocab-size": (lambda m: m.pop("vocab_size"), "metadata lacks ['vocab_size']"),
+    "no-vocab-sha256": (lambda m: m.pop("vocab_sha256"), "metadata lacks ['vocab_sha256']"),
+    "missing-key": (lambda m: m["config"].pop("embed_dim"), "config lacks ['embed_dim']"),
+    "refused-value": (lambda m: m["config"].update(epochs=-1),
+                      "config refused: CaptionerConfig epochs must be at least 0, got -1"),
+}
+MLP_META_DEFECTS = {
+    **COMMON_META_DEFECTS,
+    "no-hidden-widths": (lambda m: m["config"].pop("hidden_widths"),
+                         "config lacks ['hidden_widths']"),
+    "hidden-widths-not-a-list": (lambda m: m["config"].update(hidden_widths=5),
+                                 "config refused: 'int' object is not iterable"),
+    "refused-value": (lambda m: m["config"].update(epochs=-1),
+                      "config refused: MLPConfig epochs must be at least 0, got -1"),
+}

@@ -21,7 +21,7 @@ from aucap.nn.checkpoint import load_tensors
 from aucap.nn.layers import BN_MOMENTUM, BiGRU, GRUCellParams, GRUStep
 from aucap.nn.optim import AdamState, adam_step
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
-from conftest import no_random_draws
+from conftest import CAPTIONER_META_DEFECTS, no_random_draws, with_meta
 from gradcheck import at_float64, cast, graph_nodes, zero_grads
 from memory import peak_bytes
 
@@ -907,6 +907,15 @@ class TestCheckpoint:
         (tmp_path / "bad.ckpt").write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             CaptionerCheckpoint.load(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("defect", sorted(CAPTIONER_META_DEFECTS))
+    def test_malformed_metadata_is_a_checkpoint_error_naming_the_file(self, tmp_path, defect):
+        change, message = CAPTIONER_META_DEFECTS[defect]
+        ckpt, vocab = self._checkpoint()
+        ckpt.save(tmp_path / "cap.ckpt")
+        bad = with_meta(tmp_path / "cap.ckpt", tmp_path / "bad.ckpt", change)
+        with pytest.raises(CheckpointError, match=re.escape(f"{bad}: {message}")):
+            CaptionerCheckpoint.load(bad, vocab=vocab)
 
     def test_vocab_hash_mismatch(self, tmp_path):
         ckpt, _ = self._checkpoint()

@@ -20,7 +20,7 @@ from aucap.nn.checkpoint import load_tensors
 from aucap.semantics import SubjectVerbCorpus, build_corpus
 from aucap.text import Vocabulary, build_vocabulary, clean_caption
 from aucap.word2vec import WordEmbeddingTable
-from conftest import make_wav_bytes
+from conftest import CAPTIONER_META_DEFECTS, MLP_META_DEFECTS, make_wav_bytes, with_meta
 
 CAPTIONS = {
     "c0": ["a dog barks loudly", "dogs bark outside"],
@@ -449,6 +449,15 @@ class TestExtractFeatures:
         before = tree(wav_clips)
         assert cli.main(extract_args(wav_clips, "1.0")) == 2
         assert f"{wav_clips / taken} exists and is not a directory" in caplog.text
+        assert tree(wav_clips) == before
+
+    def test_no_audio_dir_exits_2_before_any_work(self, wav_clips, monkeypatch, caplog):
+        argv = extract_args(wav_clips, "1.0")
+        del argv[argv.index("--audio-dir"):argv.index("--audio-dir") + 2]
+        monkeypatch.setattr(cli, "_load_records", no_work)
+        before = tree(wav_clips)
+        assert cli.main(argv) == 2
+        assert "missing required artifact: audio directory (--audio-dir)" in caplog.text
         assert tree(wav_clips) == before
 
     @pytest.mark.parametrize("pad_seconds", ["0", "-1"])
@@ -881,6 +890,29 @@ class TestUnreadableInputs:
         assert cli.main(argv) == 2
         assert "missing required artifact: caption CSV" in caplog.text
         assert tree(root) == before
+
+
+class TestMalformedCheckpointMetadata:
+    """A checkpoint whose metadata its loader refuses is a CheckpointError (exit 1)
+    naming the file, not a traceback or a ConfigError that blames the flags."""
+
+    @pytest.mark.parametrize("flag, defect", [
+        *(("--checkpoint", defect) for defect in sorted(CAPTIONER_META_DEFECTS)),
+        *(("--mlp", defect) for defect in sorted(MLP_META_DEFECTS))])
+    def test_predict_exits_1_naming_it_and_writes_nothing(self, pipeline, tmp_path, flag,
+                                                          defect, capsys, caplog):
+        root, commands = pipeline
+        change, message = (CAPTIONER_META_DEFECTS if flag == "--checkpoint"
+                           else MLP_META_DEFECTS)[defect]
+        argv = list(commands["predict"])
+        i = argv.index(flag) + 1
+        argv[i] = str(with_meta(argv[i], tmp_path / "bad.ckpt", change))
+        out = tmp_path / "predictions.tsv"
+        argv[argv.index("--out") + 1] = str(out)
+        assert cli.main(argv) == 1
+        assert f"CheckpointError: {tmp_path / 'bad.ckpt'}: {message}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        assert not out.exists()
 
 
 class TestEmptyCorpus:

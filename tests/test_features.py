@@ -24,10 +24,11 @@ from aucap.audio.features import (
     power_spectrum,
     shared_filterbank,
 )
-from aucap.audio.wav import WaveBuffer, load_wav, resample, zero_pad_or_truncate
+from aucap.audio.wav import WaveBuffer, load_wav, resample
 from aucap.errors import ConfigError, ShapeError
 
 from conftest import make_wav_bytes, tone
+from memory import peak_bytes
 
 RATE = 16000
 W = 1536  # round(0.096 * 16000)
@@ -83,7 +84,7 @@ class TestPowerSpectrum:
         assert np.all(spec == 0.0)
 
     def test_sine_peak_bin(self):
-        buf = zero_pad_or_truncate(WaveBuffer(tone(1000, 2.0), RATE), 2.0)
+        buf = WaveBuffer(tone(1000, 2.0), RATE)
         frames = frame_signal(buf)
         spec = power_spectrum(frames)
         # 1000 Hz -> bin round(1000 * 2048 / 16000) = 128
@@ -157,7 +158,7 @@ class TestApplyLogMel:
         assert np.all(out == np.log(1e-10))
 
     def test_sine_hits_nearest_band(self):
-        buf = zero_pad_or_truncate(WaveBuffer(tone(1000, 2.0), RATE), 2.0)
+        buf = WaveBuffer(tone(1000, 2.0), RATE)
         feats = apply_log_mel(power_spectrum(frame_signal(buf)))
         expected = int(np.argmin(np.abs(CENTERS - 1000.0)))
         assert int(np.argmax(feats[0])) == expected
@@ -195,16 +196,25 @@ class TestExtractLogMel:
         assert feats.shape == ((16000 - W) // H + 1, 64)
 
 
+def pad_or_cut(samples, seconds):
+    """A new array of ``samples`` zero-padded or cut to round(seconds * SAMPLE_RATE)."""
+    out = np.zeros(int(round(seconds * SAMPLE_RATE)))
+    kept = samples[:out.size]
+    out[:kept.size] = kept
+    return out
+
+
 def reference_log_mel(samples, rate, config):
-    """The per-clip formulas extract_log_mel replaced: index-gather framing, a
-    filterbank and a window built per call, and a float64 copy of the power."""
-    buf = zero_pad_or_truncate(resample(WaveBuffer(samples, rate), SAMPLE_RATE),
-                               config.pad_seconds)
+    """The per-clip formulas extract_log_mel replaced: the whole padded clip,
+    index-gather framing of all its frames, a filterbank and a window built per
+    call, and a float64 copy of the power."""
+    padded = pad_or_cut(resample(WaveBuffer(samples, rate), SAMPLE_RATE).samples,
+                        config.pad_seconds)
     w = int(round(WINDOW_MS / 1000.0 * SAMPLE_RATE))
     h = max(1, int(round(w * (1.0 - OVERLAP))))
-    t = (buf.samples.size - w) // h + 1
+    t = (padded.size - w) // h + 1
     idx = np.arange(w)[None, :] + (np.arange(t) * h)[:, None]
-    frames = buf.samples[idx] * np.hamming(w)[None, :]
+    frames = padded[idx] * np.hamming(w)[None, :]
     spec = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = (spec.real**2 + spec.imag**2).astype(np.float64)
     fb = mel_filterbank()
@@ -260,6 +270,22 @@ class TestExtractionMatchesReference:
         got = extract_log_mel(WaveBuffer(samples, rate), self.heavy)
         assert np.array_equal(got, reference_log_mel(samples, rate, self.heavy))
 
+    @pytest.mark.parametrize("rate", [RATE, 44100])
+    @pytest.mark.parametrize("seconds", [15.0, 30.0, 31.0], ids=["shorter", "exact", "longer"])
+    def test_clip_padded_or_cut_to_30s_bitwise_equal(self, rate, seconds):
+        samples = np.random.RandomState(int(seconds)).uniform(-1.0, 1.0, int(seconds * rate))
+        got = extract_log_mel(WaveBuffer(samples, rate))
+        assert got.shape == (624, N_MELS)
+        assert np.array_equal(got, reference_log_mel(samples, rate, FeatureConfig()))
+
+    def test_short_clip_peaks_below_the_power_matrix(self):
+        """No padded copy of the clip: a 0.5 s clip at the 30 s pad allocates
+        little beside the (T, N_FFT/2+1) float64 power matrix."""
+        buf = WaveBuffer(tone(440, 0.5), RATE)
+        extract_log_mel(buf)  # builds the shared window and filterbank
+        _, peak, _ = peak_bytes(lambda: extract_log_mel(buf))
+        assert peak < FeatureConfig().frames * (N_FFT // 2 + 1) * 8 + 1.5e6
+
     def test_filterbank_and_window_are_built_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(features, "mel_filterbank", lambda: calls.append(1) or mel_filterbank())
@@ -312,6 +338,12 @@ class TestFeatureConfig:
     def test_rejects_settings_no_clip_can_use(self, change):
         with pytest.raises(ConfigError):
             FeatureConfig(**change)
+
+    @pytest.mark.parametrize("pad, frames", [(30.0, 624), (4.8, 99), (W / RATE, 1)])
+    def test_frames(self, pad, frames):
+        assert FeatureConfig(pad_seconds=pad).frames == frames
+        assert extract_log_mel(WaveBuffer(tone(440, 0.5), RATE), FeatureConfig(pad)).shape == (
+            frames, N_MELS)
 
     def test_the_clip_length_is_the_only_setting(self):
         assert [f.name for f in fields(FeatureConfig)] == ["pad_seconds"]

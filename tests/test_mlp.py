@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from aucap.nn import tensor as T
 from aucap.nn.checkpoint import save_tensors
 from aucap.nn.optim import AdamState, adam_step
 from aucap.text import build_vocabulary, clean_caption
-from conftest import no_random_draws
+from conftest import MLP_META_DEFECTS, no_random_draws, with_meta
 from gradcheck import at_float64, max_relative_error
 from memory import peak_bytes
 from aucap.nn.tensor import Tensor
@@ -240,6 +241,14 @@ class TestGradientsAndState:
         assert all(ckpt.state[name].dtype == (np.float64 if name in buffers else np.float32)
                    for name in ckpt.state)
         assert (tmp_path / "captioner.ckpt").read_bytes().count(b"dtype=f8") == len(buffers)
+
+    @pytest.mark.parametrize("defect", sorted(MLP_META_DEFECTS))
+    def test_malformed_metadata_is_a_checkpoint_error_naming_the_file(self, tmp_path, defect):
+        change, message = MLP_META_DEFECTS[defect]
+        MLP(small_config(), np.random.RandomState(4)).save(tmp_path / "mlp.ckpt")
+        bad = with_meta(tmp_path / "mlp.ckpt", tmp_path / "bad.ckpt", change)
+        with pytest.raises(CheckpointError, match=re.escape(f"{bad}: {message}")):
+            MLP.load(bad)
 
     def test_load_state_rejects_missing_or_misshaped_tensor(self):
         model = MLP(small_config(), np.random.RandomState(4))

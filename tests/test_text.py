@@ -138,6 +138,29 @@ class TestVocabulary:
         with pytest.raises(VocabularyError, match=r"v\.tsv:6: index -4 is negative"):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("extra, message", [
+        (["5\t"], r"v\.tsv:6: index 5 holds an empty word"),
+        (["5\tdog"], r"v\.tsv:6: word 'dog' repeats index 4"),             # on the last line
+        (["5\tdog", "6\tcat"], r"v\.tsv:6: word 'dog' repeats index 4"),  # mid-file
+        (["5\t<unk>"], r"v\.tsv:6: word '<unk>' repeats index 3"),
+        (["0\t<pad>"], r"v\.tsv:6: word '<pad>' repeats index 0"),
+    ], ids=["empty", "last-line", "mid-file", "reserved", "reserved-slot"])
+    def test_empty_or_repeated_word_rejected(self, tmp_path, extra, message):
+        path = tmp_path / "v.tsv"
+        build_vocabulary([[SOS, "dog", EOS]]).save(path)
+        path.write_text(path.read_text(encoding="utf-8") + "".join(f"{e}\n" for e in extra),
+                        encoding="utf-8")
+        with pytest.raises(VocabularyError, match=message):
+            Vocabulary.load(path)
+
+    def test_reserved_word_past_the_reserved_slots_rejected(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text("4\tdog\n5\t<sos>\n", encoding="utf-8")  # reserved lines may be left out
+        with pytest.raises(VocabularyError, match=r"v\.tsv:2: word '<sos>' repeats index 1"):
+            Vocabulary.load(path)
+        path.write_text("4\tdog\n", encoding="utf-8")
+        assert Vocabulary.load(path).words == [*RESERVED, "dog"]
+
     def test_failed_save_keeps_old_file(self, tmp_path):
         path = tmp_path / "v.tsv"
         build_vocabulary([[SOS, "dog", EOS]]).save(path)
