@@ -47,10 +47,11 @@ every step decodes the same numbers as ``forward`` on the whole prefix.
 
 Only the audio encoding builds autodiff nodes; the tokens are stepped on
 plain arrays (``_TokenSteps``). What stays fixed during a decode is prepared
-once per clip: the text-GRU cell's ``GRUStep`` (its transposed weight views
-and stacked biases) and reused buffers, each batch norm's bias-corrected
-mean and 1/sqrt(var + eps) at the model's width, and transposed views of the
-decoder and output weights. A token then runs, at batch 1, the kernels that
+once per clip: the text-GRU cell's ``GRUStep`` (a view of the layer's gate
+stack, whose transposed slices its two gate products read, and the stacked
+biases) and reused buffers, each batch norm's bias-corrected mean and
+1/sqrt(var + eps) at the model's width, and transposed views of the decoder
+and output weights. A token then runs, at batch 1, the kernels that
 ``forward``'s ops run: ``GRUStep`` is the body of ``gru_sequence``'s loop,
 and the decoder calls the forwards of ``T.linear``, ``T.sigmoid`` and
 ``T.batch_norm_infer`` (``tensor._linear``, ``_sigmoid``, ``_batch_norm_infer``)
@@ -68,7 +69,8 @@ import numpy as np
 
 from .audio.embeddings import VARIANT_DIMS
 from .errors import CheckpointError, ConfigError, ShapeError
-from .nn.checkpoint import config_from_meta, load_parameters, load_tensors, save_tensors
+from .nn.checkpoint import (config_from_meta, load_model_state, load_parameters, load_tensors,
+                            save_tensors)
 from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUCellParams, GRUStep
 from .nn import tensor as T
 from .nn.optim import AdamState, adam_step, check_training_fields, fit
@@ -367,6 +369,7 @@ class CaptionerCheckpoint:
     vocab_sha256: str
     corpus_sha256: str = ""
     history: dict = field(default_factory=dict)
+    path: str | Path | None = None  # the file ``load`` read, which ``build_model``'s errors name
 
     def save(self, path: str | Path) -> None:
         meta = {
@@ -392,6 +395,7 @@ class CaptionerCheckpoint:
             vocab_sha256=meta["vocab_sha256"],
             corpus_sha256=meta.get("corpus_sha256", ""),
             history=meta.get("history", {}),
+            path=path,
         )
         if vocab is not None and vocab.sha256() != ckpt.vocab_sha256:
             raise CheckpointError(f"{path}: vocabulary hash mismatch")
@@ -400,8 +404,10 @@ class CaptionerCheckpoint:
         return ckpt
 
     def build_model(self) -> Captioner:
+        """The model of ``state``, drawing nothing. A tensor that is missing or
+        not of the config's shape is a CheckpointError naming ``path``."""
         model = Captioner(self.vocab_size, self.config, None)
-        model.load_state(self.state)
+        load_model_state(model, self.state, self.path)
         return model
 
 

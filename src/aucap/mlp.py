@@ -23,7 +23,8 @@ import numpy as np
 from .errors import CheckpointError, ShapeError
 from .nn import layers
 from .nn import tensor as T
-from .nn.checkpoint import config_from_meta, load_parameters, load_tensors, save_tensors
+from .nn.checkpoint import (config_from_meta, load_model_state, load_parameters, load_tensors,
+                            save_tensors)
 from .nn.optim import AdamState, TrainHistory, adam_step, check_training_fields, fit
 from .nn.tensor import Parameter, Tensor
 
@@ -98,7 +99,7 @@ class MLP:
             raise CheckpointError(f"{path}: not an SVE MLP checkpoint")
         model = cls(config_from_meta(MLPConfig, meta, path), None)
         model.variant, model.corpus_sha256 = meta.get("variant"), meta.get("corpus_sha256")
-        model.load_state(tensors)
+        load_model_state(model, tensors, path)
         return model
 
 

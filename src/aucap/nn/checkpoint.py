@@ -54,6 +54,17 @@ def load_parameters(params: list[Parameter], state: dict[str, np.ndarray]) -> No
         np.copyto(p.data, state_tensor(state, p.name, p.data.shape))
 
 
+def load_model_state(model, state: dict[str, np.ndarray], path) -> None:
+    """``model.load_state(state)``. When ``state`` was read from the file
+    ``path`` (None: it was not), a tensor's CheckpointError names that file."""
+    try:
+        model.load_state(state)
+    except CheckpointError as exc:
+        if path is None:
+            raise
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
 def config_from_meta(config_cls, meta: dict, path, *required: str):
     """``config_cls(**meta["config"])``; CheckpointError naming ``path`` when the
     metadata lacks ``config`` or a ``required`` key, the config's keys are not

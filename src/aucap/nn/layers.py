@@ -5,11 +5,16 @@ both through ``parameters()`` / ``buffers()`` for the optimizer and the
 checkpoint container. Recurrent matrices start orthogonal, everything else
 Glorot-uniform, each drawn at float64 and stored at float32. With ``rng=None``
 nothing is drawn: the weights stay uninitialized, for a state loaded next.
+
+A GRU or BiGRU stores the gate matrices of its D cells in one (3, D, hidden,
+hidden + input) array, of which each cell's W_z, W_r and W are views, so a
+time step makes one broadcast product for z and r over all D cells and one
+for h_hat, reading the weights in place (``GRUStep``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,7 +149,12 @@ class BatchNorm:
 class GRUCellParams:
     """Gate weights of shape (hidden, hidden + input) and (hidden,) biases.
 
-    Column order matches the concatenation [h_prev, x].
+    Column order matches the concatenation [h_prev, x]. The cells that
+    ``stacked`` builds keep their gate matrices in one (3, D, hidden,
+    hidden + input) array, ``stack``: cell ``slot`` d's W_z, W_r and W are
+    views of ``stack[0, d]``, ``stack[1, d]`` and ``stack[2, d]``. Adam and a
+    checkpoint load write the weights in place, so the views stay views. A
+    cell built by hand has no stack.
     """
 
     W_z: Parameter
@@ -153,6 +163,8 @@ class GRUCellParams:
     b_z: Parameter
     b_r: Parameter
     b: Parameter
+    stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+    slot: int = 0
 
     @property
     def hidden(self) -> int:
@@ -164,44 +176,77 @@ class GRUCellParams:
 
     @classmethod
     def create(cls, input_dim: int, hidden: int, rng, name: str = "gru") -> "GRUCellParams":
-        def gate(label):
-            w = np.empty((hidden, hidden + input_dim), np.float32)
-            if rng is not None:  # each draw is cast as it is stored
-                w[:, :hidden] = orthogonal(rng, hidden)
-                w[:, hidden:] = glorot_uniform(rng, hidden, input_dim)
-            return Parameter(w, f"{name}.{label}")
+        """One cell, slot 0 of its own stack."""
+        return cls.stacked(input_dim, hidden, rng, (name,))[0]
 
-        zeros = [Parameter(np.zeros(hidden, np.float32), f"{name}.{label}")
-                 for label in ("b_z", "b_r", "b")]
-        return cls(gate("W_z"), gate("W_r"), gate("W"), *zeros)
+    @classmethod
+    def stacked(cls, input_dim: int, hidden: int, rng, names) -> tuple["GRUCellParams", ...]:
+        """One cell per name, cell d in slot d of one float32 stack. The draws
+        fill cell by cell, each W_z, W_r, then W: recurrent columns orthogonal,
+        input columns Glorot-uniform."""
+        stack = np.empty((3, len(names), hidden, hidden + input_dim), np.float32)
+        cells = []
+        for d, name in enumerate(names):
+            if rng is not None:  # each draw is cast as it is stored
+                for w in stack[:, d]:
+                    w[:, :hidden] = orthogonal(rng, hidden)
+                    w[:, hidden:] = glorot_uniform(rng, hidden, input_dim)
+            gates = [Parameter(w, f"{name}.{label}")
+                     for w, label in zip(stack[:, d], ("W_z", "W_r", "W"))]
+            zeros = [Parameter(np.zeros(hidden, np.float32), f"{name}.{label}")
+                     for label in ("b_z", "b_r", "b")]
+            cells.append(cls(*gates, *zeros, stack=stack, slot=d))
+        return tuple(cells)
 
     def parameters(self) -> list[Parameter]:
         return [self.W_z, self.W_r, self.W, self.b_z, self.b_r, self.b]
+
+
+def _gate_stack(cells) -> np.ndarray:
+    """The cells' gate matrices as one (3, D, hidden, hidden + input) array.
+
+    When the cells are slots 0..D-1 of one stack, in order, and every gate
+    matrix is still a view of it, this is a view of that stack, so no weight
+    is copied. Otherwise (cells built by hand or in another order, one cell
+    of a BiGRU past the first, weights rebound to new arrays) the matrices
+    are stacked into a C-contiguous copy, on which the products of
+    C-contiguous weights compute the same bits."""
+    stack = cells[0].stack
+    if stack is not None and all(
+            c.stack is stack and c.slot == d
+            and c.W_z.data.base is stack and c.W_r.data.base is stack and c.W.data.base is stack
+            for d, c in enumerate(cells)):
+        return stack[:, : len(cells)]
+    return np.array([[c.W_z.data for c in cells], [c.W_r.data for c in cells],
+                     [c.W.data for c in cells]])
 
 
 class GRUStep:
     """One time step of D GRU cells of one shape, on plain arrays: the body of
     ``gru_sequence``'s time loop, which greedy decoding also runs token by token.
 
-    Built once per run: each cell's W_z.T, W_r.T and W.T stay transposed
-    views of the weights (a C-contiguous copy would let BLAS round
-    differently), and the biases are stacked at ``dtype`` as (2, D, 1, hidden)
-    for z and r and (D, 1, hidden) for h_hat. A call takes (D, batch, .)
-    buffers at ``dtype``: the states ``h`` and ``h_new``, which must not
-    overlap; ``hx`` and ``rhx``, whose last ``input_dim`` columns hold each
-    cell's input and whose first ``hidden`` get h and r*h; ``zr`` (2, D,
-    batch, hidden), which gets z and r; and ``hh``, which gets h_hat. It
-    writes the next states to ``h_new``. The caller ignores exp overflow,
-    which gives a gate of exactly 0.
+    Built once per run: ``stack`` holds the cells' gate matrices (``_gate_stack``),
+    and the biases are stacked at ``dtype`` as (2, D, 1, hidden) for z and r
+    and (D, 1, hidden) for h_hat. A call takes (D, batch, .) buffers at
+    ``dtype``: the states ``h`` and ``h_new``, which must not overlap; ``hx``
+    and ``rhx``, whose last ``input_dim`` columns hold each cell's input and
+    whose first ``hidden`` get h and r*h; ``zr`` (2, D, batch, hidden), which
+    gets z and r; and ``hh``, which gets h_hat. It writes the next states to
+    ``h_new``. The caller ignores exp overflow, which gives a gate of exactly 0.
 
-    The matrix products stay per cell, with the operands and memory layouts
-    of a one-cell run; each elementwise op then runs once over the stack, in
-    place, the gates through ``tensor._sigmoid``.
+    A step makes two broadcast matrix products: z and r of all D cells from
+    ``hx``, then h_hat of all D cells from ``rhx``. Each reads the transposed
+    stack, whose every (cell, gate) slice has the strides of that gate's W.T,
+    so numpy makes per slice the BLAS call that a one-cell product on W.T
+    makes, and the results are bitwise those of one-cell runs (a C-contiguous
+    copy of W.T would let BLAS round differently). Each elementwise op then
+    runs once over the stack, in place, the gates through ``tensor._sigmoid``.
     """
 
     def __init__(self, cells, batch: int, dtype):
         hid, n_dir = cells[0].hidden, len(cells)
-        self.mats = [(c.W_z.data.T, c.W_r.data.T, c.W.data.T) for c in cells]
+        self.stack = _gate_stack(cells)
+        self.w_zr, self.w = self.stack[:2].swapaxes(-1, -2), self.stack[2].swapaxes(-1, -2)
         self.b_zr, self.b = np.empty((2, n_dir, 1, hid), dtype), np.empty((n_dir, 1, hid), dtype)
         for d, c in enumerate(cells):
             self.b_zr[0, d, 0], self.b_zr[1, d, 0], self.b[d, 0] = c.b_z.data, c.b_r.data, c.b.data
@@ -210,15 +255,12 @@ class GRUStep:
     def __call__(self, h, h_new, hx, rhx, zr, hh) -> None:
         hid = h.shape[-1]
         hx[:, :, :hid] = h
-        for d, (w_z, w_r, _) in enumerate(self.mats):
-            np.matmul(hx[d], w_z, out=zr[0, d])
-            np.matmul(hx[d], w_r, out=zr[1, d])
+        np.matmul(hx, self.w_zr, out=zr)
         zr += self.b_zr
         T._sigmoid(zr, out=zr)
         z, r = zr[0], zr[1]
         np.multiply(r, h, out=rhx[:, :, :hid])
-        for d, (_, _, w) in enumerate(self.mats):
-            np.matmul(rhx[d], w, out=hh[d])
+        np.matmul(rhx, self.w, out=hh)
         hh += self.b
         np.tanh(hh, out=hh)
         np.subtract(1.0, z, out=h_new)
@@ -227,35 +269,53 @@ class GRUStep:
         h_new += self.tmp
 
 
+def _check_cells(cells, n_flags: int) -> None:
+    """ShapeError unless there is one reverse flag per cell, at least one cell,
+    every weight and bias has the shape that the first cell's W_z gives, and
+    each parameter has the dtype of the first cell's parameter in its place."""
+    if not cells or n_flags != len(cells):
+        raise ShapeError(f"gru_sequence needs one or more cells of one shape and one reverse "
+                         f"flag per cell, got {len(cells)} cells and {n_flags} flags")
+    first = cells[0].parameters()
+    shape = first[0].data.shape
+    shapes = [shape] * 3 + [shape[:1]] * 3
+    for c in cells:
+        for p, want, q in zip(c.parameters(), shapes, first):
+            if p.data.shape != want or p.data.dtype != q.data.dtype:
+                raise ShapeError(f"gru_sequence needs cells of one shape and width: {p.name} is "
+                                 f"{p.data.dtype} {p.data.shape}, want {q.data.dtype} {want} "
+                                 f"as {q.name}")
+
+
 def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = False) -> Tensor:
     """Run D GRU cells over one time-major (T, batch, input) sequence as one autodiff node.
 
-    ``cells`` is one GRUCellParams or a sequence of D of them, all of one shape;
-    ``reverse`` is one flag for all cells or one per cell, and a reversed cell
-    runs last step first. Per cell and step: z = sigmoid([h, x] @ W_z.T + b_z);
-    r = sigmoid([h, x] @ W_r.T + b_r); h_hat = tanh([r*h, x] @ W.T + b);
-    h' = (1 - z)*h + z*h_hat. Starts from the (batch, D*hidden) ``h0``
-    (default zeros). Returns the final (batch, D*hidden) states or all
+    ``cells`` is one GRUCellParams or a sequence of D of them, all of one shape
+    and width; ``reverse`` is one flag for all cells or one per cell, and a
+    reversed cell runs last step first. Per cell and step: z = sigmoid([h, x]
+    @ W_z.T + b_z); r = sigmoid([h, x] @ W_r.T + b_r); h_hat = tanh([r*h, x]
+    @ W.T + b); h' = (1 - z)*h + z*h_hat. Starts from the (batch, D*hidden)
+    ``h0`` (default zeros). Returns the final (batch, D*hidden) states or all
     (T, batch, D*hidden) states in input order; cell d owns columns
     d*hidden:(d+1)*hidden. Every buffer and the zero ``h0`` take the width of
     the input and the weights, so a float32 run stays float32.
 
-    One time loop serves all D cells, one ``GRUStep`` per step into stacked
-    (D, batch, .) gate buffers. A D-cell run is therefore bitwise equal to D
-    one-cell runs joined on the last axis, gradients included.
+    One time loop serves all D cells, one ``GRUStep`` per step, each making
+    two broadcast products over the cells' gate stack into (T, 2, D, batch, .)
+    and (T, D, batch, .) gate buffers allocated once per run. A D-cell run is
+    bitwise equal to D one-cell runs joined on the last axis, gradients
+    included.
 
     The input projection stays in the loop: a row of a many-row BLAS product
     need not be bitwise equal to that row computed alone, and ``gru_cell_step``
     and greedy decoding must reproduce a step of a sequence exactly. The
-    backward is one BPTT loop over the stack, then per cell one weight, bias
-    and input product over the T*batch rows in input-time order.
+    backward is one BPTT loop over the stack, with one broadcast product per
+    step for each of the two recurrent gradients, then per cell one weight,
+    bias and input product over the T*batch rows in input-time order.
     """
     cells = (cells,) if isinstance(cells, GRUCellParams) else tuple(cells)
     rev = (reverse,) * len(cells) if isinstance(reverse, bool) else tuple(reverse)
-    if not cells or len(rev) != len(cells) or any(
-            c.W_z.data.shape != cells[0].W_z.data.shape for c in cells):
-        raise ShapeError(f"gru_sequence needs one or more cells of one shape and one reverse "
-                         f"flag per cell, got {len(cells)} cells and {len(rev)} flags")
+    _check_cells(cells, len(rev))
     xs = T._as_tensor(xs)
     in_dim, hid, n_dir = cells[0].input_dim, cells[0].hidden, len(cells)
     if xs.data.ndim != 3 or xs.data.shape[0] < 1 or xs.data.shape[2] != in_dim:
@@ -280,7 +340,8 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
         hx[d, :, :, hid:] = xs.data[::-1] if r else xs.data
     rhx = hx.copy()
     step = GRUStep(cells, batch, dtype)
-    gates = [None] * steps  # (z, r, h_hat) per step, each (D, batch, hid)
+    zr = np.empty((steps, 2, n_dir, batch, hid), dtype)  # z and r of every step
+    hh = np.empty((steps, n_dir, batch, hid), dtype)  # h_hat of every step
     states = np.empty((steps, n_dir, batch, hid), dtype)
     if h0 is None:
         h = h_start = np.zeros((n_dir, batch, hid), dtype)
@@ -288,10 +349,8 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
         h = h_start = h0.data.reshape(batch, n_dir, hid).transpose(1, 0, 2)
     with np.errstate(over="ignore"):  # exp overflow gives a gate of exactly 0
         for i in range(steps):
-            zr, hh = np.empty((2, n_dir, batch, hid), dtype), np.empty((n_dir, batch, hid), dtype)
-            step(h, states[i], hx[:, i], rhx[:, i], zr, hh)
+            step(h, states[i], hx[:, i], rhx[:, i], zr[i], hh[i])
             h = states[i]
-            gates[i] = zr[0], zr[1], hh
 
     params = [q for c in cells for q in c.parameters()]
     parents = (xs, *params) if h0 is None else (xs, h0, *params)
@@ -303,8 +362,12 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
 
     def back(g):
         da = np.empty((n_dir, steps, batch, 3 * hid), dtype)  # pre-activation grads of z, r, h_hat
-        w_h = [c.W.data[:, :hid] for c in cells]
-        w_rec = [np.concatenate([c.W_z.data[:, :hid], c.W_r.data[:, :hid]]) for c in cells]
+        w_h = step.stack[2, ..., :hid]  # each cell's W[:, :hid], with its strides
+        # per cell [W_z; W_r][:, :hid], and below W_*[:, hid:], as C-contiguous copies:
+        # a reshape that views the stack (at D = 1 it can) hands BLAS another
+        # leading dimension, which gives other bits
+        w_rec = np.ascontiguousarray(step.stack[:2, ..., :hid].swapaxes(0, 1))
+        w_rec = w_rec.reshape(n_dir, 2 * hid, hid)
         d_rh = np.empty((n_dir, batch, hid), dtype)
         if return_sequence:
             g_steps = step_order(np.moveaxis(g.reshape(steps, batch, n_dir, hid), 2, 0))
@@ -314,19 +377,17 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
         for i in range(steps - 1, -1, -1):
             if return_sequence:
                 dh += g_steps[i]
-            h_prev, (z, r, hh) = states[i - 1] if i else h_start, gates[i]
+            h_prev, z, r, hh_i = states[i - 1] if i else h_start, zr[i, 0], zr[i, 1], hh[i]
             one_m_z = 1.0 - z
             dh_prev = dh * one_m_z
-            da_h = dh * z * (1.0 - hh * hh)
-            for d in range(n_dir):
-                np.matmul(da_h[d], w_h[d], out=d_rh[d])
-            da[:, i, :, :hid] = dh * (hh - h_prev) * z * one_m_z
+            da_h = dh * z * (1.0 - hh_i * hh_i)
+            np.matmul(da_h, w_h, out=d_rh)
+            da[:, i, :, :hid] = dh * (hh_i - h_prev) * z * one_m_z
             da[:, i, :, hid : 2 * hid] = d_rh * h_prev * r * (1.0 - r)
             da[:, i, :, 2 * hid:] = da_h
             d_rh *= r
             dh_prev += d_rh
-            for d in range(n_dir):
-                dh_prev[d] += da[d, i, :, : 2 * hid] @ w_rec[d]
+            dh_prev += np.matmul(da[:, i, :, : 2 * hid], w_rec)
             dh = dh_prev
 
         rows = steps * batch
@@ -339,7 +400,7 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
             for q, dq in zip(c.parameters(), grads):
                 T._accumulate(q, dq)
             if xs.requires_grad:
-                w_in = np.concatenate([c.W_z.data[:, hid:], c.W_r.data[:, hid:], c.W.data[:, hid:]])
+                w_in = np.ascontiguousarray(step.stack[:, d, :, hid:]).reshape(3 * hid, in_dim)
                 T._accumulate(xs, (flat @ w_in).reshape(steps, batch, in_dim))
         if h0 is not None:
             T._accumulate(h0, dh.transpose(1, 0, 2).reshape(batch, width))
@@ -349,7 +410,7 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
 
 def gru_cell_step(x_t: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
     """One GRU step on a (batch, input) slice: ``gru_sequence`` at T = 1 from ``h_prev``.
-    No model calls it; the benchmark tracer wraps it by name (ROADMAP items 6 and 11)."""
+    No model calls it; the benchmark tracer wraps it by name (ROADMAP items 8 and 14)."""
     x_t = T._as_tensor(x_t)
     return gru_sequence(T.reshape(x_t, (1, *x_t.data.shape)), p, h0=h_prev)
 
@@ -375,8 +436,8 @@ class BiGRU:
     two-cell ``gru_sequence``: one autodiff node, forward half first."""
 
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "bigru"):
-        self.fwd = GRUCellParams.create(input_dim, hidden, rng, name=f"{name}.fwd")
-        self.bwd = GRUCellParams.create(input_dim, hidden, rng, name=f"{name}.bwd")
+        self.fwd, self.bwd = GRUCellParams.stacked(input_dim, hidden, rng,
+                                                   (f"{name}.fwd", f"{name}.bwd"))
 
     def run(self, xs: Tensor, return_sequence: bool = False) -> Tensor:
         """(T, batch, 2*hidden) per-step states, or the (batch, 2*hidden) final

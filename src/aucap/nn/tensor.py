@@ -190,7 +190,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
 def row_slice(x, start: int, stop: int) -> Tensor:
     """Rows ``start:stop``. No model calls it; it is kept because the benchmark
-    tracer wraps it by name (ROADMAP items 6 and 11)."""
+    tracer wraps it by name (ROADMAP items 8 and 14)."""
     x = _as_tensor(x)
 
     def back(g):
@@ -259,7 +259,7 @@ def softmax(x) -> Tensor:
 
     No model calls it: the captioner trains through ``softmax_cross_entropy``
     and decodes from logits. It is kept because the benchmark tracer wraps it
-    by name (ROADMAP items 6 and 11).
+    by name (ROADMAP items 8 and 14).
     """
     x = _as_tensor(x)
     if x.data.ndim != 2:
@@ -332,7 +332,7 @@ def cross_entropy(probs, targets) -> Tensor:
 
     ``probs`` rows must already be a distribution (softmax output). No model
     calls it (see ``softmax_cross_entropy``); it is kept because the benchmark
-    tracer wraps it by name (ROADMAP items 6 and 11).
+    tracer wraps it by name (ROADMAP items 8 and 14).
     """
     probs = _as_tensor(probs)
     t = np.asarray(targets)

@@ -973,6 +973,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"'{name}' has shape"):
             ckpt.build_model()
 
+    @pytest.mark.parametrize("name", ["enc.embedding.table", "buffer.enc.bn_text.running_var"])
+    def test_loaded_tensor_errors_name_the_file(self, tmp_path, name):
+        ckpt, vocab = self._checkpoint()
+        state = ckpt.state
+        shape = state[name][:-1].shape
+        for label, tensors, message in (
+                ("missing", {k: v for k, v in state.items() if k != name},
+                 f"missing tensor '{name}'"),
+                ("misshaped", {**state, name: state[name][:-1]},
+                 f"tensor '{name}' has shape {shape}, expected {state[name].shape}")):
+            ckpt.state = tensors
+            path = tmp_path / f"{label}.ckpt"
+            ckpt.save(path)
+            loaded = CaptionerCheckpoint.load(path, vocab=vocab)
+            with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+                loaded.build_model()
+
     def test_rebuilt_model_decodes_identically(self, tmp_path):
         vocab = build_vocabulary([clean_caption("dog barks loudly")])
         model, cfg = micro_model(vocab_size=len(vocab))

@@ -915,6 +915,36 @@ class TestMalformedCheckpointMetadata:
         assert not out.exists()
 
 
+class TestCheckpointTensorsOfAnotherShape:
+    """A checkpoint whose tensors do not fit its config is a CheckpointError
+    (exit 1) naming the file, before any prediction is written."""
+
+    @pytest.mark.parametrize("flag, key, name", [
+        ("--checkpoint", "embed_dim", "enc.embedding.table"),
+        ("--mlp", "hidden_widths", "mlp.h0.weights")])
+    def test_predict_exits_1_naming_it_and_writes_nothing(self, pipeline, tmp_path, flag, key,
+                                                          name, capsys, caplog):
+        root, commands = pipeline
+        argv = list(commands["predict"])
+        i = argv.index(flag) + 1
+        held = load_tensors(argv[i])[0][name].shape
+
+        def widen(meta):  # the config now wants wider tensors than the file holds
+            value = meta["config"][key]
+            meta["config"][key] = [w + 1 for w in value] if key == "hidden_widths" else value + 1
+
+        bad = with_meta(argv[i], tmp_path / "bad.ckpt", widen)
+        argv[i] = str(bad)
+        out = tmp_path / "predictions.tsv"
+        argv[argv.index("--out") + 1] = str(out)
+        assert cli.main(argv) == 1
+        want = (held[0] + 1, held[1]) if key == "hidden_widths" else (held[0], held[1] + 1)
+        assert (f"CheckpointError: {bad}: tensor '{name}' has shape {held}, expected {want}"
+                in caplog.text)
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        assert not out.exists()
+
+
 class TestEmptyCorpus:
     @pytest.mark.parametrize("command", TRAINERS)
     def test_exits_2_and_writes_no_checkpoint(self, panns_fixture, command, caplog):

@@ -250,6 +250,22 @@ class TestGradientsAndState:
         with pytest.raises(CheckpointError, match=re.escape(f"{bad}: {message}")):
             MLP.load(bad)
 
+    def test_loaded_tensor_errors_name_the_file(self, tmp_path):
+        model = MLP(small_config(), np.random.RandomState(4))
+        state, meta = model.state(), {"kind": "sve-mlp", "config": asdict(model.config)}
+        weights = state["mlp.h0.weights"]
+        save_tensors(tmp_path / "missing.ckpt",
+                     {k: v for k, v in state.items() if k != "mlp.out.bias"}, meta)
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{tmp_path / 'missing.ckpt'}: missing tensor "
+                                           f"'mlp.out.bias'")):
+            MLP.load(tmp_path / "missing.ckpt")
+        save_tensors(tmp_path / "misshaped.ckpt", {**state, "mlp.h0.weights": weights.T}, meta)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{tmp_path / 'misshaped.ckpt'}: tensor 'mlp.h0.weights' has shape "
+                f"{weights.T.shape}, expected {weights.shape}")):
+            MLP.load(tmp_path / "misshaped.ckpt")
+
     def test_load_state_rejects_missing_or_misshaped_tensor(self):
         model = MLP(small_config(), np.random.RandomState(4))
         state = model.state()

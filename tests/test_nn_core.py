@@ -8,6 +8,7 @@ import pytest
 from aucap.errors import GraphStateError, ShapeError
 from aucap.nn import tensor as T
 from gradcheck import add, at_float64, cast, max_relative_error, mean_all, sub, zero_grads
+from memory import peak_bytes
 from aucap.captioner import Captioner, CaptionerConfig
 from aucap.mlp import MLP, MLPConfig
 from aucap.nn.layers import (
@@ -18,10 +19,13 @@ from aucap.nn.layers import (
     Dense,
     Embedding,
     GRUCellParams,
+    GRUStep,
+    glorot_uniform,
     gru_cell_step,
     gru_sequence,
     orthogonal,
 )
+from aucap.nn.checkpoint import load_parameters
 from aucap.nn.optim import CHUNK, AdamState, adam_step, fit
 from aucap.nn.tensor import Parameter, Tensor
 
@@ -200,6 +204,159 @@ class TestBiGRU:
         assert np.array_equal(fused.data, joined.data)
         for a, b in zip(fused_grads, joined_grads):
             assert np.array_equal(a, b)
+
+
+def layer_cells(layer):
+    return (layer.fwd, layer.bwd) if isinstance(layer, BiGRU) else (layer.cell,)
+
+
+def restacked(cells, dtype, stacked):
+    """Copies of ``cells`` at ``dtype``: with ``stacked``, their gate matrices are
+    views of one new stack, as a layer builds them; without, each is its own array."""
+    stack = np.array([[getattr(c, g).data for c in cells] for g in ("W_z", "W_r", "W")], dtype)
+    out = []
+    for d, c in enumerate(cells):
+        gates = [Parameter(stack[k, d] if stacked else stack[k, d].copy(), p.name)
+                 for k, p in enumerate(c.parameters()[:3])]
+        biases = [Parameter(p.data.astype(dtype), p.name) for p in c.parameters()[3:]]
+        out.append(GRUCellParams(*gates, *biases, stack=stack if stacked else None, slot=d))
+    return out
+
+
+def run_with_grads(cells, x, reverse, return_sequence, seed=0):
+    """``gru_sequence``'s output, then the input's and every parameter's gradient."""
+    xs = Parameter(x, "xs")
+    out = gru_sequence(xs, cells, reverse=reverse, return_sequence=return_sequence)
+    weights = np.random.RandomState(seed).standard_normal(out.data.shape).astype(x.dtype)
+    T.backward(sum_all(T.mul(out, Tensor(weights))))
+    return [out.data, xs.grad, *(p.grad for c in cells for p in c.parameters())]
+
+
+def views_its_stack(cells, dtype=np.float32):
+    """Whether a ``GRUStep`` of ``cells`` reads their stack in place."""
+    stack = cells[0].stack
+    return stack is not None and np.shares_memory(GRUStep(cells, 1, dtype).stack, stack)
+
+
+class TestGateStack:
+    """A layer's cells are views of one gate stack, which each GRU step reads in
+    place; any other cells are stacked into a copy, with the same results."""
+
+    @pytest.mark.parametrize("kind", ["bigru", "gru"])
+    @pytest.mark.parametrize("steps, batch", [(1, 1), (1, 3), (7, 1), (7, 3)])
+    def test_view_path_equals_copy_path_bitwise(self, kind, steps, batch):
+        rng = np.random.RandomState(40)
+        layer = BiGRU(6, 4, rng) if kind == "bigru" else GRU(6, 4, rng)
+        cells = layer_cells(layer)
+        for c in cells:  # biases off zero, written in place so the views stay views
+            for p in c.parameters():
+                p.data += (0.3 * rng.standard_normal(p.data.shape)).astype(np.float32)
+        reverse = (False, True)[: len(cells)]
+        x = rng.standard_normal((steps, batch, 6))
+        for return_sequence in (False, True):
+            for dtype in (np.float32, np.float64):
+                if dtype == np.float32:
+                    view, copy = cells, restacked(cells, dtype, stacked=False)
+                else:  # cast rebinds the weights, so cells that keep a stack take the copy path
+                    view, copy = (restacked(cells, dtype, stacked=True),
+                                  restacked(cells, np.float32, stacked=True))
+                    cast([p for c in copy for p in c.parameters()], dtype)
+                assert views_its_stack(view, dtype) and not views_its_stack(copy, dtype)
+                a = run_with_grads(view, x.astype(dtype), reverse, return_sequence)
+                b = run_with_grads(copy, x.astype(dtype), reverse, return_sequence)
+                assert a[0].dtype == dtype
+                for va, vb in zip(a, b, strict=True):
+                    assert va.tobytes() == vb.tobytes()
+                zero_grads([p for c in (*view, *copy) for p in c.parameters()])
+
+    def test_layer_cells_are_views_of_one_stack(self):
+        layer = BiGRU(5, 3, np.random.RandomState(41))
+        stack = layer.fwd.stack
+        assert stack.shape == (3, 2, 3, 8) and stack.dtype == np.float32
+        assert layer.bwd.stack is stack and (layer.fwd.slot, layer.bwd.slot) == (0, 1)
+        for d, c in enumerate(layer_cells(layer)):
+            for k, w in enumerate((c.W_z, c.W_r, c.W)):
+                assert w.data.base is stack and np.shares_memory(w.data, stack[k, d])
+        assert views_its_stack(layer_cells(layer)) and views_its_stack((layer.fwd,))
+        assert not views_its_stack((layer.bwd,))  # slot 1 alone is stacked anew
+
+    def test_draws_fill_the_stack_in_cell_order(self):
+        """Each cell draws W_z, W_r, then W, forward cell first, each cast as stored."""
+        layer = BiGRU(5, 3, np.random.RandomState(42))
+        rng = np.random.RandomState(42)
+        for c in layer_cells(layer):
+            for w in (c.W_z, c.W_r, c.W):
+                assert np.array_equal(w.data[:, :3], orthogonal(rng, 3).astype(np.float32))
+                assert np.array_equal(w.data[:, 3:],
+                                      glorot_uniform(rng, 3, 5).astype(np.float32))
+
+    def test_cells_out_of_order_take_the_copy_path(self):
+        rng = np.random.RandomState(43)
+        layer = BiGRU(5, 3, rng)
+        x = rng.standard_normal((4, 2, 5)).astype(np.float32)
+        swapped = (layer.bwd, layer.fwd)
+        assert not views_its_stack(swapped)
+        for return_sequence in (False, True):
+            out = gru_sequence(Tensor(x), swapped, reverse=(True, False),
+                               return_sequence=return_sequence).data
+            joined = np.concatenate(
+                [gru_sequence(Tensor(x), layer.bwd, reverse=True,
+                              return_sequence=return_sequence).data,
+                 gru_sequence(Tensor(x), layer.fwd, return_sequence=return_sequence).data],
+                axis=-1)
+            assert out.tobytes() == joined.tobytes()
+
+    def test_stack_holds_the_parameters_after_adam_and_load(self):
+        rng = np.random.RandomState(44)
+        layer = BiGRU(5, 3, rng)
+        cells, stack = layer_cells(layer), layer.fwd.stack
+
+        def stack_holds_parameters():
+            return views_its_stack(cells) and all(
+                np.array_equal(stack[k, d], w.data) and w.data.base is stack
+                for d, c in enumerate(cells) for k, w in enumerate((c.W_z, c.W_r, c.W)))
+
+        before = stack.copy()
+        T.backward(sum_all(layer.run(Tensor(rng.standard_normal((3, 2, 5))))))
+        adam_step(layer.parameters(), AdamState(learning_rate=0.1))
+        assert stack_holds_parameters() and not np.array_equal(stack, before)
+        state = {p.name: rng.standard_normal(p.data.shape) for p in layer.parameters()}
+        load_parameters(layer.parameters(), state)
+        assert stack_holds_parameters()
+        assert np.array_equal(stack[2, 1], state["bigru.bwd.W"].astype(np.float32))
+
+    def test_a_step_copies_no_weights(self):
+        """One T = 1 run at the width of a panns clip and its SVE allocates less
+        than the layer's gate weights: no step copies them."""
+        layer = BiGRU(2148, 32, np.random.RandomState(45))
+        weights = layer.fwd.stack.nbytes
+        assert weights > 1.6e6
+        x = Tensor(np.random.RandomState(46).standard_normal((1, 1, 2148)).astype(np.float32))
+        layer.run(x)  # warm up numpy's caches
+        _, peak, _ = peak_bytes(lambda: layer.run(x))
+        assert peak < weights
+
+
+class TestCellAgreement:
+    """gru_sequence refuses cells whose weights, biases or widths disagree."""
+
+    def test_bias_of_another_shape(self):
+        a, b = GRUCellParams.stacked(4, 3, np.random.RandomState(47), ("a", "b"))
+        b.b_r.data = np.zeros(4, np.float32)
+        with pytest.raises(ShapeError, match=r"b.b_r is float32 \(4,\), want float32 \(3,\)"):
+            gru_sequence(Tensor(np.zeros((2, 1, 4))), (a, b))
+
+    def test_gate_of_another_shape(self):
+        cell = GRUCellParams.create(4, 3, np.random.RandomState(48), name="c")
+        cell.W.data = np.zeros((3, 8), np.float32)
+        with pytest.raises(ShapeError, match=r"c.W is float32 \(3, 8\), want float32 \(3, 7\)"):
+            gru_sequence(Tensor(np.zeros((2, 1, 4))), cell)
+
+    def test_cell_of_another_width(self):
+        a, b = GRUCellParams.stacked(4, 3, np.random.RandomState(49), ("a", "b"))
+        cast(b.parameters(), np.float64)
+        with pytest.raises(ShapeError, match=r"b.W_z is float64 \(3, 7\), want float32"):
+            gru_sequence(Tensor(np.zeros((2, 1, 4), np.float32)), (a, b))
 
 
 class TestActivations:
