@@ -20,7 +20,7 @@ parameters, none of which is here.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -197,20 +197,33 @@ def cider(candidates, reference_lists) -> float:
 
 
 def _greedy_align(cand, ref, roots: dict) -> list[tuple[int, int]]:
-    """One-to-one alignment: exact matches first, then stem matches."""
-    pairs: list[tuple[int, int]] = []
-    used_c = [False] * len(cand)
-    used_r = [False] * len(ref)
-    for cand_keys, ref_keys in ((cand, ref), ([roots[w] for w in cand], [roots[w] for w in ref])):
-        for i, key in enumerate(cand_keys):
-            if used_c[i]:
-                continue
-            for j, rkey in enumerate(ref_keys):
-                if not used_r[j] and rkey == key:
-                    pairs.append((i, j))
-                    used_c[i] = True
-                    used_r[j] = True
-                    break
+    """One-to-one alignment: exact matches first, then stem matches.
+
+    Left to right, each candidate token takes the first unused reference
+    position of the same word, then each one left takes the first unused
+    position of the same root. Each pass pops a per-key queue of the unused
+    positions in order, so the alignment is linear in the two lengths.
+    """
+    free = defaultdict(deque)
+    for j, word in enumerate(ref):
+        free[word].append(j)
+    pairs, left = [], []
+    for i, word in enumerate(cand):
+        queue = free.get(word)
+        if queue:
+            pairs.append((i, queue.popleft()))
+        else:
+            left.append(i)
+    if left:
+        taken = {j for _, j in pairs}
+        by_root = defaultdict(deque)
+        for j, word in enumerate(ref):
+            if j not in taken:
+                by_root[roots[word]].append(j)
+        for i in left:
+            queue = by_root.get(roots[cand[i]])
+            if queue:
+                pairs.append((i, queue.popleft()))
     return sorted(pairs)
 
 

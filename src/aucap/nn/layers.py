@@ -24,6 +24,7 @@ from .checkpoint import state_tensor
 from .tensor import BN_EPS, Parameter, Tensor
 
 BN_MOMENTUM = 0.99  # of the batch-norm running statistics' EMA
+FLUSH_STRIDE = 4  # BPTT steps between flushes of the carried gradient's subnormals
 
 
 def glorot_uniform(rng: np.random.RandomState, fan_out: int, fan_in: int) -> np.ndarray:
@@ -311,7 +312,13 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
     and greedy decoding must reproduce a step of a sequence exactly. The
     backward is one BPTT loop over the stack, with one broadcast product per
     step for each of the two recurrent gradients, then per cell one weight,
-    bias and input product over the T*batch rows in input-time order.
+    bias and input product over the T*batch rows in input-time order. Every
+    ``FLUSH_STRIDE`` steps the carried state gradient has its subnormal
+    entries set to zero, as CPU kernels with flush-to-zero do: a gradient on
+    the final state alone decays through every step, and float arithmetic on
+    subnormals runs many times slower (unflushed, a BiGRU backward at T = 624
+    took twice as long). Without ``return_sequence``, once that gradient is all zero the
+    earlier steps get zero gradients without being run.
     """
     cells = (cells,) if isinstance(cells, GRUCellParams) else tuple(cells)
     rev = (reverse,) * len(cells) if isinstance(reverse, bool) else tuple(reverse)
@@ -369,6 +376,7 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
         w_rec = np.ascontiguousarray(step.stack[:2, ..., :hid].swapaxes(0, 1))
         w_rec = w_rec.reshape(n_dir, 2 * hid, hid)
         d_rh = np.empty((n_dir, batch, hid), dtype)
+        tiny = np.finfo(dtype).tiny  # the smallest normal value
         if return_sequence:
             g_steps = step_order(np.moveaxis(g.reshape(steps, batch, n_dir, hid), 2, 0))
             dh = np.zeros((n_dir, batch, hid), dtype)
@@ -389,6 +397,11 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
             dh_prev += d_rh
             dh_prev += np.matmul(da[:, i, :, : 2 * hid], w_rec)
             dh = dh_prev
+            if i % FLUSH_STRIDE == 0:  # flush subnormals to zero, as FTZ kernels do
+                np.copyto(dh, 0, where=np.abs(dh) < tiny)
+                if not return_sequence and not dh.any():  # no gradient reaches an earlier step
+                    da[:, :i] = 0
+                    break
 
         rows = steps * batch
         for d, (c, r) in enumerate(zip(cells, rev)):

@@ -7,7 +7,13 @@ encodes as a binary membership vector over the corpus.
 
 Tagging uses a word -> {NOUN, VERB, OTHER} lexicon with ordered suffix-rule
 fallbacks, standing in for a full parser; lexicons are plain files so
-pre-tagged annotations can be dropped in.
+pre-tagged annotations can be dropped in. The reserved tokens (``<sos>`` and
+the like) are never subjects or verbs, whatever the lexicon says.
+
+``extract_subjects_verbs`` and ``subject_verb_roots`` share one selection
+pass. Within one ``subject_verb_roots`` call each distinct token is tagged
+once, each distinct selected word is stemmed once, and each caption is read
+once; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from . import atomic
 from .errors import SemanticsError
-from .text import strip_special_tokens
+from .text import RESERVED
 
 NOUN = "NOUN"
 VERB = "VERB"
@@ -199,32 +205,49 @@ class SubjectVerbCorpus:
         return digest.hexdigest()
 
 
-def extract_subjects_verbs(caption: list[str], lex: TagLexicon) -> list[str]:
-    """Nouns before the first verb, plus every verb, in caption order."""
-    tokens = strip_special_tokens(caption)
-    tags = [lex.tag(t) for t in tokens]
-    first_verb = next((i for i, t in enumerate(tags) if t == VERB), len(tokens))
+def _subjects_verbs(caption: list[str], lex: TagLexicon, tags: dict[str, str],
+                    stems: dict[str, str], stem) -> list[str]:
+    """One pass over ``caption``: ``stem`` of each noun before the first verb
+    and of every verb, in caption order.
+
+    ``tags`` (token -> tag) and ``stems`` (selected token -> its stem) are the
+    caller's word tables, filled here through ``lex.tag`` and ``stem`` on a
+    miss. ``tags`` starts with the reserved tokens as OTHER, so they are
+    skipped without being tagged.
+    """
     out = []
-    for i, (token, tag) in enumerate(zip(tokens, tags)):
-        if tag == VERB or (tag == NOUN and i < first_verb):
-            out.append(token)
+    subjects = True
+    for token in caption:
+        tag = tags.get(token)
+        if tag is None:
+            tag = tags[token] = lex.tag(token)
+        if tag == VERB:
+            subjects = False
+        elif not subjects or tag != NOUN:
+            continue
+        word = stems.get(token)
+        if word is None:
+            word = stems[token] = stem(token)
+        out.append(word)
     return out
+
+
+def extract_subjects_verbs(caption: list[str], lex: TagLexicon) -> list[str]:
+    """Nouns before the first verb, plus every verb, in caption order; the
+    reserved tokens are neither."""
+    return _subjects_verbs(caption, lex, dict.fromkeys(RESERVED, OTHER), {}, str)  # str: as is
 
 
 def subject_verb_roots(captions, lex: TagLexicon) -> list[list[str]]:
     """Per caption, the roots of its subjects and verbs in caption order.
 
-    Each distinct word is stemmed once per call, however many captions hold it.
+    One call keeps one word table: each distinct token is tagged once through
+    ``lex.tag`` and each distinct selected word is stemmed once through
+    ``to_root``, however many captions hold it, and each caption takes one
+    pass. Nothing is kept between calls, so every call does the same work.
     """
-    roots: dict[str, str] = {}
-    out = []
-    for caption in captions:
-        words = extract_subjects_verbs(caption, lex)
-        for word in words:
-            if word not in roots:
-                roots[word] = to_root(word)
-        out.append([roots[word] for word in words])
-    return out
+    tags, stems = dict.fromkeys(RESERVED, OTHER), {}
+    return [_subjects_verbs(caption, lex, tags, stems, to_root) for caption in captions]
 
 
 def build_corpus(captions, lex: TagLexicon) -> SubjectVerbCorpus:

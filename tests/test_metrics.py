@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from aucap.errors import MetricError
 from aucap.metrics import (
     ScoreReport,
+    _greedy_align,
     bleu,
     cider,
     evaluate_files,
@@ -17,6 +18,7 @@ from aucap.metrics import (
     rouge_l,
     score_corpus,
 )
+from aucap.semantics import to_root
 from aucap.text import clean_caption
 
 CAT = "the cat sat on the mat".split()
@@ -141,6 +143,26 @@ class TestCider:
             cider([CAT], [[CAT_REF]])
 
 
+def scan_align(cand, ref, roots):
+    """Oracle: for each candidate token, scan the reference for the first unused
+    position with the same word, then the same again by root."""
+    pairs, used_c, used_r = [], [False] * len(cand), [False] * len(ref)
+    for key in (lambda w: w, lambda w: roots[w]):
+        for i, word in enumerate(cand):
+            if used_c[i]:
+                continue
+            for j, rword in enumerate(ref):
+                if not used_r[j] and key(rword) == key(word):
+                    pairs.append((i, j))
+                    used_c[i] = used_r[j] = True
+                    break
+    return sorted(pairs)
+
+
+# words that share a root with others (dog/dogs, bark/barks/barking/barked), and not
+_ALIGN_WORDS = ["dog", "dogs", "bark", "barks", "barking", "barked", "the", "cat", "cats", "a"]
+
+
 class TestMeteor:
     def test_stem_matches_in_one_chunk(self):
         # no exact match; stems: dogs~dog, bark~barks -> m = 2, one chunk
@@ -152,6 +174,13 @@ class TestMeteor:
         # cat->1, the->0, mat->5: m = 3 in 3 chunks, penalty 0.5 (3/3)^3 = 1/2
         # P = 1, R = 1/2: F = 10 * 0.5 / (0.5 + 9) = 10/19; score 5/19
         assert meteor([["cat", "the", "mat"]], [[CAT]]) == pytest.approx(5 / 19)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(_ALIGN_WORDS), max_size=14),
+           st.lists(st.sampled_from(_ALIGN_WORDS), max_size=14))
+    def test_alignment_equals_the_scan(self, cand, ref):
+        roots = {w: to_root(w) for w in _ALIGN_WORDS}
+        assert _greedy_align(cand, ref, roots) == scan_align(cand, ref, roots)
 
     def test_best_reference_and_corpus_mean(self):
         # clip 1: exact the, cat, on, the, mat: m = 5 in 2 chunks (sat/is break it)

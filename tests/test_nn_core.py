@@ -73,21 +73,28 @@ class TestGRUAnalytic:
             gru_cell_step(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 3))), cell)
 
 
-def reference_run(xs, cell, h0=None, reverse=False, return_sequence=False):
-    """A GRU run as a chain of per-step autodiff ops; the fused kernel must
-    reproduce it bit for bit."""
-    steps, batch, _ = xs.shape
-    h = Tensor(h0 if h0 is not None else np.zeros((batch, cell.hidden)))
-    states = [None] * steps
-    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
-        x_t = Tensor(xs[t])
-        hx = T.concat([h, x_t], axis=1)
+def reference_states(xs, cell, h0, reverse=False):
+    """A GRU run as a chain of per-step autodiff ops over the per-step input
+    tensors ``xs`` from the state tensor ``h0``; its states in input order."""
+    h = h0
+    states = [None] * len(xs)
+    for t in (range(len(xs) - 1, -1, -1) if reverse else range(len(xs))):
+        hx = T.concat([h, xs[t]], axis=1)
         z = T.sigmoid(T.linear(hx, cell.W_z, cell.b_z))
         r = T.sigmoid(T.linear(hx, cell.W_r, cell.b_r))
-        rhx = T.concat([T.mul(r, h), x_t], axis=1)
+        rhx = T.concat([T.mul(r, h), xs[t]], axis=1)
         h_hat = T.tanh(T.linear(rhx, cell.W, cell.b))
         h = states[t] = add(T.mul(sub(1.0, z), h), T.mul(z, h_hat))
-    return np.stack([s.data for s in states]) if return_sequence else h.data
+    return states
+
+
+def reference_run(xs, cell, h0=None, reverse=False, return_sequence=False):
+    """``reference_states`` on arrays; the fused kernel must reproduce it bit for bit."""
+    h0 = Tensor(h0 if h0 is not None else np.zeros((xs.shape[1], cell.hidden)))
+    states = reference_states([Tensor(x) for x in xs], cell, h0, reverse)
+    if return_sequence:
+        return np.stack([s.data for s in states])
+    return states[0 if reverse else -1].data
 
 
 class TestGRUForward:
@@ -149,6 +156,40 @@ class TestGRUForward:
             warnings.simplefilter("error")
             out = gru_sequence(xs, cell, return_sequence=True)
         assert np.all(np.isfinite(out.data))
+
+
+class TestSubnormalFlush:
+    """A gradient on the final state alone decays through BPTT; ``gru_sequence``
+    flushes its subnormals to zero and stops once nothing is left."""
+
+    TINY = np.finfo(np.float32).tiny
+
+    def test_gradients_match_unflushed_per_step_ops(self):
+        rng = np.random.RandomState(50)
+        cell = GRUCellParams.create(4, 3, rng)
+        for w in (cell.W_z, cell.W_r, cell.W):
+            w.data *= 0.2
+        cell.b_z.data[:] = 2.5  # z ~ 0.92: each step keeps ~1/6 of the state gradient
+        x = rng.standard_normal((64, 2, 4)).astype(np.float32)
+
+        steps = [Parameter(x_t, "x_t") for x_t in x]
+        h0 = Tensor(np.zeros((2, 3), np.float32))
+        T.backward(sum_all(reference_states(steps, cell, h0)[-1]))  # gradient 1 on the final state
+        unflushed = [np.stack([s.grad for s in steps]), *(p.grad for p in cell.parameters())]
+        zero_grads(cell.parameters())
+        xs = Parameter(x.copy(), "xs")
+        T.backward(sum_all(gru_sequence(xs, cell)))
+        flushed = [xs.grad, *(p.grad for p in cell.parameters())]
+
+        def subnormals(a):
+            return int(((a != 0) & (np.abs(a) < self.TINY)).sum())
+
+        assert subnormals(unflushed[0]) > 40  # the case occurs
+        assert subnormals(xs.grad) < subnormals(unflushed[0]) / 2
+        assert unflushed[0][:8].any() and not xs.grad[:8].any()  # the earliest steps were skipped
+        for a, b in zip(flushed, unflushed, strict=True):
+            assert a.dtype == np.float32
+            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-37)
 
 
 class TestBiGRU:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from aucap import atomic
 from aucap import dataset as ds
+from aucap import semantics
 from aucap.errors import SemanticsError
 from aucap.semantics import (
     NOUN,
@@ -15,9 +18,10 @@ from aucap.semantics import (
     build_corpus,
     encode_sve,
     extract_subjects_verbs,
+    subject_verb_roots,
     to_root,
 )
-from aucap.text import EOS, SOS, clean_caption
+from aucap.text import EOS, RESERVED, SOS, clean_caption, strip_special_tokens
 
 
 def brute_force_corpus(captions, lex):
@@ -101,6 +105,83 @@ class TestExtract:
     def test_noun_after_first_verb_excluded(self, toy_lexicon):
         tokens = [SOS, "man", "speaks", "dog", "barks", EOS]
         assert extract_subjects_verbs(tokens, toy_lexicon) == ["man", "speaks", "barks"]
+
+
+def two_pass_roots(captions, lex):
+    """Oracle: per caption, strip the reserved tokens, tag every token, then keep
+    the roots of the nouns before the first verb and of every verb."""
+    out = []
+    for caption in captions:
+        tokens = strip_special_tokens(caption)
+        tags = [lex.tag(t) for t in tokens]
+        first_verb = next((i for i, t in enumerate(tags) if t == VERB), len(tokens))
+        out.append([to_root(token) for i, (token, tag) in enumerate(zip(tokens, tags))
+                    if tag == VERB or (tag == NOUN and i < first_verb)])
+    return out
+
+
+class CountingLexicon(TagLexicon):
+    """A TagLexicon that counts its ``tag`` calls per word."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.calls = Counter()
+
+    def tag(self, word):
+        self.calls[word] += 1
+        return super().tag(word)
+
+
+# Lexicon entries, reserved tokens (two of them tagged by the lexicon, which
+# must not matter) and misses that fall to the suffix rules or to the default.
+_ENTRIES = {"dog": NOUN, "dogs": NOUN, "man": NOUN, "rain": NOUN, "barks": VERB,
+            "bark": VERB, "talking": VERB, "falls": VERB, "loudly": OTHER, "the": OTHER,
+            "<unk>": NOUN, "<sos>": VERB}
+_MISSES = ["running", "walked", "jumping", "tapped", "table", "ed", "ing", "cries"]
+_tokens = st.sampled_from(sorted(_ENTRIES) + list(RESERVED) + _MISSES) | st.text(
+    alphabet="abdeginrs", min_size=1, max_size=7)
+
+
+class TestSubjectVerbRoots:
+    @settings(max_examples=300)
+    @given(st.lists(st.lists(_tokens, max_size=12), max_size=12))
+    def test_equals_two_pass_oracle(self, captions):
+        lex = TagLexicon(_ENTRIES)
+        assert subject_verb_roots(captions, lex) == two_pass_roots(captions, lex)
+        for caption in captions:
+            assert [to_root(w) for w in extract_subjects_verbs(caption, lex)] == \
+                two_pass_roots([caption], lex)[0]
+
+    def test_reserved_tokens_are_never_selected(self):
+        lex = TagLexicon(_ENTRIES)
+        assert extract_subjects_verbs([SOS, "<unk>", "dog", "<sos>", "barks", EOS], lex) == \
+            ["dog", "barks"]
+
+    def test_each_distinct_token_is_tagged_once_per_call(self):
+        lex = CountingLexicon(_ENTRIES)
+        captions = [[SOS, "dog", "barks", "dog", "runs", EOS],
+                    [SOS, "the", "man", "talking", "dog", "<pad>", EOS],
+                    [SOS, "dog", "barks", EOS]]
+        distinct = {t for c in captions for t in c} - set(RESERVED)
+        subject_verb_roots(captions, lex)
+        assert lex.calls == Counter(dict.fromkeys(distinct, 1))
+        subject_verb_roots(captions, lex)  # no table outlives a call
+        assert lex.calls == Counter(dict.fromkeys(distinct, 2))
+
+    def test_each_selected_word_is_stemmed_once_per_call(self, monkeypatch):
+        stemmed = Counter()
+
+        def counting_to_root(word):
+            stemmed[word] += 1
+            return to_root(word)
+
+        monkeypatch.setattr(semantics, "to_root", counting_to_root)
+        captions = [[SOS, "dogs", "barks", "rain", EOS], [SOS, "dogs", "bark", "falls", EOS]]
+        lex = TagLexicon(_ENTRIES)
+        assert subject_verb_roots(captions, lex) == [["dog", "bark"], ["dog", "bark", "fall"]]
+        assert stemmed == Counter({"dogs": 1, "barks": 1, "bark": 1, "falls": 1})
+        subject_verb_roots(captions, lex)
+        assert stemmed == Counter({"dogs": 2, "barks": 2, "bark": 2, "falls": 2})
 
 
 class TestBuildCorpus:
