@@ -38,6 +38,7 @@ _VOWELS = set("aeiou")
 
 SUFFIX_RULES = (("ing", VERB), ("ed", VERB))  # tried in order for a word with no entry
 DEFAULT_TAG = OTHER  # of a word with no entry and no matching rule
+_RULE_SUFFIXES = tuple(suffix for suffix, _ in SUFFIX_RULES)  # a word with none gets DEFAULT_TAG
 
 _LEXICON_HEADER = "# lexicon "  # first line of a saved corpus, before the lexicon's SHA-256
 
@@ -112,6 +113,12 @@ class TagLexicon:
     then ``DEFAULT_TAG``. Every word therefore maps to exactly one tag. A
     lexicon does not change after construction (``entries`` is a read-only
     view), so its digest is computed on the first ``sha256()`` call and kept.
+
+    ``tag`` looks a word up in ``_exceptions``: the entries whose tag the
+    fallbacks would not give, built once from the entries. An entry that the
+    fallbacks reproduce (most plain OTHER words) gets the same tag without a
+    lookup. The smaller table keeps a lookup cheap when the lexicon is not
+    in the CPU caches, as in a single ``build-sve`` run.
     """
 
     def __init__(self, entries: dict[str, str] | None = None):
@@ -120,12 +127,16 @@ class TagLexicon:
             if tag not in _TAGS:
                 raise SemanticsError(f"unknown tag {tag!r} for word {word!r}")
         self.entries = MappingProxyType(entries)
+        self._exceptions: dict[str, str] = {}  # while empty, ``tag`` gives the fallbacks' tag
+        self._exceptions = {w: t for w, t in entries.items() if TagLexicon.tag(self, w) != t}
         self._sha256: str | None = None
 
     def tag(self, word: str) -> str:
-        hit = self.entries.get(word)
+        hit = self._exceptions.get(word)
         if hit is not None:
             return hit
+        if not word.endswith(_RULE_SUFFIXES):
+            return DEFAULT_TAG
         for suffix, tag in SUFFIX_RULES:
             if word.endswith(suffix) and len(word) > len(suffix):
                 return tag

@@ -72,6 +72,19 @@ class TestToRoot:
             assert to_root(to_root(word)) == to_root(word)
 
 
+_words = st.text(alphabet="abdeginrs", max_size=7)
+
+
+def resolve_tag(entries, word):
+    """Oracle: the exact entry, then the first matching suffix rule, then the default."""
+    if word in entries:
+        return entries[word]
+    for suffix, tag in semantics.SUFFIX_RULES:
+        if word.endswith(suffix) and len(word) > len(suffix):
+            return tag
+    return semantics.DEFAULT_TAG
+
+
 class TestTagLexicon:
     def test_resolution_order(self):
         lex = TagLexicon({"running": NOUN})
@@ -92,6 +105,16 @@ class TestTagLexicon:
     def test_bad_tag_rejected(self):
         with pytest.raises(SemanticsError):
             TagLexicon({"dog": "ADJ"})
+
+    @settings(max_examples=300)
+    @given(st.dictionaries(_words, st.sampled_from([NOUN, VERB, OTHER]), max_size=20),
+           st.lists(_words, max_size=20))
+    @example({"running": OTHER, "barked": VERB, "table": OTHER, "ing": NOUN}, ["running", "ing"])
+    def test_tag_equals_entry_then_rules_then_default(self, entries, words):
+        # the lookup table keeps only the entries the fallbacks would not give
+        lex = TagLexicon(entries)
+        for word in [*entries, *words]:
+            assert lex.tag(word) == resolve_tag(entries, word)
 
 
 class TestExtract:
