@@ -17,10 +17,11 @@ from pathlib import Path
 
 
 def read_text(path: str | os.PathLike, what: str, error: type[Exception]) -> str:
-    """The UTF-8 text of the file ``what`` names, line endings untranslated.
-    Raises ``error`` when it cannot be read (missing, a directory) or is not UTF-8."""
+    """The UTF-8 text of the file ``what`` names, line endings untranslated and
+    a leading byte-order mark (as spreadsheet programs write) dropped. Raises
+    ``error`` when it cannot be read (missing, a directory) or is not UTF-8."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
 

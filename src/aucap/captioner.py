@@ -47,9 +47,9 @@ every step decodes the same numbers as ``forward`` on the whole prefix.
 
 Only the audio encoding builds autodiff nodes; the tokens are stepped on
 plain arrays (``_TokenSteps``). What stays fixed during a decode is prepared
-once per clip: the text-GRU cell's ``GRUStep`` (a view of the layer's gate
-stack, whose transposed slices its two gate products read, and the stacked
-biases) and reused buffers, each batch norm's bias-corrected mean and
+once per clip: the text-GRU cell's ``GRUStep`` (views of the layer's gate
+and bias stacks, whose transposed gate slices its two products read) and
+reused buffers, each batch norm's bias-corrected mean and
 1/sqrt(var + eps) at the model's width, and transposed views of the decoder
 and output weights. A token then runs, at batch 1, the kernels that
 ``forward``'s ops run: ``GRUStep`` is the body of ``gru_sequence``'s loop,
@@ -161,10 +161,9 @@ class Captioner:
         self.bn_text = BatchNorm(c.text_gru, name="enc.bn_text")
         # draw a whole GRU cell, keep its live part: it and dec.out start as in the GRU form
         gru = GRUCellParams.create(c.fused_dim, c.decoder_gru, rng, name="dec")
-        self.dec_W_z = Parameter(gru.W_z.data[:, c.decoder_gru:].copy(), gru.W_z.name)
-        self.dec_b_z = gru.b_z
-        self.dec_W = Parameter(gru.W.data[:, c.decoder_gru:].copy(), gru.W.name)
-        self.dec_b = gru.b
+        self.dec_W_z, self.dec_W = (Parameter(w.data[:, c.decoder_gru:].copy(), w.name)
+                                    for w in (gru.W_z, gru.W))
+        self.dec_b_z, self.dec_b = (Parameter(b.data.copy(), b.name) for b in (gru.b_z, gru.b))
         self.bn_decoder = BatchNorm(c.decoder_gru, name="dec.bn")
         self.out = Dense(c.decoder_gru, vocab_size, rng, name="dec.out")
 

@@ -6,15 +6,16 @@ checkpoint container. Recurrent matrices start orthogonal, everything else
 Glorot-uniform, each drawn at float64 and stored at float32. With ``rng=None``
 nothing is drawn: the weights stay uninitialized, for a state loaded next.
 
-A GRU or BiGRU stores the gate matrices of its D cells in one (3, D, hidden,
-hidden + input) array, of which each cell's W_z, W_r and W are views, so a
-time step makes one broadcast product for z and r over all D cells and one
-for h_hat, reading the weights in place (``GRUStep``).
+A GRU or BiGRU owns its D cells' parameters through a (3, D, hidden, hidden
++ input) gate stack and a (3, D, hidden) bias stack, of which each cell's
+Parameters are views (``GRUCellParams``). A time step makes one broadcast
+product for z and r over all D cells and one for h_hat, reading the stacks
+in place (``GRUStep``), and refuses cells it would have to copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,14 +149,17 @@ class BatchNorm:
 
 @dataclass
 class GRUCellParams:
-    """Gate weights of shape (hidden, hidden + input) and (hidden,) biases.
+    """Gate weights of shape (hidden, hidden + input) and (hidden,) biases:
+    fixed views of slot ``slot`` of their layer's two stacks.
 
-    Column order matches the concatenation [h_prev, x]. The cells that
-    ``stacked`` builds keep their gate matrices in one (3, D, hidden,
-    hidden + input) array, ``stack``: cell ``slot`` d's W_z, W_r and W are
-    views of ``stack[0, d]``, ``stack[1, d]`` and ``stack[2, d]``. Adam and a
-    checkpoint load write the weights in place, so the views stay views. A
-    cell built by hand has no stack.
+    Column order matches the concatenation [h_prev, x]. ``stacked`` allocates
+    the stacks of a layer of D cells, which own its parameters: a (3, D,
+    hidden, hidden + input) gate stack, of which cell d's W_z, W_r and W are
+    ``[0, d]``, ``[1, d]`` and ``[2, d]``, and a (3, D, hidden) bias stack,
+    likewise for b_z, b_r and b. A view finds its stack as its ``.base``.
+    Adam and a checkpoint load write the parameters in place, so the views
+    stay views; a Parameter whose data is rebound is cut off from its stack,
+    and ``GRUStep`` refuses its cell.
     """
 
     W_z: Parameter
@@ -164,7 +168,6 @@ class GRUCellParams:
     b_z: Parameter
     b_r: Parameter
     b: Parameter
-    stack: np.ndarray | None = field(default=None, repr=False, compare=False)
     slot: int = 0
 
     @property
@@ -177,63 +180,68 @@ class GRUCellParams:
 
     @classmethod
     def create(cls, input_dim: int, hidden: int, rng, name: str = "gru") -> "GRUCellParams":
-        """One cell, slot 0 of its own stack."""
+        """One cell, slot 0 of its own stacks."""
         return cls.stacked(input_dim, hidden, rng, (name,))[0]
 
     @classmethod
     def stacked(cls, input_dim: int, hidden: int, rng, names) -> tuple["GRUCellParams", ...]:
-        """One cell per name, cell d in slot d of one float32 stack. The draws
-        fill cell by cell, each W_z, W_r, then W: recurrent columns orthogonal,
-        input columns Glorot-uniform."""
-        stack = np.empty((3, len(names), hidden, hidden + input_dim), np.float32)
+        """One cell per name, cell d in slot d of one float32 gate stack and one
+        zero bias stack. The draws fill cell by cell, each W_z, W_r, then W:
+        recurrent columns orthogonal, input columns Glorot-uniform."""
+        gates = np.empty((3, len(names), hidden, hidden + input_dim), np.float32)
+        biases = np.zeros((3, len(names), hidden), np.float32)
         cells = []
         for d, name in enumerate(names):
             if rng is not None:  # each draw is cast as it is stored
-                for w in stack[:, d]:
+                for w in gates[:, d]:
                     w[:, :hidden] = orthogonal(rng, hidden)
                     w[:, hidden:] = glorot_uniform(rng, hidden, input_dim)
-            gates = [Parameter(w, f"{name}.{label}")
-                     for w, label in zip(stack[:, d], ("W_z", "W_r", "W"))]
-            zeros = [Parameter(np.zeros(hidden, np.float32), f"{name}.{label}")
-                     for label in ("b_z", "b_r", "b")]
-            cells.append(cls(*gates, *zeros, stack=stack, slot=d))
+            views = (*gates[:, d], *biases[:, d])
+            cells.append(cls(*(Parameter(v, f"{name}.{label}") for v, label in
+                               zip(views, ("W_z", "W_r", "W", "b_z", "b_r", "b"))), slot=d))
         return tuple(cells)
 
     def parameters(self) -> list[Parameter]:
         return [self.W_z, self.W_r, self.W, self.b_z, self.b_r, self.b]
 
 
-def _gate_stack(cells) -> np.ndarray:
-    """The cells' gate matrices as one (3, D, hidden, hidden + input) array.
+def _stacks(cells) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, D, hidden, hidden + input) gate and (3, D, hidden) bias views
+    of the D ``cells``' slots in their layer's stacks.
 
-    When the cells are slots 0..D-1 of one stack, in order, and every gate
-    matrix is still a view of it, this is a view of that stack, so no weight
-    is copied. Otherwise (cells built by hand or in another order, one cell
-    of a BiGRU past the first, weights rebound to new arrays) the matrices
-    are stacked into a C-contiguous copy, on which the products of
-    C-contiguous weights compute the same bits."""
-    stack = cells[0].stack
-    if stack is not None and all(
-            c.stack is stack and c.slot == d
-            and c.W_z.data.base is stack and c.W_r.data.base is stack and c.W.data.base is stack
-            for d, c in enumerate(cells)):
-        return stack[:, : len(cells)]
-    return np.array([[c.W_z.data for c in cells], [c.W_r.data for c in cells],
-                     [c.W.data for c in cells]])
+    ShapeError naming the first cell that is not the next slot of the first
+    cell's stacks with all six Parameters still their views: one rebound,
+    built by hand, out of order or of another layer."""
+    first = cells[0]
+    gates, biases = first.W_z.data.base, first.b_z.data.base
+    for d, c in enumerate(cells):
+        if (c.slot != first.slot + d or gates is None or biases is None
+                or c.W_z.data.base is not gates or c.W_r.data.base is not gates
+                or c.W.data.base is not gates or c.b_z.data.base is not biases
+                or c.b_r.data.base is not biases or c.b.data.base is not biases):
+            name, want = c.W_z.name[: -len(".W_z")], first.W_z.name[: -len(".W_z")]
+            raise ShapeError(f"GRU cell {name} is not slot {first.slot + d} of {want}'s stacks "
+                             f"with its parameters their views: a step takes consecutive "
+                             f"cells of one layer, never rebound or built by hand")
+    span = slice(first.slot, first.slot + len(cells))
+    return gates[:, span], biases[:, span]
 
 
 class GRUStep:
-    """One time step of D GRU cells of one shape, on plain arrays: the body of
-    ``gru_sequence``'s time loop, which greedy decoding also runs token by token.
+    """One time step of D consecutive GRU cells of one layer, on plain arrays:
+    the body of ``gru_sequence``'s time loop, which greedy decoding also runs
+    token by token.
 
-    Built once per run: ``stack`` holds the cells' gate matrices (``_gate_stack``),
-    and the biases are stacked at ``dtype`` as (2, D, 1, hidden) for z and r
-    and (D, 1, hidden) for h_hat. A call takes (D, batch, .) buffers at
-    ``dtype``: the states ``h`` and ``h_new``, which must not overlap; ``hx``
-    and ``rhx``, whose last ``input_dim`` columns hold each cell's input and
-    whose first ``hidden`` get h and r*h; ``zr`` (2, D, batch, hidden), which
-    gets z and r; and ``hh``, which gets h_hat. It writes the next states to
-    ``h_new``. The caller ignores exp overflow, which gives a gate of exactly 0.
+    Built once per run, it holds views of the cells' slots in their layer's
+    stacks (``_stacks``): ``stack``, the (3, D, hidden, hidden + input) gate
+    matrices, and the biases as (2, D, 1, hidden) for z and r and (D, 1,
+    hidden) for h_hat. It reads the parameters in place and copies none. A
+    call takes (D, batch, .) buffers at ``dtype``: the states ``h`` and
+    ``h_new``, which must not overlap; ``hx`` and ``rhx``, whose last
+    ``input_dim`` columns hold each cell's input and whose first ``hidden``
+    get h and r*h; ``zr`` (2, D, batch, hidden), which gets z and r; and
+    ``hh``, which gets h_hat. It writes the next states to ``h_new``. The
+    caller ignores exp overflow, which gives a gate of exactly 0.
 
     A step makes two broadcast matrix products: z and r of all D cells from
     ``hx``, then h_hat of all D cells from ``rhx``. Each reads the transposed
@@ -245,13 +253,10 @@ class GRUStep:
     """
 
     def __init__(self, cells, batch: int, dtype):
-        hid, n_dir = cells[0].hidden, len(cells)
-        self.stack = _gate_stack(cells)
+        self.stack, biases = _stacks(cells)
         self.w_zr, self.w = self.stack[:2].swapaxes(-1, -2), self.stack[2].swapaxes(-1, -2)
-        self.b_zr, self.b = np.empty((2, n_dir, 1, hid), dtype), np.empty((n_dir, 1, hid), dtype)
-        for d, c in enumerate(cells):
-            self.b_zr[0, d, 0], self.b_zr[1, d, 0], self.b[d, 0] = c.b_z.data, c.b_r.data, c.b.data
-        self.tmp = np.empty((n_dir, batch, hid), dtype)
+        self.b_zr, self.b = biases[:2, :, None], biases[2, :, None]
+        self.tmp = np.empty((len(cells), batch, cells[0].hidden), dtype)
 
     def __call__(self, h, h_new, hx, rhx, zr, hh) -> None:
         hid = h.shape[-1]
@@ -270,30 +275,13 @@ class GRUStep:
         h_new += self.tmp
 
 
-def _check_cells(cells, n_flags: int) -> None:
-    """ShapeError unless there is one reverse flag per cell, at least one cell,
-    every weight and bias has the shape that the first cell's W_z gives, and
-    each parameter has the dtype of the first cell's parameter in its place."""
-    if not cells or n_flags != len(cells):
-        raise ShapeError(f"gru_sequence needs one or more cells of one shape and one reverse "
-                         f"flag per cell, got {len(cells)} cells and {n_flags} flags")
-    first = cells[0].parameters()
-    shape = first[0].data.shape
-    shapes = [shape] * 3 + [shape[:1]] * 3
-    for c in cells:
-        for p, want, q in zip(c.parameters(), shapes, first):
-            if p.data.shape != want or p.data.dtype != q.data.dtype:
-                raise ShapeError(f"gru_sequence needs cells of one shape and width: {p.name} is "
-                                 f"{p.data.dtype} {p.data.shape}, want {q.data.dtype} {want} "
-                                 f"as {q.name}")
-
-
 def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = False) -> Tensor:
     """Run D GRU cells over one time-major (T, batch, input) sequence as one autodiff node.
 
-    ``cells`` is one GRUCellParams or a sequence of D of them, all of one shape
-    and width; ``reverse`` is one flag for all cells or one per cell, and a
-    reversed cell runs last step first. Per cell and step: z = sigmoid([h, x]
+    ``cells`` is one GRUCellParams or D consecutive cells of one layer, whose
+    stacks it reads in place (``GRUStep``, which refuses any other cells);
+    ``reverse`` is one flag for all cells or one per cell, and a reversed
+    cell runs last step first. Per cell and step: z = sigmoid([h, x]
     @ W_z.T + b_z); r = sigmoid([h, x] @ W_r.T + b_r); h_hat = tanh([r*h, x]
     @ W.T + b); h' = (1 - z)*h + z*h_hat. Starts from the (batch, D*hidden)
     ``h0`` (default zeros). Returns the final (batch, D*hidden) states or all
@@ -322,7 +310,9 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
     """
     cells = (cells,) if isinstance(cells, GRUCellParams) else tuple(cells)
     rev = (reverse,) * len(cells) if isinstance(reverse, bool) else tuple(reverse)
-    _check_cells(cells, len(rev))
+    if not cells or len(rev) != len(cells):
+        raise ShapeError(f"gru_sequence needs one or more cells and one reverse flag per "
+                         f"cell, got {len(cells)} cells and {len(rev)} flags")
     xs = T._as_tensor(xs)
     in_dim, hid, n_dir = cells[0].input_dim, cells[0].hidden, len(cells)
     if xs.data.ndim != 3 or xs.data.shape[0] < 1 or xs.data.shape[2] != in_dim:

@@ -50,23 +50,28 @@ CHUNK = 1 << 14  # elements per block: m, v, grad and data slices stay in cache 
 def adam_step(params: list[Parameter], state: AdamState) -> None:
     """Apply one Adam update and drop the gradients (each becomes None).
 
-    Raises if any parameter has not received a gradient since the last step,
-    which catches a step issued before backward. Runs in place over blocks of
-    each parameter with two reused buffers of its dtype; per element the ops and
-    their order are m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    Raises before any update if a parameter has not received a gradient since
+    the last step (a step issued before backward), or if its data or gradient
+    is not C-contiguous. Runs in place over blocks of each parameter with two
+    reused buffers of its dtype, and never rebinds a parameter's data, so a
+    GRU cell's parameters stay views of their layer's stacks. Per element the
+    ops and their order are m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     w -= scale*m / (sqrt(v) + eps).
     A lookup-fed parameter is updated over its live rows (module docstring).
     """
     stale = [p.name for p in params if p.grad is None]
     if stale:
         raise GraphStateError(f"adam_step before backward for: {', '.join(stale)}")
+    strided = [p.name for p in params if not (p.data.flags.c_contiguous
+                                              and p.grad.flags.c_contiguous)]
+    if strided:  # the blocks are views
+        raise GraphStateError(f"adam_step needs C-contiguous data and gradients, not for: "
+                              f"{', '.join(strided)}")
     state.step += 1
     t = state.step
     scale = float(state.learning_rate * math.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t))
     buffers = {dt: np.empty((2, CHUNK), dt) for dt in {p.data.dtype for p in params}}
     for p in params:
-        if not (p.data.flags.c_contiguous and p.grad.flags.c_contiguous):  # blocks are views
-            p.data, p.grad = np.ascontiguousarray(p.data), np.ascontiguousarray(p.grad)
         if p.name not in state.m:
             state.m[p.name], state.v[p.name] = np.zeros_like(p.data), np.zeros_like(p.data)
             if p.grad_rows is not None:

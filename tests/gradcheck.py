@@ -40,9 +40,21 @@ def mean_all(x) -> Tensor:
 def cast(params: list[Parameter], dtype) -> list[Parameter]:
     """Keep the values of ``params`` at ``dtype`` (float32 or float64), each
     without a gradient, and return them. Models build their parameters at
-    float32; only tests run them at another width."""
+    float32; only tests run them at another width.
+
+    A parameter that views a stack (a GRU cell's, ``GRUCellParams``) is rebound
+    to the same offset of that stack cast once, so the cells stay views."""
+    cast_stacks = {}  # id of a stack -> (the stack, kept so its id stays unique; its cast)
     for p in params:
-        p.data = p.data.astype(dtype)
+        stack = p.data.base
+        if stack is None:
+            p.data = p.data.astype(dtype)
+        else:
+            if id(stack) not in cast_stacks:
+                cast_stacks[id(stack)] = stack, stack.astype(dtype)
+            offset = (p.data.ctypes.data - stack.ctypes.data) // stack.itemsize
+            flat = cast_stacks[id(stack)][1].reshape(-1)
+            p.data = flat[offset : offset + p.data.size].reshape(p.data.shape)
         p.grad, p.grad_rows = None, None
     return params
 

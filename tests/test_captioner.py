@@ -813,7 +813,7 @@ class TestSveAblationEquivalence:
         for q in without.parameters():
             p = named[q.name]
             if p.data.shape == q.data.shape:
-                p.data = q.data.copy()
+                p.data[...] = q.data  # in place: a GRU parameter stays a view of its stack
         aud = cfg.feature_dim
         hid = cfg.bigru1
         for cell in (with_sve.audio_gru1.fwd, with_sve.audio_gru1.bwd):
@@ -826,7 +826,7 @@ class TestSveAblationEquivalence:
                 p.data[:, : hid + aud] = q.data
                 p.data[:, hid + aud :] = 0.0
             for gate in ("b_z", "b_r", "b"):
-                getattr(cell, gate).data = ref[gate].data.copy()
+                getattr(cell, gate).data[...] = ref[gate].data
 
         audio = rng.standard_normal((2, 4, aud))
         sve = np.zeros(3)

@@ -34,6 +34,14 @@ class TestLoadCaptionCsv:
         assert [(r.clip_id, len(r.captions), r.split) for r in records] == [
             ("Y1", 1, "evaluation"), ("Y2", 1, "evaluation")]
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A CSV that starts with U+FEFF, as spreadsheet programs write it,
+        parses like the same file without the mark."""
+        text = "file_name,caption\nY1.wav,Rain falls.\n"
+        plain = load_caption_csv(write(tmp_path, text), "audiocaps")
+        assert load_caption_csv(write(tmp_path, "\ufeff" + text), "audiocaps") == plain
+        assert plain[0].clip_id == "Y1"
+
     @pytest.mark.parametrize("text", [
         "file_name,caption\nY1.wav,\n",                   # empty caption cell
         "file_name,caption\nY1.wav,rain\nY1.wav,wind\n",  # duplicate clip

@@ -4,8 +4,9 @@ The goldens pin exact losses and captions, and the gradient checks pin each
 op; neither asks whether training learns. These gates do, on the caption
 model of the benchmark's fixtures (``perfbench/fixtures.py``): captions of
 8-20 words over a vocabulary of about 4.5k words, and panns-like clip vectors
-drawn around one centroid per sound class. The setups are fixed; a gate that
-fails is a finding about the program, not a bound to tune.
+or short log-Mel frame sequences drawn around one template per sound class.
+The setups are fixed; a gate that fails is a finding about the program, not a
+bound to tune.
 """
 
 import importlib.util
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from aucap.captioner import CaptionerConfig, train_captioner
+from aucap.mlp import MLPConfig, predict_sve, train_mlp
 from aucap.text import Vocabulary, clean_caption
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures.py"
@@ -28,23 +30,50 @@ def load_fixtures():
     return module
 
 
-def test_captioner_memorises_eight_clips():
-    """8 panns-like clips of 8 classes, one caption each, dropout 0, lr 3e-3,
-    60 epochs: every greedy caption is its training caption."""
+def memorise_captions(variant: str, frames: int, width: int) -> None:
+    """8 clips of 8 classes, one caption each, each clip a (frames, width)
+    class template plus noise; dropout 0, lr 3e-3, 60 epochs: every greedy
+    caption is its training caption."""
     fx = load_fixtures()
     model = fx.CaptionModel(1)
     rng = np.random.RandomState(2)
-    centroids = rng.standard_normal((fx.N_CLASSES, fx.PANNS_DIM))
+    templates = rng.standard_normal((fx.N_CLASSES, frames, width))
     pairs, features = [], {}
     for cls in range(8):
         clip_id = f"clip{cls}"
         pairs.append((clip_id, clean_caption(model.caption(rng, cls))))
-        vec = centroids[cls] + 0.8 * rng.standard_normal(fx.PANNS_DIM)
-        features[clip_id] = vec.reshape(1, -1).astype(np.float32)
+        clip = templates[cls] + 0.8 * rng.standard_normal((frames, width))
+        features[clip_id] = clip.astype(np.float32)
     vocab = Vocabulary(model.words())
-    config = CaptionerConfig(variant="panns", dropout=0.0, learning_rate=3e-3, epochs=60)
+    config = CaptionerConfig(variant=variant, dropout=0.0, learning_rate=3e-3, epochs=60)
 
     checkpoint, _ = train_captioner(pairs, features, None, vocab, config)
     captioner = checkpoint.build_model()
     for clip_id, caption in pairs:
         assert captioner.greedy_decode(features[clip_id], vocab) == caption, clip_id
+
+
+def test_captioner_memorises_eight_clips():
+    """panns: one 2048-vector per clip."""
+    memorise_captions("panns", 1, load_fixtures().PANNS_DIM)
+
+
+def test_logmel_captioner_memorises_eight_clips():
+    """log-Mel: 10 frames of 64 bands per clip, through both BiGRUs' time loops."""
+    memorise_captions("logmel", 10, 64)
+
+
+def test_mlp_memorises_eight_clips():
+    """The paper's MLP (six hidden layers) on 8 panns-like clips, each with 16
+    random binary labels (p = 0.3); dropout 0, lr 1e-3, 50 epochs of one
+    batch: every training label is recovered at a threshold of 0.5."""
+    fx = load_fixtures()
+    rng = np.random.RandomState(5)
+    centroids = rng.standard_normal((fx.N_CLASSES, fx.PANNS_DIM))
+    x = (centroids[:8] + 0.8 * rng.standard_normal((8, fx.PANNS_DIM))).astype(np.float32)
+    labels = (rng.uniform(size=(8, 16)) < 0.3).astype(np.float32)
+    config = MLPConfig(input_dim=fx.PANNS_DIM, output_dim=16, dropout=0.0, learning_rate=1e-3,
+                       epochs=50, batch_size=8)
+
+    model, _ = train_mlp(x, labels, config)
+    assert np.array_equal(predict_sve(model, x) > 0.5, labels == 1)

@@ -15,6 +15,7 @@ from aucap.metrics import (
     evaluate_files,
     lcs_length,
     meteor,
+    read_caption_tsv,
     rouge_l,
     score_corpus,
 )
@@ -209,6 +210,16 @@ class TestEvaluateFiles:
         assert report.meteor == pytest.approx((5 / 6 * 0.968 + 15 / 16) / 2)
         assert set(report.as_dict()) == {"B-1", "B-2", "B-3", "B-4", "CIDEr", "METEOR",
                                          "ROUGE_L"}
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A TSV that starts with U+FEFF, as spreadsheet programs write it,
+        reads like the same file without the mark."""
+        text = "Y1\tRain falls.\nY2\ta man speaks\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert read_caption_tsv(marked) == read_caption_tsv(plain)
+        assert list(read_caption_tsv(plain)) == ["Y1", "Y2"]
 
     def test_candidate_without_references(self, tmp_path):
         cand = tmp_path / "cand.tsv"

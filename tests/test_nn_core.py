@@ -132,7 +132,7 @@ class TestGRUForward:
         cell = GRUCellParams.create(5, 4, rng)
         if random_bias:
             for b in (cell.b_z, cell.b_r, cell.b):
-                b.data = rng.standard_normal(4)
+                b.data[...] = rng.standard_normal(4)  # in place, as a view of its stack
         xs = rng.standard_normal((6, 3, 5)) * 2.0
         h0 = rng.uniform(-0.9, 0.9, (3, 4))
         for options in ({}, {"h0": h0}, {"return_sequence": True},
@@ -196,7 +196,8 @@ class TestBiGRU:
     def test_palindrome_symmetry(self):
         rng = np.random.RandomState(6)
         layer = BiGRU(4, 3, rng)
-        layer.bwd = layer.fwd
+        for p, q in zip(layer.bwd.parameters(), layer.fwd.parameters()):
+            p.data[...] = q.data  # the backward cell a copy of the forward one
         half = rng.standard_normal((3, 1, 4))
         seq = Tensor(np.concatenate([half, half[::-1]]))  # palindromic in time
         out = layer.run(seq, return_sequence=True).data
@@ -225,7 +226,7 @@ class TestBiGRU:
         rng = np.random.RandomState(9)
         layer = BiGRU(5, 3, rng)
         for p in layer.parameters():
-            p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)  # biases off zero too
+            p.data += 0.3 * rng.standard_normal(p.data.shape)  # biases off zero too, in place
         x = rng.standard_normal((steps, batch, 5))
         weights = Tensor(rng.standard_normal((steps, batch, 6) if return_sequence else (batch, 6)))
 
@@ -251,75 +252,37 @@ def layer_cells(layer):
     return (layer.fwd, layer.bwd) if isinstance(layer, BiGRU) else (layer.cell,)
 
 
-def restacked(cells, dtype, stacked):
-    """Copies of ``cells`` at ``dtype``: with ``stacked``, their gate matrices are
-    views of one new stack, as a layer builds them; without, each is its own array."""
-    stack = np.array([[getattr(c, g).data for c in cells] for g in ("W_z", "W_r", "W")], dtype)
-    out = []
-    for d, c in enumerate(cells):
-        gates = [Parameter(stack[k, d] if stacked else stack[k, d].copy(), p.name)
-                 for k, p in enumerate(c.parameters()[:3])]
-        biases = [Parameter(p.data.astype(dtype), p.name) for p in c.parameters()[3:]]
-        out.append(GRUCellParams(*gates, *biases, stack=stack if stacked else None, slot=d))
-    return out
+def stacks_of(cell):
+    """A cell's gate and bias stacks, found as the ``.base`` of its views."""
+    return cell.W_z.data.base, cell.b_z.data.base
 
 
-def run_with_grads(cells, x, reverse, return_sequence, seed=0):
-    """``gru_sequence``'s output, then the input's and every parameter's gradient."""
-    xs = Parameter(x, "xs")
-    out = gru_sequence(xs, cells, reverse=reverse, return_sequence=return_sequence)
-    weights = np.random.RandomState(seed).standard_normal(out.data.shape).astype(x.dtype)
-    T.backward(sum_all(T.mul(out, Tensor(weights))))
-    return [out.data, xs.grad, *(p.grad for c in cells for p in c.parameters())]
-
-
-def views_its_stack(cells, dtype=np.float32):
-    """Whether a ``GRUStep`` of ``cells`` reads their stack in place."""
-    stack = cells[0].stack
-    return stack is not None and np.shares_memory(GRUStep(cells, 1, dtype).stack, stack)
+def views_its_stacks(cells, dtype=np.float32):
+    """Whether a ``GRUStep`` of ``cells`` reads their stacks in place."""
+    gates, biases = stacks_of(cells[0])
+    step = GRUStep(cells, 1, dtype)
+    return (np.shares_memory(step.stack, gates) and np.shares_memory(step.b_zr, biases)
+            and np.shares_memory(step.b, biases))
 
 
 class TestGateStack:
-    """A layer's cells are views of one gate stack, which each GRU step reads in
-    place; any other cells are stacked into a copy, with the same results."""
+    """A layer's cells are fixed views of one gate stack and one bias stack,
+    which each GRU step reads in place."""
 
-    @pytest.mark.parametrize("kind", ["bigru", "gru"])
-    @pytest.mark.parametrize("steps, batch", [(1, 1), (1, 3), (7, 1), (7, 3)])
-    def test_view_path_equals_copy_path_bitwise(self, kind, steps, batch):
-        rng = np.random.RandomState(40)
-        layer = BiGRU(6, 4, rng) if kind == "bigru" else GRU(6, 4, rng)
-        cells = layer_cells(layer)
-        for c in cells:  # biases off zero, written in place so the views stay views
-            for p in c.parameters():
-                p.data += (0.3 * rng.standard_normal(p.data.shape)).astype(np.float32)
-        reverse = (False, True)[: len(cells)]
-        x = rng.standard_normal((steps, batch, 6))
-        for return_sequence in (False, True):
-            for dtype in (np.float32, np.float64):
-                if dtype == np.float32:
-                    view, copy = cells, restacked(cells, dtype, stacked=False)
-                else:  # cast rebinds the weights, so cells that keep a stack take the copy path
-                    view, copy = (restacked(cells, dtype, stacked=True),
-                                  restacked(cells, np.float32, stacked=True))
-                    cast([p for c in copy for p in c.parameters()], dtype)
-                assert views_its_stack(view, dtype) and not views_its_stack(copy, dtype)
-                a = run_with_grads(view, x.astype(dtype), reverse, return_sequence)
-                b = run_with_grads(copy, x.astype(dtype), reverse, return_sequence)
-                assert a[0].dtype == dtype
-                for va, vb in zip(a, b, strict=True):
-                    assert va.tobytes() == vb.tobytes()
-                zero_grads([p for c in (*view, *copy) for p in c.parameters()])
-
-    def test_layer_cells_are_views_of_one_stack(self):
+    def test_layer_cells_are_views_of_its_stacks(self):
         layer = BiGRU(5, 3, np.random.RandomState(41))
-        stack = layer.fwd.stack
-        assert stack.shape == (3, 2, 3, 8) and stack.dtype == np.float32
-        assert layer.bwd.stack is stack and (layer.fwd.slot, layer.bwd.slot) == (0, 1)
+        gates, biases = stacks_of(layer.fwd)
+        assert gates.shape == (3, 2, 3, 8) and gates.dtype == np.float32
+        assert biases.shape == (3, 2, 3) and biases.dtype == np.float32 and not biases.any()
+        assert stacks_of(layer.bwd) == (gates, biases)
+        assert (layer.fwd.slot, layer.bwd.slot) == (0, 1)
         for d, c in enumerate(layer_cells(layer)):
             for k, w in enumerate((c.W_z, c.W_r, c.W)):
-                assert w.data.base is stack and np.shares_memory(w.data, stack[k, d])
-        assert views_its_stack(layer_cells(layer)) and views_its_stack((layer.fwd,))
-        assert not views_its_stack((layer.bwd,))  # slot 1 alone is stacked anew
+                assert w.data.base is gates and np.shares_memory(w.data, gates[k, d])
+            for k, b in enumerate((c.b_z, c.b_r, c.b)):
+                assert b.data.base is biases and np.shares_memory(b.data, biases[k, d])
+        for cells in (layer_cells(layer), (layer.fwd,), (layer.bwd,)):  # slot 1 alone too
+            assert views_its_stacks(cells)
 
     def test_draws_fill_the_stack_in_cell_order(self):
         """Each cell draws W_z, W_r, then W, forward cell first, each cast as stored."""
@@ -331,46 +294,44 @@ class TestGateStack:
                 assert np.array_equal(w.data[:, 3:],
                                       glorot_uniform(rng, 3, 5).astype(np.float32))
 
-    def test_cells_out_of_order_take_the_copy_path(self):
-        rng = np.random.RandomState(43)
-        layer = BiGRU(5, 3, rng)
-        x = rng.standard_normal((4, 2, 5)).astype(np.float32)
-        swapped = (layer.bwd, layer.fwd)
-        assert not views_its_stack(swapped)
-        for return_sequence in (False, True):
-            out = gru_sequence(Tensor(x), swapped, reverse=(True, False),
-                               return_sequence=return_sequence).data
-            joined = np.concatenate(
-                [gru_sequence(Tensor(x), layer.bwd, reverse=True,
-                              return_sequence=return_sequence).data,
-                 gru_sequence(Tensor(x), layer.fwd, return_sequence=return_sequence).data],
-                axis=-1)
-            assert out.tobytes() == joined.tobytes()
-
-    def test_stack_holds_the_parameters_after_adam_and_load(self):
+    def test_stacks_hold_the_parameters_after_adam_and_load(self):
         rng = np.random.RandomState(44)
         layer = BiGRU(5, 3, rng)
-        cells, stack = layer_cells(layer), layer.fwd.stack
+        cells, (gates, biases) = layer_cells(layer), stacks_of(layer.fwd)
 
-        def stack_holds_parameters():
-            return views_its_stack(cells) and all(
-                np.array_equal(stack[k, d], w.data) and w.data.base is stack
-                for d, c in enumerate(cells) for k, w in enumerate((c.W_z, c.W_r, c.W)))
+        def stacks_hold_parameters():
+            return views_its_stacks(cells) and all(
+                np.array_equal(stack[k, d], p.data) and p.data.base is stack
+                for d, c in enumerate(cells) for i, p in enumerate(c.parameters())
+                for stack, k in ((gates, i) if i < 3 else (biases, i - 3),))
 
-        before = stack.copy()
+        before = gates.copy(), biases.copy()
         T.backward(sum_all(layer.run(Tensor(rng.standard_normal((3, 2, 5))))))
         adam_step(layer.parameters(), AdamState(learning_rate=0.1))
-        assert stack_holds_parameters() and not np.array_equal(stack, before)
+        assert stacks_hold_parameters()
+        assert not np.array_equal(gates, before[0]) and not np.array_equal(biases, before[1])
         state = {p.name: rng.standard_normal(p.data.shape) for p in layer.parameters()}
         load_parameters(layer.parameters(), state)
-        assert stack_holds_parameters()
-        assert np.array_equal(stack[2, 1], state["bigru.bwd.W"].astype(np.float32))
+        assert stacks_hold_parameters()
+        assert np.array_equal(gates[2, 1], state["bigru.bwd.W"].astype(np.float32))
+        assert np.array_equal(biases[0, 1], state["bigru.bwd.b_z"].astype(np.float32))
+
+    def test_cast_keeps_the_cells_views(self):
+        """The tests' ``cast`` casts each stack once and rebinds every view into it."""
+        layer = BiGRU(5, 3, np.random.RandomState(45))
+        values = [p.data.copy() for p in layer.parameters()]
+        cast(layer.parameters(), np.float64)
+        gates, biases = stacks_of(layer.fwd)
+        assert gates.dtype == biases.dtype == np.float64 and views_its_stacks(layer_cells(layer))
+        for p, value in zip(layer.parameters(), values, strict=True):
+            assert p.data.base is (gates if p.data.ndim == 2 else biases)
+            assert np.array_equal(p.data, value)
 
     def test_a_step_copies_no_weights(self):
         """One T = 1 run at the width of a panns clip and its SVE allocates less
         than the layer's gate weights: no step copies them."""
         layer = BiGRU(2148, 32, np.random.RandomState(45))
-        weights = layer.fwd.stack.nbytes
+        weights = stacks_of(layer.fwd)[0].nbytes
         assert weights > 1.6e6
         x = Tensor(np.random.RandomState(46).standard_normal((1, 1, 2148)).astype(np.float32))
         layer.run(x)  # warm up numpy's caches
@@ -378,26 +339,51 @@ class TestGateStack:
         assert peak < weights
 
 
-class TestCellAgreement:
-    """gru_sequence refuses cells whose weights, biases or widths disagree."""
+class TestCellRefusal:
+    """A step takes consecutive cells of one layer, each parameter still its
+    view; ``gru_sequence`` and ``GRUStep`` refuse any other cell by name."""
 
-    def test_bias_of_another_shape(self):
+    X = Tensor(np.zeros((2, 1, 4), np.float32))
+
+    def refused(self, cells, name, **options):
+        with pytest.raises(ShapeError, match=rf"GRU cell {name} is not slot"):
+            gru_sequence(self.X, cells, **options)
+        with pytest.raises(ShapeError, match=rf"GRU cell {name} is not slot"):
+            GRUStep(cells, 1, np.float32)
+
+    @pytest.mark.parametrize("label", ["W_z", "W_r", "W", "b_z", "b_r", "b"])
+    def test_rebound_parameter(self, label):
         a, b = GRUCellParams.stacked(4, 3, np.random.RandomState(47), ("a", "b"))
-        b.b_r.data = np.zeros(4, np.float32)
-        with pytest.raises(ShapeError, match=r"b.b_r is float32 \(4,\), want float32 \(3,\)"):
-            gru_sequence(Tensor(np.zeros((2, 1, 4))), (a, b))
+        p = getattr(b, label)
+        p.data = p.data.copy()
+        self.refused((a, b), "b", reverse=(False, True))
+        self.refused((b,), "b")
 
-    def test_gate_of_another_shape(self):
+    def test_hand_built_cell(self):
         cell = GRUCellParams.create(4, 3, np.random.RandomState(48), name="c")
-        cell.W.data = np.zeros((3, 8), np.float32)
-        with pytest.raises(ShapeError, match=r"c.W is float32 \(3, 8\), want float32 \(3, 7\)"):
-            gru_sequence(Tensor(np.zeros((2, 1, 4))), cell)
+        copy = GRUCellParams(*(Parameter(p.data.copy(), p.name) for p in cell.parameters()))
+        self.refused((copy,), "c")
+
+    def test_cells_out_of_order(self):
+        layer = BiGRU(4, 3, np.random.RandomState(43), name="bi")
+        self.refused((layer.bwd, layer.fwd), "bi.fwd", reverse=(True, False))
+        self.refused((layer.fwd, layer.fwd), "bi.fwd")
+
+    def test_cells_of_two_layers(self):
+        a, b = BiGRU(4, 3, np.random.RandomState(49), name="a"), BiGRU(4, 3, None, name="b")
+        self.refused((a.fwd, b.bwd), "b.bwd")
 
     def test_cell_of_another_width(self):
         a, b = GRUCellParams.stacked(4, 3, np.random.RandomState(49), ("a", "b"))
-        cast(b.parameters(), np.float64)
-        with pytest.raises(ShapeError, match=r"b.W_z is float64 \(3, 7\), want float32"):
-            gru_sequence(Tensor(np.zeros((2, 1, 4), np.float32)), (a, b))
+        cast(b.parameters(), np.float64)  # b now views a float64 copy of the stacks
+        self.refused((a, b), "b")
+
+    def test_one_reverse_flag_per_cell(self):
+        layer = BiGRU(4, 3, np.random.RandomState(50))
+        with pytest.raises(ShapeError, match="2 cells and 1 flags"):
+            gru_sequence(self.X, layer_cells(layer), reverse=(True,))
+        with pytest.raises(ShapeError, match="0 cells"):
+            gru_sequence(self.X, ())
 
 
 class TestActivations:
@@ -756,6 +742,22 @@ class TestAdam:
         adam_step([w], AdamState())
         with pytest.raises(GraphStateError, match="adam_step before backward for: w"):
             adam_step([w], AdamState())
+
+    @pytest.mark.parametrize("strided", ["data", "grad"])
+    def test_strided_parameter_rejected_unchanged(self, strided):
+        """A step never rebinds a parameter's data (a GRU cell's would leave its
+        stack): one whose data or gradient is not C-contiguous is refused
+        before any parameter moves."""
+        v, w = Parameter(np.ones(3), "v"), Parameter(np.ones((4, 6))[:, ::2], "w")
+        if strided == "grad":
+            w = Parameter(np.ones((4, 3)), "w")
+        T.backward(sum_all(add(T.mul(v, v), mean_all(T.mul(w, w)))))
+        if strided == "grad":
+            w.grad = np.ones((4, 6))[:, ::2]
+        data, state = w.data, AdamState()
+        with pytest.raises(GraphStateError, match="C-contiguous data and gradients, not for: w$"):
+            adam_step([v, w], state)
+        assert w.data is data and np.array_equal(v.data, np.ones(3)) and state.step == 0
 
     def test_grads_cleared_after_step(self):
         w = Parameter(np.array([1.0]), "w")
