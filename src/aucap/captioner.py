@@ -9,28 +9,34 @@ tokens contributes N-1 (prefix -> next word) examples, and minimises the
 cross-entropy of the softmax of those logits, fused into one node
 (``T.softmax_cross_entropy``).
 
-A training batch is whole captions. The audio state never depends on the
-prefix, and the text state of prefix i is step i of one text-GRU pass over
-the caption, so a batch of k captions takes one audio pass over its k clips
-and one text-GRU pass over its (L, k) token matrix, in which shorter
-captions are padded after their last token. The GRU runs forward in time,
-so a valid step's state never sees the padding after it, and every
-gradient at a pad step is zero: the padding needs no mask. ``bn_audio2``
-normalizes the k final audio states, each weighted by its caption's number
-of examples, and the valid (step, caption) text states are gathered to one
-row per example for ``bn_text``; both thus see the statistics of one row per
-example. Each example's audio state is then gathered, and all are decoded
-together. The k clips' features and SVEs are joined per batch, by one
+A training batch is whole captions, grouped by clip: an epoch permutes the
+clips, each clip gives its captions in their given order, and a batch closes
+once it holds ``batch_size`` examples and at least 2 clips, the rest of a
+clip's captions starting the next (``_clip_batches``). The audio state never
+depends on the prefix, and the text state of prefix i is step i of one
+text-GRU pass over the caption, so a batch of k captions of c clips takes
+one audio pass over its c clips and one text-GRU pass over its (L, k) token
+matrix, in which shorter captions are padded after their last token. The
+GRU runs forward in time, so a valid step's state never sees the padding
+after it, and every gradient at a pad step is zero: the padding needs no
+mask. ``bn_audio2`` normalizes the c final audio states, each weighted by
+its clip's number of examples, and the valid (step, caption) text states are
+gathered to one row per example for ``bn_text``; both thus see the
+statistics of one row per example. Each example's audio state is then
+gathered through its caption's clip row, and all are decoded together. The
+c clips' features and SVEs are joined per batch, by one
 ``build_encoder_input`` call: training holds no joined copy of the clips.
+With one caption per clip, the batches and every random draw are those of
+packing the captions themselves.
 
 The model runs at float32: its layers hand out float32 parameters (each
 drawn at float64 and cast at once), and its inputs are cast to their width,
 so the whole graph follows them. The loss and the train-mode batch-norm
 statistics reduce in float64 (see ``nn/tensor.py``). Weighting the clip rows
-instead of repeating them matters at float32: when a batch holds one
-caption, the gradient that ``bn_audio2`` passes on is exactly zero, but
-summed over n repeated rows it keeps a rounding residue that 1/sqrt(eps)
-magnifies past Adam's eps.
+instead of repeating them matters at float32: when a batch holds one clip,
+the gradient that ``bn_audio2`` passes on is exactly zero, but summed over n
+repeated rows it keeps a rounding residue that 1/sqrt(eps) magnifies past
+Adam's eps.
 
 The paper's decoder is a GRU run for one step from h0 = 0. With h0 = 0 the
 reset gate only scales the zero state and the recurrent columns of the
@@ -91,7 +97,8 @@ class CaptionerConfig:
     dropout: float = 0.5
     learning_rate: float = 1e-3
     epochs: int = 50
-    batch_size: int = 64          # examples (prefixes) per optimizer step, made of whole captions
+    batch_size: int = 64          # examples (prefixes) per optimizer step: whole captions
+                                  # grouped by clip, from at least 2 clips
     max_len: int = 22
     seed: int = 0
 
@@ -227,19 +234,26 @@ class Captioner:
         return T.embedding_lookup(self.bn_audio2(audio_vec, mode=mode, counts=counts), rows)
 
     def encode(self, audio: np.ndarray, prefix: np.ndarray, positions, mode: str,
-               rng: np.random.RandomState | None = None) -> Tensor:
+               rng: np.random.RandomState | None = None, clip_of_caption=None) -> Tensor:
         """Fused (examples, 2*bigru2 + text_gru) representation of audio + partial captions.
 
-        ``prefix`` is (batch, L) and runs through the text GRU in one pass.
-        ``positions`` = (steps, rows) index arrays name the examples: example e
-        is the prefix ``prefix[rows[e], :steps[e] + 1]`` of clip ``rows[e]``.
-        Columns after an example's step (padding, in a batch of captions of
-        several lengths) come later in time, so they change neither its state
-        nor its gradient.
+        ``prefix`` is (captions, L) and runs through the text GRU in one pass.
+        ``clip_of_caption`` names the row of ``audio`` that each caption is of;
+        by default, caption i is of clip i. ``positions`` = (steps, rows)
+        index arrays name the examples: example e is the prefix
+        ``prefix[rows[e], :steps[e] + 1]`` of caption ``rows[e]``. Columns
+        after an example's step (padding, in a batch of captions of several
+        lengths) come later in time, so they change neither its state nor its
+        gradient.
         """
         prefix = np.asarray(prefix, dtype=np.int64)
-        if prefix.ndim != 2 or prefix.shape[:1] != np.shape(audio)[:1]:
-            raise ShapeError(f"prefix {prefix.shape} / audio {np.shape(audio)}")
+        clips = np.shape(audio)[0] if np.ndim(audio) else 0
+        clip_of_caption = (np.arange(clips) if clip_of_caption is None
+                           else np.asarray(clip_of_caption, dtype=np.int64))
+        if (prefix.ndim != 2 or clip_of_caption.shape != prefix.shape[:1]
+                or np.any((clip_of_caption < 0) | (clip_of_caption >= clips))):
+            raise ShapeError(f"prefix {prefix.shape} / audio {np.shape(audio)} / clip of "
+                             f"each caption {clip_of_caption.shape}")
         batch, length = prefix.shape
         steps, rows = (np.asarray(a, dtype=np.int64) for a in positions)
         if (steps.ndim != 1 or steps.shape != rows.shape or not steps.size
@@ -247,7 +261,7 @@ class Captioner:
                 or not (0 <= rows.min() <= rows.max() < batch)):
             raise ShapeError(f"positions must be two equal-length index vectors within "
                              f"the (batch, L) = {prefix.shape} prefix matrix")
-        audio_vec = self.encode_audio(audio, mode, rng=rng, rows=rows)
+        audio_vec = self.encode_audio(audio, mode, rng=rng, rows=clip_of_caption[rows])
 
         text = T.reshape(self.embedding(prefix.T.ravel()), (length, batch, self.config.embed_dim))
         text = T.dropout(text, self.config.dropout, mode, rng)
@@ -265,9 +279,11 @@ class Captioner:
         h = self.bn_decoder(h, mode=mode)
         return self.out(h)
 
-    def forward(self, audio, prefix, positions, mode: str, rng=None) -> Tensor:
+    def forward(self, audio, prefix, positions, mode: str, rng=None,
+                clip_of_caption=None) -> Tensor:
         """Next-word logits of the examples ``positions`` names (see ``encode``)."""
-        fused = self.encode(audio, prefix, positions, mode, rng=rng)
+        fused = self.encode(audio, prefix, positions, mode, rng=rng,
+                            clip_of_caption=clip_of_caption)
         return self.decode_step(fused, mode)
 
     # -- inference ----------------------------------------------------------
@@ -428,21 +444,30 @@ def _encode_captions(pairs, vocab: Vocabulary) -> list[tuple[str, list[int]]]:
     return captions
 
 
-def _caption_batches(lengths: list[int], order, batch_size: int) -> list[list[int]]:
-    """Pack the captions of these token ``lengths``, taken in ``order``, into
-    batches that each reach ``batch_size`` examples and hold at least 2
-    captions (train-mode batch norm needs 2 rows even at one audio frame). A
-    trailing one-caption batch joins the one before it."""
+def _clip_batches(captions: list[tuple[str, list[int]]], order, batch_size: int) -> list[list[int]]:
+    """Pack the (clip_id, token indices) ``captions`` into batches of caption
+    indices, clip by clip. ``order`` permutes the distinct clips, numbered in
+    order of first appearance, and each clip gives its captions in their given
+    order, so a clip's captions are consecutive. A batch closes once it holds
+    ``batch_size`` examples and at least 2 clips (train-mode batch norm needs 2
+    rows even at one audio frame); the rest of a clip's captions start the
+    next. A trailing batch of one clip joins the one before it."""
+    clips: dict[str, list[int]] = {}
+    for i, (clip_id, _) in enumerate(captions):
+        clips.setdefault(clip_id, []).append(i)
+    groups = list(clips.values())
     batches: list[list[int]] = []
     current: list[int] = []
     examples = 0
-    for i in order:
-        current.append(int(i))
-        examples += lengths[i] - 1
-        if examples >= batch_size and len(current) >= 2:
-            batches.append(current)
-            current, examples = [], 0
-    if len(current) == 1 and batches:
+    for c in order:
+        for i in groups[c]:
+            current.append(i)
+            examples += len(captions[i][1]) - 1
+            # a batch holds whole runs of clips: 2 clips when it ends on another than it began
+            if examples >= batch_size and captions[current[0]][0] != captions[i][0]:
+                batches.append(current)
+                current, examples = [], 0
+    if current and batches and captions[current[0]][0] == captions[current[-1]][0]:
         batches[-1].extend(current)
     elif current:
         batches.append(current)
@@ -451,19 +476,23 @@ def _caption_batches(lengths: list[int], order, batch_size: int) -> list[list[in
 
 def _batch_arrays(captions: list[tuple[str, list[int]]], features: dict[str, np.ndarray],
                   sves: dict[str, np.ndarray] | None, variant: str):
-    """One batch of whole (clip_id, token indices) captions: the (k, T, d)
-    encoder input of their clips, the (k, L) input tokens (each caption less
-    its last token, padded after it), and per example, in time-major order, its
-    (steps, rows) position and its target, the token after the prefix that ends there."""
+    """One batch of whole (clip_id, token indices) captions: the (c, T, d)
+    encoder input of their c distinct clips, in order of first appearance, the
+    (k, L) input tokens (each caption less its last token, padded after it),
+    per example, in time-major order, its (steps, rows) position and its
+    target, the token after the prefix that ends there, and the (k,) clip row
+    of each caption."""
     lengths = np.array([len(ids) for _, ids in captions])
     tokens = np.zeros((len(captions), lengths.max()), dtype=np.int64)
     for row, (_, ids) in enumerate(captions):
         tokens[row, : len(ids)] = ids
     steps, rows = np.nonzero(np.arange(lengths.max() - 1)[:, None] < lengths - 1)
-    clips = [clip_id for clip_id, _ in captions]
-    sve = None if sves is None else np.stack([sves[c] for c in clips])
-    audio = build_encoder_input(np.stack([features[c] for c in clips]), sve, variant)
-    return audio, tokens[:, :-1], (steps, rows), tokens[rows, steps + 1]
+    clip_rows: dict[str, int] = {}
+    clip_of_caption = np.array([clip_rows.setdefault(clip_id, len(clip_rows))
+                                for clip_id, _ in captions])
+    sve = None if sves is None else np.stack([sves[c] for c in clip_rows])
+    audio = build_encoder_input(np.stack([features[c] for c in clip_rows]), sve, variant)
+    return audio, tokens[:, :-1], (steps, rows), tokens[rows, steps + 1], clip_of_caption
 
 
 def _dataset_loss(model: Captioner, captions: list[tuple[str, list[int]]],
@@ -471,13 +500,13 @@ def _dataset_loss(model: Captioner, captions: list[tuple[str, list[int]]],
                   batch_size: int) -> float:
     """Mean -ln p(next word) over every example of the captions, in infer mode."""
     total = 0.0
-    lengths = [len(ids) for _, ids in captions]
-    for batch in _caption_batches(lengths, range(len(captions)), batch_size):
-        audio, prefix, positions, targets = _batch_arrays(
+    clips = len({clip_id for clip_id, _ in captions})
+    for batch in _clip_batches(captions, range(clips), batch_size):
+        audio, prefix, positions, targets, clip_of_caption = _batch_arrays(
             [captions[i] for i in batch], features, sves, model.config.variant)
-        logits = model.forward(audio, prefix, mode="infer", positions=positions)
+        logits = model.forward(audio, prefix, positions, "infer", clip_of_caption=clip_of_caption)
         total += float(T.softmax_cross_entropy(logits, targets).data) * len(targets)
-    return total / (sum(lengths) - len(lengths))
+    return total / sum(len(ids) - 1 for _, ids in captions)
 
 
 def train_captioner(pairs, features: dict[str, np.ndarray],
@@ -513,8 +542,9 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
         frames.add(shape[0])
     if len(frames) != 1:
         raise ShapeError(f"clips disagree on sequence length: {sorted(frames)}")
-    if len(pairs) < 2 and frames == {1}:  # train-mode bn_audio1 would see one row
-        raise ShapeError("at T=1 at least 2 training captions are needed for batch norm")
+    clips = len({clip_id for clip_id, _ in pairs})
+    if clips < 2 and frames == {1}:  # train-mode bn_audio1 would see one row
+        raise ShapeError("at T=1 at least 2 distinct training clips are needed for batch norm")
 
     rng = np.random.RandomState(config.seed)
     model = Captioner(len(vocab), config, rng, embed_init=embed_init)
@@ -523,15 +553,14 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
 
     captions = _encode_captions(pairs, vocab)
     val_captions = _encode_captions(val_pairs, vocab) if val_pairs else None
-    lengths = [len(ids) for _, ids in captions]
 
     def batches():
-        return _caption_batches(lengths, rng.permutation(len(captions)), config.batch_size)
+        return _clip_batches(captions, rng.permutation(clips), config.batch_size)
 
     def batch_loss(batch):
-        audio, prefix, positions, targets = _batch_arrays(
+        audio, prefix, positions, targets, clip_of_caption = _batch_arrays(
             [captions[i] for i in batch], features, sves, config.variant)
-        logits = model.forward(audio, prefix, mode="train", rng=rng, positions=positions)
+        logits = model.forward(audio, prefix, positions, "train", rng, clip_of_caption)
         return T.softmax_cross_entropy(logits, targets), len(targets)
 
     # adam_step, _batch_arrays and _dataset_loss are looked up here at call time

@@ -488,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus(p)
     p.add_argument("--embed-dim", type=int, default=CaptionerConfig.embed_dim)
     _add_training(p, CaptionerConfig,
-                  batch_help="examples (caption prefixes) per optimizer step, made of whole captions")
+                  batch_help="examples (caption prefixes) per optimizer step, made of whole "
+                             "captions grouped by clip, from at least 2 clips")
     p.add_argument("--out")
     p.set_defaults(func=cmd_train_captioner)
 

@@ -8,7 +8,7 @@ from aucap.captioner import (
     CaptionerCheckpoint,
     CaptionerConfig,
     _batch_arrays,
-    _caption_batches,
+    _clip_batches,
     _dataset_loss,
     _encode_captions,
     build_encoder_input,
@@ -124,12 +124,17 @@ class TestBuildEncoderInput:
 
 def batch_examples(captions, batches):
     """(clip_id, prefix, target) per example of the caption batches, as
-    ``_batch_arrays`` lays them out."""
-    features = {clip_id: np.zeros((1, 2)) for clip_id, _ in captions}
+    ``_batch_arrays`` lays them out; each caption's audio row is its clip's."""
+    clip_ids = list(dict.fromkeys(clip_id for clip_id, _ in captions))
+    features = {clip_id: np.full((1, 2), i) for i, clip_id in enumerate(clip_ids)}
     out = []
     for batch in batches:
         chosen = [captions[i] for i in batch]
-        _, prefix, (steps, rows), targets = _batch_arrays(chosen, features, None, "logmel")
+        audio, prefix, (steps, rows), targets, clip_of_caption = _batch_arrays(
+            chosen, features, None, "logmel")
+        assert len(audio) == len({clip_id for clip_id, _ in chosen})  # each clip once
+        for (clip_id, _), clip_row in zip(chosen, clip_of_caption):
+            assert np.array_equal(audio[clip_row], features[clip_id])
         for step, row, target in zip(steps, rows, targets):
             assert step + 1 < len(chosen[row][1])  # prefix and target within the caption
             out.append((chosen[row][0], tuple(prefix[row, : step + 1].tolist()), int(target)))
@@ -147,16 +152,16 @@ class TestPrefixExpansion:
         examples = batch_examples([("c", [1, 5, 2])], [[0]])
         assert [(prefix, target) for _, prefix, target in examples] == [((1,), 5), ((1, 5), 2)]
 
-    def test_counts_match_brute_force(self):
+    @pytest.mark.parametrize("per_clip", [1, 5])
+    def test_counts_match_brute_force(self, per_clip):
         rng = np.random.RandomState(1)
-        captions = [(f"c{j}", [1, *rng.randint(4, 10, rng.randint(1, 9)).tolist(), 2])
+        captions = [(f"c{j // per_clip}", [1, *rng.randint(4, 10, rng.randint(1, 9)).tolist(), 2])
                     for j in range(40)]
-        lengths = [len(ids) for _, ids in captions]
         brute = [(clip_id, tuple(ids[:i]), ids[i])
                  for clip_id, ids in captions for i in range(1, len(ids))]
         assert len(brute) == sum(len(ids) - 1 for _, ids in captions)
         for batch_size in (1, 8, 64, 1000):
-            batches = _caption_batches(lengths, rng.permutation(len(captions)), batch_size)
+            batches = _clip_batches(captions, rng.permutation(40 // per_clip), batch_size)
             assert sorted(batch_examples(captions, batches)) == sorted(brute)
 
     def test_too_short_rejected(self):
@@ -167,27 +172,71 @@ class TestPrefixExpansion:
             _encode_captions([("c", ["dog", EOS])], vocab)
 
 
-class TestCaptionBatches:
+def one_per_clip(lengths):
+    """One caption of each token length, each of its own clip."""
+    return [(f"c{i}", [1] * n) for i, n in enumerate(lengths)]
+
+
+class TestClipBatches:
     @pytest.mark.parametrize("batch_size", [1, 5, 16, 64, 500])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_every_caption_once_and_two_per_batch(self, batch_size, seed):
+    def test_one_caption_per_clip_packs_captions_in_order(self, batch_size, seed):
+        """With one caption per clip, the batches are those of packing the
+        captions themselves in ``order``."""
         rng = np.random.RandomState(seed)
         lengths = rng.randint(2, 20, size=rng.randint(2, 60)).tolist()
         order = rng.permutation(len(lengths))
-        batches = _caption_batches(lengths, order, batch_size)
+        batches = _clip_batches(one_per_clip(lengths), order, batch_size)
         assert sorted(i for b in batches for i in b) == list(range(len(lengths)))
         assert [i for b in batches for i in b] == order.tolist()  # packed in order
         assert all(len(b) >= 2 for b in batches)
         # every batch but the last reaches the example budget
         assert all(sum(lengths[i] - 1 for i in b) >= batch_size for b in batches[:-1])
 
-    def test_trailing_single_caption_joins_previous(self):
-        assert _caption_batches([5, 5, 5], range(3), 8) == [[0, 1, 2]]
-        assert _caption_batches([5, 5, 5, 5], range(4), 8) == [[0, 1], [2, 3]]
-        assert _caption_batches([5], range(1), 8) == [[0]]
+    def test_trailing_single_clip_joins_previous(self):
+        assert _clip_batches(one_per_clip([5, 5, 5]), range(3), 8) == [[0, 1, 2]]
+        assert _clip_batches(one_per_clip([5, 5, 5, 5]), range(4), 8) == [[0, 1], [2, 3]]
+        assert _clip_batches(one_per_clip([5]), range(1), 8) == [[0]]
+        captions = [("a", [1] * 5), ("b", [1] * 5), ("b", [1] * 5), ("b", [1] * 5)]
+        assert _clip_batches(captions, range(2), 8) == [[0, 1, 2, 3]]  # b's rest joins
 
-    def test_one_audio_pass_per_caption_in_training(self, monkeypatch):
-        """Also the order the benchmark's tracer relies on: it wraps these
+    def test_clips_in_order_their_captions_in_file_order(self):
+        captions = [("a", [1] * 3), ("b", [1] * 3), ("a", [1] * 3), ("c", [1] * 3),
+                    ("b", [1] * 3)]
+        assert _clip_batches(captions, [2, 0, 1], 4) == [[3, 0], [2, 1, 4]]  # a's rest starts
+        assert _clip_batches(captions, [1, 2, 0], 1) == [[1, 4, 3, 0, 2]]  # a alone joins
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 16, 64, 500])
+    @pytest.mark.parametrize("per_clip", [1, 2, 5, "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clip_grouping_invariants(self, batch_size, per_clip, seed):
+        rng = np.random.RandomState(seed)
+        clips = rng.randint(1, 40)
+        counts = rng.randint(1, 7, size=clips) if per_clip == "mixed" else [per_clip] * clips
+        captions = [(f"c{c}", [1] * rng.randint(2, 20)) for c in range(clips)
+                    for _ in range(counts[c])]
+        rng.shuffle(captions)  # a clip's captions need not be adjacent in the file
+        first_seen = list(dict.fromkeys(clip_id for clip_id, _ in captions))
+        order = rng.permutation(clips)
+        batches = _clip_batches(captions, order, batch_size)
+        flat = [i for b in batches for i in b]
+        assert sorted(flat) == list(range(len(captions)))  # every caption once per epoch
+        in_clip_order = [i for c in order for i, (clip_id, _) in enumerate(captions)
+                         if clip_id == first_seen[c]]
+        assert flat == in_clip_order  # consecutive per clip, in file order, clips in order
+        examples = [sum(len(captions[i][1]) - 1 for i in b) for b in batches]
+        assert all(n >= batch_size for n in examples[:-1])
+        per_batch = [{captions[i][0] for i in b} for b in batches]
+        assert all(len(held) >= 2 for held in per_batch) or clips < 2
+        for clip_id in first_seen:
+            spans = [k for k, held in enumerate(per_batch) if clip_id in held]
+            assert spans == list(range(spans[0], spans[0] + len(spans))) and len(spans) <= 2
+
+    def test_one_audio_pass_per_clip_in_training(self, monkeypatch):
+        """Each audio BiGRU pass of a train step runs one row per distinct clip
+        of the batch, here with two captions per clip.
+
+        Also the order the benchmark's tracer relies on: it wraps these
         module attributes, so training must look each up through its module.
         A train step opens with ``_batch_arrays`` and closes with that module's
         ``adam_step``, and ``_dataset_loss`` is one validation pass per epoch."""
@@ -196,8 +245,8 @@ class TestCaptionBatches:
                      "a car passes by quickly", "birds sing", "water runs"]]
         vocab = build_vocabulary(captions)
         rng = np.random.RandomState(0)
-        feats = {f"c{i}": rng.standard_normal((5, 8)) for i in range(len(captions))}
-        pairs = [(f"c{i}", c) for i, c in enumerate(captions)]
+        feats = {f"c{i}": rng.standard_normal((5, 8)) for i in range(len(captions) // 2)}
+        pairs = [(f"c{i // 2}", c) for i, c in enumerate(captions)]
         steps, audio_rows, events, in_val = [], [], [], []
         batch_arrays, run = captioner._batch_arrays, BiGRU.run
         dataset_loss, adam_step = captioner._dataset_loss, captioner.adam_step
@@ -230,7 +279,8 @@ class TestCaptionBatches:
                         val_pairs=pairs[:2])
         assert re.fullmatch(r"((bu)+v){2}", "".join(events))
         assert len(steps) >= 4  # 2 epochs of at least 2 batches
-        assert audio_rows == [len(clips) for clips in steps for _ in range(2)]
+        assert audio_rows == [len(set(clips)) for clips in steps for _ in range(2)]
+        assert sum(audio_rows) < 2 * sum(len(clips) for clips in steps)
         per_epoch = sum(len(clips) for clips in steps) // 2
         assert per_epoch == len(pairs)
 
@@ -314,6 +364,25 @@ class TestEncodeDecode:
         with pytest.raises(ShapeError, match="positions"):
             model.forward(np.zeros((2, 4, 8)), np.ones((2, 3), dtype=int), mode="infer",
                           positions=positions)
+
+    def test_clip_rows_match_repeated_rows_in_infer_mode(self):
+        """A caption reads its clip's audio row: in infer mode, the same logits
+        as one audio row per caption."""
+        model, _ = micro_model()
+        rng = np.random.RandomState(5)
+        audio, prefix = rng.standard_normal((2, 4, 8)), rng.randint(1, 12, size=(3, 3))
+        clip_of_caption = np.array([1, 0, 1])
+        positions = np.nonzero(np.ones(prefix.shape).T)
+        grouped = model.forward(audio, prefix, positions, "infer", clip_of_caption=clip_of_caption)
+        repeated = model.forward(audio[clip_of_caption], prefix, positions, "infer")
+        assert np.allclose(grouped.data, repeated.data, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("clip_of_caption", [[0, 2], [-1, 0], [0], [0, 1, 1]])
+    def test_clip_rows_outside_the_audio_batch_rejected(self, clip_of_caption):
+        model, _ = micro_model()
+        with pytest.raises(ShapeError, match="clip of each caption"):
+            model.forward(np.zeros((2, 4, 8)), np.ones((2, 3), dtype=int), ([0, 1], [0, 1]),
+                          "infer", clip_of_caption=clip_of_caption)
 
     def test_infer_deterministic(self):
         model, _ = micro_model()
@@ -501,7 +570,7 @@ class TestPaddingInvariance:
         rng = np.random.RandomState(12)
         captions = [("a", [1, 5, 6, 7, 8, 2]), ("b", [1, 9, 2]), ("c", [1, 10, 11, 2])]
         features = {clip_id: rng.standard_normal((3, 8)) for clip_id, _ in captions}
-        audio, prefix, positions, targets = _batch_arrays(captions, features, None, "logmel")
+        audio, prefix, positions, targets, _ = _batch_arrays(captions, features, None, "logmel")
         pads = np.arange(prefix.shape[1]) >= np.array([[len(ids) - 1] for _, ids in captions])
         assert pads.any() and not pads.all()
         relabelled = prefix.copy()
@@ -543,6 +612,24 @@ class TestTraining:
         decoded = ckpt.build_model().greedy_decode(feats["only"], vocab)
         assert decoded == caption
 
+    def test_captions_of_one_clip_train_without_float32_drift(self):
+        """Two captions of one clip share one audio row, which ``bn_audio2``
+        weights by their examples. As two equal rows (zero variance), the
+        float32 residue of their summed gradients would drive the audio
+        branch, and the infer-mode loss would end far above the training loss."""
+        captions = [clean_caption("dog barks loudly outside"), clean_caption("a dog is barking")]
+        vocab = build_vocabulary(captions)
+        feats = {"only": np.random.RandomState(1).standard_normal((6, 8))}
+        pairs = [("only", caption) for caption in captions]
+        cfg = micro_config(bigru1=8, bigru2=8, text_gru=16, decoder_gru=16,
+                           embed_dim=16, epochs=94, learning_rate=5e-3)
+        ckpt, history = train_captioner(pairs, feats, None, vocab, cfg)
+        model = ckpt.build_model()
+        infer_loss = _dataset_loss(model, _encode_captions(pairs, vocab), feats, None,
+                                   cfg.batch_size)
+        assert infer_loss == pytest.approx(history["train_loss"][-1], abs=0.05)
+        assert model.greedy_decode(feats["only"], vocab) in captions
+
     def test_loss_history_and_best_epoch(self):
         pairs, feats, vocab = self._tiny_dataset()
         _, history = train_captioner(pairs, feats, None, vocab, micro_config(epochs=4))
@@ -578,18 +665,20 @@ class TestTraining:
         with pytest.raises(ShapeError):
             train_captioner(pairs, feats, None, vocab, micro_config())
 
-    def test_single_caption_at_t1_rejected_before_training(self, monkeypatch):
-        # train-mode batch norm over the T*B audio frames would see one row
-        caption = clean_caption("dog barks loudly")
-        vocab = build_vocabulary([caption])
+    @pytest.mark.parametrize("pairs", [[("c0", 0)], [("c0", 0), ("c0", 1)]])
+    def test_one_clip_at_t1_rejected_before_training(self, monkeypatch, pairs):
+        """Train-mode batch norm over the T*B audio frames would see one row
+        per batch: at T=1 one clip is refused, with one caption or with two."""
+        captions = [clean_caption("dog barks loudly"), clean_caption("a dog barks")]
+        vocab = build_vocabulary(captions)
         cfg = micro_config(variant="panns")
         feats = {"c0": np.ones((1, cfg.audio_dim)), "c1": np.zeros((1, cfg.audio_dim))}
         monkeypatch.setattr(captioner, "Captioner", None)  # no model is built
-        with pytest.raises(ShapeError, match="at least 2 training captions"):
-            train_captioner([("c0", caption)], feats, None, vocab, cfg)
+        with pytest.raises(ShapeError, match="at least 2 distinct training clips"):
+            train_captioner([(c, captions[i]) for c, i in pairs], feats, None, vocab, cfg)
         monkeypatch.undo()
-        _, history = train_captioner([("c0", caption), ("c1", caption)], feats, None, vocab,
-                                     cfg)
+        _, history = train_captioner([("c0", captions[0]), ("c1", captions[0])], feats, None,
+                                     vocab, cfg)
         assert len(history["train_loss"]) == cfg.epochs
 
     @pytest.mark.parametrize("columns,entries", [(7, 5), (9, 3), (8, 5), (7, 4), (8, None)])
@@ -778,8 +867,8 @@ class TestTraining:
         params = model.parameters()
         state = AdamState(learning_rate=1e-2)
         rng = np.random.RandomState(11)
-        audio, prefix, positions, targets = _batch_arrays(_encode_captions(pairs, vocab), feats,
-                                                          None, "logmel")
+        audio, prefix, positions, targets, _ = _batch_arrays(_encode_captions(pairs, vocab),
+                                                             feats, None, "logmel")
         loss = T.softmax_cross_entropy(
             model.forward(audio, prefix, mode="train", rng=rng, positions=positions), targets)
         T.backward(loss)

@@ -373,7 +373,7 @@ class TestNonFiniteLoss:
         root, _ = panns_fixture
         out = root / "captioner"
         assert cli.main(train_captioner_args(root, out)) == 1
-        assert "TrainingError: epoch 1 batch 1" in caplog.text
+        assert "TrainingError: epoch 1 batch 2" in caplog.text  # the batch that holds c1
         assert not (out / "captioner.ckpt").exists()
 
     def test_train_mlp_fails_without_checkpoint(self, panns_fixture, nan_feature, caplog):

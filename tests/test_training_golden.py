@@ -61,8 +61,12 @@ def captioner_data():
 
 
 def run_captioner(case, tmp_path):
-    """``restore`` keeps epoch 3 of 6."""
-    _, vocab, feats, pairs = captioner_data()
+    """``restore`` keeps epoch 3 of 6. ``two_per_clip`` trains, without
+    validation, on the six captions as two captions of each of three clips."""
+    captions, vocab, feats, pairs = captioner_data()
+    if case == "two_per_clip":
+        pairs = [(f"c{i // 2}", c) for i, c in enumerate(captions)]
+        case = "no_validation"
     config = CaptionerConfig(variant="logmel", audio_dim=5, bigru1=3, bigru2=3, text_gru=6,
                              decoder_gru=6, embed_dim=6, dropout=0.2,
                              learning_rate=0.05 if case == "restore" else 0.01,
@@ -77,6 +81,7 @@ def run_captioner(case, tmp_path):
 
 
 CASES = ["validation", "no_validation", "restore"]
+CAPTIONER_CASES = CASES + ["two_per_clip"]
 RUNS = {"mlp": run_mlp, "captioner": run_captioner}
 GOLDEN = {
     ("mlp", "validation"): {
@@ -145,6 +150,15 @@ GOLDEN = {
         "best_epoch": 2,
         "sha256": "8b30b4f0c8ead545633cf814f8ffed670f1ed879eab01ed71919c607eb74a3d4",
     },
+    ("captioner", "two_per_clip"): {
+        "train": [
+            "0x1.af8cfebc5a32dp+1", "0x1.8e8447193c120p+1", "0x1.72186ba2ead18p+1",
+            "0x1.62dbb1e5d986bp+1", "0x1.5203e54812452p+1", "0x1.54cb9b5001819p+1",
+        ],
+        "val": [],
+        "best_epoch": 5,
+        "sha256": "c5febaa1822f1574cb8c8da9e0604360b625fcf1cd181fdb16753e82c63b3dff",
+    },
 }
 
 
@@ -181,6 +195,16 @@ CAPTIONS_DECODED = {
         "<sos> down down down down down down down down down down down down down down down "
         "down down down down down down",
     ],
+    "two_per_clip": [
+        "<sos> softly rings rain rings rings <eos>",
+        "<sos> <eos>",
+        "<sos> man rain rings rings rings rings rings rings rings rings rings rings rings rings "
+        "rings rings rings rings rings rings rings",
+        "<sos> down down down <eos>",
+        "<sos> dogs bark rings rings rings rings rings rings rings rings rings rings rings rings "
+        "rings rings rings rings rings rings rings",
+        "<sos> rain bark rain rings <eos>",
+    ],
 }
 
 
@@ -190,12 +214,13 @@ def record(run, case, tmp_path):
             "best_epoch": best, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
-@pytest.mark.parametrize("model, case", [(m, c) for m in RUNS for c in CASES])
+@pytest.mark.parametrize("model, case", [(m, c) for m in RUNS for c in CASES]
+                         + [("captioner", "two_per_clip")])
 def test_training_trajectory_is_pinned(model, case, tmp_path):
     assert record(RUNS[model], case, tmp_path) == GOLDEN[model, case]
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", CAPTIONER_CASES)
 def test_greedy_captions_are_pinned(case, tmp_path):
     captions, vocab, feats, _ = captioner_data()
     path = run_captioner(case, tmp_path)[3]
