@@ -97,8 +97,9 @@ class CaptionerConfig:
     dropout: float = 0.5
     learning_rate: float = 1e-3
     epochs: int = 50
-    batch_size: int = 64          # examples (prefixes) per optimizer step: whole captions
-                                  # grouped by clip, from at least 2 clips
+    batch_size: int = 64          # least examples (prefixes) per optimizer step: whole
+                                  # captions grouped by clip, from at least 2 clips, so a
+                                  # step often holds more; an epoch's last step takes the rest
     max_len: int = 22
     seed: int = 0
 
@@ -128,16 +129,15 @@ def build_encoder_input(audio, sve: np.ndarray | None, variant: str) -> np.ndarr
     SVE, or the (B, T, F + K) input of a (B, T, F) stack and its (B, K) SVEs.
 
     Each frame holds the clip's features, then its SVE (panns: one frame, the
-    clip vector, which may also come 1-D). ``sve=None`` leaves the features
-    unchanged (no-SVE ablation). The one place where features and SVE are
-    joined: it fills one new float32 array, the model's width (and ``embfile``'s).
+    clip vector). ``sve=None`` leaves the features unchanged (no-SVE
+    ablation). The one place where features and SVE are joined: it fills one
+    new float32 array, the model's width (and ``embfile``'s).
     """
     if variant not in VARIANT_DIMS:
         raise ValueError(f"unknown variant {variant!r}")
     arr = np.asarray(audio)
-    arr = arr.reshape(1, -1) if arr.ndim == 1 else arr
     if arr.ndim not in (2, 3):
-        raise ShapeError(f"audio features must be 1-D, 2-D or a 3-D stack, got shape {arr.shape}")
+        raise ShapeError(f"audio features must be 2-D or a 3-D stack, got shape {arr.shape}")
     if variant == "panns" and arr.shape[-2] != 1:
         raise ShapeError(f"panns features are one vector per clip, got {arr.shape[-2]} rows")
     sve = np.zeros(arr.shape[:-2] + (0,)) if sve is None else np.asarray(sve)
@@ -167,7 +167,7 @@ class Captioner:
         self.text_gru = GRU(c.embed_dim, c.text_gru, rng, name="enc.text")
         self.bn_text = BatchNorm(c.text_gru, name="enc.bn_text")
         # draw a whole GRU cell, keep its live part: it and dec.out start as in the GRU form
-        gru = GRUCellParams.create(c.fused_dim, c.decoder_gru, rng, name="dec")
+        gru = GRUCellParams.stacked(c.fused_dim, c.decoder_gru, rng, ("dec",))[0]
         self.dec_W_z, self.dec_W = (Parameter(w.data[:, c.decoder_gru:].copy(), w.name)
                                     for w in (gru.W_z, gru.W))
         self.dec_b_z, self.dec_b = (Parameter(b.data.copy(), b.name) for b in (gru.b_z, gru.b))
@@ -234,22 +234,20 @@ class Captioner:
         return T.embedding_lookup(self.bn_audio2(audio_vec, mode=mode, counts=counts), rows)
 
     def encode(self, audio: np.ndarray, prefix: np.ndarray, positions, mode: str,
-               rng: np.random.RandomState | None = None, clip_of_caption=None) -> Tensor:
+               rng: np.random.RandomState | None = None, *, clip_of_caption) -> Tensor:
         """Fused (examples, 2*bigru2 + text_gru) representation of audio + partial captions.
 
         ``prefix`` is (captions, L) and runs through the text GRU in one pass.
-        ``clip_of_caption`` names the row of ``audio`` that each caption is of;
-        by default, caption i is of clip i. ``positions`` = (steps, rows)
-        index arrays name the examples: example e is the prefix
-        ``prefix[rows[e], :steps[e] + 1]`` of caption ``rows[e]``. Columns
-        after an example's step (padding, in a batch of captions of several
-        lengths) come later in time, so they change neither its state nor its
-        gradient.
+        ``clip_of_caption`` names the row of ``audio`` that each caption is
+        of. ``positions`` = (steps, rows) index arrays name the examples:
+        example e is the prefix ``prefix[rows[e], :steps[e] + 1]`` of caption
+        ``rows[e]``. Columns after an example's step (padding, in a batch of
+        captions of several lengths) come later in time, so they change
+        neither its state nor its gradient.
         """
         prefix = np.asarray(prefix, dtype=np.int64)
         clips = np.shape(audio)[0] if np.ndim(audio) else 0
-        clip_of_caption = (np.arange(clips) if clip_of_caption is None
-                           else np.asarray(clip_of_caption, dtype=np.int64))
+        clip_of_caption = np.asarray(clip_of_caption, dtype=np.int64)
         if (prefix.ndim != 2 or clip_of_caption.shape != prefix.shape[:1]
                 or np.any((clip_of_caption < 0) | (clip_of_caption >= clips))):
             raise ShapeError(f"prefix {prefix.shape} / audio {np.shape(audio)} / clip of "
@@ -279,8 +277,8 @@ class Captioner:
         h = self.bn_decoder(h, mode=mode)
         return self.out(h)
 
-    def forward(self, audio, prefix, positions, mode: str, rng=None,
-                clip_of_caption=None) -> Tensor:
+    def forward(self, audio, prefix, positions, mode: str, rng=None, *,
+                clip_of_caption) -> Tensor:
         """Next-word logits of the examples ``positions`` names (see ``encode``)."""
         fused = self.encode(audio, prefix, positions, mode, rng=rng,
                             clip_of_caption=clip_of_caption)
@@ -560,7 +558,8 @@ def train_captioner(pairs, features: dict[str, np.ndarray],
     def batch_loss(batch):
         audio, prefix, positions, targets, clip_of_caption = _batch_arrays(
             [captions[i] for i in batch], features, sves, config.variant)
-        logits = model.forward(audio, prefix, positions, "train", rng, clip_of_caption)
+        logits = model.forward(audio, prefix, positions, "train", rng,
+                               clip_of_caption=clip_of_caption)
         return T.softmax_cross_entropy(logits, targets), len(targets)
 
     # adam_step, _batch_arrays and _dataset_loss are looked up here at call time

@@ -488,8 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus(p)
     p.add_argument("--embed-dim", type=int, default=CaptionerConfig.embed_dim)
     _add_training(p, CaptionerConfig,
-                  batch_help="examples (caption prefixes) per optimizer step, made of whole "
-                             "captions grouped by clip, from at least 2 clips")
+                  batch_help="least examples (caption prefixes) per optimizer step: a step "
+                             "takes whole captions, grouped by clip, until it holds at least "
+                             "this many from at least 2 clips, so it often holds more; an "
+                             "epoch's last step takes the rest")
     p.add_argument("--out")
     p.set_defaults(func=cmd_train_captioner)
 

@@ -179,11 +179,6 @@ class GRUCellParams:
         return self.W_z.data.shape[1] - self.W_z.data.shape[0]
 
     @classmethod
-    def create(cls, input_dim: int, hidden: int, rng, name: str = "gru") -> "GRUCellParams":
-        """One cell, slot 0 of its own stacks."""
-        return cls.stacked(input_dim, hidden, rng, (name,))[0]
-
-    @classmethod
     def stacked(cls, input_dim: int, hidden: int, rng, names) -> tuple["GRUCellParams", ...]:
         """One cell per name, cell d in slot d of one float32 gate stack and one
         zero bias stack. The draws fill cell by cell, each W_z, W_r, then W:
@@ -275,7 +270,7 @@ class GRUStep:
         h_new += self.tmp
 
 
-def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = False) -> Tensor:
+def gru_sequence(xs, cells, reverse=False, return_sequence: bool = False) -> Tensor:
     """Run D GRU cells over one time-major (T, batch, input) sequence as one autodiff node.
 
     ``cells`` is one GRUCellParams or D consecutive cells of one layer, whose
@@ -283,11 +278,11 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
     ``reverse`` is one flag for all cells or one per cell, and a reversed
     cell runs last step first. Per cell and step: z = sigmoid([h, x]
     @ W_z.T + b_z); r = sigmoid([h, x] @ W_r.T + b_r); h_hat = tanh([r*h, x]
-    @ W.T + b); h' = (1 - z)*h + z*h_hat. Starts from the (batch, D*hidden)
-    ``h0`` (default zeros). Returns the final (batch, D*hidden) states or all
-    (T, batch, D*hidden) states in input order; cell d owns columns
-    d*hidden:(d+1)*hidden. Every buffer and the zero ``h0`` take the width of
-    the input and the weights, so a float32 run stays float32.
+    @ W.T + b); h' = (1 - z)*h + z*h_hat, from h = 0. Returns the final
+    (batch, D*hidden) states or all (T, batch, D*hidden) states in input
+    order; cell d owns columns d*hidden:(d+1)*hidden. Every buffer and the
+    zero start state take the width of the input and the weights, so a
+    float32 run stays float32.
 
     One time loop serves all D cells, one ``GRUStep`` per step, each making
     two broadcast products over the cells' gate stack into (T, 2, D, batch, .)
@@ -321,10 +316,6 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
     steps, batch, _ = xs.data.shape
     width = n_dir * hid
     dtype = np.result_type(xs.data, cells[0].W_z.data)  # every buffer's width
-    if h0 is not None:
-        h0 = T._as_tensor(h0)
-        if h0.data.shape != (batch, width):
-            raise ShapeError(f"gru_sequence got h0 {h0.data.shape}, want {(batch, width)}")
 
     def step_order(parts):
         """One (T, ...) input-time array per cell -> (T, D, ...) in each cell's step order."""
@@ -340,17 +331,13 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
     zr = np.empty((steps, 2, n_dir, batch, hid), dtype)  # z and r of every step
     hh = np.empty((steps, n_dir, batch, hid), dtype)  # h_hat of every step
     states = np.empty((steps, n_dir, batch, hid), dtype)
-    if h0 is None:
-        h = h_start = np.zeros((n_dir, batch, hid), dtype)
-    else:
-        h = h_start = h0.data.reshape(batch, n_dir, hid).transpose(1, 0, 2)
+    h = h_start = np.zeros((n_dir, batch, hid), dtype)
     with np.errstate(over="ignore"):  # exp overflow gives a gate of exactly 0
         for i in range(steps):
             step(h, states[i], hx[:, i], rhx[:, i], zr[i], hh[i])
             h = states[i]
 
-    params = [q for c in cells for q in c.parameters()]
-    parents = (xs, *params) if h0 is None else (xs, h0, *params)
+    parents = (xs, *(q for c in cells for q in c.parameters()))
     if return_sequence:
         parts = [states[::-1, d] if r else states[:, d] for d, r in enumerate(rev)]
         out = parts[0] if n_dir == 1 else np.concatenate(parts, axis=2)
@@ -405,29 +392,27 @@ def gru_sequence(xs, cells, h0=None, reverse=False, return_sequence: bool = Fals
             if xs.requires_grad:
                 w_in = np.ascontiguousarray(step.stack[:, d, :, hid:]).reshape(3 * hid, in_dim)
                 T._accumulate(xs, (flat @ w_in).reshape(steps, batch, in_dim))
-        if h0 is not None:
-            T._accumulate(h0, dh.transpose(1, 0, 2).reshape(batch, width))
 
     return T._node(out, parents, back)
 
 
-def gru_cell_step(x_t: Tensor, h_prev: Tensor, p: GRUCellParams) -> Tensor:
-    """One GRU step on a (batch, input) slice: ``gru_sequence`` at T = 1 from ``h_prev``.
+def gru_cell_step(x_t: Tensor, p: GRUCellParams) -> Tensor:
+    """One GRU step on a (batch, input) slice: ``gru_sequence`` at T = 1 from zero.
     No model calls it; the benchmark tracer wraps it by name (ROADMAP items 8 and 14)."""
     x_t = T._as_tensor(x_t)
-    return gru_sequence(T.reshape(x_t, (1, *x_t.data.shape)), p, h0=h_prev)
+    return gru_sequence(T.reshape(x_t, (1, *x_t.data.shape)), p)
 
 
 class GRU:
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "gru"):
-        self.cell = GRUCellParams.create(input_dim, hidden, rng, name=name)
+        self.cell = GRUCellParams.stacked(input_dim, hidden, rng, (name,))[0]
 
     @property
     def hidden(self) -> int:
         return self.cell.hidden
 
     def run(self, xs: Tensor, return_sequence: bool = False) -> Tensor:
-        """``gru_sequence`` over a time-major (T, batch, input) tensor from h0 = 0."""
+        """``gru_sequence`` over a time-major (T, batch, input) tensor."""
         return gru_sequence(xs, self.cell, return_sequence=return_sequence)
 
     def parameters(self) -> list[Parameter]:

@@ -189,16 +189,10 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
 
 def row_slice(x, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop``. No model calls it; it is kept because the benchmark
+    """Rows ``start:stop``, gathered by ``embedding_lookup`` (ShapeError for a
+    row out of range). No model calls it; it is kept because the benchmark
     tracer wraps it by name (ROADMAP items 8 and 14)."""
-    x = _as_tensor(x)
-
-    def back(g):
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        _accumulate(x, full)
-
-    return _node(x.data[start:stop], (x,), back)
+    return embedding_lookup(x, np.arange(start, stop))
 
 
 def reshape(x, shape) -> Tensor:

@@ -10,10 +10,9 @@ fallbacks, standing in for a full parser; lexicons are plain files so
 pre-tagged annotations can be dropped in. The reserved tokens (``<sos>`` and
 the like) are never subjects or verbs, whatever the lexicon says.
 
-``extract_subjects_verbs`` and ``subject_verb_roots`` share one selection
-pass. Within one ``subject_verb_roots`` call each distinct token is tagged
-once, each distinct selected word is stemmed once, and each caption is read
-once; nothing is kept between calls.
+Within one ``subject_verb_roots`` call each distinct token is tagged once,
+each distinct selected word is stemmed once, and each caption is read once;
+nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import atomic
 from .errors import SemanticsError
-from .text import RESERVED
+from .text import RESERVED, words_sha256
 
 NOUN = "NOUN"
 VERB = "VERB"
@@ -165,6 +164,9 @@ class TagLexicon:
             word, sep, tag = line.partition("\t")
             if not sep:
                 raise SemanticsError(f"{path}:{lineno + 1}: expected word<TAB>TAG")
+            if word.split() != [word]:  # no cleaned token is empty or holds whitespace
+                raise SemanticsError(f"{path}:{lineno + 1}: word {word!r} is empty or "
+                                     f"holds whitespace")
             entries[word] = tag.strip()
         return cls(entries)
 
@@ -201,64 +203,51 @@ class SubjectVerbCorpus:
     def load(cls, path: str | Path) -> "SubjectVerbCorpus":
         """Read a corpus and the hash of the lexicon it was built with."""
         text = atomic.read_text(path, "subject-verb corpus", SemanticsError)
-        header, *words = text.splitlines() or [""]
+        header, *lines = text.splitlines() or [""]
         if not header.startswith(_LEXICON_HEADER):
             raise SemanticsError(f"{path}: no '{_LEXICON_HEADER.strip()}' header; "
                                  f"rebuild the corpus with build-sve")
-        return cls(words=tuple(w for w in words if w),
+        for lineno, word in enumerate(lines, 2):
+            if word and word.split() != [word]:  # a blank line is skipped
+                raise SemanticsError(f"{path}:{lineno}: word {word!r} holds whitespace")
+        return cls(words=tuple(w for w in lines if w),
                    lexicon_sha256=header[len(_LEXICON_HEADER):].strip())
 
     def sha256(self) -> str:
-        digest = hashlib.sha256()
-        for word in self.words:
-            digest.update(word.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
-
-
-def _subjects_verbs(caption: list[str], lex: TagLexicon, tags: dict[str, str],
-                    stems: dict[str, str], stem) -> list[str]:
-    """One pass over ``caption``: ``stem`` of each noun before the first verb
-    and of every verb, in caption order.
-
-    ``tags`` (token -> tag) and ``stems`` (selected token -> its stem) are the
-    caller's word tables, filled here through ``lex.tag`` and ``stem`` on a
-    miss. ``tags`` starts with the reserved tokens as OTHER, so they are
-    skipped without being tagged.
-    """
-    out = []
-    subjects = True
-    for token in caption:
-        tag = tags.get(token)
-        if tag is None:
-            tag = tags[token] = lex.tag(token)
-        if tag == VERB:
-            subjects = False
-        elif not subjects or tag != NOUN:
-            continue
-        word = stems.get(token)
-        if word is None:
-            word = stems[token] = stem(token)
-        out.append(word)
-    return out
-
-
-def extract_subjects_verbs(caption: list[str], lex: TagLexicon) -> list[str]:
-    """Nouns before the first verb, plus every verb, in caption order; the
-    reserved tokens are neither."""
-    return _subjects_verbs(caption, lex, dict.fromkeys(RESERVED, OTHER), {}, str)  # str: as is
+        """``words_sha256`` of the roots: one line per root in corpus order."""
+        return words_sha256(self.words)
 
 
 def subject_verb_roots(captions, lex: TagLexicon) -> list[list[str]]:
-    """Per caption, the roots of its subjects and verbs in caption order.
+    """Per caption, the roots of its nouns before the first verb and of every
+    verb, in caption order; the reserved tokens are neither.
 
-    One call keeps one word table: each distinct token is tagged once through
-    ``lex.tag`` and each distinct selected word is stemmed once through
-    ``to_root``, however many captions hold it, and each caption takes one
-    pass. Nothing is kept between calls, so every call does the same work.
+    One call keeps two word tables: token -> tag, which starts with the
+    reserved tokens as OTHER, and selected token -> root. So each distinct
+    token is tagged once through ``lex.tag`` and each distinct selected word
+    is stemmed once through ``to_root``, however many captions hold it, and
+    each caption takes one pass. Nothing is kept between calls, so every
+    call does the same work.
     """
-    tags, stems = dict.fromkeys(RESERVED, OTHER), {}
-    return [_subjects_verbs(caption, lex, tags, stems, to_root) for caption in captions]
+    tags, roots = dict.fromkeys(RESERVED, OTHER), {}
+    out = []
+    for caption in captions:
+        selected = []
+        subjects = True
+        for token in caption:
+            tag = tags.get(token)
+            if tag is None:
+                tag = tags[token] = lex.tag(token)
+            if tag == VERB:
+                subjects = False
+            elif not subjects or tag != NOUN:
+                continue
+            root = roots.get(token)
+            if root is None:
+                root = roots[token] = to_root(token)
+            selected.append(root)
+        out.append(selected)
+    return out
 
 
 def build_corpus(captions, lex: TagLexicon) -> SubjectVerbCorpus:

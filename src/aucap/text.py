@@ -111,9 +111,6 @@ class Vocabulary:
     def unk_index(self) -> int:
         return self._word_to_index[UNK]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self._index_to_word == other._index_to_word
-
     def save(self, path: str | Path) -> None:
         lines = [f"{i}\t{w}\n" for i, w in enumerate(self._index_to_word)]
         atomic.write_bytes(path, "".join(lines).encode("utf-8"))
@@ -135,8 +132,9 @@ class Vocabulary:
                 raise VocabularyError(f"{path}:{lineno}: index {idx_text!r} is not an integer")
             if idx < 0:
                 raise VocabularyError(f"{path}:{lineno}: index {idx} is negative")
-            if not word:
-                raise VocabularyError(f"{path}:{lineno}: index {idx} holds an empty word")
+            if word.split() != [word]:  # no cleaned token is empty or holds whitespace
+                raise VocabularyError(f"{path}:{lineno}: index {idx} holds an empty word "
+                                      f"or one with whitespace ({word!r})")
             if word in listed or (word in vocab and idx >= len(RESERVED)):
                 raise VocabularyError(f"{path}:{lineno}: word {word!r} repeats index "
                                       f"{vocab.index(word)}")
@@ -151,9 +149,14 @@ class Vocabulary:
         return vocab
 
     def sha256(self) -> str:
-        """Hex SHA-256 of one line per word in index order."""
-        text = "".join(f"{w}\n" for w in self._index_to_word)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        """``words_sha256`` of the words in index order."""
+        return words_sha256(self._index_to_word)
+
+
+def words_sha256(words) -> str:
+    """Hex SHA-256 of the words, each on its own newline-ended line: the
+    digest of a vocabulary and of a subject-verb corpus."""
+    return hashlib.sha256("".join(f"{w}\n" for w in words).encode("utf-8")).hexdigest()
 
 
 def build_vocabulary(captions) -> Vocabulary:

@@ -45,6 +45,11 @@ def last_columns(prefix):
     return np.full(batch, length - 1), np.arange(batch)
 
 
+def own_clips(prefix):
+    """``clip_of_caption`` of one audio row per row of ``prefix``: caption i of clip i."""
+    return np.arange(len(prefix))
+
+
 def recorded_steps(monkeypatch, holds=False):
     """A list that gets a copy of the logits of each token a greedy decode
     steps, or with ``holds`` those logits and every array the token loop
@@ -73,9 +78,13 @@ def recorded_steps(monkeypatch, holds=False):
 
 class TestBuildEncoderInput:
     def test_panns_concatenation(self):
-        out = build_encoder_input(np.zeros(2048), np.ones(100), "panns")
+        out = build_encoder_input(np.zeros((1, 2048)), np.ones(100), "panns")
         assert out.shape == (1, 2148)
         assert np.all(out[0, 2048:] == 1.0)
+
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ShapeError, match="2-D or a 3-D stack"):
+            build_encoder_input(np.zeros(2048), np.ones(100), "panns")
 
     def test_logmel_tiling(self):
         out = build_encoder_input(np.zeros((624, 64)), np.arange(100.0), "logmel")
@@ -297,7 +306,7 @@ class TestEncodeDecode:
         model, cfg = micro_model()
         assert cfg.fused_dim == 2 * cfg.bigru2 + cfg.text_gru
         fused = model.encode(np.zeros((2, 5, 8)), np.array([[1], [1]]), ([0, 0], [0, 1]),
-                             mode="train")
+                             mode="train", clip_of_caption=[0, 1])
         assert fused.data.shape == (2, cfg.fused_dim)
 
     def test_default_widths_match_paper_sizes(self):
@@ -321,7 +330,7 @@ class TestEncodeDecode:
     def test_sos_only_prefix_valid(self):
         model, _ = micro_model()
         probs = model.forward(np.zeros((2, 4, 8)), np.array([[1], [1]]), ([0, 0], [0, 1]),
-                              mode="infer")
+                              mode="infer", clip_of_caption=[0, 1])
         assert probs.data.shape == (2, 12)
 
     def test_zero_weights_fused_is_shift(self):
@@ -331,7 +340,7 @@ class TestEncodeDecode:
         model.bn_audio2.beta.data[...] = 0.25
         model.bn_text.beta.data[...] = -0.5
         fused = model.encode(np.zeros((2, 3, 8)), np.array([[1], [1]]), ([0, 0], [0, 1]),
-                             mode="train")
+                             mode="train", clip_of_caption=[0, 1])
         expected = np.concatenate([np.full(2 * cfg.bigru2, 0.25), np.full(cfg.text_gru, -0.5)])
         assert np.allclose(fused.data, expected[None, :])
 
@@ -340,7 +349,7 @@ class TestEncodeDecode:
         rng = np.random.RandomState(2)
         prefix = np.array([[1, 5], [1, 6], [1, 7]])
         logits = model.forward(rng.standard_normal((3, 4, 8)), prefix, last_columns(prefix),
-                               mode="infer")
+                               mode="infer", clip_of_caption=own_clips(prefix))
         assert logits.data.shape == (3, 12) and logits.data.dtype == np.float32
         assert np.allclose(T.softmax(logits).data.sum(axis=1), 1.0, atol=1e-6)
         assert (logits.data < 0).any()  # not probabilities
@@ -351,9 +360,9 @@ class TestEncodeDecode:
         audio = rng.standard_normal((3, 4, 8))
         prefix = np.array([[1, 5, 6], [1, 7, 5], [1, 6, 6]])
         batched = model.forward(audio, prefix, positions=([2, 2, 2], [0, 1, 2]),
-                                mode="infer").data
+                                mode="infer", clip_of_caption=own_clips(prefix)).data
         alone = [model.forward(audio[i : i + 1], prefix[i : i + 1], positions=([2], [0]),
-                               mode="infer").data[0] for i in range(3)]
+                               mode="infer", clip_of_caption=[0]).data[0] for i in range(3)]
         # float32: a row of a many-row product may round apart from the row alone
         assert np.allclose(batched, alone, rtol=1e-5, atol=1e-6)
 
@@ -363,7 +372,7 @@ class TestEncodeDecode:
         model, _ = micro_model()
         with pytest.raises(ShapeError, match="positions"):
             model.forward(np.zeros((2, 4, 8)), np.ones((2, 3), dtype=int), mode="infer",
-                          positions=positions)
+                          positions=positions, clip_of_caption=[0, 1])
 
     def test_clip_rows_match_repeated_rows_in_infer_mode(self):
         """A caption reads its clip's audio row: in infer mode, the same logits
@@ -374,7 +383,8 @@ class TestEncodeDecode:
         clip_of_caption = np.array([1, 0, 1])
         positions = np.nonzero(np.ones(prefix.shape).T)
         grouped = model.forward(audio, prefix, positions, "infer", clip_of_caption=clip_of_caption)
-        repeated = model.forward(audio[clip_of_caption], prefix, positions, "infer")
+        repeated = model.forward(audio[clip_of_caption], prefix, positions, "infer",
+                                 clip_of_caption=own_clips(prefix))
         assert np.allclose(grouped.data, repeated.data, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("clip_of_caption", [[0, 2], [-1, 0], [0], [0, 1, 1]])
@@ -389,8 +399,10 @@ class TestEncodeDecode:
         rng = np.random.RandomState(3)
         audio = rng.standard_normal((2, 4, 8))
         prefix = np.array([[1, 5], [1, 6]])
-        a = model.forward(audio, prefix, last_columns(prefix), mode="infer").data
-        b = model.forward(audio, prefix, last_columns(prefix), mode="infer").data
+        a = model.forward(audio, prefix, last_columns(prefix), mode="infer",
+                          clip_of_caption=own_clips(prefix)).data
+        b = model.forward(audio, prefix, last_columns(prefix), mode="infer",
+                          clip_of_caption=own_clips(prefix)).data
         assert np.array_equal(a, b)
 
 
@@ -472,7 +484,8 @@ class TestIncrementalDecode:
         indices = [vocab.index(t) for t in tokens]
         for i, logits in enumerate(steps):
             prefix = np.array([indices[: i + 1]])
-            full = model.forward(enc[None], prefix, last_columns(prefix), mode="infer")
+            full = model.forward(enc[None], prefix, last_columns(prefix), mode="infer",
+                                 clip_of_caption=[0])
             assert logits.dtype == full.data.dtype == width
             assert np.array_equal(logits, full.data)
             words_and_eos = full.data[0].copy()
@@ -560,7 +573,8 @@ class TestPaddingInvariance:
     def _loss_and_grads(model, audio, prefix, positions, targets, mode):
         zero_grads(model.parameters())
         loss = T.softmax_cross_entropy(
-            model.forward(audio, prefix, mode=mode, positions=positions), targets)
+            model.forward(audio, prefix, mode=mode, positions=positions,
+                          clip_of_caption=own_clips(prefix)), targets)
         T.backward(loss)
         return float(loss.data), [p.grad.copy() for p in model.parameters()]
 
@@ -797,7 +811,7 @@ class TestTraining:
                 for i in range(1, len(ids)):
                     prefix = np.array([ids[:i]])
                     logits = model.forward(feats[clip_id][None], prefix, last_columns(prefix),
-                                           mode="infer")
+                                           mode="infer", clip_of_caption=[0])
                     nlls.append(float(T.softmax_cross_entropy(logits, [ids[i]]).data))
             reference = float(np.mean(nlls))
             for batch_size in (1, 6, 100):
@@ -821,7 +835,8 @@ class TestTraining:
         def nodes(frames, words):
             prefix = rng.randint(1, 12, size=(4, words))
             logits = model.forward(rng.standard_normal((4, frames, 8)), prefix,
-                                   last_columns(prefix), mode="train", rng=rng)
+                                   last_columns(prefix), mode="train", rng=rng,
+                                   clip_of_caption=own_clips(prefix))
             return len(graph_nodes(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4))))
 
         assert nodes(2, 1) == nodes(9, 1) == nodes(2, 7) == nodes(30, 12)
@@ -831,7 +846,7 @@ class TestTraining:
         rng = np.random.RandomState(8)
         prefix = rng.randint(1, 12, size=(4, 3))
         logits = model.forward(rng.standard_normal((4, 3, 8)), prefix, last_columns(prefix),
-                               mode="train", rng=rng)
+                               mode="train", rng=rng, clip_of_caption=own_clips(prefix))
         T.backward(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=4)))
         for p in model.parameters():
             assert np.any(p.grad != 0.0), p.name
@@ -848,7 +863,8 @@ class TestTraining:
         rng = np.random.RandomState(10)
         prefix = rng.randint(1, 12, size=(1, 4))
         logits = model.forward(rng.standard_normal((1, 5, 8)), prefix, mode="train",
-                               rng=rng, positions=np.nonzero(np.ones(prefix.shape).T))
+                               rng=rng, positions=np.nonzero(np.ones(prefix.shape).T),
+                               clip_of_caption=[0])
         T.backward(T.softmax_cross_entropy(logits, rng.randint(0, 12, size=logits.data.shape[0])))
         audio_branch = [*model.audio_gru1.parameters(), *model.bn_audio1.parameters(),
                         *model.audio_gru2.parameters(), model.bn_audio2.gamma]
@@ -867,10 +883,11 @@ class TestTraining:
         params = model.parameters()
         state = AdamState(learning_rate=1e-2)
         rng = np.random.RandomState(11)
-        audio, prefix, positions, targets, _ = _batch_arrays(_encode_captions(pairs, vocab),
-                                                             feats, None, "logmel")
+        audio, prefix, positions, targets, clip_of_caption = _batch_arrays(
+            _encode_captions(pairs, vocab), feats, None, "logmel")
         loss = T.softmax_cross_entropy(
-            model.forward(audio, prefix, mode="train", rng=rng, positions=positions), targets)
+            model.forward(audio, prefix, mode="train", rng=rng, positions=positions,
+                          clip_of_caption=clip_of_caption), targets)
         T.backward(loss)
         nodes = graph_nodes(loss)
         assert loss.data.dtype == np.float64 and nodes[0] is loss
@@ -921,8 +938,10 @@ class TestSveAblationEquivalence:
         sve = np.zeros(3)
         inp_sve = np.stack([build_encoder_input(a, sve, "logmel") for a in audio])
         prefix = np.array([[1, 5], [1, 6]])
-        a = with_sve.forward(inp_sve, prefix, last_columns(prefix), mode="infer").data
-        b = without.forward(audio, prefix, last_columns(prefix), mode="infer").data
+        a = with_sve.forward(inp_sve, prefix, last_columns(prefix), mode="infer",
+                             clip_of_caption=own_clips(prefix)).data
+        b = without.forward(audio, prefix, last_columns(prefix), mode="infer",
+                            clip_of_caption=own_clips(prefix)).data
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -1043,8 +1062,8 @@ class TestCheckpoint:
         cfg = ckpt.config
         state = {k: v for k, v in ckpt.state.items()
                  if k not in ("dec.W_z", "dec.b_z", "dec.W", "dec.b")}
-        cell = GRUCellParams.create(cfg.fused_dim, cfg.decoder_gru, np.random.RandomState(0),
-                                    name="dec.gru")
+        cell = GRUCellParams.stacked(cfg.fused_dim, cfg.decoder_gru, np.random.RandomState(0),
+                                     ("dec.gru",))[0]
         state.update({p.name: p.data for p in cell.parameters()})
         ckpt.state = state
         ckpt.save(tmp_path / "old.ckpt")
@@ -1105,8 +1124,8 @@ class TestCheckpoint:
 
         def infer(with_state):
             loaded.state = with_state
-            return loaded.build_model().forward(audio, prefix, last_columns(prefix),
-                                                mode="infer").data
+            return loaded.build_model().forward(audio, prefix, last_columns(prefix), mode="infer",
+                                                clip_of_caption=own_clips(prefix)).data
 
         legacy = infer({k: v for k, v in state.items() if k not in steps})
         zeroed = infer({**state, **{k: np.zeros_like(state[k]) for k in steps}})

@@ -474,8 +474,8 @@ class TestTrainW2v:
                 "--out", str(out)]
         assert cli.main(args) == 0
         vocab = Vocabulary.load(out / "vocabulary.tsv")
-        assert vocab == build_vocabulary(
-            [clean_caption(t) for texts in CAPTIONS.values() for t in texts])
+        assert vocab.words == build_vocabulary(
+            [clean_caption(t) for texts in CAPTIONS.values() for t in texts]).words
         table = WordEmbeddingTable.load(out / "word_embeddings.emb", expected_dim=6)
         assert table.matrix.shape == (len(vocab), 6)
         assert np.all(np.isfinite(table.matrix))

@@ -30,25 +30,26 @@ def _check_dense(rng):
                               rng=rng)
 
 
+def _cell(input_dim: int, hidden: int, rng, name: str) -> GRUCellParams:
+    return GRUCellParams.stacked(input_dim, hidden, rng, (name,))[0]
+
+
 def _check_gru_cell(rng):
-    cell = GRUCellParams.create(4, 3, rng, name="gc.cell")
+    cell = _cell(4, 3, rng, "gc.cell")
     x = Tensor(rng.standard_normal((2, 4)))
-    h = Tensor(rng.uniform(-0.9, 0.9, (2, 3)))
     return max_relative_error(
-        lambda: _quadratic_target(gru_cell_step(x, h, cell)), at_float64(cell.parameters()),
+        lambda: _quadratic_target(gru_cell_step(x, cell)), at_float64(cell.parameters()),
         rng=rng,
     )
 
 
-def _check_gru_sequence(rng, with_h0=False, **options):
-    """A (T=4, B=3, in=5) run; the input (and ``h0``) are checked as parameters too."""
-    cell = GRUCellParams.create(5, 4, rng, name="gc.gru")
+def _check_gru_sequence(rng, **options):
+    """A (T=4, B=3, in=5) run; the input is checked as a parameter too."""
+    cell = _cell(5, 4, rng, "gc.gru")
     xs = Parameter(rng.standard_normal((4, 3, 5)), "gc.gru.xs")
-    h0 = Parameter(rng.uniform(-0.9, 0.9, (3, 4)), "gc.gru.h0") if with_h0 else None
-    params = at_float64(cell.parameters()) + [xs] + ([h0] if with_h0 else [])
     return max_relative_error(
-        lambda: _quadratic_target(gru_sequence(xs, cell, h0=h0, **options)),
-        params, rng=rng,
+        lambda: _quadratic_target(gru_sequence(xs, cell, **options)),
+        at_float64(cell.parameters()) + [xs], rng=rng,
     )
 
 
@@ -141,7 +142,8 @@ def _check_micro_captioner(rng, caption_major: bool = False):
     targets = rng.randint(0, 10, size=int(valid.sum()) if caption_major else batch)
 
     def loss_fn():
-        logits = model.forward(audio, prefix, mode="train", positions=positions)
+        logits = model.forward(audio, prefix, mode="train", positions=positions,
+                               clip_of_caption=np.arange(batch))
         return T.softmax_cross_entropy(logits, targets)
 
     return max_relative_error(loss_fn, at_float64(model.parameters()), rng=rng, max_coords=6)
@@ -151,7 +153,6 @@ CHECKS = {  # name: (i, check)
     "dense": (0, _check_dense),
     "gru_cell": (1, _check_gru_cell),
     "gru_sequence": (2, _check_gru_sequence),
-    "gru_sequence_h0": (4, lambda rng: _check_gru_sequence(rng, with_h0=True)),
     "gru_sequence_reverse": (5, lambda rng: _check_gru_sequence(rng, reverse=True)),
     "gru_sequence_return_sequence":
         (6, lambda rng: _check_gru_sequence(rng, return_sequence=True)),

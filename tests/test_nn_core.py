@@ -36,8 +36,12 @@ def sum_all(x):
     return T._node(x.data.sum(), (x,), lambda g: T._accumulate(x, np.full_like(x.data, float(g))))
 
 
+def make_cell(input_dim, hidden, rng, name="gru"):
+    return GRUCellParams.stacked(input_dim, hidden, rng, (name,))[0]
+
+
 def zero_cell(input_dim, hidden):
-    cell = GRUCellParams.create(input_dim, hidden, np.random.RandomState(0))
+    cell = make_cell(input_dim, hidden, np.random.RandomState(0))
     for p in cell.parameters():
         p.data[...] = 0.0
     return cell
@@ -47,36 +51,37 @@ class TestGRUAnalytic:
     def test_zero_weights_zero_state(self):
         cell = zero_cell(4, 3)
         x = Tensor(np.random.RandomState(1).standard_normal((1, 4)))
-        h = Tensor(np.zeros((1, 3)))
-        out = gru_cell_step(x, h, cell)
+        out = gru_cell_step(x, cell)
         assert np.array_equal(out.data, np.zeros((1, 3)))
 
-    def test_zero_weights_halve_state(self):
-        # z = r = 0.5, h_hat = 0 => h_t = 0.5 * h_prev, exactly
+    def test_zero_weights_halve_the_distance_to_the_candidate(self):
+        # z = r = 0.5, h_hat = tanh(b) => h_t = (h_prev + tanh(b)) / 2: from zero,
+        # h_t = (1 - 2**-t) * tanh(b), whatever the input
         cell = zero_cell(4, 3)
-        v = np.array([[0.8, -0.2, 0.35]])
-        out = gru_cell_step(Tensor(np.ones((1, 4))), Tensor(v), cell)
-        assert np.array_equal(out.data, 0.5 * v)
+        cell.b.data[...] = [0.8, -0.2, 0.35]
+        xs = Tensor(np.random.RandomState(1).standard_normal((4, 1, 4)))
+        out = gru_sequence(xs, cell, return_sequence=True)
+        target = np.tanh(cell.b.data.astype(np.float64))
+        want = (1.0 - 0.5 ** np.arange(1, 5))[:, None, None] * target
+        np.testing.assert_allclose(out.data, want, rtol=1e-6)
 
     def test_output_bounded(self):
         rng = np.random.RandomState(2)
-        cell = GRUCellParams.create(3, 3, rng)
-        for _ in range(50):
-            x = Tensor(rng.standard_normal((1, 3)) * 3)
-            h = Tensor(rng.uniform(-1, 1, (1, 3)))
-            out = gru_cell_step(x, h, cell)
-            assert np.all(np.abs(out.data) < 1.0)
+        cell = make_cell(3, 3, rng)
+        xs = Tensor(rng.standard_normal((50, 4, 3)) * 3)
+        out = gru_sequence(xs, cell, return_sequence=True)
+        assert np.all(np.abs(out.data) < 1.0)
 
     def test_shape_mismatch(self):
         cell = zero_cell(4, 3)
         with pytest.raises(ShapeError):
-            gru_cell_step(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 3))), cell)
+            gru_cell_step(Tensor(np.zeros((1, 5))), cell)
 
 
-def reference_states(xs, cell, h0, reverse=False):
+def reference_states(xs, cell, reverse=False):
     """A GRU run as a chain of per-step autodiff ops over the per-step input
-    tensors ``xs`` from the state tensor ``h0``; its states in input order."""
-    h = h0
+    tensors ``xs`` from a zero state; its states in input order."""
+    h = Tensor(np.zeros((xs[0].data.shape[0], cell.hidden), xs[0].data.dtype))
     states = [None] * len(xs)
     for t in (range(len(xs) - 1, -1, -1) if reverse else range(len(xs))):
         hx = T.concat([h, xs[t]], axis=1)
@@ -88,10 +93,9 @@ def reference_states(xs, cell, h0, reverse=False):
     return states
 
 
-def reference_run(xs, cell, h0=None, reverse=False, return_sequence=False):
+def reference_run(xs, cell, reverse=False, return_sequence=False):
     """``reference_states`` on arrays; the fused kernel must reproduce it bit for bit."""
-    h0 = Tensor(h0 if h0 is not None else np.zeros((xs.shape[1], cell.hidden)))
-    states = reference_states([Tensor(x) for x in xs], cell, h0, reverse)
+    states = reference_states([Tensor(x) for x in xs], cell, reverse)
     if return_sequence:
         return np.stack([s.data for s in states])
     return states[0 if reverse else -1].data
@@ -100,10 +104,10 @@ def reference_run(xs, cell, h0=None, reverse=False, return_sequence=False):
 class TestGRUForward:
     def test_t1_equals_single_step(self):
         rng = np.random.RandomState(3)
-        cell = GRUCellParams.create(4, 3, rng)
+        cell = make_cell(4, 3, rng)
         seq = Tensor(rng.standard_normal((1, 1, 4)))
         via_forward = gru_sequence(seq, cell)
-        via_step = gru_cell_step(Tensor(seq.data[0]), Tensor(np.zeros((1, 3))), cell)
+        via_step = gru_cell_step(Tensor(seq.data[0]), cell)
         assert np.array_equal(via_forward.data, via_step.data)
 
     def test_zero_weights_zero_final(self):
@@ -113,7 +117,7 @@ class TestGRUForward:
 
     def test_sequence_last_row_matches_final(self):
         rng = np.random.RandomState(5)
-        cell = GRUCellParams.create(4, 3, rng)
+        cell = make_cell(4, 3, rng)
         seq = Tensor(rng.standard_normal((5, 1, 4)))
         states = gru_sequence(seq, cell, return_sequence=True)
         final = gru_sequence(seq, cell)
@@ -129,28 +133,23 @@ class TestGRUForward:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_kernel_equals_per_step_ops(self, random_bias, reverse):
         rng = np.random.RandomState(20)
-        cell = GRUCellParams.create(5, 4, rng)
+        cell = make_cell(5, 4, rng)
         if random_bias:
             for b in (cell.b_z, cell.b_r, cell.b):
                 b.data[...] = rng.standard_normal(4)  # in place, as a view of its stack
         xs = rng.standard_normal((6, 3, 5)) * 2.0
-        h0 = rng.uniform(-0.9, 0.9, (3, 4))
-        for options in ({}, {"h0": h0}, {"return_sequence": True},
-                        {"h0": h0, "return_sequence": True}):
-            out = gru_sequence(Tensor(xs), cell, reverse=reverse, **options)
-            ref = reference_run(xs, cell, reverse=reverse, **options)
+        for return_sequence in (False, True):
+            out = gru_sequence(Tensor(xs), cell, reverse=reverse, return_sequence=return_sequence)
+            ref = reference_run(xs, cell, reverse=reverse, return_sequence=return_sequence)
             assert np.array_equal(out.data, ref)
 
-    def test_h0_and_input_shapes_checked(self):
+    def test_input_shape_checked(self):
         cell = zero_cell(4, 3)
-        xs = Tensor(np.zeros((5, 2, 4)))
-        with pytest.raises(ShapeError):
-            gru_sequence(xs, cell, h0=Tensor(np.zeros((3, 3))))
         with pytest.raises(ShapeError):
             gru_sequence(Tensor(np.zeros((5, 2, 3))), cell)
 
     def test_saturated_gates_emit_no_warning(self):
-        cell = GRUCellParams.create(4, 3, np.random.RandomState(21))
+        cell = make_cell(4, 3, np.random.RandomState(21))
         xs = Tensor(np.tile([[1e4], [-1e4]], (2, 1, 4)))  # (T=2, B=2, 4): both signs saturate
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -166,15 +165,14 @@ class TestSubnormalFlush:
 
     def test_gradients_match_unflushed_per_step_ops(self):
         rng = np.random.RandomState(50)
-        cell = GRUCellParams.create(4, 3, rng)
+        cell = make_cell(4, 3, rng)
         for w in (cell.W_z, cell.W_r, cell.W):
             w.data *= 0.2
         cell.b_z.data[:] = 2.5  # z ~ 0.92: each step keeps ~1/6 of the state gradient
         x = rng.standard_normal((64, 2, 4)).astype(np.float32)
 
         steps = [Parameter(x_t, "x_t") for x_t in x]
-        h0 = Tensor(np.zeros((2, 3), np.float32))
-        T.backward(sum_all(reference_states(steps, cell, h0)[-1]))  # gradient 1 on the final state
+        T.backward(sum_all(reference_states(steps, cell)[-1]))  # gradient 1 on the final state
         unflushed = [np.stack([s.grad for s in steps]), *(p.grad for p in cell.parameters())]
         zero_grads(cell.parameters())
         xs = Parameter(x.copy(), "xs")
@@ -209,9 +207,8 @@ class TestBiGRU:
         layer = BiGRU(4, 3, rng)
         seq = Tensor(rng.standard_normal((1, 1, 4)))
         out = layer.run(seq, return_sequence=True).data[0]
-        h0 = Tensor(np.zeros((1, 3)))
-        assert np.allclose(out[:, :3], gru_cell_step(Tensor(seq.data[0]), h0, layer.fwd).data)
-        assert np.allclose(out[:, 3:], gru_cell_step(Tensor(seq.data[0]), h0, layer.bwd).data)
+        assert np.allclose(out[:, :3], gru_cell_step(Tensor(seq.data[0]), layer.fwd).data)
+        assert np.allclose(out[:, 3:], gru_cell_step(Tensor(seq.data[0]), layer.bwd).data)
 
     def test_output_width(self):
         rng = np.random.RandomState(8)
@@ -360,7 +357,7 @@ class TestCellRefusal:
         self.refused((b,), "b")
 
     def test_hand_built_cell(self):
-        cell = GRUCellParams.create(4, 3, np.random.RandomState(48), name="c")
+        cell = make_cell(4, 3, np.random.RandomState(48), name="c")
         copy = GRUCellParams(*(Parameter(p.data.copy(), p.name) for p in cell.parameters()))
         self.refused((copy,), "c")
 
@@ -650,11 +647,10 @@ class TestGradients:
 
     def test_gru_cell_strict(self):
         rng = np.random.RandomState(14)
-        cell = GRUCellParams.create(3, 3, rng)
+        cell = make_cell(3, 3, rng)
         x = Tensor(rng.standard_normal((2, 3)))
-        h = Tensor(rng.uniform(-0.8, 0.8, (2, 3)))
         err = max_relative_error(
-            lambda: mean_all(T.mul(gru_cell_step(x, h, cell), gru_cell_step(x, h, cell))),
+            lambda: mean_all(T.mul(gru_cell_step(x, cell), gru_cell_step(x, cell))),
             at_float64(cell.parameters()), delta=1e-6, tiny=1e-8,
         )
         assert err < 1e-5
@@ -688,6 +684,11 @@ class TestGradients:
         T.backward(sum_all(sliced))
         assert np.array_equal(a.grad, [[1, 1, 1], [0, 0, 0]])
         assert np.array_equal(b.grad, [[1, 1], [0, 0]])
+
+    def test_row_slice_past_the_last_row_rejected(self):
+        # a gather, not a numpy slice: a bound past the rows raises instead of clipping
+        with pytest.raises(ShapeError, match="out of range"):
+            T.row_slice(Tensor(np.ones((2, 3))), 1, 3)
 
     def test_grad_accumulates_across_uses(self):
         w = Parameter(np.array([[2.0]]), "w")

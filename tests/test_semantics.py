@@ -17,19 +17,30 @@ from aucap.semantics import (
     TagLexicon,
     build_corpus,
     encode_sve,
-    extract_subjects_verbs,
     subject_verb_roots,
     to_root,
 )
 from aucap.text import EOS, RESERVED, SOS, clean_caption, strip_special_tokens
 
 
+def two_pass_roots(captions, lex):
+    """Oracle: per caption, strip the reserved tokens, tag every token, then keep
+    the roots of the nouns before the first verb and of every verb."""
+    out = []
+    for caption in captions:
+        tokens = strip_special_tokens(caption)
+        tags = [lex.tag(t) for t in tokens]
+        first_verb = next((i for i, t in enumerate(tags) if t == VERB), len(tokens))
+        out.append([to_root(token) for i, (token, tag) in enumerate(zip(tokens, tags))
+                    if tag == VERB or (tag == NOUN and i < first_verb)])
+    return out
+
+
 def brute_force_corpus(captions, lex):
     """Oracle: unique rooted subjects+verbs in first-appearance order."""
     seen, out = set(), []
-    for caption in captions:
-        for word in extract_subjects_verbs(caption, lex):
-            root = to_root(word)
+    for roots in two_pass_roots(captions, lex):
+        for root in roots:
             if root not in seen:
                 seen.add(root)
                 out.append(root)
@@ -102,6 +113,16 @@ class TestTagLexicon:
         assert loaded.entries == toy_lexicon.entries
         assert loaded.sha256() == toy_lexicon.sha256()
 
+    @pytest.mark.parametrize("line", ["dog \tNOUN", " dog\tNOUN", "hot dog\tNOUN", "\tNOUN"])
+    def test_empty_word_or_word_with_whitespace_rejected(self, tmp_path, line):
+        # no cleaned token is empty or holds whitespace: "dog " would leave "dog" to the
+        # fallbacks, and "a dog barks" would give the corpus ('bark',)
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"barks\tVERB\n{line}\n", encoding="utf-8")
+        with pytest.raises(SemanticsError, match=r"lex\.tsv:2: word .* is empty or holds "
+                                                 r"whitespace"):
+            TagLexicon.load(path)
+
     def test_bad_tag_rejected(self):
         with pytest.raises(SemanticsError):
             TagLexicon({"dog": "ADJ"})
@@ -117,30 +138,34 @@ class TestTagLexicon:
             assert lex.tag(word) == resolve_tag(entries, word)
 
 
-class TestExtract:
-    def test_simple(self, toy_lexicon):
-        assert extract_subjects_verbs([SOS, "dog", "barks", "loudly", EOS],
-                                      toy_lexicon) == ["dog", "barks"]
+class TestSelection:
+    """Which words ``subject_verb_roots`` selects, and in what order, pinned on
+    words that are their own roots."""
 
-    def test_no_noun_or_verb(self, toy_lexicon):
-        assert extract_subjects_verbs([SOS, "loudly", EOS], toy_lexicon) == []
+    LEX = TagLexicon({"dog": NOUN, "man": NOUN, "car": NOUN, "rain": NOUN, "bark": VERB,
+                      "speak": VERB, "fall": VERB, "near": OTHER,
+                      "<unk>": NOUN, "<pad>": NOUN, "<sos>": VERB, "<eos>": VERB})
 
-    def test_noun_after_first_verb_excluded(self, toy_lexicon):
-        tokens = [SOS, "man", "speaks", "dog", "barks", EOS]
-        assert extract_subjects_verbs(tokens, toy_lexicon) == ["man", "speaks", "barks"]
+    @pytest.mark.parametrize("body, selected", [
+        (["dog", "bark", "near"], ["dog", "bark"]),
+        (["near"], []),
+        # the nouns before the first verb, then every verb; a noun after it is dropped
+        (["man", "dog", "speak", "car", "bark"], ["man", "dog", "speak", "bark"]),
+        (["bark", "dog", "fall"], ["bark", "fall"]),
+        # repeated tokens are selected each time
+        (["dog", "dog", "bark", "dog", "bark"], ["dog", "dog", "bark", "bark"]),
+        # reserved tokens, though the lexicon tags them, are never selected and
+        # never end the subjects
+        (["<unk>", "dog", "<sos>", "man", "<pad>", "bark", "<eos>", "rain"],
+         ["dog", "man", "bark"]),
+    ], ids=["simple", "none", "noun-after-verb", "verb-first", "repeats", "reserved"])
+    def test_nouns_before_the_first_verb_then_every_verb(self, body, selected):
+        assert all(to_root(w) == w for w in body if w not in RESERVED)
+        assert subject_verb_roots([[SOS, *body, EOS]], self.LEX) == [selected]
 
-
-def two_pass_roots(captions, lex):
-    """Oracle: per caption, strip the reserved tokens, tag every token, then keep
-    the roots of the nouns before the first verb and of every verb."""
-    out = []
-    for caption in captions:
-        tokens = strip_special_tokens(caption)
-        tags = [lex.tag(t) for t in tokens]
-        first_verb = next((i for i, t in enumerate(tags) if t == VERB), len(tokens))
-        out.append([to_root(token) for i, (token, tag) in enumerate(zip(tokens, tags))
-                    if tag == VERB or (tag == NOUN and i < first_verb)])
-    return out
+    def test_each_caption_starts_with_its_subjects(self):
+        captions = [[SOS, "dog", "bark", "man", EOS], [SOS, "man", "speak", EOS]]
+        assert subject_verb_roots(captions, self.LEX) == [["dog", "bark"], ["man", "speak"]]
 
 
 class CountingLexicon(TagLexicon):
@@ -170,15 +195,14 @@ class TestSubjectVerbRoots:
     @given(st.lists(st.lists(_tokens, max_size=12), max_size=12))
     def test_equals_two_pass_oracle(self, captions):
         lex = TagLexicon(_ENTRIES)
-        assert subject_verb_roots(captions, lex) == two_pass_roots(captions, lex)
-        for caption in captions:
-            assert [to_root(w) for w in extract_subjects_verbs(caption, lex)] == \
-                two_pass_roots([caption], lex)[0]
+        roots = subject_verb_roots(captions, lex)
+        assert roots == two_pass_roots(captions, lex)
+        assert [subject_verb_roots([caption], lex)[0] for caption in captions] == roots
 
     def test_reserved_tokens_are_never_selected(self):
         lex = TagLexicon(_ENTRIES)
-        assert extract_subjects_verbs([SOS, "<unk>", "dog", "<sos>", "barks", EOS], lex) == \
-            ["dog", "barks"]
+        assert subject_verb_roots([[SOS, "<unk>", "dog", "<sos>", "barks", EOS]], lex) == \
+            [["dog", "bark"]]
 
     def test_each_distinct_token_is_tagged_once_per_call(self):
         lex = CountingLexicon(_ENTRIES)
@@ -256,6 +280,13 @@ class TestBuildCorpus:
             ds.sve_targets([ds.ClipRecord("c0", None, (tuple(captions[0]),), "development")],
                            loaded, other)
 
+    @pytest.mark.parametrize("line", ["dog ", " dog", "hot dog", "  "])
+    def test_word_with_whitespace_rejected(self, tmp_path, line):
+        path = tmp_path / "corpus.txt"
+        path.write_text(f"# lexicon {'0' * 64}\nbark\n{line}\n", encoding="utf-8")
+        with pytest.raises(SemanticsError, match=r"corpus\.txt:3: word .* holds whitespace"):
+            SubjectVerbCorpus.load(path)
+
     def test_file_without_lexicon_header_names_build_sve(self, tmp_path):
         (tmp_path / "corpus.txt").write_text("dog\nbark\n", encoding="utf-8")
         with pytest.raises(SemanticsError, match="rebuild the corpus with build-sve"):
@@ -308,7 +339,7 @@ class TestEncodeSve:
             captions.append([SOS, *body, EOS])
         corpus = build_corpus(captions, toy_lexicon)
         for caption in captions:
-            roots = {to_root(w) for w in extract_subjects_verbs(caption, toy_lexicon)}
+            roots = set(subject_verb_roots([caption], toy_lexicon)[0])
             vec = encode_sve(caption, corpus, toy_lexicon)
             for k, word in enumerate(corpus.words):
                 assert vec[k] == (1.0 if word in roots else 0.0)

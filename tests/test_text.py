@@ -119,7 +119,7 @@ class TestVocabulary:
         vocab = build_vocabulary([[SOS, "dog", "barks", "loudly", EOS]])
         vocab.save(tmp_path / "v.tsv")
         loaded = Vocabulary.load(tmp_path / "v.tsv")
-        assert loaded == vocab
+        assert loaded.words == vocab.words
         assert loaded.sha256() == vocab.sha256()
 
     def test_non_integer_index_rejected(self, tmp_path):
@@ -138,13 +138,19 @@ class TestVocabulary:
         with pytest.raises(VocabularyError, match=r"v\.tsv:6: index -4 is negative"):
             Vocabulary.load(path)
 
+    # no cleaned token holds whitespace: "cat " would leave every "cat" <unk>
     @pytest.mark.parametrize("extra, message", [
         (["5\t"], r"v\.tsv:6: index 5 holds an empty word"),
+        (["5\tcat "], r"v\.tsv:6: index 5 holds an empty word or one with whitespace"),
+        (["5\t cat"], r"v\.tsv:6: index 5 holds an empty word or one with whitespace"),
+        (["5\tcat\tdog"], r"v\.tsv:6: index 5 holds an empty word or one with whitespace"),
+        (["5\t\u00a0"], r"v\.tsv:6: index 5 holds an empty word or one with whitespace"),
         (["5\tdog"], r"v\.tsv:6: word 'dog' repeats index 4"),             # on the last line
         (["5\tdog", "6\tcat"], r"v\.tsv:6: word 'dog' repeats index 4"),  # mid-file
         (["5\t<unk>"], r"v\.tsv:6: word '<unk>' repeats index 3"),
         (["0\t<pad>"], r"v\.tsv:6: word '<pad>' repeats index 0"),
-    ], ids=["empty", "last-line", "mid-file", "reserved", "reserved-slot"])
+    ], ids=["empty", "trailing-space", "leading-space", "tab", "no-break-space", "last-line",
+            "mid-file", "reserved", "reserved-slot"])
     def test_empty_or_repeated_word_rejected(self, tmp_path, extra, message):
         path = tmp_path / "v.tsv"
         build_vocabulary([[SOS, "dog", EOS]]).save(path)
