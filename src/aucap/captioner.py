@@ -30,7 +30,7 @@ With one caption per clip, the batches and every random draw are those of
 packing the captions themselves.
 
 The model runs at float32: its layers hand out float32 parameters (each
-drawn at float64 and cast at once), and its inputs are cast to their width,
+drawn straight into its float32 array), and its inputs are cast to their width,
 so the whole graph follows them. The loss and the train-mode batch-norm
 statistics reduce in float64 (see ``nn/tensor.py``). Weighting the clip rows
 instead of repeating them matters at float32: when a batch holds one clip,
@@ -77,7 +77,7 @@ from .audio.embeddings import VARIANT_DIMS
 from .errors import CheckpointError, ConfigError, ShapeError
 from .nn.checkpoint import (config_from_meta, load_model_state, load_parameters, load_tensors,
                             save_tensors)
-from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUCellParams, GRUStep
+from .nn.layers import BatchNorm, BiGRU, Dense, Embedding, GRU, GRUStep, glorot_uniform
 from .nn import tensor as T
 from .nn.optim import AdamState, adam_step, check_training_fields, fit
 from .nn.tensor import Parameter, Tensor
@@ -149,6 +149,19 @@ def build_encoder_input(audio, sve: np.ndarray | None, variant: str) -> np.ndarr
     return out
 
 
+def _decoder_input_block(input_dim: int, hidden: int, rng) -> np.ndarray:
+    """The (hidden, input_dim) input columns of one gate of a decoder GRU cell,
+    from ``rng``'s next draws as ``GRUCellParams.stacked`` makes them: the
+    recurrent block's standard normal draw, which ``orthogonal`` would factorise
+    and which is dropped here, then the input block's Glorot-uniform draw.
+    Uninitialized when ``rng`` is None."""
+    out = np.empty((hidden, input_dim), np.float32)
+    if rng is not None:
+        rng.standard_normal((hidden, hidden))
+        glorot_uniform(rng, out)
+    return out
+
+
 class Captioner:
     def __init__(self, vocab_size: int, config: CaptionerConfig,
                  rng: np.random.RandomState | None, embed_init: np.ndarray | None = None):
@@ -166,11 +179,12 @@ class Captioner:
                                    name="enc.embedding")
         self.text_gru = GRU(c.embed_dim, c.text_gru, rng, name="enc.text")
         self.bn_text = BatchNorm(c.text_gru, name="enc.bn_text")
-        # draw a whole GRU cell, keep its live part: it and dec.out start as in the GRU form
-        gru = GRUCellParams.stacked(c.fused_dim, c.decoder_gru, rng, ("dec",))[0]
-        self.dec_W_z, self.dec_W = (Parameter(w.data[:, c.decoder_gru:].copy(), w.name)
-                                    for w in (gru.W_z, gru.W))
-        self.dec_b_z, self.dec_b = (Parameter(b.data.copy(), b.name) for b in (gru.b_z, gru.b))
+        # the draws of a GRU cell, of which only W_z's and W's input columns are kept:
+        # they and dec.out start as in the GRU form
+        w_z, _, w = (_decoder_input_block(c.fused_dim, c.decoder_gru, rng) for _ in range(3))
+        self.dec_W_z, self.dec_W = Parameter(w_z, "dec.W_z"), Parameter(w, "dec.W")
+        self.dec_b_z, self.dec_b = (Parameter(np.zeros(c.decoder_gru, np.float32), f"dec.{b}")
+                                    for b in ("b_z", "b"))
         self.bn_decoder = BatchNorm(c.decoder_gru, name="dec.bn")
         self.out = Dense(c.decoder_gru, vocab_size, rng, name="dec.out")
 

@@ -10,8 +10,8 @@ The MLP trains and predicts at float32. Its training is memory-bound: each
 step's Adam update and dense products stream every parameter, and float32
 halves those bytes. The fused loss takes no log of a probability, so it needs
 no floor near 1, which float32 could not hold (1 - 1e-12 rounds to 1). Its
-layers hand out float32 parameters, each drawn at float64 and cast at once
-(``nn/layers.py``), and ``MLP.load`` draws nothing.
+layers hand out float32 parameters, each drawn straight into its float32
+array by blocks of rows (``nn/layers.py``), and ``MLP.load`` draws nothing.
 """
 
 from __future__ import annotations

@@ -11,6 +11,23 @@ this is not lazy Adam. Past half, or after any other write to the gradient,
 the update is dense. With the paper's data every training word is live within
 epoch 1, so there the saving ends in that epoch.
 
+The first step, in closed form. With m0 = v0 = 0 (Kingma & Ba, "Adam",
+arXiv:1412.6980) a parameter's first update reads no moment: m and v are
+allocated uninitialized and written straight from the gradient, m = (1-b1)*g
++ 0.0 and v = (1-b2)*g**2. These are the bits of b1*0 + (1-b1)*g and b2*0 +
+(1-b2)*g**2: adding zero leaves every value as it is except -0.0, which the
+``+ 0.0`` makes 0.0 just as 0 + (-0.0) is 0.0, and (1-b2)*g**2 is never
+-0.0. A lookup-fed parameter gets zeroed moments even so, since the rows it
+leaves idle must hold m = v = 0; its live rows are written as above.
+
+Blocks. The update runs over ``CHUNK`` elements at a time, with two block
+buffers, so the slices of m, v, gradient and data that one block touches stay
+in the cache between their twelve ops. Smaller blocks pay more per-call
+overhead and larger ones spill the six slices out of the cache: on one vCPU
+of a 2-vCPU x86-64 host, a float32 step over 8.6M elements took a median of
+30.9 ms at 1 << 14, 26.2 ms at 1 << 16 (256 KiB per slice) and 36.7 ms at
+1 << 17. The block size changes no bit: each element's ops are the same.
+
 Widths. m, v and the block buffers are kept at each parameter's dtype, and
 every scalar in the update is a Python float, so a float32 parameter is
 updated wholly in float32: a numpy float64 scalar would compute its ops in
@@ -44,7 +61,7 @@ class AdamState:
     live: dict[str, np.ndarray] = field(default_factory=dict)  # row masks while row-sparse
 
 
-CHUNK = 1 << 14  # elements per block: m, v, grad and data slices stay in cache together
+CHUNK = 1 << 16  # elements per block: m, v, grad and data slices stay in cache together
 
 
 def adam_step(params: list[Parameter], state: AdamState) -> None:
@@ -56,8 +73,9 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
     reused buffers of its dtype, and never rebinds a parameter's data, so a
     GRU cell's parameters stay views of their layer's stacks. Per element the
     ops and their order are m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
-    w -= scale*m / (sqrt(v) + eps).
-    A lookup-fed parameter is updated over its live rows (module docstring).
+    w -= scale*m / (sqrt(v) + eps); a parameter's first step writes m and v
+    from the gradient alone, and a lookup-fed parameter is updated over its
+    live rows (module docstring).
     """
     stale = [p.name for p in params if p.grad is None]
     if stale:
@@ -72,17 +90,21 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
     scale = float(state.learning_rate * math.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t))
     buffers = {dt: np.empty((2, CHUNK), dt) for dt in {p.data.dtype for p in params}}
     for p in params:
-        if p.name not in state.m:
-            state.m[p.name], state.v[p.name] = np.zeros_like(p.data), np.zeros_like(p.data)
-            if p.grad_rows is not None:
+        first = p.name not in state.m  # m and v are written from the gradient, not read
+        if first:
+            lookup_fed = p.grad_rows is not None
+            alloc = np.zeros_like if lookup_fed else np.empty_like  # idle rows keep m = v = 0
+            state.m[p.name], state.v[p.name] = alloc(p.data), alloc(p.data)
+            if lookup_fed:
                 state.live[p.name] = np.zeros(p.data.shape[0], dtype=bool)
         m, v = state.m[p.name], state.v[p.name]
+        bufs = buffers[p.data.dtype]
         rows = _live_rows(p, state.live)
         if rows is None:
-            _update_blocks(scale, buffers[p.data.dtype], p.data, p.grad, m, v)
+            _update_blocks(scale, bufs, p.data, p.grad, m, v, first)
         else:
             data, m_rows, v_rows = p.data[rows], m[rows], v[rows]
-            _update_blocks(scale, buffers[p.data.dtype], data, p.grad[rows], m_rows, v_rows)
+            _update_blocks(scale, bufs, data, p.grad[rows], m_rows, v_rows, first)
             p.data[rows], m[rows], v[rows] = data, m_rows, v_rows
         p.grad, p.grad_rows = None, None
 
@@ -103,21 +125,28 @@ def _live_rows(p: Parameter, live: dict[str, np.ndarray]) -> np.ndarray | None:
 
 
 def _update_blocks(scale: float, bufs, data: np.ndarray, grad: np.ndarray, m: np.ndarray,
-                   v: np.ndarray) -> None:
-    """The Adam update in place over contiguous data, m and v (``grad`` is read), by blocks."""
+                   v: np.ndarray, first: bool) -> None:
+    """The Adam update in place over contiguous data, m and v (``grad`` is read), by
+    blocks; on the ``first`` step m and v are written, not read (module docstring)."""
     data, grad, m, v = (a.reshape(-1) for a in (data, grad, m, v))
     buf_a, buf_b = bufs
     for lo in range(0, data.size, CHUNK):
         hi = min(lo + CHUNK, data.size)
         g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
         a, b = buf_a[: hi - lo], buf_b[: hi - lo]
-        mb *= BETA1
-        np.multiply(1.0 - BETA1, g, out=a)
-        mb += a
-        vb *= BETA2
-        np.square(g, out=a)
-        a *= 1.0 - BETA2
-        vb += a
+        if first:
+            np.multiply(1.0 - BETA1, g, out=mb)
+            mb += 0.0  # -0.0 -> 0.0, as 0 + (-0.0)
+            np.square(g, out=vb)
+            vb *= 1.0 - BETA2
+        else:
+            mb *= BETA1
+            np.multiply(1.0 - BETA1, g, out=a)
+            mb += a
+            vb *= BETA2
+            np.square(g, out=a)
+            a *= 1.0 - BETA2
+            vb += a
         np.multiply(scale, mb, out=a)
         np.sqrt(vb, out=b)
         b += ADAM_EPS

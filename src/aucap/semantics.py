@@ -26,7 +26,7 @@ import numpy as np
 
 from . import atomic
 from .errors import SemanticsError
-from .text import RESERVED, words_sha256
+from .text import RESERVED, require_clean_word, words_sha256
 
 NOUN = "NOUN"
 VERB = "VERB"
@@ -164,9 +164,7 @@ class TagLexicon:
             word, sep, tag = line.partition("\t")
             if not sep:
                 raise SemanticsError(f"{path}:{lineno + 1}: expected word<TAB>TAG")
-            if word.split() != [word]:  # no cleaned token is empty or holds whitespace
-                raise SemanticsError(f"{path}:{lineno + 1}: word {word!r} is empty or "
-                                     f"holds whitespace")
+            require_clean_word(word, path, lineno + 1, SemanticsError)
             entries[word] = tag.strip()
         return cls(entries)
 

@@ -46,6 +46,26 @@ def clean_caption(raw: str) -> TokenizedCaption:
     return [SOS, *words, EOS]
 
 
+def require_clean_word(word: str, path: str | Path, lineno: int, error: type[Exception]) -> None:
+    """Raise ``error``, naming ``path:lineno``, unless ``clean_caption`` keeps ``word``
+    as it is, as one token: a loaded word that cleaning would change can never
+    equal a cleaned token, so its entry would be dead without a word said.
+
+    A lower-case run of two or more letters is kept as it is (every such
+    string is its own ``lower()``), which settles a loader's common case
+    without cleaning; any other word is cleaned and compared."""
+    if len(word) > 1 and word.isalpha() and word.islower():
+        return
+    try:
+        if clean_caption(word) == [SOS, word, EOS]:
+            return
+    except EmptyCaptionError:
+        pass
+    raise error(f"{path}:{lineno}: word {word!r} is not a cleaned token, so no caption word can "
+                f"equal it: a word is lower case, at least two characters long and holds "
+                f"no whitespace, punctuation or digit")
+
+
 def strip_special_tokens(tokens: list[str]) -> list[str]:
     return [t for t in tokens if t not in (PAD, SOS, EOS, UNK)]
 
@@ -132,9 +152,6 @@ class Vocabulary:
                 raise VocabularyError(f"{path}:{lineno}: index {idx_text!r} is not an integer")
             if idx < 0:
                 raise VocabularyError(f"{path}:{lineno}: index {idx} is negative")
-            if word.split() != [word]:  # no cleaned token is empty or holds whitespace
-                raise VocabularyError(f"{path}:{lineno}: index {idx} holds an empty word "
-                                      f"or one with whitespace ({word!r})")
             if word in listed or (word in vocab and idx >= len(RESERVED)):
                 raise VocabularyError(f"{path}:{lineno}: word {word!r} repeats index "
                                       f"{vocab.index(word)}")
@@ -143,6 +160,7 @@ class Vocabulary:
                 if vocab._index_to_word[idx] != word:
                     raise VocabularyError(f"{path}:{lineno}: reserved slot {idx} holds {word!r}")
                 continue
+            require_clean_word(word, path, lineno, VocabularyError)
             if idx != len(vocab._index_to_word):
                 raise VocabularyError(f"{path}:{lineno}: indices must be dense, got {idx}")
             vocab._add(word)

@@ -18,7 +18,7 @@ from aucap import atomic, captioner, mlp
 from aucap.errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from aucap.nn import tensor as T
 from aucap.nn.checkpoint import load_tensors
-from aucap.nn.layers import BN_MOMENTUM, BiGRU, GRUCellParams, GRUStep
+from aucap.nn.layers import BN_MOMENTUM, GRU, BiGRU, Dense, Embedding, GRUCellParams, GRUStep
 from aucap.nn.optim import AdamState, adam_step
 from aucap.text import EOS, PAD, SOS, UNK, Vocabulary, build_vocabulary, clean_caption
 from conftest import CAPTIONER_META_DEFECTS, no_random_draws, with_meta
@@ -321,6 +321,25 @@ class TestEncodeDecode:
     def test_unusable_width_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"CaptionerConfig {field} must be at least"):
             micro_config(**{field: value})
+
+    def test_decoder_keeps_the_input_columns_of_a_drawn_gru_cell(self):
+        """The decoder takes the draws of a whole GRU cell, keeps W_z's and W's
+        input columns and zero biases, and leaves the stream where that cell
+        would: dec.out draws on as after the cell."""
+        model, cfg = micro_model(sve_dim=3)
+        rng = np.random.RandomState(cfg.seed)
+        BiGRU(cfg.encoder_input_dim, cfg.bigru1, rng)
+        BiGRU(2 * cfg.bigru1, cfg.bigru2, rng)
+        Embedding(12, cfg.embed_dim, rng)
+        GRU(cfg.embed_dim, cfg.text_gru, rng)
+        cell = GRUCellParams.stacked(cfg.fused_dim, cfg.decoder_gru, rng, ("dec",))[0]
+        h = cfg.decoder_gru
+        for kept, drawn in ((model.dec_W_z, cell.W_z), (model.dec_W, cell.W)):
+            assert kept.data.dtype == np.float32 and kept.data.flags.c_contiguous
+            assert np.array_equal(kept.data, drawn.data[:, h:])
+        for b in (model.dec_b_z, model.dec_b):
+            assert b.data.dtype == np.float32 and np.array_equal(b.data, np.zeros(h))
+        assert np.array_equal(model.out.weights.data, Dense(h, 12, rng).weights.data)
 
     def test_smallest_usable_widths_accepted(self):
         cfg = micro_config(embed_dim=1, bigru1=1, bigru2=1, text_gru=1, decoder_gru=1,

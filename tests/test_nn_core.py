@@ -13,6 +13,7 @@ from aucap.captioner import Captioner, CaptionerConfig
 from aucap.mlp import MLP, MLPConfig
 from aucap.nn.layers import (
     BN_MOMENTUM,
+    DRAW_BLOCK,
     GRU,
     BatchNorm,
     BiGRU,
@@ -24,6 +25,7 @@ from aucap.nn.layers import (
     gru_cell_step,
     gru_sequence,
     orthogonal,
+    uniform_fill,
 )
 from aucap.nn.checkpoint import load_parameters
 from aucap.nn.optim import CHUNK, AdamState, adam_step, fit
@@ -284,12 +286,12 @@ class TestGateStack:
     def test_draws_fill_the_stack_in_cell_order(self):
         """Each cell draws W_z, W_r, then W, forward cell first, each cast as stored."""
         layer = BiGRU(5, 3, np.random.RandomState(42))
-        rng = np.random.RandomState(42)
+        rng, limit = np.random.RandomState(42), np.sqrt(6.0 / (3 + 5))
         for c in layer_cells(layer):
             for w in (c.W_z, c.W_r, c.W):
                 assert np.array_equal(w.data[:, :3], orthogonal(rng, 3).astype(np.float32))
                 assert np.array_equal(w.data[:, 3:],
-                                      glorot_uniform(rng, 3, 5).astype(np.float32))
+                                      rng.uniform(-limit, limit, (3, 5)).astype(np.float32))
 
     def test_stacks_hold_the_parameters_after_adam_and_load(self):
         rng = np.random.RandomState(44)
@@ -861,6 +863,102 @@ def adam_reference(data, grads, steps, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8
     return data, m, v
 
 
+def same_bits(a, b):
+    """``a`` and ``b`` have one dtype and one shape and every entry's bits
+    equal: unlike ``np.array_equal``, -0.0 is not 0.0 and a NaN equals itself."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}")))
+
+
+class TestAdamFirstStep:
+    """A first step writes m and v from the gradient alone: its data, m and v
+    are byte for byte those of an update from m = v = 0."""
+
+    def gradient(self, rng, size, dtype):
+        """Normal values over many scales, with -0.0, 0.0 and subnormals of both signs."""
+        g = (rng.standard_normal(size) * 10.0 ** rng.randint(-4, 4, size)).astype(dtype)
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = np.array([-0.0, 0.0, tiny, -tiny, 7 * tiny, -3 * tiny], dtype)
+        k = min(size, 60)
+        g[rng.choice(size, k, replace=False)] = np.resize(specials, k)
+        return g
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_zero_start_bitwise(self, dtype):
+        """Over sizes below, at and past one ``CHUNK``; the moments are
+        allocated NaN-filled here, so a first step that read them would show."""
+        rng = np.random.RandomState(23)
+        sizes = {"one": 1, "partial": 999, "chunk": CHUNK, "past": 2 * CHUNK + 5}
+        params = [Parameter(rng.standard_normal(n).astype(dtype), name)
+                  for name, n in sizes.items()]
+        start = [p.data.copy() for p in params]
+        grads = [self.gradient(rng, n, dtype) for n in sizes.values()]
+        for p, g in zip(params, grads):
+            T._accumulate(p, g)
+        state = AdamState(learning_rate=1e-2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "empty_like", lambda a: np.full_like(a, np.nan))
+            adam_step(params, state)
+        for p, p0, g in zip(params, start, grads):
+            data, m, v = adam_reference(p0, [g], 1)
+            assert same_bits(p.data, data), p.name
+            assert same_bits(state.m[p.name], m) and same_bits(state.v[p.name], v), p.name
+        assert not np.signbit(state.m["past"][grads[-1] == 0]).any()  # -0.0 gives m = 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_later_steps_read_the_first_moments(self, dtype):
+        rng = np.random.RandomState(24)
+        p = Parameter(rng.standard_normal(CHUNK + 3).astype(dtype), "w")
+        start = p.data.copy()
+        grads = [self.gradient(rng, p.data.size, dtype) for _ in range(3)]
+        state = AdamState(learning_rate=1e-2)
+        for g in grads:
+            T._accumulate(p, g)
+            adam_step([p], state)
+        data, m, v = adam_reference(start, grads, 3)
+        assert same_bits(p.data, data)
+        assert same_bits(state.m["w"], m) and same_bits(state.v["w"], v)
+
+
+class TestUniformFill:
+    """The row-block draw is one whole draw cast to float32, bit for bit, and
+    leaves the RNG where that draw does."""
+
+    @pytest.mark.parametrize("shape", [
+        (3 * (DRAW_BLOCK // 1000) + 5, 1000),  # rows the block does not divide
+        (1, 300),                              # one row
+        (3, DRAW_BLOCK + 7),                   # rows wider than a block
+        (2, DRAW_BLOCK),                       # one row per block exactly
+        (7, 0),                                # no values
+    ], ids=["partial-block", "one-row", "wide-rows", "exact-rows", "empty"])
+    def test_equals_one_whole_draw(self, shape):
+        got, want = np.random.RandomState(25), np.random.RandomState(25)
+        out = uniform_fill(got, 0.3, np.empty(shape, np.float32))
+        assert out.dtype == np.float32
+        assert same_bits(out, want.uniform(-0.3, 0.3, shape).astype(np.float32))
+        assert same_bits(got.random_sample(5), want.random_sample(5))
+
+    def test_fills_a_strided_view(self):
+        """As it fills a GRU gate's input columns in its layer's stack."""
+        rng, want = np.random.RandomState(26), np.random.RandomState(26)
+        stack = np.zeros((200, 40 + 900), np.float32)
+        glorot_uniform(rng, stack[:, 40:])
+        limit = np.sqrt(6.0 / (200 + 900))
+        assert same_bits(stack[:, 40:], want.uniform(-limit, limit, (200, 900)).astype(np.float32))
+        assert not stack[:, :40].any()
+        assert same_bits(rng.random_sample(5), want.random_sample(5))
+
+    def test_dense_and_embedding_draw_as_one_whole_draw(self):
+        rng, want = np.random.RandomState(27), np.random.RandomState(27)
+        dense, table = Dense(300, 256, rng).weights.data, Embedding(500, 70, rng).table.data
+        limit = np.sqrt(6.0 / (300 + 256))
+        assert dense.size > DRAW_BLOCK and table.size > DRAW_BLOCK
+        assert same_bits(dense, want.uniform(-limit, limit, (256, 300)).astype(np.float32))
+        assert same_bits(table, want.uniform(-0.05, 0.05, (500, 70)).astype(np.float32))
+        assert same_bits(rng.random_sample(5), want.random_sample(5))
+
+
 class TestAdamBlocked:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_matches_unblocked_formula(self, dtype):
@@ -917,14 +1015,16 @@ class TestRowSparseAdam:
                 loss = add(loss, sum_all(term))
             T.backward(loss)
             grads.append(table.grad)
-            adam_step([table], state)
+            with pytest.MonkeyPatch.context() as patch:  # a moment left unwritten shows as NaN
+                patch.setattr(np, "empty_like", lambda a: np.full_like(a, np.nan))
+                adam_step([table], state)
             sparse.append(table.name in state.live)
             data, m, v = adam_reference(start, grads, step + 1)
             assert table.data.dtype == state.m[table.name].dtype == state.v[table.name].dtype
             assert table.data.dtype == grads[-1].dtype == dtype
-            assert np.array_equal(table.data, data), step
-            assert np.array_equal(state.m[table.name], m), step
-            assert np.array_equal(state.v[table.name], v), step
+            assert same_bits(table.data, data), step
+            assert same_bits(state.m[table.name], m), step
+            assert same_bits(state.v[table.name], v), step
             assert table.grad is None and table.grad_rows is None
             history.append(table.data.copy())
         return start, history, sparse
@@ -942,6 +1042,11 @@ class TestRowSparseAdam:
         assert np.array_equal(history[-1][untouched], start[untouched])
         for before, after in zip(history[1:], history[2:]):  # idle row 5 keeps moving
             assert not np.array_equal(before[5], after[5])
+
+    def test_first_step_over_half_the_table_is_dense(self):
+        start, history, sparse = self.train(lambda step: [np.arange(self.ROWS // 2 + 1)])
+        assert not any(sparse)
+        assert same_bits(history[-1][self.ROWS // 2 + 1:], start[self.ROWS // 2 + 1:])
 
     def test_live_count_crossing_half_the_table(self):
         start, history, sparse = self.train(lambda step: [np.arange(step, step + 3)])

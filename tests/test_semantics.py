@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -119,9 +120,26 @@ class TestTagLexicon:
         # fallbacks, and "a dog barks" would give the corpus ('bark',)
         path = tmp_path / "lex.tsv"
         path.write_text(f"barks\tVERB\n{line}\n", encoding="utf-8")
-        with pytest.raises(SemanticsError, match=r"lex\.tsv:2: word .* is empty or holds "
-                                                 r"whitespace"):
+        with pytest.raises(SemanticsError, match=r"lex\.tsv:2: word .* is not a cleaned token"):
             TagLexicon.load(path)
+
+    @pytest.mark.parametrize("word", ["Dog", "dog.", "dog5", "5", "a"])
+    def test_word_that_cleaning_changes_rejected(self, tmp_path, word):
+        # upper case, punctuation, a digit or one character: a lexicon of "Dog" and
+        # "barks" would leave "dog" to the fallbacks, and "a dog barks" the corpus ('bark',)
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"barks\tVERB\n{word}\tNOUN\n", encoding="utf-8")
+        with pytest.raises(SemanticsError, match=rf"lex\.tsv:2: word '{re.escape(word)}' is not "
+                                                 rf"a cleaned token"):
+            TagLexicon.load(path)
+
+    def test_words_cleaning_keeps_accepted(self, tmp_path):
+        words = ["dog", "café", "naïve", "日本"]  # uncased letters take the full check
+        assert all(clean_caption(w) == [SOS, w, EOS] for w in words)
+        path = tmp_path / "lex.tsv"
+        path.write_text("# a comment line\n" + "".join(f"{w}\tNOUN\n" for w in words),
+                        encoding="utf-8")
+        assert TagLexicon.load(path).entries == dict.fromkeys(words, NOUN)
 
     def test_bad_tag_rejected(self):
         with pytest.raises(SemanticsError):

@@ -138,19 +138,26 @@ class TestVocabulary:
         with pytest.raises(VocabularyError, match=r"v\.tsv:6: index -4 is negative"):
             Vocabulary.load(path)
 
-    # no cleaned token holds whitespace: "cat " would leave every "cat" <unk>
+    # no cleaned token is empty, holds whitespace or is changed by cleaning: "cat " or
+    # "Cat" would leave every "cat" <unk>
     @pytest.mark.parametrize("extra, message", [
-        (["5\t"], r"v\.tsv:6: index 5 holds an empty word"),
-        (["5\tcat "], r"v\.tsv:6: index 5 holds an empty word or one with whitespace"),
-        (["5\t cat"], r"v\.tsv:6: index 5 holds an empty word or one with whitespace"),
-        (["5\tcat\tdog"], r"v\.tsv:6: index 5 holds an empty word or one with whitespace"),
-        (["5\t\u00a0"], r"v\.tsv:6: index 5 holds an empty word or one with whitespace"),
+        (["5\t"], r"v\.tsv:6: word '' is not a cleaned token"),
+        (["5\tcat "], r"v\.tsv:6: word 'cat ' is not a cleaned token"),
+        (["5\t cat"], r"v\.tsv:6: word ' cat' is not a cleaned token"),
+        (["5\tcat\tdog"], r"v\.tsv:6: word 'cat\\tdog' is not a cleaned token"),
+        (["5\t\u00a0"], r"v\.tsv:6: word '\\xa0' is not a cleaned token"),
+        (["5\tCat"], r"v\.tsv:6: word 'Cat' is not a cleaned token"),
+        (["5\tdog."], r"v\.tsv:6: word 'dog\.' is not a cleaned token"),
+        (["5\tcat9"], r"v\.tsv:6: word 'cat9' is not a cleaned token"),
+        (["5\ta"], r"v\.tsv:6: word 'a' is not a cleaned token"),
+        (["5\tcat", "6\tCow", "7\tcow"], r"v\.tsv:7: word 'Cow' is not a cleaned token"),
         (["5\tdog"], r"v\.tsv:6: word 'dog' repeats index 4"),             # on the last line
         (["5\tdog", "6\tcat"], r"v\.tsv:6: word 'dog' repeats index 4"),  # mid-file
         (["5\t<unk>"], r"v\.tsv:6: word '<unk>' repeats index 3"),
         (["0\t<pad>"], r"v\.tsv:6: word '<pad>' repeats index 0"),
-    ], ids=["empty", "trailing-space", "leading-space", "tab", "no-break-space", "last-line",
-            "mid-file", "reserved", "reserved-slot"])
+    ], ids=["empty", "trailing-space", "leading-space", "tab", "no-break-space", "upper-case",
+            "punctuation", "digit", "one-letter", "mid-file-unclean", "last-line", "mid-file",
+            "reserved", "reserved-slot"])
     def test_empty_or_repeated_word_rejected(self, tmp_path, extra, message):
         path = tmp_path / "v.tsv"
         build_vocabulary([[SOS, "dog", EOS]]).save(path)

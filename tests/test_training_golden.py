@@ -20,23 +20,26 @@ from aucap.mlp import MLPConfig, train_mlp
 from aucap.text import build_vocabulary, clean_caption
 
 
-def mlp_data(seed, n=24, noise=0.3):
-    """Three labels, each switched on by a block of two of the six features."""
+def mlp_data(seed, n=24, noise=0.3, width=6):
+    """Three labels, each switched on by a block of a third of the ``width`` features."""
     rng = np.random.RandomState(seed)
     y = (rng.random_sample((n, 3)) > 0.5).astype(float)
-    x = np.repeat(y, 2, axis=1) * 2.0 + rng.standard_normal((n, 6)) * noise
+    x = np.repeat(y, width // 3, axis=1) * 2.0 + rng.standard_normal((n, width)) * noise
     return x, y
 
 
-MLP_RATES = {"validation": 0.01, "no_validation": 0.2, "restore": 0.15}
+MLP_RATES = {"validation": 0.01, "no_validation": 0.2, "restore": 0.15, "wide": 0.01}
 
 
 def run_mlp(case, tmp_path):
     """``no_validation`` keeps its last epoch, although at this rate its training
-    loss is lowest in epoch 5 of 6; ``restore`` keeps epoch 2."""
-    x, y = mlp_data(0)
-    xv, yv = mlp_data(2, n=12, noise=1.5)
-    config = MLPConfig(input_dim=6, output_dim=3, hidden_widths=(8, 8), dropout=0.25,
+    loss is lowest in epoch 5 of 6; ``restore`` keeps epoch 2. ``wide`` reads
+    300 features into 256 hidden units: its first layer's 76,800 weights span
+    several of the initial draw's row blocks and two of Adam's blocks."""
+    width, hidden = (300, (256,)) if case == "wide" else (6, (8, 8))
+    x, y = mlp_data(0, width=width)
+    xv, yv = mlp_data(2, n=12, noise=1.5, width=width)
+    config = MLPConfig(input_dim=width, output_dim=3, hidden_widths=hidden, dropout=0.25,
                        learning_rate=MLP_RATES[case], epochs=6, batch_size=8, seed=3)
     validate = case != "no_validation"
     model, history = train_mlp(x, y, config, val_features=xv if validate else None,
@@ -116,6 +119,18 @@ GOLDEN = {
         ],
         "best_epoch": 1,
         "sha256": "b9fc8b287b1bcc25efbc1728eeb3da6628373e2a40f8ecca252fa712308b440b",
+    },
+    ("mlp", "wide"): {
+        "train": [
+            "0x1.2378db7cabf68p+0", "0x1.617b82eac2e73p-4", "0x1.1ffd9a418e8c5p-5",
+            "0x1.bb9155fb25c89p-10", "0x1.9fe321f2fff8bp-5", "0x1.1bd57bd0fe88fp-12",
+        ],
+        "val": [
+            "0x1.52e2d8a390b08p-3", "0x1.324cfbb050d9dp-3", "0x1.4b1e5933d6094p-3",
+            "0x1.547d9b355b661p-3", "0x1.55e961879b264p-3", "0x1.530eefb7a4dbcp-3",
+        ],
+        "best_epoch": 1,
+        "sha256": "d61b9ba49bfc9b5dcc91a740108a4f8e3def783f500198f3ed94fbf19c4078e0",
     },
     ("captioner", "validation"): {
         "train": [
@@ -215,7 +230,7 @@ def record(run, case, tmp_path):
 
 
 @pytest.mark.parametrize("model, case", [(m, c) for m in RUNS for c in CASES]
-                         + [("captioner", "two_per_clip")])
+                         + [("mlp", "wide"), ("captioner", "two_per_clip")])
 def test_training_trajectory_is_pinned(model, case, tmp_path):
     assert record(RUNS[model], case, tmp_path) == GOLDEN[model, case]
 
