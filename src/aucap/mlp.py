@@ -7,11 +7,14 @@ sigmoid of those logits, fused into one node
 the lowest validation loss, else the last. ``predict_sve`` applies the sigmoid.
 
 The MLP trains and predicts at float32. Its training is memory-bound: each
-step's Adam update and dense products stream every parameter, and float32
-halves those bytes. The fused loss takes no log of a probability, so it needs
-no floor near 1, which float32 could not hold (1 - 1e-12 rounds to 1). Its
-layers hand out float32 parameters, each drawn straight into its float32
-array by blocks of rows (``nn/layers.py``), and ``MLP.load`` draws nothing.
+step's Adam update streams every parameter with its m and v, the dense
+products stream the weights, and float32 halves those bytes. A step holds no
+weight's whole gradient: each layer's is kept as its two batch-row factors
+and formed a block of rows at a time inside the Adam update (``nn/optim.py``).
+The fused loss takes no log of a probability, so it needs no floor near 1,
+which float32 could not hold (1 - 1e-12 rounds to 1). Its layers hand out
+float32 parameters, each drawn straight into its float32 array by blocks of
+rows (``nn/layers.py``), and ``MLP.load`` draws nothing.
 """
 
 from __future__ import annotations

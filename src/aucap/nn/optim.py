@@ -28,6 +28,24 @@ of a 2-vCPU x86-64 host, a float32 step over 8.6M elements took a median of
 30.9 ms at 1 << 14, 26.2 ms at 1 << 16 (256 KiB per slice) and 36.7 ms at
 1 << 17. The block size changes no bit: each element's ops are the same.
 
+Factored gradients, by blocks of rows. A dense weight's gradient from one
+``linear`` is held as its factors (``T.Factors``): ``g`` (batch, out) and
+``x`` (batch, in). The step forms it a block of rows at a time, ``g.T[lo:hi]
+@ x`` into one reused buffer, and updates those rows of data, m and v while
+the block is in cache, so the (out, in) gradient is never held: for the MLP's
+first layer on 6,336 log-Mel inputs that is 26 MB, and 164 MB at 39,936. A
+block holds about ``CHUNK`` values but at least ``MIN_ROWS`` = 16 rows, a
+multiple of 16, and a tail of fewer rows joins the block before it
+(``row_blocks``). This keeps every bit of the full product's rows: with
+OpenBLAS 0.3.31 (Haswell kernels) at float32, these blocks equalled the full
+product bit for bit at every default-MLP layer from 2,048 and 6,336 inputs,
+at 39,936 columns (as blocks of 2 rows did too) and at the captioner's
+(4,504, 128) output layer, with 16 to 128 examples (``tests/test_nn_core.py``
+pins these shapes). A 1-row block goes through a matrix-vector kernel: at
+39,936 columns it differed from the full product in every one of 128 rows
+tested. At float64 a 1,001-column product differed in its last column for
+blocks of 2-80 rows, so the bits are promised at the models' float32 only.
+
 Widths. m, v and the block buffers are kept at each parameter's dtype, and
 every scalar in the update is a Python float, so a float32 parameter is
 updated wholly in float32: a numpy float64 scalar would compute its ops in
@@ -62,6 +80,7 @@ class AdamState:
 
 
 CHUNK = 1 << 16  # elements per block: m, v, grad and data slices stay in cache together
+MIN_ROWS = 16  # the fewest rows a factored gradient is formed in at once (module docstring)
 
 
 def adam_step(params: list[Parameter], state: AdamState) -> None:
@@ -74,14 +93,15 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
     GRU cell's parameters stay views of their layer's stacks. Per element the
     ops and their order are m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     w -= scale*m / (sqrt(v) + eps); a parameter's first step writes m and v
-    from the gradient alone, and a lookup-fed parameter is updated over its
-    live rows (module docstring).
+    from the gradient alone, a lookup-fed parameter is updated over its live
+    rows, and a factored gradient is formed by blocks of rows (module docstring).
     """
     stale = [p.name for p in params if p.grad is None]
     if stale:
         raise GraphStateError(f"adam_step before backward for: {', '.join(stale)}")
     strided = [p.name for p in params if not (p.data.flags.c_contiguous
-                                              and p.grad.flags.c_contiguous)]
+                                              and (isinstance(p.grad, T.Factors)
+                                                   or p.grad.flags.c_contiguous))]
     if strided:  # the blocks are views
         raise GraphStateError(f"adam_step needs C-contiguous data and gradients, not for: "
                               f"{', '.join(strided)}")
@@ -100,7 +120,9 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
         m, v = state.m[p.name], state.v[p.name]
         bufs = buffers[p.data.dtype]
         rows = _live_rows(p, state.live)
-        if rows is None:
+        if isinstance(p.grad, T.Factors):
+            _update_factored(scale, bufs, p.data, p.grad, m, v, first)
+        elif rows is None:
             _update_blocks(scale, bufs, p.data, p.grad, m, v, first)
         else:
             data, m_rows, v_rows = p.data[rows], m[rows], v[rows]
@@ -122,6 +144,30 @@ def _live_rows(p: Parameter, live: dict[str, np.ndarray]) -> np.ndarray | None:
             return rows
     del live[p.name]
     return None
+
+
+def row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
+    """The (lo, hi) row bounds a factored gradient of ``rows`` x ``cols`` is
+    formed in: blocks of about ``CHUNK`` values but at least ``MIN_ROWS`` rows,
+    a multiple of it, with a tail shorter than ``MIN_ROWS`` joined to the block
+    before it (module docstring)."""
+    step = max(MIN_ROWS, CHUNK // max(cols, 1) // MIN_ROWS * MIN_ROWS)
+    bounds = [*range(0, rows, step), rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < MIN_ROWS:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _update_factored(scale: float, bufs, data: np.ndarray, grad: T.Factors, m: np.ndarray,
+                     v: np.ndarray, first: bool) -> None:
+    """``_update_blocks`` over each of ``row_blocks`` in turn, with that block of
+    the gradient formed from its factors into one reused buffer just before."""
+    blocks = row_blocks(*data.shape)
+    product = np.empty((max((hi - lo for lo, hi in blocks), default=0), data.shape[1]),
+                       data.dtype)
+    for lo, hi in blocks:
+        g = grad.rows(lo, hi, out=product[: hi - lo])
+        _update_blocks(scale, bufs, data[lo:hi], g, m[lo:hi], v[lo:hi], first)
 
 
 def _update_blocks(scale: float, bufs, data: np.ndarray, grad: np.ndarray, m: np.ndarray,
@@ -179,11 +225,13 @@ def fit(model, epochs: int, batches, batch_loss, update, val_loss=None,
         name: str = "model") -> TrainHistory:
     """Train ``model`` for ``epochs`` epochs; with ``val_loss``, keep its best epoch.
 
-    Logs first the parameters' count and bytes, and four times those bytes:
-    weights, gradients and Adam's m and v. Each epoch takes its batches from
-    ``batches()``. Per batch, ``batch_loss(batch)`` gives the mean loss tensor
-    and its example count; the loss is checked finite, back-propagated and
-    applied by ``update()``. The epoch's training loss is the example-weighted
+    Logs first the parameters' count and bytes, and three times those bytes:
+    weights and Adam's m and v, which a step holds with each gradient kept as
+    an array (a dense weight keeps its gradient as ``Factors``, formed by rows
+    in ``adam_step``). Each epoch takes its batches from ``batches()``. Per
+    batch, ``batch_loss(batch)`` gives the mean loss tensor and its example
+    count; the loss is checked finite, back-propagated and applied by
+    ``update()``. The epoch's training loss is the example-weighted
     mean. With ``val_loss``, the epoch of the lowest ``val_loss()`` (recorded
     in ``val_losses``) is kept: a copy of ``model.state()`` is taken just before
     it is trained past and restored by ``model.load_state`` at the end. Without it
@@ -193,8 +241,8 @@ def fit(model, epochs: int, batches, batch_loss, update, val_loss=None,
     """
     params = model.parameters()
     mb = sum(p.data.nbytes for p in params) / 1e6
-    log.info("%s: %d parameters, %.1f MB of weights, %.1f MB with gradients and Adam moments",
-             name, sum(p.data.size for p in params), mb, 4 * mb)
+    log.info("%s: %d parameters, %.1f MB of weights, %.1f MB with Adam's m and v (plus any "
+             "gradient held dense)", name, sum(p.data.size for p in params), mb, 3 * mb)
     history = TrainHistory()
     best_state = None
     for epoch in range(epochs):

@@ -18,6 +18,15 @@ construction (parents exist before children), and neither the walk nor the
 sort recurses, so sequence models with thousands of chained steps do not hit
 recursion limits. The forwards of ``linear``, ``sigmoid`` and
 ``batch_norm_infer`` are in-place kernels that greedy decoding calls as well.
+
+A gradient is None (nothing written yet), an array of its tensor's shape, or,
+for a Parameter whose first write is ``linear``'s weight product, the
+``Factors`` of that product: the output's gradient ``g`` (batch, out) and the
+input ``x`` (batch, in), whose ``g.T @ x`` is the (out, in) gradient.
+``adam_step`` forms it a block of rows at a time, so a weight's full gradient
+is never held. Any later write to it (a second ``linear`` use through
+``_accumulate``, an ``embedding_lookup``) first turns the factors into that
+product, then adds to it.
 """
 
 from __future__ import annotations
@@ -56,7 +65,8 @@ class Tensor:
 class Parameter(Tensor):
     """A named leaf tensor. Its gradient exists from the backward pass that
     first writes it to the ``adam_step`` that applies it, and is None
-    otherwise.
+    otherwise. It is an array, or the ``Factors`` of a dense weight whose only
+    writer is one ``linear`` (module docstring).
 
     ``grad_rows`` lists the index arrays of the ``embedding_lookup`` backward
     passes that wrote the gradient, when those are its only writers. It is
@@ -72,6 +82,20 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape})"
+
+
+class Factors:
+    """The gradient ``g.T @ x`` of a dense weight, kept as the output gradient
+    ``g`` (batch, out) and the input ``x`` (batch, in) of its ``linear``."""
+
+    __slots__ = ("g", "x")
+
+    def __init__(self, g: np.ndarray, x: np.ndarray):
+        self.g, self.x = g, x
+
+    def rows(self, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
+        """Rows ``lo:hi`` of the product (all by default), in ``out`` (new when None)."""
+        return np.matmul(self.g.T[lo:hi], self.x, out=out)
 
 
 def _as_tensor(x) -> Tensor:
@@ -91,9 +115,17 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if t.grad is None:  # a copy: ``g`` may be handed to another parent as well
         t.grad = g.astype(t.data.dtype, order="C")
     else:
-        t.grad += g
+        grad = _dense_grad(t)
+        grad += g
     if isinstance(t, Parameter):
         t.grad_rows = None
+
+
+def _dense_grad(t: Tensor) -> np.ndarray:
+    """``t``'s gradient as an array: ``Factors`` become their product for good."""
+    if isinstance(t.grad, Factors):
+        t.grad = t.grad.rows()
+    return t.grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -156,7 +188,11 @@ def linear(x, weights, bias=None) -> Tensor:
     def back(g):
         if x.requires_grad:  # e.g. the MLP's input features: no product to drop
             _accumulate(x, g @ weights.data)
-        if weights.requires_grad and weights.grad is None:  # the new product is the gradient
+        if (isinstance(weights, Parameter) and weights.grad is None
+                and not isinstance(x, Parameter) and x.data.dtype == weights.data.dtype):
+            # formed in adam_step, so not of a Parameter input: the step may move it first
+            weights.grad = Factors(g, x.data)
+        elif weights.requires_grad and weights.grad is None:  # the new product is the gradient
             weights.grad = (g.T @ x.data).astype(weights.data.dtype, copy=False)
         else:
             _accumulate(weights, g.T @ x.data)
@@ -314,7 +350,7 @@ def embedding_lookup(table, indices) -> Tensor:
             table.grad = np.zeros_like(table.data)
             if isinstance(table, Parameter):
                 table.grad_rows = []
-        np.add.at(table.grad, idx, g)
+        np.add.at(_dense_grad(table), idx, g)
         if isinstance(table, Parameter) and table.grad_rows is not None:
             table.grad_rows.append(idx)
 

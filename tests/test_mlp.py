@@ -286,8 +286,9 @@ class TestMemory:
     budgets in bytes per parameter, each plus SLACK (1 MiB, about 0.5
     B/parameter) for the activations of an 8-example batch, Adam's block
     buffers and the checkpoint header. The budgets are those of float32
-    parameters that hold a gradient only from backward to the Adam step, are
-    not drawn when loaded and are written to a checkpoint uncopied."""
+    parameters that hold a gradient only from backward to the Adam step (a
+    dense weight's as its two batch-row factors), are not drawn when loaded
+    and are written to a checkpoint uncopied."""
 
     CONFIG = MLPConfig(input_dim=1500, output_dim=64, hidden_widths=(1024, 512), batch_size=8)
     SLACK = 1 << 20
@@ -310,8 +311,9 @@ class TestMemory:
         assert held <= 4 * sum(sizes) + self.SLACK
         assert peak <= held + 8 * DRAW_BLOCK + (64 << 10)
 
-    def test_training_step_holds_16_bytes_per_parameter(self):
-        """Weights, gradients and Adam's m and v, at 4 bytes each."""
+    def test_training_step_holds_12_bytes_per_parameter(self):
+        """Weights and Adam's m and v, at 4 bytes each: no weight's whole
+        gradient is held, only the biases' arrays and the factors."""
         x, y = self.examples(8)
         rng = np.random.RandomState(1)
 
@@ -322,7 +324,7 @@ class TestMemory:
             return model
 
         model, peak, _ = peak_bytes(step)
-        assert peak <= 16 * sum(p.data.size for p in model.parameters()) + self.SLACK
+        assert peak <= 12 * sum(p.data.size for p in model.parameters()) + self.SLACK
 
     def test_trained_model_holds_4_bytes_per_parameter(self):
         """The weights alone: the last step dropped the gradients, and Adam's

@@ -7,10 +7,11 @@ import pytest
 
 from aucap.errors import GraphStateError, ShapeError
 from aucap.nn import tensor as T
-from gradcheck import add, at_float64, cast, max_relative_error, mean_all, sub, zero_grads
+from gradcheck import (add, at_float64, cast, dense_grad, max_relative_error, mean_all, sub,
+                       zero_grads)
 from memory import peak_bytes
 from aucap.captioner import Captioner, CaptionerConfig
-from aucap.mlp import MLP, MLPConfig
+from aucap.mlp import DEFAULT_HIDDEN, MLP, MLPConfig
 from aucap.nn.layers import (
     BN_MOMENTUM,
     DRAW_BLOCK,
@@ -28,7 +29,7 @@ from aucap.nn.layers import (
     uniform_fill,
 )
 from aucap.nn.checkpoint import load_parameters
-from aucap.nn.optim import CHUNK, AdamState, adam_step, fit
+from aucap.nn.optim import CHUNK, MIN_ROWS, AdamState, adam_step, fit, row_blocks
 from aucap.nn.tensor import Parameter, Tensor
 
 
@@ -175,11 +176,11 @@ class TestSubnormalFlush:
 
         steps = [Parameter(x_t, "x_t") for x_t in x]
         T.backward(sum_all(reference_states(steps, cell)[-1]))  # gradient 1 on the final state
-        unflushed = [np.stack([s.grad for s in steps]), *(p.grad for p in cell.parameters())]
+        unflushed = [np.stack([s.grad for s in steps]), *map(dense_grad, cell.parameters())]
         zero_grads(cell.parameters())
         xs = Parameter(x.copy(), "xs")
         T.backward(sum_all(gru_sequence(xs, cell)))
-        flushed = [xs.grad, *(p.grad for p in cell.parameters())]
+        flushed = [xs.grad, *map(dense_grad, cell.parameters())]
 
         def subnormals(a):
             return int(((a != 0) & (np.abs(a) < self.TINY)).sum())
@@ -234,7 +235,7 @@ class TestBiGRU:
             zero_grads(layer.parameters())
             out = build(xs)
             T.backward(mean_all(T.mul(out, weights)))
-            return xs, out, [xs.grad, *(p.grad.copy() for p in layer.parameters())]
+            return xs, out, [xs.grad, *(dense_grad(p).copy() for p in layer.parameters())]
 
         xs, fused, fused_grads = run(lambda xs: layer.run(xs, return_sequence=return_sequence))
         assert fused._parents == (xs, *layer.parameters())  # one node, no concat behind it
@@ -481,8 +482,9 @@ class TestBatchNorm:
         assert np.allclose(out.data, out_rep.data, rtol=tol, atol=tol)
         assert np.allclose(weighted.running_mean, repeated.running_mean, rtol=tol, atol=tol)
         assert np.allclose(weighted.running_var, repeated.running_var, rtol=tol, atol=tol)
-        for a, b in ((x.grad, x_rep.grad), (weighted.gamma.grad, repeated.gamma.grad),
-                     (weighted.beta.grad, repeated.beta.grad)):
+        for a, b in ((x.grad, x_rep.grad),
+                     *((dense_grad(p), dense_grad(q)) for p, q in (
+                         (weighted.gamma, repeated.gamma), (weighted.beta, repeated.beta)))):
             assert a.dtype == dtype
             assert np.allclose(a, b, rtol=tol, atol=tol)
         assert np.all(x.grad[2] == 0.0)  # weight 0: in no statistic and gathered nowhere
@@ -494,7 +496,7 @@ class TestBatchNorm:
         out = bn(x, "train", counts=np.array([7]))
         assert np.array_equal(out.data, np.broadcast_to(bn.beta.data, (1, 6)))
         T.backward(sum_all(T.mul(out, Tensor(np.arange(6, dtype=np.float32) + 0.5))))
-        assert np.all(x.grad == 0.0) and np.all(bn.gamma.grad == 0.0)
+        assert np.all(x.grad == 0.0) and np.all(dense_grad(bn.gamma) == 0.0)
 
     @pytest.mark.parametrize("counts", [[1], [1, 2, 3], [0, 1], [3, -1]])
     def test_bad_counts_rejected(self, counts):
@@ -672,7 +674,7 @@ class TestGradients:
         for x_t in (Tensor(x), Tensor(x, requires_grad=True)):
             params = [Parameter(w, "w"), Parameter(b, "b")]
             T.backward(mean_all(T.mul(T.linear(x_t, *params), T.linear(x_t, *params))))
-            grads.append([p.grad for p in params])
+            grads.append([dense_grad(p) for p in params])
             if not x_t.requires_grad:
                 assert x_t.grad is None
         for a, b_ in zip(*grads):
@@ -684,8 +686,8 @@ class TestGradients:
         out = T.concat([a, b], axis=1)
         sliced = T.row_slice(out, 0, 1)
         T.backward(sum_all(sliced))
-        assert np.array_equal(a.grad, [[1, 1, 1], [0, 0, 0]])
-        assert np.array_equal(b.grad, [[1, 1], [0, 0]])
+        assert np.array_equal(dense_grad(a), [[1, 1, 1], [0, 0, 0]])
+        assert np.array_equal(dense_grad(b), [[1, 1], [0, 0]])
 
     def test_row_slice_past_the_last_row_rejected(self):
         # a gather, not a numpy slice: a bound past the rows raises instead of clipping
@@ -697,7 +699,7 @@ class TestGradients:
         x = Tensor(np.array([[3.0]]))
         y = add(T.mul(w, x), T.mul(w, x))  # dL/dw = 2x
         T.backward(sum_all(y))
-        assert w.grad[0, 0] == pytest.approx(6.0)
+        assert dense_grad(w)[0, 0] == pytest.approx(6.0)
 
     def test_first_gradient_is_a_copy_of_a_shared_array(self):
         """``add`` hands one array to both parents as their first gradient; a
@@ -705,8 +707,8 @@ class TestGradients:
         a = Parameter(np.ones((2, 2)), "a")
         b = Parameter(np.ones((2, 2)), "b")
         T.backward(mean_all(add(add(a, b), a)))  # the outer add writes a first, then a + b
-        assert np.array_equal(a.grad, np.full((2, 2), 0.5))
-        assert np.array_equal(b.grad, np.full((2, 2), 0.25))
+        assert np.array_equal(dense_grad(a), np.full((2, 2), 0.5))
+        assert np.array_equal(dense_grad(b), np.full((2, 2), 0.25))
 
     def test_backward_requires_scalar(self):
         w = Parameter(np.ones((2, 2)), "w")
@@ -814,10 +816,11 @@ class TestParameterLifecycle:
         assert all(p.grad is None for p in params)
         T.backward(sum_all(out))
         for p in params:
-            assert p.grad is not None and p.grad.shape == p.data.shape
-            assert p.grad.dtype == p.data.dtype == np.float32
-        if op == "linear":  # the new product itself: exactly g.T @ x
-            assert np.array_equal(layer.weights.grad, np.ones((4, 2), np.float32).T @ x)
+            assert p.grad is not None and dense_grad(p).shape == p.data.shape
+            assert dense_grad(p).dtype == p.data.dtype == np.float32
+        if op == "linear":  # the weight keeps its factors, the input itself: g.T @ x exactly
+            assert isinstance(layer.weights.grad, T.Factors) and layer.weights.grad.x is x
+            assert np.array_equal(dense_grad(layer.weights), np.ones((4, 2), np.float32).T @ x)
 
 
 class StateForbidden:
@@ -1014,7 +1017,7 @@ class TestRowSparseAdam:
             for term in terms[1:]:
                 loss = add(loss, sum_all(term))
             T.backward(loss)
-            grads.append(table.grad)
+            grads.append(dense_grad(table))
             with pytest.MonkeyPatch.context() as patch:  # a moment left unwritten shows as NaN
                 patch.setattr(np, "empty_like", lambda a: np.full_like(a, np.nan))
                 adam_step([table], state)
@@ -1066,6 +1069,119 @@ class TestRowSparseAdam:
         assert [list(r) for r in table.grad_rows] == [[1, 4]] and table.grad is not None
         zero_grads([table])
         assert table.grad is None and table.grad_rows is None
+
+
+def mlp_layer_shapes(input_dim, labels=200):
+    """The (out, in) weight shapes of the default MLP from ``input_dim`` inputs."""
+    widths = [input_dim, *DEFAULT_HIDDEN, labels]
+    return list(zip(widths[1:], widths[:-1]))
+
+
+# (out, in, examples) of factored gradients whose row blocks must be the full
+# product's rows bit for bit: every default-MLP layer at 2,048 (PANNs) and 6,336
+# (log-Mel) inputs, a slab of 39,936 columns (log-Mel at 30 s clips), the
+# captioner's ``dec.out`` and a tail shorter than MIN_ROWS joined to its block.
+FACTORED_SHAPES = sorted({*((out, cols, n) for n in (16, 64)
+                            for out, cols in mlp_layer_shapes(2048) + mlp_layer_shapes(6336)),
+                          (48, 39936, 16), (48, 39936, 64), (4504, 128, 128), (1030, 2048, 16)})
+
+
+class TestFactoredGradient:
+    """A weight's first gradient from ``T.linear`` is kept as its two factors
+    and formed by ``row_blocks`` in ``adam_step``; every step must equal dense
+    Adam on the full product bit for bit."""
+
+    @staticmethod
+    def backward_through_linear(w, x, g):
+        """A backward pass whose output gradient at ``T.linear(x, w)`` is ``g``."""
+        T.backward(sum_all(T.mul(T.linear(Tensor(x), w), Tensor(g))))
+
+    @pytest.mark.parametrize("rows, cols, batch", FACTORED_SHAPES,
+                             ids=[f"{r}x{c}@{n}" for r, c, n in FACTORED_SHAPES])
+    def test_blocks_adam_step_forms_are_the_product_rows(self, rows, cols, batch, monkeypatch):
+        rng = np.random.RandomState(42)
+        x = rng.standard_normal((batch, cols)).astype(np.float32)
+        g = rng.standard_normal((batch, rows)).astype(np.float32)
+        w = Parameter(np.zeros((rows, cols), np.float32), "w")
+        self.backward_through_linear(w, x, g)
+        assert isinstance(w.grad, T.Factors)
+        want = g.T @ x
+        formed = []
+        rows_of = T.Factors.rows
+
+        def recording(factors, lo=0, hi=None, out=None):
+            block = rows_of(factors, lo, hi, out)
+            formed.append((lo, hi, same_bits(block, want[lo:hi])))
+            return block
+
+        monkeypatch.setattr(T.Factors, "rows", recording)
+        adam_step([w], AdamState())
+        assert [(lo, hi) for lo, hi, _ in formed] == row_blocks(rows, cols)
+        assert all(same for _, _, same in formed)
+
+    @pytest.mark.parametrize("cols", [0, 1, 127, 128, 4096, 4097, 6336, 39936, 1 << 20])
+    def test_no_block_under_16_rows(self, cols):
+        """Blocks partition the rows, start at multiples of 16 and hold at
+        least 16 rows (all of them when fewer), about CHUNK values: a 1-row
+        product of a wide weight takes another BLAS kernel than the full
+        product's rows."""
+        assert MIN_ROWS == 16
+        for rows in [*range(0, 50), 1000, 1023, 4504]:
+            blocks = row_blocks(rows, cols)
+            bounds = [lo for lo, _ in blocks] + [rows]
+            assert [hi for _, hi in blocks] == bounds[1:] and bounds[0] == 0
+            assert all(lo % 16 == 0 for lo, _ in blocks)
+            assert all(hi - lo >= min(16, rows) for lo, hi in blocks), rows
+            assert all((hi - lo) * cols < max(CHUNK, 16 * cols) + 16 * cols
+                       for lo, hi in blocks), rows
+
+    @pytest.mark.parametrize("rows, cols", [(4504, 128), (1030, 2048), (3, 5)])
+    def test_steps_equal_dense_adam_on_the_product(self, rows, cols):
+        """Data, m and v after a first step and two more, each from new factors;
+        the moments are allocated NaN-filled, so a first step that read them
+        would show."""
+        rng = np.random.RandomState(43)
+        w = Parameter(rng.standard_normal((rows, cols)).astype(np.float32), "w")
+        start = w.data.copy()
+        state = AdamState(learning_rate=1e-2)
+        grads = []
+        for step in range(3):
+            x = rng.standard_normal((32, cols)).astype(np.float32)
+            g = rng.standard_normal((32, rows)).astype(np.float32)
+            self.backward_through_linear(w, x, g)
+            grads.append(g.T @ x)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np, "empty_like", lambda a: np.full_like(a, np.nan))
+                adam_step([w], state)
+            data, m, v = adam_reference(start, grads, step + 1)
+            assert same_bits(w.data, data), step
+            assert same_bits(state.m["w"], m) and same_bits(state.v["w"], v), step
+            assert w.grad is None
+
+    def test_weight_used_by_two_linears_in_one_graph(self):
+        """The second use turns the factors into the product before adding its
+        own: the gradient is the parent's sum of the two products."""
+        rng = np.random.RandomState(41)
+        w = Parameter(rng.standard_normal((48, 2100)).astype(np.float32), "w")
+        start = w.data.copy()
+        state = AdamState(learning_rate=1e-2)
+        grads = []
+        for step in range(3):
+            x1, x2 = (rng.standard_normal((n, 2100)).astype(np.float32) for n in (16, 64))
+            c1, c2 = (rng.standard_normal((n, 48)).astype(np.float32) for n in (16, 64))
+            T.backward(add(sum_all(T.mul(T.linear(Tensor(x1), w), Tensor(c1))),
+                           sum_all(T.mul(T.linear(Tensor(x2), w), Tensor(c2)))))
+            want = c1.T @ x1
+            want += c2.T @ x2  # a + b is b + a bit for bit: either order of the backward
+            assert same_bits(dense_grad(w), want), step
+            grads.append(want)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np, "empty_like", lambda a: np.full_like(a, np.nan))
+                adam_step([w], state)
+            data, m, v = adam_reference(start, grads, step + 1)
+            assert same_bits(w.data, data), step
+            assert same_bits(state.m["w"], m) and same_bits(state.v["w"], v), step
+            assert w.grad is None
 
 
 class TestInits:
@@ -1139,7 +1255,7 @@ class TestWidths:
                                   and name != "cross_entropy" else np.float32)
         T.backward(out if out.data.ndim == 0 else mean_all(T.mul(out, out)))
         assert set(widths) == {np.dtype(np.float32)}
-        assert all(x.grad.dtype == np.float32 for x in inputs)
+        assert all(dense_grad(x).dtype == np.float32 for x in inputs)
 
     def test_other_inputs_become_float64(self):
         for data in (np.arange(3), [1, 2], 2.5, np.ones(2, np.float16), np.array([True])):
