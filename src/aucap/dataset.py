@@ -35,7 +35,7 @@ from .audio.features import FeatureConfig, extract_log_mel
 from .audio.wav import decode_wav
 from .audio.wav import load_wav  # noqa: F401  (perfbench/tracing.py wraps dataset.load_wav)
 from .errors import AucapError, DatasetError, EmptyCaptionError
-from .semantics import SubjectVerbCorpus, TagLexicon, check_lexicon, subject_verb_roots
+from .semantics import SubjectVerbCorpus, TagLexicon
 from .semantics import encode_sve  # noqa: F401  (perfbench/tracing.py wraps dataset.encode_sve)
 from .text import clean_caption
 
@@ -170,11 +170,15 @@ def hold_out_validation(records: list[ClipRecord], fraction: float,
 
 def sve_targets(records: list[ClipRecord], corpus: SubjectVerbCorpus,
                 lexicon: TagLexicon) -> dict[str, np.ndarray]:
-    """Per-clip binary SVE target: the union over the clip's captions."""
-    check_lexicon(corpus, lexicon)
-    roots = iter(subject_verb_roots((c for r in records for c in r.captions), lexicon))
-    return {r.clip_id: corpus.encode([w for _ in r.captions for w in next(roots)])
-            for r in records}
+    """Per-clip binary SVE target: the union over the clip's captions.
+
+    The values are rows, by clip id, of one read-only (N, K) float32 matrix
+    (``corpus.encode_clips``). Captions that a ``build_corpus`` corpus was
+    built from reuse its roots; one pass extracts those of the captions the
+    corpus lacks, which are all of them for a corpus loaded from disk.
+    """
+    matrix = corpus.encode_clips([r.captions for r in records], lexicon)
+    return {r.clip_id: row for r, row in zip(records, matrix)}
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,13 @@ def read_caption_tsv(path: str | Path) -> dict[str, list[list[str]]]:
 
 
 def evaluate_files(candidate_path: str | Path, reference_path: str | Path) -> ScoreReport:
-    """Score a candidate file against a reference file, aligned by clip id."""
+    """Score a candidate file against a reference file, aligned by clip id.
+
+    Both files must name the same clips, one candidate each: a clip of either
+    file missing from the other raises ``MetricError``, since scores over a
+    subset of the references (CIDEr's document frequencies, BLEU's corpus
+    counts, every mean) are not the scores of the reference set.
+    """
     cand_table = read_caption_tsv(candidate_path)
     ref_table = read_caption_tsv(reference_path)
     candidates = []
@@ -342,4 +348,9 @@ def evaluate_files(candidate_path: str | Path, reference_path: str | Path) -> Sc
             raise MetricError(f"{reference_path}: no references for clip {clip_id!r}")
         candidates.append(captions[0])
         references.append(ref_table[clip_id])
+    uncovered = [clip_id for clip_id in ref_table if clip_id not in cand_table]
+    if uncovered:
+        shown = ", ".join(map(repr, uncovered[:3])) + (", ..." if len(uncovered) > 3 else "")
+        raise MetricError(f"{candidate_path}: no candidate for {len(uncovered)} of the "
+                          f"{len(ref_table)} referenced clips: {shown}")
     return score_corpus(candidates, references)

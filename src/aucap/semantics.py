@@ -12,13 +12,17 @@ the like) are never subjects or verbs, whatever the lexicon says.
 
 Within one ``subject_verb_roots`` call each distinct token is tagged once,
 each distinct selected word is stemmed once, and each caption is read once;
-nothing is kept between calls.
+the function keeps nothing between calls. A corpus made by ``build_corpus``
+keeps each distinct caption's roots, so that the clip targets
+(``SubjectVerbCorpus.encode_clips``, which ``dataset.sve_targets`` calls) of
+the captions it was built from need no second extraction.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -171,11 +175,20 @@ class TagLexicon:
 
 @dataclass(frozen=True)
 class SubjectVerbCorpus:
-    """Ordered, deduplicated root words; K = len(words)."""
+    """Ordered, deduplicated root words; K = len(words).
+
+    A corpus from ``build_corpus`` also keeps ``_roots``: each distinct caption
+    it was built from (its token tuple) -> that caption's roots, which
+    ``encode_clips`` reads instead of extracting them again. The table is not
+    saved and takes no part in ``==``, ``repr`` or ``sha256()``; a loaded
+    corpus has none.
+    """
 
     words: tuple[str, ...]
     lexicon_sha256: str
     _index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    _roots: dict[tuple[str, ...], list[str]] = field(default_factory=dict, compare=False,
+                                                     repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {w: k for k, w in enumerate(self.words)})
@@ -191,6 +204,32 @@ class SubjectVerbCorpus:
         vec = np.zeros(self.size, dtype=np.float32)
         vec[[self._index[w] for w in roots if w in self._index]] = 1.0
         return vec
+
+    def encode_clips(self, clips, lex: TagLexicon) -> np.ndarray:
+        """Read-only (N, K) float32 matrix, one row per clip of ``clips`` (a list
+        of sequences of token-tuple captions): bit k set iff ``words[k]`` is a
+        root of one of the clip's captions.
+
+        A caption's roots come from ``_roots`` when it holds them; one
+        ``subject_verb_roots`` call extracts those of the distinct captions it
+        lacks. One fancy-index assignment sets every bit.
+        """
+        check_lexicon(self, lex)
+        captions = [c for group in clips for c in group]
+        roots = list(map(self._roots.get, captions))
+        if None in roots:  # a caption without subject or verb has [] in the table
+            missing = dict.fromkeys(c for c, found in zip(captions, roots) if found is None)
+            extracted = dict(zip(missing, subject_verb_roots(missing, lex)))
+            roots = [extracted[c] if found is None else found for c, found in zip(captions, roots)]
+        words = [w for found in roots for w in found]
+        columns = np.fromiter(map(self._index.get, words, repeat(-1)), np.intp, len(words))
+        rows = np.repeat(np.repeat(np.arange(len(clips)), [len(group) for group in clips]),
+                         [len(found) for found in roots])
+        held = columns >= 0  # a root of a caption the corpus was not built from may be absent
+        matrix = np.zeros((len(clips), self.size), dtype=np.float32)
+        matrix[rows[held], columns[held]] = 1.0
+        matrix.flags.writeable = False
+        return matrix
 
     def save(self, path: str | Path) -> None:
         """One root per line after a ``# lexicon <sha256>`` header naming the lexicon."""
@@ -225,7 +264,8 @@ def subject_verb_roots(captions, lex: TagLexicon) -> list[list[str]]:
     token is tagged once through ``lex.tag`` and each distinct selected word
     is stemmed once through ``to_root``, however many captions hold it, and
     each caption takes one pass. Nothing is kept between calls, so every
-    call does the same work.
+    call does the same work. (``build_corpus`` keeps the roots it gets on
+    the corpus it returns, for that corpus's clip targets.)
     """
     tags, roots = dict.fromkeys(RESERVED, OTHER), {}
     out = []
@@ -249,12 +289,19 @@ def subject_verb_roots(captions, lex: TagLexicon) -> list[list[str]]:
 
 
 def build_corpus(captions, lex: TagLexicon) -> SubjectVerbCorpus:
-    """Union of rooted subjects/verbs over all captions, first-appearance order."""
-    captions = list(captions)
-    if not captions:
+    """Union of rooted subjects/verbs over all captions, first-appearance order.
+
+    One ``subject_verb_roots`` call reads each distinct caption once. The
+    corpus keeps every distinct caption's roots, keyed by its token tuple
+    (``tuple(caption)``, so lists and tuples of one caption share a key), for
+    ``encode_clips``. Nothing is kept on ``lex``; each call builds its own table.
+    """
+    distinct = dict.fromkeys(map(tuple, captions))
+    if not distinct:
         raise SemanticsError("caption list is empty")
-    words = dict.fromkeys(root for roots in subject_verb_roots(captions, lex) for root in roots)
-    return SubjectVerbCorpus(words=tuple(words), lexicon_sha256=lex.sha256())
+    table = dict(zip(distinct, subject_verb_roots(distinct, lex)))
+    words = dict.fromkeys(root for roots in table.values() for root in roots)
+    return SubjectVerbCorpus(words=tuple(words), lexicon_sha256=lex.sha256(), _roots=table)
 
 
 def check_lexicon(corpus: SubjectVerbCorpus, lex: TagLexicon) -> None:

@@ -1028,6 +1028,19 @@ class TestEvaluate:
         assert out.read_text(encoding="utf-8") == printed
         assert "CIDEr" in printed and "B-1: 1.000000" in printed
 
+    def test_candidates_missing_referenced_clips_exit_1_and_write_nothing(self, tmp_path,
+                                                                          caplog, capsys):
+        candidates, references = tmp_path / "candidates.tsv", tmp_path / "references.tsv"
+        candidates.write_text("c0\tdog barks\nc1\train falls\n", encoding="utf-8")
+        references.write_text("c0\tdog barks\nc1\train falls\nc2\ta man speaks\n",
+                              encoding="utf-8")
+        out = tmp_path / "report.txt"
+        assert cli.main(["evaluate", "--candidates", str(candidates), "--references",
+                         str(references), "--out", str(out)]) == 1
+        assert "no candidate for 1 of the 3 referenced clips: 'c2'" in caplog.text
+        assert "CIDEr" not in capsys.readouterr().out
+        assert not out.exists()
+
 
 def test_commands_chain_from_wav_clips_to_scores(tmp_path, toy_lexicon, caplog):
     """Each command reads what the one before it wrote: log-Mel features, the

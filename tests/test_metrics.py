@@ -229,6 +229,22 @@ class TestEvaluateFiles:
         with pytest.raises(MetricError, match="c9"):
             evaluate_files(cand, ref)
 
+    @pytest.mark.parametrize("missing,named", [
+        (["c1"], "no candidate for 1 of the 5 referenced clips: 'c1'$"),
+        (["c0", "c2", "c3", "c4"], "no candidate for 4 of the 5 referenced clips: "
+                                   "'c0', 'c2', 'c3', ...$")], ids=["one", "four"])
+    def test_references_without_candidate(self, tmp_path, missing, named):
+        """A candidate file that misses referenced clips is refused, not scored over
+        the clips it names (which would change CIDEr's IDF and BLEU's counts)."""
+        cand = tmp_path / "cand.tsv"
+        ref = tmp_path / "ref.tsv"
+        clips = [f"c{i}" for i in range(5)]
+        cand.write_text("".join(f"{c}\tdog barks\n" for c in clips if c not in missing),
+                        encoding="utf-8")
+        ref.write_text("".join(f"{c}\tdog barks\n{c}\ta dog\n" for c in clips), encoding="utf-8")
+        with pytest.raises(MetricError, match=named):
+            evaluate_files(cand, ref)
+
     def test_two_candidates_for_one_clip(self, tmp_path):
         cand = tmp_path / "cand.tsv"
         ref = tmp_path / "ref.tsv"

@@ -1,4 +1,5 @@
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -406,3 +407,92 @@ class TestSveTargets:
         corpus = build_corpus([list(c) for r in records for c in r.captions], toy_lexicon)
         with pytest.raises(SemanticsError):
             sve_targets(records, corpus, TagLexicon({"dog": NOUN}))
+
+
+@pytest.fixture
+def extracted(monkeypatch):
+    """Counter of the captions (as token tuples) handed to ``subject_verb_roots``
+    through every ``aucap`` module that binds the name."""
+    seen = Counter()
+    original = semantics.subject_verb_roots
+
+    def counting(captions, lex):
+        captions = [tuple(c) for c in captions]
+        seen.update(captions)
+        return original(captions, lex)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("aucap") and getattr(module, "subject_verb_roots", None) is original:
+            monkeypatch.setattr(module, "subject_verb_roots", counting)
+    return seen
+
+
+class TestSveTargetsReuseRoots:
+    """``build_corpus`` keeps each caption's roots and ``sve_targets`` reads
+    them, so a caption is extracted once per build-sve; a loaded corpus holds
+    no roots, and its targets take one pass."""
+
+    TEXTS = {"c0": ["dog barks", "a dog runs"],
+             "c1": ["man speaks", "loudly softly"],  # roots []
+             "c2": ["dog barks"],  # one caption text in two clips
+             "c3": ["loudly softly", "near and outside"]}  # never a subject or verb
+    UNSEEN = {"u0": ["rain falls", "dog barks"],  # a caption the corpus saw, one it did not
+              "u1": ["bell rings loudly"],
+              "u2": ["the"]}
+
+    @staticmethod
+    def records(texts):
+        return [ds.ClipRecord(clip, None, tuple(tuple(clean_caption(t)) for t in ts),
+                              "development") for clip, ts in texts.items()]
+
+    def test_build_then_targets_extract_each_distinct_caption_once(self, toy_lexicon, extracted,
+                                                                   tmp_path):
+        records = self.records(self.TEXTS)
+        distinct = {c for r in records for c in r.captions}
+        corpus = build_corpus([c for r in records for c in r.captions], toy_lexicon)
+        ds.sve_targets(records, corpus, toy_lexicon)
+        assert extracted == Counter(dict.fromkeys(distinct, 1))
+        corpus.save(tmp_path / "corpus.txt")
+        extracted.clear()
+        ds.sve_targets(records, SubjectVerbCorpus.load(tmp_path / "corpus.txt"), toy_lexicon)
+        assert extracted == Counter(dict.fromkeys(distinct, 1))
+
+    def test_unseen_captions_alone_are_extracted(self, toy_lexicon, extracted):
+        corpus = build_corpus([list(c) for r in self.records(self.TEXTS) for c in r.captions],
+                              toy_lexicon)
+        extracted.clear()
+        ds.sve_targets(self.records(self.UNSEEN), corpus, toy_lexicon)
+        assert extracted == Counter({tuple(clean_caption(t)): 1
+                                     for t in ("rain falls", "bell rings loudly", "the")})
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_table_loaded_corpus_and_encode_sve_agree(self, toy_lexicon, tmp_path, kind):
+        built_from = self.records(self.TEXTS)
+        corpus = build_corpus([kind(c) for r in built_from for c in r.captions], toy_lexicon)
+        corpus.save(tmp_path / "corpus.txt")
+        loaded = SubjectVerbCorpus.load(tmp_path / "corpus.txt")
+        assert corpus == loaded and corpus.sha256() == loaded.sha256()
+        assert repr(corpus) == repr(loaded)
+        records = built_from + self.records(self.UNSEEN)
+        with_table = ds.sve_targets(records, corpus, toy_lexicon)
+        without = ds.sve_targets(records, loaded, toy_lexicon)
+        assert list(with_table) == list(without) == [r.clip_id for r in records]
+        for r in records:
+            union = np.max([encode_sve(list(c), corpus, toy_lexicon) for c in r.captions], axis=0)
+            for row in (with_table[r.clip_id], without[r.clip_id]):
+                assert row.dtype == np.float32 and row.shape == (corpus.size,)
+                assert np.array_equal(row, union)
+        assert not with_table["c3"].any() and not with_table["u2"].any()
+        assert np.array_equal(with_table["c2"], encode_sve(list(clean_caption("dog barks")),
+                                                           corpus, toy_lexicon))
+
+    def test_rows_are_read_only(self, toy_lexicon):
+        records = self.records(self.TEXTS)
+        corpus = build_corpus([c for r in records for c in r.captions], toy_lexicon)
+        row = ds.sve_targets(records, corpus, toy_lexicon)["c0"]
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+    def test_no_records_give_no_targets(self, toy_lexicon):
+        corpus = build_corpus([clean_caption("dog barks")], toy_lexicon)
+        assert ds.sve_targets([], corpus, toy_lexicon) == {}
