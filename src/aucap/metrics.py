@@ -15,15 +15,27 @@ no Gaussian length penalty (sigma = 6). This METEOR is the original formula
 left to right rather than by fewest crossings; METEOR 1.5 adds synonym and
 paraphrase matches, weighs content and function words apart and uses tuned
 parameters, none of which is here.
+
+BLEU and CIDEr read one numpy table of n-gram counts over the call's
+interned token ids (``_NgramTable``); METEOR and ROUGE-L still align the
+token lists. The table gives the bits of counting each caption's n-grams
+into a ``Counter`` and adding dict entries in a Python loop: BLEU pools its
+counts as integers, idf comes from ``math.log`` over the distinct document
+frequencies (``np.log`` differs from it in the last bit on some inputs),
+and every CIDEr norm, dot product and mean adds left to right in the dict
+loop's order, one vector add per position (``np.sum`` adds pairwise, which
+changes the last bits).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import atomic
 from .errors import EmptyCaptionError, MetricError
@@ -50,14 +62,94 @@ def _prepare(candidates, reference_lists):
     return cands, refs
 
 
-def _ngram_counts(tokens, max_n: int) -> list[Counter]:
-    """The 1..max_n-gram counts of ``tokens``, each in first-appearance order."""
-    return [Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(1, max_n + 1)]
+class _NgramTable:
+    """The distinct 1..max_n-grams of every caption of one call, with counts.
+
+    Captions are numbered candidates first, then each clip's references in
+    order; a caption's slot in its clip is 0 for the candidate and 1.. for
+    the references. Tokens are interned to ids once, so an n-gram has one
+    code in every caption. The order-n code of a position comes from its
+    order n-1 code and the token n-1 places on, renumbered densely by
+    ``np.unique``: each order's codes stay below the token count, so no code
+    overflows int64. Orders are offset apart, so a code also names its order.
+
+    There is one entry per distinct (order, caption, n-gram), sorted by
+    (clip, code, slot): the entries of one clip's n-gram form a run, the
+    candidate's first. ``group = (order - 1) * n_captions + caption`` and
+    ``rank`` is the entry's place among its group's n-grams by first
+    appearance, the order in which ``Counter`` kept them.
+    """
+
+    def __init__(self, cands, refs, max_n: int):
+        captions = cands + [r for group in refs for r in group]
+        self.max_n = max_n
+        self.n_clips = len(cands)
+        self.n_captions = n_caps = len(captions)
+        self.lengths = np.array([len(c) for c in captions], dtype=np.int64)
+        self.n_refs = np.array([len(group) for group in refs])
+        self.ref_clip = np.repeat(np.arange(self.n_clips), self.n_refs)
+        ref_start = np.cumsum(self.n_refs) - self.n_refs  # of each clip, among the references
+        self.ref_place = np.arange(n_caps - self.n_clips) - ref_start[self.ref_clip]  # in its clip
+        clip = np.concatenate([np.arange(self.n_clips), self.ref_clip])
+        slot = np.concatenate([np.zeros(self.n_clips, dtype=np.int64), self.ref_place + 1])
+
+        ids: dict = {}
+        tokens = np.array([ids.setdefault(w, len(ids)) for c in captions for w in c],
+                          dtype=np.int64)
+        caption = np.repeat(np.arange(n_caps), self.lengths)
+        at = np.arange(len(tokens))
+        left = np.cumsum(self.lengths)[caption] - at  # tokens from a position to its caption's end
+        code, n_codes = tokens, len(ids)
+        groups, codes = [caption], [code]
+        for n in range(2, max_n + 1):
+            keep = left[at] >= n
+            at = at[keep]
+            distinct, code = np.unique(code[keep] * len(ids) + tokens[at + n - 1],
+                                       return_inverse=True)
+            groups.append((n - 1) * n_caps + caption[at])
+            codes.append(code + n_codes)
+            n_codes += len(distinct)
+        self.n_codes = n_codes
+        group = np.concatenate(groups)  # in group order, each group in token order
+        of = group % n_caps
+        width = int(self.n_refs.max()) + 1
+        key = (clip[of] * n_codes + np.concatenate(codes)) * width + slot[of]
+        # np.unique(..., return_index=True) would sort stably, which is
+        # several times slower on int64 than the default sort
+        by_key = np.argsort(key)
+        key = key[by_key]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        first = np.minimum.reduceat(by_key, starts)  # each entry's first appearance
+        self.count = np.diff(starts, append=len(key))
+        run_key, self.slot = np.divmod(key[starts], width)
+        self.code = run_key % n_codes
+        self.group = group[first]
+        is_first = np.zeros(len(group), dtype=bool)
+        is_first[first] = True
+        sizes = np.bincount(self.group, minlength=max_n * n_caps)
+        self.rank = (np.cumsum(is_first) - 1)[first] - (np.cumsum(sizes) - sizes)[self.group]
+        is_head = np.diff(run_key, prepend=-1) != 0
+        self.heads = np.flatnonzero(is_head)  # the first entry of each run
+        self.run = np.cumsum(is_head) - 1     # the run of each entry
+        # of each run, the n-gram's largest count in one reference, 0 if none
+        self.ref_max = np.maximum.reduceat(np.where(self.slot == 0, 0, self.count), self.heads)
 
 
-def _count(cands, refs, max_n: int):
-    return ([_ngram_counts(c, max_n) for c in cands],
-            [[_ngram_counts(r, max_n) for r in group] for group in refs])
+def _sums_in_order(values, rows, ranks, n_rows: int) -> np.ndarray:
+    """Per-row sums of ``values``, each added left to right in rank order.
+
+    A row's ranks are distinct. One vector add per rank gives each row the
+    bits of a loop of ``+=`` over its values, which is how Python 3.11's
+    float ``sum()`` adds; ``np.sum`` and ``np.add.reduceat`` add pairwise and
+    would change the last bits.
+    """
+    total = np.zeros(n_rows)
+    by_rank = np.argsort(ranks)
+    rows, values = rows[by_rank], values[by_rank]
+    bounds = np.searchsorted(ranks[by_rank], np.arange(ranks.max(initial=0) + 2)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        total[rows[lo:hi]] += values[lo:hi]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -65,20 +157,23 @@ def _count(cands, refs, max_n: int):
 # ---------------------------------------------------------------------------
 
 
-def _bleu_orders(cands, refs, cand_grams, ref_grams, n: int) -> list[float]:
-    """BLEU-1..n from one pass of clipped n-gram tallies."""
-    correct = [0] * n
-    guess = [0] * n
-    cand_len = 0
-    ref_len = 0
-    for cand, group, counts, group_counts in zip(cands, refs, cand_grams, ref_grams):
-        c = len(cand)
-        cand_len += c
-        ref_len += min((abs(len(r) - c), len(r)) for r in group)[1]
-        for k in range(n):
-            guess[k] += max(0, c - k)
-            correct[k] += sum(min(cnt, max(r[k].get(ngram, 0) for r in group_counts))
-                              for ngram, cnt in counts[k].items())
+def _bleu_orders(table: _NgramTable) -> list[float]:
+    """BLEU-1..max_n from one pass of clipped n-gram tallies, pooled as integers."""
+    n = table.max_n
+    cand = np.flatnonzero(table.slot == 0)
+    correct = np.zeros(n, dtype=np.int64)
+    np.add.at(correct, table.group[cand] // table.n_captions,
+              np.minimum(table.count[cand], table.ref_max[table.run[cand]]))
+    correct = correct.tolist()
+    c = table.lengths[:table.n_clips]
+    r = table.lengths[table.n_clips:]
+    wide = int(r.max()) + 1
+    # each clip's reference of the closest length, the shorter on a tie
+    closest = np.minimum.reduceat(np.abs(r - c[table.ref_clip]) * wide + r,
+                                  np.flatnonzero(table.ref_place == 0))
+    cand_len = int(c.sum())
+    ref_len = int((closest % wide).sum())
+    guess = [int(np.maximum(c - k, 0).sum()) for k in range(n)]
     scores = []
     for m in range(1, n + 1):
         precisions = [correct[k] / guess[k] if guess[k] > 0 else 0.0 for k in range(m)]
@@ -92,11 +187,13 @@ def _bleu_orders(cands, refs, cand_grams, ref_grams, n: int) -> list[float]:
 
 def bleu(candidates, reference_lists, n: int = 4) -> float:
     """Corpus BLEU-n: clipped modified precision, geometric mean over 1..n,
-    brevity penalty against the closest-length reference."""
+    brevity penalty against the closest-length reference.
+
+    The n-gram counts come from one ``_NgramTable`` over interned token ids.
+    """
     if n < 1:
         raise MetricError(f"bleu order must be >= 1, got {n}")
-    cands, refs = _prepare(candidates, reference_lists)
-    return _bleu_orders(cands, refs, *_count(cands, refs, n), n)[-1]
+    return _bleu_orders(_NgramTable(*_prepare(candidates, reference_lists), n))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -148,34 +245,43 @@ def rouge_l(candidates, reference_lists, beta: float = _ROUGE_BETA) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _norm(vec: dict) -> float:
-    return math.sqrt(sum(w * w for w in vec.values()))
-
-
-def _cider(cand_grams, ref_grams) -> float:
-    n_docs = len(cand_grams)
+def _cider(table: _NgramTable) -> float:
+    n_docs = table.n_clips
     if n_docs < 2:
         raise MetricError("CIDEr needs a corpus of at least 2 clips for IDF")
-    idf_by_n: list[dict] = []
-    for k in range(_CIDER_MAX_N):
-        df = Counter(ng for group in ref_grams for ng in set().union(*(r[k] for r in group)))
-        idf_by_n.append({ng: math.log(n_docs / max(1, cnt)) for ng, cnt in df.items()})
+    n_caps = table.n_captions
+    # df: the clips whose references hold the n-gram; 0 gives a candidate's
+    # n-gram that no reference holds the unseen idf ln N. math.log, since
+    # np.log differs from it in the last bit on some inputs.
+    df = np.bincount(table.code[table.heads[table.ref_max > 0]], minlength=table.n_codes)
+    distinct, which = np.unique(df, return_inverse=True)
+    idf = np.array([math.log(n_docs / max(1, d)) for d in distinct.tolist()])[which]
+    weight = table.count * idf[table.code]
+    n_groups = _CIDER_MAX_N * n_caps
+    norm = np.sqrt(_sums_in_order(weight * weight, table.group, table.rank, n_groups))
 
-    unseen_idf = math.log(n_docs)  # of a candidate n-gram no reference holds
+    # a dot product adds the n-grams that a reference shares with its clip's
+    # candidate, the run's first entry, in the candidate's order
+    head = table.heads[table.run]
+    r = np.flatnonzero((table.slot != 0) & (table.slot[head] == 0))
+    c = head[r]
+    dot = _sums_in_order(weight[c] * weight[r], table.group[r], table.rank[c], n_groups)
+
+    order = np.arange(_CIDER_MAX_N)[:, None]
+    ref_group = order * n_caps + np.arange(n_docs, n_caps)
+    na, nb = norm[order * n_caps + table.ref_clip], norm[ref_group]
+    sims = np.zeros(ref_group.shape)
+    np.divide(dot[ref_group], na * nb, out=sims, where=(na != 0.0) & (nb != 0.0))
+    rows = order * n_docs + table.ref_clip
+    ranks = np.broadcast_to(table.ref_place, rows.shape)
+    sim_sums = _sums_in_order(sims.ravel(), rows.ravel(), ranks.ravel(), _CIDER_MAX_N * n_docs)
+    per_n = 10.0 * sim_sums.reshape(_CIDER_MAX_N, n_docs) / table.n_refs
+    per_clip = np.zeros(n_docs)
+    for row in per_n:
+        per_clip += row
     total = 0.0
-    for counts, group in zip(cand_grams, ref_grams):
-        per_n = []
-        for k, idf in enumerate(idf_by_n):
-            cand_vec = {ng: cnt * idf.get(ng, unseen_idf) for ng, cnt in counts[k].items()}
-            na = _norm(cand_vec)
-            sims = []
-            for r in group:
-                ref_vec = {ng: cnt * idf[ng] for ng, cnt in r[k].items()}
-                nb = _norm(ref_vec)
-                dot = sum(w * ref_vec[ng] for ng, w in cand_vec.items() if ng in ref_vec)
-                sims.append(0.0 if na == 0.0 or nb == 0.0 else dot / (na * nb))
-            per_n.append(10.0 * sum(sims) / len(sims))
-        total += sum(per_n) / len(per_n)
+    for score in (per_clip / _CIDER_MAX_N).tolist():
+        total += score
     return total / n_docs
 
 
@@ -185,10 +291,10 @@ def cider(candidates, reference_lists) -> float:
 
     IDF comes from the reference corpus: idf = ln(N / max(1, df)) with df the
     number of clips whose references contain the n-gram. Needs at least two
-    clips for the document statistics to exist.
+    clips for the document statistics to exist. The n-gram counts come from
+    one ``_NgramTable`` over interned token ids.
     """
-    cands, refs = _prepare(candidates, reference_lists)
-    return _cider(*_count(cands, refs, _CIDER_MAX_N))
+    return _cider(_NgramTable(*_prepare(candidates, reference_lists), _CIDER_MAX_N))
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +405,13 @@ class ScoreReport:
 
 def score_corpus(candidates, reference_lists) -> ScoreReport:
     """All seven scores, equal to the separate scorers' but with each caption
-    prepared and n-gram counted once (the counts serve BLEU-1..4 and CIDEr
-    alike) and each distinct word stemmed once."""
+    prepared once, one n-gram table for BLEU-1..4 and CIDEr alike, and each
+    distinct word stemmed once."""
     cands, refs = _prepare(candidates, reference_lists)
-    cand_grams, ref_grams = _count(cands, refs, _CIDER_MAX_N)
-    b1, b2, b3, b4 = _bleu_orders(cands, refs, cand_grams, ref_grams, 4)
+    table = _NgramTable(cands, refs, _CIDER_MAX_N)
+    b1, b2, b3, b4 = _bleu_orders(table)
     return ScoreReport(bleu_1=b1, bleu_2=b2, bleu_3=b3, bleu_4=b4,
-                       cider=_cider(cand_grams, ref_grams), meteor=_meteor(cands, refs),
+                       cider=_cider(table), meteor=_meteor(cands, refs),
                        rouge_l=_rouge_l(cands, refs, _ROUGE_BETA))
 
 
@@ -335,7 +441,10 @@ def evaluate_files(candidate_path: str | Path, reference_path: str | Path) -> Sc
     Both files must name the same clips, one candidate each: a clip of either
     file missing from the other raises ``MetricError``, since scores over a
     subset of the references (CIDEr's document frequencies, BLEU's corpus
-    counts, every mean) are not the scores of the reference set.
+    counts, every mean) are not the scores of the reference set. A reference
+    caption with no words after cleaning raises ``MetricError`` too, since
+    it would count as a reference that shares nothing; a candidate may be
+    empty, as a model may emit nothing.
     """
     cand_table = read_caption_tsv(candidate_path)
     ref_table = read_caption_tsv(reference_path)
@@ -346,6 +455,9 @@ def evaluate_files(candidate_path: str | Path, reference_path: str | Path) -> Sc
             raise MetricError(f"{candidate_path}: clip {clip_id!r} has {len(captions)} candidates")
         if clip_id not in ref_table:
             raise MetricError(f"{reference_path}: no references for clip {clip_id!r}")
+        if not all(ref_table[clip_id]):
+            raise MetricError(f"{reference_path}: clip {clip_id!r} has a reference caption "
+                              "with no words")
         candidates.append(captions[0])
         references.append(ref_table[clip_id])
     uncovered = [clip_id for clip_id in ref_table if clip_id not in cand_table]

@@ -1041,6 +1041,19 @@ class TestEvaluate:
         assert "CIDEr" not in capsys.readouterr().out
         assert not out.exists()
 
+    def test_reference_with_no_words_exits_1_and_writes_nothing(self, tmp_path, caplog, capsys):
+        """A reference line that cleans to nothing is refused, not scored as a
+        reference that shares no n-gram; an empty candidate stays legal."""
+        candidates, references = tmp_path / "candidates.tsv", tmp_path / "references.tsv"
+        candidates.write_text("c0\tdog barks\nc1\t\n", encoding="utf-8")
+        references.write_text("c0\tdog barks\nc0\t!!!\nc1\train falls\n", encoding="utf-8")
+        out = tmp_path / "report.txt"
+        assert cli.main(["evaluate", "--candidates", str(candidates), "--references",
+                         str(references), "--out", str(out)]) == 1
+        assert f"{references}: clip 'c0' has a reference caption with no words" in caplog.text
+        assert "CIDEr" not in capsys.readouterr().out
+        assert not out.exists()
+
 
 def test_commands_chain_from_wav_clips_to_scores(tmp_path, toy_lexicon, caplog):
     """Each command reads what the one before it wrote: log-Mel features, the

@@ -1,9 +1,13 @@
 import hashlib
 import math
 import random
+import re
+from collections import Counter
+from itertools import chain
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aucap.errors import MetricError
@@ -20,7 +24,7 @@ from aucap.metrics import (
     score_corpus,
 )
 from aucap.semantics import to_root
-from aucap.text import clean_caption
+from aucap.text import clean_caption, strip_special_tokens
 
 CAT = "the cat sat on the mat".split()
 CAT_REF = "the cat is on the mat".split()
@@ -245,6 +249,22 @@ class TestEvaluateFiles:
         with pytest.raises(MetricError, match=named):
             evaluate_files(cand, ref)
 
+    def test_reference_with_no_words(self, tmp_path):
+        """A reference line that cleans to nothing names its file and clip; an
+        empty candidate is scored, and ``score_corpus`` itself still takes an
+        empty reference."""
+        cand = tmp_path / "cand.tsv"
+        ref = tmp_path / "ref.tsv"
+        cand.write_text("c0\tdog barks\nc1\t...\n", encoding="utf-8")
+        ref.write_text("c0\tdog barks\nc1\train falls\n", encoding="utf-8")
+        assert evaluate_files(cand, ref) == score_corpus([["dog", "barks"], []],
+                                                         [[["dog", "barks"]], [["rain", "falls"]]])
+        ref.write_text("c0\tdog barks\nc1\train falls\nc1\t!!!\n", encoding="utf-8")
+        named = re.escape(f"{ref}: clip 'c1' has a reference caption with no words")
+        with pytest.raises(MetricError, match=f"^{named}$"):
+            evaluate_files(cand, ref)
+        score_corpus([["dog", "barks"], []], [[["dog", "barks"]], [["rain", "falls"], []]])
+
     def test_two_candidates_for_one_clip(self, tmp_path):
         cand = tmp_path / "cand.tsv"
         ref = tmp_path / "ref.tsv"
@@ -328,3 +348,174 @@ class TestScoreCorpus:
         # every 5-gram of a 6-word candidate equal to its reference matches
         assert bleu([CAT], [[CAT]], 5) == 1.0
         assert bleu([CAT], [[CAT_REF]], 5) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the dict-based reference for BLEU and CIDEr: each caption's n-grams counted
+# into Counters, and every sum a Python loop over dict entries
+# ---------------------------------------------------------------------------
+
+
+def ref_ngram_counts(tokens, max_n):
+    """The 1..max_n-gram counts of ``tokens``, each in first-appearance order."""
+    return [Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(1, max_n + 1)]
+
+
+def ref_bleu_orders(cands, refs, cand_grams, ref_grams, n):
+    """BLEU-1..n from one pass of clipped n-gram tallies."""
+    correct = [0] * n
+    guess = [0] * n
+    cand_len = 0
+    ref_len = 0
+    for cand, group, counts, group_counts in zip(cands, refs, cand_grams, ref_grams):
+        c = len(cand)
+        cand_len += c
+        ref_len += min((abs(len(r) - c), len(r)) for r in group)[1]
+        for k in range(n):
+            guess[k] += max(0, c - k)
+            correct[k] += sum(min(cnt, max(r[k].get(ngram, 0) for r in group_counts))
+                              for ngram, cnt in counts[k].items())
+    scores = []
+    for m in range(1, n + 1):
+        precisions = [correct[k] / guess[k] if guess[k] > 0 else 0.0 for k in range(m)]
+        if any(p == 0.0 for p in precisions) or cand_len == 0:
+            scores.append(0.0)
+            continue
+        bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+        scores.append(bp * math.exp(sum(math.log(p) for p in precisions) / m))
+    return scores
+
+
+def ref_sum(values):
+    """Left to right from 0, as Python 3.11's ``sum()`` adds floats (3.12
+    compensates the rounding)."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def ref_norm(vec):
+    return math.sqrt(ref_sum(w * w for w in vec.values()))
+
+
+def ref_cider(cand_grams, ref_grams):
+    n_docs = len(cand_grams)
+    idf_by_n = []
+    for k in range(4):
+        df = Counter(ng for group in ref_grams for ng in set().union(*(r[k] for r in group)))
+        idf_by_n.append({ng: math.log(n_docs / max(1, cnt)) for ng, cnt in df.items()})
+    unseen_idf = math.log(n_docs)  # of a candidate n-gram no reference holds
+    total = 0.0
+    for counts, group in zip(cand_grams, ref_grams):
+        per_n = []
+        for k, idf in enumerate(idf_by_n):
+            cand_vec = {ng: cnt * idf.get(ng, unseen_idf) for ng, cnt in counts[k].items()}
+            na = ref_norm(cand_vec)
+            sims = []
+            for r in group:
+                ref_vec = {ng: cnt * idf[ng] for ng, cnt in r[k].items()}
+                nb = ref_norm(ref_vec)
+                dot = ref_sum(w * ref_vec[ng] for ng, w in cand_vec.items() if ng in ref_vec)
+                sims.append(0.0 if na == 0.0 or nb == 0.0 else dot / (na * nb))
+            per_n.append(10.0 * ref_sum(sims) / len(sims))
+        total += ref_sum(per_n) / len(per_n)
+    return total / n_docs
+
+
+def ref_scores(candidates, reference_lists, n):
+    """The reference's BLEU-1..n, and its CIDEr for a corpus of 2 clips or more."""
+    cands = [strip_special_tokens(c) for c in candidates]
+    refs = [[strip_special_tokens(r) for r in group] for group in reference_lists]
+    cand_grams = [ref_ngram_counts(c, max(n, 4)) for c in cands]
+    ref_grams = [[ref_ngram_counts(r, max(n, 4)) for r in group] for group in refs]
+    return (ref_bleu_orders(cands, refs, cand_grams, ref_grams, n),
+            ref_cider(cand_grams, ref_grams) if len(cands) > 1 else None)
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+# few words, so that n-grams repeat within a caption and across clips;
+# "the" goes into every clip's references when a corpus asks for it
+_TOKENS = ["the", "dog", "barks", "a", "car", "<sos>", "<eos>", "<unk>"]
+_caption = st.lists(st.sampled_from(_TOKENS), max_size=12)
+
+
+@st.composite
+def corpora(draw):
+    clips = draw(st.integers(1, 7))
+    cands = draw(st.lists(_caption, min_size=clips, max_size=clips))
+    refs = [draw(st.lists(_caption, min_size=1, max_size=6)) for _ in range(clips)]
+    if draw(st.booleans()):
+        for group in refs:
+            group[0] = group[0] + ["the"]
+    return cands, refs
+
+
+class TestAgainstTheDictReference:
+    """BLEU and CIDEr equal, bit for bit, the dict-based reference above."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(corpora())
+    # a 2-clip corpus with an empty candidate and an empty reference
+    @example(([[], ["dog", "barks"]], [[["dog"], []], [["dog", "barks"]]]))
+    # "the" in every clip's references: idf 0, so the 1-gram norms of
+    # ["the", "the"] and ["the"] are 0
+    @example(([["the", "the"], ["the", "dog"]], [[["the"], ["the", "car"]], [["the", "dog"]]]))
+    # 6 references and repeated tokens
+    @example(([["dog", "dog", "dog", "barks"], ["a"]],
+              [[["dog"] * k for k in range(1, 7)], [["a", "a"]]]))
+    def test_bleu_of_every_order_cider_and_score_corpus(self, corpus):
+        cands, refs = corpus
+        ref_bleu, ref_cider_value = ref_scores(cands, refs, 6)
+        assert hexes(bleu(cands, refs, n) for n in range(1, 7)) == hexes(ref_bleu)
+        if len(cands) < 2:  # CIDEr needs 2 clips for its idf
+            return
+        assert cider(cands, refs).hex() == ref_cider_value.hex()
+        report = score_corpus(cands, refs)
+        assert hexes([report.bleu_1, report.bleu_2, report.bleu_3, report.bleu_4,
+                      report.cider]) == hexes(ref_bleu[:4] + [ref_cider_value])
+
+    def test_idf_of_a_ratio_where_np_log_is_one_bit_off(self):
+        """21 clips, "the" in the references of 20: idf = ln(21/20), for which
+        np.log and math.log differ, and on this seed the score shows it."""
+        assert np.log(21 / 20) != math.log(21 / 20)
+        rng = random.Random(164)
+        words = "dog barks a car rain falls".split()
+        cands, refs = [], []
+        for i in range(21):
+            cands.append(["the"] * rng.randint(1, 3) + rng.sample(words, 2))
+            group = [rng.sample(words, 3) for _ in range(rng.randint(1, 3))]
+            if i < 20:
+                group[0] = group[0] + ["the"]
+            refs.append(group)
+        assert cider(cands, refs).hex() == ref_scores(cands, refs, 4)[1].hex()
+
+    def test_many_distinct_words_and_long_captions(self):
+        """Over 70,000 distinct words and 60-token captions, so that an n-gram
+        code formed as a base-V number would pass 2**63 by order 4: the
+        scores, BLEU-6 among them, equal the reference's."""
+        rng = np.random.RandomState(5)
+        cands, refs = [], []
+        for _ in range(400):
+            base = rng.randint(0, 200_000, 60)
+
+            def caption():
+                # a close copy of the clip's sentence, or one mostly of new words
+                words = base.copy()
+                swap = rng.random_sample(60) < rng.choice([0.1, 0.9])
+                words[swap] = rng.randint(200_000, 2_000_000, swap.sum())
+                return [f"w{i}" for i in words]
+
+            cands.append(caption())
+            refs.append([caption() for _ in range(rng.randint(1, 7))])
+        distinct = len({w for caption in chain(cands, *refs) for w in caption})
+        assert distinct > 70_000 and distinct ** 4 > 2 ** 63
+        ref_bleu, ref_cider_value = ref_scores(cands, refs, 6)
+        report = score_corpus(cands, refs)
+        assert hexes([report.bleu_1, report.bleu_2, report.bleu_3, report.bleu_4,
+                      report.cider]) == hexes(ref_bleu[:4] + [ref_cider_value])
+        assert bleu(cands, refs, 6).hex() == ref_bleu[5].hex()
+        assert ref_bleu[5] > 0.0
